@@ -13,8 +13,9 @@ import itertools
 import random
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gvc.linear import (ProofResult, Rel, entails_constraints, make_constraint)
 
@@ -39,6 +40,18 @@ def random_constraint(rng, names, cfg):
     return make_constraint(coeffs, rng.randint(-cfg.const, cfg.const), rel)
 
 
+def random_systems(cfg):
+    """cfg.systems entailment queries drawn from cfg.seed, each a triple
+    (variable names, premise constraints, goal constraints)."""
+    rng = random.Random(cfg.seed)
+    for _ in range(cfg.systems):
+        n = rng.randint(1, cfg.max_vars)
+        names = [f"x{j}" for j in range(n)]
+        premises = [random_constraint(rng, names, cfg) for _ in range(rng.randint(1, 4))]
+        goal = [random_constraint(rng, names, cfg)]
+        yield names, premises, goal
+
+
 def satisfies(point, con):
     total = con.const + sum(c * point[v] for v, c in con.terms)
     if con.rel is Rel.LE:
@@ -48,6 +61,19 @@ def satisfies(point, con):
     return total != 0
 
 
+def contradiction(names, premises, goal, verdict, box):
+    """A point of [0, box]^n that refutes a Proved or Disproved verdict: one
+    satisfying the premises where the goal fails (Proved) or holds
+    (Disproved).  None when search finds none."""
+    for pt_vals in itertools.product(range(box + 1), repeat=len(names)):
+        pt = dict(zip(names, pt_vals))
+        if not all(satisfies(pt, p) for p in premises):
+            continue
+        if all(satisfies(pt, g) for g in goal) != (verdict is ProofResult.PROVED):
+            return pt
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--systems", type=int, default=1000)
@@ -55,29 +81,18 @@ def main():
     args = ap.parse_args()
     cfg = Config(systems=args.systems, seed=args.seed)
 
-    rng = random.Random(cfg.seed)
     tally = {r: 0 for r in ProofResult}
     contradictions = []
-    for i in range(cfg.systems):
-        n = rng.randint(1, cfg.max_vars)
-        names = [f"x{j}" for j in range(n)]
-        premises = [random_constraint(rng, names, cfg) for _ in range(rng.randint(1, 4))]
-        goal = [random_constraint(rng, names, cfg)]
+    for i, (names, premises, goal) in enumerate(random_systems(cfg)):
         verdict = entails_constraints(premises, goal)
         tally[verdict] += 1
         if verdict is ProofResult.UNKNOWN:
             continue
-        for pt_vals in itertools.product(range(cfg.box + 1), repeat=n):
-            pt = dict(zip(names, pt_vals))
-            if not all(satisfies(pt, p) for p in premises):
-                continue
-            holds = all(satisfies(pt, g) for g in goal)
-            if verdict is ProofResult.PROVED and not holds:
-                contradictions.append((i, pt, "Proved but counterexample"))
-                break
-            if verdict is ProofResult.DISPROVED and holds:
-                contradictions.append((i, pt, "Disproved but joint model"))
-                break
+        pt = contradiction(names, premises, goal, verdict, cfg.box)
+        if pt is not None:
+            what = ("Proved but counterexample" if verdict is ProofResult.PROVED
+                    else "Disproved but joint model")
+            contradictions.append((i, pt, what))
 
     total = cfg.systems
     print(f"systems: {total}")

@@ -13,11 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-from .frontend import (InferenceError, WellFormednessError, load_source)
+from .frontend import (InferenceError, WellFormednessError, corpus_adversaries,
+                       corpus_files, load_source)
 from .lang import ResolutionError
 from .lexer import LexError
 from .parser import ParseError
-from .printer import pretty_print
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +65,7 @@ class SystemExit2(Exception):
 
 
 def cmd_verify(args):
-    from .verifier import Status, verify_program
+    from .verifier import verify_program
 
     program, _ = _load(args.path)
     report = verify_program(program)
@@ -198,15 +198,14 @@ def cmd_corpus(args):
     from .erosion import check_dynamic_monotonic, check_static_monotonic, erode_program
     from .oracle import enumerate_equivalence
     from .verifier import verify_program
+    from .vm import VmLoadError
     from .weaver import weave
 
     root = Path(args.dir)
     if not root.is_dir():
         print(f"not a directory: {root}")
         return EXIT_USAGE
-    files = sorted(p for p in root.glob("*.gcl")
-                   if not p.name.endswith(".adversary.gcl")
-                   and not p.name.endswith(".woven.gcl"))
+    files = corpus_files(root)
     if not files:
         print("warning: no corpus programs found")
         return EXIT_OK
@@ -215,20 +214,19 @@ def cmd_corpus(args):
     total_erosions = 0
     for path in files:
         program, _ = _load(path)
-        adv_path = path.with_name(path.stem + ".adversary.gcl")
-        adversaries = {}
-        if adv_path.exists():
-            text = adv_path.read_text(encoding="utf-8")
-            for c in program.contracts:
-                if c.extern and f"contract {c.name}" in text:
-                    adversaries[c.name] = text
+        adversaries = corpus_adversaries(path, program)
         report = verify_program(program)
         if report.has_static_error:
             print(f"{path.name}: {_red('static-error')}")
             worst = max(worst, EXIT_STATIC)
             continue
         ip = weave(program, report)
-        eq = enumerate_equivalence(program, ip, bound=args.bound, adversaries=adversaries)
+        try:
+            eq = enumerate_equivalence(program, ip, bound=args.bound, adversaries=adversaries)
+        except (VmLoadError,) + _FRONTEND_ERRORS as e:
+            print(f"{path.name}: {_red('FAIL')} cannot load the woven program: {e}")
+            worst = max(worst, EXIT_DISAGREEMENT)
+            continue
         n_dis = len(eq["disagreements"])
         bad_static = check_static_monotonic(program)
         erosions = list(erode_program(program))

@@ -9,10 +9,9 @@ are checked here over bounded input grids.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
-from .lang import Formula, If, Program, Spec, While, well_formed_program
+from .lang import AssertStmt, Formula, If, Program, Spec, While, well_formed_program
 from .printer import fmt_formula
 
 
@@ -41,8 +40,6 @@ def _formula_weakenings(f: Formula):
 def _replace_site(body, path, new_formula):
     """path alternates statement index and branch name, ending at a While
     (invariant) or an assert statement."""
-    from .lang import AssertStmt
-
     i = path[0]
     out = list(body)
     s = out[i]
@@ -61,8 +58,6 @@ def _replace_site(body, path, new_formula):
 
 
 def _formula_sites(body, path=()):
-    from .lang import AssertStmt
-
     for i, s in enumerate(body):
         if isinstance(s, While):
             yield path + (i,), "invariant", s.invariant
@@ -131,25 +126,15 @@ def check_dynamic_monotonic(program: Program, erosionv: Erosion, bound: int = 3,
     AllObligationsHeld before erosion must stay AllObligationsHeld after.
     Returns offending points."""
     from .oracle import Oracle
-    from .vm import Transaction, merge_adversaries
+    from .vm import merge_adversaries, transaction_grid
 
     base, unverified = merge_adversaries(program, adversaries)
     eroded, _ = merge_adversaries(erosionv.program, adversaries)
     before, after = Oracle(base, unverified), Oracle(eroded, unverified)
 
-    gslots = [(c.name, g) for c in program.contracts for g in c.globals]
     bad = []
-    for c in program.contracts:
-        if c.extern:
-            continue
-        for m in c.methods:
-            dims = len(gslots) + len(m.params)
-            for point in itertools.product(range(bound + 1), repeat=dims):
-                init = {}
-                for (cn, g), v in zip(gslots, point):
-                    init.setdefault(cn, {})[g] = v
-                tx = Transaction(c.name, m.name, tuple(point[len(gslots):]))
-                if before.judge(init, tx).held and not after.judge(init, tx).held:
-                    bad.append({"erosion": erosionv.label, "method": f"{c.name}.{m.name}",
-                                "initial_state": init, "args": list(tx.args)})
+    for c, m, init, tx in transaction_grid(program, bound):
+        if before.judge(init, tx).held and not after.judge(init, tx).held:
+            bad.append({"erosion": erosionv.label, "method": f"{c.name}.{m.name}",
+                        "initial_state": init, "args": list(tx.args)})
     return bad

@@ -4,12 +4,12 @@ convenience entry points that take raw source to a checked Program."""
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
-    Diagnostic, Formula, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    Predicate, Program, QMark, ResolutionError, Result, Return, SourceLoc,
-    Spec, While, well_formed_program,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
+    Name, NotOp, Old, PredUse, Program, ResolutionError, Return, Spec, While,
+    well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -165,7 +165,6 @@ def resolve(unit):
             if isinstance(s, Assign):
                 e = res_expr(s.expr, True, pnames)
                 if s.target in gnames:
-                    from .lang import GAssign
                     return GAssign(s.target, e, s.loc)
                 if s.target in pnames:
                     raise ResolutionError(s.loc, f"assignment to parameter {s.target!r}")
@@ -241,3 +240,21 @@ def load_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return load_source(text, str(path))
+
+
+def corpus_files(root):
+    """The programs of a corpus directory, sorted: every `*.gcl` except
+    adversary sources and woven outputs."""
+    return sorted(p for p in Path(root).glob("*.gcl")
+                  if not p.name.endswith((".adversary.gcl", ".woven.gcl")))
+
+
+def corpus_adversaries(path, program):
+    """{extern contract name: adversary source} for the corpus program at
+    `path`, read from the `<stem>.adversary.gcl` beside it, if any."""
+    adv_path = Path(path).with_name(Path(path).stem + ".adversary.gcl")
+    if not adv_path.exists():
+        return {}
+    text = adv_path.read_text(encoding="utf-8")
+    return {c.name: text for c in program.contracts
+            if c.extern and f"contract {c.name}" in text}

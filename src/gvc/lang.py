@@ -6,7 +6,8 @@ All node types are immutable; operations here are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 UINT_MAX = 2**64 - 1
@@ -214,6 +215,16 @@ class Check:
 Stmt = Union[Assign, GAssign, If, While, Call, Return, AssertStmt, Check]
 
 
+@dataclass(frozen=True)
+class BoundaryEntry:
+    """One row of a method's boundary-check table, woven as (or read back
+    from) a `#! entry/exit atom @id;` directive."""
+
+    kind: str  # "entry" | "exit"
+    payload: Atom
+    check_id: Optional[str] = None  # set iff this row realizes a residual
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 
@@ -257,6 +268,12 @@ class Contract:
             if p.name == name:
                 return p
         return None
+
+    @cached_property
+    def predicate_reads(self):
+        """Per-predicate sets of globals read (see predicate_global_reads),
+        computed once per contract from its own declarations."""
+        return predicate_global_reads(self)
 
 
 @dataclass(frozen=True)
@@ -315,20 +332,6 @@ def expr_global_reads(e: Expr, global_names=None):
                 out.append(x.name)
         elif isinstance(x, Old):
             out.append(x.slot)
-        elif isinstance(x, BinOp):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
-    return out
-
-
-def expr_local_names(e: Expr):
-    out = []
-
-    def walk(x):
-        if isinstance(x, Name) and x.scope != "global":
-            out.append(x.name)
         elif isinstance(x, BinOp):
             walk(x.left)
             walk(x.right)
@@ -407,7 +410,7 @@ def is_self_framed(f: Formula, ctx: Contract, extra_acc=()):
     by an acc granted elsewhere via extra_acc)."""
     have = set(formula_acc_slots(f)) | set(extra_acc)
     gnames = set(ctx.globals)
-    pred_reads = predicate_read_cache(ctx)
+    pred_reads = ctx.predicate_reads
     for a in f.atoms:
         reads = set()
         if isinstance(a, Cmp):
@@ -420,18 +423,6 @@ def is_self_framed(f: Formula, ctx: Contract, extra_acc=()):
         if not reads <= have:
             return False
     return True
-
-
-_PRED_READ_CACHE = {}
-
-
-def predicate_read_cache(ctx: Contract):
-    key = id(ctx)
-    hit = _PRED_READ_CACHE.get(key)
-    if hit is None:
-        hit = predicate_global_reads(ctx)
-        _PRED_READ_CACHE[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +438,6 @@ def _walk_exprs(node):
         yield node
 
 
-def _cond_leaves(c):
-    if isinstance(c, (BoolOp,)):
-        for p in c.parts:
-            yield from _cond_leaves(p)
-    elif isinstance(c, NotOp):
-        yield from _cond_leaves(c.operand)
-    else:
-        yield c
-
-
 def _formula_exprs(f: Formula):
     for a in f.atoms:
         if isinstance(a, Cmp):
@@ -467,14 +448,14 @@ def _formula_exprs(f: Formula):
                 yield from _walk_exprs(arg)
 
 
-def _stmts_recursive(body):
+def stmts_recursive(body):
     for s in body:
         yield s
         if isinstance(s, If):
-            yield from _stmts_recursive(s.then)
-            yield from _stmts_recursive(s.orelse)
+            yield from stmts_recursive(s.then)
+            yield from stmts_recursive(s.orelse)
         elif isinstance(s, While):
-            yield from _stmts_recursive(s.body)
+            yield from stmts_recursive(s.body)
 
 
 def well_formed_program(p: Program):
@@ -534,11 +515,9 @@ def well_formed_program(p: Program):
             for e in _formula_exprs(req):
                 if isinstance(e, IntLit):
                     check_expr_ranges(e, m.loc)
-            returns_somewhere = False
-            for s in _stmts_recursive(m.body):
+            for s in stmts_recursive(m.body):
                 if isinstance(s, (Assign, GAssign, Return)):
                     if isinstance(s, Return):
-                        returns_somewhere = True
                         if m.returns and s.expr is None:
                             diags.append(Diagnostic(s.loc, "return without a value in a method returning uint64"))
                         if not m.returns and s.expr is not None:
@@ -562,7 +541,6 @@ def well_formed_program(p: Program):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
             if m.returns and not m.opaque and not _always_returns(m.body):
                 diags.append(Diagnostic(m.loc, f"method {m.name} may fall off the end without returning a value"))
-            _ = returns_somewhere
     return diags
 
 
@@ -581,7 +559,7 @@ def _always_returns(body):
 
 def assigned_locals(body):
     out = set()
-    for s in _stmts_recursive(body):
+    for s in stmts_recursive(body):
         if isinstance(s, Assign):
             out.add(s.target)
         elif isinstance(s, Call) and s.target:
@@ -591,11 +569,7 @@ def assigned_locals(body):
 
 def assigned_globals(body):
     out = set()
-    for s in _stmts_recursive(body):
+    for s in stmts_recursive(body):
         if isinstance(s, GAssign):
             out.add(s.slot)
     return out
-
-
-def stmts_recursive(body):
-    return _stmts_recursive(body)

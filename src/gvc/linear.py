@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from math import gcd
 
-from .lang import UINT_MAX, BinOp, Cmp, IntLit, Name, Old, Result
+from .lang import UINT_MAX, BinOp, IntLit
 
 SPLIT_BUDGET = 8
 COEF_LIMIT = 2**127
@@ -140,55 +140,41 @@ def negate_constraints(cons):
 
 
 # ---------------------------------------------------------------------------
-# Atom linearization
+# Expression linearization
 
 
-def expr_to_linexpr(e, bindings=None):
-    """Source expression -> LinExpr, or NONLINEAR.  bindings maps names to
-    LinExpr symbolic values; unbound names become symbols of their own."""
+def linearize(e, leaf):
+    """Source expression -> LinExpr, or NONLINEAR.  `leaf` gives the value
+    (a LinExpr or NONLINEAR) of each Name, Old or Result node; both operands
+    of a BinOp are linearized, left first, before either is inspected."""
     if isinstance(e, IntLit):
         return LinExpr.lit(e.value)
-    if isinstance(e, Name):
-        if bindings and e.name in bindings:
-            return bindings[e.name]
-        return LinExpr.of(e.name)
-    if isinstance(e, Old):
-        key = f"old({e.slot})"
-        if bindings and key in bindings:
-            return bindings[key]
-        return LinExpr.of(key)
-    if isinstance(e, Result):
-        if bindings and "result" in bindings:
-            return bindings["result"]
-        return LinExpr.of("result")
-    if isinstance(e, BinOp):
-        l = expr_to_linexpr(e.left, bindings)
-        r = expr_to_linexpr(e.right, bindings)
-        if l is NONLINEAR or r is NONLINEAR:
-            return NONLINEAR
-        if e.op == "+":
-            return l.add(r)
-        if e.op == "-":
-            return l.sub(r)
-        if e.op == "*":
-            if l.is_const:
-                return r.scale(l.const)
-            if r.is_const:
-                return l.scale(r.const)
-            return NONLINEAR
-        return NONLINEAR  # "/" and "%" never linearize
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def to_linear(atom, bindings=None):
-    """Comparison atom -> equivalent LinearConstraint list, or NONLINEAR."""
-    if not isinstance(atom, Cmp):
-        return NONLINEAR
-    l = expr_to_linexpr(atom.left, bindings)
-    r = expr_to_linexpr(atom.right, bindings)
+    if not isinstance(e, BinOp):
+        return leaf(e)
+    l = linearize(e.left, leaf)
+    r = linearize(e.right, leaf)
     if l is NONLINEAR or r is NONLINEAR:
         return NONLINEAR
-    return constraints_for_cmp(atom.op, l, r)
+    if e.op == "+":
+        return l.add(r)
+    if e.op == "-":
+        return l.sub(r)
+    if e.op == "*":
+        if l.is_const:
+            return r.scale(l.const)
+        if r.is_const:
+            return l.scale(r.const)
+    return NONLINEAR  # "/" and "%" never linearize
+
+
+def cmp_constraints(op, left, right, leaf):
+    """Constraints for the comparison `left op right` of two source
+    expressions (see linearize), or NONLINEAR."""
+    l = linearize(left, leaf)
+    r = linearize(right, leaf)
+    if l is NONLINEAR or r is NONLINEAR:
+        return NONLINEAR
+    return constraints_for_cmp(op, l, r)
 
 
 # ---------------------------------------------------------------------------
@@ -383,17 +369,3 @@ def _entails(premises, goal):
     if check_sat(list(premises) + list(goal)) == "unsat" and check_sat(list(premises)) == "sat":
         return ProofResult.DISPROVED
     return ProofResult.UNKNOWN
-
-
-def entails(premises, goal_atom, bindings=None, stats=None):
-    """ProofResult for a comparison atom; non-linearizable goals are Unknown."""
-    goal = to_linear(goal_atom, bindings)
-    if goal is NONLINEAR:
-        if stats is not None:
-            stats.record(ProofResult.UNKNOWN)
-        return ProofResult.UNKNOWN
-    return entails_constraints(premises, goal, stats)
-
-
-def dump_system(constraints):
-    return "\n".join(str(c) for c in constraints)

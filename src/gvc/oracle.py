@@ -10,15 +10,12 @@ validated against it, so it re-implements evaluation on its own.
 
 from __future__ import annotations
 
-import itertools
-import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Formula,
-    GAssign, If, IntLit, Name, NotOp, Old, PredUse, Program, Result, Return,
-    UINT_MAX, While,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
+    IntLit, Name, NotOp, Old, PredUse, Program, Result, Return, UINT_MAX, While,
 )
 
 ALL_HELD = "AllObligationsHeld"
@@ -373,43 +370,27 @@ def enumerate_equivalence(program: Program, woven, bound: int = 8,
     """Exhaustively compare the instrumented VM against the oracle on every
     initial storage and argument vector in [0, bound]^n, one transaction per
     case.  Returns {"cases": n, "disagreements": [...]}."""
-    from .vm import Ledger, Transaction, Vm, load_program, merge_adversaries
+    from .vm import Ledger, Vm, load_program, merge_adversaries, transaction_grid
 
     image = load_program(woven, adversaries)
     base, unverified = merge_adversaries(program, adversaries)
     oracle = Oracle(base, unverified)
 
-    gslots = [(c.name, g) for c in program.contracts for g in c.globals]
     cases = 0
     disagreements = []
-    for c in program.contracts:
-        if c.extern:
-            continue
-        for m in c.methods:
-            pnames = [p for p, _ in m.params]
-            dims = len(gslots) + len(pnames)
-            for point in itertools.product(range(bound + 1), repeat=dims):
-                cases += 1
-                init = {}
-                for (cn, g), v in zip(gslots, point):
-                    init.setdefault(cn, {})[g] = v
-                args = tuple(point[len(gslots):])
-                tx = Transaction(c.name, m.name, args)
-
-                ledger = Ledger(image.program, init)
-                vm = Vm(image, ledger)
-                out = vm.exec_transaction(tx, gas_limit=None)
-                judgment = oracle.judge(init, tx)
-
-                agree = _agree(out, judgment, ledger, image.sidecar)
-                if not agree:
-                    disagreements.append({
-                        "initial_state": init,
-                        "method": f"{c.name}.{m.name}",
-                        "args": list(args),
-                        "vm_outcome": _vm_desc(out, image.sidecar),
-                        "oracle_verdict": _oracle_desc(judgment),
-                    })
+    for c, m, init, tx in transaction_grid(program, bound):
+        cases += 1
+        ledger = Ledger(image.program, init)
+        out = Vm(image, ledger).exec_transaction(tx, gas_limit=None)
+        judgment = oracle.judge(init, tx)
+        if not _agree(out, judgment, ledger, image.sidecar):
+            disagreements.append({
+                "initial_state": init,
+                "method": f"{c.name}.{m.name}",
+                "args": list(tx.args),
+                "vm_outcome": _vm_desc(out, image.sidecar),
+                "oracle_verdict": _oracle_desc(judgment),
+            })
     return {"cases": cases, "disagreements": disagreements}
 
 
@@ -434,7 +415,3 @@ def _oracle_desc(j):
         return {"verdict": ALL_HELD}
     return {"verdict": FIRST_VIOLATION, "kind": j.site.kind,
             "line": j.site.line, "payload": j.payload}
-
-
-def disagreement_json(report: dict) -> str:
-    return json.dumps(report["disagreements"], indent=2, sort_keys=True)

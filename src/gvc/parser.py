@@ -10,9 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
-    Formula, If, IntLit, Method, Name, NotOp, Old, PredUse, Predicate,
-    Program, QMark, Result, Return, SourceLoc, Spec, Stmt, TRUE,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, BoundaryEntry, Call, Check, Cmp,
+    Contract, Formula, If, IntLit, Method, Name, NotOp, Old, PredUse,
+    Predicate, Program, QMark, Result, Return, SourceLoc, Spec,
     UNKNOWN_FORMULA, While, normalize_formula,
 )
 from .lexer import Token
@@ -27,18 +27,9 @@ class ParseError(Exception):
 
 
 @dataclass
-class BoundaryResidual:
-    """A `#! entry/exit atom @id;` directive read back from woven source."""
-
-    kind: str  # "entry" | "exit"
-    payload: object
-    check_id: str
-
-
-@dataclass
 class ParsedUnit:
     program: Program
-    boundary: dict = field(default_factory=dict)  # (contract, method) -> [BoundaryResidual]
+    boundary: dict = field(default_factory=dict)  # (contract, method) -> [BoundaryEntry]
 
 
 class _Parser:
@@ -186,7 +177,7 @@ class _Parser:
                 self.next()
                 cid = self.expect_ident().lexeme
             self.expect_sym(";")
-            residuals.append(BoundaryResidual(kind, payload, cid))
+            residuals.append(BoundaryEntry(kind, payload, cid))
         if residuals:
             self.boundary[(contract_name, name)] = residuals
         opaque = False

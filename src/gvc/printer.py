@@ -73,11 +73,8 @@ def fmt_cond(c, parent="or"):
 
 
 def pretty_print(program, boundary=None) -> str:
-    """Render a Program (or an InstrumentedProgram's parts) as GCL text."""
-    if hasattr(program, "program") and hasattr(program, "boundary_residuals"):
-        # weaver.InstrumentedProgram duck-typing
-        boundary = program.boundary_residuals
-        program = program.program
+    """Render a Program as GCL text, with the boundary rows given per
+    (contract, method) as `#!` directives."""
     boundary = boundary or {}
     out = []
     for c in program.contracts:

@@ -21,8 +21,8 @@ from .lang import (
     assigned_locals,
 )
 from .linear import (
-    LinExpr, NONLINEAR, ProofResult, ProverStats, check_sat,
-    constraints_for_cmp, entails_constraints, expr_to_linexpr, make_constraint,
+    LinExpr, NONLINEAR, ProofResult, ProverStats, check_sat, cmp_constraints,
+    constraints_for_cmp, entails_constraints, linearize,
 )
 from .printer import fmt_atom, pretty_print
 
@@ -192,6 +192,9 @@ class MethodVerifier:
         self._fresh_n += 1
         return LinExpr.of(f"%{hint}{self._fresh_n}")
 
+    def _is_global(self, e: Name):
+        return e.scope == "global" or (e.scope is None and e.name in self.contract.globals)
+
     def _residual(self, obligation, payload, insertion):
         key = (insertion.kind, insertion.block_path, insertion.index,
                obligation.kind, fmt_atom(payload))
@@ -216,7 +219,7 @@ class MethodVerifier:
         if isinstance(e, IntLit):
             return LinExpr.lit(e.value)
         if isinstance(e, Name):
-            if e.scope == "global" or (e.scope is None and e.name in self.contract.globals):
+            if self._is_global(e):
                 return self.read_global(state, e.name, e.loc, insertion)
             v = state.store.get(e.name)
             if v is None:
@@ -288,19 +291,18 @@ class MethodVerifier:
 
     # -- formulas -------------------------------------------------------------
 
-    def atom_constraints(self, state, atom, bindings_extra=None, reads=None):
-        """Constraints for a comparison atom evaluated in `state` without
-        emitting obligations (spec atoms are checked, not executed).  Global
-        reads use `reads` (a snapshot heap) falling back to fresh symbols."""
+    def _spec_leaf(self, state, bindings_extra, reads):
+        """Leaf values for spec atoms, which are checked, not executed: no
+        obligations are emitted.  Names bound in `bindings_extra` come first;
+        global reads use `reads` (a snapshot heap), and anything unknown
+        becomes a fresh symbol."""
         reads = reads if reads is not None else state.heap
 
-        def ev(e):
-            if isinstance(e, IntLit):
-                return LinExpr.lit(e.value)
+        def leaf(e):
             if isinstance(e, Name):
                 if bindings_extra and e.name in bindings_extra:
                     return bindings_extra[e.name]
-                if e.scope == "global" or (e.scope is None and e.name in self.contract.globals):
+                if self._is_global(e):
                     if e.name in reads:
                         return reads[e.name]
                     return self.fresh(e.name)
@@ -315,36 +317,32 @@ class MethodVerifier:
                 if bindings_extra and "result" in bindings_extra:
                     return bindings_extra["result"]
                 return state.store.get("%result", self.fresh("result"))
-            if isinstance(e, BinOp):
-                l, r = ev(e.left), ev(e.right)
-                if l is NONLINEAR or r is NONLINEAR:
-                    return NONLINEAR
-                if e.op == "+":
-                    return l.add(r)
-                if e.op == "-":
-                    return l.sub(r)
-                if e.op == "*":
-                    if l.is_const:
-                        return r.scale(l.const)
-                    if r.is_const:
-                        return l.scale(r.const)
-                return NONLINEAR
             raise TypeError(f"not an expression: {e!r}")
 
-        l, r = ev(atom.left), ev(atom.right)
-        if l is NONLINEAR or r is NONLINEAR:
-            return NONLINEAR
-        return constraints_for_cmp(atom.op, l, r)
+        return leaf
+
+    def atom_constraints(self, state, atom, bindings_extra=None, reads=None):
+        """Constraints for a comparison atom evaluated in `state`."""
+        return cmp_constraints(atom.op, atom.left, atom.right,
+                               self._spec_leaf(state, bindings_extra, reads))
+
+    def _pred_args(self, state, atom, bindings_extra, reads):
+        """Symbolic values of a predicate instance's arguments, or None if
+        one is non-linear."""
+        leaf = self._spec_leaf(state, bindings_extra, reads)
+        args = []
+        for a in atom.args:
+            v = linearize(a, leaf)
+            if v is NONLINEAR:
+                return None
+            args.append(v)
+        return args
 
     def _fact_key(self, state, atom, bindings_extra=None, reads=None):
-        vals = []
-        for a in atom.args:
-            c = self.atom_constraints(state, Cmp("==", a, IntLit(0)), bindings_extra, reads)
-            if c is NONLINEAR:
-                return None
-            # constraints_for_cmp("==", v, 0) carries v itself in its terms/const
-            vals.append((c[0].terms, c[0].const))
-        return (atom.name, tuple(vals))
+        args = self._pred_args(state, atom, bindings_extra, reads)
+        if args is None:
+            return None
+        return (atom.name, tuple((v.terms, v.const) for v in args))
 
     def produce(self, state, f: Formula, bindings_extra=None, on_duplicate="error"):
         if f.imprecise:
@@ -387,12 +385,9 @@ class MethodVerifier:
         conj = _flatten_conj(pred.body)
         if conj is None:
             return  # disjunctive body: opaque fact only
-        args = []
-        for a in atom.args:
-            c = self.atom_constraints(state, Cmp("==", a, IntLit(0)), bindings_extra, reads)
-            if c is NONLINEAR:
-                return
-            args.append(LinExpr(c[0].terms, c[0].const))
+        args = self._pred_args(state, atom, bindings_extra, reads)
+        if args is None:
+            return
         sub = dict(zip(pred.params, args))
         for part in conj:
             if isinstance(part, Cmp):
@@ -452,12 +447,9 @@ class MethodVerifier:
         conj = _flatten_conj(pred.body)
         if conj is None or any(not isinstance(p, Cmp) for p in conj):
             return False
-        args = []
-        for a in atom.args:
-            c = self.atom_constraints(state, Cmp("==", a, IntLit(0)), bindings_extra, reads)
-            if c is NONLINEAR:
-                return False
-            args.append(LinExpr(c[0].terms, c[0].const))
+        args = self._pred_args(state, atom, bindings_extra, reads)
+        if args is None:
+            return False
         sub = dict(zip(pred.params, args))
         for part in conj:
             cons = self.atom_constraints(state, part, sub, reads)
@@ -474,13 +466,19 @@ class MethodVerifier:
         (or its negation).  Leaf expressions are evaluated in `state`;
         obligations from their arithmetic must be emitted separately."""
 
+        def value(e):
+            # a name without a known value (an unowned global, an unassigned
+            # local, old(...) or result) makes the comparison opaque
+            if isinstance(e, Name):
+                if self._is_global(e):
+                    return state.heap.get(e.name, NONLINEAR) if e.name in state.perms else NONLINEAR
+                v = state.store.get(e.name)
+                return v if v is not None else NONLINEAR
+            return NONLINEAR
+
         def leaf(c, neg):
-            op = _NEG_OP[c.op] if neg else c.op
-            l = expr_to_linexpr_in(self, state, c.left)
-            r = expr_to_linexpr_in(self, state, c.right)
-            if l is NONLINEAR or r is NONLINEAR:
-                return [[]]
-            return [constraints_for_cmp(op, l, r)]
+            cons = cmp_constraints(_NEG_OP[c.op] if neg else c.op, c.left, c.right, value)
+            return [[]] if cons is NONLINEAR else [cons]
 
         def walk(node, neg):
             if isinstance(node, NotOp):
@@ -623,22 +621,16 @@ class MethodVerifier:
         internal = callee_c.name == self.contract.name
         bindings = {p: v for (p, _), v in zip(callee_m.params, arg_vals)}
         payload_subst = {p: a for (p, _), a in zip(callee_m.params, s.args)}
-        saved_contract = self.contract
-        try:
-            # consume the callee precondition in the callee's namespace; for
-            # cross-contract calls its acc atoms are settled by the VM entry
-            # protocol, not by the caller
-            self.contract = callee_c if not internal else self.contract
-            if internal:
-                self.consume(state, requires, s.loc, before, "precondition",
-                             bindings_extra=bindings, payload_subst=payload_subst)
-            else:
-                self.contract = saved_contract
-                self.consume(state, _drop_acc(requires), s.loc, before, "precondition",
-                             bindings_extra=_cross_bindings(self, state, requires, bindings),
-                             payload_subst=payload_subst, skip_cross_acc=True)
-        finally:
-            self.contract = saved_contract
+        # the callee precondition is consumed in the caller's namespace; for
+        # cross-contract calls its acc atoms are settled by the VM entry
+        # protocol, not by the caller
+        if internal:
+            self.consume(state, requires, s.loc, before, "precondition",
+                         bindings_extra=bindings, payload_subst=payload_subst)
+        else:
+            self.consume(state, _drop_acc(requires), s.loc, before, "precondition",
+                         bindings_extra=bindings, payload_subst=payload_subst,
+                         skip_cross_acc=True)
         # re-entrancy may have run: havoc every global value, keep permissions
         pre_call = dict(state.heap)
         for slot in list(state.heap):
@@ -665,9 +657,7 @@ class MethodVerifier:
 
     def _invalidate_facts(self, state):
         # predicate facts may read global state; drop them on any heap change
-        pred_reads = {}
-        from .lang import predicate_read_cache
-        pred_reads = predicate_read_cache(self.contract)
+        pred_reads = self.contract.predicate_reads
         state.facts = {f for f in state.facts if not pred_reads.get(f[0], set())}
 
     # -- top level ------------------------------------------------------------
@@ -710,34 +700,6 @@ class MethodVerifier:
         report.status = Status.VERIFIED_WITH_RESIDUALS if ordered else Status.VERIFIED
         report.warnings = self.warnings
         return report
-
-
-def expr_to_linexpr_in(mv: MethodVerifier, state, e):
-    """Expression value in a state without emitting obligations (conditions
-    are branched on, not asserted)."""
-    if isinstance(e, IntLit):
-        return LinExpr.lit(e.value)
-    if isinstance(e, Name):
-        if e.scope == "global" or (e.scope is None and e.name in mv.contract.globals):
-            return state.heap.get(e.name, NONLINEAR) if e.name in state.perms else NONLINEAR
-        v = state.store.get(e.name)
-        return v if v is not None else NONLINEAR
-    if isinstance(e, BinOp):
-        l = expr_to_linexpr_in(mv, state, e.left)
-        r = expr_to_linexpr_in(mv, state, e.right)
-        if l is NONLINEAR or r is NONLINEAR:
-            return NONLINEAR
-        if e.op == "+":
-            return l.add(r)
-        if e.op == "-":
-            return l.sub(r)
-        if e.op == "*":
-            if l.is_const:
-                return r.scale(l.const)
-            if r.is_const:
-                return l.scale(r.const)
-        return NONLINEAR
-    return NONLINEAR
 
 
 def _cond_cmps(cond):
@@ -787,24 +749,12 @@ def _drop_acc(f: Formula) -> Formula:
     return Formula(f.imprecise, tuple(a for a in f.atoms if not isinstance(a, Acc)), f.loc)
 
 
-def _cross_bindings(mv, state, requires, bindings):
-    # foreign globals read by the callee's precondition are opaque to the
-    # caller: bind them to fresh symbols so the atoms stay well-defined
-    out = dict(bindings)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 
 
-def verify_method(method: Method, program: Program, contract: Contract = None,
+def verify_method(method: Method, program: Program, contract: Contract,
                   stats: ProverStats = None) -> MethodReport:
-    if contract is None:
-        for c in program.contracts:
-            if method in c.methods:
-                contract = c
-                break
     stats = stats or ProverStats()
     return MethodVerifier(program, contract, method, stats).run()
 
@@ -823,18 +773,3 @@ def verify_program(program: Program) -> VerificationReport:
                 counter += 1
             reports.append(rep)
     return VerificationReport(reports, program_digest(program), stats)
-
-
-# direct-use wrappers for the produce/consume duals
-
-def produce(state: SymState, f: Formula, program: Program, contract: Contract,
-            method: Method = None) -> SymState:
-    mv = MethodVerifier(program, contract, method or contract.methods[0], ProverStats())
-    return mv.produce(state, f)
-
-
-def consume(state: SymState, f: Formula, loc, program: Program, contract: Contract,
-            method: Method = None):
-    mv = MethodVerifier(program, contract, method or contract.methods[0], ProverStats())
-    mv.consume(state, f, loc, Insertion("before", (), 0), "assert")
-    return state, list(mv.residuals.values())

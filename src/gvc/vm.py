@@ -15,6 +15,7 @@ evaluated.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,7 @@ from .frontend import infer_types, resolve
 from .parser import parse_program
 from .lexer import lex
 from .printer import fmt_atom
-from .weaver import BoundaryEntry, InstrumentedProgram, build_boundary_table
+from .weaver import InstrumentedProgram, build_boundary_table
 
 PREDICATE_DEPTH_CAP = 1024
 
@@ -100,7 +101,6 @@ class Ledger:
                 self.slots[cname] = {}
             for slot, val in slots.items():
                 self.slots[cname][slot] = int(val)
-        self.log = []
 
     def snapshot(self):
         return copy.deepcopy(self.slots)
@@ -147,11 +147,9 @@ class VmOptions:
 
 
 class Frame:
-    _counter = 0
-
-    def __init__(self, contract: Contract, method: Method, env, caller, imprecise_entry, verified):
-        Frame._counter += 1
-        self.id = Frame._counter
+    def __init__(self, frame_id, contract: Contract, method: Method, env, caller,
+                 imprecise_entry, verified):
+        self.id = frame_id
         self.contract = contract
         self.method = method
         self.env = env
@@ -216,30 +214,35 @@ def merge_adversaries(program: Program, adversaries: dict = None):
 
 def load_program(ip, adversaries: dict = None) -> VmImage:
     """Build an executable image; accepts an InstrumentedProgram, a
-    (program, boundary-residuals) pair from re-loading woven text, or a bare
-    Program."""
+    (program, boundary rows) pair from re-loading woven text, or a bare
+    Program.  Each method's table is rebuilt from its spec plus the given
+    residual rows."""
     if isinstance(ip, InstrumentedProgram):
-        program, boundary, sidecar = ip.program, dict(ip.boundary), dict(ip.sidecar)
+        program, residuals, sidecar = ip.program, ip.boundary_residuals, dict(ip.sidecar)
     elif isinstance(ip, tuple):
-        program, boundary = ip
-        boundary, sidecar = dict(boundary), {}
+        (program, residuals), sidecar = ip, {}
     else:
-        program, boundary, sidecar = ip, {}, {}
+        program, residuals, sidecar = ip, {}, {}
     combined, unverified = merge_adversaries(program, adversaries)
-
-    tables = {}
-    from .parser import BoundaryResidual
-    for c in combined.contracts:
-        for m in c.methods:
-            residuals = []
-            for e in boundary.get((c.name, m.name), []):
-                if isinstance(e, BoundaryEntry):
-                    if e.check_id is not None:
-                        residuals.append(BoundaryResidual(e.kind, e.payload, e.check_id))
-                else:
-                    residuals.append(e)
-            tables[(c.name, m.name)] = build_boundary_table(c, m, residuals)
+    tables = {(c.name, m.name): build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
+              for c in combined.contracts for m in c.methods}
     return VmImage(combined, tables, sidecar, frozenset(unverified))
+
+
+def transaction_grid(program: Program, bound: int):
+    """Every single-transaction case of a program's verified methods with
+    each global's initial value and each argument in [0, bound]: yields
+    (contract, method, initial ledger, Transaction), method by method."""
+    gslots = [(c.name, g) for c in program.contracts for g in c.globals]
+    for c in program.contracts:
+        if c.extern:
+            continue
+        for m in c.methods:
+            for point in itertools.product(range(bound + 1), repeat=len(gslots) + len(m.params)):
+                init = {}
+                for (cn, g), v in zip(gslots, point):
+                    init.setdefault(cn, {})[g] = v
+                yield c, m, init, Transaction(c.name, m.name, point[len(gslots):])
 
 
 class Vm:
@@ -249,6 +252,7 @@ class Vm:
         self.options = options or VmOptions()
         self.perm = {}  # (contract, slot) -> frame id, FREE when absent
         self.meter = None
+        self.frames = 0  # frames entered so far; numbers the next one
 
     # -- permission ledger ---------------------------------------------------
 
@@ -294,7 +298,6 @@ class Vm:
                           reason=e.reason, detail=e.detail)
         finally:
             self.perm = {}
-        self.ledger.log.append(out)
         return out
 
     # -- calls ---------------------------------------------------------------
@@ -305,7 +308,8 @@ class Vm:
         verified = cname not in self.image.unverified
         imprecise_entry = method.spec.requires.imprecise or not verified
         env = {p: v for (p, _), v in zip(method.params, args)}
-        frame = Frame(contract, method, env, caller, imprecise_entry, verified)
+        self.frames += 1
+        frame = Frame(self.frames, contract, method, env, caller, imprecise_entry, verified)
         boundary_active = caller is None or not caller.verified
 
         if verified and self.options.enforce_permissions:
@@ -507,8 +511,8 @@ class Vm:
         """Check payload / boundary atom: True or False plus gas."""
         if isinstance(payload, Cmp):
             self.meter.charge_check()
-            l = self.eval_spec_value(frame, payload.left)
-            r = self.eval_spec_value(frame, payload.right)
+            l = self.eval_spec_value(payload.left, frame.env, frame.contract, frame)
+            r = self.eval_spec_value(payload.right, frame.env, frame.contract, frame)
             return _compare(payload.op, l, r)
         if isinstance(payload, Acc):
             self.meter.charge_check()
@@ -523,26 +527,30 @@ class Vm:
                 return True
             return False
         if isinstance(payload, PredUse):
-            args = [self.eval_spec_value(frame, a) for a in payload.args]
+            args = [self.eval_spec_value(a, frame.env, frame.contract, frame)
+                    for a in payload.args]
             return self.eval_predicate(frame.contract, payload.name, args, depth=1)
         raise TypeError(f"not a check payload: {payload!r}")
 
-    def eval_spec_value(self, frame, e):
+    def eval_spec_value(self, e, env, contract, frame):
+        """Value of a spec expression over mathematical integers: names
+        from `env`, then `contract`'s globals; old(...) and result from the
+        method `frame` (None in predicate bodies)."""
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, Name):
-            if e.name in frame.env:
-                return frame.env[e.name]
-            if e.name in frame.contract.globals:
-                return self.ledger.read(frame.contract.name, e.name)
+            if e.name in env:
+                return env[e.name]
+            if e.name in contract.globals:
+                return self.ledger.read(contract.name, e.name)
             raise VmUsageError(f"unbound name {e.name!r} in check payload")
         if isinstance(e, Old):
             return frame.old[e.slot]
         if isinstance(e, Result):
             return frame.result if frame.result is not None else 0
         if isinstance(e, BinOp):
-            l = self.eval_spec_value(frame, e.left)
-            r = self.eval_spec_value(frame, e.right)
+            l = self.eval_spec_value(e.left, env, contract, frame)
+            r = self.eval_spec_value(e.right, env, contract, frame)
             if e.op == "+":
                 return l + r
             if e.op == "-":
@@ -566,32 +574,13 @@ class Vm:
         self.meter.charge_check()  # the predicate call itself
         env = dict(zip(pred.params, args))
 
-        def ev(e):
-            if isinstance(e, IntLit):
-                return e.value
-            if isinstance(e, Name):
-                if e.name in env:
-                    return env[e.name]
-                return self.ledger.read(contract.name, e.name)
-            if isinstance(e, BinOp):
-                l, r = ev(e.left), ev(e.right)
-                if e.op == "+":
-                    return l + r
-                if e.op == "-":
-                    return l - r
-                if e.op == "*":
-                    return l * r
-                if r == 0:
-                    raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=e.loc.line)
-                return l // r if e.op == "/" else l % r
-            raise TypeError(f"not a predicate expression: {e!r}")
-
         def walk(node):
             if isinstance(node, Cmp):
                 self.meter.charge_check()
-                return _compare(node.op, ev(node.left), ev(node.right))
+                return _compare(node.op, self.eval_spec_value(node.left, env, contract, None),
+                                self.eval_spec_value(node.right, env, contract, None))
             if isinstance(node, PredUse):
-                sub = [ev(a) for a in node.args]
+                sub = [self.eval_spec_value(a, env, contract, None) for a in node.args]
                 return self.eval_predicate(contract, node.name, sub, depth + 1)
             if isinstance(node, BoolOp):
                 if node.op == "and":

@@ -12,21 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .lang import Acc, Check, Cmp, Formula, If, Program, While
-from .parser import BoundaryResidual
+from .lang import Acc, BoundaryEntry, Check, If, Program, While, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
 
 class WeaveError(Exception):
     pass
-
-
-@dataclass
-class BoundaryEntry:
-    kind: str  # "entry" | "exit"
-    payload: object  # Cmp / Acc / PredUse
-    check_id: str = None  # set iff this entry realizes a residual
 
 
 @dataclass
@@ -37,13 +29,14 @@ class InstrumentedProgram:
 
     @property
     def boundary_residuals(self):
-        # printable form: only residual-backed and spec-derived entries; the
-        # printer renders residual ids so stripped text re-loads faithfully
+        """The residual-backed rows, per method that has any: what the woven
+        text carries; the spec-derived rows are rebuilt from the spec."""
         out = {}
         for key, entries in self.boundary.items():
-            out[key] = [BoundaryResidual(e.kind, e.payload, e.check_id)
-                        for e in entries if e.check_id is not None]
-        return {k: v for k, v in out.items() if v}
+            rows = [e for e in entries if e.check_id is not None]
+            if rows:
+                out[key] = rows
+        return out
 
     def to_text(self):
         return pretty_print(self.program, self.boundary_residuals)
@@ -70,13 +63,13 @@ def build_boundary_table(contract, method, residual_entries=()):
     atom is evaluated twice at a boundary."""
     entries = [] if contract.extern else spec_boundary_entries(contract, method)
     for r in residual_entries:
-        for e in entries:
+        for i, e in enumerate(entries):
             if (e.kind == r.kind and e.check_id is None
                     and fmt_atom(e.payload) == fmt_atom(r.payload)):
-                e.check_id = r.check_id
+                entries[i] = replace(e, check_id=r.check_id)
                 break
         else:
-            entries.append(BoundaryEntry(r.kind, r.payload, r.check_id))
+            entries.append(r)
     return entries
 
 
@@ -94,7 +87,7 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
         methods = []
         for m in c.methods:
             mrep = report.method(c.name, m.name)
-            entries = [] if c.extern else spec_boundary_entries(c, m)
+            residual_rows = []
             inserts = {}  # (block_path, index) -> [Check]
             if mrep is not None:
                 for r in mrep.residuals:
@@ -108,18 +101,10 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                         inserts.setdefault(key, []).append(
                             Check(r.id, r.payload, r.obligation.loc))
                     else:
-                        # merge with a matching spec-derived row so the same
-                        # atom is not evaluated twice at the boundary
-                        for e in entries:
-                            if (e.kind == r.insertion.kind and e.check_id is None
-                                    and fmt_atom(e.payload) == r.payload_text):
-                                e.check_id = r.id
-                                break
-                        else:
-                            entries.append(BoundaryEntry(
-                                r.insertion.kind, r.payload, r.id))
+                        residual_rows.append(BoundaryEntry(r.insertion.kind, r.payload, r.id))
             body = _weave_block(m.body, (), inserts)
             methods.append(replace(m, body=body))
+            entries = build_boundary_table(c, m, residual_rows)
             if entries:
                 boundary[(c.name, m.name)] = entries
         contracts.append(replace(c, methods=tuple(methods)))
@@ -168,7 +153,6 @@ def _strip_block(body):
 
 
 def count_woven_checks(program: Program) -> int:
-    from .lang import stmts_recursive
     n = 0
     for c in program.contracts:
         for m in c.methods:

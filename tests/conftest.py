@@ -10,22 +10,6 @@ CORPUS = ROOT / "corpus"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def corpus_files():
-    return sorted(p for p in CORPUS.glob("*.gcl")
-                  if not p.name.endswith(".adversary.gcl"))
-
-
-def adversaries_for(path, program):
-    adv_path = path.with_name(path.stem + ".adversary.gcl")
-    out = {}
-    if adv_path.exists():
-        text = adv_path.read_text(encoding="utf-8")
-        for c in program.contracts:
-            if c.extern and f"contract {c.name}" in text:
-                out[c.name] = text
-    return out
-
-
 @pytest.fixture(scope="session")
 def sell_path():
     return CORPUS / "sell.gcl"

@@ -6,20 +6,25 @@ pytest -s output at a glance.
 
 import itertools
 import json
-import random
+import sys
+from collections import Counter
 
 from gvc.erosion import (
     check_dynamic_monotonic, check_static_monotonic, erode_program,
 )
-from gvc.frontend import load_file
+from gvc.frontend import corpus_adversaries, corpus_files, load_file
 from gvc.lang import Check
-from gvc.linear import ProofResult, Rel, entails_constraints, make_constraint
+from gvc.linear import ProofResult, entails_constraints
 from gvc.oracle import enumerate_equivalence
 from gvc.verifier import Status, verify_program
-from gvc.vm import Ledger, Transaction, Vm, VmOptions, load_program, run_script
+from gvc.vm import (Ledger, Transaction, Vm, VmOptions, load_program, run_script,
+                    transaction_grid)
 from gvc.weaver import count_woven_checks, weave
 
-from conftest import CORPUS, adversaries_for, corpus_files
+from conftest import CORPUS, ROOT
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import prover_soundness  # noqa: E402
 
 
 def _report(n, ok, desc):
@@ -64,13 +69,13 @@ def test_criterion_2_residual_minimization():
 
 def test_criterion_3_oracle_equivalence():
     """Every corpus program agrees with the oracle on the bound-8 grid."""
-    files = corpus_files()
+    files = corpus_files(CORPUS)
     total, bad = 0, []
     for path in files:
         program, _ = load_file(path)
         ip = weave(program, verify_program(program))
         eq = enumerate_equivalence(program, ip, bound=8,
-                                   adversaries=adversaries_for(path, program))
+                                   adversaries=corpus_adversaries(path, program))
         total += eq["cases"]
         if eq["disagreements"]:
             bad.append(path.name)
@@ -83,9 +88,9 @@ def test_criterion_4_gradual_guarantee():
     """>=100 erosions; none introduces a static error or a new dynamic
     violation on the enumeration grid."""
     n_erosions, static_bad, dynamic_bad = 0, [], []
-    for path in corpus_files():
+    for path in corpus_files(CORPUS):
         program, _ = load_file(path)
-        adv = adversaries_for(path, program)
+        adv = corpus_adversaries(path, program)
         static_bad += check_static_monotonic(program)
         for e in erode_program(program):
             n_erosions += 1
@@ -101,7 +106,7 @@ def test_criterion_5_reentrancy_protection():
     unprotected debug mode demonstrably corrupts the ledger."""
     path = CORPUS / "bank.gcl"
     program, _ = load_file(path)
-    adv = adversaries_for(path, program)
+    adv = corpus_adversaries(path, program)
     image = load_program(weave(program, verify_program(program)), adv)
 
     ok = True
@@ -126,43 +131,22 @@ def test_criterion_5_reentrancy_protection():
 
 
 def test_criterion_6_prover_soundness():
-    """1000 random linear systems: no verdict contradicted by search."""
-    rng = random.Random(20240817)
-    names = ["a", "b", "c", "d"]
+    """1000 random linear systems: no verdict contradicted by search over
+    [0, 16]^n, and the verdict tally is the one recorded for this prover."""
+    cfg = prover_soundness.Config(systems=1000, seed=20240817, box=16)
+    tally = Counter()
     contradictions = 0
-    proved = 0
-    for _ in range(1000):
-        nv = rng.randint(1, 4)
-        vs = names[:nv]
-
-        def one():
-            coeffs = {v: rng.randint(-4, 4) for v in vs}
-            rel = rng.choice([Rel.LE, Rel.LE, Rel.EQ, Rel.NE])
-            return make_constraint(coeffs, rng.randint(-16, 16), rel)
-
-        prem = [one() for _ in range(rng.randint(1, 4))]
-        goal = [one()]
+    for names, prem, goal in prover_soundness.random_systems(cfg):
         verdict = entails_constraints(prem, goal)
-        if verdict is ProofResult.PROVED:
-            proved += 1
-        if verdict is ProofResult.UNKNOWN:
-            continue
-        for vals in itertools.product(range(17), repeat=nv):
-            pt = dict(zip(vs, vals))
-
-            def sat(c):
-                t = c.const + sum(k * pt[v] for v, k in c.terms)
-                return {Rel.LE: t <= 0, Rel.EQ: t == 0, Rel.NE: t != 0}[c.rel]
-
-            if not all(sat(p) for p in prem):
-                continue
-            holds = all(sat(g) for g in goal)
-            if holds != (verdict is ProofResult.PROVED):
-                contradictions += 1
-                break
-    ok = contradictions == 0
-    _report(6, ok, f"1000 systems, {contradictions} contradicted verdicts "
-                   f"(proved rate {proved / 1000:.3f})")
+        tally[verdict] += 1
+        if verdict is not ProofResult.UNKNOWN and prover_soundness.contradiction(
+                names, prem, goal, verdict, cfg.box) is not None:
+            contradictions += 1
+    counts = tuple(tally[r] for r in (ProofResult.PROVED, ProofResult.DISPROVED,
+                                      ProofResult.UNKNOWN))
+    ok = contradictions == 0 and counts == (576, 129, 295)
+    _report(6, ok, f"1000 systems, {contradictions} contradicted verdicts, "
+                   f"proved/disproved/unknown {counts[0]}/{counts[1]}/{counts[2]}")
 
 
 def test_criterion_7_gas_accounting():
@@ -190,30 +174,19 @@ def test_criterion_8_determinism_and_atomicity():
 
     def full_run():
         blobs = []
-        for path in corpus_files():
+        for path in corpus_files(CORPUS):
             program, _ = load_file(path)
             report = verify_program(program)
             ip = weave(program, report)
-            image = load_program(ip, adversaries_for(path, program))
+            image = load_program(ip, corpus_adversaries(path, program))
             outcomes = []
-            for c in program.contracts:
-                if c.extern:
-                    continue
-                for m in c.methods:
-                    dims = sum(len(k.globals) for k in program.contracts) + len(m.params)
-                    for point in itertools.product(range(3), repeat=dims):
-                        init, i = {}, 0
-                        for k in program.contracts:
-                            for g in k.globals:
-                                init.setdefault(k.name, {})[g] = point[i]
-                                i += 1
-                        led = Ledger(image.program, init)
-                        before = led.as_dict()
-                        out = Vm(image, led).exec_transaction(
-                            Transaction(c.name, m.name, point[i:]))
-                        if not out.committed:
-                            assert led.as_dict() == before, (path.name, point)
-                        outcomes.append(out.as_dict())
+            for _, _, init, tx in transaction_grid(program, 2):
+                led = Ledger(image.program, init)
+                before = led.as_dict()
+                out = Vm(image, led).exec_transaction(tx)
+                if not out.committed:
+                    assert led.as_dict() == before, (path.name, init, tx)
+                outcomes.append(out.as_dict())
             blobs.append(report.to_json() + ip.to_text()
                          + json.dumps(outcomes, sort_keys=True))
         return "".join(blobs)

@@ -160,3 +160,12 @@ class TestCorpus:
 
     def test_not_a_directory(self, capsys):
         assert main(["corpus", "no/such/dir"]) == EXIT_USAGE
+
+    def test_unloadable_woven_program_fails_without_traceback(self, tmp_path, capsys):
+        # the woven form of this verified program does not load (a callee
+        # precondition residual names the callee's predicate in the caller)
+        shutil.copy(FIXTURES / "cross_pred.gcl", tmp_path / "cross_pred.gcl")
+        assert main(["corpus", str(tmp_path)]) == EXIT_DISAGREEMENT
+        out = capsys.readouterr().out
+        assert "cross_pred.gcl: FAIL cannot load the woven program" in out
+        assert "unknown predicate 'atleast'" in out

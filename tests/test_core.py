@@ -3,14 +3,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from gvc.frontend import load_file, load_source, WellFormednessError
+from gvc.frontend import corpus_files, load_file, load_source, WellFormednessError
 from gvc.lang import (
     Acc, Cmp, Contract, Formula, IntLit, Name, Old, UINT_MAX,
     free_globals, is_self_framed, normalize_formula, well_formed_program,
 )
 from gvc.printer import pretty_print
 
-from conftest import corpus_files
+from conftest import CORPUS
 
 
 def _formula(text_atoms, imprecise=False):
@@ -123,13 +123,13 @@ class TestWellFormedness:
             load_source(src, "t.gcl")
 
     def test_corpus_formulas_all_framed(self):
-        for path in corpus_files():
+        for path in corpus_files(CORPUS):
             program, _ = load_file(path)
             assert well_formed_program(program) == [], path.name
 
 
 def test_pretty_print_fixed_point_on_corpus():
-    for path in corpus_files():
+    for path in corpus_files(CORPUS):
         program, _ = load_file(path)
         text = pretty_print(program)
         reparsed, _ = load_source(text, path.name)

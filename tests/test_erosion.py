@@ -3,10 +3,10 @@
 from gvc.erosion import (
     check_dynamic_monotonic, check_static_monotonic, erode_program,
 )
-from gvc.frontend import load_file
+from gvc.frontend import corpus_adversaries, load_file
 from gvc.lang import well_formed_program
 
-from conftest import CORPUS, adversaries_for
+from conftest import CORPUS
 
 
 class TestGenerator:
@@ -59,7 +59,7 @@ class TestDynamicGuarantee:
     def test_reentrant_bank(self):
         path = CORPUS / "bank.gcl"
         program, _ = load_file(path)
-        adv = adversaries_for(path, program)
+        adv = corpus_adversaries(path, program)
         for e in erode_program(program):
             bad = check_dynamic_monotonic(program, e, bound=2, adversaries=adv)
             assert bad == [], e.label

@@ -13,7 +13,6 @@ Regenerate after an intended behaviour change with
     python tests/test_golden.py
 """
 
-import itertools
 import json
 import sys
 from pathlib import Path
@@ -25,13 +24,13 @@ sys.path.insert(0, str(HERE.parent / "src"))
 sys.path.insert(0, str(HERE))
 
 from gvc.erosion import erode_program
-from gvc.frontend import load_file, load_source
+from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
 from gvc.printer import fmt_atom
 from gvc.verifier import verify_program
-from gvc.vm import Ledger, Transaction, Vm, load_program
+from gvc.vm import Ledger, Vm, load_program, transaction_grid
 from gvc.weaver import sidecar_json, weave
 
-from conftest import adversaries_for, corpus_files
+from conftest import CORPUS
 
 GOLDEN = HERE / "golden"
 GRID_BOUND = 2
@@ -43,29 +42,20 @@ def _rows(boundary):
 
 
 def _grid(program, image):
-    gslots = [(c.name, g) for c in program.contracts for g in c.globals]
     out = []
-    for c in program.contracts:
-        if c.extern:
-            continue
-        for m in c.methods:
-            for point in itertools.product(range(GRID_BOUND + 1),
-                                           repeat=len(gslots) + len(m.params)):
-                init = {}
-                for (cn, g), v in zip(gslots, point):
-                    init.setdefault(cn, {})[g] = v
-                tx = Transaction(c.name, m.name, tuple(point[len(gslots):]))
-                ledger = Ledger(image.program, init)
-                outcome = Vm(image, ledger).exec_transaction(tx)
-                out.append({"method": f"{c.name}.{m.name}", "point": list(point),
-                            "outcome": outcome.as_dict(), "ledger": ledger.as_dict()})
+    for c, m, init, tx in transaction_grid(program, GRID_BOUND):
+        point = [init[k.name][g] for k in program.contracts for g in k.globals]
+        ledger = Ledger(image.program, init)
+        outcome = Vm(image, ledger).exec_transaction(tx)
+        out.append({"method": f"{c.name}.{m.name}", "point": point + list(tx.args),
+                    "outcome": outcome.as_dict(), "ledger": ledger.as_dict()})
     return out
 
 
 def golden_blob(path):
     """The golden record of one corpus program, as JSON text."""
     program, _ = load_file(path)
-    adversaries = adversaries_for(path, program)
+    adversaries = corpus_adversaries(path, program)
     report = verify_program(program)
     doc = {"report": report.as_dict()}
     if not report.has_static_error:
@@ -90,7 +80,7 @@ def golden_path(path):
     return GOLDEN / (path.stem + ".json")
 
 
-@pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.stem)
+@pytest.mark.parametrize("path", corpus_files(CORPUS), ids=lambda p: p.stem)
 def test_golden(path):
     expected = golden_path(path).read_text(encoding="utf-8")
     assert golden_blob(path) == expected
@@ -98,6 +88,6 @@ def test_golden(path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for p in corpus_files():
+    for p in corpus_files(CORPUS):
         golden_path(p).write_text(golden_blob(p), encoding="utf-8")
         print(f"wrote {golden_path(p).relative_to(HERE.parent)}")

@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-from gvc.frontend import load_file, load_source
+from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.oracle import (
     ALL_HELD, FIRST_VIOLATION, Site, dynamic_verify_trace,
     enumerate_equivalence,
@@ -12,7 +12,7 @@ from gvc.verifier import verify_program
 from gvc.vm import Transaction, merge_adversaries
 from gvc.weaver import weave
 
-from conftest import CORPUS, adversaries_for
+from conftest import CORPUS
 
 
 def tx(contract, method, *args):
@@ -41,7 +41,7 @@ class TestTraceJudgments:
         path = CORPUS / "bank.gcl"
         program, _ = load_file(path)
         merged, unverified = merge_adversaries(
-            program, adversaries_for(path, program))
+            program, corpus_adversaries(path, program))
         j = dynamic_verify_trace(merged, {"Bank": {"Balance": 10}},
                                  tx("Bank", "withdraw", 4), unverified)
         assert j.verdict == FIRST_VIOLATION
@@ -61,7 +61,7 @@ class TestEquivalence:
         program, _ = load_file(path)
         woven = weave(program, verify_program(program))
         return enumerate_equivalence(program, woven, bound=bound,
-                                     adversaries=adversaries_for(path, program))
+                                     adversaries=corpus_adversaries(path, program))
 
     def test_sell_grid_agrees(self):
         report = self._grid("sell.gcl")

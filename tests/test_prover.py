@@ -4,15 +4,20 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
-from gvc.lang import BinOp, Cmp, IntLit, Name
+from gvc.lang import BinOp, IntLit, Name
 from gvc.linear import (
-    NONLINEAR, ProofResult, Rel, check_sat, entails, entails_constraints,
-    expr_to_linexpr, make_constraint,
+    NONLINEAR, LinExpr, ProofResult, Rel, check_sat, cmp_constraints,
+    entails_constraints, linearize, make_constraint,
 )
 
 
 def con(coeffs, const, rel=Rel.LE):
     return make_constraint(coeffs, const, rel)
+
+
+def symbol(e):
+    # every name is a prover variable of its own
+    return LinExpr.of(e.name)
 
 
 class TestExamples:
@@ -51,16 +56,16 @@ class TestExamples:
 
     def test_atom_entailment(self):
         prem = [con({"x": 1}, -3, Rel.EQ)]
-        assert entails(prem, Cmp(">=", Name("x"), IntLit(2)),
-                       bindings=None) is ProofResult.PROVED
+        goal = cmp_constraints(">=", Name("x"), IntLit(2), symbol)
+        assert entails_constraints(prem, goal) is ProofResult.PROVED
 
     def test_nonlinear_product(self):
         e = BinOp("*", Name("x"), Name("y"))
-        assert expr_to_linexpr(e) is NONLINEAR
+        assert linearize(e, symbol) is NONLINEAR
 
     def test_constant_product_is_linear(self):
         e = BinOp("*", IntLit(3), Name("x"))
-        assert expr_to_linexpr(e) is not NONLINEAR
+        assert linearize(e, symbol) is not NONLINEAR
 
 
 # -- randomized soundness vs exhaustive search over a small box --------------

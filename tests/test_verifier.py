@@ -128,3 +128,39 @@ def test_verification_deterministic(sell_program):
     a = verify_program(sell_program).to_json()
     b = verify_program(sell_program).to_json()
     assert a == b
+
+
+PREDICATE_FREE_D = """\
+contract D:
+  #@ global G;
+  method m():
+    #@ requires acc(G);
+    #@ ensures acc(G);
+    G := 0;
+"""
+
+ATLEAST_D = """\
+contract D:
+  #@ global G;
+  #@ predicate atleast(n) = G >= n;
+  method m():
+    #@ requires acc(G) and atleast(1);
+    #@ ensures acc(G) and atleast(1);
+    G := 0;
+"""
+
+
+def test_verdict_independent_of_process_history():
+    # each round frees a contract just before allocating the next one, so a
+    # cache keyed by object identity hands the predicate-free D's (empty)
+    # predicate reads to the atleast D, whose write to G then fails to
+    # invalidate the atleast(1) fact and the postcondition is wrongly proved
+    wrong = 0
+    for _ in range(500):
+        program, _ = load_source(PREDICATE_FREE_D)
+        verify_program(program)
+        del program
+        program, _ = load_source(ATLEAST_D)
+        wrong += not verify_program(program).has_static_error
+        del program
+    assert wrong == 0

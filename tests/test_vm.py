@@ -2,7 +2,7 @@
 
 import pytest
 
-from gvc.frontend import load_file, load_source
+from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.verifier import verify_program
 from gvc.vm import (
     ARITHMETIC_PANIC, CHECK_FAILURE, GAS_EXHAUSTED, OWNERSHIP_FAILURE,
@@ -11,7 +11,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, adversaries_for
+from conftest import CORPUS
 
 
 def make_image(name, adversaries=None):
@@ -19,7 +19,7 @@ def make_image(name, adversaries=None):
     program, _ = load_file(path)
     ip = weave(program, verify_program(program))
     if adversaries is None:
-        adversaries = adversaries_for(path, program)
+        adversaries = corpus_adversaries(path, program)
     return load_program(ip, adversaries)
 
 

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
-from gvc.frontend import load_file, load_source
+from gvc.frontend import corpus_files, load_file, load_source
 from gvc.printer import pretty_print
 from gvc.verifier import verify_program
 from gvc.weaver import (
     WeaveError, count_woven_checks, sidecar_json, strip, weave,
 )
 
-from conftest import CORPUS, FIXTURES, corpus_files
+from conftest import CORPUS, FIXTURES
 
 
 class TestSellWoven:
@@ -58,7 +58,7 @@ def test_strip_idempotent(sell_woven):
 
 
 def test_strip_weave_round_trip_on_corpus():
-    for path in corpus_files():
+    for path in corpus_files(CORPUS):
         program, _ = load_file(path)
         report = verify_program(program)
         if report.has_static_error:
