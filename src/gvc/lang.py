@@ -468,7 +468,7 @@ def well_formed_program(p: Program):
             if isinstance(node, IntLit) and not (0 <= node.value <= UINT_MAX):
                 diags.append(Diagnostic(node.loc or loc, "integer literal out of uint64 range"))
 
-    def check_no_spec_markers(f: Formula, where, loc):
+    def check_no_spec_markers(f: Formula, where):
         # old()/result placement
         for node in _formula_exprs(f):
             if isinstance(node, Old) and where != "ensures":
@@ -496,7 +496,7 @@ def well_formed_program(p: Program):
             ens = m.spec.ensures
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
-            check_no_spec_markers(req, "requires", m.loc)
+            check_no_spec_markers(req, "requires")
             for node in _formula_exprs(ens):
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
@@ -532,11 +532,11 @@ def well_formed_program(p: Program):
                     inv = s.invariant
                     if normalize_formula(inv) != inv:
                         diags.append(Diagnostic(s.loc, "loop invariant is not normalized"))
-                    check_no_spec_markers(inv, "invariant", s.loc)
+                    check_no_spec_markers(inv, "invariant")
                     if not is_self_framed(inv, c, extra_acc=req_acc):
                         diags.append(Diagnostic(inv.loc, "loop invariant is not self-framed"))
                 elif isinstance(s, AssertStmt):
-                    check_no_spec_markers(s.formula, "assert", s.loc)
+                    check_no_spec_markers(s.formula, "assert")
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
             if m.returns and not m.opaque and not _always_returns(m.body):

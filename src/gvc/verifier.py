@@ -214,7 +214,7 @@ class MethodVerifier:
             return state.heap[slot]
         raise StaticErrorExc(ob, "unprovable")
 
-    def eval_expr(self, state, e, loc, insertion, src=True):
+    def eval_expr(self, state, e, loc, insertion):
         """Symbolic value of e; emits underflow / div-zero obligations."""
         if isinstance(e, IntLit):
             return LinExpr.lit(e.value)
@@ -397,18 +397,15 @@ class MethodVerifier:
             # recursive predicate occurrences stay opaque
 
     def consume(self, state, f: Formula, loc, insertion, kind,
-                bindings_extra=None, payload_subst=None, skip_cross_acc=False):
+                bindings_extra=None, payload_subst=None):
         """Assert a formula against the state, removing surrendered
         permissions; returns the state (mutated)."""
         reads = dict(state.heap)  # value atoms evaluate in the pre-state
         for atom in f.atoms:
             ploc = getattr(atom, "loc", loc) or loc
             if isinstance(atom, Acc):
-                if atom.slot not in self.contract.globals:
-                    if skip_cross_acc:
-                        continue
                 payload = Acc(atom.slot, ploc)
-                ob = Obligation(payload, loc, kind if kind in ("access",) else "access")
+                ob = Obligation(payload, loc, "access")
                 if atom.slot in state.perms:
                     state.perms.discard(atom.slot)
                     state.heap.pop(atom.slot, None)
@@ -461,7 +458,7 @@ class MethodVerifier:
 
     # -- conditions -----------------------------------------------------------
 
-    def cond_alternatives(self, state, cond, loc, insertion, negate=False):
+    def cond_alternatives(self, state, cond, negate=False):
         """DNF alternatives (lists of constraints) for the condition holding
         (or its negation).  Leaf expressions are evaluated in `state`;
         obligations from their arithmetic must be emitted separately."""
@@ -543,13 +540,13 @@ class MethodVerifier:
         if isinstance(s, If):
             self.eval_cond_obligations(state, s.cond, s.loc, before)
             out = []
-            for alt in self.cond_alternatives(state, s.cond, s.loc, before):
+            for alt in self.cond_alternatives(state, s.cond):
                 st = state.clone()
                 st.path.extend(alt)
                 if check_sat(st.path) == "unsat":
                     continue
                 out.extend(self.exec_block([st], s.then, path + (index, "then")))
-            for alt in self.cond_alternatives(state, s.cond, s.loc, before, negate=True):
+            for alt in self.cond_alternatives(state, s.cond, negate=True):
                 st = state.clone()
                 st.path.extend(alt)
                 if check_sat(st.path) == "unsat":
@@ -590,7 +587,7 @@ class MethodVerifier:
         body_path = path + (index, "body")
         end_insertion = Insertion("before", body_path, len(s.body))
         # one symbolic body pass: invariant /\ condition
-        for alt in self.cond_alternatives(state, s.cond, s.loc, before):
+        for alt in self.cond_alternatives(state, s.cond):
             st = state.clone()
             self.produce(st, inv, on_duplicate="keep")
             st.path.extend(alt)
@@ -601,7 +598,7 @@ class MethodVerifier:
                 self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant")
         # after the loop: invariant /\ not condition
         out = []
-        for alt in self.cond_alternatives(state, s.cond, s.loc, before, negate=True):
+        for alt in self.cond_alternatives(state, s.cond, negate=True):
             st = state.clone()
             self.produce(st, inv, on_duplicate="keep")
             st.path.extend(alt)
@@ -624,13 +621,8 @@ class MethodVerifier:
         # the callee precondition is consumed in the caller's namespace; for
         # cross-contract calls its acc atoms are settled by the VM entry
         # protocol, not by the caller
-        if internal:
-            self.consume(state, requires, s.loc, before, "precondition",
-                         bindings_extra=bindings, payload_subst=payload_subst)
-        else:
-            self.consume(state, _drop_acc(requires), s.loc, before, "precondition",
-                         bindings_extra=bindings, payload_subst=payload_subst,
-                         skip_cross_acc=True)
+        self.consume(state, requires if internal else _drop_acc(requires), s.loc, before,
+                     "precondition", bindings_extra=bindings, payload_subst=payload_subst)
         # re-entrancy may have run: havoc every global value, keep permissions
         pre_call = dict(state.heap)
         for slot in list(state.heap):

@@ -42,7 +42,7 @@ class InstrumentedProgram:
         return pretty_print(self.program, self.boundary_residuals)
 
 
-def spec_boundary_entries(contract, method):
+def spec_boundary_entries(method):
     """Boundary table rows implied by the method's own specification."""
     entries = []
     for a in method.spec.requires.atoms:
@@ -61,7 +61,7 @@ def spec_boundary_entries(contract, method):
 def build_boundary_table(contract, method, residual_entries=()):
     """Spec-derived rows plus residual-backed rows, merged by payload so no
     atom is evaluated twice at a boundary."""
-    entries = [] if contract.extern else spec_boundary_entries(contract, method)
+    entries = [] if contract.extern else spec_boundary_entries(method)
     for r in residual_entries:
         for i, e in enumerate(entries):
             if (e.kind == r.kind and e.check_id is None
