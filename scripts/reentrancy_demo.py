@@ -34,7 +34,7 @@ def main():
           f"Balance = {ledger.read('Bank', 'Balance')}")
 
     ledger = Ledger(image.program, init)
-    opts = VmOptions(enforce_permissions=False, run_checks=False)
+    opts = VmOptions(protected=False)
     out = Vm(image, ledger, opts).exec_transaction(tx)
     print(f"unprotected: {out.status}, Balance = {ledger.read('Bank', 'Balance')} "
           f"(withdrawn twice)")

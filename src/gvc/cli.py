@@ -166,8 +166,7 @@ def cmd_run(args):
             print(f"cannot read ledger init: {e}")
             return EXIT_USAGE
 
-    options = VmOptions(enforce_permissions=not args.unprotected,
-                        run_checks=not args.unprotected)
+    options = VmOptions(protected=not args.unprotected)
     ledger = Ledger(image.program, init)
     try:
         outcomes, report = run_script(image, txs, gas_limit=args.gas_limit,

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .lang import AssertStmt, Formula, If, Program, Spec, While, well_formed_program
+from .lang import (
+    AssertStmt, Formula, Program, Spec, While, map_blocks, stmts_recursive,
+    well_formed_program,
+)
 from .printer import fmt_formula
 
 
@@ -37,38 +40,6 @@ def _formula_weakenings(f: Formula):
     return out
 
 
-def _replace_site(body, path, new_formula):
-    """path alternates statement index and branch name, ending at a While
-    (invariant) or an assert statement."""
-    i = path[0]
-    out = list(body)
-    s = out[i]
-    if len(path) == 1:
-        if isinstance(s, AssertStmt):
-            out[i] = replace(s, formula=new_formula)
-        else:
-            out[i] = replace(s, invariant=new_formula)
-    elif path[1] == "body":
-        out[i] = replace(s, body=_replace_site(s.body, path[2:], new_formula))
-    elif path[1] == "then":
-        out[i] = replace(s, then=_replace_site(s.then, path[2:], new_formula))
-    else:
-        out[i] = replace(s, orelse=_replace_site(s.orelse, path[2:], new_formula))
-    return tuple(out)
-
-
-def _formula_sites(body, path=()):
-    for i, s in enumerate(body):
-        if isinstance(s, While):
-            yield path + (i,), "invariant", s.invariant
-            yield from _formula_sites(s.body, path + (i, "body"))
-        elif isinstance(s, If):
-            yield from _formula_sites(s.then, path + (i, "then"))
-            yield from _formula_sites(s.orelse, path + (i, "else"))
-        elif isinstance(s, AssertStmt):
-            yield path + (i,), "assert", s.formula
-
-
 def erode_program(program: Program):
     """Yield every well-formed single-site erosion of the program."""
     for ci, c in enumerate(program.contracts):
@@ -84,14 +55,26 @@ def erode_program(program: Program):
                     if well_formed_program(variant):
                         continue  # erosion broke framing; not a legal program
                     yield Erosion(f"{c.name}.{m.name}/{where} -> {fmt_formula(weak)}", variant)
-            for path, site_kind, f in _formula_sites(m.body):
+            for site, s in stmts_recursive(m.body):
+                if isinstance(s, While):
+                    site_kind, attr, f = "invariant", "invariant", s.invariant
+                elif isinstance(s, AssertStmt):
+                    site_kind, attr, f = "assert", "formula", s.formula
+                else:
+                    continue
+                block, i = site[:-1], site[-1]
                 for weak in _formula_weakenings(f):
-                    nm = replace(m, body=_replace_site(m.body, path, weak))
+                    def swap(path, stmts):
+                        if path != block:
+                            return stmts
+                        return stmts[:i] + (replace(stmts[i], **{attr: weak}),) + stmts[i + 1:]
+
+                    nm = replace(m, body=map_blocks(m.body, swap))
                     variant = _with_method(program, ci, mi, nm)
                     if well_formed_program(variant):
                         continue
                     yield Erosion(
-                        f"{c.name}.{m.name}/{site_kind}@{'.'.join(map(str, path))} -> {fmt_formula(weak)}",
+                        f"{c.name}.{m.name}/{site_kind}@{'.'.join(map(str, site))} -> {fmt_formula(weak)}",
                         variant)
 
 

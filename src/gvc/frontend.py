@@ -7,9 +7,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
-    Name, NotOp, Old, PredUse, Program, ResolutionError, Return, Spec, While,
-    well_formed_program,
+    Acc, Assign, AssertStmt, BinOp, Call, Check, Cmp, GAssign, If, Name, Old,
+    PredUse, Program, ResolutionError, Return, Spec, While, bool_leaves,
+    map_bool, well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -28,15 +28,13 @@ class WellFormednessError(Exception):
 
 
 def infer_types(unit):
-    """Assign static types to all locals.  The value domain is uint64-only,
-    so inference reduces to definite-assignment plus the condition rule:
-    a bare uint64 expression is not a truth value."""
+    """Type-check all locals; raises InferenceError.  The value domain is
+    uint64-only, so inference reduces to definite-assignment plus the
+    condition rule: a bare uint64 expression is not a truth value."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
-    envs = {}
     for c in program.contracts:
         gnames = set(c.globals)
         for m in c.methods:
-            env = {}
             params = {p for p, _ in m.params}
             assigned = set(params)
 
@@ -51,17 +49,12 @@ def infer_types(unit):
                     use(e.right, where_loc)
 
             def check_cond(cnd):
-                if isinstance(cnd, Cmp):
-                    use(cnd.left, cnd.loc)
-                    use(cnd.right, cnd.loc)
-                elif isinstance(cnd, BoolOp):
-                    for p in cnd.parts:
-                        check_cond(p)
-                elif isinstance(cnd, NotOp):
-                    check_cond(cnd.operand)
-                else:
-                    loc = getattr(cnd, "loc", m.loc)
-                    raise InferenceError(loc, "uint64 expression used as a condition; a comparison is required")
+                for leaf in bool_leaves(cnd):
+                    if not isinstance(leaf, Cmp):
+                        loc = getattr(leaf, "loc", m.loc)
+                        raise InferenceError(loc, "uint64 expression used as a condition; a comparison is required")
+                    use(leaf.left, leaf.loc)
+                    use(leaf.right, leaf.loc)
 
             def walk(body, assigned_in):
                 # returns set of names definitely assigned after the block
@@ -72,13 +65,11 @@ def infer_types(unit):
                     if isinstance(s, Assign):
                         use(s.expr, s.loc)
                         if s.target not in gnames:
-                            env.setdefault(s.target, "uint64")
                             cur.add(s.target)
                     elif isinstance(s, Call):
                         for a in s.args:
                             use(a, s.loc)
                         if s.target and s.target not in gnames:
-                            env.setdefault(s.target, "uint64")
                             cur.add(s.target)
                     elif isinstance(s, If):
                         check_cond(s.cond)
@@ -95,8 +86,6 @@ def infer_types(unit):
                 return cur
 
             walk(m.body, params)
-            envs[(c.name, m.name)] = env
-    return program, envs
 
 
 def resolve(unit):
@@ -153,13 +142,8 @@ def resolve(unit):
             return replace(f, atoms=tuple(res_atom(a, locals_ok, pnames) for a in f.atoms))
 
         def res_cond(cnd, pnames):
-            if isinstance(cnd, Cmp):
-                return res_atom(cnd, True, pnames)
-            if isinstance(cnd, BoolOp):
-                return replace(cnd, parts=tuple(res_cond(p, pnames) for p in cnd.parts))
-            if isinstance(cnd, NotOp):
-                return replace(cnd, operand=res_cond(cnd.operand, pnames))
-            return res_expr(cnd, True, pnames)
+            return map_bool(cnd, lambda a: res_atom(a, True, pnames) if isinstance(a, Cmp)
+                            else res_expr(a, True, pnames))
 
         def res_stmt(s, pnames):
             if isinstance(s, Assign):
@@ -201,13 +185,9 @@ def resolve(unit):
             return s
 
         def res_pbody(node, pnames):
-            if isinstance(node, BoolOp):
-                return replace(node, parts=tuple(res_pbody(p, pnames) for p in node.parts))
-            if isinstance(node, NotOp):
-                return replace(node, operand=res_pbody(node.operand, pnames))
-            if isinstance(node, (Cmp, PredUse)):
-                return res_atom(node, False, pnames)
-            return node  # QMark / Acc left for well-formedness to flag
+            # QMark / Acc leaves are left for well-formedness to flag
+            return map_bool(node, lambda a: res_atom(a, False, pnames)
+                            if isinstance(a, (Cmp, PredUse)) else a)
 
         new_preds = tuple(replace(p, body=res_pbody(p.body, set(p.params))) for p in c.predicates)
         new_methods = []

@@ -6,14 +6,13 @@ All node types are immutable; operations here are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Union
 
 UINT_MAX = 2**64 - 1
 
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
-ARITH_OPS = ("+", "-", "*", "/", "%")
 
 
 @dataclass(frozen=True)
@@ -132,10 +131,6 @@ class Formula:
     atoms: tuple = ()
     loc: SourceLoc = NOLOC
 
-    @property
-    def is_trivial(self):
-        return not self.imprecise and not self.atoms
-
 
 TRUE = Formula()
 UNKNOWN_FORMULA = Formula(imprecise=True)
@@ -210,9 +205,6 @@ class Check:
     check_id: str
     payload: Atom
     loc: SourceLoc = NOLOC
-
-
-Stmt = Union[Assign, GAssign, If, While, Call, Return, AssertStmt, Check]
 
 
 @dataclass(frozen=True)
@@ -303,6 +295,72 @@ class ResolutionError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# Traversals shared by every pass
+
+
+def bool_leaves(node):
+    """The leaves of an and/or/not tree, depth-first, left to right."""
+    out = []
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, BoolOp):
+            stack.extend(reversed(n.parts))
+        elif isinstance(n, NotOp):
+            stack.append(n.operand)
+        else:
+            out.append(n)
+    return out
+
+
+def map_bool(node, leaf):
+    """The and/or/not tree rebuilt with every leaf replaced by leaf(it);
+    leaves are visited depth-first, left to right."""
+    if isinstance(node, BoolOp):
+        return replace(node, parts=tuple(map_bool(p, leaf) for p in node.parts))
+    if isinstance(node, NotOp):
+        return replace(node, operand=map_bool(node.operand, leaf))
+    return leaf(node)
+
+
+def stmts_recursive(body):
+    """Every statement of a body, pre-order, as (site, statement).  A site is
+    the statement's block path (i, "then"|"else"|"body", ...) plus its index
+    in that block."""
+
+    def walk(block, path):
+        for i, s in enumerate(block):
+            site = path + (i,)
+            yield site, s
+            if isinstance(s, If):
+                yield from walk(s.then, site + ("then",))
+                yield from walk(s.orelse, site + ("else",))
+            elif isinstance(s, While):
+                yield from walk(s.body, site + ("body",))
+
+    return walk(body, ())
+
+
+def map_blocks(body, fn):
+    """The statement tree rebuilt block by block, inner blocks first: each
+    block becomes fn(block path, statements), where the statements already
+    carry their rebuilt inner blocks and keep their original indices."""
+
+    def rebuild(block, path):
+        out = []
+        for i, s in enumerate(block):
+            if isinstance(s, If):
+                s = replace(s, then=rebuild(s.then, path + (i, "then")),
+                            orelse=rebuild(s.orelse, path + (i, "else")))
+            elif isinstance(s, While):
+                s = replace(s, body=rebuild(s.body, path + (i, "body")))
+            out.append(s)
+        return fn(path, tuple(out))
+
+    return rebuild(body, ())
+
+
+# ---------------------------------------------------------------------------
 # Formula operations
 
 
@@ -340,38 +398,32 @@ def expr_global_reads(e: Expr, global_names=None):
     return out
 
 
+def atom_reads(atom, global_names=None, pred_reads=None):
+    """Globals read by one atom: those its expressions read, plus, for a
+    predicate instance, what `pred_reads` says its body reads.  acc(...)
+    and '?' read nothing."""
+    out = set()
+    if isinstance(atom, Cmp):
+        out.update(expr_global_reads(atom.left, global_names))
+        out.update(expr_global_reads(atom.right, global_names))
+    elif isinstance(atom, PredUse):
+        for arg in atom.args:
+            out.update(expr_global_reads(arg, global_names))
+        if pred_reads:
+            out.update(pred_reads.get(atom.name, ()))
+    return out
+
+
 def predicate_global_reads(ctx: Contract):
     """Per-predicate sets of globals read, closed under recursion."""
+    gnames = set(ctx.globals)
     reads = {p.name: set() for p in ctx.predicates}
-
-    def direct(node, acc):
-        if isinstance(node, Cmp):
-            acc.update(expr_global_reads(node.left, set(ctx.globals)))
-            acc.update(expr_global_reads(node.right, set(ctx.globals)))
-        elif isinstance(node, PredUse):
-            for a in node.args:
-                acc.update(expr_global_reads(a, set(ctx.globals)))
-        elif isinstance(node, BoolOp):
-            for part in node.parts:
-                direct(part, acc)
-        elif isinstance(node, NotOp):
-            direct(node.operand, acc)
-
-    def pred_deps(node, acc):
-        if isinstance(node, PredUse):
-            acc.add(node.name)
-        elif isinstance(node, BoolOp):
-            for part in node.parts:
-                pred_deps(part, acc)
-        elif isinstance(node, NotOp):
-            pred_deps(node.operand, acc)
-
     deps = {}
     for p in ctx.predicates:
-        direct(p.body, reads[p.name])
-        d = set()
-        pred_deps(p.body, d)
-        deps[p.name] = d
+        leaves = bool_leaves(p.body)
+        for a in leaves:
+            reads[p.name] |= atom_reads(a, gnames)
+        deps[p.name] = {a.name for a in leaves if isinstance(a, PredUse)}
     changed = True
     while changed:
         changed = False
@@ -381,23 +433,6 @@ def predicate_global_reads(ctx: Contract):
                     reads[p.name] |= reads[q]
                     changed = True
     return reads
-
-
-def free_globals(f: Formula, global_names=None, pred_reads=None):
-    """Globals read by precise atoms plus those under acc."""
-    out = set()
-    for a in f.atoms:
-        if isinstance(a, Acc):
-            out.add(a.slot)
-        elif isinstance(a, Cmp):
-            out.update(expr_global_reads(a.left, global_names))
-            out.update(expr_global_reads(a.right, global_names))
-        elif isinstance(a, PredUse):
-            for arg in a.args:
-                out.update(expr_global_reads(arg, global_names))
-            if pred_reads and a.name in pred_reads:
-                out.update(pred_reads[a.name])
-    return out
 
 
 def formula_acc_slots(f: Formula):
@@ -411,18 +446,7 @@ def is_self_framed(f: Formula, ctx: Contract, extra_acc=()):
     have = set(formula_acc_slots(f)) | set(extra_acc)
     gnames = set(ctx.globals)
     pred_reads = ctx.predicate_reads
-    for a in f.atoms:
-        reads = set()
-        if isinstance(a, Cmp):
-            reads.update(expr_global_reads(a.left, gnames))
-            reads.update(expr_global_reads(a.right, gnames))
-        elif isinstance(a, PredUse):
-            for arg in a.args:
-                reads.update(expr_global_reads(arg, gnames))
-            reads.update(pred_reads.get(a.name, set()))
-        if not reads <= have:
-            return False
-    return True
+    return all(atom_reads(a, gnames, pred_reads) <= have for a in f.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -438,24 +462,14 @@ def _walk_exprs(node):
         yield node
 
 
-def _formula_exprs(f: Formula):
-    for a in f.atoms:
+def _atom_exprs(atoms):
+    for a in atoms:
         if isinstance(a, Cmp):
             yield from _walk_exprs(a.left)
             yield from _walk_exprs(a.right)
         elif isinstance(a, PredUse):
             for arg in a.args:
                 yield from _walk_exprs(arg)
-
-
-def stmts_recursive(body):
-    for s in body:
-        yield s
-        if isinstance(s, If):
-            yield from stmts_recursive(s.then)
-            yield from stmts_recursive(s.orelse)
-        elif isinstance(s, While):
-            yield from stmts_recursive(s.body)
 
 
 def well_formed_program(p: Program):
@@ -468,9 +482,9 @@ def well_formed_program(p: Program):
             if isinstance(node, IntLit) and not (0 <= node.value <= UINT_MAX):
                 diags.append(Diagnostic(node.loc or loc, "integer literal out of uint64 range"))
 
-    def check_no_spec_markers(f: Formula, where):
+    def check_no_spec_markers(atoms, where):
         # old()/result placement
-        for node in _formula_exprs(f):
+        for node in _atom_exprs(atoms):
             if isinstance(node, Old) and where != "ensures":
                 diags.append(Diagnostic(node.loc, "old(...) is only allowed in ensures"))
             if isinstance(node, Result) and where != "ensures":
@@ -480,24 +494,20 @@ def well_formed_program(p: Program):
         if len(set(c.globals)) != len(c.globals):
             diags.append(Diagnostic(c.loc, f"duplicate global declaration in {c.name}"))
         for pred in c.predicates:
-            def scan(node):
+            leaves = bool_leaves(pred.body)
+            for node in leaves:
                 if isinstance(node, QMark):
                     diags.append(Diagnostic(node.loc, f"predicate {pred.name} must be precise: '?' not allowed in its body"))
                 elif isinstance(node, Acc):
                     diags.append(Diagnostic(node.loc, f"acc(...) not allowed in predicate {pred.name} body"))
-                elif isinstance(node, BoolOp):
-                    for part in node.parts:
-                        scan(part)
-                elif isinstance(node, NotOp):
-                    scan(node.operand)
-            scan(pred.body)
+            check_no_spec_markers(leaves, "predicate")
         for m in c.methods:
             req = m.spec.requires
             ens = m.spec.ensures
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
-            check_no_spec_markers(req, "requires")
-            for node in _formula_exprs(ens):
+            check_no_spec_markers(req.atoms, "requires")
+            for node in _atom_exprs(ens.atoms):
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
             if c.extern and not (req == UNKNOWN_FORMULA and ens == UNKNOWN_FORMULA):
@@ -512,10 +522,10 @@ def well_formed_program(p: Program):
                 diags.append(Diagnostic(m.loc, f"method {m.name} has an empty body"))
             if m.opaque and not c.extern:
                 diags.append(Diagnostic(m.loc, f"only extern methods may be opaque ({m.name})"))
-            for e in _formula_exprs(req):
+            for e in _atom_exprs(req.atoms):
                 if isinstance(e, IntLit):
                     check_expr_ranges(e, m.loc)
-            for s in stmts_recursive(m.body):
+            for _, s in stmts_recursive(m.body):
                 if isinstance(s, (Assign, GAssign, Return)):
                     if isinstance(s, Return):
                         if m.returns and s.expr is None:
@@ -532,11 +542,11 @@ def well_formed_program(p: Program):
                     inv = s.invariant
                     if normalize_formula(inv) != inv:
                         diags.append(Diagnostic(s.loc, "loop invariant is not normalized"))
-                    check_no_spec_markers(inv, "invariant")
+                    check_no_spec_markers(inv.atoms, "invariant")
                     if not is_self_framed(inv, c, extra_acc=req_acc):
                         diags.append(Diagnostic(inv.loc, "loop invariant is not self-framed"))
                 elif isinstance(s, AssertStmt):
-                    check_no_spec_markers(s.formula, "assert")
+                    check_no_spec_markers(s.formula.atoms, "assert")
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
             if m.returns and not m.opaque and not _always_returns(m.body):
@@ -559,7 +569,7 @@ def _always_returns(body):
 
 def assigned_locals(body):
     out = set()
-    for s in stmts_recursive(body):
+    for _, s in stmts_recursive(body):
         if isinstance(s, Assign):
             out.add(s.target)
         elif isinstance(s, Call) and s.target:
@@ -569,7 +579,7 @@ def assigned_locals(body):
 
 def assigned_globals(body):
     out = set()
-    for s in stmts_recursive(body):
+    for _, s in stmts_recursive(body):
         if isinstance(s, GAssign):
             out.add(s.slot)
     return out

@@ -293,25 +293,18 @@ class Oracle:
             raise _Violation("predicate-depth", 0, name)
         if depth <= 1:
             sys.setrecursionlimit(max(sys.getrecursionlimit(), 40 * _DEPTH_CAP))
-        body = contract.predicate(name).body
-        env = dict(zip(contract.predicate(name).params, args))
-
-        def val(e):
-            if isinstance(e, IntLit):
-                return e.value
-            if isinstance(e, Name):
-                return env[e.name] if e.name in env else self.mem[contract.name][e.name]
-            l, r = val(e.left), val(e.right)
-            if e.op in "/%" and r == 0:
-                raise _Violation("div-zero", e.loc.line, "division by zero in predicate")
-            return {"+": l + r, "-": l - r, "*": l * r,
-                    "/": l // r if r else 0, "%": l % r if r else 0}[e.op]
+        decl = contract.predicate(name)
+        # a frame whose variables are the parameters: other names are the
+        # contract's globals
+        fr = _OFrame(contract, True, False, None)
+        fr.vars = dict(zip(decl.params, args))
 
         def go(node):
             if isinstance(node, Cmp):
-                return _rel(node.op, val(node.left), val(node.right))
+                return _rel(node.op, self.spec_value(fr, node.left), self.spec_value(fr, node.right))
             if isinstance(node, PredUse):
-                return self.pred(contract, node.name, [val(x) for x in node.args], depth + 1)
+                return self.pred(contract, node.name,
+                                 [self.spec_value(fr, x) for x in node.args], depth + 1)
             if isinstance(node, BoolOp):
                 it = (go(p) for p in node.parts)
                 return all(it) if node.op == "and" else any(it)
@@ -319,7 +312,7 @@ class Oracle:
                 return not go(node.operand)
             raise TypeError(f"not a predicate body node: {node!r}")
 
-        return go(body)
+        return go(decl.body)
 
     @staticmethod
     def _fmt(a):

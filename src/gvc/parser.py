@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, BoundaryEntry, Call, Check, Cmp,
     Contract, Formula, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    Predicate, Program, QMark, Result, Return, SourceLoc, Spec,
+    Predicate, Program, QMark, RELOPS, Result, Return, SourceLoc, Spec,
     UNKNOWN_FORMULA, While, normalize_formula,
 )
 from .lexer import Token
-
-RELOPS = {"==", "!=", "<=", "<", ">=", ">"}
 
 
 class ParseError(Exception):
@@ -78,6 +76,18 @@ class _Parser:
             raise ParseError(t.loc, f"expected identifier, found {t.lexeme or t.kind!r}")
         return self.next()
 
+    def parse_list(self, item):
+        """`( item, item, ... )`, possibly empty; returns the items."""
+        self.expect_sym("(")
+        items = []
+        if not self.at("SYM", ")"):
+            items.append(item())
+            while self.at("SYM", ","):
+                self.next()
+                items.append(item())
+        self.expect_sym(")")
+        return tuple(items)
+
     # -- program structure -------------------------------------------------
 
     def parse_program(self):
@@ -126,30 +136,16 @@ class _Parser:
         loc = self.expect("SPEC").loc
         self.expect_kw("predicate")
         name = self.expect_ident().lexeme
-        self.expect_sym("(")
-        params = []
-        if not self.at("SYM", ")"):
-            params.append(self.expect_ident().lexeme)
-            while self.at("SYM", ","):
-                self.next()
-                params.append(self.expect_ident().lexeme)
-        self.expect_sym(")")
+        params = self.parse_list(lambda: self.expect_ident().lexeme)
         self.expect_sym("=")
         body = self.parse_bool(self.parse_pred_leaf)
         self.expect_sym(";")
-        return Predicate(name, tuple(params), body, loc)
+        return Predicate(name, params, body, loc)
 
     def parse_method(self, contract_name):
         loc = self.expect_kw("method").loc
         name = self.expect_ident().lexeme
-        self.expect_sym("(")
-        params = []
-        if not self.at("SYM", ")"):
-            params.append(self.parse_param())
-            while self.at("SYM", ","):
-                self.next()
-                params.append(self.parse_param())
-        self.expect_sym(")")
+        params = self.parse_list(self.parse_param)
         returns = False
         if self.at("SYM", "->"):
             self.next()
@@ -196,7 +192,7 @@ class _Parser:
             requires=normalize_formula(requires) if requires is not None else UNKNOWN_FORMULA,
             ensures=normalize_formula(ensures) if ensures is not None else UNKNOWN_FORMULA,
         )
-        return Method(name, tuple(params), returns, spec, tuple(body), opaque, loc)
+        return Method(name, params, returns, spec, tuple(body), opaque, loc)
 
     def parse_param(self):
         name = self.expect_ident().lexeme
@@ -296,39 +292,24 @@ class _Parser:
         contract = self.expect_ident().lexeme
         self.expect_sym(".")
         method = self.expect_ident().lexeme
-        self.expect_sym("(")
-        args = []
-        if not self.at("SYM", ")"):
-            args.append(self.parse_expr())
-            while self.at("SYM", ","):
-                self.next()
-                args.append(self.parse_expr())
-        self.expect_sym(")")
-        return contract, method, tuple(args)
+        return contract, method, self.parse_list(self.parse_expr)
 
     # -- conditions and predicate bodies -----------------------------------
 
     def parse_cond(self):
         return self.parse_bool(self.parse_cond_leaf)
 
-    def parse_bool(self, leaf):
-        return self._parse_or(leaf)
-
-    def _parse_or(self, leaf):
+    def parse_bool(self, leaf, op="or"):
+        """An `op`-separated chain of the next tighter rule, where `or` binds
+        looser than `and`, which binds looser than `not`."""
         loc = self.peek().loc
-        parts = [self._parse_and(leaf)]
-        while self.at_kw("or"):
+        parts = []
+        while True:
+            parts.append(self.parse_bool(leaf, "and") if op == "or" else self._parse_not(leaf))
+            if not self.at_kw(op):
+                break
             self.next()
-            parts.append(self._parse_and(leaf))
-        return parts[0] if len(parts) == 1 else BoolOp("or", tuple(parts), loc)
-
-    def _parse_and(self, leaf):
-        loc = self.peek().loc
-        parts = [self._parse_not(leaf)]
-        while self.at_kw("and"):
-            self.next()
-            parts.append(self._parse_not(leaf))
-        return parts[0] if len(parts) == 1 else BoolOp("and", tuple(parts), loc)
+        return parts[0] if len(parts) == 1 else BoolOp(op, tuple(parts), loc)
 
     def _parse_not(self, leaf):
         if self.at_kw("not"):
@@ -347,10 +328,9 @@ class _Parser:
             return e  # bare expression; type inference rejects it
         except ParseError:
             self.pos = saved
-        tok = self.expect_sym("(")
+        self.expect_sym("(")
         c = self.parse_cond()
         self.expect_sym(")")
-        _ = tok
         return c
 
     def parse_pred_leaf(self):
@@ -367,30 +347,7 @@ class _Parser:
                 return c
             except ParseError:
                 self.pos = saved
-        if t.kind == "IDENT" and self.peek(1).lexeme == "(" and t.lexeme != "acc":
-            # predicate instance
-            name = self.next().lexeme
-            self.next()
-            args = []
-            if not self.at("SYM", ")"):
-                args.append(self.parse_expr())
-                while self.at("SYM", ","):
-                    self.next()
-                    args.append(self.parse_expr())
-            self.expect_sym(")")
-            return PredUse(name, tuple(args), t.loc)
-        if t.kind == "IDENT" and t.lexeme == "acc" and self.peek(1).lexeme == "(":
-            self.next(); self.next()
-            slot = self.expect_ident().lexeme
-            self.expect_sym(")")
-            return Acc(slot, t.loc)
-        e = self.parse_expr()
-        op = self.peek()
-        if op.lexeme not in RELOPS:
-            raise ParseError(op.loc, "expected comparison in predicate body")
-        self.next()
-        rhs = self.parse_expr()
-        return Cmp(op.lexeme, e, rhs, t.loc)
+        return self.parse_formula_term()
 
     # -- formulas ----------------------------------------------------------
 
@@ -422,15 +379,7 @@ class _Parser:
             return Acc(slot, t.loc)
         if t.kind == "IDENT" and self.peek(1).lexeme == "(":
             name = self.next().lexeme
-            self.next()
-            args = []
-            if not self.at("SYM", ")"):
-                args.append(self.parse_expr())
-                while self.at("SYM", ","):
-                    self.next()
-                    args.append(self.parse_expr())
-            self.expect_sym(")")
-            return PredUse(name, tuple(args), t.loc)
+            return PredUse(name, self.parse_list(self.parse_expr), t.loc)
         left = self.parse_expr()
         op = self.peek()
         if op.lexeme not in RELOPS:

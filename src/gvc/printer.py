@@ -9,9 +9,9 @@ residual entries as `#! entry/exit <payload> @id;`.
 from __future__ import annotations
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Formula, If,
-    IntLit, Name, NotOp, Old, PredUse, QMark, Result, Return, AssertStmt,
-    While, GAssign,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Formula,
+    GAssign, If, IntLit, Name, NotOp, Old, PredUse, QMark, Result, Return,
+    While,
 )
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}

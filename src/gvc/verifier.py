@@ -18,7 +18,7 @@ from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
     Formula, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
     Program, Result, Return, SourceLoc, While, assigned_globals,
-    assigned_locals,
+    assigned_locals, bool_leaves,
 )
 from .linear import (
     LinExpr, NONLINEAR, ProofResult, ProverStats, check_sat, cmp_constraints,
@@ -503,9 +503,23 @@ class MethodVerifier:
         return walk(cond, negate)
 
     def eval_cond_obligations(self, state, cond, loc, insertion):
-        for leaf_cmp in _cond_cmps(cond):
-            self.eval_expr(state, leaf_cmp.left, loc, insertion)
-            self.eval_expr(state, leaf_cmp.right, loc, insertion)
+        for leaf in bool_leaves(cond):
+            if isinstance(leaf, Cmp):
+                self.eval_expr(state, leaf.left, loc, insertion)
+                self.eval_expr(state, leaf.right, loc, insertion)
+
+    def branches(self, state, cond, negate=False, assume=None):
+        """One clone of `state` per satisfiable DNF alternative of the
+        condition (or its negation), with `assume` produced first.  The
+        order (produce, extend the path, then check) fixes which fresh
+        symbols exist when the prover runs."""
+        for alt in self.cond_alternatives(state, cond, negate):
+            st = state.clone()
+            if assume is not None:
+                self.produce(st, assume, on_duplicate="keep")
+            st.path.extend(alt)
+            if check_sat(st.path) != "unsat":
+                yield st
 
     # -- statements -----------------------------------------------------------
 
@@ -540,21 +554,10 @@ class MethodVerifier:
         if isinstance(s, If):
             self.eval_cond_obligations(state, s.cond, s.loc, before)
             out = []
-            for alt in self.cond_alternatives(state, s.cond):
-                st = state.clone()
-                st.path.extend(alt)
-                if check_sat(st.path) == "unsat":
-                    continue
+            for st in self.branches(state, s.cond):
                 out.extend(self.exec_block([st], s.then, path + (index, "then")))
-            for alt in self.cond_alternatives(state, s.cond, negate=True):
-                st = state.clone()
-                st.path.extend(alt)
-                if check_sat(st.path) == "unsat":
-                    continue
-                if s.orelse:
-                    out.extend(self.exec_block([st], s.orelse, path + (index, "else")))
-                else:
-                    out.append(st)
+            for st in self.branches(state, s.cond, negate=True):
+                out.extend(self.exec_block([st], s.orelse, path + (index, "else")))
             return out
         if isinstance(s, While):
             return self.exec_while(state, s, path, index, before)
@@ -587,25 +590,12 @@ class MethodVerifier:
         body_path = path + (index, "body")
         end_insertion = Insertion("before", body_path, len(s.body))
         # one symbolic body pass: invariant /\ condition
-        for alt in self.cond_alternatives(state, s.cond):
-            st = state.clone()
-            self.produce(st, inv, on_duplicate="keep")
-            st.path.extend(alt)
-            if check_sat(st.path) == "unsat":
-                continue
+        for st in self.branches(state, s.cond, assume=inv):
             for exit_st in self.exec_block([st], s.body, body_path):
                 self.eval_cond_obligations(exit_st, s.cond, s.loc, end_insertion)
                 self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant")
         # after the loop: invariant /\ not condition
-        out = []
-        for alt in self.cond_alternatives(state, s.cond, negate=True):
-            st = state.clone()
-            self.produce(st, inv, on_duplicate="keep")
-            st.path.extend(alt)
-            if check_sat(st.path) == "unsat":
-                continue
-            out.append(st)
-        return out
+        return list(self.branches(state, s.cond, negate=True, assume=inv))
 
     def exec_call(self, state, s: Call, before):
         callee_c = self.program.contract(s.contract)
@@ -692,16 +682,6 @@ class MethodVerifier:
         report.status = Status.VERIFIED_WITH_RESIDUALS if ordered else Status.VERIFIED
         report.warnings = self.warnings
         return report
-
-
-def _cond_cmps(cond):
-    if isinstance(cond, Cmp):
-        yield cond
-    elif isinstance(cond, BoolOp):
-        for p in cond.parts:
-            yield from _cond_cmps(p)
-    elif isinstance(cond, NotOp):
-        yield from _cond_cmps(cond.operand)
 
 
 def _flatten_conj(node):

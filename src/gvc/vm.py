@@ -142,8 +142,7 @@ class VmOptions:
     # the unprotected debug mode disables permission tracking, woven checks,
     # and boundary checking; it exists to demonstrate the attack class the
     # protections close off
-    enforce_permissions: bool = True
-    run_checks: bool = True
+    protected: bool = True
 
 
 class Frame:
@@ -312,16 +311,14 @@ class Vm:
         frame = Frame(self.frames, contract, method, env, caller, imprecise_entry, verified)
         boundary_active = caller is None or not caller.verified
 
-        if verified and self.options.enforce_permissions:
+        if verified and self.options.protected:
             table = self.image.boundary.get((cname, mname), [])
             for e in table:
                 if e.kind != "entry":
                     continue
                 if isinstance(e.payload, Acc) and e.check_id is None:
                     continue  # spec acc list handled by acquisition below
-                must_run = self.options.run_checks and (
-                    boundary_active or e.check_id is not None)
-                if not must_run:
+                if not (boundary_active or e.check_id is not None):
                     continue
                 ok = self.eval_spec_bool(frame, e.payload)
                 if not ok:
@@ -332,7 +329,7 @@ class Vm:
                 if not isinstance(a, Acc):
                     continue
                 o = self.owner(cname, a.slot)
-                if boundary_active and self.options.run_checks:
+                if boundary_active:
                     self.meter.charge_check()
                 if o is None:
                     self.perm[(cname, a.slot)] = frame.id
@@ -358,16 +355,14 @@ class Vm:
 
     def exit_protocol(self, frame, boundary_active):
         cname = frame.contract.name
-        if not self.options.enforce_permissions:
+        if not self.options.protected:
             return
         if frame.verified:
             table = self.image.boundary.get((cname, frame.method.name), [])
             for e in table:
                 if e.kind != "exit" or isinstance(e.payload, Acc):
                     continue
-                must_run = (boundary_active and self.options.run_checks) or (
-                    e.check_id is not None and self.options.run_checks)
-                if not must_run:
+                if not (boundary_active or e.check_id is not None):
                     continue
                 if not self.eval_spec_bool(frame, e.payload):
                     raise Revert(CHECK_FAILURE, check_id=e.check_id,
@@ -413,7 +408,7 @@ class Vm:
         if isinstance(s, AssertStmt):
             return  # ghost: its residuals were woven as explicit checks
         if isinstance(s, Check):
-            if self.options.run_checks:
+            if self.options.protected:
                 ok = self.eval_spec_bool(frame, s.payload)
                 if not ok:
                     raise Revert(CHECK_FAILURE, check_id=s.check_id,
@@ -448,7 +443,7 @@ class Vm:
 
     def touch_slot(self, frame, slot, loc):
         """Require ownership for a program-level global read/write."""
-        if not self.options.enforce_permissions:
+        if not self.options.protected:
             return
         cname = frame.contract.name
         o = self.owner(cname, slot)
@@ -516,8 +511,6 @@ class Vm:
             return _compare(payload.op, l, r)
         if isinstance(payload, Acc):
             self.meter.charge_check()
-            if not self.options.enforce_permissions:
-                return True
             cname = frame.contract.name
             o = self.owner(cname, payload.slot)
             if o == frame.id:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .lang import Acc, BoundaryEntry, Check, If, Program, While, stmts_recursive
+from .lang import Acc, BoundaryEntry, Check, Program, map_blocks, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
@@ -102,30 +102,21 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                             Check(r.id, r.payload, r.obligation.loc))
                     else:
                         residual_rows.append(BoundaryEntry(r.insertion.kind, r.payload, r.id))
-            body = _weave_block(m.body, (), inserts)
-            methods.append(replace(m, body=body))
+
+            def insert_checks(path, stmts):
+                out = []
+                for i, s in enumerate(stmts):
+                    out.extend(inserts.get((path, i), ()))
+                    out.append(s)
+                out.extend(inserts.get((path, len(stmts)), ()))
+                return tuple(out)
+
+            methods.append(replace(m, body=map_blocks(m.body, insert_checks)))
             entries = build_boundary_table(c, m, residual_rows)
             if entries:
                 boundary[(c.name, m.name)] = entries
         contracts.append(replace(c, methods=tuple(methods)))
     return InstrumentedProgram(Program(tuple(contracts)), boundary, sidecar)
-
-
-def _weave_block(body, path, inserts):
-    out = []
-    for i, s in enumerate(body):
-        for chk in inserts.get((path, i), []):
-            out.append(chk)
-        if isinstance(s, If):
-            s = replace(s,
-                        then=_weave_block(s.then, path + (i, "then"), inserts),
-                        orelse=_weave_block(s.orelse, path + (i, "else"), inserts))
-        elif isinstance(s, While):
-            s = replace(s, body=_weave_block(s.body, path + (i, "body"), inserts))
-        out.append(s)
-    for chk in inserts.get((path, len(body)), []):
-        out.append(chk)
-    return tuple(out)
 
 
 def strip(ip) -> Program:
@@ -134,29 +125,20 @@ def strip(ip) -> Program:
     program = ip.program if isinstance(ip, InstrumentedProgram) else ip
     contracts = []
     for c in program.contracts:
-        methods = [replace(m, body=_strip_block(m.body)) for m in c.methods]
+        methods = [replace(m, body=map_blocks(m.body, _drop_checks)) for m in c.methods]
         contracts.append(replace(c, methods=tuple(methods)))
     return Program(tuple(contracts))
 
 
-def _strip_block(body):
-    out = []
-    for s in body:
-        if isinstance(s, Check):
-            continue
-        if isinstance(s, If):
-            s = replace(s, then=_strip_block(s.then), orelse=_strip_block(s.orelse))
-        elif isinstance(s, While):
-            s = replace(s, body=_strip_block(s.body))
-        out.append(s)
-    return tuple(out)
+def _drop_checks(path, stmts):
+    return tuple(s for s in stmts if not isinstance(s, Check))
 
 
 def count_woven_checks(program: Program) -> int:
     n = 0
     for c in program.contracts:
         for m in c.methods:
-            n += sum(1 for s in stmts_recursive(m.body) if isinstance(s, Check))
+            n += sum(1 for _, s in stmts_recursive(m.body) if isinstance(s, Check))
     return n
 
 

@@ -121,8 +121,7 @@ def test_criterion_5_reentrancy_protection():
         ok = ok and led.read("Bank", "Balance") == bal
 
     led = Ledger(image.program, {"Bank": {"Balance": 10}})
-    unprotected = Vm(image, led, VmOptions(enforce_permissions=False,
-                                           run_checks=False))
+    unprotected = Vm(image, led, VmOptions(protected=False))
     out = unprotected.exec_transaction(Transaction("Bank", "withdraw", (4,)))
     corrupted = out.committed and led.read("Bank", "Balance") == 2  # honest: 6
     ok = ok and attacked > 0 and corrupted

@@ -41,6 +41,19 @@ class TestVerify:
         bad.write_text("contract C\n")
         assert main(["verify", str(bad)]) == EXIT_STATIC
 
+    def test_spec_marker_in_predicate_body(self, tmp_path, capsys):
+        src = tmp_path / "grew.gcl"
+        src.write_text(
+            "contract C:\n"
+            "  #@ global G;\n"
+            "  #@ predicate grew(n) = G >= old(G) + n;\n"
+            "  method bump(n: uint64):\n"
+            "    #@ requires acc(G);\n"
+            "    #@ ensures acc(G) and grew(n);\n"
+            "    G := G + n;\n")
+        assert main(["verify", str(src)]) == EXIT_STATIC
+        assert "grew.gcl:3:31: old(...) is only allowed in ensures" in capsys.readouterr().out
+
     def test_report_written(self, tmp_path, capsys):
         rep = tmp_path / "report.json"
         assert main(["verify", SELL, "--report", str(rep)]) == EXIT_OK

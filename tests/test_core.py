@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from gvc.frontend import corpus_files, load_file, load_source, WellFormednessError
 from gvc.lang import (
-    Acc, Cmp, Contract, Formula, IntLit, Name, Old, UINT_MAX,
-    free_globals, is_self_framed, normalize_formula, well_formed_program,
+    Acc, Cmp, Contract, Formula, IntLit, Name, Old, PredUse, UINT_MAX,
+    atom_reads, is_self_framed, normalize_formula, well_formed_program,
 )
 from gvc.printer import pretty_print
 
@@ -39,18 +39,20 @@ class TestSelfFraming:
         assert is_self_framed(f, COUNTER, extra_acc=("Count",))
 
 
-class TestFreeGlobals:
+class TestAtomReads:
     def test_acc_and_read(self):
-        f = _formula([Acc("Count"), Cmp(">=", Name("Count"), IntLit(0))], imprecise=True)
-        assert free_globals(f, {"Count"}) == {"Count"}
+        assert atom_reads(Acc("Count"), {"Count"}) == set()
+        assert atom_reads(Cmp(">=", Name("Count"), IntLit(0)), {"Count"}) == {"Count"}
 
     def test_locals_only(self):
-        f = _formula([Cmp(">=", Name("x"), IntLit(1))])
-        assert free_globals(f, {"Count"}) == set()
+        assert atom_reads(Cmp(">=", Name("x"), IntLit(1)), {"Count"}) == set()
 
     def test_old_reads_count(self):
-        f = _formula([Acc("A"), Cmp("==", Name("B"), Old("B"))])
-        assert free_globals(f, {"A", "B"}) == {"A", "B"}
+        assert atom_reads(Cmp("==", Name("B"), Old("A")), {"A", "B"}) == {"A", "B"}
+
+    def test_predicate_instance_reads_its_body(self):
+        atom = PredUse("atleast", (Name("Fee"),))
+        assert atom_reads(atom, {"Count", "Fee"}, {"atleast": {"Count"}}) == {"Count", "Fee"}
 
 
 # small atom pool for property tests
@@ -110,6 +112,23 @@ class TestWellFormedness:
         with pytest.raises(WellFormednessError) as e:
             load_source(src, "t.gcl")
         assert len(e.value.diagnostics) == 1
+
+    @pytest.mark.parametrize("body", ["G >= old(G) + n", "result >= n"])
+    def test_spec_marker_in_predicate_body(self, body):
+        # evaluating such a body has no method frame to read old(...) or
+        # result from, so it must be rejected before verification
+        src = (
+            "contract C:\n"
+            "  #@ global G;\n"
+            f"  #@ predicate grew(n) = {body};\n"
+            "  method bump(n: uint64):\n"
+            "    #@ requires acc(G);\n"
+            "    #@ ensures acc(G) and grew(n);\n"
+            "    G := G + n;\n"
+        )
+        with pytest.raises(WellFormednessError) as e:
+            load_source(src, "t.gcl")
+        assert [d.loc.line for d in e.value.diagnostics] == [3]
 
     def test_literal_out_of_range(self):
         src = (

@@ -194,8 +194,7 @@ class TestReentrancy:
         assert led.read("Bank", "Balance") == 10
 
     def test_unprotected_attack_double_spends(self):
-        vm, led = self._bank(VmOptions(enforce_permissions=False,
-                                       run_checks=False))
+        vm, led = self._bank(VmOptions(protected=False))
         out = vm.exec_transaction(tx("Bank", "withdraw", 4))
         assert out.committed
         assert led.read("Bank", "Balance") == 2  # honest result is 6
