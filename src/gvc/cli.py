@@ -158,16 +158,14 @@ def cmd_run(args):
         except (ValueError, KeyError) as e:
             print(f"malformed transaction script: {e}")
             return EXIT_USAGE
-    init = {}
-    if args.ledger:
-        try:
-            init = json.loads(Path(args.ledger).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as e:
-            print(f"cannot read ledger init: {e}")
-            return EXIT_USAGE
+    try:
+        init = json.loads(Path(args.ledger).read_text(encoding="utf-8")) if args.ledger else {}
+        ledger = Ledger(image.program, init)
+    except (OSError, ValueError, VmUsageError) as e:
+        print(f"bad ledger init: {e}")
+        return EXIT_USAGE
 
     options = VmOptions(protected=not args.unprotected)
-    ledger = Ledger(image.program, init)
     try:
         outcomes, report = run_script(image, txs, gas_limit=args.gas_limit,
                                       ledger=ledger, options=options)

@@ -12,6 +12,10 @@ from typing import Optional, Union
 
 UINT_MAX = 2**64 - 1
 
+# how deep predicate instances may nest at run time; the VM and the oracle
+# must stop at the same depth to agree
+PREDICATE_DEPTH_CAP = 1024
+
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 
 
@@ -493,6 +497,18 @@ def well_formed_program(p: Program):
     for c in p.contracts:
         if len(set(c.globals)) != len(c.globals):
             diags.append(Diagnostic(c.loc, f"duplicate global declaration in {c.name}"))
+        # each name is declared once and means one thing
+        seen = set()
+        for kind, d, params in ([("predicate", q, q.params) for q in c.predicates]
+                                + [("method", m, [n for n, _ in m.params]) for m in c.methods]):
+            if (kind, d.name) in seen:
+                diags.append(Diagnostic(d.loc, f"duplicate {kind} {d.name} in {c.name}"))
+            seen.add((kind, d.name))
+            if len(set(params)) != len(params):
+                diags.append(Diagnostic(d.loc, f"duplicate parameter name in {kind} {d.name}"))
+            for n in params:
+                if n in c.globals:
+                    diags.append(Diagnostic(d.loc, f"parameter {n} of {kind} {d.name} shadows global {n}"))
         for pred in c.predicates:
             leaves = bool_leaves(pred.body)
             for node in leaves:

@@ -196,7 +196,7 @@ def _tighten(coeffs, const):
     return {v: c // g for v, c in coeffs.items()}, -new_bound
 
 
-def check_sat(constraints, split_budget=SPLIT_BUDGET):
+def check_sat(constraints):
     """'sat' | 'unsat' | 'unknown' over integer points in the uint64 box."""
     les, nes = [], []
     for c in constraints:
@@ -219,7 +219,7 @@ def check_sat(constraints, split_budget=SPLIT_BUDGET):
         return "unsat"
     if not nes:
         return base
-    if len(nes) > split_budget:
+    if len(nes) > SPLIT_BUDGET:
         return "unknown"
 
     # DFS over disequality splits: L != 0 -> L <= -1 or L >= 1

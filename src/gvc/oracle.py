@@ -10,18 +10,16 @@ validated against it, so it re-implements evaluation on its own.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
-    IntLit, Name, NotOp, Old, PredUse, Program, Result, Return, UINT_MAX, While,
+    IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse, Program, Result,
+    Return, UINT_MAX, While,
 )
 
 ALL_HELD = "AllObligationsHeld"
 FIRST_VIOLATION = "FirstViolation"
-
-_DEPTH_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -261,14 +259,6 @@ class Oracle:
 
     # -- specification atoms (mathematical integers) -------------------------
 
-    def spec_atom(self, fr, a):
-        if isinstance(a, Cmp):
-            return _rel(a.op, self.spec_value(fr, a.left), self.spec_value(fr, a.right))
-        if isinstance(a, PredUse):
-            args = [self.spec_value(fr, x) for x in a.args]
-            return self.pred(fr.contract, a.name, args, 1)
-        raise TypeError(f"not a value atom: {a!r}")
-
     def spec_value(self, fr, e):
         if isinstance(e, IntLit):
             return e.value
@@ -288,31 +278,48 @@ class Oracle:
                     "/": l // r if r else 0, "%": l % r if r else 0}[e.op]
         raise TypeError(f"not a spec expression: {e!r}")
 
-    def pred(self, contract, name, args, depth):
-        if depth > _DEPTH_CAP:
-            raise _Violation("predicate-depth", 0, name)
-        if depth <= 1:
-            sys.setrecursionlimit(max(sys.getrecursionlimit(), 40 * _DEPTH_CAP))
-        decl = contract.predicate(name)
-        # a frame whose variables are the parameters: other names are the
-        # contract's globals
-        fr = _OFrame(contract, True, False, None)
-        fr.vars = dict(zip(decl.params, args))
+    def spec_atom(self, fr, atom):
+        """Truth of a comparison or predicate-instance atom in frame `fr`.
+        Every predicate body under evaluation is a suspended generator on an
+        explicit stack, so recursion stops at PREDICATE_DEPTH_CAP and never
+        at the Python stack."""
+        if isinstance(atom, Cmp):  # no predicate instance: no stack needed
+            return _rel(atom.op, self.spec_value(fr, atom.left), self.spec_value(fr, atom.right))
+        stack, truth = [self._body(fr, atom)], None
+        while stack:
+            try:
+                name, args = stack[-1].send(truth)
+            except StopIteration as ret:
+                stack.pop()
+                truth = ret.value
+                continue
+            if len(stack) > PREDICATE_DEPTH_CAP:
+                raise _Violation("predicate-depth", 0, name)
+            decl = fr.contract.predicate(name)
+            # a frame whose variables are the parameters: other names are the
+            # contract's globals
+            callee = _OFrame(fr.contract, True, False, None)
+            callee.vars = dict(zip(decl.params, args))
+            stack.append(self._body(callee, decl.body))
+            truth = None
+        return truth
 
-        def go(node):
-            if isinstance(node, Cmp):
-                return _rel(node.op, self.spec_value(fr, node.left), self.spec_value(fr, node.right))
-            if isinstance(node, PredUse):
-                return self.pred(contract, node.name,
-                                 [self.spec_value(fr, x) for x in node.args], depth + 1)
-            if isinstance(node, BoolOp):
-                it = (go(p) for p in node.parts)
-                return all(it) if node.op == "and" else any(it)
-            if isinstance(node, NotOp):
-                return not go(node.operand)
-            raise TypeError(f"not a predicate body node: {node!r}")
-
-        return go(decl.body)
+    def _body(self, fr, node):
+        """Generator over an and/or/not tree: yields (name, args) per
+        predicate instance, is sent back its truth, returns the tree's."""
+        if isinstance(node, Cmp):
+            return self.spec_atom(fr, node)
+        if isinstance(node, PredUse):
+            return (yield node.name, [self.spec_value(fr, x) for x in node.args])
+        if isinstance(node, BoolOp):
+            for p in node.parts:
+                part = yield from self._body(fr, p)
+                if part != (node.op == "and"):
+                    return part
+            return node.op == "and"
+        if isinstance(node, NotOp):
+            return not (yield from self._body(fr, node.operand))
+        raise TypeError(f"not a predicate body node: {node!r}")
 
     @staticmethod
     def _fmt(a):

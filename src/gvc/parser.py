@@ -7,6 +7,7 @@ residual entries alongside the program.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .lang import (
@@ -16,6 +17,12 @@ from .lang import (
     UNKNOWN_FORMULA, While, normalize_formula,
 )
 from .lexer import Token
+
+# The deepest nesting accepted in one expression, condition or predicate
+# body.  Each parenthesis, binary operator of a chain, `not`, and `and`/`or`
+# level is one level; the passes after parsing walk these trees
+# recursively, and this bound keeps them well inside Python's stack.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -35,6 +42,7 @@ class _Parser:
         self.toks = list(tokens)
         self.pos = 0
         self.boundary = {}
+        self.open = 0  # nesting levels enclosing the current token
 
     # -- token plumbing ----------------------------------------------------
 
@@ -138,7 +146,7 @@ class _Parser:
         name = self.expect_ident().lexeme
         params = self.parse_list(lambda: self.expect_ident().lexeme)
         self.expect_sym("=")
-        body = self.parse_bool(self.parse_pred_leaf)
+        body, _ = self.parse_bool(self.parse_pred_leaf)
         self.expect_sym(";")
         return Predicate(name, params, body, loc)
 
@@ -167,7 +175,7 @@ class _Parser:
         while self.at("BANG") and self.peek(1).lexeme in ("entry", "exit"):
             self.next()
             kind = self.next().lexeme
-            payload = self.parse_formula_term()
+            payload, _ = self.parse_formula_term()
             cid = None
             if self.at("SYM", "@"):
                 self.next()
@@ -228,14 +236,14 @@ class _Parser:
             if marker.lexeme != "check":
                 raise ParseError(marker.loc, "expected 'check' after '#!' in statement position")
             self.next(); self.next()
-            payload = self.parse_formula_term()
+            payload, _ = self.parse_formula_term()
             self.expect_sym("@")
             cid = self.expect_ident().lexeme
             self.expect_sym(";")
             return Check(cid, payload, t.loc)
         if t.kind == "KW" and t.lexeme == "if":
             self.next()
-            cond = self.parse_cond()
+            cond, _ = self.parse_cond()
             self.expect_sym(":")
             then = self.parse_block()
             orelse = ()
@@ -246,7 +254,7 @@ class _Parser:
             return If(cond, then, orelse, t.loc)
         if t.kind == "KW" and t.lexeme == "while":
             self.next()
-            cond = self.parse_cond()
+            cond, _ = self.parse_cond()
             self.expect_sym(":")
             self.expect("INDENT")
             inv = None
@@ -267,7 +275,7 @@ class _Parser:
             self.next()
             expr = None
             if not self.at("SYM", ";"):
-                expr = self.parse_expr()
+                expr, _ = self.parse_expr()
             self.expect_sym(";")
             return Return(expr, t.loc)
         if t.kind == "KW" and t.lexeme == "call":
@@ -283,7 +291,7 @@ class _Parser:
                 contract, method, args = self.parse_call_tail()
                 self.expect_sym(";")
                 return Call(contract, method, args, target, t.loc)
-            expr = self.parse_expr()
+            expr, _ = self.parse_expr()
             self.expect_sym(";")
             return Assign(target, expr, t.loc)
         raise ParseError(t.loc, f"expected statement, found {t.lexeme or t.kind!r}")
@@ -292,7 +300,45 @@ class _Parser:
         contract = self.expect_ident().lexeme
         self.expect_sym(".")
         method = self.expect_ident().lexeme
-        return contract, method, self.parse_list(self.parse_expr)
+        return contract, method, tuple(a for a, _ in self.parse_list(self.parse_expr))
+
+    # -- nesting -----------------------------------------------------------
+    # The rules for expressions, conditions, predicate bodies and formula
+    # atoms return (node, height), the height counting the nesting levels
+    # on the node's deepest path.  Every (node, height) returned satisfies
+    # open + height <= MAX_NESTING.  The recursive rules enter one another
+    # directly (the helpers below are context managers) so that each level
+    # costs the parser few Python frames.
+
+    def _level(self, tok, height):
+        """The height of a node one level above `height`; ParseError at
+        `tok` when that takes the nesting past MAX_NESTING."""
+        if self.open + height >= MAX_NESTING:
+            raise ParseError(tok.loc, f"nesting deeper than {MAX_NESTING} levels")
+        return height + 1
+
+    @contextmanager
+    def _inside(self, tok):
+        """The body parses one level inside `tok`, a '(' or 'not'."""
+        self._level(tok, 0)
+        self.open += 1
+        try:
+            yield
+        finally:
+            self.open -= 1
+
+    @contextmanager
+    def _second_reading(self, saved, err):
+        """The body re-reads an ambiguous '(' leaf from token `saved` after
+        the first reading failed with `err`; if it fails too, the error
+        that got further is raised (the second's on a tie)."""
+        self.pos = saved
+        try:
+            yield
+        except ParseError as e:
+            if (err.loc.line, err.loc.col) > (e.loc.line, e.loc.col):
+                raise err from None
+            raise
 
     # -- conditions and predicate bodies -----------------------------------
 
@@ -303,51 +349,66 @@ class _Parser:
         """An `op`-separated chain of the next tighter rule, where `or` binds
         looser than `and`, which binds looser than `not`."""
         loc = self.peek().loc
-        parts = []
+        parts, ops, height = [], [], 0
         while True:
-            parts.append(self.parse_bool(leaf, "and") if op == "or" else self._parse_not(leaf))
+            part, h = self.parse_bool(leaf, "and") if op == "or" else self._parse_not(leaf)
+            parts.append(part)
+            height = max(height, h)
             if not self.at_kw(op):
                 break
-            self.next()
-        return parts[0] if len(parts) == 1 else BoolOp(op, tuple(parts), loc)
+            ops.append(self.next())
+        if not ops:
+            return parts[0], height
+        return BoolOp(op, tuple(parts), loc), self._level(ops[0], height)
 
     def _parse_not(self, leaf):
         if self.at_kw("not"):
-            loc = self.next().loc
-            return NotOp(self._parse_not(leaf), loc)
+            tok = self.next()
+            with self._inside(tok):
+                operand, height = self._parse_not(leaf)
+            return NotOp(operand, tok.loc), height + 1
         return leaf()
 
     def parse_cond_leaf(self):
-        saved = self.pos
+        """A comparison (or a bare expression, which inference rejects), or
+        a parenthesized condition.  Only a leaf starting with '(' can be
+        either, so only such a leaf backtracks."""
+        saved, tok = self.pos, self.peek()
         try:
-            e = self.parse_expr()
+            lhs, height = self.parse_expr()
             if self.peek().lexeme in RELOPS:
                 op = self.next().lexeme
-                rhs = self.parse_expr()
-                return Cmp(op, e, rhs, _eloc(e))
-            return e  # bare expression; type inference rejects it
-        except ParseError:
-            self.pos = saved
-        self.expect_sym("(")
-        c = self.parse_cond()
-        self.expect_sym(")")
-        return c
+                rhs, h = self.parse_expr()
+                return Cmp(op, lhs, rhs, _eloc(lhs)), max(height, h)
+            return lhs, height  # bare expression; type inference rejects it
+        except ParseError as e:
+            if not (tok.kind == "SYM" and tok.lexeme == "("):
+                raise
+            err = e
+        with self._second_reading(saved, err):
+            with self._inside(self.next()):
+                c, height = self.parse_bool(self.parse_cond_leaf)
+            self.expect_sym(")")
+            return c, height + 1
 
     def parse_pred_leaf(self):
-        t = self.peek()
-        if t.kind == "SYM" and t.lexeme == "?":
+        """'?', a formula term, or a parenthesized body; a leaf starting
+        with '(' is read as the latter first."""
+        saved, tok = self.pos, self.peek()
+        if tok.kind == "SYM" and tok.lexeme == "?":
             self.next()
-            return QMark(t.loc)
-        if t.kind == "SYM" and t.lexeme == "(":
-            saved = self.pos
-            try:
-                self.next()
-                c = self.parse_bool(self.parse_pred_leaf)
-                self.expect_sym(")")
-                return c
-            except ParseError:
-                self.pos = saved
-        return self.parse_formula_term()
+            return QMark(tok.loc), 0
+        if not (tok.kind == "SYM" and tok.lexeme == "("):
+            return self.parse_formula_term()
+        try:
+            with self._inside(self.next()):
+                c, height = self.parse_bool(self.parse_pred_leaf)
+            self.expect_sym(")")
+            return c, height + 1
+        except ParseError as e:
+            err = e
+        with self._second_reading(saved, err):
+            return self.parse_formula_term()
 
     # -- formulas ----------------------------------------------------------
 
@@ -363,7 +424,7 @@ class _Parser:
             elif t.kind == "KW" and t.lexeme == "true":
                 self.next()
             else:
-                atoms.append(self.parse_formula_term())
+                atoms.append(self.parse_formula_term()[0])
             if self.at_kw("and"):
                 self.next()
                 continue
@@ -376,58 +437,60 @@ class _Parser:
             self.next(); self.next()
             slot = self.expect_ident().lexeme
             self.expect_sym(")")
-            return Acc(slot, t.loc)
+            return Acc(slot, t.loc), 0
         if t.kind == "IDENT" and self.peek(1).lexeme == "(":
             name = self.next().lexeme
-            return PredUse(name, self.parse_list(self.parse_expr), t.loc)
-        left = self.parse_expr()
+            args = self.parse_list(self.parse_expr)
+            return PredUse(name, tuple(a for a, _ in args), t.loc), max((h for _, h in args), default=0)
+        left, height = self.parse_expr()
         op = self.peek()
         if op.lexeme not in RELOPS:
             raise ParseError(op.loc, "expected comparison, acc(...), or predicate instance")
         self.next()
-        right = self.parse_expr()
-        return Cmp(op.lexeme, left, right, t.loc)
+        right, h = self.parse_expr()
+        return Cmp(op.lexeme, left, right, t.loc), max(height, h)
 
     # -- expressions -------------------------------------------------------
 
     def parse_expr(self):
-        left = self.parse_mul()
+        left, height = self.parse_mul()
         while self.peek().lexeme in ("+", "-") and self.peek().kind == "SYM":
-            op = self.next().lexeme
-            right = self.parse_mul()
-            left = BinOp(op, left, right, _eloc(left))
-        return left
+            tok = self.next()
+            right, h = self.parse_mul()
+            left, height = BinOp(tok.lexeme, left, right, _eloc(left)), self._level(tok, max(height, h))
+        return left, height
 
     def parse_mul(self):
-        left = self.parse_unary()
+        left, height = self.parse_unary()
         while self.peek().lexeme in ("*", "/", "%") and self.peek().kind == "SYM":
-            op = self.next().lexeme
-            right = self.parse_unary()
-            left = BinOp(op, left, right, _eloc(left))
-        return left
+            tok = self.next()
+            right, h = self.parse_unary()
+            left, height = BinOp(tok.lexeme, left, right, _eloc(left)), self._level(tok, max(height, h))
+        return left, height
 
     def parse_unary(self):
         t = self.peek()
         if t.kind == "INT":
             self.next()
-            return IntLit(int(t.lexeme), t.loc)
+            return IntLit(int(t.lexeme), t.loc), 0
         if t.kind == "KW" and t.lexeme == "old":
             self.next()
             self.expect_sym("(")
             slot = self.expect_ident().lexeme
             self.expect_sym(")")
-            return Old(slot, t.loc)
+            return Old(slot, t.loc), 0
         if t.kind == "KW" and t.lexeme == "result":
             self.next()
-            return Result(t.loc)
+            return Result(t.loc), 0
         if t.kind == "IDENT":
             self.next()
-            return Name(t.lexeme, None, t.loc)
+            return Name(t.lexeme, None, t.loc), 0
         if t.kind == "SYM" and t.lexeme == "(":
             self.next()
-            e = self.parse_expr()
+            with self._inside(t):
+                e, height = self.parse_expr()
             self.expect_sym(")")
-            return e
+            return e, height + 1
         raise ParseError(t.loc, f"expected expression, found {t.lexeme or t.kind!r}")
 
 

@@ -1,7 +1,7 @@
 """Optimistic symbolic execution of methods against their specifications.
 
-Each method is executed over a symbolic state (store, owned permissions,
-symbolic heap, path condition).  Obligations are discharged through the
+Each method is executed over a symbolic state (store, symbolic heap of
+owned slots, path condition).  Obligations are discharged through the
 linear prover; where proof fails but imprecision permits optimism, a residual
 run-time check is recorded instead.  A precise state admits no optimism: an
 unprovable obligation is a static error.
@@ -153,8 +153,7 @@ class StaticErrorExc(Exception):
 class SymState:
     def __init__(self):
         self.store = {}
-        self.perms = set()
-        self.heap = {}
+        self.heap = {}  # owned slot -> its symbolic value
         self.path = []
         self.imprecise = False
         self.old = {}
@@ -163,7 +162,6 @@ class SymState:
     def clone(self):
         s = SymState.__new__(SymState)
         s.store = dict(self.store)
-        s.perms = set(self.perms)
         s.heap = dict(self.heap)
         s.path = list(self.path)
         s.imprecise = self.imprecise
@@ -204,15 +202,10 @@ class MethodVerifier:
     # -- expression evaluation ----------------------------------------------
 
     def read_global(self, state, slot, loc, insertion):
-        if slot in state.perms:
-            return state.heap[slot]
-        ob = Obligation(Acc(slot, loc), loc, "access")
-        if state.imprecise:
-            self._residual(ob, Acc(slot, loc), insertion)
-            state.perms.add(slot)
+        if slot not in state.heap:
+            self._unheld_access(state, Acc(slot, loc), loc, insertion)
             state.heap[slot] = self.fresh(slot)
-            return state.heap[slot]
-        raise StaticErrorExc(ob, "unprovable")
+        return state.heap[slot]
 
     def eval_expr(self, state, e, loc, insertion):
         """Symbolic value of e; emits underflow / div-zero obligations."""
@@ -289,6 +282,11 @@ class MethodVerifier:
             return
         raise StaticErrorExc(obligation, "unprovable")
 
+    def _unheld_access(self, state, payload, loc, insertion):
+        """An access the state does not own: a residual under imprecision,
+        else a static error."""
+        self.consume_opaque(state, Obligation(payload, loc, "access"), insertion)
+
     # -- formulas -------------------------------------------------------------
 
     def _spec_leaf(self, state, bindings_extra, reads):
@@ -352,12 +350,11 @@ class MethodVerifier:
             if isinstance(atom, Acc):
                 if atom.slot not in self.contract.globals:
                     continue  # cross-contract permission: runtime-managed
-                if atom.slot in state.perms:
+                if atom.slot in state.heap:
                     if on_duplicate == "error":
                         ob = Obligation(atom, atom.loc, "access")
                         raise StaticErrorExc(ob, "duplicate permission")
                     continue
-                state.perms.add(atom.slot)
                 state.heap[atom.slot] = self.fresh(atom.slot)
         for atom in f.atoms:
             if isinstance(atom, Acc):
@@ -402,17 +399,11 @@ class MethodVerifier:
         permissions; returns the state (mutated)."""
         reads = dict(state.heap)  # value atoms evaluate in the pre-state
         for atom in f.atoms:
-            ploc = getattr(atom, "loc", loc) or loc
             if isinstance(atom, Acc):
-                payload = Acc(atom.slot, ploc)
-                ob = Obligation(payload, loc, "access")
-                if atom.slot in state.perms:
-                    state.perms.discard(atom.slot)
-                    state.heap.pop(atom.slot, None)
-                elif state.imprecise:
-                    self._residual(ob, payload, insertion)
+                if atom.slot in state.heap:
+                    del state.heap[atom.slot]
                 else:
-                    raise StaticErrorExc(ob, "unprovable")
+                    self._unheld_access(state, atom, loc, insertion)
             elif isinstance(atom, Cmp):
                 payload = _subst_atom(atom, payload_subst) if payload_subst else atom
                 ob = Obligation(payload, loc, kind)
@@ -468,7 +459,7 @@ class MethodVerifier:
             # local, old(...) or result) makes the comparison opaque
             if isinstance(e, Name):
                 if self._is_global(e):
-                    return state.heap.get(e.name, NONLINEAR) if e.name in state.perms else NONLINEAR
+                    return state.heap.get(e.name, NONLINEAR)
                 v = state.store.get(e.name)
                 return v if v is not None else NONLINEAR
             return NONLINEAR
@@ -541,13 +532,8 @@ class MethodVerifier:
             return [state]
         if isinstance(s, GAssign):
             v = self.eval_expr(state, s.expr, s.loc, before)
-            if s.slot not in state.perms:
-                ob = Obligation(Acc(s.slot, s.loc), s.loc, "access")
-                if state.imprecise:
-                    self._residual(ob, Acc(s.slot, s.loc), before)
-                    state.perms.add(s.slot)
-                else:
-                    raise StaticErrorExc(ob, "unprovable")
+            if s.slot not in state.heap:
+                self._unheld_access(state, Acc(s.slot, s.loc), s.loc, before)
             state.heap[s.slot] = v
             self._invalidate_facts(state)
             return [state]
@@ -584,7 +570,7 @@ class MethodVerifier:
         for name in sorted(assigned_locals(s.body)):
             state.store[name] = self.fresh(name)
         for slot in sorted(assigned_globals(s.body)):
-            if slot in state.perms:
+            if slot in state.heap:
                 state.heap[slot] = self.fresh(slot)
         self._invalidate_facts(state)
         body_path = path + (index, "body")

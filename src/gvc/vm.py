@@ -17,21 +17,18 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import sys
 from dataclasses import dataclass, field, replace
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
-    GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse, Program, Result,
-    Return, UINT_MAX, While,
+    GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse, PREDICATE_DEPTH_CAP,
+    Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
 from .parser import parse_program
 from .lexer import lex
 from .printer import fmt_atom
 from .weaver import InstrumentedProgram, build_boundary_table
-
-PREDICATE_DEPTH_CAP = 1024
 
 CHECK_FAILURE = "CheckFailure"
 OWNERSHIP_FAILURE = "OwnershipFailure"
@@ -65,7 +62,6 @@ class Transaction:
     contract: str
     method: str
     args: tuple = ()
-    sender: str = "external"
 
 
 @dataclass
@@ -75,7 +71,6 @@ class Outcome:
     check_gas: int
     reason: str = None
     detail: dict = field(default_factory=dict)
-    deltas: dict = field(default_factory=dict)
 
     @property
     def committed(self):
@@ -91,16 +86,27 @@ class Outcome:
 
 
 class Ledger:
-    def __init__(self, program: Program = None, init: dict = None):
-        self.slots = {}
-        if program is not None:
-            for c in program.contracts:
-                self.slots[c.name] = {g: 0 for g in c.globals}
-        for cname, slots in (init or {}).items():
-            if cname not in self.slots:
-                self.slots[cname] = {}
+    def __init__(self, program: Program, init: dict = None):
+        """Every global of `program` at 0, overridden by `init`
+        ({contract: {slot: value}}).  Raises VmUsageError on an unknown
+        contract or slot and on a value that is not an integer in
+        [0, UINT_MAX]."""
+        self.slots = {c.name: {g: 0 for g in c.globals} for c in program.contracts}
+        init = {} if init is None else init
+        if not isinstance(init, dict):
+            raise VmUsageError("expected {contract: {slot: value}}")
+        for cname, slots in init.items():
+            known = self.slots.get(cname)
+            if known is None:
+                raise VmUsageError(f"unknown contract {cname!r}")
+            if not isinstance(slots, dict):
+                raise VmUsageError(f"expected {{slot: value}} for {cname}")
             for slot, val in slots.items():
-                self.slots[cname][slot] = int(val)
+                if slot not in known:
+                    raise VmUsageError(f"unknown slot {cname}.{slot}")
+                if type(val) is not int or not 0 <= val <= UINT_MAX:
+                    raise VmUsageError(f"{cname}.{slot} = {val!r} is not a uint64")
+                known[slot] = val
 
     def snapshot(self):
         return copy.deepcopy(self.slots)
@@ -157,7 +163,6 @@ class Frame:
         self.verified = verified
         self.old = {}
         self.result = None
-        self.entry_acquired = []  # slots acquired via the requires acc list
         self.lazy_acquired = []  # (slot, previous owner)
 
 
@@ -255,19 +260,20 @@ class Vm:
 
     # -- permission ledger ---------------------------------------------------
 
-    def owner(self, contract, slot):
-        return self.perm.get((contract, slot))
-
-    def _can_lazy(self, frame, contract, slot):
-        o = self.owner(contract, slot)
-        if o is None:
+    def _hold(self, frame, slot):
+        """Whether `frame` may use `slot` of its contract: it owns the slot,
+        or it was entered imprecisely and the slot is free or its caller's,
+        in which case the frame borrows it (recorded in lazy_acquired)."""
+        key = (frame.contract.name, slot)
+        o = self.perm.get(key)
+        if o == frame.id:
             return True
-        return frame.caller is not None and o == frame.caller.id
-
-    def _lazy_acquire(self, frame, contract, slot):
-        prev = self.owner(contract, slot)
-        self.perm[(contract, slot)] = frame.id
-        frame.lazy_acquired.append((slot, prev))
+        if frame.imprecise_entry and (o is None or (frame.caller is not None
+                                                    and o == frame.caller.id)):
+            self.perm[key] = frame.id
+            frame.lazy_acquired.append((slot, o))
+            return True
+        return False
 
     # -- transactions --------------------------------------------------------
 
@@ -289,8 +295,7 @@ class Vm:
         self.perm = {}
         try:
             self.call(tx.contract, tx.method, [int(a) for a in tx.args], caller=None)
-            deltas = _deltas(snap, self.ledger.slots)
-            out = Outcome("committed", self.meter.exec_gas, self.meter.check_gas, deltas=deltas)
+            out = Outcome("committed", self.meter.exec_gas, self.meter.check_gas)
         except Revert as e:
             self.ledger.restore(snap)
             out = Outcome("reverted", self.meter.exec_gas, self.meter.check_gas,
@@ -312,75 +317,59 @@ class Vm:
         boundary_active = caller is None or not caller.verified
 
         if verified and self.options.protected:
-            table = self.image.boundary.get((cname, mname), [])
-            for e in table:
-                if e.kind != "entry":
-                    continue
-                if isinstance(e.payload, Acc) and e.check_id is None:
-                    continue  # spec acc list handled by acquisition below
-                if not (boundary_active or e.check_id is not None):
-                    continue
-                ok = self.eval_spec_bool(frame, e.payload)
-                if not ok:
-                    raise Revert(CHECK_FAILURE, check_id=e.check_id,
-                                 kind="precondition", payload=fmt_atom(e.payload),
-                                 line=_atom_line(e.payload))
+            self._boundary_checks(frame, "entry", boundary_active)
+            # acquire the requires acc list: each slot free or the caller's
             for a in method.spec.requires.atoms:
                 if not isinstance(a, Acc):
                     continue
-                o = self.owner(cname, a.slot)
                 if boundary_active:
                     self.meter.charge_check()
-                if o is None:
-                    self.perm[(cname, a.slot)] = frame.id
-                    frame.entry_acquired.append(a.slot)
-                elif caller is not None and o == caller.id:
-                    self.perm[(cname, a.slot)] = frame.id
-                    frame.entry_acquired.append(a.slot)
-                else:
+                o = self.perm.get((cname, a.slot))
+                if o is not None and (caller is None or o != caller.id):
                     raise Revert(OWNERSHIP_FAILURE, slot=a.slot, kind="access",
                                  line=a.loc.line, contract=cname)
+                self.perm[(cname, a.slot)] = frame.id
 
         frame.old = {g: self.ledger.read(cname, g) for g in contract.globals}
 
-        result = None
         try:
             self.exec_block(frame, method.body)
         except _ReturnSignal as r:
-            result = r.value
-        frame.result = result
+            frame.result = r.value
 
         self.exit_protocol(frame, boundary_active)
-        return result
+        return frame.result
+
+    def _boundary_checks(self, frame, kind, active):
+        """Evaluate the frame's `kind` ("entry" or "exit") boundary rows: the
+        residual-backed ones always, the rest only when `active` (called from
+        the top level or from unverified code).  acc rows of the spec, and
+        every acc row at exit, are settled by ownership instead."""
+        for e in self.image.boundary.get((frame.contract.name, frame.method.name), ()):
+            if e.kind != kind or not (active or e.check_id is not None):
+                continue
+            if isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None):
+                continue
+            if not self.eval_spec_bool(frame, e.payload):
+                raise Revert(CHECK_FAILURE, check_id=e.check_id,
+                             kind="precondition" if kind == "entry" else "postcondition",
+                             payload=fmt_atom(e.payload), line=e.payload.loc.line)
 
     def exit_protocol(self, frame, boundary_active):
         cname = frame.contract.name
         if not self.options.protected:
             return
         if frame.verified:
-            table = self.image.boundary.get((cname, frame.method.name), [])
-            for e in table:
-                if e.kind != "exit" or isinstance(e.payload, Acc):
-                    continue
-                if not (boundary_active or e.check_id is not None):
-                    continue
-                if not self.eval_spec_bool(frame, e.payload):
-                    raise Revert(CHECK_FAILURE, check_id=e.check_id,
-                                 kind="postcondition", payload=fmt_atom(e.payload),
-                                 line=_atom_line(e.payload))
+            self._boundary_checks(frame, "exit", boundary_active)
         # transfer ensures permissions back to the caller (FREE at top level)
         ensured = set()
         for a in frame.method.spec.ensures.atoms:
             if not isinstance(a, Acc):
                 continue
             ensured.add(a.slot)
-            o = self.owner(cname, a.slot)
-            if o != frame.id:
-                if frame.imprecise_entry and (o is None or (frame.caller and o == frame.caller.id)):
-                    self.perm[(cname, a.slot)] = frame.id
-                else:
-                    raise Revert(OWNERSHIP_FAILURE, slot=a.slot, kind="access",
-                                 line=a.loc.line, contract=cname)
+            if not self._hold(frame, a.slot):
+                raise Revert(OWNERSHIP_FAILURE, slot=a.slot, kind="access",
+                             line=a.loc.line, contract=cname)
             self.perm[(cname, a.slot)] = frame.caller.id if frame.caller else None
             if self.perm[(cname, a.slot)] is None:
                 del self.perm[(cname, a.slot)]
@@ -388,7 +377,7 @@ class Vm:
         for slot, prev in reversed(frame.lazy_acquired):
             if slot in ensured:
                 continue
-            if self.owner(cname, slot) == frame.id:
+            if self.perm.get((cname, slot)) == frame.id:
                 if prev is None:
                     self.perm.pop((cname, slot), None)
                 else:
@@ -443,17 +432,9 @@ class Vm:
 
     def touch_slot(self, frame, slot, loc):
         """Require ownership for a program-level global read/write."""
-        if not self.options.protected:
-            return
-        cname = frame.contract.name
-        o = self.owner(cname, slot)
-        if o == frame.id:
-            return
-        if frame.imprecise_entry and self._can_lazy(frame, cname, slot):
-            self._lazy_acquire(frame, cname, slot)
-            return
-        raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                     line=loc.line, contract=cname)
+        if self.options.protected and not self._hold(frame, slot):
+            raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
+                         line=loc.line, contract=frame.contract.name)
 
     # -- program-level (checked uint64) evaluation ---------------------------
 
@@ -503,27 +484,55 @@ class Vm:
     # -- specification-level (mathematical) evaluation -----------------------
 
     def eval_spec_bool(self, frame, payload):
-        """Check payload / boundary atom: True or False plus gas."""
-        if isinstance(payload, Cmp):
-            self.meter.charge_check()
-            l = self.eval_spec_value(payload.left, frame.env, frame.contract, frame)
-            r = self.eval_spec_value(payload.right, frame.env, frame.contract, frame)
-            return _compare(payload.op, l, r)
+        """Truth of a check payload or boundary atom, charging 1 check gas
+        per acc atom, comparison and predicate call.  Each predicate body
+        being evaluated is a suspended generator on an explicit stack, so
+        recursion runs up to PREDICATE_DEPTH_CAP without growing the Python
+        stack."""
         if isinstance(payload, Acc):
             self.meter.charge_check()
-            cname = frame.contract.name
-            o = self.owner(cname, payload.slot)
-            if o == frame.id:
-                return True
-            if frame.imprecise_entry and self._can_lazy(frame, cname, payload.slot):
-                self._lazy_acquire(frame, cname, payload.slot)
-                return True
-            return False
-        if isinstance(payload, PredUse):
-            args = [self.eval_spec_value(a, frame.env, frame.contract, frame)
-                    for a in payload.args]
-            return self.eval_predicate(frame.contract, payload.name, args, depth=1)
-        raise TypeError(f"not a check payload: {payload!r}")
+            return self._hold(frame, payload.slot)
+        if isinstance(payload, Cmp):
+            return self._cmp(payload, frame.env, frame.contract, frame)
+        stack, truth = [self._tree(payload, frame.env, frame.contract, frame)], None
+        while stack:
+            try:
+                name, args = stack[-1].send(truth)
+            except StopIteration as done:
+                stack.pop()
+                truth = done.value
+                continue
+            if len(stack) > PREDICATE_DEPTH_CAP:
+                raise Revert(PREDICATE_DEPTH, predicate=name)
+            pred = frame.contract.predicate(name)
+            self.meter.charge_check()  # the predicate call itself
+            stack.append(self._tree(pred.body, dict(zip(pred.params, args)), frame.contract, None))
+            truth = None
+        return truth
+
+    def _cmp(self, c, env, contract, frame):
+        self.meter.charge_check()
+        return _compare(c.op, self.eval_spec_value(c.left, env, contract, frame),
+                        self.eval_spec_value(c.right, env, contract, frame))
+
+    def _tree(self, node, env, contract, frame):
+        """Generator evaluating an and/or/not tree with short-circuit and/or:
+        yields (name, argument values) for each predicate instance, receives
+        its truth, and returns the tree's truth."""
+        if isinstance(node, Cmp):
+            return self._cmp(node, env, contract, frame)
+        if isinstance(node, PredUse):
+            return (yield node.name, [self.eval_spec_value(a, env, contract, frame)
+                                      for a in node.args])
+        if isinstance(node, BoolOp):
+            stop = node.op == "or"  # the part value that decides the whole
+            for p in node.parts:
+                if (yield from self._tree(p, env, contract, frame)) == stop:
+                    return stop
+            return not stop
+        if isinstance(node, NotOp):
+            return not (yield from self._tree(node.operand, env, contract, frame))
+        raise TypeError(f"not a spec formula node: {node!r}")
 
     def eval_spec_value(self, e, env, contract, frame):
         """Value of a spec expression over mathematical integers: names
@@ -555,61 +564,12 @@ class Vm:
             return l // r if e.op == "/" else l % r
         raise TypeError(f"not a spec expression: {e!r}")
 
-    def eval_predicate(self, contract, name, args, depth):
-        if depth > PREDICATE_DEPTH_CAP:
-            raise Revert(PREDICATE_DEPTH, predicate=name)
-        if depth <= 1:
-            # the depth cap bounds recursion, but each level costs several
-            # interpreter frames; make sure the Python stack can hold them
-            sys.setrecursionlimit(max(sys.getrecursionlimit(),
-                                      40 * PREDICATE_DEPTH_CAP))
-        pred = contract.predicate(name)
-        self.meter.charge_check()  # the predicate call itself
-        env = dict(zip(pred.params, args))
-
-        def walk(node):
-            if isinstance(node, Cmp):
-                self.meter.charge_check()
-                return _compare(node.op, self.eval_spec_value(node.left, env, contract, None),
-                                self.eval_spec_value(node.right, env, contract, None))
-            if isinstance(node, PredUse):
-                sub = [self.eval_spec_value(a, env, contract, None) for a in node.args]
-                return self.eval_predicate(contract, node.name, sub, depth + 1)
-            if isinstance(node, BoolOp):
-                if node.op == "and":
-                    for p in node.parts:  # short-circuit
-                        if not walk(p):
-                            return False
-                    return True
-                for p in node.parts:
-                    if walk(p):
-                        return True
-                return False
-            if isinstance(node, NotOp):
-                return not walk(node.operand)
-            raise TypeError(f"not a predicate body node: {node!r}")
-
-        return walk(pred.body)
-
 
 def _compare(op, l, r):
     return {
         "==": l == r, "!=": l != r, "<=": l <= r,
         "<": l < r, ">=": l >= r, ">": l > r,
     }[op]
-
-
-def _atom_line(payload):
-    return getattr(payload, "loc", None).line if getattr(payload, "loc", None) else 0
-
-
-def _deltas(before, after):
-    out = {}
-    for cname, slots in after.items():
-        for slot, v in slots.items():
-            if before.get(cname, {}).get(slot, 0) != v:
-                out.setdefault(cname, {})[slot] = v
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +601,8 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
 
 
 def parse_script(text: str):
-    """Transaction script: JSON lines {contract, method, args, sender}."""
+    """Transaction script: JSON lines {contract, method, args}; other keys
+    are ignored."""
     txs = []
     for line in text.splitlines():
         line = line.strip()
@@ -649,6 +610,5 @@ def parse_script(text: str):
             continue
         obj = json.loads(line)
         txs.append(Transaction(obj["contract"], obj["method"],
-                               tuple(int(a) for a in obj.get("args", [])),
-                               obj.get("sender", "external")))
+                               tuple(int(a) for a in obj.get("args", []))))
     return txs

@@ -8,6 +8,8 @@ import pytest
 from gvc.cli import (
     EXIT_DISAGREEMENT, EXIT_OK, EXIT_REVERTED, EXIT_STATIC, EXIT_USAGE, main,
 )
+from gvc.lang import UINT_MAX
+from gvc.parser import MAX_NESTING
 
 from conftest import CORPUS, FIXTURES
 
@@ -18,6 +20,20 @@ def plain_output(monkeypatch):
 
 
 SELL = str(CORPUS / "sell.gcl")
+
+
+def one_method(body, requires="?", decls="", params="x: uint64"):
+    """Source of contract C (globals G and H) with one method m."""
+    return ("contract C:\n  #@ global G;\n  #@ global H;\n" + decls
+            + f"  method m({params}):\n    #@ requires {requires};\n"
+            + "    #@ ensures ?;\n" + body)
+
+
+def nested_assignment(depth):
+    """`y := x` with the right-hand side nested `depth` levels deep, once
+    in parentheses and once as a `+` chain."""
+    return {"parens": one_method("    y := " + "(" * depth + "x" + ")" * depth + ";\n"),
+            "chain": one_method("    y := " + " + ".join(["x"] * (depth + 1)) + ";\n")}
 
 
 class TestVerify:
@@ -53,6 +69,62 @@ class TestVerify:
             "    G := G + n;\n")
         assert main(["verify", str(src)]) == EXIT_STATIC
         assert "grew.gcl:3:31: old(...) is only allowed in ensures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("src,message", [
+        # a parameter named like a global: resolve bound it to the global,
+        # the VM and the oracle to the parameter
+        (one_method("    H := G - 5;\n", "acc(G) and acc(H) and G >= 5", params="G: uint64"),
+         "4:3: parameter G of method m shadows global G"),
+        (one_method("    y := x;\n", decls="  #@ predicate p(G) = G >= 5;\n"),
+         "4:3: parameter G of predicate p shadows global G"),
+        (one_method("    y := x;\n", "p(x, 1)", "  #@ predicate p(n) = n >= 5;\n"
+                    "  #@ predicate p(a, b) = a >= b;\n"),
+         "5:3: duplicate predicate p in C"),
+        (one_method("    y := x;\n") + "  method m():\n    y := 1;\n",
+         "8:3: duplicate method m in C"),
+        (one_method("    y := x;\n", decls="  #@ predicate p(n, n) = n >= 5;\n"),
+         "4:3: duplicate parameter name in predicate p"),
+        (one_method("    y := x;\n", params="x: uint64, x: uint64"),
+         "4:3: duplicate parameter name in method m"),
+    ], ids=["method-param-shadows-global", "predicate-param-shadows-global",
+            "duplicate-predicate", "duplicate-method", "duplicate-predicate-param",
+            "duplicate-method-param"])
+    def test_each_name_declared_once(self, tmp_path, capsys, src, message):
+        path = tmp_path / "names.gcl"
+        path.write_text(src)
+        assert main(["verify", str(path)]) == EXIT_STATIC
+        out = capsys.readouterr().out
+        assert f"names.gcl:{message}" in out
+        assert "Traceback" not in out
+
+    def test_parse_error_at_its_real_location(self, tmp_path, capsys):
+        src = tmp_path / "leaf.gcl"
+        src.write_text(one_method("    if x + > 1:\n      y := x;\n    else:\n      y := 0;\n"))
+        assert main(["verify", str(src)]) == EXIT_STATIC
+        assert "leaf.gcl:7:12: expected expression, found '>'" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape,depth", [("parens", 3000), ("chain", 20000)])
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys, shape, depth):
+        src = tmp_path / "deep.gcl"
+        src.write_text(nested_assignment(depth)[shape])
+        assert main(["verify", str(src)]) == EXIT_STATIC
+        assert f"nesting deeper than {MAX_NESTING} levels" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("shape", ["parens", "chain"])
+    def test_nesting_limit_is_exact(self, tmp_path, capsys, shape):
+        over = tmp_path / "over.gcl"
+        over.write_text(nested_assignment(MAX_NESTING + 1)[shape])
+        assert main(["verify", str(over)]) == EXIT_STATIC
+        (tmp_path / "limit").mkdir()
+        at = tmp_path / "limit" / "at.gcl"
+        at.write_text(nested_assignment(MAX_NESTING)[shape])
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "m", "args": [3]}\n')
+        woven = str(tmp_path / "at.woven.gcl")
+        assert main(["verify", str(at)]) == EXIT_OK
+        assert main(["weave", str(at), "--auto", "-o", woven]) == EXIT_OK
+        assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
+        assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
 
     def test_report_written(self, tmp_path, capsys):
         rep = tmp_path / "report.json"
@@ -146,6 +218,22 @@ class TestRun:
         assert "OwnershipFailure" in capsys.readouterr().out
         assert main(base + ["--unprotected"]) == EXIT_OK
         assert '"Balance": 2' in capsys.readouterr().out
+
+    @pytest.mark.parametrize("init", [
+        {"Counter": {"Count": -5}, "Ghost": {"X": 1}},
+        {"Ghost": {"X": 1}},
+        {"Counter": {"Stock": 1}},
+        {"Counter": {"Count": "7"}},
+        {"Counter": {"Count": 7.5}},
+        {"Counter": {"Count": UINT_MAX + 1}},
+    ], ids=["negative-and-unknown-contract", "unknown-contract", "unknown-slot",
+            "string", "float", "above-uint64"])
+    def test_malformed_ledger_rejected(self, tmp_path, capsys, init):
+        code = main(["run", self._woven(tmp_path), "--txs", str(CORPUS / "sell.txs.jsonl"),
+                     "--ledger", self._ledger(tmp_path, init)])
+        assert code == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert "bad ledger init:" in out and "final ledger" not in out
 
     def test_gas_report_file(self, tmp_path, capsys):
         woven = self._woven(tmp_path)

@@ -98,6 +98,18 @@ class TestParser:
         with pytest.raises(ParseError):
             load_source("contract C\n", "t.gcl")
 
+    def test_parenthesized_body_error_at_its_real_location(self):
+        # both readings of the '(' leaf fail; the one that got further wins
+        src = (
+            "contract C:\n"
+            "  #@ predicate p(n) = (n >= 1 and n + > 2);\n"
+            "  method m(x: uint64):\n"
+            "    #@ requires ? and p(x);\n"
+            "    y := x;\n"
+        )
+        with pytest.raises(ParseError, match=r"^t\.gcl:2:39: expected expression, found '>'$"):
+            load_source(src, "t.gcl")
+
 
 class TestInference:
     def test_use_before_assignment(self):

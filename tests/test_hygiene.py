@@ -1,7 +1,12 @@
-"""Source hygiene: every module-level import in src/gvc is used, and no
-module imports the same name twice."""
+"""Source hygiene: every module-level import in src/gvc is used, no module
+imports the same name twice, and library code changes no interpreter-global
+state."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +32,52 @@ def test_imports_are_used_once(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [n for n in imported if n not in used] == [], "unused import"
     assert sorted({n for n in imported if imported.count(n) > 1}) == [], "imported twice"
+
+
+def test_no_interpreter_global_state():
+    # library code must not change interpreter-wide settings or key caches
+    # on object identity: no setrecursionlimit, no builtin id()
+    offenders = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "setrecursionlimit") or (
+                    isinstance(f, ast.Name) and f.id in ("setrecursionlimit", "id")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+SPIN = '''
+import json, sys
+from gvc.frontend import load_source
+from gvc.oracle import Oracle
+from gvc.verifier import verify_program
+from gvc.vm import Transaction, load_program, run_script
+from gvc.weaver import weave
+
+src = ("contract C:\\n  #@ predicate spin(n) = spin(n + 1);\\n"
+       "  method go(x: uint64):\\n    #@ requires ? and spin(x);\\n"
+       "    #@ ensures ?;\\n    y := x;\\n")
+limit = sys.getrecursionlimit()
+program, _ = load_source(src, "spin.gcl")
+tx = Transaction("C", "go", (0,))
+[out], _ = run_script(load_program(weave(program, verify_program(program))), [tx])
+site = Oracle(program).judge({}, tx).site
+print(json.dumps({"vm": [out.reason, out.check_gas], "oracle": [site.kind, site.line],
+                  "limit": [limit, sys.getrecursionlimit()]}))
+'''
+
+
+def test_predicate_recursion_leaves_the_interpreter_alone():
+    # spin(0) recurses until the shared depth cap, in the VM and in the
+    # oracle, without touching the interpreter's recursion limit
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run([sys.executable, "-c", SPIN], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    assert got["vm"] == ["PredicateDepthExceeded", 1024]
+    assert got["oracle"] == ["predicate-depth", 0]
+    assert got["limit"][0] == got["limit"][1]

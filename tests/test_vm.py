@@ -34,11 +34,13 @@ def tx(contract, method, *args):
 class TestSellScript:
     def test_three_sales_commit(self):
         image = make_image("sell.gcl")
-        outs, _ = run_script(image, [tx("Counter", "sell", 3)] * 3,
-                             ledger=(led := sell_ledger(image)))
-        assert [o.status for o in outs] == ["committed"] * 3
-        assert [o.deltas["Counter"]["Count"] for o in outs] == [7, 4, 1]
-        assert led.read("Counter", "Count") == 1
+        led = sell_ledger(image)
+        counts = []
+        for _ in range(3):
+            [out], _ = run_script(image, [tx("Counter", "sell", 3)], ledger=led)
+            assert out.status == "committed"
+            counts.append(led.read("Counter", "Count"))
+        assert counts == [7, 4, 1]
 
     def test_oversell_reverts_via_residual(self):
         image = make_image("sell.gcl")
@@ -177,6 +179,16 @@ class TestFailureModes:
             vm.exec_transaction(tx("Counter", "sell", 3, 4))
         with pytest.raises(VmUsageError):
             vm.exec_transaction(tx("Counter", "sell", -1))
+
+    @pytest.mark.parametrize("init", [
+        [], {"Counter": 5}, {"Ghost": {"X": 1}}, {"Counter": {"Stock": 1}},
+        {"Counter": {"Count": -5}}, {"Counter": {"Count": 2**64}},
+        {"Counter": {"Count": True}}, {"Counter": {"Count": "7"}},
+    ])
+    def test_ledger_init_validated(self, init):
+        image = make_image("sell.gcl")
+        with pytest.raises(VmUsageError):
+            Ledger(image.program, init)
 
 
 class TestReentrancy:
