@@ -25,6 +25,10 @@ EXIT_STATIC = 2
 EXIT_REVERTED = 3
 EXIT_DISAGREEMENT = 4
 
+# gas per transaction for `gvc run` without --gas-limit: a loop that never
+# ends reverts GasExhausted instead of hanging the command
+DEFAULT_GAS_LIMIT = 1_000_000
+
 _FRONTEND_ERRORS = (LexError, ParseError, ResolutionError,
                     InferenceError, WellFormednessError)
 
@@ -83,7 +87,7 @@ def cmd_verify(args):
                 print(f"  {reason}")
         for w in m.warnings:
             print(f"  warning: {w}")
-    if args.dump_constraints:
+    if args.prover_stats:
         p = report.prover.as_dict()
         print(f"prover: {p}")
     if args.report:
@@ -225,8 +229,8 @@ def cmd_corpus(args):
             worst = max(worst, EXIT_DISAGREEMENT)
             continue
         n_dis = len(eq["disagreements"])
-        bad_static = check_static_monotonic(program)
         erosions = list(erode_program(program))
+        bad_static = check_static_monotonic(program, report, erosions)
         total_erosions += len(erosions)
         bad_dynamic = []
         for e in erosions:
@@ -256,8 +260,8 @@ def build_parser():
     v = sub.add_parser("verify", help="statically verify a program")
     v.add_argument("path")
     v.add_argument("--report", help="write the verification report JSON here")
-    v.add_argument("--dump-constraints", action="store_true",
-                   help="print prover query statistics")
+    v.add_argument("--prover-stats", action="store_true",
+                   help="print the prover's query and verdict counts")
     v.set_defaults(fn=cmd_verify)
 
     w = sub.add_parser("weave", help="weave residual checks into a program")
@@ -272,7 +276,9 @@ def build_parser():
     r.add_argument("path")
     r.add_argument("--txs", help="transaction script (JSON lines)")
     r.add_argument("--ledger", help="initial ledger JSON")
-    r.add_argument("--gas-limit", type=int, default=None)
+    r.add_argument("--gas-limit", type=int, default=DEFAULT_GAS_LIMIT,
+                   help="gas per transaction before it reverts GasExhausted "
+                        f"(default {DEFAULT_GAS_LIMIT})")
     r.add_argument("--gas-report", help="write the gas report JSON here")
     r.add_argument("--adversary", action="append", metavar="NAME=PATH",
                    help="source implementing an extern contract")

@@ -7,6 +7,20 @@ answer is only given after an extracted integer model has been checked
 against the original system, so both verdicts are sound; everything else is
 "unknown", which gradual verification tolerates (it becomes a run-time
 check).  Disequalities are handled by case splits up to a fixed budget.
+
+`check_sat` splits a conjunction into independent components (two
+constraints are in one component when they share a variable) and decides
+each alone: variable-free constraints directly, every other component by
+elimination, splits and the model check.  Any unsat component makes the
+conjunction unsat, else any unknown one makes it unknown.  Elimination never
+mixes components, so the verdicts and models are those of eliminating the
+whole conjunction at once, except that SPLIT_BUDGET, COEF_LIMIT and
+CONSTRAINT_LIMIT apply per component, which can only turn an "unknown" into a
+sound verdict.  A component reaches `_fm` as the sorted tuple of its unique
+constraints, which is also its key in the memo of component verdicts.  A
+verdict depends on that content alone, so one memo may serve every query of
+one verification run: `ProverStats.memo` holds it and `verify_program` drops
+it when it returns.  A query without one gets a memo of its own.
 """
 
 from __future__ import annotations
@@ -196,25 +210,78 @@ def _tighten(coeffs, const):
     return {v: c // g for v, c in coeffs.items()}, -new_bound
 
 
-def check_sat(constraints):
-    """'sat' | 'unsat' | 'unknown' over integer points in the uint64 box."""
+def check_sat(constraints, memo=None):
+    """'sat' | 'unsat' | 'unknown' over integer points in the uint64 box.
+    Decided one variable-sharing component at a time (any unsat component
+    makes the conjunction unsat, else any unknown one makes it unknown);
+    `memo` maps each component already decided to its verdict."""
+    components = _components(constraints)
+    if components is None:
+        return "unsat"
+    if memo is None:
+        memo = {}
+    verdict = "sat"
+    for comp in components:
+        r = memo.get(comp)
+        if r is None:
+            r = memo[comp] = _decide(comp)
+        if r == "unsat":
+            return "unsat"
+        if r == "unknown":
+            verdict = "unknown"
+    return verdict
+
+
+def _components(constraints):
+    """The conjunction's components: constraints sharing a variable belong to
+    one.  Each is the sorted tuple of its unique constraints as
+    (terms, const, rel) keys.  None when a variable-free constraint is
+    false; true ones are dropped."""
+    unique = dict.fromkeys((c.terms, c.const, c.rel.value) for c in constraints)
+    parent = {}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v] = parent[parent[v]]
+        return v
+
+    for terms, const, rel in unique:
+        if not terms:
+            # "==" holds when const is 0, "!=" when it is not
+            holds = const <= 0 if rel == "<=" else (const == 0) == (rel == "==")
+            if not holds:
+                return None
+            continue
+        r = root(parent.setdefault(terms[0][0], terms[0][0]))
+        for v, _ in terms[1:]:
+            other = root(parent.setdefault(v, v))
+            if other != r:
+                parent[other] = r
+    groups = {}
+    for key in unique:
+        if key[0]:
+            groups.setdefault(root(key[0][0][0]), []).append(key)
+    return [tuple(sorted(g)) for g in groups.values()]
+
+
+def _decide(component):
+    """Fourier-Motzkin, disequality splits and the integer model check on
+    one component (see _components)."""
     les, nes = [], []
-    for c in constraints:
-        if c.rel is Rel.LE:
-            les.append((dict(c.terms), c.const))
-        elif c.rel is Rel.EQ:
-            les.append((dict(c.terms), c.const))
-            les.append(({v: -k for v, k in c.terms}, -c.const))
+    for terms, const, rel in component:
+        if rel == "<=":
+            les.append((dict(terms), const))
+        elif rel == "==":
+            les.append((dict(terms), const))
+            les.append(({v: -k for v, k in terms}, -const))
         else:
-            nes.append((dict(c.terms), c.const))
-    variables = set()
-    for coeffs, _ in les + nes:
-        variables.update(coeffs)
-    for v in sorted(variables):
+            nes.append((dict(terms), const))
+    variables = sorted({v for terms, _, _ in component for v, _ in terms})
+    for v in variables:
         les.append(({v: -1}, 0))  # v >= 0
         les.append(({v: 1}, -UINT_MAX))  # v <= MAX
 
-    base = _fm(les, sorted(variables))
+    base = _fm(les, variables)
     if base == "unsat":
         return "unsat"
     if not nes:
@@ -228,7 +295,7 @@ def check_sat(constraints):
     while stack:
         cur_les, cur_nes = stack.pop()
         if not cur_nes:
-            r = _fm(cur_les, sorted(variables), nes_check=nes)
+            r = _fm(cur_les, variables, nes_check=nes)
             if r == "sat":
                 return "sat"
             if r == "unknown":
@@ -236,15 +303,11 @@ def check_sat(constraints):
             continue
         coeffs, const = cur_nes[0]
         rest = cur_nes[1:]
-        if not coeffs:
-            if const != 0:
-                stack.append((cur_les, rest))
-            continue  # 0 != 0: this branch is unsat
         lo = (dict(coeffs), const + 1)  # L + 1 <= 0
         hi = ({v: -c for v, c in coeffs.items()}, -const + 1)  # -L + 1 <= 0
         for extra in (lo, hi):
             nxt = cur_les + [extra]
-            if _fm(nxt, sorted(variables)) != "unsat":
+            if _fm(nxt, variables) != "unsat":
                 stack.append((nxt, rest))
     return "unknown" if saw_unknown else "unsat"
 
@@ -328,11 +391,15 @@ def _fm(les, var_order, nes_check=None):
 
 
 class ProverStats:
+    """Verdict counts of one verification run, and the run's component
+    verdicts (check_sat's memo), which the run drops when it ends."""
+
     def __init__(self):
         self.queries = 0
         self.proved = 0
         self.disproved = 0
         self.unknown = 0
+        self.memo = {}
 
     def record(self, result):
         self.queries += 1
@@ -351,21 +418,22 @@ class ProverStats:
 def entails_constraints(premises, goal, stats=None):
     """ProofResult for premises |= conjunction(goal).  Sound: never a wrong
     Proved or Disproved."""
-    result = _entails(premises, goal)
+    result = _entails(premises, goal, {} if stats is None else stats.memo)
     if stats is not None:
         stats.record(result)
     return result
 
 
-def _entails(premises, goal):
+def _entails(premises, goal, memo):
     proved = True
     for alt in negate_constraints(goal):
-        r = check_sat(list(premises) + alt)
+        r = check_sat(list(premises) + alt, memo)
         if r != "unsat":
             proved = False
             break
     if proved:
         return ProofResult.PROVED
-    if check_sat(list(premises) + list(goal)) == "unsat" and check_sat(list(premises)) == "sat":
+    if (check_sat(list(premises) + list(goal), memo) == "unsat"
+            and check_sat(list(premises), memo) == "sat"):
         return ProofResult.DISPROVED
     return ProofResult.UNKNOWN

@@ -509,7 +509,7 @@ class MethodVerifier:
             if assume is not None:
                 self.produce(st, assume, on_duplicate="keep")
             st.path.extend(alt)
-            if check_sat(st.path) != "unsat":
+            if check_sat(st.path, self.stats.memo) != "unsat":
                 yield st
 
     # -- statements -----------------------------------------------------------
@@ -639,7 +639,7 @@ class MethodVerifier:
         try:
             self.produce(state, m.spec.requires)
             state.old = dict(state.heap)
-            if check_sat(state.path) == "unsat":
+            if check_sat(state.path, self.stats.memo) == "unsat":
                 self.warnings.append(
                     f"precondition of {m.name} is unsatisfiable; the method verifies vacuously")
                 report.status = Status.VERIFIED
@@ -730,4 +730,5 @@ def verify_program(program: Program) -> VerificationReport:
                 r.id = f"c{counter}"
                 counter += 1
             reports.append(rep)
+    stats.memo.clear()
     return VerificationReport(reports, program_digest(program), stats)

@@ -32,3 +32,15 @@ def sell_report(sell_program):
 def sell_woven(sell_program, sell_report):
     from gvc.weaver import weave
     return weave(sell_program, sell_report)
+
+
+def nif_source(n):
+    """Contract Branchy: one method with n independent if/else arms, each
+    updating the global G under an imprecise spec (2^n paths)."""
+    params = ", ".join(f"x{i}: uint64" for i in range(n))
+    lines = ["contract Branchy:", "  #@ global G;", f"  method step({params}):",
+             "    #@ requires ? and acc(G);", "    #@ ensures ? and acc(G);"]
+    for i in range(n):
+        lines += [f"    if x{i} <= {i % 6 + 1}:", f"      G := G + {i % 3 + 1};",
+                  "    else:", f"      G := G - {(i + 1) % 3 + 1};"]
+    return "\n".join(lines) + "\n"

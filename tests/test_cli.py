@@ -1,17 +1,21 @@
 """Command-line interface: exit codes and pipeline wiring."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from gvc.cli import (
-    EXIT_DISAGREEMENT, EXIT_OK, EXIT_REVERTED, EXIT_STATIC, EXIT_USAGE, main,
+    DEFAULT_GAS_LIMIT, EXIT_DISAGREEMENT, EXIT_OK, EXIT_REVERTED, EXIT_STATIC,
+    EXIT_USAGE, main,
 )
 from gvc.lang import UINT_MAX
 from gvc.parser import MAX_NESTING
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, ROOT
 
 
 @pytest.fixture(autouse=True)
@@ -132,9 +136,10 @@ class TestVerify:
         doc = json.loads(rep.read_text())
         assert doc["methods"][0]["status"] == "verified-with-residuals"
 
-    def test_dump_constraints(self, capsys):
-        assert main(["verify", SELL, "--dump-constraints"]) == EXIT_OK
-        assert "prover:" in capsys.readouterr().out
+    def test_prover_stats(self, capsys):
+        assert main(["verify", SELL, "--prover-stats"]) == EXIT_OK
+        assert ("prover: {'queries': 2, 'proved': 1, 'disproved': 0, 'unknown': 1}"
+                in capsys.readouterr().out)
 
 
 class TestWeave:
@@ -207,6 +212,21 @@ class TestRun:
                      "--gas-limit", "3"])
         assert code == EXIT_REVERTED
         assert "GasExhausted" in capsys.readouterr().out
+
+    def test_endless_loop_reverts_without_gas_limit(self, tmp_path):
+        # without --gas-limit the default limit ends the loop: GasExhausted,
+        # exit 3, instead of a command that never returns
+        src = tmp_path / "spin.gcl"
+        src.write_text(one_method("    k := x;\n    while k >= 0:\n"
+                                  "      #@ invariant ?;\n      k := k + 0;\n"))
+        txs = tmp_path / "spin.txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "m", "args": [1]}\n')
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), GVC_COLOR="0")
+        run = subprocess.run([sys.executable, "-m", "gvc.cli", "run", str(src), "--txs", str(txs)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_REVERTED, run.stderr
+        assert (f"tx 0: reverted GasExhausted exec_gas={DEFAULT_GAS_LIMIT + 1} check_gas=0"
+                in run.stdout)
 
     def test_adversary_and_unprotected(self, tmp_path, capsys):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))

@@ -1,14 +1,24 @@
 """Linear entailment engine: examples plus randomized soundness."""
 
 import itertools
+import sys
 
 from hypothesis import given, settings, strategies as st
 
+import gvc.linear
+import gvc.verifier
+from gvc.frontend import load_source
 from gvc.lang import BinOp, IntLit, Name
 from gvc.linear import (
-    NONLINEAR, LinExpr, ProofResult, Rel, check_sat, cmp_constraints,
-    entails_constraints, linearize, make_constraint,
+    NONLINEAR, LinExpr, LinearConstraint, ProofResult, Rel, check_sat,
+    cmp_constraints, entails_constraints, linearize, make_constraint,
 )
+from gvc.verifier import verify_program
+
+from conftest import ROOT, nif_source
+
+sys.path.insert(0, str(ROOT / "scripts"))
+import prover_soundness  # noqa: E402
 
 
 def con(coeffs, const, rel=Rel.LE):
@@ -119,3 +129,57 @@ def test_proved_is_monotone_under_stronger_premises(sys_):
         return
     extra = make_constraint({names[0]: 1}, -3, Rel.LE)  # x <= 3
     assert entails_constraints(prem + [extra], goal) is ProofResult.PROVED
+
+
+# -- the component split and its memo ------------------------------------------
+
+
+def _rename(cons, suffix):
+    return [LinearConstraint(tuple((v + suffix, k) for v, k in c.terms), c.const, c.rel)
+            for c in cons]
+
+
+def _combined(a, b):
+    if "unsat" in (a, b):
+        return "unsat"
+    return "unknown" if "unknown" in (a, b) else "sat"
+
+
+def test_split_agrees_with_separate_verdicts():
+    # criterion 6's systems in pairs, the second renamed apart from the
+    # first and the two interleaved: deciding the union gives the
+    # combination of the two verdicts, and the verdict of eliminating the
+    # union as one unsplit system wherever that one is not a give-up
+    systems = [prem + goal for _, prem, goal in prover_soundness.random_systems(
+        prover_soundness.Config(systems=1000, seed=20240817))]
+    verdicts = {"sat": 0, "unsat": 0, "unknown": 0}
+    for a, b in zip(systems[0::2], systems[1::2]):
+        b = _rename(b, "_b")
+        union = [c for pair in itertools.zip_longest(a, b) for c in pair if c is not None]
+        got = check_sat(union)
+        assert got == _combined(check_sat(a), check_sat(b)), (a, b)
+        unsplit = gvc.linear._decide(tuple(sorted(
+            {(c.terms, c.const, c.rel.value) for c in union})))
+        assert unsplit in (got, "unknown"), (a, b)
+        verdicts[got] += 1
+    assert all(verdicts.values()), verdicts
+
+
+def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
+    # every check_sat of one n-if verification, entailment queries included,
+    # gets the verdict a fresh call without the run's memo gives
+    queries = []
+    real = gvc.linear.check_sat
+
+    def recording(constraints, memo=None):
+        verdict = real(constraints, memo)
+        queries.append((list(constraints), memo is not None, verdict))
+        return verdict
+
+    monkeypatch.setattr(gvc.linear, "check_sat", recording)
+    monkeypatch.setattr(gvc.verifier, "check_sat", recording)
+    program, _ = load_source(nif_source(6))
+    verify_program(program)
+    monkeypatch.undo()
+    assert len(queries) > 64 and all(memoised for _, memoised, _ in queries)
+    assert all(check_sat(cons) == verdict for cons, _, verdict in queries)

@@ -1,11 +1,14 @@
 """Static verification: residuals, statuses, and report shape."""
 
 import json
+import os
+import subprocess
+import sys
 
 from gvc.frontend import load_file, load_source
 from gvc.verifier import Status, program_digest, verify_program
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, ROOT, nif_source
 
 
 class TestSellGolden:
@@ -164,3 +167,31 @@ def test_verdict_independent_of_process_history():
         wrong += not verify_program(program).has_static_error
         del program
     assert wrong == 0
+
+
+REPORT_OF = """
+import sys
+from gvc.frontend import load_source
+from gvc.verifier import verify_program
+print(verify_program(load_source(sys.stdin.read())[0]).to_json())
+"""
+
+
+def test_prover_memo_independent_of_process_history():
+    # the prover's component memo lives for one verify_program call: an n-if
+    # program and a corpus program give the same report, prover counts
+    # included, in either order in one process and in a fresh process each
+    sources = {"nif6": nif_source(6), "branching": (CORPUS / "branching.gcl").read_text()}
+
+    def report(name):
+        return verify_program(load_source(sources[name])[0]).to_json()
+
+    first = {name: report(name) for name in ("nif6", "branching")}
+    second = {name: report(name) for name in ("branching", "nif6")}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = {name: subprocess.run([sys.executable, "-c", REPORT_OF], input=text, env=env,
+                                  capture_output=True, text=True, timeout=120,
+                                  check=True).stdout.rstrip("\n")
+             for name, text in sources.items()}
+    assert first == second == fresh
+    assert json.loads(first["nif6"])["prover"]["queries"] == 2 ** 6 - 1
