@@ -230,7 +230,7 @@ def cmd_corpus(args):
             continue
         n_dis = len(eq["disagreements"])
         erosions = list(erode_program(program))
-        bad_static = check_static_monotonic(program, report, erosions)
+        bad_static = check_static_monotonic(report, erosions)
         total_erosions += len(erosions)
         bad_dynamic = []
         for e in erosions:

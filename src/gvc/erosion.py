@@ -89,19 +89,16 @@ def _with_method(program, ci, mi, new_method):
 # Guarantee checks
 
 
-def check_static_monotonic(program: Program, report=None, erosions=None):
-    """Static gradual guarantee: if the program has no static error, none of
-    its erosions may introduce one.  Returns the list of offending labels.
-    `report` and `erosions`, when given, are the program's verification
-    report and erosion list, which are then not recomputed."""
+def check_static_monotonic(report, erosions):
+    """Static gradual guarantee: if a program whose verification report is
+    `report` has no static error, none of its `erosions` may introduce one.
+    Returns the list of offending labels."""
     from .verifier import verify_program
 
-    if report is None:
-        report = verify_program(program)
     if report.has_static_error:
         return []  # nothing to preserve
     bad = []
-    for e in (erode_program(program) if erosions is None else erosions):
+    for e in erosions:
         if verify_program(e.program).has_static_error:
             bad.append(e.label)
     return bad

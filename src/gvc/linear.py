@@ -242,7 +242,8 @@ def _components(constraints):
 
     def root(v):
         while parent[v] != v:
-            v = parent[v] = parent[parent[v]]
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
         return v
 
     for terms, const, rel in unique:

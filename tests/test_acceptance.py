@@ -91,8 +91,9 @@ def test_criterion_4_gradual_guarantee():
     for path in corpus_files(CORPUS):
         program, _ = load_file(path)
         adv = corpus_adversaries(path, program)
-        static_bad += check_static_monotonic(program)
-        for e in erode_program(program):
+        erosions = list(erode_program(program))
+        static_bad += check_static_monotonic(verify_program(program), erosions)
+        for e in erosions:
             n_erosions += 1
             dynamic_bad += check_dynamic_monotonic(program, e, bound=2,
                                                    adversaries=adv)

@@ -5,6 +5,7 @@ from gvc.erosion import (
 )
 from gvc.frontend import corpus_adversaries, load_file
 from gvc.lang import well_formed_program
+from gvc.verifier import verify_program
 
 from conftest import CORPUS
 
@@ -43,12 +44,14 @@ class TestGenerator:
 
 class TestStaticGuarantee:
     def test_sell(self, sell_program):
-        assert check_static_monotonic(sell_program) == []
+        assert check_static_monotonic(verify_program(sell_program),
+                                      erode_program(sell_program)) == []
 
     def test_precise_corpus_members(self):
         for name in ("sell_precise.gcl", "bounded.gcl", "guarded_loop.gcl"):
             program, _ = load_file(CORPUS / name)
-            assert check_static_monotonic(program) == [], name
+            assert check_static_monotonic(verify_program(program),
+                                          erode_program(program)) == [], name
 
 
 class TestDynamicGuarantee:

@@ -165,6 +165,57 @@ def test_split_agrees_with_separate_verdicts():
     assert all(verdicts.values()), verdicts
 
 
+def test_components_join_deep_chains():
+    # c - d + 1 <= 0, b <= c, a <= b, d + e <= 0: the chain a..d puts four
+    # links between the first and the last variable joined, and d >= 1
+    # contradicts d + e <= 0 only if d's two constraints share a component
+    cons = [con({"c": 1, "d": -1}, 1), con({"b": 1, "c": -1}, 0),
+            con({"a": 1, "b": -1}, 0), con({"d": 1, "e": 1}, 0)]
+    assert len(gvc.linear._components(cons)) == 1
+    whole = tuple(sorted((c.terms, c.const, c.rel.value) for c in cons))
+    assert check_sat(cons) == gvc.linear._decide(whole) == "unsat"
+
+
+def _connected_groups(constraints):
+    # the components by breadth-first search over shared variables
+    keys = list(dict.fromkeys((c.terms, c.const, c.rel.value)
+                              for c in constraints if c.terms))
+    seen, groups = set(), []
+    for start in range(len(keys)):
+        if start in seen:
+            continue
+        seen.add(start)
+        group, frontier = [], [start]
+        while frontier:
+            i = frontier.pop()
+            group.append(keys[i])
+            names = {v for v, _ in keys[i][0]}
+            for j, key in enumerate(keys):
+                if j not in seen and names & {v for v, _ in key[0]}:
+                    seen.add(j)
+                    frontier.append(j)
+        groups.append(frozenset(group))
+    return set(groups)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 24), min_size=1, max_size=3),
+                min_size=1, max_size=30),
+       st.randoms(use_true_random=False))
+def test_components_match_graph_connectivity(supports, rnd):
+    # random supports over %v-style names (which sort by character, not by
+    # number) plus a long chain shuffled into them
+    chain = list(range(25))
+    rnd.shuffle(chain)
+    supports = supports + [[a, b] for a, b in zip(chain, chain[1:rnd.randrange(1, 25)])]
+    rnd.shuffle(supports)
+    cons = [con({f"%v{v}": rnd.choice((-2, -1, 1, 3)) for v in vs}, rnd.randrange(-5, 5))
+            for vs in supports]
+    got = gvc.linear._components(cons)
+    assert got is not None
+    assert {frozenset(c) for c in got} == _connected_groups(cons)
+
+
 def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
     # every check_sat of one n-if verification, entailment queries included,
     # gets the verdict a fresh call without the run's memo gives
