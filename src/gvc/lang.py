@@ -16,6 +16,14 @@ UINT_MAX = 2**64 - 1
 # must stop at the same depth to agree
 PREDICATE_DEPTH_CAP = 1024
 
+# how many method frames may be on the stack at run time, the top-level
+# call included; the VM and the oracle stop at the same depth to agree.
+# Both run a method call on the Python stack, a few interpreter frames per
+# call plus two per `if`/`while` body around it, so the cap keeps a chain
+# of calls inside the default recursion limit only while few bodies
+# enclose each call
+CALL_DEPTH_CAP = 64
+
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
-    IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse, Program, Result,
-    Return, UINT_MAX, While,
+    CALL_DEPTH_CAP, IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse,
+    Program, Result, Return, UINT_MAX, While,
 )
 
 ALL_HELD = "AllObligationsHeld"
@@ -62,6 +62,7 @@ class _OFrame:
         self.verified = verified
         self.imprecise = imprecise
         self.caller = caller
+        self.depth = 1 if caller is None else caller.depth + 1  # method frames
         self.vars = {}
         self.old = {}
         self.result = None
@@ -98,6 +99,8 @@ class Oracle:
         verified = cname not in self.unverified
         req, ens = method.spec.requires, method.spec.ensures
         fr = _OFrame(contract, verified, req.imprecise or not verified, caller)
+        if fr.depth > CALL_DEPTH_CAP:
+            raise _Violation("call-depth", 0, f"{cname}.{mname}")
         fr.vars = {p: v for (p, _), v in zip(method.params, args)}
 
         caller_verified = caller is not None and caller.verified
@@ -362,6 +365,8 @@ def vm_site(outcome, sidecar):
         return Site(d.get("kind", "arithmetic"), d.get("line", 0))
     if outcome.reason == _vm.PREDICATE_DEPTH:
         return Site("predicate-depth", 0)
+    if outcome.reason == _vm.CALL_DEPTH:
+        return Site("call-depth", 0)
     return Site(outcome.reason, 0)
 
 

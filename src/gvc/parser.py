@@ -18,10 +18,12 @@ from .lang import (
 )
 from .lexer import Token
 
-# The deepest nesting accepted in one expression, condition or predicate
-# body.  Each parenthesis, binary operator of a chain, `not`, and `and`/`or`
-# level is one level; the passes after parsing walk these trees
-# recursively, and this bound keeps them well inside Python's stack.
+# The deepest nesting accepted in a statement, counting the `if`/`while`
+# bodies around it and the levels of its expressions, conditions or
+# predicate bodies.  Each such body, parenthesis, binary operator of a
+# chain, `not`, and `and`/`or` level is one level; the passes after parsing
+# walk these trees recursively, and this bound keeps them well inside
+# Python's stack.
 MAX_NESTING = 100
 
 
@@ -212,14 +214,21 @@ class _Parser:
 
     def parse_block(self):
         self.expect("INDENT")
-        stmts = []
-        while not self.at("DEDENT") and not self.at("EOF"):
-            stmts.append(self.parse_stmt())
+        stmts = self.parse_body()
         self.expect("DEDENT")
         if not stmts:
             t = self.peek()
             raise ParseError(t.loc, "empty block")
         return tuple(stmts)
+
+    def parse_body(self):
+        """The statements of an `if`/`while` body, one nesting level inside
+        the enclosing statement."""
+        with self._inside(self.peek()):
+            stmts = []
+            while not self.at("DEDENT") and not self.at("EOF"):
+                stmts.append(self.parse_stmt())
+        return stmts
 
     def parse_stmt(self):
         t = self.peek()
@@ -263,9 +272,7 @@ class _Parser:
                 f = self.parse_formula()
                 self.expect_sym(";")
                 inv = f if inv is None else _conjoin(inv, f)
-            body = []
-            while not self.at("DEDENT") and not self.at("EOF"):
-                body.append(self.parse_stmt())
+            body = self.parse_body()
             self.expect("DEDENT")
             if not body:
                 raise ParseError(t.loc, "while loop requires a body")
@@ -319,7 +326,8 @@ class _Parser:
 
     @contextmanager
     def _inside(self, tok):
-        """The body parses one level inside `tok`, a '(' or 'not'."""
+        """The body parses one level inside `tok`: a '(', a 'not', or the
+        first token of an `if`/`while` body."""
         self._level(tok, 0)
         self.open += 1
         try:

@@ -2,7 +2,15 @@
 
 Executes transactions over persistent per-contract storage with dynamic
 permission ownership, boundary checking against unverified callers, woven
-run-time checks, gas metering, and full-ledger rollback on any failure.
+run-time checks, gas metering, and rollback of every write on any failure.
+
+`load_program` compiles each method body once into Python closures (closure
+generation, after Feeley and Lapalme, "Using Closures for Code Generation",
+1987): every statement, program-level expression and condition becomes a
+function of the running Frame, with the source line a revert reports fixed
+at compile time.  One image serves every Vm made from it, so compiled code
+reaches the ledger, the permission table, the gas meter and the Vm only
+through the frame it is handed.
 
 Program arithmetic is checked uint64 (underflow/overflow/division by zero
 revert as ArithmeticPanic when no woven check preempts them).  Specification
@@ -17,12 +25,13 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field, replace
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
-    GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse, PREDICATE_DEPTH_CAP,
-    Program, Result, Return, UINT_MAX, While,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
+    Contract, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
+    PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
 from .parser import parse_program
@@ -35,6 +44,10 @@ OWNERSHIP_FAILURE = "OwnershipFailure"
 ARITHMETIC_PANIC = "ArithmeticPanic"
 GAS_EXHAUSTED = "GasExhausted"
 PREDICATE_DEPTH = "PredicateDepthExceeded"
+CALL_DEPTH = "CallDepthExceeded"
+
+_RELATIONS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
+             "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
 class VmLoadError(Exception):
@@ -50,11 +63,6 @@ class Revert(Exception):
         super().__init__(f"{reason}: {detail}")
         self.reason = reason
         self.detail = detail
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,7 @@ class Ledger:
         contract or slot and on a value that is not an integer in
         [0, UINT_MAX]."""
         self.slots = {c.name: {g: 0 for g in c.globals} for c in program.contracts}
+        self.journal = None  # (contract, slot, old value) per write of the open transaction
         init = {} if init is None else init
         if not isinstance(init, dict):
             raise VmUsageError("expected {contract: {slot: value}}")
@@ -118,27 +127,39 @@ class Ledger:
         return self.slots[contract][slot]
 
     def write(self, contract, slot, value):
-        self.slots[contract][slot] = value
+        slots = self.slots[contract]
+        if self.journal is not None:
+            self.journal.append((contract, slot, slots[slot]))
+        slots[slot] = value
+
+    def begin(self):
+        """Open a transaction: journal every write until `end`."""
+        self.journal = []
+
+    def end(self, undo):
+        """Close the open transaction; with `undo`, put back the value each
+        of its writes replaced, the newest write first."""
+        journal, self.journal = self.journal, None
+        if undo:
+            for contract, slot, old in reversed(journal):
+                self.slots[contract][slot] = old
 
     def as_dict(self):
         return copy.deepcopy(self.slots)
 
 
 class GasMeter:
+    """Gas spent by one transaction: GasExhausted as soon as exec_gas plus
+    check_gas passes `limit`.  Compiled code charges exec gas inline by the
+    same rule (see _block)."""
+
     def __init__(self, limit=None):
         self.exec_gas = 0
         self.check_gas = 0
         self.limit = limit
 
-    def charge_exec(self, n=1):
-        self.exec_gas += n
-        self._guard()
-
-    def charge_check(self, n=1):
-        self.check_gas += n
-        self._guard()
-
-    def _guard(self):
+    def charge_check(self):
+        self.check_gas += 1
         if self.limit is not None and self.exec_gas + self.check_gas > self.limit:
             raise Revert(GAS_EXHAUSTED)
 
@@ -151,16 +172,40 @@ class VmOptions:
     protected: bool = True
 
 
+class MethodCode:
+    """One method of a loaded image: its boundary table split by kind, its
+    spec's acc slots, and its body compiled to a closure that takes the
+    running Frame and returns True when the body executed a return."""
+
+    def __init__(self, contract: Contract, method: Method, table, verified):
+        spec = method.spec
+        self.contract, self.method, self.verified = contract, method, verified
+        self.imprecise_entry = spec.requires.imprecise or not verified
+        self.entry, self.exit = _evaluated_rows(table, "entry"), _evaluated_rows(table, "exit")
+        self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
+        self.body = _block(method.body, contract)
+
+
 class Frame:
-    def __init__(self, frame_id, contract: Contract, method: Method, env, caller,
-                 imprecise_entry, verified):
+    """One running method: its locals, permissions state and result, plus
+    the running transaction's Vm, storage, permission table and gas meter
+    that compiled code reaches through it."""
+
+    __slots__ = ("vm", "id", "code", "contract", "env", "caller", "depth", "slots",
+                 "perm", "meter", "protected", "old", "result", "lazy_acquired")
+
+    def __init__(self, vm, frame_id, code: MethodCode, env, caller, depth):
+        self.vm = vm
         self.id = frame_id
-        self.contract = contract
-        self.method = method
+        self.code = code
+        self.contract = code.contract
         self.env = env
         self.caller = caller
-        self.imprecise_entry = imprecise_entry
-        self.verified = verified
+        self.depth = depth  # method frames on the stack, this one included
+        self.slots = vm.ledger.slots[code.contract.name]
+        self.perm = vm.perm
+        self.meter = vm.meter
+        self.protected = vm.options.protected
         self.old = {}
         self.result = None
         self.lazy_acquired = []  # (slot, previous owner)
@@ -172,6 +217,7 @@ class VmImage:
     boundary: dict  # (contract, method) -> [BoundaryEntry]
     sidecar: dict
     unverified: frozenset  # contract names
+    code: dict  # (contract, method) -> MethodCode
 
 
 def merge_adversaries(program: Program, adversaries: dict = None):
@@ -220,7 +266,7 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     """Build an executable image; accepts an InstrumentedProgram, a
     (program, boundary rows) pair from re-loading woven text, or a bare
     Program.  Each method's table is rebuilt from its spec plus the given
-    residual rows."""
+    residual rows, and its body is compiled."""
     if isinstance(ip, InstrumentedProgram):
         program, residuals, sidecar = ip.program, ip.boundary_residuals, dict(ip.sidecar)
     elif isinstance(ip, tuple):
@@ -228,9 +274,15 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     else:
         program, residuals, sidecar = ip, {}, {}
     combined, unverified = merge_adversaries(program, adversaries)
-    tables = {(c.name, m.name): build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
-              for c in combined.contracts for m in c.methods}
-    return VmImage(combined, tables, sidecar, frozenset(unverified))
+    tables, code = {}, {}
+    for c in combined.contracts:
+        for m in c.methods:
+            if (c.name, m.name) in code:
+                continue  # calls run the first method of a name
+            table = build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
+            tables[(c.name, m.name)] = table
+            code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified)
+    return VmImage(combined, tables, sidecar, frozenset(unverified), code)
 
 
 def transaction_grid(program: Program, bound: int):
@@ -268,111 +320,105 @@ class Vm:
         o = self.perm.get(key)
         if o == frame.id:
             return True
-        if frame.imprecise_entry and (o is None or (frame.caller is not None
+        if frame.code.imprecise_entry and (o is None or (frame.caller is not None
                                                     and o == frame.caller.id)):
             self.perm[key] = frame.id
             frame.lazy_acquired.append((slot, o))
             return True
         return False
 
+    def touch_slot(self, frame, slot, line):
+        """Require ownership for a program-level global read/write.  Compiled
+        code calls this only when the frame does not already own the slot."""
+        if not self._hold(frame, slot):
+            raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
+                         line=line, contract=frame.contract.name)
+
     # -- transactions --------------------------------------------------------
 
     def exec_transaction(self, tx: Transaction, gas_limit=None) -> Outcome:
-        target_c = self.image.program.contract(tx.contract)
-        if target_c is None:
-            raise VmUsageError(f"unknown contract {tx.contract!r}")
-        target_m = target_c.method(tx.method)
-        if target_m is None:
+        code = self.image.code.get((tx.contract, tx.method))
+        if code is None:
+            if self.image.program.contract(tx.contract) is None:
+                raise VmUsageError(f"unknown contract {tx.contract!r}")
             raise VmUsageError(f"unknown method {tx.contract}.{tx.method}")
-        if len(tx.args) != len(target_m.params):
-            raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(target_m.params)} argument(s)")
+        if len(tx.args) != len(code.method.params):
+            raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.method.params)} argument(s)")
         for a in tx.args:
             if not (0 <= int(a) <= UINT_MAX):
                 raise VmUsageError("transaction argument out of uint64 range")
 
-        snap = self.ledger.snapshot()
         self.meter = GasMeter(gas_limit)
         self.perm = {}
+        out = None
+        self.ledger.begin()
         try:
             self.call(tx.contract, tx.method, [int(a) for a in tx.args], caller=None)
             out = Outcome("committed", self.meter.exec_gas, self.meter.check_gas)
         except Revert as e:
-            self.ledger.restore(snap)
             out = Outcome("reverted", self.meter.exec_gas, self.meter.check_gas,
                           reason=e.reason, detail=e.detail)
         finally:
             self.perm = {}
+            self.ledger.end(undo=out is None or not out.committed)
         return out
 
     # -- calls ---------------------------------------------------------------
 
     def call(self, cname, mname, args, caller):
-        contract = self.image.program.contract(cname)
-        method = contract.method(mname)
-        verified = cname not in self.image.unverified
-        imprecise_entry = method.spec.requires.imprecise or not verified
-        env = {p: v for (p, _), v in zip(method.params, args)}
+        code = self.image.code[(cname, mname)]
+        depth = 1 if caller is None else caller.depth + 1
+        if depth > CALL_DEPTH_CAP:
+            raise Revert(CALL_DEPTH, method=f"{cname}.{mname}")
         self.frames += 1
-        frame = Frame(self.frames, contract, method, env, caller, imprecise_entry, verified)
-        boundary_active = caller is None or not caller.verified
+        frame = Frame(self, self.frames, code,
+                      {p: v for (p, _), v in zip(code.method.params, args)}, caller, depth)
+        boundary_active = caller is None or not caller.code.verified
 
-        if verified and self.options.protected:
-            self._boundary_checks(frame, "entry", boundary_active)
+        if code.verified and self.options.protected:
+            self._boundary_checks(frame, code.entry, "precondition", boundary_active)
             # acquire the requires acc list: each slot free or the caller's
-            for a in method.spec.requires.atoms:
-                if not isinstance(a, Acc):
-                    continue
+            for slot, line in code.requires_acc:
                 if boundary_active:
                     self.meter.charge_check()
-                o = self.perm.get((cname, a.slot))
+                o = self.perm.get((cname, slot))
                 if o is not None and (caller is None or o != caller.id):
-                    raise Revert(OWNERSHIP_FAILURE, slot=a.slot, kind="access",
-                                 line=a.loc.line, contract=cname)
-                self.perm[(cname, a.slot)] = frame.id
+                    raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
+                                 line=line, contract=cname)
+                self.perm[(cname, slot)] = frame.id
 
-        frame.old = {g: self.ledger.read(cname, g) for g in contract.globals}
-
-        try:
-            self.exec_block(frame, method.body)
-        except _ReturnSignal as r:
-            frame.result = r.value
-
+        frame.old = dict(frame.slots)
+        code.body(frame)
         self.exit_protocol(frame, boundary_active)
         return frame.result
 
-    def _boundary_checks(self, frame, kind, active):
-        """Evaluate the frame's `kind` ("entry" or "exit") boundary rows: the
-        residual-backed ones always, the rest only when `active` (called from
-        the top level or from unverified code).  acc rows of the spec, and
-        every acc row at exit, are settled by ownership instead."""
-        for e in self.image.boundary.get((frame.contract.name, frame.method.name), ()):
-            if e.kind != kind or not (active or e.check_id is not None):
-                continue
-            if isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None):
-                continue
-            if not self.eval_spec_bool(frame, e.payload):
-                raise Revert(CHECK_FAILURE, check_id=e.check_id,
-                             kind="precondition" if kind == "entry" else "postcondition",
-                             payload=fmt_atom(e.payload), line=e.payload.loc.line)
+    def _boundary_checks(self, frame, rows, kind, active):
+        """Evaluate boundary `rows` (MethodCode.entry or .exit): the
+        residual-backed ones always, the rest only when `active` (called
+        from the top level or from unverified code).  A failing row reverts
+        as a `kind` ("precondition" or "postcondition") check."""
+        for payload, check_id in rows:
+            if (active or check_id is not None) and not self.eval_spec_bool(frame, payload):
+                raise Revert(CHECK_FAILURE, check_id=check_id, kind=kind,
+                             payload=fmt_atom(payload), line=payload.loc.line)
 
     def exit_protocol(self, frame, boundary_active):
         cname = frame.contract.name
         if not self.options.protected:
             return
-        if frame.verified:
-            self._boundary_checks(frame, "exit", boundary_active)
+        if frame.code.verified:
+            self._boundary_checks(frame, frame.code.exit, "postcondition", boundary_active)
         # transfer ensures permissions back to the caller (FREE at top level)
         ensured = set()
-        for a in frame.method.spec.ensures.atoms:
-            if not isinstance(a, Acc):
-                continue
-            ensured.add(a.slot)
-            if not self._hold(frame, a.slot):
-                raise Revert(OWNERSHIP_FAILURE, slot=a.slot, kind="access",
-                             line=a.loc.line, contract=cname)
-            self.perm[(cname, a.slot)] = frame.caller.id if frame.caller else None
-            if self.perm[(cname, a.slot)] is None:
-                del self.perm[(cname, a.slot)]
+        for slot, line in frame.code.ensures_acc:
+            ensured.add(slot)
+            if not self._hold(frame, slot):
+                raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
+                             line=line, contract=cname)
+            if frame.caller is None:
+                del self.perm[(cname, slot)]
+            else:
+                self.perm[(cname, slot)] = frame.caller.id
         # lazily borrowed permissions revert to their previous owner
         for slot, prev in reversed(frame.lazy_acquired):
             if slot in ensured:
@@ -386,100 +432,6 @@ class Vm:
         for key, o in list(self.perm.items()):
             if o == frame.id:
                 del self.perm[key]
-
-    # -- statement execution -------------------------------------------------
-
-    def exec_block(self, frame, body):
-        for s in body:
-            self.exec_stmt(frame, s)
-
-    def exec_stmt(self, frame, s):
-        if isinstance(s, AssertStmt):
-            return  # ghost: its residuals were woven as explicit checks
-        if isinstance(s, Check):
-            if self.options.protected:
-                ok = self.eval_spec_bool(frame, s.payload)
-                if not ok:
-                    raise Revert(CHECK_FAILURE, check_id=s.check_id,
-                                 payload=fmt_atom(s.payload), line=s.loc.line)
-            return
-        self.meter.charge_exec()
-        if isinstance(s, Assign):
-            frame.env[s.target] = self.eval_value(frame, s.expr, s.loc)
-        elif isinstance(s, GAssign):
-            v = self.eval_value(frame, s.expr, s.loc)
-            self.touch_slot(frame, s.slot, s.loc)
-            self.ledger.write(frame.contract.name, s.slot, v)
-        elif isinstance(s, If):
-            if self.eval_cond(frame, s.cond, s.loc):
-                self.exec_block(frame, s.then)
-            elif s.orelse:
-                self.exec_block(frame, s.orelse)
-        elif isinstance(s, While):
-            while self.eval_cond(frame, s.cond, s.loc):
-                self.exec_block(frame, s.body)
-                self.meter.charge_exec()  # next condition evaluation
-        elif isinstance(s, Call):
-            args = [self.eval_value(frame, a, s.loc) for a in s.args]
-            ret = self.call(s.contract, s.method, args, caller=frame)
-            if s.target is not None:
-                frame.env[s.target] = ret
-        elif isinstance(s, Return):
-            value = self.eval_value(frame, s.expr, s.loc) if s.expr is not None else None
-            raise _ReturnSignal(value)
-        else:
-            raise TypeError(f"not a statement: {s!r}")
-
-    def touch_slot(self, frame, slot, loc):
-        """Require ownership for a program-level global read/write."""
-        if self.options.protected and not self._hold(frame, slot):
-            raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                         line=loc.line, contract=frame.contract.name)
-
-    # -- program-level (checked uint64) evaluation ---------------------------
-
-    def eval_value(self, frame, e, loc):
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, Name):
-            if e.scope == "global" or (e.scope is None and e.name in frame.contract.globals):
-                self.touch_slot(frame, e.name, e.loc)
-                return self.ledger.read(frame.contract.name, e.name)
-            return frame.env[e.name]
-        if isinstance(e, BinOp):
-            l = self.eval_value(frame, e.left, loc)
-            r = self.eval_value(frame, e.right, loc)
-            if e.op == "+":
-                v = l + r
-                if v > UINT_MAX:
-                    raise Revert(ARITHMETIC_PANIC, kind="overflow", line=loc.line)
-                return v
-            if e.op == "-":
-                if l < r:
-                    raise Revert(ARITHMETIC_PANIC, kind="underflow", line=loc.line)
-                return l - r
-            if e.op == "*":
-                v = l * r
-                if v > UINT_MAX:
-                    raise Revert(ARITHMETIC_PANIC, kind="overflow", line=loc.line)
-                return v
-            if r == 0:
-                raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=loc.line)
-            return l // r if e.op == "/" else l % r
-        raise TypeError(f"not a runtime expression: {e!r}")
-
-    def eval_cond(self, frame, c, loc):
-        # strict evaluation: every leaf is evaluated
-        if isinstance(c, Cmp):
-            l = self.eval_value(frame, c.left, loc)
-            r = self.eval_value(frame, c.right, loc)
-            return _compare(c.op, l, r)
-        if isinstance(c, BoolOp):
-            vals = [self.eval_cond(frame, p, loc) for p in c.parts]
-            return all(vals) if c.op == "and" else any(vals)
-        if isinstance(c, NotOp):
-            return not self.eval_cond(frame, c.operand, loc)
-        raise TypeError(f"not a condition: {c!r}")
 
     # -- specification-level (mathematical) evaluation -----------------------
 
@@ -512,8 +464,8 @@ class Vm:
 
     def _cmp(self, c, env, contract, frame):
         self.meter.charge_check()
-        return _compare(c.op, self.eval_spec_value(c.left, env, contract, frame),
-                        self.eval_spec_value(c.right, env, contract, frame))
+        return _RELATIONS[c.op](self.eval_spec_value(c.left, env, contract, frame),
+                               self.eval_spec_value(c.right, env, contract, frame))
 
     def _tree(self, node, env, contract, frame):
         """Generator evaluating an and/or/not tree with short-circuit and/or:
@@ -565,11 +517,169 @@ class Vm:
         raise TypeError(f"not a spec expression: {e!r}")
 
 
-def _compare(op, l, r):
-    return {
-        "==": l == r, "!=": l != r, "<=": l <= r,
-        "<": l < r, ">=": l >= r, ">": l > r,
-    }[op]
+# ---------------------------------------------------------------------------
+# Compilation of method bodies to closures over a running Frame `fr`.  A
+# compiled block or statement returns True when it executed a return (the
+# value is then in fr.result).  Every statement but a woven check charges 1
+# exec gas before it runs; asserts are ghost code (their residuals were
+# woven as checks) and compile to nothing.
+
+
+def _evaluated_rows(table, kind):
+    """(payload, check_id) of the `kind` rows of a boundary table that are
+    evaluated, in table order: acc rows of the spec, and every acc row at
+    exit, are settled by ownership instead."""
+    return tuple((e.payload, e.check_id) for e in table if e.kind == kind and not (
+        isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None)))
+
+
+def _acc_lines(formula):
+    """(slot, line) of each acc atom of a spec formula."""
+    return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
+
+
+def _block(body, contract):
+    steps = tuple((not isinstance(s, Check), _stmt(s, contract))
+                  for s in body if not isinstance(s, AssertStmt))
+
+    def run(fr):
+        m = fr.meter
+        for charged, step in steps:
+            if charged:
+                m.exec_gas += 1
+                if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
+                    raise Revert(GAS_EXHAUSTED)
+            if step(fr):
+                return True
+        return False
+    return run
+
+
+def _stmt(s, contract):
+    if isinstance(s, Assign):
+        target, value = s.target, _value(s.expr, s.loc.line, contract)
+
+        def assign(fr):
+            fr.env[target] = value(fr)
+        return assign
+    if isinstance(s, GAssign):
+        cname, slot, line = contract.name, s.slot, s.loc.line
+        key, value = (cname, slot), _value(s.expr, line, contract)
+
+        def gassign(fr):
+            v = value(fr)
+            if fr.protected and fr.perm.get(key) != fr.id:
+                fr.vm.touch_slot(fr, slot, line)
+            fr.vm.ledger.write(cname, slot, v)
+        return gassign
+    if isinstance(s, If):
+        cond = _cond(s.cond, s.loc.line, contract)
+        then, orelse = _block(s.then, contract), _block(s.orelse, contract)
+
+        def if_(fr):
+            return then(fr) if cond(fr) else orelse(fr)
+        return if_
+    if isinstance(s, While):
+        cond, body = _cond(s.cond, s.loc.line, contract), _block(s.body, contract)
+
+        def while_(fr):
+            m = fr.meter
+            while cond(fr):
+                if body(fr):
+                    return True
+                m.exec_gas += 1  # the next condition evaluation
+                if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
+                    raise Revert(GAS_EXHAUSTED)
+            return False
+        return while_
+    if isinstance(s, Call):
+        callee, method, target = s.contract, s.method, s.target
+        args = tuple(_value(a, s.loc.line, contract) for a in s.args)
+
+        def call(fr):
+            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr)
+            if target is not None:
+                fr.env[target] = ret
+        return call
+    if isinstance(s, Return):
+        value = _value(s.expr, s.loc.line, contract) if s.expr is not None else None
+
+        def return_(fr):
+            fr.result = value(fr) if value is not None else None
+            return True
+        return return_
+    if isinstance(s, Check):
+        cid, payload, line = s.check_id, s.payload, s.loc.line
+
+        def check(fr):
+            if fr.protected and not fr.vm.eval_spec_bool(fr, payload):
+                raise Revert(CHECK_FAILURE, check_id=cid, payload=fmt_atom(payload), line=line)
+        return check
+    raise TypeError(f"not a statement: {s!r}")
+
+
+def _value(e, line, contract):
+    """Checked uint64 value of a program expression; an arithmetic revert
+    reports `line`, the line of the enclosing statement."""
+    if isinstance(e, IntLit):
+        v = e.value
+        return lambda fr: v
+    if isinstance(e, Name):
+        name = e.name
+        if not (e.scope == "global" or (e.scope is None and name in contract.globals)):
+            return lambda fr: fr.env[name]
+        key, read_line = (contract.name, name), e.loc.line
+
+        def read(fr):
+            if fr.protected and fr.perm.get(key) != fr.id:
+                fr.vm.touch_slot(fr, name, read_line)
+            return fr.slots[name]
+        return read
+    if isinstance(e, BinOp):
+        left, right = _value(e.left, line, contract), _value(e.right, line, contract)
+        if e.op in "+*":
+            grow = operator.add if e.op == "+" else operator.mul
+
+            def add_or_mul(fr):
+                v = grow(left(fr), right(fr))
+                if v > UINT_MAX:
+                    raise Revert(ARITHMETIC_PANIC, kind="overflow", line=line)
+                return v
+            return add_or_mul
+        if e.op == "-":
+            def sub(fr):
+                l, r = left(fr), right(fr)
+                if l < r:
+                    raise Revert(ARITHMETIC_PANIC, kind="underflow", line=line)
+                return l - r
+            return sub
+        divide = operator.floordiv if e.op == "/" else operator.mod
+
+        def div(fr):
+            l, r = left(fr), right(fr)
+            if r == 0:
+                raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
+            return divide(l, r)
+        return div
+    # old(...) and result parse anywhere, but only specifications give them
+    # a meaning
+    raise VmLoadError(f"{e.loc}: not a program expression")
+
+
+def _cond(c, line, contract):
+    """Truth of a program condition; strict: every leaf is evaluated."""
+    if isinstance(c, Cmp):
+        rel = _RELATIONS[c.op]
+        left, right = _value(c.left, line, contract), _value(c.right, line, contract)
+        return lambda fr: rel(left(fr), right(fr))
+    if isinstance(c, BoolOp):
+        parts = tuple(_cond(p, line, contract) for p in c.parts)
+        join = all if c.op == "and" else any
+        return lambda fr: join([p(fr) for p in parts])
+    if isinstance(c, NotOp):
+        operand = _cond(c.operand, line, contract)
+        return lambda fr: not operand(fr)
+    raise TypeError(f"not a condition: {c!r}")
 
 
 # ---------------------------------------------------------------------------

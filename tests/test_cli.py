@@ -130,6 +130,31 @@ class TestVerify:
         assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
         assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
 
+    def test_block_nesting_counts(self, tmp_path, capsys):
+        # each `if` body is one level: `G := x` under MAX_NESTING nested ifs
+        # runs through every command; one more if is a parse error at it
+        def nested_ifs(depth):
+            ifs = "".join("    " + "  " * i + "if x > 0:\n" for i in range(depth))
+            return one_method(ifs + "    " + "  " * depth + "G := x;\n")
+
+        over = tmp_path / "over.gcl"
+        over.write_text(nested_ifs(MAX_NESTING + 1))
+        assert main(["verify", str(over)]) == EXIT_STATIC
+        col = 5 + 2 * (MAX_NESTING + 1)
+        assert (f"over.gcl:{7 + MAX_NESTING + 1}:{col}: nesting deeper than "
+                f"{MAX_NESTING} levels") in capsys.readouterr().out
+        (tmp_path / "limit").mkdir()
+        at = tmp_path / "limit" / "at.gcl"
+        at.write_text(nested_ifs(MAX_NESTING))
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "m", "args": [3]}\n')
+        woven = str(tmp_path / "at.woven.gcl")
+        assert main(["verify", str(at)]) == EXIT_OK
+        assert main(["weave", str(at), "--auto", "-o", woven]) == EXIT_OK
+        assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
+        assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().out
+
     def test_report_written(self, tmp_path, capsys):
         rep = tmp_path / "report.json"
         assert main(["verify", SELL, "--report", str(rep)]) == EXIT_OK
@@ -227,6 +252,25 @@ class TestRun:
         assert run.returncode == EXIT_REVERTED, run.stderr
         assert (f"tx 0: reverted GasExhausted exec_gas={DEFAULT_GAS_LIMIT + 1} check_gas=0"
                 in run.stdout)
+
+    def test_deep_recursion_reverts(self, tmp_path, capsys):
+        # a method calling itself 5000 deep stops at the call-depth cap with
+        # a revert, exit 3, instead of a RecursionError traceback
+        src = tmp_path / "down.gcl"
+        src.write_text("contract C:\n  method down(n: uint64):\n    #@ requires ?;\n"
+                       "    #@ ensures ?;\n    if n > 0:\n      call C.down(n - 1);\n")
+        txs = tmp_path / "down.txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "down", "args": [5000]}\n')
+        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_REVERTED
+        assert "tx 0: reverted CallDepthExceeded" in capsys.readouterr().out
+
+    def test_spec_expression_in_body_is_a_load_error(self, tmp_path, capsys):
+        src = tmp_path / "old.gcl"
+        src.write_text(one_method("    if x > 5:\n      y := old(G);\n"))
+        txs = tmp_path / "old.txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "m", "args": [1]}\n')
+        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_USAGE
+        assert "old.gcl:8:12: not a program expression" in capsys.readouterr().out
 
     def test_adversary_and_unprotected(self, tmp_path, capsys):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))

@@ -1,17 +1,23 @@
 """Transaction VM: execution, gas accounting, permissions, atomicity."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from gvc.frontend import corpus_adversaries, load_file, load_source
+import gvc.vm
+from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
 from gvc.verifier import verify_program
 from gvc.vm import (
     ARITHMETIC_PANIC, CHECK_FAILURE, GAS_EXHAUSTED, OWNERSHIP_FAILURE,
     PREDICATE_DEPTH, Ledger, Transaction, Vm, VmOptions, VmUsageError,
-    load_program, parse_script, run_script,
+    load_program, parse_script, run_script, transaction_grid,
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS
+from conftest import CORPUS, ROOT
 
 
 def make_image(name, adversaries=None):
@@ -145,6 +151,104 @@ class TestAtomicity:
             return [o.as_dict() for o in outs], report, led.as_dict()
 
         assert once() == once()
+
+
+class _CountingLedger(Ledger):
+    """A ledger that counts the writes made to it."""
+
+    writes = 0
+
+    def write(self, contract, slot, value):
+        self.writes += 1
+        super().write(contract, slot, value)
+
+
+class TestJournal:
+    @pytest.mark.parametrize("path", corpus_files(CORPUS), ids=lambda p: p.stem)
+    def test_reverts_leave_the_ledger_byte_identical(self, path):
+        # every case of the bound-2 grid, run once without a gas limit and
+        # once under every limit below the gas a committed run used, so
+        # GasExhausted lands at every statement (mid-loop included)
+        program, _ = load_file(path)
+        image = load_program(weave(program, verify_program(program)),
+                             corpus_adversaries(path, program))
+
+        def run(init, t, limit):
+            led = _CountingLedger(image.program, init)
+            before = json.dumps(led.as_dict())
+            out = Vm(image, led).exec_transaction(t, gas_limit=limit)
+            if not out.committed:
+                assert json.dumps(led.as_dict()) == before, (t, limit, out.reason)
+            return out, led.writes
+
+        undone = 0  # reverted transactions that had written something
+        for _, _, init, t in transaction_grid(program, 2):
+            out, writes = run(init, t, None)
+            undone += not out.committed and writes > 0
+            for cut in range(out.exec_gas + out.check_gas) if out.committed else ():
+                out, writes = run(init, t, cut)
+                assert out.reason == GAS_EXHAUSTED
+                undone += writes > 0
+        if path.stem in ("loop", "bank", "transfer", "ledger_pair", "calls"):
+            assert undone > 0
+
+    def test_transactions_never_deep_copy(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("exec_transaction deep-copied the ledger")
+
+        image = make_image("sell.gcl")
+        led = sell_ledger(image)
+        vm = Vm(image, led)
+        monkeypatch.setattr(gvc.vm.copy, "deepcopy", boom)
+        outs = [vm.exec_transaction(tx("Counter", "sell", n)) for n in (3, 12, 1)]
+        assert [o.committed for o in outs] == [True, False, True]
+        assert led.slots == {"Counter": {"Count": 6}}
+
+
+DOWN = """contract C:
+  method down(n: uint64):
+    #@ requires ?;
+    #@ ensures ?;
+    if n > 0:
+      call C.down(n - 1);
+"""
+
+DOWN_AT_THE_CAP = '''
+import json, sys
+from gvc.frontend import load_source
+from gvc.lang import CALL_DEPTH_CAP
+from gvc.oracle import Oracle, vm_site
+from gvc.verifier import verify_program
+from gvc.vm import Transaction, load_program, run_script
+from gvc.weaver import weave
+
+limit = sys.getrecursionlimit()
+program, _ = load_source(sys.stdin.read(), "down.gcl")
+ip = weave(program, verify_program(program))
+image = load_program(ip)
+rows = []
+for n in (CALL_DEPTH_CAP - 1, CALL_DEPTH_CAP, 5000):  # down(n) enters n + 1 frames
+    tx = Transaction("C", "down", (n,))
+    [out], _ = run_script(image, [tx])
+    j = Oracle(program).judge({}, tx)
+    rows.append([out.status, out.reason, None if out.committed else vm_site(out, ip.sidecar).kind,
+                 j.verdict, j.site and j.site.kind])
+print(json.dumps({"rows": rows, "limit": [limit, sys.getrecursionlimit()]}))
+'''
+
+
+def test_call_depth_cap_shared_with_the_oracle():
+    # the deepest chain of calls that commits has CALL_DEPTH_CAP frames; one
+    # frame more reverts CallDepthExceeded in the VM, which the oracle
+    # blames on the same site, and neither touches the recursion limit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", DOWN_AT_THE_CAP], input=DOWN, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    over = ["reverted", "CallDepthExceeded", "call-depth", "FirstViolation", "call-depth"]
+    assert got["rows"] == [["committed", None, None, "AllObligationsHeld", None], over, over]
+    assert got["limit"][0] == got["limit"][1]
 
 
 class TestFailureModes:
