@@ -232,10 +232,8 @@ def cmd_corpus(args):
         erosions = list(erode_program(program))
         bad_static = check_static_monotonic(report, erosions)
         total_erosions += len(erosions)
-        bad_dynamic = []
-        for e in erosions:
-            bad_dynamic += check_dynamic_monotonic(program, e, bound=args.erosion_bound,
-                                                   adversaries=adversaries)
+        bad_dynamic = check_dynamic_monotonic(program, erosions, bound=args.erosion_bound,
+                                              adversaries=adversaries)
         ok = not n_dis and not bad_static and not bad_dynamic
         mark = _green("ok") if ok else _red("FAIL")
         print(f"{path.name}: {mark} equivalence {eq['cases']} case(s), "

@@ -4,12 +4,16 @@ An erosion replaces a formula with `? and <subset of its atoms>`.  Eroding a
 program must never make it worse off: a program that verifies keeps
 verifying (static gradual guarantee), and any concrete execution that held
 all obligations keeps holding them (dynamic gradual guarantee).  Both halves
-are checked here over bounded input grids.
+are checked here over bounded input grids, for all erosions of one program
+at once: the work that does not depend on the erosion (merging adversaries,
+judging the uneroded program on the grid) happens once per program, and the
+erosions' re-verifications share one memo of prover component verdicts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .lang import (
     AssertStmt, Formula, Program, Spec, While, map_blocks, stmts_recursive,
@@ -92,33 +96,46 @@ def _with_method(program, ci, mi, new_method):
 def check_static_monotonic(report, erosions):
     """Static gradual guarantee: if a program whose verification report is
     `report` has no static error, none of its `erosions` may introduce one.
-    Returns the list of offending labels."""
+    The erosions' verification runs share one memo of component verdicts,
+    which lives as long as this check.  Returns the list of offending
+    labels."""
     from .verifier import verify_program
 
     if report.has_static_error:
         return []  # nothing to preserve
-    bad = []
-    for e in erosions:
-        if verify_program(e.program).has_static_error:
-            bad.append(e.label)
-    return bad
+    memo = {}
+    return [e.label for e in erosions if verify_program(e.program, memo).has_static_error]
 
 
-def check_dynamic_monotonic(program: Program, erosionv: Erosion, bound: int = 3,
+def check_dynamic_monotonic(program: Program, erosions, bound: int = 3,
                             adversaries: dict = None):
     """Dynamic gradual guarantee on a grid: every point the oracle judges
-    AllObligationsHeld before erosion must stay AllObligationsHeld after.
-    Returns offending points."""
+    AllObligationsHeld on `program` must stay AllObligationsHeld on each of
+    its `erosions`.  The program is judged once per point; each erosion only
+    on the points where the program held (a flag per point is kept, not the
+    points, which are cheap to rebuild).  Returns offending points, erosion
+    by erosion, each erosion's in grid order."""
     from .oracle import Oracle
     from .vm import merge_adversaries, transaction_grid
 
     base, unverified = merge_adversaries(program, adversaries)
-    eroded, _ = merge_adversaries(erosionv.program, adversaries)
-    before, after = Oracle(base, unverified), Oracle(eroded, unverified)
-
+    before = Oracle(base, unverified)
+    held = [before.judge(init, tx).held for _, _, init, tx in transaction_grid(program, bound)]
     bad = []
-    for c, m, init, tx in transaction_grid(program, bound):
-        if before.judge(init, tx).held and not after.judge(init, tx).held:
-            bad.append({"erosion": erosionv.label, "method": f"{c.name}.{m.name}",
-                        "initial_state": init, "args": list(tx.args)})
+    for e in erosions:
+        after = Oracle(with_own_contracts(base, e.program), unverified)
+        for c, m, init, tx in compress(transaction_grid(program, bound), held):
+            if not after.judge(init, tx).held:
+                bad.append({"erosion": e.label, "method": f"{c.name}.{m.name}",
+                            "initial_state": init, "args": list(tx.args)})
     return bad
+
+
+def with_own_contracts(merged: Program, eroded: Program) -> Program:
+    """The combined program of `eroded`, built from `merged`, the combined
+    program (merge_adversaries) of the program it erodes without re-parsing
+    or re-resolving: an erosion changes only the program's own contracts,
+    which are resolved already, so they take their counterparts' places and
+    the merged extern contracts stay."""
+    return Program(tuple(m if m.extern else e
+                         for m, e in zip(merged.contracts, eroded.contracts)))

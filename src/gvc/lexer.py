@@ -19,6 +19,10 @@ KEYWORDS = {
     "old", "result", "true",
 }
 
+# only these start or continue an integer literal: str.isdigit would admit
+# '²', which int() rejects, and '٣', which int() reads as 3
+_DIGITS = frozenset("0123456789")
+
 # longest match first
 SYMBOLS = [
     ":=", "->", "==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "/",
@@ -92,9 +96,9 @@ def _lex_line(raw, lineno, filename, tokens):
                 i += 2
                 continue
             return  # trailing comment: rest of line ignored
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and raw[j].isdigit():
+            while j < n and raw[j] in _DIGITS:
                 j += 1
             tokens.append(Token("INT", raw[i:j], loc))
             i = j

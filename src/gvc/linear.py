@@ -19,8 +19,10 @@ CONSTRAINT_LIMIT apply per component, which can only turn an "unknown" into a
 sound verdict.  A component reaches `_fm` as the sorted tuple of its unique
 constraints, which is also its key in the memo of component verdicts.  A
 verdict depends on that content alone, so one memo may serve every query of
-one verification run: `ProverStats.memo` holds it and `verify_program` drops
-it when it returns.  A query without one gets a memo of its own.
+one verification run, or of several: `verify_program` takes a memo from its
+caller (a fresh one when none is given), its `ProverStats.memo` holds it, and
+the run lets go of it when it returns.  A query without one gets a memo of
+its own.
 """
 
 from __future__ import annotations
@@ -392,15 +394,15 @@ def _fm(les, var_order, nes_check=None):
 
 
 class ProverStats:
-    """Verdict counts of one verification run, and the run's component
-    verdicts (check_sat's memo), which the run drops when it ends."""
+    """Verdict counts of one verification run, and the component verdicts
+    (check_sat's memo) its queries use: `memo`, or a fresh one."""
 
-    def __init__(self):
+    def __init__(self, memo=None):
         self.queries = 0
         self.proved = 0
         self.disproved = 0
         self.unknown = 0
-        self.memo = {}
+        self.memo = {} if memo is None else memo
 
     def record(self, result):
         self.queries += 1

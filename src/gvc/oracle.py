@@ -10,6 +10,7 @@ validated against it, so it re-implements evaluation on its own.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .lang import (
@@ -20,6 +21,12 @@ from .lang import (
 
 ALL_HELD = "AllObligationsHeld"
 FIRST_VIOLATION = "FirstViolation"
+
+# the oracle's own operator tables, deliberately not the VM's
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.floordiv, "%": operator.mod}
+_REL = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
+        "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 @dataclass(frozen=True)
@@ -57,12 +64,13 @@ class _Returned(Exception):
 
 
 class _OFrame:
-    def __init__(self, contract, verified, imprecise, caller):
+    def __init__(self, contract, verified, imprecise, caller, charge=1):
         self.contract = contract
         self.verified = verified
         self.imprecise = imprecise
         self.caller = caller
-        self.depth = 1 if caller is None else caller.depth + 1  # method frames
+        # call-depth charges of the frames on the stack (see CALL_DEPTH_CAP)
+        self.depth = 1 if caller is None else caller.depth + charge
         self.vars = {}
         self.old = {}
         self.result = None
@@ -93,12 +101,12 @@ class Oracle:
 
     # -- frames --------------------------------------------------------------
 
-    def enter(self, cname, mname, args, caller, call_line):
+    def enter(self, cname, mname, args, caller, call_line, charge=1):
         contract = self.program.contract(cname)
         method = contract.method(mname)
         verified = cname not in self.unverified
         req, ens = method.spec.requires, method.spec.ensures
-        fr = _OFrame(contract, verified, req.imprecise or not verified, caller)
+        fr = _OFrame(contract, verified, req.imprecise or not verified, caller, charge)
         if fr.depth > CALL_DEPTH_CAP:
             raise _Violation("call-depth", 0, f"{cname}.{mname}")
         fr.vars = {p: v for (p, _), v in zip(method.params, args)}
@@ -176,11 +184,12 @@ class Oracle:
 
     # -- statements ----------------------------------------------------------
 
-    def block(self, fr, body):
+    def block(self, fr, body, nest=0):
+        """Run `body`, which `nest` if/while bodies enclose."""
         for s in body:
-            self.stmt(fr, s)
+            self.stmt(fr, s, nest)
 
-    def stmt(self, fr, s):
+    def stmt(self, fr, s, nest):
         if isinstance(s, Assign):
             fr.vars[s.target] = self.value(fr, s.expr, s.loc.line)
         elif isinstance(s, GAssign):
@@ -190,9 +199,9 @@ class Oracle:
             self.mem[fr.contract.name][s.slot] = v
         elif isinstance(s, If):
             if self.truth(fr, s.cond, s.loc.line):
-                self.block(fr, s.then)
+                self.block(fr, s.then, nest + 1)
             else:
-                self.block(fr, s.orelse)
+                self.block(fr, s.orelse, nest + 1)
         elif isinstance(s, While):
             line = s.loc.line
             while True:
@@ -205,10 +214,10 @@ class Oracle:
                         raise _Violation("loop-invariant", line, self._fmt(a))
                 if not taken:
                     break
-                self.block(fr, s.body)
+                self.block(fr, s.body, nest + 1)
         elif isinstance(s, Call):
             args = [self.value(fr, a, s.loc.line) for a in s.args]
-            ret = self.enter(s.contract, s.method, args, fr, s.loc.line)
+            ret = self.enter(s.contract, s.method, args, fr, s.loc.line, max(1, nest))
             if s.target is not None:
                 fr.vars[s.target] = ret
         elif isinstance(s, Return):
@@ -245,14 +254,13 @@ class Oracle:
                 raise _Violation("overflow", line, f"{l} {e.op} {r}")
             if e.op in "/%" and r == 0:
                 raise _Violation("div-zero", line, f"{l} {e.op} 0")
-            return {"+": l + r, "-": l - r, "*": l * r,
-                    "/": l // r if r else 0, "%": l % r if r else 0}[e.op]
+            return _ARITH[e.op](l, r)
         raise TypeError(f"not a runtime expression: {e!r}")
 
     def truth(self, fr, c, line):
         # strict: every leaf is evaluated, obligations included
         if isinstance(c, Cmp):
-            return _rel(c.op, self.value(fr, c.left, line), self.value(fr, c.right, line))
+            return _REL[c.op](self.value(fr, c.left, line), self.value(fr, c.right, line))
         if isinstance(c, BoolOp):
             parts = [self.truth(fr, p, line) for p in c.parts]
             return all(parts) if c.op == "and" else any(parts)
@@ -277,8 +285,7 @@ class Oracle:
             l, r = self.spec_value(fr, e.left), self.spec_value(fr, e.right)
             if e.op in "/%" and r == 0:
                 raise _Violation("div-zero", e.loc.line, "division by zero in spec")
-            return {"+": l + r, "-": l - r, "*": l * r,
-                    "/": l // r if r else 0, "%": l % r if r else 0}[e.op]
+            return _ARITH[e.op](l, r)
         raise TypeError(f"not a spec expression: {e!r}")
 
     def spec_atom(self, fr, atom):
@@ -287,7 +294,7 @@ class Oracle:
         explicit stack, so recursion stops at PREDICATE_DEPTH_CAP and never
         at the Python stack."""
         if isinstance(atom, Cmp):  # no predicate instance: no stack needed
-            return _rel(atom.op, self.spec_value(fr, atom.left), self.spec_value(fr, atom.right))
+            return _REL[atom.op](self.spec_value(fr, atom.left), self.spec_value(fr, atom.right))
         stack, truth = [self._body(fr, atom)], None
         while stack:
             try:
@@ -328,11 +335,6 @@ class Oracle:
     def _fmt(a):
         from .printer import fmt_atom
         return fmt_atom(a)
-
-
-def _rel(op, l, r):
-    return {"==": l == r, "!=": l != r, "<": l < r,
-            "<=": l <= r, ">": l > r, ">=": l >= r}[op]
 
 
 def dynamic_verify_trace(program: Program, storage: dict, tx,

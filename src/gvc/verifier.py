@@ -717,8 +717,11 @@ def verify_method(method: Method, program: Program, contract: Contract,
     return MethodVerifier(program, contract, method, stats).run()
 
 
-def verify_program(program: Program) -> VerificationReport:
-    stats = ProverStats()
+def verify_program(program: Program, memo: dict = None) -> VerificationReport:
+    """Verify every method of the program's own contracts.  `memo` holds
+    component verdicts (see linear.check_sat) to share with other runs; by
+    default the run has a fresh one, dropped when it returns."""
+    stats = ProverStats(memo)
     reports = []
     counter = 0
     for c in program.contracts:
@@ -730,5 +733,5 @@ def verify_program(program: Program) -> VerificationReport:
                 r.id = f"c{counter}"
                 counter += 1
             reports.append(rep)
-    stats.memo.clear()
+    stats.memo = None  # the report keeps no verdicts
     return VerificationReport(reports, program_digest(program), stats)

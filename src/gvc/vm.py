@@ -201,7 +201,7 @@ class Frame:
         self.contract = code.contract
         self.env = env
         self.caller = caller
-        self.depth = depth  # method frames on the stack, this one included
+        self.depth = depth  # call-depth charges of the frames on the stack
         self.slots = vm.ledger.slots[code.contract.name]
         self.perm = vm.perm
         self.meter = vm.meter
@@ -365,9 +365,11 @@ class Vm:
 
     # -- calls ---------------------------------------------------------------
 
-    def call(self, cname, mname, args, caller):
+    def call(self, cname, mname, args, caller, charge=1):
+        """Run a method; a call from `caller` adds `charge` to the call
+        depth (see CALL_DEPTH_CAP)."""
         code = self.image.code[(cname, mname)]
-        depth = 1 if caller is None else caller.depth + 1
+        depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
             raise Revert(CALL_DEPTH, method=f"{cname}.{mname}")
         self.frames += 1
@@ -538,8 +540,9 @@ def _acc_lines(formula):
     return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
 
 
-def _block(body, contract):
-    steps = tuple((not isinstance(s, Check), _stmt(s, contract))
+def _block(body, contract, nest=0):
+    """A body that `nest` if/while bodies enclose."""
+    steps = tuple((not isinstance(s, Check), _stmt(s, contract, nest))
                   for s in body if not isinstance(s, AssertStmt))
 
     def run(fr):
@@ -555,7 +558,7 @@ def _block(body, contract):
     return run
 
 
-def _stmt(s, contract):
+def _stmt(s, contract, nest):
     if isinstance(s, Assign):
         target, value = s.target, _value(s.expr, s.loc.line, contract)
 
@@ -574,13 +577,13 @@ def _stmt(s, contract):
         return gassign
     if isinstance(s, If):
         cond = _cond(s.cond, s.loc.line, contract)
-        then, orelse = _block(s.then, contract), _block(s.orelse, contract)
+        then, orelse = _block(s.then, contract, nest + 1), _block(s.orelse, contract, nest + 1)
 
         def if_(fr):
             return then(fr) if cond(fr) else orelse(fr)
         return if_
     if isinstance(s, While):
-        cond, body = _cond(s.cond, s.loc.line, contract), _block(s.body, contract)
+        cond, body = _cond(s.cond, s.loc.line, contract), _block(s.body, contract, nest + 1)
 
         def while_(fr):
             m = fr.meter
@@ -593,11 +596,11 @@ def _stmt(s, contract):
             return False
         return while_
     if isinstance(s, Call):
-        callee, method, target = s.contract, s.method, s.target
+        callee, method, target, charge = s.contract, s.method, s.target, max(1, nest)
         args = tuple(_value(a, s.loc.line, contract) for a in s.args)
 
         def call(fr):
-            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr)
+            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr, charge)
             if target is not None:
                 fr.env[target] = ret
         return call

@@ -56,6 +56,13 @@ class TestVerify:
     def test_missing_file(self, capsys):
         assert main(["verify", "no/such/file.gcl"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # '²', Arabic-Indic 3
+    def test_only_ascii_digits_start_a_literal(self, tmp_path, capsys, digit):
+        src = tmp_path / "digit.gcl"
+        src.write_text(one_method(f"    G := {digit};\n"), encoding="utf-8")
+        assert main(["verify", str(src)]) == EXIT_STATIC
+        assert f"unexpected character {digit!r}" in capsys.readouterr().out
+
     def test_parse_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.gcl"
         bad.write_text("contract C\n")
@@ -264,6 +271,19 @@ class TestRun:
         assert main(["run", str(src), "--txs", str(txs)]) == EXIT_REVERTED
         assert "tx 0: reverted CallDepthExceeded" in capsys.readouterr().out
 
+    def test_recursion_under_nested_blocks_reverts(self, tmp_path, capsys):
+        # each call is charged its call site's block depth, so a method
+        # recursing from under seven nested ifs stops at the call-depth cap
+        # instead of in a RecursionError
+        body = "".join(f"{'  ' * (2 + k)}if n > 0:\n" for k in range(7))
+        src = tmp_path / "down.gcl"
+        src.write_text("contract C:\n  method down(n: uint64):\n    #@ requires ?;\n"
+                       "    #@ ensures ?;\n" + body + f"{'  ' * 9}call C.down(n - 1);\n")
+        txs = tmp_path / "down.txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "down", "args": [60]}\n')
+        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_REVERTED
+        assert "tx 0: reverted CallDepthExceeded" in capsys.readouterr().out
+
     def test_spec_expression_in_body_is_a_load_error(self, tmp_path, capsys):
         src = tmp_path / "old.gcl"
         src.write_text(one_method("    if x > 5:\n      y := old(G);\n"))
@@ -318,6 +338,16 @@ class TestCorpus:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "sell.gcl: ok" in out and "bank.gcl: ok" in out
+
+    def test_runs_as_a_module(self, tmp_path):
+        # `python -m gvc` runs the CLI from a checkout without an install
+        shutil.copy(CORPUS / "sell.gcl", tmp_path / "sell.gcl")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), GVC_COLOR="0")
+        run = subprocess.run([sys.executable, "-m", "gvc", "corpus", str(tmp_path)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == EXIT_OK, run.stderr
+        assert run.stdout.startswith("sell.gcl: ok equivalence")
+        assert run.stdout.endswith("1 program(s), 3 erosion(s) checked\n")
 
     def test_empty_dir_warns(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == EXIT_OK

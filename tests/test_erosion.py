@@ -1,11 +1,14 @@
 """Spec erosion and the two gradual guarantees."""
 
 from gvc.erosion import (
-    check_dynamic_monotonic, check_static_monotonic, erode_program,
+    Erosion, check_dynamic_monotonic, check_static_monotonic, erode_program,
+    with_own_contracts,
 )
-from gvc.frontend import corpus_adversaries, load_file
+from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
 from gvc.lang import well_formed_program
+from gvc.oracle import Oracle
 from gvc.verifier import verify_program
+from gvc.vm import merge_adversaries, transaction_grid
 
 from conftest import CORPUS
 
@@ -56,13 +59,90 @@ class TestStaticGuarantee:
 
 class TestDynamicGuarantee:
     def test_sell(self, sell_program):
-        for e in erode_program(sell_program):
-            assert check_dynamic_monotonic(sell_program, e, bound=3) == [], e.label
+        erosions = list(erode_program(sell_program))
+        assert check_dynamic_monotonic(sell_program, erosions, bound=3) == []
 
     def test_reentrant_bank(self):
         path = CORPUS / "bank.gcl"
         program, _ = load_file(path)
         adv = corpus_adversaries(path, program)
-        for e in erode_program(program):
-            bad = check_dynamic_monotonic(program, e, bound=2, adversaries=adv)
-            assert bad == [], e.label
+        erosions = list(erode_program(program))
+        assert check_dynamic_monotonic(program, erosions, bound=2, adversaries=adv) == []
+
+
+def corpus_with_erosions():
+    for path in corpus_files(CORPUS):
+        program, _ = load_file(path)
+        yield path, program, corpus_adversaries(path, program), list(erode_program(program))
+
+
+def strengthened(path, edits):
+    """"Erosions" of the corpus program at `path` that strengthen its specs:
+    one per (old, new) source edit, so the dynamic check has points to find."""
+    text = path.read_text(encoding="utf-8")
+    out = []
+    for old, new in edits:
+        assert old in text
+        out.append(Erosion(f"strengthen {old!r} -> {new!r}",
+                           load_source(text.replace(old, new), str(path))[0]))
+    return out
+
+
+def per_erosion(program, erosions, bound, adversaries):
+    """The dynamic guarantee's definition, erosion by erosion: two fresh
+    oracles per erosion, each built from its own merged program."""
+    bad = []
+    for e in erosions:
+        base, unverified = merge_adversaries(program, adversaries)
+        eroded, _ = merge_adversaries(e.program, adversaries)
+        before, after = Oracle(base, unverified), Oracle(eroded, unverified)
+        for c, m, init, tx in transaction_grid(program, bound):
+            if before.judge(init, tx).held and not after.judge(init, tx).held:
+                bad.append({"erosion": e.label, "method": f"{c.name}.{m.name}",
+                            "initial_state": init, "args": list(tx.args)})
+    return bad
+
+
+class TestErosionFamily:
+    """Checking a program's erosions as one family gives each erosion the
+    check it would get alone."""
+
+    def test_batch_matches_per_erosion_definition(self):
+        for path, program, adv, erosions in corpus_with_erosions():
+            assert (check_dynamic_monotonic(program, erosions, bound=2, adversaries=adv)
+                    == per_erosion(program, erosions, 2, adv)), path.name
+
+    def test_batch_still_finds_violations(self):
+        cases = [
+            ("sell.gcl", [("quantity >= 0", "quantity <= 1"), ("Count >= 0", "Count >= 2")]),
+            ("bank.gcl", [("amount >= 1", "amount >= 2"),
+                          ("ensures ? and acc(Balance)", "ensures ? and acc(Balance) and Balance == 0")]),
+        ]
+        for name, edits in cases:
+            path = CORPUS / name
+            program, _ = load_file(path)
+            adv = corpus_adversaries(path, program)
+            family = list(erode_program(program)) + strengthened(path, edits)
+            got = check_dynamic_monotonic(program, family, bound=2, adversaries=adv)
+            assert got == per_erosion(program, family, 2, adv), name
+            # every strengthening has offending points, and only they do
+            assert {b["erosion"] for b in got} == {e.label for e in family[-len(edits):]}, name
+
+    def test_swapped_program_equals_merged(self):
+        for path, program, adv, erosions in corpus_with_erosions():
+            merged, _ = merge_adversaries(program, adv)
+            for e in erosions:
+                assert with_own_contracts(merged, e.program) == \
+                    merge_adversaries(e.program, adv)[0], e.label
+
+    def test_shared_memo_reports_match_fresh_runs(self):
+        shared_verdicts = 0
+        for path, program, adv, erosions in corpus_with_erosions():
+            memo = {}
+            for e in erosions:
+                shared, fresh = verify_program(e.program, memo), verify_program(e.program)
+                assert shared.has_static_error == fresh.has_static_error, e.label
+                assert list(shared.all_residuals()) == list(fresh.all_residuals()), e.label
+                assert shared.to_json() == fresh.to_json(), e.label
+            shared_verdicts += len(memo)
+        assert shared_verdicts  # the memos were used

@@ -227,7 +227,8 @@ program, _ = load_source(sys.stdin.read(), "down.gcl")
 ip = weave(program, verify_program(program))
 image = load_program(ip)
 rows = []
-for n in (CALL_DEPTH_CAP - 1, CALL_DEPTH_CAP, 5000):  # down(n) enters n + 1 frames
+# down(n) enters n + 1 frames; argv[1] may list other n
+for n in json.loads(sys.argv[1]) if len(sys.argv) > 1 else (CALL_DEPTH_CAP - 1, CALL_DEPTH_CAP, 5000):
     tx = Transaction("C", "down", (n,))
     [out], _ = run_script(image, [tx])
     j = Oracle(program).judge({}, tx)
@@ -247,6 +248,28 @@ def test_call_depth_cap_shared_with_the_oracle():
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     over = ["reverted", "CallDepthExceeded", "call-depth", "FirstViolation", "call-depth"]
+    assert got["rows"] == [["committed", None, None, "AllObligationsHeld", None], over, over]
+    assert got["limit"][0] == got["limit"][1]
+
+
+def nested_down(depth):
+    """DOWN with its recursive call under `depth` nested `if` bodies."""
+    body = "".join(f"{'  ' * (2 + k)}if n > 0:\n" for k in range(depth))
+    return DOWN.split("    if n > 0:")[0] + body + f"{'  ' * (2 + depth)}call C.down(n - 1);\n"
+
+
+def test_call_depth_charges_the_call_site_block_depth():
+    # each call under seven nested bodies is charged 7, so down(60) stops at
+    # the cap with a revert in the VM and the same site in the oracle, not a
+    # RecursionError, and neither touches the recursion limit
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", DOWN_AT_THE_CAP, "[9, 10, 60]"],
+                         input=nested_down(7), env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    over = ["reverted", "CallDepthExceeded", "call-depth", "FirstViolation", "call-depth"]
+    # down(9) is charged 1 + 9 * 7 = CALL_DEPTH_CAP; down(10) 7 more
     assert got["rows"] == [["committed", None, None, "AllObligationsHeld", None], over, over]
     assert got["limit"][0] == got["limit"][1]
 
