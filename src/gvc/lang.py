@@ -19,12 +19,21 @@ PREDICATE_DEPTH_CAP = 1024
 # how deep method calls may nest at run time; the VM and the oracle stop at
 # the same depth to agree.  Both run a method call on the Python stack, a few
 # interpreter frames per call plus two per `if`/`while` body around its call
-# site, so each call is charged its call site's block depth (the bodies
-# around it), and at least 1; the top-level call is charged 1.  Entering a
-# frame that takes the charges on the stack past the cap reverts, which
-# keeps every chain of calls within about five interpreter frames per unit
-# of the cap, well inside the default recursion limit
+# site, so each call is charged by call_charge; the top-level call is charged
+# 1.  Entering a frame that takes the charges on the stack past the cap
+# reverts, which keeps every chain of calls within about seven interpreter
+# frames per unit of the cap, well inside the default recursion limit
 CALL_DEPTH_CAP = 64
+
+
+def call_charge(nest):
+    """What a call under `nest` if/while bodies adds to the call depth: its
+    block depth, at least 1 and at most half the cap, so that one call from
+    any block depth the parser accepts fits under a top-level call.  Calls
+    charged the most run under MAX_NESTING bodies at most, so the frames per
+    unit of the cap stay bounded."""
+    return max(1, min(nest, CALL_DEPTH_CAP // 2))
+
 
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 

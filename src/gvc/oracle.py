@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
     CALL_DEPTH_CAP, IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse,
-    Program, Result, Return, UINT_MAX, While,
+    Program, Result, Return, UINT_MAX, While, call_charge,
 )
 
 ALL_HELD = "AllObligationsHeld"
@@ -217,7 +217,7 @@ class Oracle:
                 self.block(fr, s.body, nest + 1)
         elif isinstance(s, Call):
             args = [self.value(fr, a, s.loc.line) for a in s.args]
-            ret = self.enter(s.contract, s.method, args, fr, s.loc.line, max(1, nest))
+            ret = self.enter(s.contract, s.method, args, fr, s.loc.line, call_charge(nest))
             if s.target is not None:
                 fr.vars[s.target] = ret
         elif isinstance(s, Return):

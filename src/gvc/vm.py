@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
-    Contract, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
+    Contract, call_charge, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
     PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
@@ -596,7 +596,7 @@ def _stmt(s, contract, nest):
             return False
         return while_
     if isinstance(s, Call):
-        callee, method, target, charge = s.contract, s.method, s.target, max(1, nest)
+        callee, method, target, charge = s.contract, s.method, s.target, call_charge(nest)
         args = tuple(_value(a, s.loc.line, contract) for a in s.args)
 
         def call(fr):

@@ -136,13 +136,32 @@ class TestErosionFamily:
                     merge_adversaries(e.program, adv)[0], e.label
 
     def test_shared_memo_reports_match_fresh_runs(self):
-        shared_verdicts = 0
+        reused = 0
         for path, program, adv, erosions in corpus_with_erosions():
-            memo = {}
-            for e in erosions:
+            memo = ReuseCountingMemo()
+            for memo.erosion, e in enumerate(erosions):
                 shared, fresh = verify_program(e.program, memo), verify_program(e.program)
                 assert shared.has_static_error == fresh.has_static_error, e.label
                 assert list(shared.all_residuals()) == list(fresh.all_residuals()), e.label
                 assert shared.to_json() == fresh.to_json(), e.label
-            shared_verdicts += len(memo)
-        assert shared_verdicts  # the memos were used
+            reused += memo.reused
+        # erosions of one program take verdicts from one another
+        assert reused > 0
+
+
+class ReuseCountingMemo(dict):
+    """A component-verdict memo that counts lookups answered by a verdict an
+    earlier erosion (`erosion`, set by the caller) stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.erosion, self.stored_by, self.reused = None, {}, 0
+
+    def get(self, key, default=None):
+        if key in self and self.stored_by[key] != self.erosion:
+            self.reused += 1
+        return super().get(key, default)
+
+    def __setitem__(self, key, verdict):
+        self.stored_by[key] = self.erosion
+        super().__setitem__(key, verdict)

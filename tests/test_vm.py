@@ -9,6 +9,7 @@ import pytest
 
 import gvc.vm
 from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
+from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
 from gvc.vm import (
     ARITHMETIC_PANIC, CHECK_FAILURE, GAS_EXHAUSTED, OWNERSHIP_FAILURE,
@@ -258,19 +259,28 @@ def nested_down(depth):
     return DOWN.split("    if n > 0:")[0] + body + f"{'  ' * (2 + depth)}call C.down(n - 1);\n"
 
 
-def test_call_depth_charges_the_call_site_block_depth():
-    # each call under seven nested bodies is charged 7, so down(60) stops at
-    # the cap with a revert in the VM and the same site in the oracle, not a
-    # RecursionError, and neither touches the recursion limit
+@pytest.mark.parametrize("depth, ns", [
+    # each call under seven nested bodies is charged 7: down(9) is charged
+    # 1 + 9 * 7 = CALL_DEPTH_CAP, down(10) and down(60) more
+    (7, [9, 10, 60]),
+    # a call is charged at most CALL_DEPTH_CAP // 2, so one call from under
+    # the deepest nesting the parser accepts (the call's argument list is
+    # one level more) still runs, and a second one reverts
+    (MAX_NESTING - 1, [1, 2]),
+])
+def test_call_depth_charges_the_call_site_block_depth(depth, ns):
+    # the first n commits and the others stop at the cap with a revert in
+    # the VM and the same site in the oracle, not a RecursionError, and
+    # neither touches the recursion limit
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, "-c", DOWN_AT_THE_CAP, "[9, 10, 60]"],
-                         input=nested_down(7), env=env, capture_output=True, text=True,
+    run = subprocess.run([sys.executable, "-c", DOWN_AT_THE_CAP, json.dumps(ns)],
+                         input=nested_down(depth), env=env, capture_output=True, text=True,
                          timeout=120)
     assert run.returncode == 0, run.stderr
     got = json.loads(run.stdout)
     over = ["reverted", "CallDepthExceeded", "call-depth", "FirstViolation", "call-depth"]
-    # down(9) is charged 1 + 9 * 7 = CALL_DEPTH_CAP; down(10) 7 more
-    assert got["rows"] == [["committed", None, None, "AllObligationsHeld", None], over, over]
+    assert got["rows"] == [["committed", None, None, "AllObligationsHeld", None]] + \
+        [over] * (len(ns) - 1)
     assert got["limit"][0] == got["limit"][1]
 
 
