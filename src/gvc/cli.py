@@ -58,6 +58,17 @@ def _load(path):
         raise SystemExit2(EXIT_STATIC, f"{path}: {e}")
 
 
+def _count(text):
+    """A numeric option's value: an integer that is not negative."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return n
+
+
 class SystemExit2(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -159,7 +170,7 @@ def cmd_run(args):
         except OSError as e:
             print(f"cannot read {args.txs}: {e.strerror or e}")
             return EXIT_USAGE
-        except (ValueError, KeyError) as e:
+        except ValueError as e:
             print(f"malformed transaction script: {e}")
             return EXIT_USAGE
     try:
@@ -274,7 +285,7 @@ def build_parser():
     r.add_argument("path")
     r.add_argument("--txs", help="transaction script (JSON lines)")
     r.add_argument("--ledger", help="initial ledger JSON")
-    r.add_argument("--gas-limit", type=int, default=DEFAULT_GAS_LIMIT,
+    r.add_argument("--gas-limit", type=_count, default=DEFAULT_GAS_LIMIT,
                    help="gas per transaction before it reverts GasExhausted "
                         f"(default {DEFAULT_GAS_LIMIT})")
     r.add_argument("--gas-report", help="write the gas report JSON here")
@@ -287,8 +298,8 @@ def build_parser():
 
     c = sub.add_parser("corpus", help="regression: verify, weave, equivalence, erosion")
     c.add_argument("dir")
-    c.add_argument("--bound", type=int, default=8)
-    c.add_argument("--erosion-bound", type=int, default=2)
+    c.add_argument("--bound", type=_count, default=8)
+    c.add_argument("--erosion-bound", type=_count, default=2)
     c.set_defaults(fn=cmd_corpus)
     return ap
 

@@ -116,7 +116,7 @@ def check_dynamic_monotonic(program: Program, erosions, bound: int = 3,
     points, which are cheap to rebuild).  Returns offending points, erosion
     by erosion, each erosion's in grid order."""
     from .oracle import Oracle
-    from .vm import merge_adversaries, transaction_grid
+    from .vm import merge_adversaries, transaction_grid, with_own_contracts
 
     base, unverified = merge_adversaries(program, adversaries)
     before = Oracle(base, unverified)
@@ -129,13 +129,3 @@ def check_dynamic_monotonic(program: Program, erosions, bound: int = 3,
                 bad.append({"erosion": e.label, "method": f"{c.name}.{m.name}",
                             "initial_state": init, "args": list(tx.args)})
     return bad
-
-
-def with_own_contracts(merged: Program, eroded: Program) -> Program:
-    """The combined program of `eroded`, built from `merged`, the combined
-    program (merge_adversaries) of the program it erodes without re-parsing
-    or re-resolving: an erosion changes only the program's own contracts,
-    which are resolved already, so they take their counterparts' places and
-    the merged extern contracts stay."""
-    return Program(tuple(m if m.extern else e
-                         for m, e in zip(merged.contracts, eroded.contracts)))

@@ -377,11 +377,11 @@ def enumerate_equivalence(program: Program, woven, bound: int = 8,
     """Exhaustively compare the instrumented VM against the oracle on every
     initial storage and argument vector in [0, bound]^n, one transaction per
     case.  Returns {"cases": n, "disagreements": [...]}."""
-    from .vm import Ledger, Vm, load_program, merge_adversaries, transaction_grid
+    from .vm import Ledger, Vm, load_program, transaction_grid, with_own_contracts
 
     image = load_program(woven, adversaries)
-    base, unverified = merge_adversaries(program, adversaries)
-    oracle = Oracle(base, unverified)
+    # the oracle judges the un-woven source contracts
+    oracle = Oracle(with_own_contracts(image.program, program), image.unverified)
 
     cases = 0
     disagreements = []

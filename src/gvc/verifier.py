@@ -348,8 +348,6 @@ class MethodVerifier:
         produce_reads = {}
         for atom in f.atoms:
             if isinstance(atom, Acc):
-                if atom.slot not in self.contract.globals:
-                    continue  # cross-contract permission: runtime-managed
                 if atom.slot in state.heap:
                     if on_duplicate == "error":
                         ob = Obligation(atom, atom.loc, "access")
@@ -587,18 +585,15 @@ class MethodVerifier:
         callee_c = self.program.contract(s.contract)
         callee_m = callee_c.method(s.method)
         arg_vals = [self.eval_expr(state, a, s.loc, before) for a in s.args]
-        if callee_c.extern:
-            requires, ensures = Formula(imprecise=True), Formula(imprecise=True)
-        else:
-            requires, ensures = callee_m.spec.requires, callee_m.spec.ensures
-        internal = callee_c.name == self.contract.name
+        requires, ensures = callee_m.spec.requires, callee_m.spec.ensures
+        if callee_c.name != self.contract.name:
+            # a foreign callee guards its own boundary at run time; the caller
+            # reasons only about its own contract's specs
+            requires, ensures = Formula(requires.imprecise), Formula(ensures.imprecise)
         bindings = {p: v for (p, _), v in zip(callee_m.params, arg_vals)}
         payload_subst = {p: a for (p, _), a in zip(callee_m.params, s.args)}
-        # the callee precondition is consumed in the caller's namespace; for
-        # cross-contract calls its acc atoms are settled by the VM entry
-        # protocol, not by the caller
-        self.consume(state, requires if internal else _drop_acc(requires), s.loc, before,
-                     "precondition", bindings_extra=bindings, payload_subst=payload_subst)
+        self.consume(state, requires, s.loc, before, "precondition",
+                     bindings_extra=bindings, payload_subst=payload_subst)
         # re-entrancy may have run: havoc every global value, keep permissions
         pre_call = dict(state.heap)
         for slot in list(state.heap):
@@ -612,13 +607,7 @@ class MethodVerifier:
             produce_bindings["result"] = result_sym
         for slot, val in pre_call.items():
             produce_bindings[f"old({slot})"] = val
-        if internal:
-            self.produce(state, ensures, bindings_extra=produce_bindings, on_duplicate="keep")
-        else:
-            if ensures.imprecise:
-                state.imprecise = True
-            # cross-contract postconditions talk about foreign state; only the
-            # imprecision marker is usable by the caller
+        self.produce(state, ensures, bindings_extra=produce_bindings, on_duplicate="keep")
         if s.target is not None:
             state.store[s.target] = result_sym
         return [state]
@@ -701,10 +690,6 @@ def _subst_atom(atom, subst):
     if isinstance(atom, PredUse):
         return PredUse(atom.name, tuple(_subst_expr(a, subst) for a in atom.args), atom.loc)
     return atom
-
-
-def _drop_acc(f: Formula) -> Formula:
-    return Formula(f.imprecise, tuple(a for a in f.atoms if not isinstance(a, Acc)), f.loc)
 
 
 # ---------------------------------------------------------------------------

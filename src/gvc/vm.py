@@ -1,8 +1,9 @@
 """Deterministic ledger VM for instrumented contracts.
 
 Executes transactions over persistent per-contract storage with dynamic
-permission ownership, boundary checking against unverified callers, woven
-run-time checks, gas metering, and rollback of every write on any failure.
+permission ownership, boundary checking against callers from other
+contracts, woven run-time checks, gas metering, and rollback of every write
+on any failure.
 
 `load_program` compiles each method body once into Python closures (closure
 generation, after Feeley and Lapalme, "Using Closures for Code Generation",
@@ -262,6 +263,16 @@ def merge_adversaries(program: Program, adversaries: dict = None):
     return resolve(combined_raw), unverified
 
 
+def with_own_contracts(merged: Program, own: Program) -> Program:
+    """The combined program of `own`, built from `merged`, the combined
+    program (merge_adversaries) of a program with the same contracts,
+    without re-parsing or re-resolving: `own`'s contracts, which are
+    resolved already, take their counterparts' places and the merged
+    extern contracts stay."""
+    return Program(tuple(m if m.extern else o
+                         for m, o in zip(merged.contracts, own.contracts)))
+
+
 def load_program(ip, adversaries: dict = None) -> VmImage:
     """Build an executable image; accepts an InstrumentedProgram, a
     (program, boundary rows) pair from re-loading woven text, or a bare
@@ -345,15 +356,15 @@ class Vm:
         if len(tx.args) != len(code.method.params):
             raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.method.params)} argument(s)")
         for a in tx.args:
-            if not (0 <= int(a) <= UINT_MAX):
-                raise VmUsageError("transaction argument out of uint64 range")
+            if type(a) is not int or not 0 <= a <= UINT_MAX:
+                raise VmUsageError(f"transaction argument {a!r} is not a uint64")
 
         self.meter = GasMeter(gas_limit)
         self.perm = {}
         out = None
         self.ledger.begin()
         try:
-            self.call(tx.contract, tx.method, [int(a) for a in tx.args], caller=None)
+            self.call(tx.contract, tx.method, list(tx.args), caller=None)
             out = Outcome("committed", self.meter.exec_gas, self.meter.check_gas)
         except Revert as e:
             out = Outcome("reverted", self.meter.exec_gas, self.meter.check_gas,
@@ -365,9 +376,9 @@ class Vm:
 
     # -- calls ---------------------------------------------------------------
 
-    def call(self, cname, mname, args, caller, charge=1):
-        """Run a method; a call from `caller` adds `charge` to the call
-        depth (see CALL_DEPTH_CAP)."""
+    def call(self, cname, mname, args, caller, charge=1, call_line=0):
+        """Run a method; a call from `caller` at source line `call_line` adds
+        `charge` to the call depth (see CALL_DEPTH_CAP)."""
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
@@ -375,10 +386,14 @@ class Vm:
         self.frames += 1
         frame = Frame(self, self.frames, code,
                       {p: v for (p, _), v in zip(code.method.params, args)}, caller, depth)
-        boundary_active = caller is None or not caller.code.verified
+        # a caller reasons only about its own contract's specs: a call from
+        # any other contract crosses the callee's boundary
+        boundary_active = caller is None or caller.contract.name != cname
 
         if code.verified and self.options.protected:
-            self._boundary_checks(frame, code.entry, "precondition", boundary_active)
+            # a failing precondition blames a verified caller's call site
+            site = call_line if caller is not None and caller.code.verified else None
+            self._boundary_checks(frame, code.entry, "precondition", boundary_active, site)
             # acquire the requires acc list: each slot free or the caller's
             for slot, line in code.requires_acc:
                 if boundary_active:
@@ -394,15 +409,16 @@ class Vm:
         self.exit_protocol(frame, boundary_active)
         return frame.result
 
-    def _boundary_checks(self, frame, rows, kind, active):
+    def _boundary_checks(self, frame, rows, kind, active, line=None):
         """Evaluate boundary `rows` (MethodCode.entry or .exit): the
         residual-backed ones always, the rest only when `active` (called
-        from the top level or from unverified code).  A failing row reverts
-        as a `kind` ("precondition" or "postcondition") check."""
+        from the top level or from another contract).  A failing row reverts
+        as a `kind` ("precondition" or "postcondition") check at `line`, by
+        default the row's own."""
         for payload, check_id in rows:
             if (active or check_id is not None) and not self.eval_spec_bool(frame, payload):
                 raise Revert(CHECK_FAILURE, check_id=check_id, kind=kind,
-                             payload=fmt_atom(payload), line=payload.loc.line)
+                             payload=fmt_atom(payload), line=line or payload.loc.line)
 
     def exit_protocol(self, frame, boundary_active):
         cname = frame.contract.name
@@ -597,10 +613,11 @@ def _stmt(s, contract, nest):
         return while_
     if isinstance(s, Call):
         callee, method, target, charge = s.contract, s.method, s.target, call_charge(nest)
-        args = tuple(_value(a, s.loc.line, contract) for a in s.args)
+        line = s.loc.line
+        args = tuple(_value(a, line, contract) for a in s.args)
 
         def call(fr):
-            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr, charge)
+            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr, charge, line)
             if target is not None:
                 fr.env[target] = ret
         return call
@@ -714,14 +731,19 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
 
 
 def parse_script(text: str):
-    """Transaction script: JSON lines {contract, method, args}; other keys
-    are ignored."""
+    """Transaction script: JSON lines {contract, method, args}, `args` a list
+    (empty when absent); other keys are ignored.  Raises ValueError on a line
+    of any other shape; exec_transaction checks the argument values."""
     txs = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
-        txs.append(Transaction(obj["contract"], obj["method"],
-                               tuple(int(a) for a in obj.get("args", []))))
+        if not isinstance(obj, dict):
+            raise ValueError(f"expected a JSON object, got {line}")
+        cname, mname, args = obj.get("contract"), obj.get("method"), obj.get("args", [])
+        if not (isinstance(cname, str) and isinstance(mname, str) and isinstance(args, list)):
+            raise ValueError(f"expected string contract and method and list args, got {line}")
+        txs.append(Transaction(cname, mname, tuple(args)))
     return txs

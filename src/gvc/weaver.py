@@ -4,7 +4,7 @@ Before-statement residuals become `check` statements immediately preceding
 their statement; at-entry/at-exit residuals land in the boundary-check table
 together with the spec-derived entries (precise precondition atoms and acc
 list at entry, precise postcondition atoms at exit) that protect verified
-methods from unverified callers.
+methods from callers in other contracts.
 """
 
 from __future__ import annotations

@@ -319,6 +319,25 @@ class TestRun:
         out = capsys.readouterr().out
         assert "bad ledger init:" in out and "final ledger" not in out
 
+    @pytest.mark.parametrize("line,message", [
+        ('[1, 2]', "malformed transaction script"),
+        ('"x"', "malformed transaction script"),
+        ('{"contract": "Counter", "method": "sell", "args": 5}', "malformed transaction script"),
+        ('{"contract": ["Counter"], "method": "sell", "args": [1]}',
+         "malformed transaction script"),
+        ('{"contract": "Counter", "method": "sell", "args": [null]}', "bad transaction"),
+        ('{"contract": "Counter", "method": "sell", "args": [1.9]}', "bad transaction"),
+        ('{"contract": "Counter", "method": "sell", "args": [true]}', "bad transaction"),
+    ], ids=["array", "string", "args-int", "contract-list", "arg-null", "arg-float", "arg-bool"])
+    def test_malformed_script_rejected(self, tmp_path, capsys, line, message):
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text(line + "\n")
+        code = main(["run", self._woven(tmp_path), "--txs", str(txs),
+                     "--ledger", self._ledger(tmp_path, {"Counter": {"Count": 10}})])
+        assert code == EXIT_USAGE
+        out = capsys.readouterr().out
+        assert message in out and "final ledger" not in out
+
     def test_gas_report_file(self, tmp_path, capsys):
         woven = self._woven(tmp_path)
         gr = tmp_path / "gas.json"
@@ -357,10 +376,36 @@ class TestCorpus:
         assert main(["corpus", "no/such/dir"]) == EXIT_USAGE
 
     def test_unloadable_woven_program_fails_without_traceback(self, tmp_path, capsys):
-        # the woven form of this verified program does not load (a callee
-        # precondition residual names the callee's predicate in the caller)
-        shutil.copy(FIXTURES / "cross_pred.gcl", tmp_path / "cross_pred.gcl")
+        # the adversary's notify does not match the extern signature, so the
+        # woven program does not load
+        shutil.copy(CORPUS / "bank.gcl", tmp_path / "bank.gcl")
+        adversary = (CORPUS / "bank.adversary.gcl").read_text(encoding="utf-8")
+        (tmp_path / "bank.adversary.gcl").write_text(
+            adversary.replace("notify(amount: uint64)", "notify(amount: uint64, extra: uint64)"),
+            encoding="utf-8")
         assert main(["corpus", str(tmp_path)]) == EXIT_DISAGREEMENT
         out = capsys.readouterr().out
-        assert "cross_pred.gcl: FAIL cannot load the woven program" in out
-        assert "unknown predicate 'atleast'" in out
+        assert ("bank.gcl: FAIL cannot load the woven program: "
+                "adversary Attacker.notify signature mismatch") in out
+
+    def test_foreign_precondition_programs_pass(self, tmp_path, capsys):
+        # calls into another contract's precondition: a foreign predicate
+        # (cross_pred) and a callee global named like one of the caller's
+        # (same_name)
+        for name in ("cross_pred.gcl", "same_name.gcl"):
+            shutil.copy(FIXTURES / name, tmp_path / name)
+        assert main(["corpus", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "cross_pred.gcl: ok" in out and "same_name.gcl: ok" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["corpus", str(CORPUS), "--bound", "-1"],
+    ["corpus", str(CORPUS), "--erosion-bound", "-2"],
+    ["run", SELL, "--txs", str(CORPUS / "sell.txs.jsonl"), "--gas-limit", "-3"],
+], ids=["bound", "erosion-bound", "gas-limit"])
+def test_negative_count_option_is_a_usage_error(capsys, argv):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "expected a non-negative integer" in captured.err
+    assert captured.out == ""

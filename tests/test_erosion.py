@@ -2,13 +2,13 @@
 
 from gvc.erosion import (
     Erosion, check_dynamic_monotonic, check_static_monotonic, erode_program,
-    with_own_contracts,
 )
 from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
 from gvc.lang import well_formed_program
 from gvc.oracle import Oracle
 from gvc.verifier import verify_program
-from gvc.vm import merge_adversaries, transaction_grid
+from gvc.vm import load_program, merge_adversaries, transaction_grid, with_own_contracts
+from gvc.weaver import weave
 
 from conftest import CORPUS
 
@@ -131,6 +131,10 @@ class TestErosionFamily:
     def test_swapped_program_equals_merged(self):
         for path, program, adv, erosions in corpus_with_erosions():
             merged, _ = merge_adversaries(program, adv)
+            # enumerate_equivalence's oracle program: the source contracts
+            # swapped into the loaded woven image's program
+            image = load_program(weave(program, verify_program(program)), adv)
+            assert with_own_contracts(image.program, program) == merged, path
             for e in erosions:
                 assert with_own_contracts(merged, e.program) == \
                     merge_adversaries(e.program, adv)[0], e.label

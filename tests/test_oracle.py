@@ -6,13 +6,13 @@ from pathlib import Path
 from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.oracle import (
     ALL_HELD, FIRST_VIOLATION, Site, dynamic_verify_trace,
-    enumerate_equivalence,
+    enumerate_equivalence, vm_site,
 )
-from gvc.verifier import verify_program
-from gvc.vm import Transaction, merge_adversaries
+from gvc.verifier import Status, verify_program
+from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program, merge_adversaries
 from gvc.weaver import weave
 
-from conftest import CORPUS
+from conftest import CORPUS, FIXTURES
 
 
 def tx(contract, method, *args):
@@ -91,6 +91,59 @@ class TestEquivalence:
         report = enumerate_equivalence(program, woven, bound=3)
         assert report["cases"] == 16
         assert report["disagreements"] == []
+
+
+# a precise caller of a foreign method that requires Count >= 1 (line 12 is
+# the call)
+FOREIGN_PRECISE = (
+    "contract Vault:\n"
+    "  #@ global Count;\n"
+    "  method take():\n"
+    "    #@ requires acc(Count) and Count >= 1;\n"
+    "    #@ ensures acc(Count);\n"
+    "    Count := Count - 1;\n"
+    "\n"
+    "contract Shop:\n"
+    "  method buy():\n"
+    "    #@ requires true;\n"
+    "    #@ ensures true;\n"
+    "    call Vault.take();\n"
+)
+
+
+class TestForeignCalls:
+    """A call from another contract crosses the callee's boundary: the
+    caller never reasons about a foreign contract's specs."""
+
+    def test_same_name_globals_grid_agrees(self):
+        # Shop's own Count >= 1 says nothing about Vault's Count
+        program, _ = load_file(FIXTURES / "same_name.gcl")
+        woven = weave(program, verify_program(program))
+        report = enumerate_equivalence(program, woven, bound=2)
+        assert report["cases"] == 18
+        assert report["disagreements"] == []
+
+    def test_foreign_predicate_woven_text_reloads(self):
+        program, _ = load_file(FIXTURES / "cross_pred.gcl")
+        ip = weave(program, verify_program(program))
+        load_program(ip)
+        reloaded, boundary = load_source(ip.to_text(), "cross_pred.woven.gcl")
+        load_program((reloaded, boundary))
+        assert not verify_program(reloaded).has_static_error
+
+    def test_precise_caller_checks_foreign_precondition_at_run_time(self):
+        program, _ = load_source(FOREIGN_PRECISE, "foreign.gcl")
+        report = verify_program(program)
+        assert [m.status for m in report.methods] == [Status.VERIFIED] * 2
+        woven = weave(program, report)
+        image = load_program(woven)
+        out = Vm(image, Ledger(image.program, {"Vault": {"Count": 0}})).exec_transaction(
+            tx("Shop", "buy"))
+        assert out.reason == CHECK_FAILURE
+        assert out.detail["kind"] == "precondition" and out.detail["line"] == 12
+        judgment = dynamic_verify_trace(program, {"Vault": {"Count": 0}}, tx("Shop", "buy"))
+        assert vm_site(out, image.sidecar) == judgment.site == Site("precondition", 12)
+        assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
 
 
 def test_oracle_module_is_independent():
