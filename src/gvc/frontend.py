@@ -3,13 +3,12 @@ convenience entry points that take raw source to a checked Program."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, Call, Check, Cmp, GAssign, If, Name, Old,
-    PredUse, Program, ResolutionError, Return, Spec, While, bool_leaves,
-    map_bool, well_formed_program,
+    Acc, Assign, AssertStmt, BinOp, Call, Check, Cmp, If, Name, Old, PredUse,
+    ResolutionError, Return, While, bool_leaves, stmts_recursive,
+    well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -89,11 +88,14 @@ def infer_types(unit):
 
 
 def resolve(unit):
-    """Bind every name to its declaration and annotate scopes.  Raises
-    ResolutionError on unresolved or ill-used names; raises
-    WellFormednessError if structural diagnostics remain afterwards."""
+    """Check that every name is declared and used as its declaration
+    allows, in source order: predicates, then each method's requires,
+    ensures and body, a statement's condition before its blocks.  Raises
+    ResolutionError at the first unresolved or ill-used name, and
+    WellFormednessError if structural diagnostics remain afterwards.
+    Returns the program itself: a name is a global iff its contract
+    declares it, so there is nothing to annotate."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
-    contracts = []
     by_name = {c.name: c for c in program.contracts}
     if len(by_name) != len(program.contracts):
         dupes = [c.name for c in program.contracts]
@@ -103,57 +105,39 @@ def resolve(unit):
         gnames = set(c.globals)
         preds = {p.name: p for p in c.predicates}
 
-        def res_expr(e, locals_ok, pnames):
+        def check_expr(e, locals_ok, pnames):
             if isinstance(e, Name):
-                if e.name in gnames:
-                    return replace(e, scope="global")
-                if e.name in pnames:
-                    return replace(e, scope="param")
-                if locals_ok:
-                    return replace(e, scope="local")
-                raise ResolutionError(e.loc, f"unresolved name {e.name!r} in specification")
-            if isinstance(e, Old):
+                if not (e.name in gnames or e.name in pnames or locals_ok):
+                    raise ResolutionError(e.loc, f"unresolved name {e.name!r} in specification")
+            elif isinstance(e, Old):
                 if e.slot not in gnames:
                     raise ResolutionError(e.loc, f"old(...) names unknown global {e.slot!r}")
-                return e
-            if isinstance(e, BinOp):
-                return replace(e, left=res_expr(e.left, locals_ok, pnames),
-                               right=res_expr(e.right, locals_ok, pnames))
-            return e
+            elif isinstance(e, BinOp):
+                check_expr(e.left, locals_ok, pnames)
+                check_expr(e.right, locals_ok, pnames)
 
-        def res_atom(a, locals_ok, pnames):
+        def check_atom(a, locals_ok, pnames):
             if isinstance(a, Acc):
                 if a.slot not in gnames:
                     raise ResolutionError(a.loc, f"acc(...) names unknown global {a.slot!r}")
-                return a
-            if isinstance(a, Cmp):
-                return replace(a, left=res_expr(a.left, locals_ok, pnames),
-                               right=res_expr(a.right, locals_ok, pnames))
-            if isinstance(a, PredUse):
+            elif isinstance(a, Cmp):
+                check_expr(a.left, locals_ok, pnames)
+                check_expr(a.right, locals_ok, pnames)
+            elif isinstance(a, PredUse):
                 p = preds.get(a.name)
                 if p is None:
                     raise ResolutionError(a.loc, f"unknown predicate {a.name!r}")
                 if len(a.args) != len(p.params):
                     raise ResolutionError(a.loc, f"predicate {a.name} expects {len(p.params)} argument(s), got {len(a.args)}")
-                return replace(a, args=tuple(res_expr(x, locals_ok, pnames) for x in a.args))
-            return a
+                for x in a.args:
+                    check_expr(x, locals_ok, pnames)
 
-        def res_formula(f, locals_ok, pnames):
-            return replace(f, atoms=tuple(res_atom(a, locals_ok, pnames) for a in f.atoms))
-
-        def res_cond(cnd, pnames):
-            return map_bool(cnd, lambda a: res_atom(a, True, pnames) if isinstance(a, Cmp)
-                            else res_expr(a, True, pnames))
-
-        def res_stmt(s, pnames):
+        def check_stmt(s, pnames):
             if isinstance(s, Assign):
-                e = res_expr(s.expr, True, pnames)
-                if s.target in gnames:
-                    return GAssign(s.target, e, s.loc)
+                check_expr(s.expr, True, pnames)
                 if s.target in pnames:
                     raise ResolutionError(s.loc, f"assignment to parameter {s.target!r}")
-                return replace(s, expr=e)
-            if isinstance(s, Call):
+            elif isinstance(s, Call):
                 callee_c = by_name.get(s.contract)
                 if callee_c is None:
                     raise ResolutionError(s.loc, f"call to unknown contract {s.contract!r}")
@@ -164,56 +148,52 @@ def resolve(unit):
                     raise ResolutionError(s.loc, f"{s.contract}.{s.method} expects {len(callee_m.params)} argument(s), got {len(s.args)}")
                 if s.target and not callee_m.returns:
                     raise ResolutionError(s.loc, f"{s.contract}.{s.method} returns nothing; cannot bind its result")
-                args = tuple(res_expr(a, True, pnames) for a in s.args)
+                for a in s.args:
+                    check_expr(a, True, pnames)
                 if s.target and s.target in gnames:
                     raise ResolutionError(s.loc, "binding a call result to a global is not supported; assign via a local")
-                return replace(s, args=args)
-            if isinstance(s, If):
-                return replace(s, cond=res_cond(s.cond, pnames),
-                               then=tuple(res_stmt(x, pnames) for x in s.then),
-                               orelse=tuple(res_stmt(x, pnames) for x in s.orelse))
-            if isinstance(s, While):
-                return replace(s, cond=res_cond(s.cond, pnames),
-                               invariant=res_formula(s.invariant, True, pnames),
-                               body=tuple(res_stmt(x, pnames) for x in s.body))
-            if isinstance(s, Return):
-                return replace(s, expr=res_expr(s.expr, True, pnames) if s.expr is not None else None)
-            if isinstance(s, AssertStmt):
-                return replace(s, formula=res_formula(s.formula, True, pnames))
-            if isinstance(s, Check):
-                return replace(s, payload=res_atom(s.payload, True, pnames))
-            return s
+            elif isinstance(s, (If, While)):
+                for a in bool_leaves(s.cond):
+                    if isinstance(a, Cmp):
+                        check_atom(a, True, pnames)
+                    else:
+                        check_expr(a, True, pnames)
+                if isinstance(s, While):
+                    for a in s.invariant.atoms:
+                        check_atom(a, True, pnames)
+            elif isinstance(s, Return):
+                if s.expr is not None:
+                    check_expr(s.expr, True, pnames)
+            elif isinstance(s, AssertStmt):
+                for a in s.formula.atoms:
+                    check_atom(a, True, pnames)
+            elif isinstance(s, Check):
+                check_atom(s.payload, True, pnames)
 
-        def res_pbody(node, pnames):
+        for p in c.predicates:
             # QMark / Acc leaves are left for well-formedness to flag
-            return map_bool(node, lambda a: res_atom(a, False, pnames)
-                            if isinstance(a, (Cmp, PredUse)) else a)
-
-        new_preds = tuple(replace(p, body=res_pbody(p.body, set(p.params))) for p in c.predicates)
-        new_methods = []
+            for a in bool_leaves(p.body):
+                if isinstance(a, (Cmp, PredUse)):
+                    check_atom(a, False, set(p.params))
         for m in c.methods:
             pnames = {p for p, _ in m.params}
-            spec = Spec(res_formula(m.spec.requires, False, pnames),
-                        res_formula(m.spec.ensures, False, pnames))
-            body = tuple(res_stmt(s, pnames) for s in m.body)
-            new_methods.append(replace(m, spec=spec, body=body))
-        contracts.append(replace(c, predicates=new_preds, methods=tuple(new_methods)))
+            for a in m.spec.requires.atoms + m.spec.ensures.atoms:
+                check_atom(a, False, pnames)
+            # pre-order: an if or while is checked before its blocks
+            for _, s in stmts_recursive(m.body):
+                check_stmt(s, pnames)
 
-    resolved = Program(tuple(contracts))
-    diags = well_formed_program(resolved)
+    diags = well_formed_program(program)
     if diags:
         raise WellFormednessError(diags)
-    return resolved
+    return program
 
 
 def load_source(source: str, filename: str = "<mem>"):
     """lex -> parse -> infer -> resolve; returns (Program, boundary map)."""
     unit = parse_program(lex(source, filename))
     infer_types(unit)
-    program = resolve(unit)
-    # boundary residual payloads are evaluated dynamically; the VM resolves
-    # their names against the frame environment, so no annotation is needed
-    return program, dict(unit.boundary)
+    return resolve(unit), dict(unit.boundary)
 
 
 def load_file(path):

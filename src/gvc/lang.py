@@ -64,9 +64,7 @@ class IntLit:
 
 @dataclass(frozen=True)
 class Name:
-    name: str
-    # scope is None until resolution; then "local" | "param" | "global"
-    scope: Optional[str] = None
+    name: str  # a global iff its contract declares it, else a parameter or local
     loc: SourceLoc = NOLOC
 
 
@@ -172,13 +170,6 @@ class Spec:
 @dataclass(frozen=True)
 class Assign:
     target: str
-    expr: Expr
-    loc: SourceLoc = NOLOC
-
-
-@dataclass(frozen=True)
-class GAssign:
-    slot: str
     expr: Expr
     loc: SourceLoc = NOLOC
 
@@ -401,15 +392,13 @@ def normalize_formula(f: Formula) -> Formula:
     return Formula(imprecise=f.imprecise, atoms=tuple(atoms), loc=f.loc)
 
 
-def expr_global_reads(e: Expr, global_names=None):
+def expr_global_reads(e: Expr, global_names):
     """Slot names read by an expression (old(G) counts as reading G)."""
     out = []
 
     def walk(x):
         if isinstance(x, Name):
-            if x.scope == "global" or (
-                global_names is not None and x.scope is None and x.name in global_names
-            ):
+            if x.name in global_names:
                 out.append(x.name)
         elif isinstance(x, Old):
             out.append(x.slot)
@@ -421,7 +410,7 @@ def expr_global_reads(e: Expr, global_names=None):
     return out
 
 
-def atom_reads(atom, global_names=None, pred_reads=None):
+def atom_reads(atom, global_names, pred_reads=None):
     """Globals read by one atom: those its expressions read, plus, for a
     predicate instance, what `pred_reads` says its body reads.  acc(...)
     and '?' read nothing."""
@@ -561,7 +550,7 @@ def well_formed_program(p: Program):
                 if isinstance(e, IntLit):
                     check_expr_ranges(e, m.loc)
             for _, s in stmts_recursive(m.body):
-                if isinstance(s, (Assign, GAssign, Return)):
+                if isinstance(s, (Assign, Return)):
                     if isinstance(s, Return):
                         if m.returns and s.expr is None:
                             diags.append(Diagnostic(s.loc, "return without a value in a method returning uint64"))
@@ -602,19 +591,8 @@ def _always_returns(body):
 # Misc helpers shared downstream
 
 
-def assigned_locals(body):
-    out = set()
-    for _, s in stmts_recursive(body):
-        if isinstance(s, Assign):
-            out.add(s.target)
-        elif isinstance(s, Call) and s.target:
-            out.add(s.target)
-    return out
-
-
-def assigned_globals(body):
-    out = set()
-    for _, s in stmts_recursive(body):
-        if isinstance(s, GAssign):
-            out.add(s.slot)
-    return out
+def assigned_names(body):
+    """Every name a body assigns, globals included: assignment targets and
+    call result bindings."""
+    return {s.target for _, s in stmts_recursive(body)
+            if isinstance(s, (Assign, Call)) and s.target}

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, GAssign, If,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, If,
     CALL_DEPTH_CAP, IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse,
     Program, Result, Return, UINT_MAX, While, call_charge,
 )
@@ -191,12 +191,13 @@ class Oracle:
 
     def stmt(self, fr, s, nest):
         if isinstance(s, Assign):
-            fr.vars[s.target] = self.value(fr, s.expr, s.loc.line)
-        elif isinstance(s, GAssign):
             v = self.value(fr, s.expr, s.loc.line)
-            if not self._holds_or_lazy(fr, fr.contract.name, s.slot):
-                raise _Violation("access", s.loc.line, s.slot)
-            self.mem[fr.contract.name][s.slot] = v
+            if s.target not in fr.contract.globals:
+                fr.vars[s.target] = v
+            elif self._holds_or_lazy(fr, fr.contract.name, s.target):
+                self.mem[fr.contract.name][s.target] = v
+            else:
+                raise _Violation("access", s.loc.line, s.target)
         elif isinstance(s, If):
             if self.truth(fr, s.cond, s.loc.line):
                 self.block(fr, s.then, nest + 1)

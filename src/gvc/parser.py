@@ -492,7 +492,7 @@ class _Parser:
             return Result(t.loc), 0
         if t.kind == "IDENT":
             self.next()
-            return Name(t.lexeme, None, t.loc), 0
+            return Name(t.lexeme, t.loc), 0
         if t.kind == "SYM" and t.lexeme == "(":
             self.next()
             with self._inside(t):

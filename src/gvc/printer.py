@@ -9,9 +9,8 @@ residual entries as `#! entry/exit <payload> @id;`.
 from __future__ import annotations
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Formula,
-    GAssign, If, IntLit, Name, NotOp, Old, PredUse, QMark, Result, Return,
-    While,
+    Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Formula, If,
+    IntLit, Name, NotOp, Old, PredUse, QMark, Result, Return, While,
 )
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "%": 2}
@@ -106,8 +105,6 @@ def _print_block(out, body, depth):
     for s in body:
         if isinstance(s, Assign):
             out.append(f"{pad}{s.target} := {fmt_expr(s.expr)};")
-        elif isinstance(s, GAssign):
-            out.append(f"{pad}{s.slot} := {fmt_expr(s.expr)};")
         elif isinstance(s, Call):
             args = ", ".join(fmt_expr(a) for a in s.args)
             call = f"call {s.contract}.{s.method}({args});"

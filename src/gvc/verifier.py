@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
-    Formula, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    Program, Result, Return, SourceLoc, While, assigned_globals,
-    assigned_locals, bool_leaves,
+    Formula, If, IntLit, Method, Name, NotOp, Old, PredUse, Program, Result,
+    Return, SourceLoc, While, assigned_names, bool_leaves,
 )
 from .linear import (
     LinExpr, NONLINEAR, ProofResult, ProverStats, check_sat, cmp_constraints,
@@ -190,9 +189,6 @@ class MethodVerifier:
         self._fresh_n += 1
         return LinExpr.of(f"%{hint}{self._fresh_n}")
 
-    def _is_global(self, e: Name):
-        return e.scope == "global" or (e.scope is None and e.name in self.contract.globals)
-
     def _residual(self, obligation, payload, insertion):
         key = (insertion.kind, insertion.block_path, insertion.index,
                obligation.kind, fmt_atom(payload))
@@ -212,7 +208,7 @@ class MethodVerifier:
         if isinstance(e, IntLit):
             return LinExpr.lit(e.value)
         if isinstance(e, Name):
-            if self._is_global(e):
+            if e.name in self.contract.globals:
                 return self.read_global(state, e.name, e.loc, insertion)
             v = state.store.get(e.name)
             if v is None:
@@ -300,7 +296,7 @@ class MethodVerifier:
             if isinstance(e, Name):
                 if bindings_extra and e.name in bindings_extra:
                     return bindings_extra[e.name]
-                if self._is_global(e):
+                if e.name in self.contract.globals:
                     if e.name in reads:
                         return reads[e.name]
                     return self.fresh(e.name)
@@ -456,7 +452,7 @@ class MethodVerifier:
             # a name without a known value (an unowned global, an unassigned
             # local, old(...) or result) makes the comparison opaque
             if isinstance(e, Name):
-                if self._is_global(e):
+                if e.name in self.contract.globals:
                     return state.heap.get(e.name, NONLINEAR)
                 v = state.store.get(e.name)
                 return v if v is not None else NONLINEAR
@@ -526,13 +522,12 @@ class MethodVerifier:
         before = Insertion("before", path, index)
         if isinstance(s, Assign):
             v = self.eval_expr(state, s.expr, s.loc, before)
-            state.store[s.target] = v
-            return [state]
-        if isinstance(s, GAssign):
-            v = self.eval_expr(state, s.expr, s.loc, before)
-            if s.slot not in state.heap:
-                self._unheld_access(state, Acc(s.slot, s.loc), s.loc, before)
-            state.heap[s.slot] = v
+            if s.target not in self.contract.globals:
+                state.store[s.target] = v
+                return [state]
+            if s.target not in state.heap:
+                self._unheld_access(state, Acc(s.target, s.loc), s.loc, before)
+            state.heap[s.target] = v
             self._invalidate_facts(state)
             return [state]
         if isinstance(s, If):
@@ -564,12 +559,14 @@ class MethodVerifier:
         inv = s.invariant
         self.eval_cond_obligations(state, s.cond, s.loc, before)
         self.consume(state, inv, s.loc, before, "loop-invariant")
-        # havoc loop-modified locals and owned written globals
-        for name in sorted(assigned_locals(s.body)):
-            state.store[name] = self.fresh(name)
-        for slot in sorted(assigned_globals(s.body)):
-            if slot in state.heap:
-                state.heap[slot] = self.fresh(slot)
+        # havoc loop-modified locals, then owned written globals
+        written, gnames = sorted(assigned_names(s.body)), self.contract.globals
+        for name in written:
+            if name not in gnames:
+                state.store[name] = self.fresh(name)
+        for name in written:
+            if name in gnames and name in state.heap:
+                state.heap[name] = self.fresh(name)
         self._invalidate_facts(state)
         body_path = path + (index, "body")
         end_insertion = Insertion("before", body_path, len(s.body))

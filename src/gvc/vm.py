@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
-    Contract, call_charge, GAssign, If, IntLit, Method, Name, NotOp, Old, PredUse,
+    Contract, call_charge, If, IntLit, Method, Name, NotOp, Old, PredUse,
     PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
@@ -576,20 +576,19 @@ def _block(body, contract, nest=0):
 
 def _stmt(s, contract, nest):
     if isinstance(s, Assign):
-        target, value = s.target, _value(s.expr, s.loc.line, contract)
-
-        def assign(fr):
-            fr.env[target] = value(fr)
-        return assign
-    if isinstance(s, GAssign):
-        cname, slot, line = contract.name, s.slot, s.loc.line
-        key, value = (cname, slot), _value(s.expr, line, contract)
+        target, line = s.target, s.loc.line
+        value = _value(s.expr, line, contract)
+        if target not in contract.globals:
+            def assign(fr):
+                fr.env[target] = value(fr)
+            return assign
+        cname, key = contract.name, (contract.name, target)
 
         def gassign(fr):
             v = value(fr)
             if fr.protected and fr.perm.get(key) != fr.id:
-                fr.vm.touch_slot(fr, slot, line)
-            fr.vm.ledger.write(cname, slot, v)
+                fr.vm.touch_slot(fr, target, line)
+            fr.vm.ledger.write(cname, target, v)
         return gassign
     if isinstance(s, If):
         cond = _cond(s.cond, s.loc.line, contract)
@@ -646,7 +645,7 @@ def _value(e, line, contract):
         return lambda fr: v
     if isinstance(e, Name):
         name = e.name
-        if not (e.scope == "global" or (e.scope is None and name in contract.globals)):
+        if name not in contract.globals:
             return lambda fr: fr.env[name]
         key, read_line = (contract.name, name), e.loc.line
 

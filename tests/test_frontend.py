@@ -2,8 +2,8 @@
 
 import pytest
 
-from gvc.frontend import InferenceError, WellFormednessError, infer_types, load_source
-from gvc.lang import Call, GAssign, If, ResolutionError, While
+from gvc.frontend import InferenceError, WellFormednessError, infer_types, load_source, resolve
+from gvc.lang import Assign, Call, If, ResolutionError, While
 from gvc.lexer import LexError, lex
 from gvc.parser import ParseError, parse_program
 
@@ -151,9 +151,78 @@ class TestInference:
 
 
 class TestResolution:
-    def test_global_assignment_becomes_gassign(self, sell_program):
-        body = sell_program.contracts[0].methods[0].body
-        assert isinstance(body[1], GAssign) and body[1].slot == "Count"
+    def test_resolve_returns_the_parsed_program(self, sell_path):
+        unit = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))
+        infer_types(unit)
+        assert resolve(unit) is unit.program
+        body = unit.program.contracts[0].methods[0].body
+        assert isinstance(body[1], Assign) and body[1].target == "Count"
+
+    @pytest.mark.parametrize("body, expected", [
+        # predicates come before every method
+        ("  #@ predicate p(n) = n >= Zed;\n"
+         "  method m(x: uint64):\n"
+         "    #@ requires mystery >= 1;\n"
+         "    y := 1;\n",
+         "3:28: unresolved name 'Zed' in specification"),
+        # requires, then ensures, then the body; left operand first
+        ("  method m(x: uint64):\n"
+         "    #@ requires Foo >= Bar;\n"
+         "    #@ ensures old(Nope) >= 0;\n"
+         "    x := 1;\n",
+         "4:17: unresolved name 'Foo' in specification"),
+        ("  method m(x: uint64):\n"
+         "    #@ requires acc(G);\n"
+         "    #@ ensures old(Nope) >= 0;\n"
+         "    x := 1;\n",
+         "5:16: old(...) names unknown global 'Nope'"),
+        # a condition before the blocks it guards
+        ("  method m(x: uint64):\n"
+         "    if old(Nope) >= 1:\n"
+         "      x := 1;\n",
+         "4:8: old(...) names unknown global 'Nope'"),
+        # a loop's condition, then its invariant, then its body
+        ("  method m(x: uint64):\n"
+         "    while G > 0:\n"
+         "      #@ invariant acc(H);\n"
+         "      x := 1;\n",
+         "5:20: acc(...) names unknown global 'H'"),
+        # an assignment's expression before its target
+        ("  method m(x: uint64):\n"
+         "    x := old(Nope);\n",
+         "4:10: old(...) names unknown global 'Nope'"),
+        # a call's callee and arity before its arguments and binding
+        ("  method m(x: uint64):\n"
+         "    G := call C.nope(old(Nope));\n",
+         "4:5: contract C has no method 'nope'"),
+        ("  method r() -> uint64:\n"
+         "    return 1;\n"
+         "  method m(x: uint64):\n"
+         "    G := call C.r(old(Nope));\n",
+         "6:5: C.r expects 0 argument(s), got 1"),
+        ("  method r(a: uint64) -> uint64:\n"
+         "    return a;\n"
+         "  method m(x: uint64):\n"
+         "    G := call C.r(old(Nope));\n",
+         "6:19: old(...) names unknown global 'Nope'"),
+        # an earlier statement before a later one, nested blocks included
+        ("  method m(x: uint64):\n"
+         "    if x > 0:\n"
+         "      #@ assert unknown(x);\n"
+         "    x := 1;\n",
+         "5:17: unknown predicate 'unknown'"),
+        # resolution errors before well-formedness diagnostics
+        ("  method m(x: uint64):\n"
+         "    G := 1;\n"
+         "  method m(x: uint64):\n"
+         "    x := 1;\n",
+         "6:5: assignment to parameter 'x'"),
+    ])
+    def test_first_resolution_error_is_reported(self, body, expected):
+        src = "contract C:\n  #@ global G;\n" + body
+        with pytest.raises(ResolutionError) as e:
+            load_source(src, "t.gcl")
+        assert str(e.value) == "t.gcl:" + expected
 
     def test_unknown_name_in_spec(self):
         src = (
