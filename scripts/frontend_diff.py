@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # errors that end the front end after parsing succeeded
 LATE_ERRORS = ("InferenceError", "ResolutionError", "WellFormednessError")
+SHOWN = 5  # differences printed in full
 
 
 def canon(x):
@@ -154,14 +155,13 @@ def main(argv=None):
     ap.add_argument("new_src")
     ap.add_argument("--mutants", type=int, default=75, help="mutants per base input")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--show", type=int, default=5, help="differences to print")
     args = ap.parse_args(argv)
     texts = inputs(args.old_src, args.mutants, args.seed)
     old = run_tree(args.old_src, "describe", texts)
     new = run_tree(args.new_src, "describe", texts)
     outcomes = Counter("ok" if d[0] == "ok" else d[1] for d in old)
     diffs = [(t, a, b) for t, a, b in zip(texts, old, new) if a != b]
-    for (name, text), a, b in diffs[:args.show]:
+    for (name, text), a, b in diffs[:SHOWN]:
         print(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\nnew: {json.dumps(b)[:300]}")
     late = sum(outcomes[k] for k in LATE_ERRORS)
     print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "

@@ -43,7 +43,6 @@ class SourceLoc:
     file: str = "<mem>"
     line: int = 0
     col: int = 0
-    path: tuple = ()
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.col}"

@@ -18,6 +18,7 @@ from .lang import (
     CALL_DEPTH_CAP, IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse,
     Program, Result, Return, UINT_MAX, While, call_charge,
 )
+from .printer import fmt_atom
 
 ALL_HELD = "AllObligationsHeld"
 FIRST_VIOLATION = "FirstViolation"
@@ -126,7 +127,7 @@ class Oracle:
             if isinstance(a, Acc):
                 continue
             if not self.spec_atom(fr, a):
-                raise _Violation("precondition", pre_line(a), self._fmt(a))
+                raise _Violation("precondition", pre_line(a), fmt_atom(a))
         for a in req.atoms:
             if not isinstance(a, Acc):
                 continue
@@ -147,7 +148,7 @@ class Oracle:
             if isinstance(a, Acc):
                 continue
             if not self.spec_atom(fr, a):
-                raise _Violation("postcondition", post_loc.line, self._fmt(a))
+                raise _Violation("postcondition", post_loc.line, fmt_atom(a))
         kept = set()
         for a in ens.atoms:
             if not isinstance(a, Acc):
@@ -212,7 +213,7 @@ class Oracle:
                         if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
                             raise _Violation("access", line, f"acc({a.slot})")
                     elif not self.spec_atom(fr, a):
-                        raise _Violation("loop-invariant", line, self._fmt(a))
+                        raise _Violation("loop-invariant", line, fmt_atom(a))
                 if not taken:
                     break
                 self.block(fr, s.body, nest + 1)
@@ -229,7 +230,7 @@ class Oracle:
                     if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
                         raise _Violation("access", s.loc.line, f"acc({a.slot})")
                 elif not self.spec_atom(fr, a):
-                    raise _Violation("assert", s.loc.line, self._fmt(a))
+                    raise _Violation("assert", s.loc.line, fmt_atom(a))
         elif isinstance(s, Check):
             pass  # instrumentation, not part of the source semantics
         else:
@@ -332,11 +333,6 @@ class Oracle:
             return not (yield from self._body(fr, node.operand))
         raise TypeError(f"not a predicate body node: {node!r}")
 
-    @staticmethod
-    def _fmt(a):
-        from .printer import fmt_atom
-        return fmt_atom(a)
-
 
 def dynamic_verify_trace(program: Program, storage: dict, tx,
                          unverified=frozenset()) -> TraceJudgment:
@@ -357,10 +353,7 @@ def vm_site(outcome, sidecar):
         cid = d.get("check_id")
         if cid is not None and cid in sidecar:
             rec = sidecar[cid]
-            kind = rec["kind"]
-            if kind == "access":
-                return Site("access", rec["line"])
-            return Site(kind, rec["line"])
+            return Site(rec["kind"], rec["line"])
         return Site(d.get("kind", "check"), d.get("line", 0))
     if outcome.reason == _vm.OWNERSHIP_FAILURE:
         return Site("access", d.get("line", 0))

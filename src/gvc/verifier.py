@@ -43,16 +43,14 @@ class Obligation:
 
 @dataclass(frozen=True)
 class Insertion:
-    kind: str  # "before" | "entry" | "exit"
+    kind: str  # "before" | "exit"
     block_path: tuple = ()
     index: int = 0
 
     def sort_key(self):
-        if self.kind == "entry":
-            return (0, (), 0)
         if self.kind == "before":
-            return (1, self.block_path, self.index)
-        return (2, (), 0)
+            return (0, self.block_path, self.index)
+        return (1, (), 0)
 
     def as_dict(self):
         if self.kind == "before":
@@ -371,8 +369,6 @@ class MethodVerifier:
 
     def _produce_pred_unfold(self, state, atom, bindings_extra, reads):
         pred = self.contract.predicate(atom.name)
-        if pred is None:
-            return
         conj = _flatten_conj(pred.body)
         if conj is None:
             return  # disjunctive body: opaque fact only
@@ -424,8 +420,6 @@ class MethodVerifier:
         """One-level unfold: discharged iff the body is a pure comparison
         conjunction and every conjunct is Proved."""
         pred = self.contract.predicate(atom.name)
-        if pred is None:
-            return False
         conj = _flatten_conj(pred.body)
         if conj is None or any(not isinstance(p, Cmp) for p in conj):
             return False
@@ -495,14 +489,20 @@ class MethodVerifier:
 
     def branches(self, state, cond, negate=False, assume=None):
         """One clone of `state` per satisfiable DNF alternative of the
-        condition (or its negation), with `assume` produced first.  The
+        condition (or its negation), with `assume` produced first.  Each
+        clone reads its alternative after the produce, so the condition
+        sees the globals `assume` grants, with that clone's symbols.  The
         order (produce, extend the path, then check) fixes which fresh
         symbols exist when the prover runs."""
-        for alt in self.cond_alternatives(state, cond, negate):
+        i, n = 0, 1
+        while i < n:
             st = state.clone()
             if assume is not None:
                 self.produce(st, assume, on_duplicate="keep")
-            st.path.extend(alt)
+            alts = self.cond_alternatives(st, cond, negate)
+            n = len(alts)
+            st.path.extend(alts[i])
+            i += 1
             if check_sat(st.path, self.stats.memo) != "unsat":
                 yield st
 

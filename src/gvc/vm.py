@@ -274,22 +274,18 @@ def with_own_contracts(merged: Program, own: Program) -> Program:
 
 
 def load_program(ip, adversaries: dict = None) -> VmImage:
-    """Build an executable image; accepts an InstrumentedProgram, a
-    (program, boundary rows) pair from re-loading woven text, or a bare
-    Program.  Each method's table is rebuilt from its spec plus the given
-    residual rows, and its body is compiled."""
+    """Build an executable image; accepts an InstrumentedProgram or a
+    (program, boundary rows) pair from re-loading woven text.  Each
+    method's table is rebuilt from its spec plus the given residual rows,
+    and its body is compiled."""
     if isinstance(ip, InstrumentedProgram):
         program, residuals, sidecar = ip.program, ip.boundary_residuals, dict(ip.sidecar)
-    elif isinstance(ip, tuple):
-        (program, residuals), sidecar = ip, {}
     else:
-        program, residuals, sidecar = ip, {}, {}
+        (program, residuals), sidecar = ip, {}
     combined, unverified = merge_adversaries(program, adversaries)
     tables, code = {}, {}
     for c in combined.contracts:
         for m in c.methods:
-            if (c.name, m.name) in code:
-                continue  # calls run the first method of a name
             table = build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
             tables[(c.name, m.name)] = table
             code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified)
@@ -348,17 +344,7 @@ class Vm:
     # -- transactions --------------------------------------------------------
 
     def exec_transaction(self, tx: Transaction, gas_limit=None) -> Outcome:
-        code = self.image.code.get((tx.contract, tx.method))
-        if code is None:
-            if self.image.program.contract(tx.contract) is None:
-                raise VmUsageError(f"unknown contract {tx.contract!r}")
-            raise VmUsageError(f"unknown method {tx.contract}.{tx.method}")
-        if len(tx.args) != len(code.method.params):
-            raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.method.params)} argument(s)")
-        for a in tx.args:
-            if type(a) is not int or not 0 <= a <= UINT_MAX:
-                raise VmUsageError(f"transaction argument {a!r} is not a uint64")
-
+        check_transaction(self.image, tx)
         self.meter = GasMeter(gas_limit)
         self.perm = {}
         out = None
@@ -705,10 +691,32 @@ def _cond(c, line, contract):
 # Scripts
 
 
+def check_transaction(image: VmImage, tx: Transaction):
+    """Raise VmUsageError unless `tx` names a method of `image` and passes
+    it one uint64 per parameter."""
+    code = image.code.get((tx.contract, tx.method))
+    if code is None:
+        if image.program.contract(tx.contract) is None:
+            raise VmUsageError(f"unknown contract {tx.contract!r}")
+        raise VmUsageError(f"unknown method {tx.contract}.{tx.method}")
+    if len(tx.args) != len(code.method.params):
+        raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.method.params)} argument(s)")
+    for a in tx.args:
+        if type(a) is not int or not 0 <= a <= UINT_MAX:
+            raise VmUsageError(f"transaction argument {a!r} is not a uint64")
+
+
 def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
                options: VmOptions = None):
     """Execute transactions in order against an evolving ledger; returns
-    (outcomes, gas report dict)."""
+    (outcomes, gas report dict).  Raises VmUsageError, naming the first bad
+    transaction's index, before any transaction runs."""
+    script = list(script)
+    for i, tx in enumerate(script):
+        try:
+            check_transaction(image, tx)
+        except VmUsageError as e:
+            raise VmUsageError(f"transaction {i}: {e}") from None
     ledger = ledger if ledger is not None else Ledger(image.program)
     vm = Vm(image, ledger, options)
     outcomes = []

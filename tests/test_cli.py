@@ -328,7 +328,10 @@ class TestRun:
         ('{"contract": "Counter", "method": "sell", "args": [null]}', "bad transaction"),
         ('{"contract": "Counter", "method": "sell", "args": [1.9]}', "bad transaction"),
         ('{"contract": "Counter", "method": "sell", "args": [true]}', "bad transaction"),
-    ], ids=["array", "string", "args-int", "contract-list", "arg-null", "arg-float", "arg-bool"])
+        ('{"contract": "Counter", "method": "sell", "args": [1]}\n{"contract": "Counter", "method": "nope"}',
+         "bad transaction: transaction 1: unknown method Counter.nope"),
+    ], ids=["array", "string", "args-int", "contract-list", "arg-null", "arg-float", "arg-bool",
+            "after-valid"])
     def test_malformed_script_rejected(self, tmp_path, capsys, line, message):
         txs = tmp_path / "txs.jsonl"
         txs.write_text(line + "\n")

@@ -5,8 +5,12 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from gvc.frontend import load_file, load_source
+from gvc.oracle import enumerate_equivalence
 from gvc.verifier import Status, program_digest, verify_program
+from gvc.weaver import weave
 
 from conftest import CORPUS, FIXTURES, ROOT, nif_source
 
@@ -98,6 +102,26 @@ class TestResidualKinds:
     def test_precise_loop_discharges(self):
         program, _ = load_file(CORPUS / "guarded_loop.gcl")
         assert not list(verify_program(program).all_residuals())
+
+    @pytest.mark.parametrize("imprecision", ["", "? and "], ids=["precise", "imprecise"])
+    def test_loop_condition_reads_globals_the_invariant_grants(self, imprecision):
+        # inside the loop `G > 5` proves `G >= 1`; after it, `not G > 5`
+        # proves the postcondition
+        src = (
+            "contract C:\n"
+            "  #@ global G;\n"
+            "  method m():\n"
+            f"    #@ requires {imprecision}acc(G);\n"
+            f"    #@ ensures {imprecision}acc(G) and G <= 5;\n"
+            "    while G > 5:\n"
+            "      #@ invariant acc(G);\n"
+            "      G := G - 1;\n"
+        )
+        program, _ = load_source(src, "t.gcl")
+        report = verify_program(program)
+        [m] = report.methods
+        assert m.status is Status.VERIFIED and not m.residuals
+        assert enumerate_equivalence(program, weave(program, report))["disagreements"] == []
 
 
 class TestReport:

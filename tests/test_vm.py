@@ -317,6 +317,18 @@ class TestFailureModes:
         with pytest.raises(VmUsageError):
             vm.exec_transaction(tx("Counter", "sell", -1))
 
+    @pytest.mark.parametrize("bad, message", [
+        (tx("Counter", "nope"), "transaction 1: unknown method Counter.nope"),
+        (tx("Counter", "sell", True), "transaction 1: transaction argument True is not a uint64"),
+    ], ids=["unknown-method", "bool-arg"])
+    def test_bad_transaction_after_valid_ones_runs_none(self, bad, message):
+        image = make_image("sell.gcl")
+        led = Ledger(image.program, {"Counter": {"Count": 5}})
+        with pytest.raises(VmUsageError) as e:
+            run_script(image, [tx("Counter", "sell", 1), bad], ledger=led)
+        assert str(e.value) == message
+        assert led.as_dict() == {"Counter": {"Count": 5}}
+
     @pytest.mark.parametrize("init", [
         [], {"Counter": 5}, {"Ghost": {"X": 1}}, {"Counter": {"Stock": 1}},
         {"Counter": {"Count": -5}}, {"Counter": {"Count": 2**64}},
