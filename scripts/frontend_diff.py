@@ -1,19 +1,23 @@
 #!/usr/bin/env python3
-"""Differential test of the front end between two source trees.
+"""Differential test of the front end and the verifier between two source
+trees.
 
 Runs `gvc.frontend.load_source` from two `src` directories on the same
 inputs and reports every input on which they differ: a different error
 (type or message) or a different program (node types, fields and source
-locations) or boundary map.  The inputs are every `.gcl` file under
-`corpus/` and `tests/fixtures/`, the woven text of each one that verifies
-(so `#! check` and `#! entry/exit` lines are covered), and seeded mutations
-of all of them.  The mutations rename, drop and duplicate names, lines and
-arguments, so that many inputs end in a resolution, inference or
-well-formedness error rather than a parse error.
+locations) or boundary map, and, for an input both load, a different
+`verify_program` report JSON or woven text.  The inputs are every `.gcl`
+file under `corpus/` and `tests/fixtures/`, the woven text of each one that
+verifies (so `#! check` and `#! entry/exit` lines are covered), and seeded
+mutations of all of them, plus the n-if programs for n = 1..10.  The
+mutations rename, drop and duplicate names, lines and arguments, so that
+many inputs end in a resolution, inference or well-formedness error rather
+than a parse error.
 
     python3 scripts/frontend_diff.py OLD_SRC NEW_SRC [--mutants 75] [--seed 1]
 
-Each tree runs in its own interpreter.  Exits 1 if any input differs.
+Each tree runs in its own interpreter.  Prints a tally of the differences
+by old outcome -> new outcome and exits 1 if any input differs.
 """
 
 import argparse
@@ -54,23 +58,11 @@ def canon(x):
 
 
 def describe(texts):
-    """load_source's result on each text: ["ok", program, boundary] or
-    ["error", exception type, message]."""
-    from gvc.frontend import load_source
-
-    out = []
-    for name, text in texts:
-        try:
-            program, boundary = load_source(text, name)
-        except Exception as e:  # every outcome is data to compare
-            out.append(["error", type(e).__name__, str(e)])
-        else:
-            out.append(["ok", canon(program), canon(boundary)])
-    return out
-
-
-def woven(texts):
-    """The woven text of each input that verifies, else None."""
+    """The result on each text: ["error", exception type, message] if
+    load_source fails, else ["ok", program, boundary, checked], where
+    checked is [report JSON, woven text or None if a method has a static
+    error], or ["crash", exception type, message] if verifying or weaving
+    raised."""
     from gvc.frontend import load_source
     from gvc.verifier import verify_program
     from gvc.weaver import weave
@@ -78,20 +70,28 @@ def woven(texts):
     out = []
     for name, text in texts:
         try:
-            program, _ = load_source(text, name)
-        except Exception:
-            out.append(None)
+            program, boundary = load_source(text, name)
+        except Exception as e:  # every outcome is data to compare
+            out.append(["error", type(e).__name__, str(e)])
             continue
-        report = verify_program(program)
-        out.append(None if report.has_static_error else weave(program, report).to_text())
+        try:
+            report = verify_program(program)
+            woven = None if report.has_static_error else weave(program, report).to_text()
+            checked = [report.to_json(), woven]
+        except Exception as e:
+            checked = ["crash", type(e).__name__, str(e)]
+        out.append(["ok", canon(program), canon(boundary), checked])
     return out
 
 
-def run_tree(src, mode, texts):
-    """Run `mode` (describe or woven) on `texts` in an interpreter that
-    imports gvc from `src`."""
+def outcome(d):
+    return "ok" if d[0] == "ok" else d[1]
+
+
+def run_tree(src, texts):
+    """describe(texts) in an interpreter that imports gvc from `src`."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", mode, str(src)],
+        [sys.executable, __file__, "--child", str(src)],
         input=json.dumps(texts), capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -140,13 +140,17 @@ def mutate(text, rng):
 def inputs(old_src, mutants, seed):
     files = sorted((ROOT / "corpus").glob("*.gcl")) + sorted((ROOT / "tests" / "fixtures").glob("*.gcl"))
     base = [[p.name, p.read_text(encoding="utf-8")] for p in files]
-    base += [[name + ".woven", text]
-             for (name, _), text in zip(base, run_tree(old_src, "woven", base)) if text]
+    base += [[name + ".woven", d[3][1]]
+             for (name, _), d in zip(base, run_tree(old_src, base))
+             if d[0] == "ok" and d[3][0] != "crash" and d[3][1]]
     rng = random.Random(seed)
     out = list(base)
     for name, text in base:
         out += [[f"{name}#{k}", mutate(text, rng)] for k in range(mutants)]
-    return out
+    sys.path.insert(0, str(ROOT / "tests"))
+    from conftest import nif_source
+
+    return out + [[f"nif{n}", nif_source(n)] for n in range(1, 11)]
 
 
 def main(argv=None):
@@ -157,24 +161,25 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     texts = inputs(args.old_src, args.mutants, args.seed)
-    old = run_tree(args.old_src, "describe", texts)
-    new = run_tree(args.new_src, "describe", texts)
-    outcomes = Counter("ok" if d[0] == "ok" else d[1] for d in old)
+    old = run_tree(args.old_src, texts)
+    new = run_tree(args.new_src, texts)
+    outcomes = Counter(outcome(d) for d in old)
     diffs = [(t, a, b) for t, a, b in zip(texts, old, new) if a != b]
     for (name, text), a, b in diffs[:SHOWN]:
         print(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\nnew: {json.dumps(b)[:300]}")
     late = sum(outcomes[k] for k in LATE_ERRORS)
+    both = sum(a[0] == b[0] == "ok" for a, b in zip(old, new))
     print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
-    print(f"{len(diffs)} difference(s)")
+    print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
+    tally = Counter(f"{outcome(a)} -> {outcome(b)}" for _, a, b in diffs)
+    print(f"{len(diffs)} difference(s): {dict(sorted(tally.items()))}")
     return 1 if diffs else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
-        mode, src = sys.argv[2], sys.argv[3]
-        sys.path.insert(0, str(Path(src).resolve()))
-        texts = json.load(sys.stdin)
-        json.dump(describe(texts) if mode == "describe" else woven(texts), sys.stdout)
+        sys.path.insert(0, str(Path(sys.argv[2]).resolve()))
+        json.dump(describe(json.load(sys.stdin)), sys.stdout)
     else:
         sys.exit(main())

@@ -128,7 +128,7 @@ def cmd_weave(args):
     try:
         ip = weave(program, report)
     except WeaveError as e:
-        print(f"refusing to weave: {e}")
+        print(e)
         return EXIT_STATIC
     out = args.output or (str(args.path) + ".woven.gcl")
     Path(out).write_text(ip.to_text(), encoding="utf-8")

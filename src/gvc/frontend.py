@@ -7,8 +7,8 @@ from pathlib import Path
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, Call, Check, Cmp, If, Name, Old, PredUse,
-    ResolutionError, Return, While, bool_leaves, stmts_recursive,
-    well_formed_program,
+    ResolutionError, Return, While, atom_exprs, bool_leaves,
+    misplaced_spec_markers, stmts_recursive, well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -29,7 +29,10 @@ class WellFormednessError(Exception):
 def infer_types(unit):
     """Type-check all locals; raises InferenceError.  The value domain is
     uint64-only, so inference reduces to definite-assignment plus the
-    condition rule: a bare uint64 expression is not a truth value."""
+    condition rule: a bare uint64 expression is not a truth value.  Spec
+    atoms in a body (loop invariants, asserts, woven check payloads) obey
+    definite assignment too; an invariant sees the names assigned before
+    its loop."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
     for c in program.contracts:
         gnames = set(c.globals)
@@ -37,23 +40,31 @@ def infer_types(unit):
             params = {p for p, _ in m.params}
             assigned = set(params)
 
-            def use(e, where_loc):
+            def use(e):
                 if isinstance(e, Name):
                     if e.name in gnames or e.name in params:
                         return
                     if e.name not in assigned:
                         raise InferenceError(e.loc, f"local {e.name!r} used before assignment")
                 elif isinstance(e, BinOp):
-                    use(e.left, where_loc)
-                    use(e.right, where_loc)
+                    use(e.left)
+                    use(e.right)
+
+            def use_atoms(atoms):
+                for a in atoms:
+                    if isinstance(a, Cmp):
+                        use(a.left)
+                        use(a.right)
+                    elif isinstance(a, PredUse):
+                        for x in a.args:
+                            use(x)
 
             def check_cond(cnd):
                 for leaf in bool_leaves(cnd):
                     if not isinstance(leaf, Cmp):
                         loc = getattr(leaf, "loc", m.loc)
                         raise InferenceError(loc, "uint64 expression used as a condition; a comparison is required")
-                    use(leaf.left, leaf.loc)
-                    use(leaf.right, leaf.loc)
+                    use_atoms([leaf])
 
             def walk(body, assigned_in):
                 # returns set of names definitely assigned after the block
@@ -62,12 +73,12 @@ def infer_types(unit):
                 for s in body:
                     assigned = cur
                     if isinstance(s, Assign):
-                        use(s.expr, s.loc)
+                        use(s.expr)
                         if s.target not in gnames:
                             cur.add(s.target)
                     elif isinstance(s, Call):
                         for a in s.args:
-                            use(a, s.loc)
+                            use(a)
                         if s.target and s.target not in gnames:
                             cur.add(s.target)
                     elif isinstance(s, If):
@@ -77,10 +88,15 @@ def infer_types(unit):
                         cur = t & e
                     elif isinstance(s, While):
                         check_cond(s.cond)
+                        use_atoms(s.invariant.atoms)
                         walk(s.body, cur)  # body may run zero times
                     elif isinstance(s, Return):
                         if s.expr is not None:
-                            use(s.expr, s.loc)
+                            use(s.expr)
+                    elif isinstance(s, AssertStmt):
+                        use_atoms(s.formula.atoms)
+                    elif isinstance(s, Check):
+                        use_atoms([s.payload])
                 assigned = cur
                 return cur
 
@@ -92,10 +108,13 @@ def resolve(unit):
     allows, in source order: predicates, then each method's requires,
     ensures and body, a statement's condition before its blocks.  Raises
     ResolutionError at the first unresolved or ill-used name, and
-    WellFormednessError if structural diagnostics remain afterwards.
-    Returns the program itself: a name is a global iff its contract
-    declares it, so there is nothing to annotate."""
+    WellFormednessError if structural diagnostics remain afterwards.  The
+    `#! entry`/`#! exit` rows of a woven text are checked after the specs
+    they realize, an entry row as a requires atom, an exit row as an
+    ensures atom.  Returns the program itself: a name is a global iff its
+    contract declares it, so there is nothing to annotate."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
+    boundary = unit.boundary if isinstance(unit, ParsedUnit) else {}
     by_name = {c.name: c for c in program.contracts}
     if len(by_name) != len(program.contracts):
         dupes = [c.name for c in program.contracts]
@@ -179,6 +198,11 @@ def resolve(unit):
             pnames = {p for p, _ in m.params}
             for a in m.spec.requires.atoms + m.spec.ensures.atoms:
                 check_atom(a, False, pnames)
+            for row in boundary.get((c.name, m.name), ()):
+                check_atom(row.payload, False, pnames)
+                if row.kind == "entry":
+                    for d in misplaced_spec_markers(atom_exprs([row.payload])):
+                        raise ResolutionError(d.loc, d.message)
             # pre-order: an if or while is checked before its blocks
             for _, s in stmts_recursive(m.body):
                 check_stmt(s, pnames)

@@ -326,16 +326,6 @@ def bool_leaves(node):
     return out
 
 
-def map_bool(node, leaf):
-    """The and/or/not tree rebuilt with every leaf replaced by leaf(it);
-    leaves are visited depth-first, left to right."""
-    if isinstance(node, BoolOp):
-        return replace(node, parts=tuple(map_bool(p, leaf) for p in node.parts))
-    if isinstance(node, NotOp):
-        return replace(node, operand=map_bool(node.operand, leaf))
-    return leaf(node)
-
-
 def stmts_recursive(body):
     """Every statement of a body, pre-order, as (site, statement).  A site is
     the statement's block path (i, "then"|"else"|"body", ...) plus its index
@@ -473,7 +463,7 @@ def _walk_exprs(node):
         yield node
 
 
-def _atom_exprs(atoms):
+def atom_exprs(atoms):
     for a in atoms:
         if isinstance(a, Cmp):
             yield from _walk_exprs(a.left)
@@ -481,6 +471,16 @@ def _atom_exprs(atoms):
         elif isinstance(a, PredUse):
             for arg in a.args:
                 yield from _walk_exprs(arg)
+
+
+def misplaced_spec_markers(nodes):
+    """A diagnostic for each old(...) or result among expression nodes
+    anywhere but in an ensures."""
+    for node in nodes:
+        if isinstance(node, Old):
+            yield Diagnostic(node.loc, "old(...) is only allowed in ensures")
+        elif isinstance(node, Result):
+            yield Diagnostic(node.loc, "result is only allowed in ensures")
 
 
 def well_formed_program(p: Program):
@@ -492,14 +492,6 @@ def well_formed_program(p: Program):
         for node in _walk_exprs(e):
             if isinstance(node, IntLit) and not (0 <= node.value <= UINT_MAX):
                 diags.append(Diagnostic(node.loc or loc, "integer literal out of uint64 range"))
-
-    def check_no_spec_markers(atoms, where):
-        # old()/result placement
-        for node in _atom_exprs(atoms):
-            if isinstance(node, Old) and where != "ensures":
-                diags.append(Diagnostic(node.loc, "old(...) is only allowed in ensures"))
-            if isinstance(node, Result) and where != "ensures":
-                diags.append(Diagnostic(node.loc, "result is only allowed in ensures"))
 
     for c in p.contracts:
         if len(set(c.globals)) != len(c.globals):
@@ -523,19 +515,18 @@ def well_formed_program(p: Program):
                     diags.append(Diagnostic(node.loc, f"predicate {pred.name} must be precise: '?' not allowed in its body"))
                 elif isinstance(node, Acc):
                     diags.append(Diagnostic(node.loc, f"acc(...) not allowed in predicate {pred.name} body"))
-            check_no_spec_markers(leaves, "predicate")
+            diags.extend(misplaced_spec_markers(atom_exprs(leaves)))
         for m in c.methods:
             req = m.spec.requires
             ens = m.spec.ensures
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
-            check_no_spec_markers(req.atoms, "requires")
-            for node in _atom_exprs(ens.atoms):
+            diags.extend(misplaced_spec_markers(atom_exprs(req.atoms)))
+            for node in atom_exprs(ens.atoms):
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
-            if c.extern and not (req == UNKNOWN_FORMULA and ens == UNKNOWN_FORMULA):
-                if not (req.imprecise and not req.atoms and ens.imprecise and not ens.atoms):
-                    diags.append(Diagnostic(m.loc, f"extern method {c.name}.{m.name} may not declare specifications beyond '?'"))
+            if c.extern and not (req.imprecise and not req.atoms and ens.imprecise and not ens.atoms):
+                diags.append(Diagnostic(m.loc, f"extern method {c.name}.{m.name} may not declare specifications beyond '?'"))
             if not is_self_framed(req, c):
                 diags.append(Diagnostic(req.loc, f"requires of {m.name} is not self-framed"))
             req_acc = formula_acc_slots(req)
@@ -545,10 +536,12 @@ def well_formed_program(p: Program):
                 diags.append(Diagnostic(m.loc, f"method {m.name} has an empty body"))
             if m.opaque and not c.extern:
                 diags.append(Diagnostic(m.loc, f"only extern methods may be opaque ({m.name})"))
-            for e in _atom_exprs(req.atoms):
+            for e in atom_exprs(req.atoms):
                 if isinstance(e, IntLit):
                     check_expr_ranges(e, m.loc)
             for _, s in stmts_recursive(m.body):
+                if isinstance(s, (If, While)):
+                    diags.extend(misplaced_spec_markers(atom_exprs(bool_leaves(s.cond))))
                 if isinstance(s, (Assign, Return)):
                     if isinstance(s, Return):
                         if m.returns and s.expr is None:
@@ -558,18 +551,20 @@ def well_formed_program(p: Program):
                     e = s.expr
                     if e is not None:
                         check_expr_ranges(e, s.loc)
+                        diags.extend(misplaced_spec_markers(_walk_exprs(e)))
                 elif isinstance(s, Call):
                     for a in s.args:
                         check_expr_ranges(a, s.loc)
+                        diags.extend(misplaced_spec_markers(_walk_exprs(a)))
                 elif isinstance(s, While):
                     inv = s.invariant
                     if normalize_formula(inv) != inv:
                         diags.append(Diagnostic(s.loc, "loop invariant is not normalized"))
-                    check_no_spec_markers(inv.atoms, "invariant")
+                    diags.extend(misplaced_spec_markers(atom_exprs(inv.atoms)))
                     if not is_self_framed(inv, c, extra_acc=req_acc):
                         diags.append(Diagnostic(inv.loc, "loop invariant is not self-framed"))
                 elif isinstance(s, AssertStmt):
-                    check_no_spec_markers(s.formula.atoms, "assert")
+                    diags.extend(misplaced_spec_markers(atom_exprs(s.formula.atoms)))
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
             if m.returns and not m.opaque and not _always_returns(m.body):

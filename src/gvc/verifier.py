@@ -187,17 +187,11 @@ class MethodVerifier:
         self._fresh_n += 1
         return LinExpr.of(f"%{hint}{self._fresh_n}")
 
-    def _residual(self, obligation, payload, insertion):
-        key = (insertion.kind, insertion.block_path, insertion.index,
-               obligation.kind, fmt_atom(payload))
-        if key not in self.residuals:
-            self.residuals[key] = ResidualCheck("?", obligation, payload, insertion)
-
     # -- expression evaluation ----------------------------------------------
 
     def read_global(self, state, slot, loc, insertion):
         if slot not in state.heap:
-            self._unheld_access(state, Acc(slot, loc), loc, insertion)
+            self.discharge(state, Obligation(Acc(slot, loc), loc, "access"), NONLINEAR, insertion)
             state.heap[slot] = self.fresh(slot)
         return state.heap[slot]
 
@@ -208,19 +202,7 @@ class MethodVerifier:
         if isinstance(e, Name):
             if e.name in self.contract.globals:
                 return self.read_global(state, e.name, e.loc, insertion)
-            v = state.store.get(e.name)
-            if v is None:
-                v = self.fresh(e.name)
-                state.store[e.name] = v
-            return v
-        if isinstance(e, Old):
-            v = state.old.get(e.slot)
-            if v is None:
-                v = self.fresh(f"old_{e.slot}")
-                state.old[e.slot] = v
-            return v
-        if isinstance(e, Result):
-            return state.store.get("%result", self.fresh("result"))
+            return state.store[e.name]
         if isinstance(e, BinOp):
             l = self.eval_expr(state, e.left, loc, insertion)
             r = self.eval_expr(state, e.right, loc, insertion)
@@ -228,7 +210,7 @@ class MethodVerifier:
                 return l.add(r)
             if e.op == "-":
                 ob = Obligation(Cmp(">=", e.left, e.right, e.loc), loc, "underflow")
-                self.consume_constraints(state, ob, constraints_for_cmp(">=", l, r), insertion)
+                self.discharge(state, ob, constraints_for_cmp(">=", l, r), insertion)
                 return l.sub(r)
             if e.op == "*":
                 if l.is_const:
@@ -238,7 +220,7 @@ class MethodVerifier:
                 return self.fresh("mul")
             # "/" or "%"
             ob = Obligation(Cmp("!=", e.right, IntLit(0), e.loc), loc, "div-zero")
-            self.consume_constraints(state, ob, constraints_for_cmp("!=", r, LinExpr.lit(0)), insertion)
+            self.discharge(state, ob, constraints_for_cmp("!=", r, LinExpr.lit(0)), insertion)
             if l.is_const and r.is_const and r.const != 0:
                 return LinExpr.lit(l.const // r.const if e.op == "/" else l.const % r.const)
             out = self.fresh("div" if e.op == "/" else "mod")
@@ -254,40 +236,38 @@ class MethodVerifier:
 
     # -- obligations ----------------------------------------------------------
 
-    def consume_constraints(self, state, obligation, constraints, insertion, payload=None):
-        """Discharge, residualize, or fail one linearizable obligation."""
-        payload = payload if payload is not None else obligation.atom
-        result = entails_constraints(state.path, constraints, self.stats)
-        if result is ProofResult.PROVED:
-            return
+    def discharge(self, state, obligation, constraints, insertion):
+        """The gradual rule for one obligation, whose constraints are
+        NONLINEAR when the prover cannot read it (an access, a predicate
+        instance, a non-linear comparison).  A proved obligation needs
+        nothing.  In a precise state an unproved one is a static error,
+        `violated` if the prover disproved it.  Imprecision turns it into a
+        residual run-time check at `insertion`, and its constraints hold
+        from here on: the woven check reports the true error on whichever
+        paths are real."""
+        result = ProofResult.UNKNOWN
+        if constraints is not NONLINEAR:
+            result = entails_constraints(state.path, constraints, self.stats)
+            if result is ProofResult.PROVED:
+                return
         if not state.imprecise:
             reason = "violated" if result is ProofResult.DISPROVED else "unprovable"
             raise StaticErrorExc(obligation, reason)
-        # imprecision absorbs both Unknown and path-local Disproved: the
-        # woven check reports the true error on whichever paths are real
-        self._residual(obligation, payload, insertion)
-        state.path.extend(constraints)
-
-    def consume_opaque(self, state, obligation, insertion, payload=None):
-        """Non-linearizable obligation: residual under imprecision, else error."""
-        payload = payload if payload is not None else obligation.atom
-        if state.imprecise:
-            self._residual(obligation, payload, insertion)
-            return
-        raise StaticErrorExc(obligation, "unprovable")
-
-    def _unheld_access(self, state, payload, loc, insertion):
-        """An access the state does not own: a residual under imprecision,
-        else a static error."""
-        self.consume_opaque(state, Obligation(payload, loc, "access"), insertion)
+        payload = obligation.atom
+        key = (insertion.kind, insertion.block_path, insertion.index,
+               obligation.kind, fmt_atom(payload))
+        if key not in self.residuals:
+            self.residuals[key] = ResidualCheck("?", obligation, payload, insertion)
+        if constraints is not NONLINEAR:
+            state.path.extend(constraints)
 
     # -- formulas -------------------------------------------------------------
 
     def _spec_leaf(self, state, bindings_extra, reads):
         """Leaf values for spec atoms, which are checked, not executed: no
         obligations are emitted.  Names bound in `bindings_extra` come first;
-        global reads use `reads` (a snapshot heap), and anything unknown
-        becomes a fresh symbol."""
+        global reads use `reads` (a snapshot heap), and a global, old(...)
+        or result without a value becomes a fresh symbol."""
         reads = reads if reads is not None else state.heap
 
         def leaf(e):
@@ -298,8 +278,7 @@ class MethodVerifier:
                     if e.name in reads:
                         return reads[e.name]
                     return self.fresh(e.name)
-                v = state.store.get(e.name)
-                return v if v is not None else self.fresh(e.name)
+                return state.store[e.name]
             if isinstance(e, Old):
                 if bindings_extra and f"old({e.slot})" in bindings_extra:
                     return bindings_extra[f"old({e.slot})"]
@@ -336,17 +315,14 @@ class MethodVerifier:
             return None
         return (atom.name, tuple((v.terms, v.const) for v in args))
 
-    def produce(self, state, f: Formula, bindings_extra=None, on_duplicate="error"):
+    def produce(self, state, f: Formula, bindings_extra=None):
+        """Assume a formula: grant its permissions (one already held is
+        kept) and extend the path with what its value atoms say."""
         if f.imprecise:
             state.imprecise = True
         produce_reads = {}
         for atom in f.atoms:
-            if isinstance(atom, Acc):
-                if atom.slot in state.heap:
-                    if on_duplicate == "error":
-                        ob = Obligation(atom, atom.loc, "access")
-                        raise StaticErrorExc(ob, "duplicate permission")
-                    continue
+            if isinstance(atom, Acc) and atom.slot not in state.heap:
                 state.heap[atom.slot] = self.fresh(atom.slot)
         for atom in f.atoms:
             if isinstance(atom, Acc):
@@ -365,7 +341,6 @@ class MethodVerifier:
                 if key is not None:
                     state.facts.add(key)
                 self._produce_pred_unfold(state, atom, bindings_extra, reads)
-        return state
 
     def _produce_pred_unfold(self, state, atom, bindings_extra, reads):
         pred = self.contract.predicate(atom.name)
@@ -385,36 +360,29 @@ class MethodVerifier:
 
     def consume(self, state, f: Formula, loc, insertion, kind,
                 bindings_extra=None, payload_subst=None):
-        """Assert a formula against the state, removing surrendered
-        permissions; returns the state (mutated)."""
+        """Assert a formula against the state (mutated), removing
+        surrendered permissions."""
         reads = dict(state.heap)  # value atoms evaluate in the pre-state
         for atom in f.atoms:
             if isinstance(atom, Acc):
                 if atom.slot in state.heap:
                     del state.heap[atom.slot]
                 else:
-                    self._unheld_access(state, atom, loc, insertion)
-            elif isinstance(atom, Cmp):
-                payload = _subst_atom(atom, payload_subst) if payload_subst else atom
-                ob = Obligation(payload, loc, kind)
-                cons = self.atom_constraints(state, atom, bindings_extra, reads)
-                if cons is NONLINEAR:
-                    self.consume_opaque(state, ob, insertion, payload)
-                else:
-                    self.consume_constraints(state, ob, cons, insertion, payload)
-            elif isinstance(atom, PredUse):
-                payload = _subst_atom(atom, payload_subst) if payload_subst else atom
-                ob = Obligation(payload, loc, kind)
-                key = self._fact_key(state, atom, bindings_extra, reads)
-                if key is not None and key in state.facts:
-                    state.facts.discard(key)
-                    continue
-                if self._consume_pred_unfold(state, atom, bindings_extra, reads):
-                    continue
-                self.consume_opaque(state, ob, insertion, payload)
+                    self.discharge(state, Obligation(atom, loc, "access"), NONLINEAR, insertion)
+                continue
+            ob = Obligation(_subst_atom(atom, payload_subst) if payload_subst else atom, loc, kind)
+            if isinstance(atom, Cmp):
+                self.discharge(state, ob, self.atom_constraints(state, atom, bindings_extra, reads),
+                               insertion)
+                continue
+            # a predicate instance: a fact the state holds, or proved by one unfold
+            key = self._fact_key(state, atom, bindings_extra, reads)
+            if key is not None and key in state.facts:
+                state.facts.discard(key)
+            elif not self._consume_pred_unfold(state, atom, bindings_extra, reads):
+                self.discharge(state, ob, NONLINEAR, insertion)
         if f.imprecise:
             state.imprecise = True
-        return state
 
     def _consume_pred_unfold(self, state, atom, bindings_extra, reads):
         """One-level unfold: discharged iff the body is a pure comparison
@@ -442,15 +410,11 @@ class MethodVerifier:
         (or its negation).  Leaf expressions are evaluated in `state`;
         obligations from their arithmetic must be emitted separately."""
 
-        def value(e):
-            # a name without a known value (an unowned global, an unassigned
-            # local, old(...) or result) makes the comparison opaque
-            if isinstance(e, Name):
-                if e.name in self.contract.globals:
-                    return state.heap.get(e.name, NONLINEAR)
-                v = state.store.get(e.name)
-                return v if v is not None else NONLINEAR
-            return NONLINEAR
+        def value(name):
+            # an unowned global makes the comparison opaque
+            if name.name in self.contract.globals:
+                return state.heap.get(name.name, NONLINEAR)
+            return state.store[name.name]
 
         def leaf(c, neg):
             cons = cmp_constraints(_NEG_OP[c.op] if neg else c.op, c.left, c.right, value)
@@ -475,17 +439,14 @@ class MethodVerifier:
                 if len(outs) > DNF_LIMIT:
                     return [[]]
                 return outs
-            if isinstance(node, Cmp):
-                return leaf(node, neg)
-            return [[]]  # bare expression: inference rejects; be permissive
+            return leaf(node, neg)
 
         return walk(cond, negate)
 
     def eval_cond_obligations(self, state, cond, loc, insertion):
         for leaf in bool_leaves(cond):
-            if isinstance(leaf, Cmp):
-                self.eval_expr(state, leaf.left, loc, insertion)
-                self.eval_expr(state, leaf.right, loc, insertion)
+            self.eval_expr(state, leaf.left, loc, insertion)
+            self.eval_expr(state, leaf.right, loc, insertion)
 
     def branches(self, state, cond, negate=False, assume=None):
         """One clone of `state` per satisfiable DNF alternative of the
@@ -498,7 +459,7 @@ class MethodVerifier:
         while i < n:
             st = state.clone()
             if assume is not None:
-                self.produce(st, assume, on_duplicate="keep")
+                self.produce(st, assume)
             alts = self.cond_alternatives(st, cond, negate)
             n = len(alts)
             st.path.extend(alts[i])
@@ -526,7 +487,8 @@ class MethodVerifier:
                 state.store[s.target] = v
                 return [state]
             if s.target not in state.heap:
-                self._unheld_access(state, Acc(s.target, s.loc), s.loc, before)
+                self.discharge(state, Obligation(Acc(s.target, s.loc), s.loc, "access"),
+                               NONLINEAR, before)
             state.heap[s.target] = v
             self._invalidate_facts(state)
             return [state]
@@ -604,7 +566,7 @@ class MethodVerifier:
             produce_bindings["result"] = result_sym
         for slot, val in pre_call.items():
             produce_bindings[f"old({slot})"] = val
-        self.produce(state, ensures, bindings_extra=produce_bindings, on_duplicate="keep")
+        self.produce(state, ensures, bindings_extra=produce_bindings)
         if s.target is not None:
             state.store[s.target] = result_sym
         return [state]
@@ -618,7 +580,8 @@ class MethodVerifier:
 
     def run(self):
         m = self.method
-        report = MethodReport(self.contract.name, m.name, Status.VERIFIED)
+        report = MethodReport(self.contract.name, m.name, Status.VERIFIED,
+                              warnings=self.warnings)
         state = SymState()
         for p, _ in m.params:
             state.store[p] = self.fresh(p)
@@ -628,8 +591,6 @@ class MethodVerifier:
             if check_sat(state.path, self.stats.memo) == "unsat":
                 self.warnings.append(
                     f"precondition of {m.name} is unsatisfiable; the method verifies vacuously")
-                report.status = Status.VERIFIED
-                report.warnings = self.warnings
                 return report
             falls = self.exec_block([state], m.body, ())
             for st in falls:
@@ -642,7 +603,6 @@ class MethodVerifier:
         except StaticErrorExc as e:
             report.status = Status.STATIC_ERROR
             report.diagnostics.append((e.obligation, e.reason))
-            report.warnings = self.warnings
             return report
         # ties at one insertion point keep discovery order, which follows
         # evaluation order (e.g. argument obligations before the callee's
@@ -652,7 +612,6 @@ class MethodVerifier:
             key=lambda item: item[1].insertion.sort_key() + (item[0],))]
         report.residuals = ordered
         report.status = Status.VERIFIED_WITH_RESIDUALS if ordered else Status.VERIFIED
-        report.warnings = self.warnings
         return report
 
 
@@ -693,12 +652,6 @@ def _subst_atom(atom, subst):
 # Public operations
 
 
-def verify_method(method: Method, program: Program, contract: Contract,
-                  stats: ProverStats = None) -> MethodReport:
-    stats = stats or ProverStats()
-    return MethodVerifier(program, contract, method, stats).run()
-
-
 def verify_program(program: Program, memo: dict = None) -> VerificationReport:
     """Verify every method of the program's own contracts.  `memo` holds
     component verdicts (see linear.check_sat) to share with other runs; by
@@ -710,7 +663,7 @@ def verify_program(program: Program, memo: dict = None) -> VerificationReport:
         if c.extern:
             continue
         for m in c.methods:
-            rep = verify_method(m, program, c, stats)
+            rep = MethodVerifier(program, c, m, stats).run()
             for r in rep.residuals:
                 r.id = f"c{counter}"
                 counter += 1

@@ -499,9 +499,7 @@ class Vm:
         if isinstance(e, Name):
             if e.name in env:
                 return env[e.name]
-            if e.name in contract.globals:
-                return self.ledger.read(contract.name, e.name)
-            raise VmUsageError(f"unbound name {e.name!r} in check payload")
+            return self.ledger.read(contract.name, e.name)
         if isinstance(e, Old):
             return frame.old[e.slot]
         if isinstance(e, Result):

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,6 +109,38 @@ class TestVerify:
         assert f"names.gcl:{message}" in out
         assert "Traceback" not in out
 
+    @pytest.mark.parametrize("src, message", [
+        (one_method("    G := old(G) + 1;\n", "acc(G)"), "7:10: old(...) is only allowed in ensures"),
+        (one_method("    y := result;\n"), "7:10: result is only allowed in ensures"),
+        (one_method("    if old(G) > x:\n      y := 1;\n", "acc(G)"),
+         "7:8: old(...) is only allowed in ensures"),
+        (one_method("    while x < result:\n      y := 1;\n"),
+         "7:15: result is only allowed in ensures"),
+        (one_method("    call C.n(old(G));\n", "acc(G)") + "  method n(a: uint64):\n    y := a;\n",
+         "7:14: old(...) is only allowed in ensures"),
+    ], ids=["assignment", "result", "if-condition", "while-condition", "call-argument"])
+    def test_spec_marker_in_body(self, tmp_path, capsys, src, message):
+        path = tmp_path / "marker.gcl"
+        path.write_text(src)
+        assert main(["verify", str(path)]) == EXIT_STATIC
+        assert f"marker.gcl:{message}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("src, message", [
+        (one_method("    i := 0;\n    while i < x:\n      #@ invariant ? and k >= 1;\n"
+                    "      k := i;\n      i := i + 1;\n"), "9:26"),
+        (one_method("    i := 0;\n    while i < x:\n      #@ invariant ? and k >= 0;\n"
+                    "      k := i;\n      i := i + 1;\n"), "9:26"),
+        (one_method("    #@ assert k >= 1;\n    k := x;\n"), "7:15"),
+        (one_method("    #@ assert p(k);\n    k := x;\n", decls="  #@ predicate p(n) = n >= 1;\n"),
+         "8:17"),
+        (one_method("    #! check k >= 1 @c0;\n    k := x;\n"), "7:14"),
+    ], ids=["invariant", "invariant-no-residual", "assert", "assert-predicate", "check"])
+    def test_spec_atom_reads_a_local_before_assignment(self, tmp_path, capsys, src, message):
+        path = tmp_path / "unbound.gcl"
+        path.write_text(src)
+        assert main(["verify", str(path)]) == EXIT_STATIC
+        assert f"unbound.gcl:{message}: local 'k' used before assignment" in capsys.readouterr().out
+
     def test_parse_error_at_its_real_location(self, tmp_path, capsys):
         src = tmp_path / "leaf.gcl"
         src.write_text(one_method("    if x + > 1:\n      y := x;\n    else:\n      y := 0;\n"))
@@ -206,6 +239,7 @@ class TestWeave:
         code = main(["weave", str(FIXTURES / "sell_strong.gcl"), "--auto",
                      "-o", str(tmp_path / "w.gcl")])
         assert code == EXIT_STATIC
+        assert capsys.readouterr().out == "refusing to weave: static errors in sell\n"
 
 
 class TestRun:
@@ -284,13 +318,28 @@ class TestRun:
         assert main(["run", str(src), "--txs", str(txs)]) == EXIT_REVERTED
         assert "tx 0: reverted CallDepthExceeded" in capsys.readouterr().out
 
-    def test_spec_expression_in_body_is_a_load_error(self, tmp_path, capsys):
+    def test_spec_expression_in_body_is_a_static_error(self, tmp_path, capsys):
         src = tmp_path / "old.gcl"
         src.write_text(one_method("    if x > 5:\n      y := old(G);\n"))
         txs = tmp_path / "old.txs.jsonl"
         txs.write_text('{"contract": "C", "method": "m", "args": [1]}\n')
-        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_USAGE
-        assert "old.gcl:8:12: not a program expression" in capsys.readouterr().out
+        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_STATIC
+        assert "old.gcl:8:12: old(...) is only allowed in ensures" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("row, message", [
+        ("nope(1)", "unknown predicate 'nope'"),
+        ("Zq >= 1", "unresolved name 'Zq' in specification"),
+        ("old(Count) >= 1", "old(...) is only allowed in ensures"),
+    ], ids=["unknown-predicate", "unbound-name", "old-at-entry"])
+    def test_bad_boundary_row_is_a_static_error(self, tmp_path, capsys, row, message):
+        woven = Path(self._woven(tmp_path))
+        lines = woven.read_text().splitlines(keepends=True)
+        lines.insert(5, f"    #! entry {row} @c0;\n")  # after the ensures
+        woven.write_text("".join(lines))
+        code = main(["run", str(woven), "--txs", str(CORPUS / "sell.txs.jsonl")])
+        out = capsys.readouterr().out
+        assert code == EXIT_STATIC
+        assert f"w.gcl:6:14: {message}" in out and "Traceback" not in out
 
     def test_adversary_and_unprotected(self, tmp_path, capsys):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))

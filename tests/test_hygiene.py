@@ -1,12 +1,13 @@
 """Source hygiene: every module-level import in src/gvc is used, no module
-imports the same name twice, and library code changes no interpreter-global
-state."""
+imports the same name twice, every module-level function and class is
+referenced, and library code changes no interpreter-global state."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,39 @@ def test_imports_are_used_once(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert [n for n in imported if n not in used] == [], "unused import"
     assert sorted({n for n in imported if imported.count(n) > 1}) == [], "imported twice"
+
+
+def _references(tree):
+    """Identifiers a syntax tree mentions: names, attributes, imported names
+    and identifier-like strings (bench/tracing.py wraps functions by name)."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            out[node.value] += 1
+    return out
+
+
+def test_every_definition_is_referenced():
+    # a module-level function or class that nothing in src/, tests/,
+    # scripts/ or bench/ mentions outside its own definition is dead code
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for d in ("src", "tests", "scripts", "bench")
+             for path in sorted((SRC.parent.parent / d).rglob("*.py"))}
+    total = sum((_references(t) for t in trees.values()), Counter())
+    unused = []
+    for path in MODULES:
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if total[node.name] - _references(node)[node.name] == 0:
+                    unused.append(f"{path.name}:{node.name}")
+    assert unused == []
 
 
 def test_no_interpreter_global_state():

@@ -9,7 +9,7 @@ import pytest
 
 from gvc.frontend import load_file, load_source
 from gvc.oracle import enumerate_equivalence
-from gvc.verifier import Status, program_digest, verify_program
+from gvc.verifier import Insertion, Status, program_digest, verify_program
 from gvc.weaver import weave
 
 from conftest import CORPUS, FIXTURES, ROOT, nif_source
@@ -122,6 +122,65 @@ class TestResidualKinds:
         [m] = report.methods
         assert m.status is Status.VERIFIED and not m.residuals
         assert enumerate_equivalence(program, weave(program, report))["disagreements"] == []
+
+
+NEED = ("  method need(n: uint64):\n    #@ requires n >= 1;\n    #@ ensures true;\n"
+        "    y := n;\n")
+
+# One small method C.m per obligation: (obligation kind, requires, ensures,
+# body, the reason a precise spec fails with, the insertion of the one
+# residual an imprecise spec gets).  A disproved obligation fails as
+# `violated`, any other unproved one as `unprovable`; the imprecise variant
+# puts `? and` in front of both specs.
+DISCHARGE = {
+    "access": ("access", "true", "true", "    G := 1;\n", "unprovable", ("before", (), 0)),
+    "underflow": ("underflow", "x == 0", "true", "    y := x - 1;\n", "violated",
+                  ("before", (), 0)),
+    "div-zero": ("div-zero", "x == 0", "true", "    y := 5 / x;\n", "violated",
+                 ("before", (), 0)),
+    "precondition": ("precondition", "x == 0", "true", "    call C.need(x);\n", "violated",
+                     ("before", (), 0)),
+    "postcondition": ("postcondition", "acc(G)", "acc(G) and G >= 1", "    G := 0;\n",
+                      "violated", ("exit", (), 0)),
+    "loop-invariant": ("loop-invariant", "acc(G) and G == 0", "acc(G)",
+                       "    while G > 0:\n      #@ invariant acc(G) and G >= 1;\n"
+                       "      G := G + 1;\n", "violated", ("before", (), 0)),
+    "assert": ("assert", "acc(G) and G == 0", "acc(G)", "    y := 1;\n    #@ assert G >= 1;\n",
+               "violated", ("before", (), 1)),
+    "nonlinear-assert": ("assert", "x == 2", "true", "    #@ assert x * x >= 1;\n",
+                         "unprovable", ("before", (), 0)),
+    "predicate-instance": ("postcondition", "true", "pos(x)", "    y := x;\n", "unprovable",
+                           ("exit", (), 0)),
+}
+
+
+def _discharge_method(case, imprecise):
+    _, requires, ensures, body, _, _ = DISCHARGE[case]
+    if imprecise:
+        requires, ensures = f"? and {requires}", f"? and {ensures}"
+    src = ("contract C:\n  #@ global G;\n  #@ predicate pos(n) = n >= 1;\n"
+           f"  method m(x: uint64):\n    #@ requires {requires};\n"
+           f"    #@ ensures {ensures};\n{body}{NEED}")
+    report = verify_program(load_source(src, "t.gcl")[0])
+    assert report.method("C", "need").status is Status.VERIFIED
+    return report.method("C", "m")
+
+
+@pytest.mark.parametrize("case", list(DISCHARGE))
+def test_precise_unproved_obligation_is_a_static_error(case):
+    kind, _, _, _, reason, _ = DISCHARGE[case]
+    m = _discharge_method(case, imprecise=False)
+    assert m.status is Status.STATIC_ERROR and not m.residuals
+    assert [(ob.kind, why) for ob, why in m.diagnostics] == [(kind, reason)]
+
+
+@pytest.mark.parametrize("case", list(DISCHARGE))
+def test_imprecise_unproved_obligation_is_one_residual(case):
+    kind, _, _, _, _, insertion = DISCHARGE[case]
+    m = _discharge_method(case, imprecise=True)
+    assert m.status is Status.VERIFIED_WITH_RESIDUALS and not m.diagnostics
+    assert [(r.obligation.kind, r.insertion) for r in m.residuals] == [
+        (kind, Insertion(*insertion))]
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 """Transaction VM: execution, gas accounting, permissions, atomicity."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,10 @@ import sys
 import pytest
 
 import gvc.vm
-from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
+from gvc.frontend import (
+    WellFormednessError, corpus_adversaries, corpus_files, load_file, load_source,
+)
+from gvc.lang import Old, Program
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
 from gvc.vm import (
@@ -304,6 +308,19 @@ class TestFailureModes:
         image = load_program(weave(program, verify_program(program)))
         [out], _ = run_script(image, [tx("C", "go", 0)])
         assert out.reason == PREDICATE_DEPTH
+
+    def test_spec_expression_in_a_built_body_is_rejected_at_load(self):
+        # load_program runs the front end's checks on a program built
+        # without the parser too
+        program, _ = load_source("contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+                                 "    #@ requires ?;\n    #@ ensures ?;\n    y := x;\n", "b.gcl")
+        [c] = program.contracts
+        [m] = c.methods
+        [s] = m.body
+        body = (dataclasses.replace(s, expr=Old("G", s.expr.loc)),)
+        built = Program((dataclasses.replace(c, methods=(dataclasses.replace(m, body=body),)),))
+        with pytest.raises(WellFormednessError, match="b.gcl:6:10: old"):
+            load_program((built, {}))
 
     def test_usage_errors(self):
         image = make_image("sell.gcl")
