@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .frontend import (InferenceError, WellFormednessError, corpus_adversaries,
-                       corpus_files, load_source)
+                       corpus_files, load_source, read_source)
 from .lang import ResolutionError
 from .lexer import LexError
 from .parser import ParseError
@@ -47,11 +47,19 @@ def _red(s):
     return _color(s, "31")
 
 
-def _load(path):
+def _unreadable(path, e):
+    return SystemExit2(EXIT_USAGE, f"cannot read {path}: {e.strerror or e}")
+
+
+def _read(path):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return read_source(path)
     except OSError as e:
-        raise SystemExit2(EXIT_USAGE, f"cannot read {path}: {e.strerror or e}")
+        raise _unreadable(path, e)
+
+
+def _load(path):
+    text = _read(path)
     try:
         return load_source(text, str(path))
     except _FRONTEND_ERRORS as e:
@@ -145,10 +153,7 @@ def _parse_adversaries(pairs):
         if "=" not in p:
             raise SystemExit2(EXIT_USAGE, f"--adversary expects NAME=path, got {p!r}")
         name, path = p.split("=", 1)
-        try:
-            out[name] = Path(path).read_text(encoding="utf-8")
-        except OSError as e:
-            raise SystemExit2(EXIT_USAGE, f"cannot read {path}: {e.strerror or e}")
+        out[name] = _read(path)
     return out
 
 
@@ -226,7 +231,10 @@ def cmd_corpus(args):
     total_erosions = 0
     for path in files:
         program, _ = _load(path)
-        adversaries = corpus_adversaries(path, program)
+        try:
+            adversaries = corpus_adversaries(path, program)
+        except OSError as e:
+            raise _unreadable(e.filename, e)
         report = verify_program(program)
         if report.has_static_error:
             print(f"{path.name}: {_red('static-error')}")

@@ -3,6 +3,7 @@ convenience entry points that take raw source to a checked Program."""
 
 from __future__ import annotations
 
+import errno
 from pathlib import Path
 
 from .lang import (
@@ -220,10 +221,18 @@ def load_source(source: str, filename: str = "<mem>"):
     return resolve(unit), dict(unit.boundary)
 
 
+def read_source(path):
+    """The text of a UTF-8 source file.  Raises OSError, naming the file, when
+    it cannot be read or does not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({e.reason} at offset {e.start})",
+                      str(path)) from None
+
+
 def load_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return load_source(text, str(path))
+    return load_source(read_source(path), str(path))
 
 
 def corpus_files(root):
@@ -239,6 +248,6 @@ def corpus_adversaries(path, program):
     adv_path = Path(path).with_name(Path(path).stem + ".adversary.gcl")
     if not adv_path.exists():
         return {}
-    text = adv_path.read_text(encoding="utf-8")
+    text = read_source(adv_path)
     return {c.name: text for c in program.contracts
             if c.extern and f"contract {c.name}" in text}

@@ -82,10 +82,10 @@ def _lex_line(raw, lineno, filename, tokens):
     n = len(raw)
     while i < n:
         ch = raw[i]
-        loc = SourceLoc(filename, lineno, i + 1)
         if ch == " ":
             i += 1
             continue
+        loc = SourceLoc(filename, lineno, i + 1)
         if ch == "#":
             if raw.startswith("#@", i):
                 tokens.append(Token("SPEC", "#@", loc))

@@ -8,9 +8,14 @@ against the original system, so both verdicts are sound; everything else is
 "unknown", which gradual verification tolerates (it becomes a run-time
 check).  Disequalities are handled by case splits up to a fixed budget.
 
-`check_sat` splits a conjunction into independent components (two
-constraints are in one component when they share a variable) and decides
-each alone: variable-free constraints directly, every other component by
+A conjunction is held as a `PathCondition`, which keeps it split into
+independent components (two constraints are in one component when they share
+a variable) as constraints are appended, the constraint-independence split
+of KLEE (Cadar, Dunbar, Engler, OSDI 2008).  A verifier's path condition only
+grows, so appending re-forms only the components the new constraints touch,
+and a query that adds constraints to a path condition (an entailment's
+negated goal) re-forms only those too.  `check_sat` decides each component
+alone: variable-free constraints directly, every other component by
 elimination, splits and the model check.  Any unsat component makes the
 conjunction unsat, else any unknown one makes it unknown.  Elimination never
 mixes components, so the verdicts and models are those of eliminating the
@@ -18,16 +23,18 @@ whole conjunction at once, except that SPLIT_BUDGET, COEF_LIMIT and
 CONSTRAINT_LIMIT apply per component, which can only turn an "unknown" into a
 sound verdict.  A component reaches `_fm` as the sorted tuple of its unique
 constraints, which is also its key in the memo of component verdicts.  A
-verdict depends on that content alone, so one memo may serve every query of
-one verification run, or of several: `verify_program` takes a memo from its
-caller (a fresh one when none is given), its `ProverStats.memo` holds it, and
-the run lets go of it when it returns.  A query without one gets a memo of
-its own.
+verdict depends on that content alone, so a component keeps its verdict once
+decided, copies of a path condition share it, and one memo may serve every
+query of one verification run, or of several: `verify_program` takes a memo
+from its caller (a fresh one when none is given), its `ProverStats.memo`
+holds it, and the run lets go of it when it returns.  A query without one
+gets a memo of its own.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd
 
@@ -212,21 +219,141 @@ def _tighten(coeffs, const):
     return {v: c // g for v, c in coeffs.items()}, -new_bound
 
 
+class _Component:
+    """A variable-sharing component: the sorted tuple of its unique
+    (terms, const, rel) keys, and its verdict once decided."""
+
+    __slots__ = ("key", "verdict")
+
+    def __init__(self, key):
+        self.key = key
+        self.verdict = None
+
+
+class PathCondition:
+    """An append-only conjunction of linear constraints, split into its
+    variable-sharing components as constraints are appended.  Iterating
+    yields the constraints in the order they were appended.
+
+    A union-find over variables maps each root to its component.  Appending
+    a constraint re-forms only the components it touches; the others, with
+    any verdict they hold, stay shared with every copy."""
+
+    __slots__ = ("_chunks", "_parent", "_comps", "_false")
+
+    def __init__(self, constraints=()):
+        self._chunks = None  # (tuple of constraints, earlier chunks) or None
+        self._parent = {}  # variable -> a variable of its component; roots map to themselves
+        self._comps = {}  # root variable -> _Component
+        self._false = False  # some variable-free constraint is false
+        self.extend(constraints)
+
+    def __iter__(self):
+        chunks = []
+        node = self._chunks
+        while node is not None:
+            chunks.append(node[0])
+            node = node[1]
+        for chunk in reversed(chunks):
+            yield from chunk
+
+    def copy(self):
+        """An independent copy, made in time proportional to the variables
+        and components, not to the number of constraints."""
+        pc = PathCondition.__new__(PathCondition)
+        pc._chunks = self._chunks
+        pc._parent = dict(self._parent)
+        pc._comps = dict(self._comps)
+        pc._false = self._false
+        return pc
+
+    def plus(self, constraints):
+        """A copy with `constraints` appended; this one is unchanged."""
+        pc = self.copy()
+        pc.extend(constraints)
+        return pc
+
+    def extend(self, constraints):
+        constraints = tuple(constraints)
+        if not constraints:
+            return
+        self._chunks = (constraints, self._chunks)
+        parent, comps = self._parent, self._comps
+        for c in constraints:
+            terms, const, rel = key = (c.terms, c.const, c.rel.value)
+            if not terms:
+                # "==" holds when const is 0, "!=" when it is not
+                if not (const <= 0 if rel == "<=" else (const == 0) == (rel == "==")):
+                    self._false = True
+                continue
+            roots, new = [], []
+            for v, _ in terms:
+                r = parent.get(v)
+                if r is None:
+                    new.append(v)
+                    continue
+                if parent[r] != r:
+                    r = self._root(r)
+                if r not in roots:
+                    roots.append(r)
+            if not roots:
+                root, merged = new[0], (key,)
+            elif len(roots) == 1:
+                root = roots[0]
+                old = comps[root].key
+                i = bisect_left(old, key)
+                if i < len(old) and old[i] == key:
+                    continue  # already in this component
+                merged = old[:i] + (key,) + old[i:]
+            else:
+                # components share no key, so merging their sorted runs is a sort
+                root = roots[0]
+                merged = [key]
+                for r in roots:
+                    merged.extend(comps[r].key)
+                merged = tuple(sorted(merged))
+                for r in roots[1:]:
+                    parent[r] = root
+                    del comps[r]
+            for v in new:
+                parent[v] = root
+            comps[root] = _Component(merged)
+
+    def _root(self, v):
+        parent = self._parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]  # path halving
+            v = parent[v]
+        return v
+
+
+def _path(constraints):
+    """`constraints` as a PathCondition: itself if it is one."""
+    if isinstance(constraints, PathCondition):
+        return constraints
+    return PathCondition(constraints)
+
+
 def check_sat(constraints, memo=None):
-    """'sat' | 'unsat' | 'unknown' over integer points in the uint64 box.
-    Decided one variable-sharing component at a time (any unsat component
-    makes the conjunction unsat, else any unknown one makes it unknown);
-    `memo` maps each component already decided to its verdict."""
-    components = _components(constraints)
-    if components is None:
+    """'sat' | 'unsat' | 'unknown' over integer points in the uint64 box, for
+    a PathCondition or any iterable of constraints.  Decided one
+    variable-sharing component at a time (any unsat component makes the
+    conjunction unsat, else any unknown one makes it unknown).  A component
+    keeps its verdict once decided; `memo` maps each component key already
+    decided to its verdict."""
+    pc = _path(constraints)
+    if pc._false:
         return "unsat"
     if memo is None:
         memo = {}
     verdict = "sat"
-    for comp in components:
-        r = memo.get(comp)
+    for comp in pc._comps.values():
+        r = comp.verdict
         if r is None:
-            r = memo[comp] = _decide(comp)
+            r = memo.get(comp.key)
+            if r is None:
+                r = memo[comp.key] = _decide(comp.key)
+            comp.verdict = r
         if r == "unsat":
             return "unsat"
         if r == "unknown":
@@ -235,36 +362,10 @@ def check_sat(constraints, memo=None):
 
 
 def _components(constraints):
-    """The conjunction's components: constraints sharing a variable belong to
-    one.  Each is the sorted tuple of its unique constraints as
-    (terms, const, rel) keys.  None when a variable-free constraint is
-    false; true ones are dropped."""
-    unique = dict.fromkeys((c.terms, c.const, c.rel.value) for c in constraints)
-    parent = {}
-
-    def root(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]  # path halving
-            v = parent[v]
-        return v
-
-    for terms, const, rel in unique:
-        if not terms:
-            # "==" holds when const is 0, "!=" when it is not
-            holds = const <= 0 if rel == "<=" else (const == 0) == (rel == "==")
-            if not holds:
-                return None
-            continue
-        r = root(parent.setdefault(terms[0][0], terms[0][0]))
-        for v, _ in terms[1:]:
-            other = root(parent.setdefault(v, v))
-            if other != r:
-                parent[other] = r
-    groups = {}
-    for key in unique:
-        if key[0]:
-            groups.setdefault(root(key[0][0][0]), []).append(key)
-    return [tuple(sorted(g)) for g in groups.values()]
+    """The conjunction's component keys (see PathCondition), or None when a
+    variable-free constraint is false; true ones are dropped."""
+    pc = _path(constraints)
+    return None if pc._false else [comp.key for comp in pc._comps.values()]
 
 
 def _decide(component):
@@ -428,15 +529,13 @@ def entails_constraints(premises, goal, stats=None):
 
 
 def _entails(premises, goal, memo):
-    proved = True
+    premises = _path(premises)
     for alt in negate_constraints(goal):
-        r = check_sat(list(premises) + alt, memo)
-        if r != "unsat":
-            proved = False
+        if check_sat(premises.plus(alt), memo) != "unsat":
             break
-    if proved:
+    else:
         return ProofResult.PROVED
-    if (check_sat(list(premises) + list(goal), memo) == "unsat"
-            and check_sat(list(premises), memo) == "sat"):
+    if (check_sat(premises.plus(goal), memo) == "unsat"
+            and check_sat(premises, memo) == "sat"):
         return ProofResult.DISPROVED
     return ProofResult.UNKNOWN

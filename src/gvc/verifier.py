@@ -20,8 +20,8 @@ from .lang import (
     Return, SourceLoc, While, assigned_names, bool_leaves,
 )
 from .linear import (
-    LinExpr, NONLINEAR, ProofResult, ProverStats, check_sat, cmp_constraints,
-    constraints_for_cmp, entails_constraints, linearize,
+    LinExpr, NONLINEAR, PathCondition, ProofResult, ProverStats, check_sat,
+    cmp_constraints, constraints_for_cmp, entails_constraints, linearize,
 )
 from .printer import fmt_atom, pretty_print
 
@@ -151,7 +151,7 @@ class SymState:
     def __init__(self):
         self.store = {}
         self.heap = {}  # owned slot -> its symbolic value
-        self.path = []
+        self.path = PathCondition()
         self.imprecise = False
         self.old = {}
         self.facts = set()  # produced predicate instances
@@ -160,7 +160,7 @@ class SymState:
         s = SymState.__new__(SymState)
         s.store = dict(self.store)
         s.heap = dict(self.heap)
-        s.path = list(self.path)
+        s.path = self.path.copy()
         s.imprecise = self.imprecise
         s.old = dict(self.old)
         s.facts = set(self.facts)

@@ -461,3 +461,33 @@ def test_negative_count_option_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert "expected a non-negative integer" in captured.err
     assert captured.out == ""
+
+
+NOT_UTF8 = b"contract A:\n  method f():\n    x := 1;\n\xff\n"
+
+
+@pytest.mark.parametrize("case", ["verify", "corpus", "corpus-adversary", "run-adversary"])
+def test_source_that_is_not_utf8_is_a_read_error(tmp_path, capsys, case):
+    # a program or adversary file that does not decode is reported like a
+    # missing one: exit 1 with "cannot read PATH", no traceback
+    bad = tmp_path / ("bank.adversary.gcl" if case == "corpus-adversary" else "bad.gcl")
+    bad.write_bytes(NOT_UTF8)
+    if case == "corpus-adversary":
+        shutil.copy(CORPUS / "bank.gcl", tmp_path / "bank.gcl")
+    argv = {"verify": ["verify", str(bad)],
+            "corpus": ["corpus", str(tmp_path)],
+            "corpus-adversary": ["corpus", str(tmp_path)],
+            "run-adversary": ["run", SELL, "--adversary", f"Attacker={bad}"]}[case]
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr().out
+    assert f"cannot read {bad}: not UTF-8 text" in out
+
+
+def test_cli_reports_unreadable_source_without_traceback(tmp_path):
+    bad = tmp_path / "bad.gcl"
+    bad.write_bytes(NOT_UTF8)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), GVC_COLOR="0")
+    run = subprocess.run([sys.executable, "-m", "gvc", "verify", str(bad)],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == EXIT_USAGE
+    assert "Traceback" not in run.stderr and run.stdout.startswith(f"cannot read {bad}:")

@@ -10,8 +10,8 @@ import gvc.verifier
 from gvc.frontend import load_source
 from gvc.lang import BinOp, IntLit, Name
 from gvc.linear import (
-    NONLINEAR, LinExpr, LinearConstraint, ProofResult, Rel, check_sat,
-    cmp_constraints, entails_constraints, linearize, make_constraint,
+    NONLINEAR, LinExpr, LinearConstraint, PathCondition, ProofResult, ProverStats, Rel,
+    check_sat, cmp_constraints, entails_constraints, linearize, make_constraint,
 )
 from gvc.verifier import verify_program
 
@@ -234,3 +234,82 @@ def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
     monkeypatch.undo()
     assert len(queries) > 64 and all(memoised for _, memoised, _ in queries)
     assert all(check_sat(cons) == verdict for cons, _, verdict in queries)
+
+
+# -- PathCondition: the split kept up to date as constraints are appended ------
+
+
+def _state(pc):
+    """(constraints, {component key: stored verdict}) of a PathCondition."""
+    return list(pc), {comp.key: comp.verdict for comp in pc._comps.values()}
+
+
+def _unchanged_but_decided(before, after):
+    # the same constraints and components; a verdict may only have been
+    # decided since, and then it is the component's own
+    (cons_a, comps_a), (cons_b, comps_b) = before, after
+    assert cons_a == cons_b and comps_a.keys() == comps_b.keys()
+    for key, verdict in comps_a.items():
+        assert comps_b[key] in ((verdict,) if verdict else (None, gvc.linear._decide(key)))
+
+
+_PC_VARS = [f"%v{i}" for i in range(7)]
+
+
+@st.composite
+def path_steps(draw):
+    def constraint():
+        names = draw(st.lists(st.sampled_from(_PC_VARS), min_size=0, max_size=2, unique=True))
+        coeffs = {v: draw(st.sampled_from((-2, -1, 1, 2))) for v in names}
+        rel = draw(st.sampled_from([Rel.LE, Rel.LE, Rel.LE, Rel.EQ, Rel.NE]))
+        return make_constraint(coeffs, draw(st.integers(-6, 6)), rel)
+
+    # a small pool, so that constraints recur within and across steps
+    pool = [constraint() for _ in range(draw(st.integers(1, 8)))]
+    steps = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["extend", "extend", "copy", "check", "entails"]))
+        arg = None
+        if kind in ("extend", "entails"):
+            arg = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        steps.append((kind, draw(st.integers(0, 99)), arg))
+    return steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(path_steps())
+def test_path_condition_keeps_its_split(steps):
+    # random interleavings of extend, copy, check_sat and entailment on a
+    # family of path conditions that share components: each keeps the
+    # split of its own constraints, and no step on one changes another
+    pcs, refs, memo = [PathCondition()], [[]], {}
+    for kind, which, arg in steps:
+        i = which % len(pcs)
+        others = {j: _state(pc) for j, pc in enumerate(pcs) if j != i}
+        if kind == "extend":
+            pcs[i].extend(arg)
+            refs[i] += arg
+            for j, before in others.items():
+                assert _state(pcs[j]) == before
+        elif kind == "copy":
+            pcs.append(pcs[i].copy())
+            refs.append(list(refs[i]))
+        else:
+            before = _state(pcs[i])
+            if kind == "check":
+                assert check_sat(pcs[i], memo) == check_sat(list(pcs[i]))
+            else:
+                stats = ProverStats(memo)
+                assert (entails_constraints(pcs[i], arg, stats)
+                        is entails_constraints(refs[i], arg))
+            _unchanged_but_decided(before, _state(pcs[i]))
+            for j, prior in others.items():
+                _unchanged_but_decided(prior, _state(pcs[j]))
+        for pc, ref in zip(pcs, refs):
+            assert list(pc) == ref
+            got = gvc.linear._components(pc)
+            false = any(not c.terms and not _sat({}, c) for c in ref)
+            assert (got is None) == false
+            if not false:
+                # each component is keyed by the sorted tuple of its unique keys
+                assert {tuple(sorted(g)) for g in _connected_groups(ref)} == set(got)
