@@ -170,11 +170,9 @@ def cmd_run(args):
 
     txs = []
     if args.txs:
+        text = _read(args.txs)
         try:
-            txs = parse_script(Path(args.txs).read_text(encoding="utf-8"))
-        except OSError as e:
-            print(f"cannot read {args.txs}: {e.strerror or e}")
-            return EXIT_USAGE
+            txs = parse_script(text)
         except ValueError as e:
             print(f"malformed transaction script: {e}")
             return EXIT_USAGE

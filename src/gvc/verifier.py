@@ -162,7 +162,7 @@ class SymState:
         s.heap = dict(self.heap)
         s.path = self.path.copy()
         s.imprecise = self.imprecise
-        s.old = dict(self.old)
+        s.old = self.old  # the pre-state: set once, before any clone, then only read
         s.facts = set(self.facts)
         return s
 

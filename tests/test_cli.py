@@ -466,10 +466,11 @@ def test_negative_count_option_is_a_usage_error(capsys, argv):
 NOT_UTF8 = b"contract A:\n  method f():\n    x := 1;\n\xff\n"
 
 
-@pytest.mark.parametrize("case", ["verify", "corpus", "corpus-adversary", "run-adversary"])
+@pytest.mark.parametrize("case", ["verify", "corpus", "corpus-adversary", "run-adversary",
+                                  "run-txs"])
 def test_source_that_is_not_utf8_is_a_read_error(tmp_path, capsys, case):
-    # a program or adversary file that does not decode is reported like a
-    # missing one: exit 1 with "cannot read PATH", no traceback
+    # a program, adversary or script file that does not decode is reported
+    # like a missing one: exit 1 with "cannot read PATH", no traceback
     bad = tmp_path / ("bank.adversary.gcl" if case == "corpus-adversary" else "bad.gcl")
     bad.write_bytes(NOT_UTF8)
     if case == "corpus-adversary":
@@ -477,7 +478,8 @@ def test_source_that_is_not_utf8_is_a_read_error(tmp_path, capsys, case):
     argv = {"verify": ["verify", str(bad)],
             "corpus": ["corpus", str(tmp_path)],
             "corpus-adversary": ["corpus", str(tmp_path)],
-            "run-adversary": ["run", SELL, "--adversary", f"Attacker={bad}"]}[case]
+            "run-adversary": ["run", SELL, "--adversary", f"Attacker={bad}"],
+            "run-txs": ["run", SELL, "--txs", str(bad)]}[case]
     assert main(argv) == EXIT_USAGE
     out = capsys.readouterr().out
     assert f"cannot read {bad}: not UTF-8 text" in out
