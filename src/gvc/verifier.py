@@ -420,28 +420,7 @@ class MethodVerifier:
             cons = cmp_constraints(_NEG_OP[c.op] if neg else c.op, c.left, c.right, value)
             return [[]] if cons is NONLINEAR else [cons]
 
-        def walk(node, neg):
-            if isinstance(node, NotOp):
-                return walk(node.operand, not neg)
-            if isinstance(node, BoolOp):
-                conj = (node.op == "and") != neg
-                kids = [walk(p, neg) for p in node.parts]
-                if conj:
-                    outs = [[]]
-                    for alts in kids:
-                        outs = [a + b for a in outs for b in alts]
-                        if len(outs) > DNF_LIMIT:
-                            return [[]]
-                    return outs
-                outs = []
-                for alts in kids:
-                    outs.extend(alts)
-                if len(outs) > DNF_LIMIT:
-                    return [[]]
-                return outs
-            return leaf(node, neg)
-
-        return walk(cond, negate)
+        return _dnf(cond, negate, leaf)
 
     def eval_cond_obligations(self, state, cond, loc, insertion):
         for leaf in bool_leaves(cond):
@@ -613,6 +592,33 @@ class MethodVerifier:
         report.residuals = ordered
         report.status = Status.VERIFIED_WITH_RESIDUALS if ordered else Status.VERIFIED
         return report
+
+
+def _dnf(node, neg, leaf):
+    """DNF alternatives of an and/or/not tree, or of its negation when `neg`:
+    lists of what `leaf(comparison, neg)` gives, [[]] (no information) past
+    DNF_LIMIT alternatives.  A module function, not a closure over the
+    caller's state: a recursive closure is a reference cycle, which would
+    keep that state alive until the cyclic collector runs."""
+    if isinstance(node, NotOp):
+        return _dnf(node.operand, not neg, leaf)
+    if isinstance(node, BoolOp):
+        conj = (node.op == "and") != neg
+        kids = [_dnf(p, neg, leaf) for p in node.parts]
+        if conj:
+            outs = [[]]
+            for alts in kids:
+                outs = [a + b for a in outs for b in alts]
+                if len(outs) > DNF_LIMIT:
+                    return [[]]
+            return outs
+        outs = []
+        for alts in kids:
+            outs.extend(alts)
+        if len(outs) > DNF_LIMIT:
+            return [[]]
+        return outs
+    return leaf(node, neg)
 
 
 def _flatten_conj(node):

@@ -1,5 +1,6 @@
 """Static verification: residuals, statuses, and report shape."""
 
+import gc
 import json
 import os
 import subprocess
@@ -250,6 +251,20 @@ def test_verdict_independent_of_process_history():
         wrong += not verify_program(program).has_static_error
         del program
     assert wrong == 0
+
+
+def test_verification_leaves_no_cyclic_garbage():
+    # symbolic states, path conditions included, are freed as soon as the
+    # run drops them, not kept alive in reference cycles until the cyclic
+    # collector runs
+    program, _ = load_source(nif_source(4))
+    gc.collect()
+    gc.disable()
+    try:
+        verify_program(program)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 REPORT_OF = """
