@@ -216,7 +216,7 @@ def resolve(unit):
 
 def load_source(source: str, filename: str = "<mem>"):
     """lex -> parse -> infer -> resolve; returns (Program, boundary map)."""
-    unit = parse_program(lex(source, filename))
+    unit = parse_program(lex(source, filename), filename)
     infer_types(unit)
     return resolve(unit), dict(unit.boundary)
 

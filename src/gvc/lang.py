@@ -2,13 +2,20 @@
 imprecision, and the well-formedness rules shared by every pipeline stage.
 
 All node types are immutable; operations here are pure functions.
+
+A source location is a `typing.NamedTuple`, like the lexer's tokens and the
+prover's constraints: a flat record that is built many times per load, that
+needs only immutability and equality and hashing by value, and that a tuple
+gives more cheaply than a dataclass.  Syntax-tree nodes stay frozen
+dataclasses, because their equality must respect the node type: as tuples,
+`Name("G", loc)` and `Old("G", loc)` would compare equal and hash alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 UINT_MAX = 2**64 - 1
 
@@ -38,8 +45,7 @@ def call_charge(nest):
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 
 
-@dataclass(frozen=True)
-class SourceLoc:
+class SourceLoc(NamedTuple):
     file: str = "<mem>"
     line: int = 0
     col: int = 0

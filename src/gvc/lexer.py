@@ -4,11 +4,15 @@ Produces a flat token stream with synthetic INDENT/DEDENT tokens.  `#@`
 introduces a specification fragment and `#!` a woven-check directive; both are
 tokenized like ordinary code after the marker.  Any other `#` comment is
 dropped.  Tabs are rejected outright.
+
+A token is a `typing.NamedTuple`, as is its `SourceLoc`: one is built for
+every lexeme, and a tuple gives the immutability and value equality a token
+needs for less than a frozen dataclass costs (see `lang`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lang import SourceLoc
 
@@ -23,15 +27,15 @@ KEYWORDS = {
 # '²', which int() rejects, and '٣', which int() reads as 3
 _DIGITS = frozenset("0123456789")
 
-# longest match first
-SYMBOLS = [
+# each one or two characters long; _lex_line looks up the two-character
+# slice first, so the longest match wins
+SYMBOLS = frozenset({
     ":=", "->", "==", "!=", "<=", ">=", "<", ">", "=", "+", "-", "*", "/",
     "%", "(", ")", ",", ";", ":", "?", ".", "@",
-]
+})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # KW | IDENT | INT | SYM | SPEC | BANG | INDENT | DEDENT | EOF
     lexeme: str
     loc: SourceLoc
@@ -111,10 +115,10 @@ def _lex_line(raw, lineno, filename, tokens):
             tokens.append(Token("KW" if word in KEYWORDS else "IDENT", word, loc))
             i = j
             continue
-        for sym in SYMBOLS:
-            if raw.startswith(sym, i):
-                tokens.append(Token("SYM", sym, loc))
-                i += len(sym)
-                break
-        else:
-            raise LexError(loc, f"unexpected character {ch!r}")
+        sym = raw[i:i + 2]
+        if sym not in SYMBOLS:
+            if ch not in SYMBOLS:
+                raise LexError(loc, f"unexpected character {ch!r}")
+            sym = ch
+        tokens.append(Token("SYM", sym, loc))
+        i += len(sym)

@@ -22,21 +22,27 @@ mixes components, so the verdicts and models are those of eliminating the
 whole conjunction at once, except that SPLIT_BUDGET, COEF_LIMIT and
 CONSTRAINT_LIMIT apply per component, which can only turn an "unknown" into a
 sound verdict.  A component reaches `_fm` as the sorted tuple of its unique
-constraints, which is also its key in the memo of component verdicts.  A
-verdict depends on that content alone, so a component keeps its verdict once
-decided, copies of a path condition share it, and one memo may serve every
-query of one verification run, or of several: `verify_program` takes a memo
-from its caller (a fresh one when none is given), its `ProverStats.memo`
-holds it, and the run lets go of it when it returns.  A query without one
-gets a memo of its own.
+constraints, which is also its key in the memo of component verdicts.  The
+key holds one `<=` constraint per coefficient vector, the tightest: of two
+bounds on the same terms the one with the larger constant implies the
+other, so the weaker is dropped as it is appended (a normalization step of
+Pugh's Omega test, 1991/92).  The dropped bound holds wherever the kept one
+does, so neither elimination nor the model check reaches another verdict
+without it, except where a COEF_LIMIT or CONSTRAINT_LIMIT give-up is
+avoided.  A verdict depends on the key's content alone, so a component
+keeps its verdict once decided, copies of a path condition share it, and one
+memo may serve every query of one verification run, or of several:
+`verify_program` takes a memo from its caller (a fresh one when none is
+given), its `ProverStats.memo` holds it, and the run lets go of it when it
+returns.  A query without one gets a memo of its own.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .lang import UINT_MAX, BinOp, IntLit
 
@@ -67,8 +73,7 @@ class NonLinear:
 NONLINEAR = NonLinear()
 
 
-@dataclass(frozen=True)
-class LinearConstraint:
+class LinearConstraint(NamedTuple):
     terms: tuple  # sorted tuple of (var, coef), coef != 0
     const: int
     rel: Rel
@@ -87,8 +92,7 @@ def make_constraint(coeffs: dict, const: int, rel: Rel) -> LinearConstraint:
 # Linear expressions (also the verifier's symbolic values)
 
 
-@dataclass(frozen=True)
-class LinExpr:
+class LinExpr(NamedTuple):
     terms: tuple = ()  # sorted tuple of (symbol, coef)
     const: int = 0
 
@@ -221,7 +225,8 @@ def _tighten(coeffs, const):
 
 class _Component:
     """A variable-sharing component: the sorted tuple of its unique
-    (terms, const, rel) keys, and its verdict once decided."""
+    (terms, const, rel) keys, with one `<=` key per terms, and its verdict
+    once decided."""
 
     __slots__ = ("key", "verdict")
 
@@ -237,7 +242,9 @@ class PathCondition:
 
     A union-find over variables maps each root to its component.  Appending
     a constraint re-forms only the components it touches; the others, with
-    any verdict they hold, stay shared with every copy."""
+    any verdict they hold, stay shared with every copy.  A `<=` bound
+    re-forms nothing when its component holds as tight a bound on the same
+    terms, and replaces a looser one."""
 
     __slots__ = ("_chunks", "_parent", "_comps", "_false")
 
@@ -301,6 +308,12 @@ class PathCondition:
             elif len(roots) == 1:
                 root = roots[0]
                 old = comps[root].key
+                if rel == "<=":
+                    j = _bound_index(old, terms)
+                    if j >= 0:
+                        if old[j][1] >= const:
+                            continue  # the bound held is as tight or tighter
+                        old = old[:j] + old[j + 1:]
                 i = bisect_left(old, key)
                 if i < len(old) and old[i] == key:
                     continue  # already in this component
@@ -325,6 +338,18 @@ class PathCondition:
             parent[v] = parent[parent[v]]  # path halving
             v = parent[v]
         return v
+
+
+def _bound_index(keys, terms):
+    """Index of the `<=` key on `terms` in the sorted component key `keys`,
+    or -1; a component holds at most one."""
+    for j in range(bisect_left(keys, (terms,)), len(keys)):
+        t, _, rel = keys[j]
+        if t != terms:
+            break
+        if rel == "<=":
+            return j
+    return -1
 
 
 def _path(constraints):

@@ -40,8 +40,9 @@ class ParsedUnit:
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, filename):
         self.toks = list(tokens)
+        self.filename = filename
         self.pos = 0
         self.boundary = {}
         self.open = 0  # nesting levels enclosing the current token
@@ -52,7 +53,8 @@ class _Parser:
         i = self.pos + ahead
         if i < len(self.toks):
             return self.toks[i]
-        loc = self.toks[-1].loc if self.toks else SourceLoc()
+        # a source without tokens ends where it starts
+        loc = self.toks[-1].loc if self.toks else SourceLoc(self.filename, 1, 1)
         return Token("EOF", "", loc)
 
     def next(self):
@@ -510,5 +512,7 @@ def _conjoin(f1: Formula, f2: Formula) -> Formula:
     return Formula(f1.imprecise or f2.imprecise, f1.atoms + f2.atoms, f1.loc)
 
 
-def parse_program(tokens) -> ParsedUnit:
-    return _Parser(tokens).parse_program()
+def parse_program(tokens, filename: str = "<mem>") -> ParsedUnit:
+    """Parse the tokens of the source `filename` (which names its end when
+    there are no tokens)."""
+    return _Parser(tokens, filename).parse_program()

@@ -13,6 +13,7 @@ import enum
 import hashlib
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, Contract,
@@ -41,8 +42,12 @@ class Obligation:
     kind: str  # precondition | postcondition | loop-invariant | underflow | div-zero | assert | access
 
 
-@dataclass(frozen=True)
-class Insertion:
+class Insertion(NamedTuple):
+    """Where a residual check goes: before statement `index` of the block at
+    `block_path`, or at the method's exit.  A tuple, built for every
+    statement executed (see `lang`); its `index` field shadows
+    `tuple.index`."""
+
     kind: str  # "before" | "exit"
     block_path: tuple = ()
     index: int = 0
@@ -154,7 +159,7 @@ class SymState:
         self.path = PathCondition()
         self.imprecise = False
         self.old = {}
-        self.facts = set()  # produced predicate instances
+        self.facts = frozenset()  # produced predicate instances; replaced, never mutated
 
     def clone(self):
         s = SymState.__new__(SymState)
@@ -163,7 +168,7 @@ class SymState:
         s.path = self.path.copy()
         s.imprecise = self.imprecise
         s.old = self.old  # the pre-state: set once, before any clone, then only read
-        s.facts = set(self.facts)
+        s.facts = self.facts
         return s
 
 
@@ -339,7 +344,7 @@ class MethodVerifier:
             elif isinstance(atom, PredUse):
                 key = self._fact_key(state, atom, bindings_extra, reads)
                 if key is not None:
-                    state.facts.add(key)
+                    state.facts = state.facts | {key}
                 self._produce_pred_unfold(state, atom, bindings_extra, reads)
 
     def _produce_pred_unfold(self, state, atom, bindings_extra, reads):
@@ -378,7 +383,7 @@ class MethodVerifier:
             # a predicate instance: a fact the state holds, or proved by one unfold
             key = self._fact_key(state, atom, bindings_extra, reads)
             if key is not None and key in state.facts:
-                state.facts.discard(key)
+                state.facts = state.facts - {key}
             elif not self._consume_pred_unfold(state, atom, bindings_extra, reads):
                 self.discharge(state, ob, NONLINEAR, insertion)
         if f.imprecise:
@@ -552,8 +557,9 @@ class MethodVerifier:
 
     def _invalidate_facts(self, state):
         # predicate facts may read global state; drop them on any heap change
-        pred_reads = self.contract.predicate_reads
-        state.facts = {f for f in state.facts if not pred_reads.get(f[0], set())}
+        if state.facts:
+            pred_reads = self.contract.predicate_reads
+            state.facts = frozenset(f for f in state.facts if not pred_reads.get(f[0]))
 
     # -- top level ------------------------------------------------------------
 

@@ -244,7 +244,8 @@ def merge_adversaries(program: Program, adversaries: dict = None):
                 methods.append(m)
             contracts.append(replace(c, methods=tuple(methods)))
             continue
-        impl_unit = parse_program(lex(impl_src, f"<adversary {c.name}>"))
+        impl_name = f"<adversary {c.name}>"
+        impl_unit = parse_program(lex(impl_src, impl_name), impl_name)
         impl = None
         for ic in impl_unit.program.contracts:
             if ic.name == c.name:

@@ -69,6 +69,16 @@ class TestVerify:
         bad.write_text("contract C\n")
         assert main(["verify", str(bad)]) == EXIT_STATIC
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n"])
+    @pytest.mark.parametrize("argv", [["verify"], ["weave", "--auto"], ["corpus"]])
+    def test_program_without_contracts_is_blamed_on_its_file(self, tmp_path, capsys, text, argv):
+        # no token to point at, so the error names the file's first line
+        src = tmp_path / "e.gcl"
+        src.write_text(text, encoding="utf-8")
+        target = str(tmp_path) if argv == ["corpus"] else str(src)
+        assert main(argv + [target]) == EXIT_STATIC
+        assert f"{src}: {src}:1:1: expected at least one contract" in capsys.readouterr().out
+
     def test_spec_marker_in_predicate_body(self, tmp_path, capsys):
         src = tmp_path / "grew.gcl"
         src.write_text(

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from gvc.frontend import corpus_files, load_file, load_source, WellFormednessError
 from gvc.lang import (
-    Acc, Cmp, Contract, Formula, IntLit, Name, Old, PredUse, UINT_MAX,
+    Acc, Cmp, Contract, Formula, IntLit, Name, Old, PredUse, SourceLoc, UINT_MAX,
     atom_reads, is_self_framed, normalize_formula, well_formed_program,
 )
 from gvc.printer import pretty_print
@@ -18,6 +18,15 @@ def _formula(text_atoms, imprecise=False):
 
 
 COUNTER = Contract("Counter", globals=("Count",))
+
+
+def test_nodes_of_different_types_never_compare_equal():
+    # nodes are dataclasses, not tuples: with the same fields, a global read,
+    # its old value and its permission stay three different nodes
+    loc = SourceLoc("t", 1, 1)
+    nodes = [Name("G", loc), Old("G", loc), Acc("G", loc)]
+    assert all(a != b for i, a in enumerate(nodes) for b in nodes[i + 1:])
+    assert len(set(nodes)) == 3 and Name("G", loc) == Name("G", SourceLoc("t", 1, 1))
 
 
 class TestSelfFraming:

@@ -29,6 +29,18 @@ class TestLexer:
         toks = lex("contract C:\n", "t")
         assert toks[0].loc.line == 1 and toks[0].loc.col == 1
 
+    def test_symbols_take_the_longest_match(self):
+        toks = lex("a:=b<=c<d!=e->f:g;", "t")
+        assert [t.lexeme for t in toks if t.kind == "SYM"] == [":=", "<=", "<", "!=", "->", ":", ";"]
+        assert [t.loc.col for t in toks if t.kind == "SYM"] == [2, 5, 8, 10, 13, 16, 18]
+
+    @pytest.mark.parametrize("source, col", [("x ! y", 3), ("x !", 3), ("x $= y", 3), ("x =!", 4)])
+    def test_unexpected_character_at_its_column(self, source, col):
+        with pytest.raises(LexError) as e:
+            lex(source, "t")
+        assert e.value.loc.col == col
+        assert str(e.value) == f"t:1:{col}: unexpected character {source[col - 1]!r}"
+
 
 class TestParser:
     def test_sell_structure(self, sell_program):

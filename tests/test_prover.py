@@ -176,10 +176,28 @@ def test_components_join_deep_chains():
     assert check_sat(cons) == gvc.linear._decide(whole) == "unsat"
 
 
-def _connected_groups(constraints):
-    # the components by breadth-first search over shared variables
-    keys = list(dict.fromkeys((c.terms, c.const, c.rel.value)
+def _unique_keys(constraints):
+    return list(dict.fromkeys((c.terms, c.const, c.rel.value)
                               for c in constraints if c.terms))
+
+
+def _tightest_bounds(keys):
+    # of the "<=" keys on one coefficient vector only the one with the
+    # largest constant, the tightest bound, stays
+    top = {}
+    for terms, const, rel in keys:
+        if rel == "<=":
+            top[terms] = max(const, top.get(terms, const))
+    return [k for k in keys if k[2] != "<=" or k[1] == top[k[0]]]
+
+
+def _connected_groups(constraints):
+    # the components PathCondition keeps, one "<=" key per coefficient vector
+    return _groups(_tightest_bounds(_unique_keys(constraints)))
+
+
+def _groups(keys):
+    # the keys grouped by breadth-first search over shared variables
     seen, groups = set(), []
     for start in range(len(keys)):
         if start in seen:
@@ -214,6 +232,69 @@ def test_components_match_graph_connectivity(supports, rnd):
     got = gvc.linear._components(cons)
     assert got is not None
     assert {frozenset(c) for c in got} == _connected_groups(cons)
+
+
+def _unreduced_sat(constraints):
+    # check_sat's verdict with every key of a component kept: _decide on
+    # each connected group of all the unique keys
+    if any(not c.terms and not _sat({}, c) for c in constraints):
+        return "unsat"
+    verdicts = {gvc.linear._decide(tuple(sorted(g))) for g in _groups(_unique_keys(constraints))}
+    if "unsat" in verdicts:
+        return "unsat"
+    return "unknown" if "unknown" in verdicts else "sat"
+
+
+def _unreduced_entails(premises, goal):
+    # _entails' three kinds of query, each decided by _unreduced_sat
+    if all(_unreduced_sat(premises + alt) == "unsat"
+           for alt in gvc.linear.negate_constraints(goal)):
+        return ProofResult.PROVED
+    if _unreduced_sat(premises + goal) == "unsat" and _unreduced_sat(premises) == "sat":
+        return ProofResult.DISPROVED
+    return ProofResult.UNKNOWN
+
+
+@st.composite
+def repeated_vectors(draw):
+    # a few coefficient vectors, each used with several constants
+    vector = st.dictionaries(st.sampled_from(_VARS), st.sampled_from((-3, -2, -1, 1, 2, 3)),
+                             min_size=1, max_size=3)
+    vectors = draw(st.lists(vector, min_size=1, max_size=3))
+
+    def one(rels):
+        return make_constraint(draw(st.sampled_from(vectors)), draw(st.integers(-12, 12)),
+                               draw(st.sampled_from(rels)))
+
+    cons = [one([Rel.LE, Rel.LE, Rel.LE, Rel.EQ, Rel.NE]) for _ in range(draw(st.integers(1, 8)))]
+    return cons, [one([Rel.LE, Rel.EQ, Rel.NE])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(repeated_vectors())
+def test_tightest_bound_keeps_every_verdict(system):
+    # dropping a "<=" bound that a tighter one on the same coefficient
+    # vector subsumes changes no satisfiability or entailment verdict
+    cons, goal = system
+    assert check_sat(PathCondition(cons)) == _unreduced_sat(cons)
+    expected = _unreduced_entails(cons, goal)
+    assert entails_constraints(cons, goal) is expected
+    assert entails_constraints(PathCondition(cons), goal) is expected
+
+
+def test_weaker_bound_leaves_the_component_alone():
+    # x + y <= 4 after x + y <= 2 keeps the component and its verdict;
+    # x + y <= 1 replaces the bound it tightens
+    pc = PathCondition([con({"x": 1, "y": 1}, -2), con({"x": 1, "y": -1}, 0, Rel.NE)])
+    assert check_sat(pc) == "sat"
+    (comp,) = pc._comps.values()
+    pc.extend([con({"x": 1, "y": 1}, -4)])
+    assert list(pc._comps.values()) == [comp] and comp.verdict == "sat"
+    pc.extend([con({"x": 1, "y": 1}, -1)])
+    (tighter,) = pc._comps.values()
+    assert tighter is not comp and tighter.verdict is None
+    assert [k for k in tighter.key if k[2] == "<="] == [((("x", 1), ("y", 1)), -1, "<=")]
+    assert len(list(pc)) == 4
 
 
 def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
