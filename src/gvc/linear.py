@@ -418,30 +418,32 @@ def _decide(component):
     if len(nes) > SPLIT_BUDGET:
         return "unknown"
 
-    # DFS over disequality splits: L != 0 -> L <= -1 or L >= 1
+    # DFS over disequality splits: L != 0 -> L <= -1 or L >= 1.  A leaf
+    # holds one side of every split, so the model check of its pruning run
+    # already rules out each L == 0: that run decides it.
     saw_unknown = False
     stack = [(les, nes)]
     while stack:
         cur_les, cur_nes = stack.pop()
-        if not cur_nes:
-            r = _fm(cur_les, variables, nes_check=nes)
-            if r == "sat":
-                return "sat"
-            if r == "unknown":
-                saw_unknown = True
-            continue
         coeffs, const = cur_nes[0]
         rest = cur_nes[1:]
         lo = (dict(coeffs), const + 1)  # L + 1 <= 0
         hi = ({v: -c for v, c in coeffs.items()}, -const + 1)  # -L + 1 <= 0
         for extra in (lo, hi):
             nxt = cur_les + [extra]
-            if _fm(nxt, variables) != "unsat":
+            r = _fm(nxt, variables)
+            if r == "unsat":
+                continue
+            if rest:
                 stack.append((nxt, rest))
+            elif r == "sat":
+                return "sat"
+            else:
+                saw_unknown = True
     return "unknown" if saw_unknown else "unsat"
 
 
-def _fm(les, var_order, nes_check=None):
+def _fm(les, var_order):
     """Fourier-Motzkin with model extraction.  les: list of (coeffs, const)
     meaning sum coeffs*v + const <= 0."""
     levels = []
@@ -508,10 +510,6 @@ def _fm(les, var_order, nes_check=None):
     for coeffs, const in les:
         if sum(c * model.get(u, 0) for u, c in coeffs.items()) + const > 0:
             return "unknown"
-    if nes_check:
-        for coeffs, const in nes_check:
-            if sum(c * model.get(u, 0) for u, c in coeffs.items()) + const == 0:
-                return "unknown"
     return "sat"
 
 

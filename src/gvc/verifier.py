@@ -66,13 +66,12 @@ class Insertion(NamedTuple):
 @dataclass
 class ResidualCheck:
     id: str
-    obligation: Obligation
-    payload: object  # Atom over names in scope at the insertion point
+    obligation: Obligation  # its atom is the check's payload
     insertion: Insertion
 
     @property
     def payload_text(self):
-        return fmt_atom(self.payload)
+        return fmt_atom(self.obligation.atom)
 
 
 @dataclass
@@ -258,11 +257,10 @@ class MethodVerifier:
         if not state.imprecise:
             reason = "violated" if result is ProofResult.DISPROVED else "unprovable"
             raise StaticErrorExc(obligation, reason)
-        payload = obligation.atom
         key = (insertion.kind, insertion.block_path, insertion.index,
-               obligation.kind, fmt_atom(payload))
+               obligation.kind, fmt_atom(obligation.atom))
         if key not in self.residuals:
-            self.residuals[key] = ResidualCheck("?", obligation, payload, insertion)
+            self.residuals[key] = ResidualCheck("?", obligation, insertion)
         if constraints is not NONLINEAR:
             state.path.extend(constraints)
 
@@ -273,7 +271,6 @@ class MethodVerifier:
         obligations are emitted.  Names bound in `bindings_extra` come first;
         global reads use `reads` (a snapshot heap), and a global, old(...)
         or result without a value becomes a fresh symbol."""
-        reads = reads if reads is not None else state.heap
 
         def leaf(e):
             if isinstance(e, Name):
@@ -292,76 +289,66 @@ class MethodVerifier:
             if isinstance(e, Result):
                 if bindings_extra and "result" in bindings_extra:
                     return bindings_extra["result"]
-                return state.store.get("%result", self.fresh("result"))
+                v = state.store.get("%result")
+                return v if v is not None else self.fresh("result")
             raise TypeError(f"not an expression: {e!r}")
 
         return leaf
 
-    def atom_constraints(self, state, atom, bindings_extra=None, reads=None):
+    def atom_constraints(self, state, atom, bindings_extra, reads):
         """Constraints for a comparison atom evaluated in `state`."""
         return cmp_constraints(atom.op, atom.left, atom.right,
                                self._spec_leaf(state, bindings_extra, reads))
 
-    def _pred_args(self, state, atom, bindings_extra, reads):
-        """Symbolic values of a predicate instance's arguments, or None if
-        one is non-linear."""
+    def _instance(self, state, atom, bindings_extra, reads):
+        """A predicate instance with its arguments linearized once: its fact
+        key (name, argument values) and its body's conjuncts, each paired
+        with its constraints (NONLINEAR unless a linear comparison, so
+        recursive occurrences stay opaque).  Both are None when an argument
+        is non-linear; the conjuncts are None when the body is not a
+        conjunction."""
         leaf = self._spec_leaf(state, bindings_extra, reads)
         args = []
         for a in atom.args:
             v = linearize(a, leaf)
             if v is NONLINEAR:
-                return None
+                return None, None
             args.append(v)
-        return args
-
-    def _fact_key(self, state, atom, bindings_extra=None, reads=None):
-        args = self._pred_args(state, atom, bindings_extra, reads)
-        if args is None:
-            return None
-        return (atom.name, tuple((v.terms, v.const) for v in args))
+        pred = self.contract.predicate(atom.name)
+        conj = _flatten_conj(pred.body)
+        if conj is not None:
+            sub = dict(zip(pred.params, args))
+            conj = [(part, self.atom_constraints(state, part, sub, reads)
+                     if isinstance(part, Cmp) else NONLINEAR) for part in conj]
+        return (atom.name, tuple(args)), conj
 
     def produce(self, state, f: Formula, bindings_extra=None):
         """Assume a formula: grant its permissions (one already held is
         kept) and extend the path with what its value atoms say."""
         if f.imprecise:
             state.imprecise = True
-        produce_reads = {}
         for atom in f.atoms:
             if isinstance(atom, Acc) and atom.slot not in state.heap:
                 state.heap[atom.slot] = self.fresh(atom.slot)
+        # value atoms read the heap, and each unheld global as one fresh symbol
+        reads = dict(state.heap)
+        for slot in self.contract.globals:
+            if slot not in reads:
+                reads[slot] = self.fresh(slot)
         for atom in f.atoms:
             if isinstance(atom, Acc):
                 continue
-            reads = dict(state.heap)
-            for slot in self.contract.globals:
-                if slot not in reads:
-                    produce_reads.setdefault(slot, self.fresh(slot))
-                    reads[slot] = produce_reads[slot]
             if isinstance(atom, Cmp):
                 cons = self.atom_constraints(state, atom, bindings_extra, reads)
                 if cons is not NONLINEAR:
                     state.path.extend(cons)
-            elif isinstance(atom, PredUse):
-                key = self._fact_key(state, atom, bindings_extra, reads)
-                if key is not None:
-                    state.facts = state.facts | {key}
-                self._produce_pred_unfold(state, atom, bindings_extra, reads)
-
-    def _produce_pred_unfold(self, state, atom, bindings_extra, reads):
-        pred = self.contract.predicate(atom.name)
-        conj = _flatten_conj(pred.body)
-        if conj is None:
-            return  # disjunctive body: opaque fact only
-        args = self._pred_args(state, atom, bindings_extra, reads)
-        if args is None:
-            return
-        sub = dict(zip(pred.params, args))
-        for part in conj:
-            if isinstance(part, Cmp):
-                cons = self.atom_constraints(state, part, sub, reads)
+                continue
+            key, conj = self._instance(state, atom, bindings_extra, reads)
+            if key is not None:
+                state.facts = state.facts | {key}
+            for _, cons in conj or ():
                 if cons is not NONLINEAR:
                     state.path.extend(cons)
-            # recursive predicate occurrences stay opaque
 
     def consume(self, state, f: Formula, loc, insertion, kind,
                 bindings_extra=None, payload_subst=None):
@@ -380,33 +367,18 @@ class MethodVerifier:
                 self.discharge(state, ob, self.atom_constraints(state, atom, bindings_extra, reads),
                                insertion)
                 continue
-            # a predicate instance: a fact the state holds, or proved by one unfold
-            key = self._fact_key(state, atom, bindings_extra, reads)
+            # a predicate instance: a fact the state holds, or proved by one
+            # unfold of a body of comparisons, each proved in turn
+            key, conj = self._instance(state, atom, bindings_extra, reads)
             if key is not None and key in state.facts:
                 state.facts = state.facts - {key}
-            elif not self._consume_pred_unfold(state, atom, bindings_extra, reads):
+            elif conj is None or not all(isinstance(part, Cmp) for part, _ in conj) or not all(
+                    cons is not NONLINEAR
+                    and entails_constraints(state.path, cons, self.stats) is ProofResult.PROVED
+                    for _, cons in conj):
                 self.discharge(state, ob, NONLINEAR, insertion)
         if f.imprecise:
             state.imprecise = True
-
-    def _consume_pred_unfold(self, state, atom, bindings_extra, reads):
-        """One-level unfold: discharged iff the body is a pure comparison
-        conjunction and every conjunct is Proved."""
-        pred = self.contract.predicate(atom.name)
-        conj = _flatten_conj(pred.body)
-        if conj is None or any(not isinstance(p, Cmp) for p in conj):
-            return False
-        args = self._pred_args(state, atom, bindings_extra, reads)
-        if args is None:
-            return False
-        sub = dict(zip(pred.params, args))
-        for part in conj:
-            cons = self.atom_constraints(state, part, sub, reads)
-            if cons is NONLINEAR:
-                return False
-            if entails_constraints(state.path, cons, self.stats) is not ProofResult.PROVED:
-                return False
-        return True
 
     # -- conditions -----------------------------------------------------------
 
@@ -432,22 +404,12 @@ class MethodVerifier:
             self.eval_expr(state, leaf.left, loc, insertion)
             self.eval_expr(state, leaf.right, loc, insertion)
 
-    def branches(self, state, cond, negate=False, assume=None):
+    def branches(self, state, cond, negate=False):
         """One clone of `state` per satisfiable DNF alternative of the
-        condition (or its negation), with `assume` produced first.  Each
-        clone reads its alternative after the produce, so the condition
-        sees the globals `assume` grants, with that clone's symbols.  The
-        order (produce, extend the path, then check) fixes which fresh
-        symbols exist when the prover runs."""
-        i, n = 0, 1
-        while i < n:
+        condition (or its negation), its path extended by the alternative."""
+        for alt in self.cond_alternatives(state, cond, negate):
             st = state.clone()
-            if assume is not None:
-                self.produce(st, assume)
-            alts = self.cond_alternatives(st, cond, negate)
-            n = len(alts)
-            st.path.extend(alts[i])
-            i += 1
+            st.path.extend(alt)
             if check_sat(st.path, self.stats.memo) != "unsat":
                 yield st
 
@@ -514,15 +476,18 @@ class MethodVerifier:
             if name in gnames and name in state.heap:
                 state.heap[name] = self.fresh(name)
         self._invalidate_facts(state)
+        # the loop head: the invariant holds, and the condition sees the
+        # globals it grants
+        self.produce(state, inv)
         body_path = path + (index, "body")
         end_insertion = Insertion("before", body_path, len(s.body))
         # one symbolic body pass: invariant /\ condition
-        for st in self.branches(state, s.cond, assume=inv):
+        for st in self.branches(state, s.cond):
             for exit_st in self.exec_block([st], s.body, body_path):
                 self.eval_cond_obligations(exit_st, s.cond, s.loc, end_insertion)
                 self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant")
         # after the loop: invariant /\ not condition
-        return list(self.branches(state, s.cond, negate=True, assume=inv))
+        return list(self.branches(state, s.cond, negate=True))
 
     def exec_call(self, state, s: Call, before):
         callee_c = self.program.contract(s.contract)

@@ -99,9 +99,9 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                     if r.insertion.kind == "before":
                         key = (r.insertion.block_path, r.insertion.index)
                         inserts.setdefault(key, []).append(
-                            Check(r.id, r.payload, r.obligation.loc))
+                            Check(r.id, r.obligation.atom, r.obligation.loc))
                     else:
-                        residual_rows.append(BoundaryEntry(r.insertion.kind, r.payload, r.id))
+                        residual_rows.append(BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
 
             def insert_checks(path, stmts):
                 out = []

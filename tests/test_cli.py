@@ -216,6 +216,13 @@ class TestVerify:
         assert ("prover: {'queries': 2, 'proved': 1, 'disproved': 0, 'unknown': 1}"
                 in capsys.readouterr().out)
 
+    def test_vacuous_precondition_warns(self, tmp_path, capsys):
+        src = tmp_path / "vacuous.gcl"
+        src.write_text(one_method("    y := x;\n", requires="acc(G) and x >= 2 and x <= 1"))
+        assert main(["verify", str(src)]) == EXIT_OK
+        assert ("warning: precondition of m is unsatisfiable; the method verifies vacuously"
+                in capsys.readouterr().out)
+
 
 class TestWeave:
     def test_auto(self, tmp_path, capsys):
@@ -241,6 +248,12 @@ class TestWeave:
                      "-o", str(tmp_path / "w.gcl")])
         assert code == EXIT_USAGE
         assert "stale report" in capsys.readouterr().out
+
+    def test_missing_report(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = main(["weave", SELL, "--report", str(missing), "-o", str(tmp_path / "w.gcl")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out.startswith(f"cannot read report {missing}:")
 
     def test_requires_report_or_auto(self, tmp_path, capsys):
         assert main(["weave", SELL, "-o", str(tmp_path / "w.gcl")]) == EXIT_USAGE
@@ -362,6 +375,24 @@ class TestRun:
         assert main(base + ["--unprotected"]) == EXIT_OK
         assert '"Balance": 2' in capsys.readouterr().out
 
+    @pytest.mark.parametrize("adversary, message", [
+        (None, "--adversary expects NAME=path, got 'Attacker'"),
+        ("contract Attacker:\n  method other(amount: uint64):\n    x := amount;\n",
+         "cannot load program: adversary Attacker lacks method notify"),
+        ("contract Attacker:\n  method notify(amount: uint64):\n    call Nope.f();\n",
+         "cannot load program: <adversary Attacker>:3:5: call to unknown contract 'Nope'"),
+    ], ids=["no-path", "lacks-method", "unknown-callee"])
+    def test_bad_adversary_is_a_usage_error(self, tmp_path, capsys, adversary, message):
+        woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))
+        capsys.readouterr()
+        arg = "Attacker"
+        if adversary is not None:
+            path = tmp_path / "adversary.gcl"
+            path.write_text(adversary)
+            arg += f"={path}"
+        assert main(["run", woven, "--adversary", arg]) == EXIT_USAGE
+        assert capsys.readouterr().out == message + "\n"
+
     @pytest.mark.parametrize("init", [
         {"Counter": {"Count": -5}, "Ghost": {"X": 1}},
         {"Ghost": {"X": 1}},
@@ -430,6 +461,11 @@ class TestCorpus:
         assert run.stdout.startswith("sell.gcl: ok equivalence")
         assert run.stdout.endswith("1 program(s), 3 erosion(s) checked\n")
 
+    def test_static_error_program(self, tmp_path, capsys):
+        shutil.copy(FIXTURES / "sell_strong.gcl", tmp_path / "sell_strong.gcl")
+        assert main(["corpus", str(tmp_path)]) == EXIT_STATIC
+        assert "sell_strong.gcl: static-error" in capsys.readouterr().out
+
     def test_empty_dir_warns(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == EXIT_OK
         assert "no corpus programs" in capsys.readouterr().out
@@ -465,7 +501,8 @@ class TestCorpus:
     ["corpus", str(CORPUS), "--bound", "-1"],
     ["corpus", str(CORPUS), "--erosion-bound", "-2"],
     ["run", SELL, "--txs", str(CORPUS / "sell.txs.jsonl"), "--gas-limit", "-3"],
-], ids=["bound", "erosion-bound", "gas-limit"])
+    ["corpus", str(CORPUS), "--bound", "x"],
+], ids=["bound", "erosion-bound", "gas-limit", "bound-not-an-integer"])
 def test_negative_count_option_is_a_usage_error(capsys, argv):
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in src/gvc is used, no module
-imports the same name twice, every module-level function and class is
-referenced, and library code changes no interpreter-global state."""
+imports the same name twice, every module-level function and class and every
+method is referenced, and library code changes no interpreter-global
+state."""
 
 import ast
 import json
@@ -52,19 +53,32 @@ def _references(tree):
     return out
 
 
+def _definitions(tree):
+    """(qualified name, node) of each module-level function and class, and
+    of each method of those classes that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_every_definition_is_referenced():
-    # a module-level function or class that nothing in src/, tests/,
-    # scripts/ or bench/ mentions outside its own definition is dead code
+    # a module-level function or class, or a method, that nothing in src/,
+    # tests/, scripts/ or bench/ mentions outside its own definition is dead
+    # code; a method counts as mentioned wherever its name is
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for d in ("src", "tests", "scripts", "bench")
              for path in sorted((SRC.parent.parent / d).rglob("*.py"))}
     total = sum((_references(t) for t in trees.values()), Counter())
     unused = []
     for path in MODULES:
-        for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if total[node.name] - _references(node)[node.name] == 0:
-                    unused.append(f"{path.name}:{node.name}")
+        for qualname, node in _definitions(trees[path]):
+            if total[node.name] - _references(node)[node.name] == 0:
+                unused.append(f"{path.name}:{qualname}")
     assert unused == []
 
 

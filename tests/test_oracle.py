@@ -3,9 +3,11 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.oracle import (
-    ALL_HELD, FIRST_VIOLATION, Site, dynamic_verify_trace,
+    ALL_HELD, FIRST_VIOLATION, Oracle, Site, dynamic_verify_trace,
     enumerate_equivalence, vm_site,
 )
 from gvc.verifier import Status, verify_program
@@ -144,6 +146,109 @@ class TestForeignCalls:
         judgment = dynamic_verify_trace(program, {"Vault": {"Count": 0}}, tx("Shop", "buy"))
         assert vm_site(out, image.sidecar) == judgment.site == Site("precondition", 12)
         assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
+
+
+
+# Run-time edges that no corpus program reaches.  Each case is a source, the
+# adversary source for its extern contract A (or None), the grid bound and
+# the oracle site kind some grid point must end in ("held": every point
+# commits).  W_CALLS_A: W.w holds G across a call to A, whose adversary
+# (CALLS_Q) re-enters W.q.
+W_CALLS_A = (
+    "contract W:\n"
+    "  #@ global G;\n"
+    "  method w(x: uint64):\n"
+    "    #@ requires ? and acc(G);\n"
+    "    #@ ensures ? and acc(G);\n"
+    "    call A.notify(x);\n"
+)
+EXTERN_A = "\nextern contract A:\n  method notify(x: uint64):\n    opaque;\n"
+CALLS_Q = "contract A:\n  method notify(x: uint64):\n    call W.q(x);\n"
+CALLS_A = (
+    "contract W:\n"
+    "  method w(x: uint64):\n"
+    "    #@ requires ?;\n"
+    "    #@ ensures ?;\n"
+    "    call A.notify(x);\n" + EXTERN_A
+)
+
+
+def q_method(spec, body):
+    """W_CALLS_A plus a method q with `requires ?`, then extern A."""
+    return (W_CALLS_A + "  method q(x: uint64):\n    #@ requires ?;\n"
+            f"    #@ ensures {spec};\n" + body + EXTERN_A)
+
+
+EDGES = {
+    "self-recursion": (
+        "contract C:\n  method spin(x: uint64):\n    #@ requires ?;\n"
+        "    #@ ensures ?;\n    call C.spin(x);\n", None, 1, "call-depth"),
+    "recursive-predicate": (
+        "contract C:\n  #@ predicate p(x) = x >= 0 and p(x);\n"
+        "  method m(x: uint64):\n    #@ requires ? and p(x);\n"
+        "    #@ ensures ?;\n    y := x;\n", None, 1, "predicate-depth"),
+    "overflow": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures ?;\n"
+        "    G := x * 9223372036854775808;\n", None, 2, "overflow"),
+    "loop-invariant": (
+        "contract C:\n  #@ global G;\n  method m(n: uint64):\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures ?;\n    i := 0;\n"
+        "    while i < n:\n      #@ invariant ? and acc(G) and i <= 1;\n"
+        "      i := i + 1;\n", None, 3, "loop-invariant"),
+    "spec-div-zero": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+        "    #@ requires ? and acc(G) and G / x >= 0;\n    #@ ensures ?;\n"
+        "    G := x;\n", None, 2, "div-zero"),
+    # the adversary re-enters q while w holds G
+    "write-while-held": (q_method("?", "    G := x;\n"), CALLS_Q, 1, "access"),
+    "internal-call-acc": (
+        q_method("?", "    call W.r(x);\n  method r(x: uint64):\n"
+                 "    #@ requires acc(G);\n    #@ ensures acc(G);\n    G := x;\n"),
+        CALLS_Q, 1, "access"),
+    "ensures-acc": (q_method("? and acc(G)", "    y := x;\n"), CALLS_Q, 1, "access"),
+    "invariant-acc": (
+        q_method("?", "    i := 0;\n    while i < x:\n"
+                 "      #@ invariant ? and acc(G);\n      i := i + 1;\n"),
+        CALLS_Q, 1, "access"),
+    "assert-acc": (q_method("?", "    #@ assert ? and acc(G);\n"), CALLS_Q, 1, "access"),
+    # poke borrows its precise caller's G and hands it back at exit
+    "borrow-from-caller": (
+        "contract W:\n  #@ global G;\n  method w(x: uint64):\n"
+        "    #@ requires acc(G);\n    #@ ensures acc(G);\n"
+        "    call W.poke(x);\n    G := G + 1;\n  method poke(x: uint64):\n"
+        "    #@ requires ?;\n    #@ ensures ?;\n    G := x;\n", None, 1, "held"),
+    "adversary-arithmetic": (
+        CALLS_A, "contract A:\n  #@ global N;\n  method notify(x: uint64):\n"
+        "    N := N - x;\n    N := x / N;\n", 2, "underflow"),
+    # the re-entered adversary reads (x = 0) or writes N, which its outer
+    # frame borrowed
+    "adversary-own-slot": (
+        CALLS_A, "contract A:\n  #@ global N;\n  #@ global Hits;\n"
+        "  method notify(x: uint64):\n    if x == 0:\n      y := N;\n"
+        "    else:\n      N := x;\n    if Hits == 0:\n      Hits := 1;\n"
+        "      call W.w(x);\n", 1, "access"),
+}
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_vm_agrees_with_oracle_at_run_time_edge(name, monkeypatch):
+    source, adversary, bound, kind = EDGES[name]
+    program, _ = load_source(source, f"{name}.gcl")
+    woven = weave(program, verify_program(program))
+    kinds = set()
+    judge = Oracle.judge
+
+    def recording_judge(self, storage, t):
+        j = judge(self, storage, t)
+        kinds.add("held" if j.held else j.site.kind)
+        return j
+
+    monkeypatch.setattr(Oracle, "judge", recording_judge)
+    report = enumerate_equivalence(program, woven, bound=bound,
+                                   adversaries=adversary and {"A": adversary})
+    assert report["disagreements"] == []
+    assert kind in kinds
 
 
 def test_oracle_module_is_independent():
