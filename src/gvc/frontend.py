@@ -7,9 +7,9 @@ import errno
 from pathlib import Path
 
 from .lang import (
-    Acc, Assign, AssertStmt, BinOp, Call, Check, Cmp, If, Name, Old, PredUse,
-    ResolutionError, Return, While, atom_exprs, bool_leaves,
-    misplaced_spec_markers, stmts_recursive, well_formed_program,
+    Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError,
+    While, bool_leaves, expr_nodes, misplaced_spec_markers, stmt_exprs,
+    stmts_recursive, well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -36,72 +36,41 @@ def infer_types(unit):
     its loop."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
     for c in program.contracts:
-        gnames = set(c.globals)
         for m in c.methods:
-            params = {p for p, _ in m.params}
-            assigned = set(params)
+            _assigned_after(m.body, set(c.globals).union(p for p, _ in m.params))
 
-            def use(e):
-                if isinstance(e, Name):
-                    if e.name in gnames or e.name in params:
-                        return
-                    if e.name not in assigned:
-                        raise InferenceError(e.loc, f"local {e.name!r} used before assignment")
-                elif isinstance(e, BinOp):
-                    use(e.left)
-                    use(e.right)
 
-            def use_atoms(atoms):
-                for a in atoms:
-                    if isinstance(a, Cmp):
-                        use(a.left)
-                        use(a.right)
-                    elif isinstance(a, PredUse):
-                        for x in a.args:
-                            use(x)
+def _use(nodes, known):
+    """Raise InferenceError at the first name among expression `nodes` that
+    is not in `known`."""
+    for e in nodes:
+        if isinstance(e, Name) and e.name not in known:
+            raise InferenceError(e.loc, f"local {e.name!r} used before assignment")
 
-            def check_cond(cnd):
-                for leaf in bool_leaves(cnd):
-                    if not isinstance(leaf, Cmp):
-                        loc = getattr(leaf, "loc", m.loc)
-                        raise InferenceError(loc, "uint64 expression used as a condition; a comparison is required")
-                    use_atoms([leaf])
 
-            def walk(body, assigned_in):
-                # returns set of names definitely assigned after the block
-                cur = set(assigned_in)
-                nonlocal assigned
-                for s in body:
-                    assigned = cur
-                    if isinstance(s, Assign):
-                        use(s.expr)
-                        if s.target not in gnames:
-                            cur.add(s.target)
-                    elif isinstance(s, Call):
-                        for a in s.args:
-                            use(a)
-                        if s.target and s.target not in gnames:
-                            cur.add(s.target)
-                    elif isinstance(s, If):
-                        check_cond(s.cond)
-                        t = walk(s.then, cur)
-                        e = walk(s.orelse, cur) if s.orelse else set(cur)
-                        cur = t & e
-                    elif isinstance(s, While):
-                        check_cond(s.cond)
-                        use_atoms(s.invariant.atoms)
-                        walk(s.body, cur)  # body may run zero times
-                    elif isinstance(s, Return):
-                        if s.expr is not None:
-                            use(s.expr)
-                    elif isinstance(s, AssertStmt):
-                        use_atoms(s.formula.atoms)
-                    elif isinstance(s, Check):
-                        use_atoms([s.payload])
-                assigned = cur
-                return cur
-
-            walk(m.body, params)
+def _assigned_after(body, known):
+    """The names known after a block: `known` (globals, parameters and the
+    locals assigned so far) plus the locals the block definitely assigns.  An
+    if/else keeps what both branches assign; a while body may run zero times.
+    Raises InferenceError at the first use of a name not known there, and at
+    a condition leaf that is not a comparison."""
+    known = set(known)
+    for s in body:
+        if isinstance(s, (If, While)):
+            for leaf in bool_leaves(s.cond):
+                if not isinstance(leaf, Cmp):
+                    raise InferenceError(leaf.loc, "uint64 expression used as a condition; a comparison is required")
+                _use(expr_nodes(leaf), known)
+            if isinstance(s, If):
+                known = _assigned_after(s.then, known) & _assigned_after(s.orelse, known)
+            else:
+                _use(expr_nodes(*s.invariant.atoms), known)
+                _assigned_after(s.body, known)
+        else:
+            _use(stmt_exprs(s), known)
+            if isinstance(s, (Assign, Call)) and s.target:
+                known.add(s.target)
+    return known
 
 
 def resolve(unit):
@@ -125,39 +94,27 @@ def resolve(unit):
         gnames = set(c.globals)
         preds = {p.name: p for p in c.predicates}
 
-        def check_expr(e, locals_ok, pnames):
-            if isinstance(e, Name):
-                if not (e.name in gnames or e.name in pnames or locals_ok):
-                    raise ResolutionError(e.loc, f"unresolved name {e.name!r} in specification")
-            elif isinstance(e, Old):
-                if e.slot not in gnames:
-                    raise ResolutionError(e.loc, f"old(...) names unknown global {e.slot!r}")
-            elif isinstance(e, BinOp):
-                check_expr(e.left, locals_ok, pnames)
-                check_expr(e.right, locals_ok, pnames)
-
-        def check_atom(a, locals_ok, pnames):
-            if isinstance(a, Acc):
-                if a.slot not in gnames:
-                    raise ResolutionError(a.loc, f"acc(...) names unknown global {a.slot!r}")
-            elif isinstance(a, Cmp):
-                check_expr(a.left, locals_ok, pnames)
-                check_expr(a.right, locals_ok, pnames)
-            elif isinstance(a, PredUse):
-                p = preds.get(a.name)
-                if p is None:
-                    raise ResolutionError(a.loc, f"unknown predicate {a.name!r}")
-                if len(a.args) != len(p.params):
-                    raise ResolutionError(a.loc, f"predicate {a.name} expects {len(p.params)} argument(s), got {len(a.args)}")
-                for x in a.args:
-                    check_expr(x, locals_ok, pnames)
+        def check_nodes(nodes, scope):
+            # scope: the names a specification may read; None in a body
+            for e in nodes:
+                if isinstance(e, Name):
+                    if scope is not None and e.name not in scope:
+                        raise ResolutionError(e.loc, f"unresolved name {e.name!r} in specification")
+                elif isinstance(e, Old):
+                    if e.slot not in gnames:
+                        raise ResolutionError(e.loc, f"old(...) names unknown global {e.slot!r}")
+                elif isinstance(e, Acc):
+                    if e.slot not in gnames:
+                        raise ResolutionError(e.loc, f"acc(...) names unknown global {e.slot!r}")
+                elif isinstance(e, PredUse):
+                    p = preds.get(e.name)
+                    if p is None:
+                        raise ResolutionError(e.loc, f"unknown predicate {e.name!r}")
+                    if len(e.args) != len(p.params):
+                        raise ResolutionError(e.loc, f"predicate {e.name} expects {len(p.params)} argument(s), got {len(e.args)}")
 
         def check_stmt(s, pnames):
-            if isinstance(s, Assign):
-                check_expr(s.expr, True, pnames)
-                if s.target in pnames:
-                    raise ResolutionError(s.loc, f"assignment to parameter {s.target!r}")
-            elif isinstance(s, Call):
+            if isinstance(s, Call):
                 callee_c = by_name.get(s.contract)
                 if callee_c is None:
                     raise ResolutionError(s.loc, f"call to unknown contract {s.contract!r}")
@@ -168,41 +125,25 @@ def resolve(unit):
                     raise ResolutionError(s.loc, f"{s.contract}.{s.method} expects {len(callee_m.params)} argument(s), got {len(s.args)}")
                 if s.target and not callee_m.returns:
                     raise ResolutionError(s.loc, f"{s.contract}.{s.method} returns nothing; cannot bind its result")
-                for a in s.args:
-                    check_expr(a, True, pnames)
-                if s.target and s.target in gnames:
-                    raise ResolutionError(s.loc, "binding a call result to a global is not supported; assign via a local")
-            elif isinstance(s, (If, While)):
-                for a in bool_leaves(s.cond):
-                    if isinstance(a, Cmp):
-                        check_atom(a, True, pnames)
-                    else:
-                        check_expr(a, True, pnames)
-                if isinstance(s, While):
-                    for a in s.invariant.atoms:
-                        check_atom(a, True, pnames)
-            elif isinstance(s, Return):
-                if s.expr is not None:
-                    check_expr(s.expr, True, pnames)
-            elif isinstance(s, AssertStmt):
-                for a in s.formula.atoms:
-                    check_atom(a, True, pnames)
-            elif isinstance(s, Check):
-                check_atom(s.payload, True, pnames)
+            check_nodes(stmt_exprs(s), None)
+            if isinstance(s, Assign) and s.target in pnames:
+                raise ResolutionError(s.loc, f"assignment to parameter {s.target!r}")
+            if isinstance(s, Call) and s.target and s.target in gnames:
+                raise ResolutionError(s.loc, "binding a call result to a global is not supported; assign via a local")
 
         for p in c.predicates:
             # QMark / Acc leaves are left for well-formedness to flag
-            for a in bool_leaves(p.body):
-                if isinstance(a, (Cmp, PredUse)):
-                    check_atom(a, False, set(p.params))
+            leaves = [a for a in bool_leaves(p.body) if isinstance(a, (Cmp, PredUse))]
+            check_nodes(expr_nodes(*leaves), gnames.union(p.params))
         for m in c.methods:
             pnames = {p for p, _ in m.params}
-            for a in m.spec.requires.atoms + m.spec.ensures.atoms:
-                check_atom(a, False, pnames)
+            scope = gnames | pnames
+            check_nodes(expr_nodes(*m.spec.requires.atoms, *m.spec.ensures.atoms), scope)
             for row in boundary.get((c.name, m.name), ()):
-                check_atom(row.payload, False, pnames)
+                nodes = list(expr_nodes(row.payload))
+                check_nodes(nodes, scope)
                 if row.kind == "entry":
-                    for d in misplaced_spec_markers(atom_exprs([row.payload])):
+                    for d in misplaced_spec_markers(nodes):
                         raise ResolutionError(d.loc, d.message)
             # pre-order: an if or while is checked before its blocks
             for _, s in stmts_recursive(m.body):

@@ -332,6 +332,41 @@ def bool_leaves(node):
     return out
 
 
+def expr_nodes(*roots):
+    """Every node under the given expressions and atoms, each pre-order,
+    left to right: a comparison before its two sides, a predicate instance
+    before its arguments, a binary operation before its operands.  An
+    acc(...), '?' or expression leaf is its own only node."""
+    stack = list(roots)
+    stack.reverse()
+    while stack:
+        node = stack.pop()
+        yield node
+        t = type(node)  # node classes are never subclassed
+        if t is BinOp or t is Cmp:
+            stack.append(node.right)
+            stack.append(node.left)
+        elif t is PredUse:
+            stack.extend(reversed(node.args))
+
+
+def stmt_exprs(s):
+    """The nodes of one statement's own expressions and atoms, not of its
+    inner blocks: its expression or call arguments, its condition and
+    invariant, its asserted formula or its check payload, in source order."""
+    if isinstance(s, (Assign, Return)):
+        return expr_nodes() if s.expr is None else expr_nodes(s.expr)
+    if isinstance(s, Call):
+        return expr_nodes(*s.args)
+    if isinstance(s, If):
+        return expr_nodes(*bool_leaves(s.cond))
+    if isinstance(s, While):
+        return expr_nodes(*bool_leaves(s.cond), *s.invariant.atoms)
+    if isinstance(s, AssertStmt):
+        return expr_nodes(*s.formula.atoms)
+    return expr_nodes(s.payload)  # a Check
+
+
 def stmts_recursive(body):
     """Every statement of a body, pre-order, as (site, statement).  A site is
     the statement's block path (i, "then"|"else"|"body", ...) plus its index
@@ -387,37 +422,14 @@ def normalize_formula(f: Formula) -> Formula:
     return Formula(imprecise=f.imprecise, atoms=tuple(atoms), loc=f.loc)
 
 
-def expr_global_reads(e: Expr, global_names):
-    """Slot names read by an expression (old(G) counts as reading G)."""
-    out = []
-
-    def walk(x):
-        if isinstance(x, Name):
-            if x.name in global_names:
-                out.append(x.name)
-        elif isinstance(x, Old):
-            out.append(x.slot)
-        elif isinstance(x, BinOp):
-            walk(x.left)
-            walk(x.right)
-
-    walk(e)
-    return out
-
-
 def atom_reads(atom, global_names, pred_reads=None):
-    """Globals read by one atom: those its expressions read, plus, for a
-    predicate instance, what `pred_reads` says its body reads.  acc(...)
-    and '?' read nothing."""
-    out = set()
-    if isinstance(atom, Cmp):
-        out.update(expr_global_reads(atom.left, global_names))
-        out.update(expr_global_reads(atom.right, global_names))
-    elif isinstance(atom, PredUse):
-        for arg in atom.args:
-            out.update(expr_global_reads(arg, global_names))
-        if pred_reads:
-            out.update(pred_reads.get(atom.name, ()))
+    """Globals read by one atom: those its expressions read (old(G) counts as
+    reading G), plus, for a predicate instance, what `pred_reads` says its
+    body reads.  acc(...) and '?' read nothing."""
+    out = {n.slot if isinstance(n, Old) else n.name for n in expr_nodes(atom)
+           if isinstance(n, Old) or (isinstance(n, Name) and n.name in global_names)}
+    if pred_reads and isinstance(atom, PredUse):
+        out.update(pred_reads.get(atom.name, ()))
     return out
 
 
@@ -460,25 +472,6 @@ def is_self_framed(f: Formula, ctx: Contract, extra_acc=()):
 # Well-formedness
 
 
-def _walk_exprs(node):
-    if isinstance(node, BinOp):
-        yield node
-        yield from _walk_exprs(node.left)
-        yield from _walk_exprs(node.right)
-    else:
-        yield node
-
-
-def atom_exprs(atoms):
-    for a in atoms:
-        if isinstance(a, Cmp):
-            yield from _walk_exprs(a.left)
-            yield from _walk_exprs(a.right)
-        elif isinstance(a, PredUse):
-            for arg in a.args:
-                yield from _walk_exprs(arg)
-
-
 def misplaced_spec_markers(nodes):
     """A diagnostic for each old(...) or result among expression nodes
     anywhere but in an ensures."""
@@ -495,7 +488,7 @@ def well_formed_program(p: Program):
     diags = []
 
     def check_expr_ranges(e, loc):
-        for node in _walk_exprs(e):
+        for node in expr_nodes(e):
             if isinstance(node, IntLit) and not (0 <= node.value <= UINT_MAX):
                 diags.append(Diagnostic(node.loc or loc, "integer literal out of uint64 range"))
 
@@ -521,14 +514,14 @@ def well_formed_program(p: Program):
                     diags.append(Diagnostic(node.loc, f"predicate {pred.name} must be precise: '?' not allowed in its body"))
                 elif isinstance(node, Acc):
                     diags.append(Diagnostic(node.loc, f"acc(...) not allowed in predicate {pred.name} body"))
-            diags.extend(misplaced_spec_markers(atom_exprs(leaves)))
+            diags.extend(misplaced_spec_markers(expr_nodes(*leaves)))
         for m in c.methods:
             req = m.spec.requires
             ens = m.spec.ensures
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
-            diags.extend(misplaced_spec_markers(atom_exprs(req.atoms)))
-            for node in atom_exprs(ens.atoms):
+            diags.extend(misplaced_spec_markers(expr_nodes(*req.atoms)))
+            for node in expr_nodes(*ens.atoms):
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
             if c.extern and not (req.imprecise and not req.atoms and ens.imprecise and not ens.atoms):
@@ -542,12 +535,12 @@ def well_formed_program(p: Program):
                 diags.append(Diagnostic(m.loc, f"method {m.name} has an empty body"))
             if m.opaque and not c.extern:
                 diags.append(Diagnostic(m.loc, f"only extern methods may be opaque ({m.name})"))
-            for e in atom_exprs(req.atoms):
+            for e in expr_nodes(*req.atoms):
                 if isinstance(e, IntLit):
                     check_expr_ranges(e, m.loc)
             for _, s in stmts_recursive(m.body):
                 if isinstance(s, (If, While)):
-                    diags.extend(misplaced_spec_markers(atom_exprs(bool_leaves(s.cond))))
+                    diags.extend(misplaced_spec_markers(expr_nodes(*bool_leaves(s.cond))))
                 if isinstance(s, (Assign, Return)):
                     if isinstance(s, Return):
                         if m.returns and s.expr is None:
@@ -557,20 +550,20 @@ def well_formed_program(p: Program):
                     e = s.expr
                     if e is not None:
                         check_expr_ranges(e, s.loc)
-                        diags.extend(misplaced_spec_markers(_walk_exprs(e)))
+                        diags.extend(misplaced_spec_markers(expr_nodes(e)))
                 elif isinstance(s, Call):
                     for a in s.args:
                         check_expr_ranges(a, s.loc)
-                        diags.extend(misplaced_spec_markers(_walk_exprs(a)))
+                        diags.extend(misplaced_spec_markers(expr_nodes(a)))
                 elif isinstance(s, While):
                     inv = s.invariant
                     if normalize_formula(inv) != inv:
                         diags.append(Diagnostic(s.loc, "loop invariant is not normalized"))
-                    diags.extend(misplaced_spec_markers(atom_exprs(inv.atoms)))
+                    diags.extend(misplaced_spec_markers(expr_nodes(*inv.atoms)))
                     if not is_self_framed(inv, c, extra_acc=req_acc):
                         diags.append(Diagnostic(inv.loc, "loop invariant is not self-framed"))
                 elif isinstance(s, AssertStmt):
-                    diags.extend(misplaced_spec_markers(atom_exprs(s.formula.atoms)))
+                    diags.extend(misplaced_spec_markers(expr_nodes(*s.formula.atoms)))
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
             if m.returns and not m.opaque and not _always_returns(m.body):
