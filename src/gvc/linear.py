@@ -26,12 +26,13 @@ constraints, which is also its key in the memo of component verdicts.  The
 key holds one `<=` constraint per coefficient vector, the tightest: of two
 bounds on the same terms the one with the larger constant implies the
 other, so the weaker is dropped as it is appended (a normalization step of
-Pugh's Omega test, 1991/92).  The dropped bound holds wherever the kept one
-does, so neither elimination nor the model check reaches another verdict
-without it, except where a COEF_LIMIT or CONSTRAINT_LIMIT give-up is
-avoided.  A verdict depends on the key's content alone, so a component
-keeps its verdict once decided, copies of a path condition share it, and one
-memo may serve every query of one verification run, or of several:
+Pugh's Omega test, 1991/92); `_fm` drops the weaker of the constraints each
+elimination step derives by the same rule.  The dropped bound holds wherever
+the kept one does, so neither elimination nor the model check reaches
+another verdict without it, except where a COEF_LIMIT or CONSTRAINT_LIMIT
+give-up is avoided.  A verdict depends on the key's content alone, so a
+component keeps its verdict once decided, copies of a path condition share
+it, and one memo may serve every query of one verification run, or of several:
 `verify_program` takes a memo from its caller (a fresh one when none is
 given), its `ProverStats.memo` holds it, and the run lets go of it when it
 returns.  A query without one gets a memo of its own.
@@ -445,25 +446,28 @@ def _decide(component):
 
 def _fm(les, var_order):
     """Fourier-Motzkin with model extraction.  les: list of (coeffs, const)
-    meaning sum coeffs*v + const <= 0."""
+    meaning sum coeffs*v + const <= 0.  Each level keeps one constraint per
+    coefficient vector, the one with the largest const: it implies the
+    others, and so do the constraints derived from it, so neither the
+    verdict nor the bounds the model is read from change."""
     levels = []
-    cur = []
+    cur = {}
     for coeffs, const in les:
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        coeffs, const = _tighten(coeffs, const)
-        cur.append((coeffs, const))
+        coeffs, const = _tighten({v: c for v, c in coeffs.items() if c != 0}, const)
+        key = tuple(sorted(coeffs.items()))
+        if key not in cur or cur[key][1] < const:
+            cur[key] = (coeffs, const)
     for v in var_order:
-        lows, highs, rest = [], [], []
-        for coeffs, const in cur:
+        lows, highs, new = [], [], {}
+        for key, (coeffs, const) in cur.items():
             c = coeffs.get(v, 0)
             if c > 0:
                 highs.append((coeffs, const))  # upper bound on v
             elif c < 0:
                 lows.append((coeffs, const))  # lower bound on v
             else:
-                rest.append((coeffs, const))
+                new[key] = (coeffs, const)
         levels.append((v, lows, highs))
-        new = rest
         for hc, hk in highs:
             a = hc[v]
             for lc, lk in lows:
@@ -484,11 +488,13 @@ def _fm(les, var_order):
                     continue
                 if abs(const) > COEF_LIMIT or any(abs(c) > COEF_LIMIT for c in coeffs.values()):
                     return "unknown"
-                new.append((coeffs, const))
+                key = tuple(sorted(coeffs.items()))
+                if key not in new or new[key][1] < const:
+                    new[key] = (coeffs, const)
         if len(new) > CONSTRAINT_LIMIT:
             return "unknown"
         cur = new
-    for coeffs, const in cur:
+    for coeffs, const in cur.values():
         if not coeffs and const > 0:
             return "unsat"
 

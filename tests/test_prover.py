@@ -1,6 +1,7 @@
 """Linear entailment engine: examples plus randomized soundness."""
 
 import itertools
+import operator
 import sys
 
 from hypothesis import given, settings, strategies as st
@@ -98,6 +99,9 @@ def systems(draw):
     return names, prem, [one()]
 
 
+_HOLDS = {Rel.LE: operator.le, Rel.EQ: operator.eq, Rel.NE: operator.ne}
+
+
 def _sat(point, c):
     total = c.const + sum(k * point[v] for v, k in c.terms)
     return {Rel.LE: total <= 0, Rel.EQ: total == 0, Rel.NE: total != 0}[c.rel]
@@ -129,6 +133,39 @@ def test_proved_is_monotone_under_stronger_premises(sys_):
         return
     extra = make_constraint({names[0]: 1}, -3, Rel.LE)  # x <= 3
     assert entails_constraints(prem + [extra], goal) is ProofResult.PROVED
+
+
+def _first_refuting_point(names, prem, goal, verdict, box):
+    # the plain scan of the whole box, in product order, that
+    # prover_soundness.contradiction must agree with
+    def row(c):
+        coefs = dict(c.terms)
+        return c.const, [coefs.get(v, 0) for v in names], _HOLDS[c.rel]
+
+    prem, goal = [row(c) for c in prem], [row(c) for c in goal]
+    goal_holds = verdict is not ProofResult.PROVED
+    for vals in itertools.product(range(box + 1), repeat=len(names)):
+        if all(op(k + sum(map(operator.mul, cs, vals)), 0) for k, cs, op in prem) and \
+                all(op(k + sum(map(operator.mul, cs, vals)), 0) for k, cs, op in goal) == goal_holds:
+            return dict(zip(names, vals))
+    return None
+
+
+def test_contradiction_search_matches_a_plain_scan():
+    # on every system of criterion 6 with at most three variables, under
+    # either verdict, the masked search returns the point a scan of the
+    # whole box [0, 16]^n reaches first, or None with it
+    cfg = prover_soundness.Config(systems=1000, seed=20240817, box=16)
+    found = 0
+    for names, prem, goal in prover_soundness.random_systems(cfg):
+        if len(names) > 3:
+            continue
+        for verdict in (ProofResult.PROVED, ProofResult.DISPROVED):
+            pt = prover_soundness.contradiction(names, prem, goal, verdict, cfg.box)
+            assert pt == _first_refuting_point(names, prem, goal, verdict, cfg.box), \
+                (names, prem, goal, verdict)
+            found += pt is not None
+    assert found == 527
 
 
 # -- the component split and its memo ------------------------------------------
@@ -280,6 +317,18 @@ def test_tightest_bound_keeps_every_verdict(system):
     expected = _unreduced_entails(cons, goal)
     assert entails_constraints(cons, goal) is expected
     assert entails_constraints(PathCondition(cons), goal) is expected
+
+
+def test_elimination_keeps_the_tightest_bound_per_vector(monkeypatch):
+    # eliminating x from x + i*y <= 0 (i = 1..10), -x + j*y + z <= 0
+    # (j = 0..9) and the unsigned bounds derives over a hundred constraints
+    # but only 23 coefficient vectors, (i + j)*y + z among them; keeping the
+    # tightest per vector stays under a limit of 30 and decides the system
+    monkeypatch.setattr(gvc.linear, "CONSTRAINT_LIMIT", 30)
+    cons = [con({"x": 1, "y": i}, 0) for i in range(1, 11)]
+    cons += [con({"x": -1, "y": j, "z": 1}, 0) for j in range(10)]
+    assert check_sat(cons) == "sat"
+    assert check_sat(cons + [con({"y": -1}, 1)]) == "unsat"  # y >= 1 forces x + y > 0
 
 
 def test_weaker_bound_leaves_the_component_alone():
