@@ -4,6 +4,7 @@ convenience entry points that take raw source to a checked Program."""
 from __future__ import annotations
 
 import errno
+import re
 from pathlib import Path
 
 from .lang import (
@@ -185,10 +186,11 @@ def corpus_files(root):
 
 def corpus_adversaries(path, program):
     """{extern contract name: adversary source} for the corpus program at
-    `path`, read from the `<stem>.adversary.gcl` beside it, if any."""
+    `path`, read from the `<stem>.adversary.gcl` beside it, if any: each
+    extern whose contract that source declares, at the start of a line."""
     adv_path = Path(path).with_name(Path(path).stem + ".adversary.gcl")
     if not adv_path.exists():
         return {}
     text = read_source(adv_path)
     return {c.name: text for c in program.contracts
-            if c.extern and f"contract {c.name}" in text}
+            if c.extern and re.search(rf"^\s*contract\s+{c.name}\s*:", text, re.M)}

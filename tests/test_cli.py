@@ -486,6 +486,21 @@ class TestCorpus:
         assert ("bank.gcl: FAIL cannot load the woven program: "
                 "adversary Attacker.notify signature mismatch") in out
 
+    @pytest.mark.parametrize("adversary", [
+        "contract Feed2:\n  method ping():\n    return;\n",
+        "# the contract Feed is left opaque\ncontract Feed2:\n  method ping():\n    return;\n",
+    ], ids=["longer-name", "comment"])
+    def test_adversary_maps_only_the_contracts_it_declares(self, tmp_path, capsys, adversary):
+        # Feed has no adversary, so it keeps its no-op body; naming it in a
+        # comment or as the prefix of another contract's name does not count
+        havoc = (CORPUS / "extern_havoc.gcl").read_text(encoding="utf-8")
+        (tmp_path / "feeds.gcl").write_text(
+            havoc.replace("call Feed.ping();", "call Feed.ping();\n    call Feed2.ping();")
+            + "\nextern contract Feed2:\n  method ping():\n    opaque;\n", encoding="utf-8")
+        (tmp_path / "feeds.adversary.gcl").write_text(adversary, encoding="utf-8")
+        assert main(["corpus", str(tmp_path)]) == EXIT_OK
+        assert "feeds.gcl: ok" in capsys.readouterr().out
+
     def test_foreign_precondition_programs_pass(self, tmp_path, capsys):
         # calls into another contract's precondition: a foreign predicate
         # (cross_pred) and a callee global named like one of the caller's
