@@ -9,8 +9,8 @@ from pathlib import Path
 
 from .lang import (
     Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError,
-    While, bool_leaves, expr_nodes, misplaced_spec_markers, stmt_exprs,
-    stmts_recursive, well_formed_program,
+    While, bool_leaves, expr_diagnostics, expr_nodes, out_of_range_literals,
+    stmt_exprs, stmts_recursive, well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -143,9 +143,9 @@ def resolve(unit):
             for row in boundary.get((c.name, m.name), ()):
                 nodes = list(expr_nodes(row.payload))
                 check_nodes(nodes, scope)
-                if row.kind == "entry":
-                    for d in misplaced_spec_markers(nodes):
-                        raise ResolutionError(d.loc, d.message)
+                check = expr_diagnostics if row.kind == "entry" else out_of_range_literals
+                for d in check(nodes):
+                    raise ResolutionError(d.loc, d.message)
             # pre-order: an if or while is checked before its blocks
             for _, s in stmts_recursive(m.body):
                 check_stmt(s, pnames)

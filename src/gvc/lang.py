@@ -472,11 +472,22 @@ def is_self_framed(f: Formula, ctx: Contract, extra_acc=()):
 # Well-formedness
 
 
-def misplaced_spec_markers(nodes):
-    """A diagnostic for each old(...) or result among expression nodes
-    anywhere but in an ensures."""
+def out_of_range_literals(nodes):
+    """A diagnostic for each integer literal among expression nodes that is
+    not a uint64."""
     for node in nodes:
-        if isinstance(node, Old):
+        if isinstance(node, IntLit) and not 0 <= node.value <= UINT_MAX:
+            yield Diagnostic(node.loc, "integer literal out of uint64 range")
+
+
+def expr_diagnostics(nodes):
+    """The diagnostics of expression nodes anywhere but in an ensures: each
+    integer literal that is not a uint64, and each old(...) or result."""
+    for node in nodes:
+        if isinstance(node, IntLit):
+            if not 0 <= node.value <= UINT_MAX:
+                yield Diagnostic(node.loc, "integer literal out of uint64 range")
+        elif isinstance(node, Old):
             yield Diagnostic(node.loc, "old(...) is only allowed in ensures")
         elif isinstance(node, Result):
             yield Diagnostic(node.loc, "result is only allowed in ensures")
@@ -486,12 +497,6 @@ def well_formed_program(p: Program):
     """Structural invariants beyond what parsing and resolution enforce.
     Returns diagnostics; the program is well-formed iff the list is empty."""
     diags = []
-
-    def check_expr_ranges(e, loc):
-        for node in expr_nodes(e):
-            if isinstance(node, IntLit) and not (0 <= node.value <= UINT_MAX):
-                diags.append(Diagnostic(node.loc or loc, "integer literal out of uint64 range"))
-
     for c in p.contracts:
         if len(set(c.globals)) != len(c.globals):
             diags.append(Diagnostic(c.loc, f"duplicate global declaration in {c.name}"))
@@ -514,13 +519,14 @@ def well_formed_program(p: Program):
                     diags.append(Diagnostic(node.loc, f"predicate {pred.name} must be precise: '?' not allowed in its body"))
                 elif isinstance(node, Acc):
                     diags.append(Diagnostic(node.loc, f"acc(...) not allowed in predicate {pred.name} body"))
-            diags.extend(misplaced_spec_markers(expr_nodes(*leaves)))
+            diags.extend(expr_diagnostics(expr_nodes(*leaves)))
         for m in c.methods:
             req = m.spec.requires
             ens = m.spec.ensures
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
-            diags.extend(misplaced_spec_markers(expr_nodes(*req.atoms)))
+            diags.extend(expr_diagnostics(expr_nodes(*req.atoms)))
+            diags.extend(out_of_range_literals(expr_nodes(*ens.atoms)))
             for node in expr_nodes(*ens.atoms):
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
@@ -535,37 +541,29 @@ def well_formed_program(p: Program):
                 diags.append(Diagnostic(m.loc, f"method {m.name} has an empty body"))
             if m.opaque and not c.extern:
                 diags.append(Diagnostic(m.loc, f"only extern methods may be opaque ({m.name})"))
-            for e in expr_nodes(*req.atoms):
-                if isinstance(e, IntLit):
-                    check_expr_ranges(e, m.loc)
             for _, s in stmts_recursive(m.body):
                 if isinstance(s, (If, While)):
-                    diags.extend(misplaced_spec_markers(expr_nodes(*bool_leaves(s.cond))))
-                if isinstance(s, (Assign, Return)):
+                    diags.extend(expr_diagnostics(expr_nodes(*bool_leaves(s.cond))))
+                if isinstance(s, (Assign, Return, Call)):
                     if isinstance(s, Return):
                         if m.returns and s.expr is None:
                             diags.append(Diagnostic(s.loc, "return without a value in a method returning uint64"))
                         if not m.returns and s.expr is not None:
                             diags.append(Diagnostic(s.loc, "return with a value in a method returning nothing"))
-                    e = s.expr
-                    if e is not None:
-                        check_expr_ranges(e, s.loc)
-                        diags.extend(misplaced_spec_markers(expr_nodes(e)))
-                elif isinstance(s, Call):
-                    for a in s.args:
-                        check_expr_ranges(a, s.loc)
-                        diags.extend(misplaced_spec_markers(expr_nodes(a)))
+                    diags.extend(expr_diagnostics(stmt_exprs(s)))
                 elif isinstance(s, While):
                     inv = s.invariant
                     if normalize_formula(inv) != inv:
                         diags.append(Diagnostic(s.loc, "loop invariant is not normalized"))
-                    diags.extend(misplaced_spec_markers(expr_nodes(*inv.atoms)))
+                    diags.extend(expr_diagnostics(expr_nodes(*inv.atoms)))
                     if not is_self_framed(inv, c, extra_acc=req_acc):
                         diags.append(Diagnostic(inv.loc, "loop invariant is not self-framed"))
                 elif isinstance(s, AssertStmt):
-                    diags.extend(misplaced_spec_markers(expr_nodes(*s.formula.atoms)))
+                    diags.extend(expr_diagnostics(expr_nodes(*s.formula.atoms)))
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
+                elif isinstance(s, Check):
+                    diags.extend(out_of_range_literals(stmt_exprs(s)))
             if m.returns and not m.opaque and not _always_returns(m.body):
                 diags.append(Diagnostic(m.loc, f"method {m.name} may fall off the end without returning a value"))
     return diags

@@ -151,6 +151,17 @@ class TestVerify:
         assert main(["verify", str(path)]) == EXIT_STATIC
         assert f"unbound.gcl:{message}: local 'k' used before assignment" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("src, message", [
+        (one_method("    if x < 18446744073709551616:\n      G := 1;\n", "acc(G)"), "7:12"),
+        (one_method("    G := 1;\n", "acc(G)").replace(
+            "ensures ?", "ensures acc(G) and G <= 18446744073709551616"), "6:32"),
+    ], ids=["if-condition", "ensures"])
+    def test_literal_past_uint64_is_a_static_error(self, tmp_path, capsys, src, message):
+        path = tmp_path / "big.gcl"
+        path.write_text(src)
+        assert main(["verify", str(path)]) == EXIT_STATIC
+        assert f"big.gcl:{message}: integer literal out of uint64 range" in capsys.readouterr().out
+
     def test_parse_error_at_its_real_location(self, tmp_path, capsys):
         src = tmp_path / "leaf.gcl"
         src.write_text(one_method("    if x + > 1:\n      y := x;\n    else:\n      y := 0;\n"))

@@ -162,6 +162,50 @@ class TestInference:
         assert "condition" in str(e.value)
 
 
+LITERAL_SITES = (
+    "contract C:\n"
+    "  #@ global G;\n"
+    "  #@ predicate small(a) = a <= {predicate};\n"
+    "  method m(x: uint64) -> uint64:\n"
+    "    #@ requires acc(G) and G <= {requires};\n"
+    "    #@ ensures acc(G) and G <= {ensures};\n"
+    "    #! entry G <= {entry} @c0;\n"
+    "    #! check x <= {check} @c1;\n"
+    "    y := x + {assign};\n"
+    "    call C.n({call});\n"
+    "    if x < {if_}:\n"
+    "      y := 0;\n"
+    "    while y < {while_}:\n"
+    "      #@ invariant ? and y <= {invariant};\n"
+    "      y := y + 1;\n"
+    "    #@ assert ? and x <= {assert_};\n"
+    "    return {return_};\n"
+    "  method n(a: uint64):\n"
+    "    #@ requires ?;\n"
+    "    #@ ensures ?;\n"
+    "    return;\n"
+)
+SITE_NAMES = ("predicate", "requires", "ensures", "entry", "check", "assign", "call",
+              "if_", "while_", "invariant", "assert_", "return_")
+
+
+class TestLiteralRange:
+    def test_largest_uint64_is_accepted_everywhere(self):
+        load_source(LITERAL_SITES.format(**dict.fromkeys(SITE_NAMES, 2**64 - 1)), "t.gcl")
+
+    @pytest.mark.parametrize("site", SITE_NAMES)
+    def test_literal_past_uint64_is_rejected_at_its_location(self, site):
+        # every expression a program holds, spec or code, takes uint64
+        # literals only; a boundary row is checked as it is resolved
+        src = LITERAL_SITES.format(**{**dict.fromkeys(SITE_NAMES, 1), site: 2**64})
+        line = next(i for i, text in enumerate(src.splitlines(), 1) if str(2**64) in text)
+        col = src.splitlines()[line - 1].index(str(2**64)) + 1
+        error = ResolutionError if site == "entry" else WellFormednessError
+        with pytest.raises(error) as e:
+            load_source(src, "t.gcl")
+        assert str(e.value) == f"t.gcl:{line}:{col}: integer literal out of uint64 range"
+
+
 class TestResolution:
     def test_resolve_returns_the_parsed_program(self, sell_path):
         unit = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))
