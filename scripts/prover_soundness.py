@@ -13,9 +13,9 @@ import itertools
 import random
 import sys
 import time
+from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from dataclasses import dataclass
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))

@@ -82,8 +82,10 @@ def resolve(unit):
     WellFormednessError if structural diagnostics remain afterwards.  The
     `#! entry`/`#! exit` rows of a woven text are checked after the specs
     they realize, an entry row as a requires atom, an exit row as an
-    ensures atom.  Returns the program itself: a name is a global iff its
-    contract declares it, so there is nothing to annotate."""
+    ensures atom, literal range and spec markers included, and a row that
+    breaks one of these raises ResolutionError too.  Returns the program
+    itself: a name is a global iff its contract declares it, so there is
+    nothing to annotate."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
     boundary = unit.boundary if isinstance(unit, ParsedUnit) else {}
     by_name = {c.name: c for c in program.contracts}

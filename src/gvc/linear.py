@@ -448,8 +448,9 @@ def _fm(les, var_order):
     """Fourier-Motzkin with model extraction.  les: list of (coeffs, const)
     meaning sum coeffs*v + const <= 0.  Each level keeps one constraint per
     coefficient vector, the one with the largest const: it implies the
-    others, and so do the constraints derived from it, so neither the
-    verdict nor the bounds the model is read from change."""
+    others, and so do the constraints derived from it, so the verdict and
+    the bounds the model is read from are those of keeping them all, except
+    where a COEF_LIMIT or CONSTRAINT_LIMIT give-up is avoided."""
     levels = []
     cur = {}
     for coeffs, const in les:

@@ -173,20 +173,20 @@ LITERAL_SITES = (
     "    #! check x <= {check} @c1;\n"
     "    y := x + {assign};\n"
     "    call C.n({call});\n"
-    "    if x < {if_}:\n"
+    "    if x < {if}:\n"
     "      y := 0;\n"
-    "    while y < {while_}:\n"
+    "    while y < {while}:\n"
     "      #@ invariant ? and y <= {invariant};\n"
     "      y := y + 1;\n"
-    "    #@ assert ? and x <= {assert_};\n"
-    "    return {return_};\n"
+    "    #@ assert ? and x <= {assert};\n"
+    "    return {return};\n"
     "  method n(a: uint64):\n"
     "    #@ requires ?;\n"
     "    #@ ensures ?;\n"
     "    return;\n"
 )
 SITE_NAMES = ("predicate", "requires", "ensures", "entry", "check", "assign", "call",
-              "if_", "while_", "invariant", "assert_", "return_")
+              "if", "while", "invariant", "assert", "return")
 
 
 class TestLiteralRange:

@@ -99,9 +99,6 @@ def systems(draw):
     return names, prem, [one()]
 
 
-_HOLDS = {Rel.LE: operator.le, Rel.EQ: operator.eq, Rel.NE: operator.ne}
-
-
 def _sat(point, c):
     total = c.const + sum(k * point[v] for v, k in c.terms)
     return {Rel.LE: total <= 0, Rel.EQ: total == 0, Rel.NE: total != 0}[c.rel]
@@ -133,6 +130,9 @@ def test_proved_is_monotone_under_stronger_premises(sys_):
         return
     extra = make_constraint({names[0]: 1}, -3, Rel.LE)  # x <= 3
     assert entails_constraints(prem + [extra], goal) is ProofResult.PROVED
+
+
+_HOLDS = {Rel.LE: operator.le, Rel.EQ: operator.eq, Rel.NE: operator.ne}
 
 
 def _first_refuting_point(names, prem, goal, verdict, box):
