@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Differential test of the front end and the verifier between two source
-trees.
+"""Differential test of the front end, the verifier and the VM between two
+source trees.
 
 Runs `gvc.frontend.load_source` from two `src` directories on the same
 inputs and reports every input on which they differ: a different error
 (type or message) or a different program (node types, fields and source
 locations) or boundary map, and, for an input both load, a different
-`verify_program` report JSON or woven text.  The inputs are every `.gcl`
+`verify_program` report JSON or woven text, and for an input both verify,
+a different VM outcome (`Outcome.as_dict()`, revert reason and detail) on
+a case of its bound-2 `transaction_grid`, each case run on the woven
+program under a gas limit of GAS_LIMIT.  The inputs are every `.gcl`
 file under `corpus/` and `tests/fixtures/`, the woven text of each one that
 verifies (so `#! check` and `#! entry/exit` lines are covered), and seeded
 mutations of all of them, plus the n-if programs for n = 1..10.  The
@@ -35,6 +38,8 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # errors that end the front end after parsing succeeded
 LATE_ERRORS = ("InferenceError", "ResolutionError", "WellFormednessError")
 SHOWN = 5  # differences printed in full
+GRID_BOUND = 2
+GAS_LIMIT = 10_000  # a mutant's loop may not end
 
 
 def canon(x):
@@ -60,12 +65,24 @@ def canon(x):
 def describe(texts):
     """The result on each text: ["error", exception type, message] if
     load_source fails, else ["ok", program, boundary, checked], where
-    checked is [report JSON, woven text or None if a method has a static
-    error], or ["crash", exception type, message] if verifying or weaving
-    raised."""
+    checked is [report JSON, woven text, VM outcomes (see run_grid)], the
+    last two None if a method has a static error, or ["crash", exception
+    type, message] if verifying, weaving or running raised."""
     from gvc.frontend import load_source
     from gvc.verifier import verify_program
+    from gvc.vm import Ledger, Vm, load_program, transaction_grid
     from gvc.weaver import weave
+
+    def run_grid(program, woven):
+        """[method, initial ledger, arguments, outcome dict, reason, detail]
+        of each case of the bound-2 grid, run on the loaded woven program."""
+        image = load_program(woven)
+        cases = []
+        for c, m, init, t in transaction_grid(program, GRID_BOUND):
+            out = Vm(image, Ledger(image.program, init)).exec_transaction(t, gas_limit=GAS_LIMIT)
+            cases.append([f"{c.name}.{m.name}", init, list(t.args), out.as_dict(),
+                          out.reason, out.detail])
+        return cases
 
     out = []
     for name, text in texts:
@@ -76,8 +93,8 @@ def describe(texts):
             continue
         try:
             report = verify_program(program)
-            woven = None if report.has_static_error else weave(program, report).to_text()
-            checked = [report.to_json(), woven]
+            woven = None if report.has_static_error else weave(program, report)
+            checked = [report.to_json(), woven and woven.to_text(), woven and run_grid(program, woven)]
         except Exception as e:
             checked = ["crash", type(e).__name__, str(e)]
         out.append(["ok", canon(program), canon(boundary), checked])
@@ -169,9 +186,14 @@ def main(argv=None):
         print(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\nnew: {json.dumps(b)[:300]}")
     late = sum(outcomes[k] for k in LATE_ERRORS)
     both = sum(a[0] == b[0] == "ok" for a, b in zip(old, new))
+    ran = [(a, b) for a, b in zip(old, new)
+           if a[0] == b[0] == "ok" and "crash" not in (a[3][0], b[3][0]) and a[3][2] and b[3][2]]
     print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
+    print(f"{len(ran)} input(s) verify in both trees; their VM outcomes on "
+          f"{sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared, "
+          f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))} of them differ")
     tally = Counter(f"{outcome(a)} -> {outcome(b)}" for _, a, b in diffs)
     print(f"{len(diffs)} difference(s): {dict(sorted(tally.items()))}")
     return 1 if diffs else 0

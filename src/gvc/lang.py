@@ -563,7 +563,7 @@ def well_formed_program(p: Program):
                     if not is_self_framed(s.formula, c, extra_acc=req_acc):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
                 elif isinstance(s, Check):
-                    diags.extend(out_of_range_literals(stmt_exprs(s)))
+                    diags.extend(expr_diagnostics(stmt_exprs(s)))
             if m.returns and not m.opaque and not _always_returns(m.body):
                 diags.append(Diagnostic(m.loc, f"method {m.name} may fall off the end without returning a value"))
     return diags

@@ -5,20 +5,28 @@ permission ownership, boundary checking against callers from other
 contracts, woven run-time checks, gas metering, and rollback of every write
 on any failure.
 
-`load_program` compiles each method body once into Python closures (closure
-generation, after Feeley and Lapalme, "Using Closures for Code Generation",
-1987): every statement, program-level expression and condition becomes a
-function of the running Frame, with the source line a revert reports fixed
-at compile time.  One image serves every Vm made from it, so compiled code
-reaches the ledger, the permission table, the gas meter and the Vm only
-through the frame it is handed.
+`load_program` compiles once, into Python closures (closure generation,
+after Feeley and Lapalme, "Using Closures for Code Generation", 1987), each
+method body, the payload of each boundary row and woven check, and each
+contract's predicate bodies: every statement, expression, condition and
+spec formula becomes a function of the running Frame and the names in
+scope, with the source line a revert reports fixed at compile time, and a
+literal or local operand is read inline by the closure around it.  One
+image serves every Vm made from it, so compiled code reaches the ledger,
+the permission table, the gas meter and the Vm only through the frame it is
+handed.  A transaction runs closures only; nothing is compiled or walked as
+a tree at run time.
 
 Program arithmetic is checked uint64 (underflow/overflow/division by zero
-revert as ArithmeticPanic when no woven check preempts them).  Specification
-payloads (checks, boundary atoms, predicates) evaluate over mathematical
-integers: a guard check that fails simply reverts before the guarded
-operation runs.  Conditions are strict: both operands of and/or are
-evaluated.
+revert as ArithmeticPanic when no woven check preempts them), and program
+conditions are strict: both operands of and/or are evaluated.
+Specification payloads (checks, boundary atoms, predicates) evaluate over
+mathematical integers, with short-circuit and/or, charging 1 check gas per
+acc, comparison and predicate call: a guard check that fails simply reverts
+before the guarded operation runs.  A payload or predicate body that holds
+a predicate instance compiles to a generator function, which
+eval_spec_bool drives from an explicit stack, so predicate recursion never
+grows the Python stack.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ from dataclasses import dataclass, field, replace
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
-    Contract, call_charge, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
+    Contract, call_charge, expr_nodes, If, IntLit, Method, Name, NotOp, Old,
+    PredUse, PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
 from .parser import parse_program
@@ -151,8 +159,9 @@ class Ledger:
 
 class GasMeter:
     """Gas spent by one transaction: GasExhausted as soon as exec_gas plus
-    check_gas passes `limit`.  Compiled code charges exec gas inline by the
-    same rule (see _block)."""
+    check_gas passes `limit`.  Compiled code charges exec gas, and the
+    check gas of a comparison, inline by the same rule (see _block and
+    _formula)."""
 
     def __init__(self, limit=None):
         self.exec_gas = 0
@@ -174,16 +183,23 @@ class VmOptions:
 
 
 class MethodCode:
-    """One method of a loaded image: its boundary table split by kind, its
-    spec's acc slots, and its body compiled to a closure that takes the
-    running Frame and returns True when the body executed a return."""
+    """One method of a loaded image: its parameter names; its evaluated
+    boundary rows by kind, compiled; whether its exit rows read old(...);
+    its spec's acc slots; its contract's compiled predicates (shared by the
+    contract's methods); and its body compiled to a closure that takes the
+    running Frame and its locals and returns True when the body executed a
+    return."""
 
-    def __init__(self, contract: Contract, method: Method, table, verified):
+    def __init__(self, contract: Contract, method: Method, table, verified, predicates):
         spec = method.spec
         self.contract, self.method, self.verified = contract, method, verified
+        self.params = tuple(p for p, _ in method.params)
         self.imprecise_entry = spec.requires.imprecise or not verified
-        self.entry, self.exit = _evaluated_rows(table, "entry"), _evaluated_rows(table, "exit")
+        self.entry, self.exit = _rows(table, "entry", contract), _rows(table, "exit", contract)
+        self.reads_old = any(type(n) is Old for _, _, p in self.exit for n in expr_nodes(p))
         self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
+        self.ensured = frozenset(slot for slot, _ in self.ensures_acc)
+        self.predicates = predicates
         self.body = _block(method.body, contract)
 
 
@@ -207,7 +223,7 @@ class Frame:
         self.perm = vm.perm
         self.meter = vm.meter
         self.protected = vm.options.protected
-        self.old = {}
+        self.old = None  # the contract's storage at entry, if the exit rows read it
         self.result = None
         self.lazy_acquired = []  # (slot, previous owner)
 
@@ -277,8 +293,9 @@ def with_own_contracts(merged: Program, own: Program) -> Program:
 def load_program(ip, adversaries: dict = None) -> VmImage:
     """Build an executable image; accepts an InstrumentedProgram or a
     (program, boundary rows) pair from re-loading woven text.  Each
-    method's table is rebuilt from its spec plus the given residual rows,
-    and its body is compiled."""
+    method's table is rebuilt from its spec plus the given residual rows;
+    its body and the payloads of its rows and woven checks are compiled, and
+    each contract's predicate bodies once."""
     if isinstance(ip, InstrumentedProgram):
         program, residuals, sidecar = ip.program, ip.boundary_residuals, dict(ip.sidecar)
     else:
@@ -286,10 +303,11 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     combined, unverified = merge_adversaries(program, adversaries)
     tables, code = {}, {}
     for c in combined.contracts:
+        predicates = _predicates(c)
         for m in c.methods:
             table = build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
             tables[(c.name, m.name)] = table
-            code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified)
+            code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified, predicates)
     return VmImage(combined, tables, sidecar, frozenset(unverified), code)
 
 
@@ -371,16 +389,16 @@ class Vm:
         if depth > CALL_DEPTH_CAP:
             raise Revert(CALL_DEPTH, method=f"{cname}.{mname}")
         self.frames += 1
-        frame = Frame(self, self.frames, code,
-                      {p: v for (p, _), v in zip(code.method.params, args)}, caller, depth)
+        frame = Frame(self, self.frames, code, dict(zip(code.params, args)), caller, depth)
         # a caller reasons only about its own contract's specs: a call from
         # any other contract crosses the callee's boundary
         boundary_active = caller is None or caller.contract.name != cname
 
-        if code.verified and self.options.protected:
+        if code.verified and frame.protected:
             # a failing precondition blames a verified caller's call site
             site = call_line if caller is not None and caller.code.verified else None
-            self._boundary_checks(frame, code.entry, "precondition", boundary_active, site)
+            if code.entry:
+                self._boundary_checks(frame, code.entry, "precondition", boundary_active, site)
             # acquire the requires acc list: each slot free or the caller's
             for slot, line in code.requires_acc:
                 if boundary_active:
@@ -391,8 +409,9 @@ class Vm:
                                  line=line, contract=cname)
                 self.perm[(cname, slot)] = frame.id
 
-        frame.old = dict(frame.slots)
-        code.body(frame)
+        if code.reads_old:
+            frame.old = dict(frame.slots)
+        code.body(frame, frame.env)
         self.exit_protocol(frame, boundary_active)
         return frame.result
 
@@ -402,21 +421,19 @@ class Vm:
         from the top level or from another contract).  A failing row reverts
         as a `kind` ("precondition" or "postcondition") check at `line`, by
         default the row's own."""
-        for payload, check_id in rows:
-            if (active or check_id is not None) and not self.eval_spec_bool(frame, payload):
+        for test, check_id, payload in rows:
+            if (active or check_id is not None) and not test(frame, frame.env):
                 raise Revert(CHECK_FAILURE, check_id=check_id, kind=kind,
                              payload=fmt_atom(payload), line=line or payload.loc.line)
 
     def exit_protocol(self, frame, boundary_active):
-        cname = frame.contract.name
-        if not self.options.protected:
+        if not frame.protected:
             return
-        if frame.code.verified:
-            self._boundary_checks(frame, frame.code.exit, "postcondition", boundary_active)
+        code, cname = frame.code, frame.contract.name
+        if code.verified and code.exit:
+            self._boundary_checks(frame, code.exit, "postcondition", boundary_active)
         # transfer ensures permissions back to the caller (FREE at top level)
-        ensured = set()
-        for slot, line in frame.code.ensures_acc:
-            ensured.add(slot)
+        for slot, line in code.ensures_acc:
             if not self._hold(frame, slot):
                 raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
                              line=line, contract=cname)
@@ -426,7 +443,7 @@ class Vm:
                 self.perm[(cname, slot)] = frame.caller.id
         # lazily borrowed permissions revert to their previous owner
         for slot, prev in reversed(frame.lazy_acquired):
-            if slot in ensured:
+            if slot in code.ensured:
                 continue
             if self.perm.get((cname, slot)) == frame.id:
                 if prev is None:
@@ -438,102 +455,32 @@ class Vm:
             if o == frame.id:
                 del self.perm[key]
 
-    # -- specification-level (mathematical) evaluation -----------------------
-
-    def eval_spec_bool(self, frame, payload):
-        """Truth of a check payload or boundary atom, charging 1 check gas
-        per acc atom, comparison and predicate call.  Each predicate body
-        being evaluated is a suspended generator on an explicit stack, so
-        recursion runs up to PREDICATE_DEPTH_CAP without growing the Python
-        stack."""
-        if isinstance(payload, Acc):
-            self.meter.charge_check()
-            return self._hold(frame, payload.slot)
-        if isinstance(payload, Cmp):
-            return self._cmp(payload, frame.env, frame.contract, frame)
-        stack, truth = [self._tree(payload, frame.env, frame.contract, frame)], None
-        while stack:
-            try:
-                name, args = stack[-1].send(truth)
-            except StopIteration as done:
-                stack.pop()
-                truth = done.value
-                continue
-            if len(stack) > PREDICATE_DEPTH_CAP:
-                raise Revert(PREDICATE_DEPTH, predicate=name)
-            pred = frame.contract.predicate(name)
-            self.meter.charge_check()  # the predicate call itself
-            stack.append(self._tree(pred.body, dict(zip(pred.params, args)), frame.contract, None))
-            truth = None
-        return truth
-
-    def _cmp(self, c, env, contract, frame):
-        self.meter.charge_check()
-        return _RELATIONS[c.op](self.eval_spec_value(c.left, env, contract, frame),
-                               self.eval_spec_value(c.right, env, contract, frame))
-
-    def _tree(self, node, env, contract, frame):
-        """Generator evaluating an and/or/not tree with short-circuit and/or:
-        yields (name, argument values) for each predicate instance, receives
-        its truth, and returns the tree's truth."""
-        if isinstance(node, Cmp):
-            return self._cmp(node, env, contract, frame)
-        if isinstance(node, PredUse):
-            return (yield node.name, [self.eval_spec_value(a, env, contract, frame)
-                                      for a in node.args])
-        if isinstance(node, BoolOp):
-            stop = node.op == "or"  # the part value that decides the whole
-            for p in node.parts:
-                if (yield from self._tree(p, env, contract, frame)) == stop:
-                    return stop
-            return not stop
-        if isinstance(node, NotOp):
-            return not (yield from self._tree(node.operand, env, contract, frame))
-        raise TypeError(f"not a spec formula node: {node!r}")
-
-    def eval_spec_value(self, e, env, contract, frame):
-        """Value of a spec expression over mathematical integers: names
-        from `env`, then `contract`'s globals; old(...) and result from the
-        method `frame` (None in predicate bodies)."""
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, Name):
-            if e.name in env:
-                return env[e.name]
-            return self.ledger.read(contract.name, e.name)
-        if isinstance(e, Old):
-            return frame.old[e.slot]
-        if isinstance(e, Result):
-            return frame.result if frame.result is not None else 0
-        if isinstance(e, BinOp):
-            l = self.eval_spec_value(e.left, env, contract, frame)
-            r = self.eval_spec_value(e.right, env, contract, frame)
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "*":
-                return l * r
-            if r == 0:
-                raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=e.loc.line)
-            return l // r if e.op == "/" else l % r
-        raise TypeError(f"not a spec expression: {e!r}")
-
 
 # ---------------------------------------------------------------------------
-# Compilation of method bodies to closures over a running Frame `fr`.  A
-# compiled block or statement returns True when it executed a return (the
-# value is then in fr.result).  Every statement but a woven check charges 1
-# exec gas before it runs; asserts are ghost code (their residuals were
-# woven as checks) and compile to nothing.
+# Compilation to closures of a running Frame `fr` and the names `env` in
+# scope: the frame's locals in method code, a predicate's arguments in its
+# body.  A compiled block or statement returns True when it executed a
+# return (the value is then in fr.result).  Every statement but a woven
+# check charges 1 exec gas before it runs; asserts are ghost code (their
+# residuals were woven as checks) and compile to nothing.
+#
+# An expression compiles to an operand, (LIT, value), (LOCAL, name) or
+# (CODE, closure): the closure around a literal or local operand reads it
+# inline rather than through a closure of its own.
+
+LIT, LOCAL, CODE = "lit", "local", "code"
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _evaluated_rows(table, kind):
-    """(payload, check_id) of the `kind` rows of a boundary table that are
-    evaluated, in table order: acc rows of the spec, and every acc row at
-    exit, are settled by ownership instead."""
-    return tuple((e.payload, e.check_id) for e in table if e.kind == kind and not (
-        isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None)))
+def _rows(table, kind, contract):
+    """(test, check_id, payload) of the `kind` rows of a boundary table that
+    are evaluated, in table order, `test` the payload compiled by
+    _spec_test: acc rows of the spec, and every acc row at exit, are settled
+    by ownership instead."""
+    return tuple((_spec_test(e.payload, contract), e.check_id, e.payload)
+                 for e in table if e.kind == kind and not (
+                     isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None)))
 
 
 def _acc_lines(formula):
@@ -546,14 +493,14 @@ def _block(body, contract, nest=0):
     steps = tuple((not isinstance(s, Check), _stmt(s, contract, nest))
                   for s in body if not isinstance(s, AssertStmt))
 
-    def run(fr):
+    def run(fr, env):
         m = fr.meter
         for charged, step in steps:
             if charged:
                 m.exec_gas += 1
                 if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
                     raise Revert(GAS_EXHAUSTED)
-            if step(fr):
+            if step(fr, env):
                 return True
         return False
     return run
@@ -564,13 +511,13 @@ def _stmt(s, contract, nest):
         target, line = s.target, s.loc.line
         value = _value(s.expr, line, contract)
         if target not in contract.globals:
-            def assign(fr):
-                fr.env[target] = value(fr)
+            def assign(fr, env):
+                env[target] = value(fr, env)
             return assign
         cname, key = contract.name, (contract.name, target)
 
-        def gassign(fr):
-            v = value(fr)
+        def gassign(fr, env):
+            v = value(fr, env)
             if fr.protected and fr.perm.get(key) != fr.id:
                 fr.vm.touch_slot(fr, target, line)
             fr.vm.ledger.write(cname, target, v)
@@ -579,16 +526,16 @@ def _stmt(s, contract, nest):
         cond = _cond(s.cond, s.loc.line, contract)
         then, orelse = _block(s.then, contract, nest + 1), _block(s.orelse, contract, nest + 1)
 
-        def if_(fr):
-            return then(fr) if cond(fr) else orelse(fr)
+        def if_(fr, env):
+            return then(fr, env) if cond(fr, env) else orelse(fr, env)
         return if_
     if isinstance(s, While):
         cond, body = _cond(s.cond, s.loc.line, contract), _block(s.body, contract, nest + 1)
 
-        def while_(fr):
+        def while_(fr, env):
             m = fr.meter
-            while cond(fr):
-                if body(fr):
+            while cond(fr, env):
+                if body(fr, env):
                     return True
                 m.exec_gas += 1  # the next condition evaluation
                 if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
@@ -600,90 +547,277 @@ def _stmt(s, contract, nest):
         line = s.loc.line
         args = tuple(_value(a, line, contract) for a in s.args)
 
-        def call(fr):
-            ret = fr.vm.call(callee, method, [a(fr) for a in args], fr, charge, line)
+        def call(fr, env):
+            ret = fr.vm.call(callee, method, [a(fr, env) for a in args], fr, charge, line)
             if target is not None:
-                fr.env[target] = ret
+                env[target] = ret
         return call
     if isinstance(s, Return):
         value = _value(s.expr, s.loc.line, contract) if s.expr is not None else None
 
-        def return_(fr):
-            fr.result = value(fr) if value is not None else None
+        def return_(fr, env):
+            fr.result = value(fr, env) if value is not None else None
             return True
         return return_
     if isinstance(s, Check):
         cid, payload, line = s.check_id, s.payload, s.loc.line
+        test = _spec_test(payload, contract)
 
-        def check(fr):
-            if fr.protected and not fr.vm.eval_spec_bool(fr, payload):
+        def check(fr, env):
+            if fr.protected and not test(fr, env):
                 raise Revert(CHECK_FAILURE, check_id=cid, payload=fmt_atom(payload), line=line)
         return check
     raise TypeError(f"not a statement: {s!r}")
 
 
+def _read(operand):
+    """A closure that reads an operand."""
+    kind, x = operand
+    if kind == LIT:
+        return lambda fr, env: x
+    if kind == LOCAL:
+        return lambda fr, env: env[x]
+    return x
+
+
 def _value(e, line, contract):
-    """Checked uint64 value of a program expression; an arithmetic revert
-    reports `line`, the line of the enclosing statement."""
-    if isinstance(e, IntLit):
-        v = e.value
-        return lambda fr: v
-    if isinstance(e, Name):
+    """Checked uint64 value of a program expression, as a closure; an
+    arithmetic revert reports `line`, the line of the enclosing statement."""
+    return _read(_operand(e, line, contract))
+
+
+def _operand(e, line, contract):
+    """A program expression as an operand (see _value)."""
+    t = type(e)  # node classes are never subclassed
+    if t is IntLit:
+        return LIT, e.value
+    if t is Name:
         name = e.name
         if name not in contract.globals:
-            return lambda fr: fr.env[name]
+            return LOCAL, name
         key, read_line = (contract.name, name), e.loc.line
 
-        def read(fr):
+        def read(fr, env):
             if fr.protected and fr.perm.get(key) != fr.id:
                 fr.vm.touch_slot(fr, name, read_line)
             return fr.slots[name]
-        return read
-    if isinstance(e, BinOp):
-        left, right = _value(e.left, line, contract), _value(e.right, line, contract)
-        if e.op in "+*":
-            grow = operator.add if e.op == "+" else operator.mul
-
-            def add_or_mul(fr):
-                v = grow(left(fr), right(fr))
-                if v > UINT_MAX:
-                    raise Revert(ARITHMETIC_PANIC, kind="overflow", line=line)
-                return v
-            return add_or_mul
-        if e.op == "-":
-            def sub(fr):
-                l, r = left(fr), right(fr)
-                if l < r:
-                    raise Revert(ARITHMETIC_PANIC, kind="underflow", line=line)
-                return l - r
-            return sub
-        divide = operator.floordiv if e.op == "/" else operator.mod
-
-        def div(fr):
-            l, r = left(fr), right(fr)
-            if r == 0:
-                raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
-            return divide(l, r)
-        return div
+        return CODE, read
+    if t is BinOp:
+        return CODE, _checked(e.op, _operand(e.left, line, contract),
+                              _operand(e.right, line, contract), line)
     # old(...) and result parse anywhere, but only specifications give them
     # a meaning
     raise VmLoadError(f"{e.loc}: not a program expression")
 
 
+def _checked(op, left, right, line):
+    """`left op right` over uint64: overflow, underflow and division by
+    zero revert at `line`."""
+    (lkind, l), (rkind, r) = left, right
+    if rkind == LIT and op in ("+", "-"):
+        k = r if op == "+" else -r  # x - k is x + (-k): below 0 is an underflow
+        if lkind == LOCAL:
+            def shift(fr, env):
+                v = env[l] + k
+                if 0 <= v <= UINT_MAX:
+                    return v
+                raise _out_of_range(v, line)
+            return shift
+        l = _read(left)
+
+        def shift(fr, env):
+            v = l(fr, env) + k
+            if 0 <= v <= UINT_MAX:
+                return v
+            raise _out_of_range(v, line)
+        return shift
+    f = _ARITH.get(op) or _divide(op, line)
+    l, r = _read(left), _read(right)
+
+    def arith(fr, env):
+        v = f(l(fr, env), r(fr, env))
+        if 0 <= v <= UINT_MAX:
+            return v
+        raise _out_of_range(v, line)
+    return arith
+
+
+def _out_of_range(v, line):
+    return Revert(ARITHMETIC_PANIC, kind="overflow" if v > UINT_MAX else "underflow", line=line)
+
+
+def _divide(op, line):
+    """`/` or `%` as a function of two integers; a zero divisor reverts at
+    `line`."""
+    divide = operator.floordiv if op == "/" else operator.mod
+
+    def div(l, r):
+        if r == 0:
+            raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
+        return divide(l, r)
+    return div
+
+
+def _pair(f, left, right):
+    """A closure computing f(left, right) of two operands, the left one
+    first."""
+    (lkind, l), (rkind, r) = left, right
+    if lkind == LOCAL and rkind == LIT:
+        return lambda fr, env: f(env[l], r)
+    if lkind == LOCAL and rkind == LOCAL:
+        return lambda fr, env: f(env[l], env[r])
+    if rkind == LIT:
+        l = _read(left)
+        return lambda fr, env: f(l(fr, env), r)
+    l, r = _read(left), _read(right)
+    return lambda fr, env: f(l(fr, env), r(fr, env))
+
+
 def _cond(c, line, contract):
     """Truth of a program condition; strict: every leaf is evaluated."""
-    if isinstance(c, Cmp):
-        rel = _RELATIONS[c.op]
-        left, right = _value(c.left, line, contract), _value(c.right, line, contract)
-        return lambda fr: rel(left(fr), right(fr))
-    if isinstance(c, BoolOp):
+    t = type(c)
+    if t is Cmp:
+        return _pair(_RELATIONS[c.op], _operand(c.left, line, contract),
+                     _operand(c.right, line, contract))
+    if t is BoolOp:
         parts = tuple(_cond(p, line, contract) for p in c.parts)
         join = all if c.op == "and" else any
-        return lambda fr: join([p(fr) for p in parts])
-    if isinstance(c, NotOp):
+        return lambda fr, env: join([p(fr, env) for p in parts])
+    if t is NotOp:
         operand = _cond(c.operand, line, contract)
-        return lambda fr: not operand(fr)
+        return lambda fr, env: not operand(fr, env)
     raise TypeError(f"not a condition: {c!r}")
+
+
+# Specification payloads (woven checks, boundary rows) and predicate bodies
+# evaluate over mathematical integers.  Names read `env`, then the frame's
+# contract's storage, with no ownership test; old(...) and result read the
+# method frame.
+
+
+def _spec_operand(e, contract):
+    """A spec expression as an operand; a division by zero reverts at the
+    operator's line."""
+    t = type(e)
+    if t is IntLit:
+        return LIT, e.value
+    if t is Name:
+        name = e.name
+        if name not in contract.globals:
+            return LOCAL, name
+        return CODE, lambda fr, env: fr.slots[name]
+    if t is Old:
+        slot = e.slot
+        return CODE, lambda fr, env: fr.old[slot]
+    if t is Result:
+        return CODE, lambda fr, env: 0 if fr.result is None else fr.result
+    if t is BinOp:
+        f = _ARITH.get(e.op) or _divide(e.op, e.loc.line)
+        return CODE, _pair(f, _spec_operand(e.left, contract), _spec_operand(e.right, contract))
+    raise TypeError(f"not a spec expression: {e!r}")
+
+
+def _formula(node, contract):
+    """A spec formula compiled to (closure, holds an instance).  Check gas
+    is 1 per acc, comparison and predicate call, charged before the
+    operands are evaluated; and/or short-circuit.  A formula that holds a
+    predicate instance compiles to a generator function: it yields
+    (predicate name, argument values) for each instance, receives the
+    instance's truth, and returns its own (see eval_spec_bool)."""
+    t = type(node)
+    if t is Cmp:
+        test = _pair(_RELATIONS[node.op], _spec_operand(node.left, contract),
+                     _spec_operand(node.right, contract))
+
+        def cmp(fr, env):
+            m = fr.meter
+            m.check_gas += 1
+            if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
+                raise Revert(GAS_EXHAUSTED)
+            return test(fr, env)
+        return cmp, False
+    if t is Acc:
+        slot = node.slot
+
+        def acc(fr, env):
+            fr.meter.charge_check()
+            return fr.vm._hold(fr, slot)
+        return acc, False
+    if t is PredUse:
+        name, args = node.name, tuple(_read(_spec_operand(a, contract)) for a in node.args)
+
+        def instance(fr, env):
+            return (yield name, [a(fr, env) for a in args])
+        return instance, True
+    if t is NotOp:
+        operand, gen = _formula(node.operand, contract)
+        if not gen:
+            return (lambda fr, env: not operand(fr, env)), False
+
+        def not_(fr, env):
+            return not (yield from operand(fr, env))
+        return not_, True
+    if t is BoolOp:
+        parts = tuple(_formula(p, contract) for p in node.parts)
+        stop = node.op == "or"  # the part value that decides the whole
+        if not any(gen for _, gen in parts):
+            tests = tuple(p for p, _ in parts)
+
+            def join(fr, env):
+                for p in tests:
+                    if p(fr, env) == stop:
+                        return stop
+                return not stop
+            return join, False
+
+        def tree(fr, env):
+            for p, gen in parts:
+                if ((yield from p(fr, env)) if gen else p(fr, env)) == stop:
+                    return stop
+            return not stop
+        return tree, True
+    raise TypeError(f"not a spec formula node: {node!r}")
+
+
+def _spec_test(payload, contract):
+    """A check payload or boundary atom compiled to a closure that returns
+    its truth."""
+    test, gen = _formula(payload, contract)
+    if not gen:
+        return test
+    return lambda fr, env: eval_spec_bool(fr, test(fr, env))
+
+
+def _predicates(contract):
+    """{name: (parameters, compiled body, holds an instance)} of a
+    contract's predicates."""
+    return {p.name: (p.params, *_formula(p.body, contract)) for p in contract.predicates}
+
+
+def eval_spec_bool(fr, tree):
+    """Truth of a compiled formula that holds predicate instances, given the
+    generator `tree` of its closure.  Each predicate body being evaluated
+    that holds an instance is a suspended generator on an explicit stack,
+    so recursion runs up to PREDICATE_DEPTH_CAP without growing the Python
+    stack; a body without one returns its truth at once."""
+    stack, truth = [tree], None
+    predicates = fr.code.predicates
+    while stack:
+        try:
+            name, args = stack[-1].send(truth)
+        except StopIteration as done:
+            stack.pop()
+            truth = done.value
+            continue
+        if len(stack) > PREDICATE_DEPTH_CAP:
+            raise Revert(PREDICATE_DEPTH, predicate=name)
+        params, body, gen = predicates[name]
+        fr.meter.charge_check()  # the predicate call itself
+        truth = body(fr, dict(zip(params, args)))
+        if gen:
+            stack.append(truth)
+            truth = None
+    return truth
 
 
 # ---------------------------------------------------------------------------

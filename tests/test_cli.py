@@ -360,6 +360,19 @@ class TestRun:
         assert main(["run", str(src), "--txs", str(txs)]) == EXIT_STATIC
         assert "old.gcl:8:12: old(...) is only allowed in ensures" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("body, message", [
+        ("    #! check old(G) <= 5 @c0;\n    return x;\n", "old(...) is only allowed in ensures"),
+        ("    #! check result <= 5 @c0;\n    return x;\n", "result is only allowed in ensures"),
+    ], ids=["old", "result"])
+    def test_spec_marker_in_a_check_is_a_static_error(self, tmp_path, capsys, body, message):
+        src = tmp_path / "chk.gcl"
+        src.write_text(one_method(body, "acc(G)").replace("m(x: uint64):", "m(x: uint64) -> uint64:"))
+        txs = tmp_path / "chk.txs.jsonl"
+        txs.write_text('{"contract": "C", "method": "m", "args": [1]}\n')
+        assert main(["run", str(src), "--txs", str(txs)]) == EXIT_STATIC
+        out = capsys.readouterr().out
+        assert f"chk.gcl:7:14: {message}" in out and "Traceback" not in out
+
     @pytest.mark.parametrize("row, message", [
         ("nope(1)", "unknown predicate 'nope'"),
         ("Zq >= 1", "unresolved name 'Zq' in specification"),

@@ -206,6 +206,19 @@ class TestLiteralRange:
         assert str(e.value) == f"t.gcl:{line}:{col}: integer literal out of uint64 range"
 
 
+@pytest.mark.parametrize("payload, message", [
+    ("old(G) <= 5", "old(...) is only allowed in ensures"),
+    ("result <= 5", "result is only allowed in ensures"),
+], ids=["old", "result"])
+def test_spec_marker_in_a_check_payload_is_rejected(payload, message):
+    src = ("contract C:\n  #@ global G;\n  method m(x: uint64) -> uint64:\n"
+           "    #@ requires acc(G);\n    #@ ensures ?;\n"
+           f"    #! check {payload} @c0;\n    return x;\n")
+    with pytest.raises(WellFormednessError) as e:
+        load_source(src, "t.gcl")
+    assert str(e.value) == f"t.gcl:6:14: {message}"
+
+
 class TestResolution:
     def test_resolve_returns_the_parsed_program(self, sell_path):
         unit = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))

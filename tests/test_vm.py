@@ -13,6 +13,7 @@ from gvc.frontend import (
     WellFormednessError, corpus_adversaries, corpus_files, load_file, load_source,
 )
 from gvc.lang import Old, Program
+from gvc.oracle import enumerate_equivalence
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
 from gvc.vm import (
@@ -208,6 +209,93 @@ class TestJournal:
         outs = [vm.exec_transaction(tx("Counter", "sell", n)) for n in (3, 12, 1)]
         assert [o.committed for o in outs] == [True, False, True]
         assert led.slots == {"Counter": {"Count": 6}}
+
+    def test_transactions_never_compile(self, monkeypatch):
+        # load_program compiles every body, boundary row, woven check and
+        # predicate; a transaction only runs the closures
+        loaded = []
+        for path in corpus_files(CORPUS):
+            program, _ = load_file(path)
+            loaded.append((path, program, load_program(weave(program, verify_program(program)),
+                                                       corpus_adversaries(path, program))))
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a transaction compiled code")
+
+        for name in ("_rows", "_block", "_stmt", "_operand", "_spec_operand", "_formula",
+                     "_spec_test", "_predicates"):
+            monkeypatch.setattr(gvc.vm, name, boom)
+        check_gas = {}
+        for path, program, image in loaded:
+            script = path.with_name(path.stem + ".txs.jsonl")
+            if script.exists():
+                outs, _ = run_script(image, parse_script(script.read_text(encoding="utf-8")))
+                check_gas[script.name] = sum(o.check_gas for o in outs)
+            for _, _, init, t in transaction_grid(program, 1):
+                out = Vm(image, Ledger(image.program, init)).exec_transaction(t)
+                check_gas[path.name] = check_gas.get(path.name, 0) + out.check_gas
+        assert sorted(n for n in check_gas if n.endswith(".txs.jsonl")) == [
+            "bank.txs.jsonl", "sell.txs.jsonl", "sell_precise.txs.jsonl"]
+        assert check_gas["pred.gcl"] > 0 and check_gas["sell.txs.jsonl"] > 0
+
+
+SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
+         "    #@ requires ? and acc(G) and {req};\n    #@ ensures ? and acc(G);\n    G := x;\n")
+EVEN = "  #@ predicate ev(n) = n == 0 or (n >= 2 and ev(n - 2));\n"
+
+
+def pre(payload, line):
+    return CHECK_FAILURE, {"check_id": None, "kind": "precondition", "payload": payload,
+                           "line": line}
+
+
+# payload shapes: (source, [(args, exec_gas, check_gas, (reason, detail) of a
+# revert or None)]).  Check gas is 1 per acc, comparison and predicate call,
+# charged before the operands; and/or short-circuit.
+SPEC_SHAPES = {
+    "not": (SHAPE.format(preds="  #@ predicate nz(n) = not n == 0;\n", req="nz(x)"),
+            [((0,), 0, 2, pre("nz(x)", 5)), ((3,), 1, 3, None)]),
+    "nested-or-and": (
+        SHAPE.format(preds="  #@ predicate mid(n) = n == 1 or (n >= 2 and (n <= 4 or n == 9));\n",
+                     req="mid(x)"),
+        [((0,), 0, 3, pre("mid(x)", 5)), ((1,), 1, 3, None), ((3,), 1, 5, None),
+         ((5,), 0, 5, pre("mid(x)", 5)), ((9,), 1, 6, None)]),
+    "instance-first": (
+        SHAPE.format(preds=EVEN + "  #@ predicate p(n) = ev(n) and n <= 6;\n", req="p(x)"),
+        [((3,), 0, 7, pre("p(x)", 6)), ((4,), 1, 11, None), ((8,), 0, 16, pre("p(x)", 6))]),
+    "instance-last": (
+        SHAPE.format(preds=EVEN + "  #@ predicate p(n) = n <= 6 and ev(n);\n", req="p(x)"),
+        [((3,), 0, 8, pre("p(x)", 6)), ((4,), 1, 11, None), ((8,), 0, 2, pre("p(x)", 6))]),
+    "non-recursive": (
+        SHAPE.format(preds="  #@ predicate small(n) = n <= 3;\n", req="small(x)"),
+        [((2,), 1, 3, None), ((5,), 0, 2, pre("small(x)", 5))]),
+    # the assert's residual is woven as `#! check x / y >= 1 @c0;`
+    "check-div-zero": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64, y: uint64):\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G);\n"
+        "    #@ assert ? and x / y >= 1;\n    G := x;\n",
+        [((1, 0), 0, 2, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 6})),
+         ((2, 1), 1, 2, None),
+         ((0, 1), 0, 2, (CHECK_FAILURE, {"check_id": "c0", "payload": "x / y >= 1", "line": 6}))]),
+    "exit-div-zero": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G) and G / x >= 1;\n"
+        "    G := x;\n",
+        [((0,), 1, 2, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 5})), ((1,), 1, 2, None)]),
+}
+
+
+@pytest.mark.parametrize("name", SPEC_SHAPES)
+def test_spec_payload_gas_and_reverts_are_pinned(name):
+    source, cases = SPEC_SHAPES[name]
+    program, _ = load_source(source, f"{name}.gcl")
+    woven = weave(program, verify_program(program))
+    image = load_program(woven)
+    for args, exec_gas, check_gas, revert in cases:
+        out = Vm(image, Ledger(image.program)).exec_transaction(tx("C", "m", *args))
+        assert (out.exec_gas, out.check_gas) == (exec_gas, check_gas), args
+        assert (out.reason, out.detail) == (revert or (None, {})), args
+    assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
 
 
 DOWN = """contract C:
