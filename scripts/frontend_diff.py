@@ -15,7 +15,7 @@ verifies (so `#! check` and `#! entry/exit` lines are covered), and seeded
 mutations of all of them, plus the n-if programs for n = 1..10.  The
 mutations rename, drop and duplicate names, lines and arguments, so that
 many inputs end in a resolution, inference or well-formedness error rather
-than a parse error.
+than a parse error: a name edit never replaces or wraps a keyword.
 
     python3 scripts/frontend_diff.py OLD_SRC NEW_SRC [--mutants 75] [--seed 1]
 
@@ -114,11 +114,13 @@ def run_tree(src, texts):
 
 
 def mutate(text, rng):
-    """`text` with one or two random edits to its names, lines or
-    argument lists."""
+    """`text` with one or two random edits to its names (identifiers
+    outside `gvc.lexer.KEYWORDS`), lines or argument lists."""
+    from gvc.lexer import KEYWORDS
+
     for _ in range(rng.randint(1, 2)):
         lines = text.split("\n")
-        idents = list(IDENT.finditer(text))
+        idents = [m for m in IDENT.finditer(text) if m.group() not in KEYWORDS]
         names = sorted({m.group() for m in idents})
         op = rng.choice(("rename", "rename", "rename", "drop", "dup", "swap", "arg", "old"))
         if op == "rename" and idents:
@@ -177,6 +179,7 @@ def main(argv=None):
     ap.add_argument("--mutants", type=int, default=75, help="mutants per base input")
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))  # for the keywords mutate spares
     texts = inputs(args.old_src, args.mutants, args.seed)
     old = run_tree(args.old_src, texts)
     new = run_tree(args.new_src, texts)

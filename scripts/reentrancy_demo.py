@@ -15,7 +15,7 @@ sys.path.insert(0, "src")
 from gvc.frontend import load_file
 from gvc.verifier import verify_program
 from gvc.weaver import weave
-from gvc.vm import Ledger, Transaction, Vm, VmOptions, load_program
+from gvc.vm import Ledger, Transaction, Vm, load_program
 
 
 def main():
@@ -34,8 +34,7 @@ def main():
           f"Balance = {ledger.read('Bank', 'Balance')}")
 
     ledger = Ledger(image.program, init)
-    opts = VmOptions(protected=False)
-    out = Vm(image, ledger, opts).exec_transaction(tx)
+    out = Vm(image, ledger, protected=False).exec_transaction(tx)
     print(f"unprotected: {out.status}, Balance = {ledger.read('Bank', 'Balance')} "
           f"(withdrawn twice)")
     return 0

@@ -13,11 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .frontend import (InferenceError, WellFormednessError, corpus_adversaries,
-                       corpus_files, load_source, read_source)
-from .lang import ResolutionError
-from .lexer import LexError
-from .parser import ParseError
+from .frontend import corpus_adversaries, corpus_files, load_source, read_source
+from .lang import SourceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -28,9 +25,6 @@ EXIT_DISAGREEMENT = 4
 # gas per transaction for `gvc run` without --gas-limit: a loop that never
 # ends reverts GasExhausted instead of hanging the command
 DEFAULT_GAS_LIMIT = 1_000_000
-
-_FRONTEND_ERRORS = (LexError, ParseError, ResolutionError,
-                    InferenceError, WellFormednessError)
 
 
 def _color(s, code):
@@ -62,7 +56,7 @@ def _load(path):
     text = _read(path)
     try:
         return load_source(text, str(path))
-    except _FRONTEND_ERRORS as e:
+    except SourceError as e:
         raise SystemExit2(EXIT_STATIC, f"{path}: {e}")
 
 
@@ -158,13 +152,12 @@ def _parse_adversaries(pairs):
 
 
 def cmd_run(args):
-    from .vm import (Ledger, VmLoadError, VmOptions, VmUsageError,
-                     load_program, parse_script, run_script)
+    from .vm import Ledger, VmLoadError, VmUsageError, load_program, parse_script, run_script
 
     program, boundary = _load(args.path)
     try:
         image = load_program((program, boundary), _parse_adversaries(args.adversary))
-    except (VmLoadError,) + _FRONTEND_ERRORS as e:
+    except (VmLoadError, SourceError) as e:
         print(f"cannot load program: {e}")
         return EXIT_USAGE
 
@@ -183,10 +176,9 @@ def cmd_run(args):
         print(f"bad ledger init: {e}")
         return EXIT_USAGE
 
-    options = VmOptions(protected=not args.unprotected)
     try:
         outcomes, report = run_script(image, txs, gas_limit=args.gas_limit,
-                                      ledger=ledger, options=options)
+                                      ledger=ledger, protected=not args.unprotected)
     except VmUsageError as e:
         print(f"bad transaction: {e}")
         return EXIT_USAGE
@@ -241,7 +233,7 @@ def cmd_corpus(args):
         ip = weave(program, report)
         try:
             eq = enumerate_equivalence(program, ip, bound=args.bound, adversaries=adversaries)
-        except (VmLoadError,) + _FRONTEND_ERRORS as e:
+        except (VmLoadError, SourceError) as e:
             print(f"{path.name}: {_red('FAIL')} cannot load the woven program: {e}")
             worst = max(worst, EXIT_DISAGREEMENT)
             continue

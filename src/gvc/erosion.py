@@ -107,8 +107,7 @@ def check_static_monotonic(report, erosions):
     return [e.label for e in erosions if verify_program(e.program, memo).has_static_error]
 
 
-def check_dynamic_monotonic(program: Program, erosions, bound: int = 3,
-                            adversaries: dict = None):
+def check_dynamic_monotonic(program: Program, erosions, bound: int, adversaries: dict = None):
     """Dynamic gradual guarantee on a grid: every point the oracle judges
     AllObligationsHeld on `program` must stay AllObligationsHeld on each of
     its `erosions`.  The program is judged once per point; each erosion only

@@ -8,7 +8,7 @@ import re
 from pathlib import Path
 
 from .lang import (
-    Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError,
+    Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError, SourceError,
     While, bool_leaves, expr_diagnostics, expr_nodes, out_of_range_literals,
     stmt_exprs, stmts_recursive, well_formed_program,
 )
@@ -16,15 +16,16 @@ from .lexer import lex
 from .parser import ParsedUnit, parse_program
 
 
-class InferenceError(Exception):
-    def __init__(self, loc, message):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
+class InferenceError(SourceError):
+    pass
 
 
-class WellFormednessError(Exception):
+class WellFormednessError(SourceError):
+    """Every structural diagnostic of a program, at the first one's loc."""
+
     def __init__(self, diagnostics):
-        super().__init__("; ".join(str(d) for d in diagnostics))
+        first, rest = diagnostics[0], diagnostics[1:]
+        super().__init__(first.loc, "; ".join([first.message, *map(str, rest)]))
         self.diagnostics = diagnostics
 
 

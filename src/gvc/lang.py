@@ -307,10 +307,18 @@ class Diagnostic:
         return f"{self.loc}: {self.message}"
 
 
-class ResolutionError(Exception):
+class SourceError(Exception):
+    """An error in a source text: `message` at `loc`.  The front end's
+    errors (lexing, parsing, inference, resolution and well-formedness) are
+    its subclasses."""
+
     def __init__(self, loc, message):
         super().__init__(f"{loc}: {message}")
         self.loc = loc
+
+
+class ResolutionError(SourceError):
+    pass
 
 
 # ---------------------------------------------------------------------------

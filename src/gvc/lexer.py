@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lang import SourceLoc
+from .lang import SourceError, SourceLoc
 
 KEYWORDS = {
     "contract", "extern", "method", "opaque", "if", "else", "while",
@@ -41,10 +41,8 @@ class Token(NamedTuple):
     loc: SourceLoc
 
 
-class LexError(Exception):
-    def __init__(self, loc, message):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
+class LexError(SourceError):
+    pass
 
 
 def lex(source: str, filename: str = "<mem>"):

@@ -105,9 +105,6 @@ class LinExpr(NamedTuple):
     def lit(k: int):
         return LinExpr((), k)
 
-    def as_dict(self):
-        return dict(self.terms)
-
     def add(self, other):
         return _combine(self, other, 1)
 
@@ -135,7 +132,7 @@ def _combine(a: LinExpr, b: LinExpr, sign: int):
 def constraints_for_cmp(op: str, left: LinExpr, right: LinExpr):
     """Constraints equivalent to `left op right` over integers."""
     d = left.sub(right)  # d op 0
-    coeffs = d.as_dict()
+    coeffs = dict(d.terms)
     if op == "<=":
         return [make_constraint(coeffs, d.const, Rel.LE)]
     if op == "<":

@@ -59,11 +59,6 @@ class _Violation(Exception):
         self.payload = payload
 
 
-class _Returned(Exception):
-    def __init__(self, value):
-        self.value = value
-
-
 class _OFrame:
     def __init__(self, contract, verified, imprecise, caller, charge=1):
         self.contract = contract
@@ -93,7 +88,6 @@ class Oracle:
             for g in c.globals:
                 self.mem[c.name].setdefault(g, 0)
         self.holder = {}
-        self._frames = 0
         try:
             self.enter(tx.contract, tx.method, list(tx.args), caller=None, call_line=0)
         except _Violation as v:
@@ -138,10 +132,7 @@ class Oracle:
                 raise _Violation("access", a.loc.line, f"acc({a.slot})")
 
         fr.old = dict(self.mem[cname])
-        try:
-            self.block(fr, method.body)
-        except _Returned as r:
-            fr.result = r.value
+        self.block(fr, method.body)
 
         post_loc = ens.loc or method.loc
         for a in ens.atoms:
@@ -186,11 +177,15 @@ class Oracle:
     # -- statements ----------------------------------------------------------
 
     def block(self, fr, body, nest=0):
-        """Run `body`, which `nest` if/while bodies enclose."""
+        """Run `body`, which `nest` if/while bodies enclose; True when it
+        ran a return, whose value is then in fr.result."""
         for s in body:
-            self.stmt(fr, s, nest)
+            if self.stmt(fr, s, nest):
+                return True
+        return False
 
     def stmt(self, fr, s, nest):
+        """Run one statement; True when it ran a return (see block)."""
         if isinstance(s, Assign):
             v = self.value(fr, s.expr, s.loc.line)
             if s.target not in fr.contract.globals:
@@ -200,10 +195,8 @@ class Oracle:
             else:
                 raise _Violation("access", s.loc.line, s.target)
         elif isinstance(s, If):
-            if self.truth(fr, s.cond, s.loc.line):
-                self.block(fr, s.then, nest + 1)
-            else:
-                self.block(fr, s.orelse, nest + 1)
+            taken = self.truth(fr, s.cond, s.loc.line)
+            return self.block(fr, s.then if taken else s.orelse, nest + 1)
         elif isinstance(s, While):
             line = s.loc.line
             while True:
@@ -216,14 +209,16 @@ class Oracle:
                         raise _Violation("loop-invariant", line, fmt_atom(a))
                 if not taken:
                     break
-                self.block(fr, s.body, nest + 1)
+                if self.block(fr, s.body, nest + 1):
+                    return True
         elif isinstance(s, Call):
             args = [self.value(fr, a, s.loc.line) for a in s.args]
             ret = self.enter(s.contract, s.method, args, fr, s.loc.line, call_charge(nest))
             if s.target is not None:
                 fr.vars[s.target] = ret
         elif isinstance(s, Return):
-            raise _Returned(self.value(fr, s.expr, s.loc.line) if s.expr is not None else None)
+            fr.result = self.value(fr, s.expr, s.loc.line) if s.expr is not None else None
+            return True
         elif isinstance(s, AssertStmt):
             for a in s.formula.atoms:
                 if isinstance(a, Acc):
@@ -231,10 +226,9 @@ class Oracle:
                         raise _Violation("access", s.loc.line, f"acc({a.slot})")
                 elif not self.spec_atom(fr, a):
                     raise _Violation("assert", s.loc.line, fmt_atom(a))
-        elif isinstance(s, Check):
-            pass  # instrumentation, not part of the source semantics
-        else:
+        elif not isinstance(s, Check):  # a check is instrumentation, not source semantics
             raise TypeError(f"not a statement: {s!r}")
+        return False
 
     # -- program expressions (checked uint64) --------------------------------
 
@@ -334,36 +328,19 @@ class Oracle:
         raise TypeError(f"not a predicate body node: {node!r}")
 
 
-def dynamic_verify_trace(program: Program, storage: dict, tx,
-                         unverified=frozenset()) -> TraceJudgment:
-    return Oracle(program, unverified).judge(storage, tx)
-
-
 # ---------------------------------------------------------------------------
 # Equivalence enumeration
 
 
 def vm_site(outcome, sidecar):
     """Canonical obligation identity of a VM revert, for comparison with the
-    oracle's FirstViolation site."""
-    from . import vm as _vm
-
+    oracle's FirstViolation site: the sidecar record of a woven check id,
+    else the site kind and line the revert's detail names."""
     d = outcome.detail
-    if outcome.reason == _vm.CHECK_FAILURE:
-        cid = d.get("check_id")
-        if cid is not None and cid in sidecar:
-            rec = sidecar[cid]
-            return Site(rec["kind"], rec["line"])
-        return Site(d.get("kind", "check"), d.get("line", 0))
-    if outcome.reason == _vm.OWNERSHIP_FAILURE:
-        return Site("access", d.get("line", 0))
-    if outcome.reason == _vm.ARITHMETIC_PANIC:
-        return Site(d.get("kind", "arithmetic"), d.get("line", 0))
-    if outcome.reason == _vm.PREDICATE_DEPTH:
-        return Site("predicate-depth", 0)
-    if outcome.reason == _vm.CALL_DEPTH:
-        return Site("call-depth", 0)
-    return Site(outcome.reason, 0)
+    rec = sidecar.get(d.get("check_id"))
+    if rec is not None:
+        return Site(rec["kind"], rec["line"])
+    return Site(d.get("kind", "check"), d.get("line", 0))
 
 
 def enumerate_equivalence(program: Program, woven, bound: int = 8,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, BoundaryEntry, Call, Check, Cmp,
     Contract, Formula, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    Predicate, Program, QMark, RELOPS, Result, Return, SourceLoc, Spec,
-    UNKNOWN_FORMULA, While, normalize_formula,
+    Predicate, Program, QMark, RELOPS, Result, Return, SourceError, SourceLoc,
+    Spec, UNKNOWN_FORMULA, While, normalize_formula,
 )
 from .lexer import Token
 
@@ -27,10 +27,8 @@ from .lexer import Token
 MAX_NESTING = 100
 
 
-class ParseError(Exception):
-    def __init__(self, loc, message):
-        super().__init__(f"{loc}: {message}")
-        self.loc = loc
+class ParseError(SourceError):
+    pass
 
 
 @dataclass
@@ -389,7 +387,7 @@ class _Parser:
             if self.peek().lexeme in RELOPS:
                 op = self.next().lexeme
                 rhs, h = self.parse_expr()
-                return Cmp(op, lhs, rhs, _eloc(lhs)), max(height, h)
+                return Cmp(op, lhs, rhs, lhs.loc), max(height, h)
             return lhs, height  # bare expression; type inference rejects it
         except ParseError as e:
             if not (tok.kind == "SYM" and tok.lexeme == "("):
@@ -467,7 +465,7 @@ class _Parser:
         while self.peek().lexeme in ("+", "-") and self.peek().kind == "SYM":
             tok = self.next()
             right, h = self.parse_mul()
-            left, height = BinOp(tok.lexeme, left, right, _eloc(left)), self._level(tok, max(height, h))
+            left, height = BinOp(tok.lexeme, left, right, left.loc), self._level(tok, max(height, h))
         return left, height
 
     def parse_mul(self):
@@ -475,7 +473,7 @@ class _Parser:
         while self.peek().lexeme in ("*", "/", "%") and self.peek().kind == "SYM":
             tok = self.next()
             right, h = self.parse_unary()
-            left, height = BinOp(tok.lexeme, left, right, _eloc(left)), self._level(tok, max(height, h))
+            left, height = BinOp(tok.lexeme, left, right, left.loc), self._level(tok, max(height, h))
         return left, height
 
     def parse_unary(self):
@@ -502,10 +500,6 @@ class _Parser:
             self.expect_sym(")")
             return e, height + 1
         raise ParseError(t.loc, f"expected expression, found {t.lexeme or t.kind!r}")
-
-
-def _eloc(e):
-    return getattr(e, "loc", SourceLoc())
 
 
 def _conjoin(f1: Formula, f2: Formula) -> Formula:

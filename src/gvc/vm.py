@@ -68,6 +68,10 @@ class VmUsageError(Exception):
 
 
 class Revert(Exception):
+    """A transaction's failure: its `reason`, and a `detail` that names the
+    failed site (see oracle.vm_site): a woven check by its `check_id`, any
+    other by its `kind` and, where it has one, its source `line`."""
+
     def __init__(self, reason, **detail):
         super().__init__(f"{reason}: {detail}")
         self.reason = reason
@@ -126,9 +130,6 @@ class Ledger:
                     raise VmUsageError(f"{cname}.{slot} = {val!r} is not a uint64")
                 known[slot] = val
 
-    def snapshot(self):
-        return copy.deepcopy(self.slots)
-
     def restore(self, snap):
         self.slots = copy.deepcopy(snap)
 
@@ -156,6 +157,8 @@ class Ledger:
     def as_dict(self):
         return copy.deepcopy(self.slots)
 
+    snapshot = as_dict
+
 
 class GasMeter:
     """Gas spent by one transaction: GasExhausted as soon as exec_gas plus
@@ -171,15 +174,7 @@ class GasMeter:
     def charge_check(self):
         self.check_gas += 1
         if self.limit is not None and self.exec_gas + self.check_gas > self.limit:
-            raise Revert(GAS_EXHAUSTED)
-
-
-@dataclass
-class VmOptions:
-    # the unprotected debug mode disables permission tracking, woven checks,
-    # and boundary checking; it exists to demonstrate the attack class the
-    # protections close off
-    protected: bool = True
+            raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
 
 
 class MethodCode:
@@ -222,7 +217,7 @@ class Frame:
         self.slots = vm.ledger.slots[code.contract.name]
         self.perm = vm.perm
         self.meter = vm.meter
-        self.protected = vm.options.protected
+        self.protected = vm.protected
         self.old = None  # the contract's storage at entry, if the exit rows read it
         self.result = None
         self.lazy_acquired = []  # (slot, previous owner)
@@ -261,13 +256,12 @@ def merge_adversaries(program: Program, adversaries: dict = None):
             contracts.append(replace(c, methods=tuple(methods)))
             continue
         impl_name = f"<adversary {c.name}>"
-        impl_unit = parse_program(lex(impl_src, impl_name), impl_name)
-        impl = None
-        for ic in impl_unit.program.contracts:
-            if ic.name == c.name:
-                impl = ic
+        impl_program = parse_program(lex(impl_src, impl_name), impl_name).program
+        impl = impl_program.contract(c.name)
         if impl is None:
             raise VmLoadError(f"adversary source does not define contract {c.name}")
+        if sum(ic.name == c.name for ic in impl_program.contracts) > 1:
+            raise VmLoadError(f"adversary source defines contract {c.name} twice")
         for m in c.methods:
             im = impl.method(m.name)
             if im is None:
@@ -328,10 +322,14 @@ def transaction_grid(program: Program, bound: int):
 
 
 class Vm:
-    def __init__(self, image: VmImage, ledger: Ledger, options: VmOptions = None):
+    def __init__(self, image: VmImage, ledger: Ledger, protected=True):
+        """A VM running transactions of `image` on `ledger`.  Unprotected
+        (a debug mode) it tracks no permissions and evaluates no woven check
+        or boundary row, to demonstrate the attack class the protections
+        close off."""
         self.image = image
         self.ledger = ledger
-        self.options = options or VmOptions()
+        self.protected = protected
         self.perm = {}  # (contract, slot) -> frame id, FREE when absent
         self.meter = None
         self.frames = 0  # frames entered so far; numbers the next one
@@ -387,7 +385,7 @@ class Vm:
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
-            raise Revert(CALL_DEPTH, method=f"{cname}.{mname}")
+            raise Revert(CALL_DEPTH, kind="call-depth", method=f"{cname}.{mname}")
         self.frames += 1
         frame = Frame(self, self.frames, code, dict(zip(code.params, args)), caller, depth)
         # a caller reasons only about its own contract's specs: a call from
@@ -499,7 +497,7 @@ def _block(body, contract, nest=0):
             if charged:
                 m.exec_gas += 1
                 if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                    raise Revert(GAS_EXHAUSTED)
+                    raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
             if step(fr, env):
                 return True
         return False
@@ -539,7 +537,7 @@ def _stmt(s, contract, nest):
                     return True
                 m.exec_gas += 1  # the next condition evaluation
                 if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                    raise Revert(GAS_EXHAUSTED)
+                    raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
             return False
         return while_
     if isinstance(s, Call):
@@ -733,7 +731,7 @@ def _formula(node, contract):
             m = fr.meter
             m.check_gas += 1
             if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                raise Revert(GAS_EXHAUSTED)
+                raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
             return test(fr, env)
         return cmp, False
     if t is Acc:
@@ -810,7 +808,7 @@ def eval_spec_bool(fr, tree):
             truth = done.value
             continue
         if len(stack) > PREDICATE_DEPTH_CAP:
-            raise Revert(PREDICATE_DEPTH, predicate=name)
+            raise Revert(PREDICATE_DEPTH, kind="predicate-depth", predicate=name)
         params, body, gen = predicates[name]
         fr.meter.charge_check()  # the predicate call itself
         truth = body(fr, dict(zip(params, args)))
@@ -840,7 +838,7 @@ def check_transaction(image: VmImage, tx: Transaction):
 
 
 def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
-               options: VmOptions = None):
+               protected=True):
     """Execute transactions in order against an evolving ledger; returns
     (outcomes, gas report dict).  Raises VmUsageError, naming the first bad
     transaction's index, before any transaction runs."""
@@ -851,7 +849,7 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
         except VmUsageError as e:
             raise VmUsageError(f"transaction {i}: {e}") from None
     ledger = ledger if ledger is not None else Ledger(image.program)
-    vm = Vm(image, ledger, options)
+    vm = Vm(image, ledger, protected)
     outcomes = []
     for tx in script:
         outcomes.append(vm.exec_transaction(tx, gas_limit))

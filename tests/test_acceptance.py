@@ -17,7 +17,7 @@ from gvc.lang import Check
 from gvc.linear import ProofResult, entails_constraints
 from gvc.oracle import enumerate_equivalence
 from gvc.verifier import Status, verify_program
-from gvc.vm import (Ledger, Transaction, Vm, VmOptions, load_program, run_script,
+from gvc.vm import (Ledger, Transaction, Vm, load_program, run_script,
                     transaction_grid)
 from gvc.weaver import count_woven_checks, weave
 
@@ -121,7 +121,7 @@ def test_criterion_5_reentrancy_protection():
         ok = ok and led.read("Bank", "Balance") == bal
 
     led = Ledger(image.program, {"Bank": {"Balance": 10}})
-    unprotected = Vm(image, led, VmOptions(protected=False))
+    unprotected = Vm(image, led, protected=False)
     out = unprotected.exec_transaction(Transaction("Bank", "withdraw", (4,)))
     corrupted = out.committed and led.read("Bank", "Balance") == 2  # honest: 6
     ok = ok and attacked > 0 and corrupted

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -405,7 +406,10 @@ class TestRun:
          "cannot load program: adversary Attacker lacks method notify"),
         ("contract Attacker:\n  method notify(amount: uint64):\n    call Nope.f();\n",
          "cannot load program: <adversary Attacker>:3:5: call to unknown contract 'Nope'"),
-    ], ids=["no-path", "lacks-method", "unknown-callee"])
+        ("contract Attacker:\n  method notify(amount: uint64):\n    x := amount;\n\n"
+         + (CORPUS / "bank.adversary.gcl").read_text(encoding="utf-8"),
+         "cannot load program: adversary source defines contract Attacker twice"),
+    ], ids=["no-path", "lacks-method", "unknown-callee", "declared-twice"])
     def test_bad_adversary_is_a_usage_error(self, tmp_path, capsys, adversary, message):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))
         capsys.readouterr()
@@ -510,6 +514,17 @@ class TestCorpus:
         assert ("bank.gcl: FAIL cannot load the woven program: "
                 "adversary Attacker.notify signature mismatch") in out
 
+    def test_adversary_declaring_its_contract_twice_fails(self, tmp_path, capsys):
+        shutil.copy(CORPUS / "bank.gcl", tmp_path / "bank.gcl")
+        adversary = (CORPUS / "bank.adversary.gcl").read_text(encoding="utf-8")
+        (tmp_path / "bank.adversary.gcl").write_text(
+            "contract Attacker:\n  method notify(amount: uint64):\n    x := amount;\n\n"
+            + adversary, encoding="utf-8")
+        assert main(["corpus", str(tmp_path)]) == EXIT_DISAGREEMENT
+        out = capsys.readouterr().out
+        assert ("bank.gcl: FAIL cannot load the woven program: "
+                "adversary source defines contract Attacker twice") in out
+
     @pytest.mark.parametrize("adversary", [
         "contract Feed2:\n  method ping():\n    return;\n",
         "# the contract Feed is left opaque\ncontract Feed2:\n  method ping():\n    return;\n",
@@ -579,3 +594,39 @@ def test_cli_reports_unreadable_source_without_traceback(tmp_path):
                          env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == EXIT_USAGE
     assert "Traceback" not in run.stderr and run.stdout.startswith(f"cannot read {bad}:")
+
+
+MUTANTS_PER_PROGRAM = 15  # about 2 s in all
+
+
+def test_every_mutant_gets_a_documented_exit_code(tmp_path, capsys):
+    # verify, weave and run answer any text, here seeded mutants of every
+    # corpus and fixture program, with a diagnostic and an exit code: no
+    # traceback and no exception out of main
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from frontend_diff import mutate
+    from gvc.frontend import corpus_files, load_file
+
+    rng = random.Random(7)
+    src, woven, script = tmp_path / "m.gcl", tmp_path / "w.gcl", tmp_path / "s.jsonl"
+    seen = {}
+    for path in corpus_files(CORPUS) + corpus_files(FIXTURES):
+        program, _ = load_file(path)
+        # one transaction per method of the program the mutants come from
+        script.write_text("".join(
+            json.dumps({"contract": c.name, "method": m.name, "args": [1] * len(m.params)}) + "\n"
+            for c in program.contracts if not c.extern for m in c.methods))
+        text = path.read_text(encoding="utf-8")
+        for _ in range(MUTANTS_PER_PROGRAM):
+            src.write_text(mutate(text, rng), encoding="utf-8")
+            codes = {"verify": main(["verify", str(src)]),
+                     "weave": main(["weave", str(src), "--auto", "-o", str(woven)])}
+            runs = [("run", src)] + ([("run woven", woven)] if codes["weave"] == EXIT_OK else [])
+            for name, target in runs:
+                codes[name] = main(["run", str(target), "--txs", str(script), "--gas-limit", "10000"])
+            assert "Traceback" not in capsys.readouterr().out
+            for name, code in codes.items():
+                seen.setdefault(name, set()).add(code)
+    assert seen["verify"] <= {EXIT_OK, EXIT_STATIC}
+    assert seen["weave"] <= {EXIT_OK, EXIT_STATIC}
+    assert seen["run"] | seen["run woven"] <= {EXIT_OK, EXIT_USAGE, EXIT_STATIC, EXIT_REVERTED}

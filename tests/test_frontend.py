@@ -3,7 +3,7 @@
 import pytest
 
 from gvc.frontend import InferenceError, WellFormednessError, infer_types, load_source, resolve
-from gvc.lang import Assign, Call, If, ResolutionError, While
+from gvc.lang import Assign, Call, If, ResolutionError, SourceError, While
 from gvc.lexer import LexError, lex
 from gvc.parser import ParseError, parse_program
 
@@ -345,3 +345,24 @@ class TestResolution:
         )
         with pytest.raises(WellFormednessError):
             load_source(src, "t.gcl")
+
+
+ONE_METHOD = "contract C:\n  #@ global G;\n  method m(x: uint64):\n    #@ requires ?;\n    #@ ensures ?;\n"
+
+
+@pytest.mark.parametrize("source, error, message", [
+    ("contract C:\n\tmethod m():\n", LexError, "e.gcl:2:1: tab character in source"),
+    (ONE_METHOD + "    y := x +;\n", ParseError, "e.gcl:6:13: expected expression, found ';'"),
+    (ONE_METHOD + "    y := z;\n", InferenceError, "e.gcl:6:10: local 'z' used before assignment"),
+    (ONE_METHOD + "    call D.f();\n", ResolutionError, "e.gcl:6:5: call to unknown contract 'D'"),
+    ("contract C:\n  #@ global G;\n  #@ global G;\n  method m(x: uint64, x: uint64):\n"
+     "    #@ requires ?;\n    #@ ensures ?;\n    y := x;\n", WellFormednessError,
+     "e.gcl:1:1: duplicate global declaration in C; e.gcl:4:3: duplicate parameter name in method m"),
+], ids=["lex", "parse", "inference", "resolution", "well-formedness"])
+def test_each_front_end_error_is_a_source_error(source, error, message):
+    # each keeps its own name, and its message starts with its loc
+    with pytest.raises(error) as e:
+        load_source(source, "e.gcl")
+    assert isinstance(e.value, SourceError)
+    assert str(e.value) == message
+    assert message.startswith(f"{e.value.loc}: ")

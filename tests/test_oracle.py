@@ -7,7 +7,7 @@ import pytest
 
 from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.oracle import (
-    ALL_HELD, FIRST_VIOLATION, Oracle, Site, dynamic_verify_trace,
+    ALL_HELD, FIRST_VIOLATION, Oracle, Site,
     enumerate_equivalence, vm_site,
 )
 from gvc.verifier import Status, verify_program
@@ -23,20 +23,18 @@ def tx(contract, method, *args):
 
 class TestTraceJudgments:
     def test_sell_in_stock_holds(self, sell_program):
-        j = dynamic_verify_trace(sell_program, {"Counter": {"Count": 10}},
-                                 tx("Counter", "sell", 3))
+        j = Oracle(sell_program).judge({"Counter": {"Count": 10}}, tx("Counter", "sell", 3))
         assert j.verdict == ALL_HELD
         assert j.storage == {"Counter": {"Count": 7}}
 
     def test_oversell_is_underflow_at_subtraction(self, sell_program):
-        j = dynamic_verify_trace(sell_program, {"Counter": {"Count": 10}},
-                                 tx("Counter", "sell", 12))
+        j = Oracle(sell_program).judge({"Counter": {"Count": 10}}, tx("Counter", "sell", 12))
         assert j.verdict == FIRST_VIOLATION
         assert j.site == Site("underflow", 7)
 
     def test_input_storage_not_mutated(self, sell_program):
         storage = {"Counter": {"Count": 10}}
-        dynamic_verify_trace(sell_program, storage, tx("Counter", "sell", 3))
+        Oracle(sell_program).judge(storage, tx("Counter", "sell", 3))
         assert storage == {"Counter": {"Count": 10}}
 
     def test_reentrancy_is_access_violation(self):
@@ -44,15 +42,13 @@ class TestTraceJudgments:
         program, _ = load_file(path)
         merged, unverified = merge_adversaries(
             program, corpus_adversaries(path, program))
-        j = dynamic_verify_trace(merged, {"Bank": {"Balance": 10}},
-                                 tx("Bank", "withdraw", 4), unverified)
+        j = Oracle(merged, unverified).judge({"Bank": {"Balance": 10}}, tx("Bank", "withdraw", 4))
         assert j.verdict == FIRST_VIOLATION
         assert j.site.kind == "access"
 
     def test_precise_precondition_violation_at_spec_line(self):
         program, _ = load_file(CORPUS / "sell_precise.gcl")
-        j = dynamic_verify_trace(program, {"Counter": {"Count": 2}},
-                                 tx("Counter", "sell", 5))
+        j = Oracle(program).judge({"Counter": {"Count": 2}}, tx("Counter", "sell", 5))
         assert j.verdict == FIRST_VIOLATION
         assert j.site.kind == "precondition"
 
@@ -143,7 +139,7 @@ class TestForeignCalls:
             tx("Shop", "buy"))
         assert out.reason == CHECK_FAILURE
         assert out.detail["kind"] == "precondition" and out.detail["line"] == 12
-        judgment = dynamic_verify_trace(program, {"Vault": {"Count": 0}}, tx("Shop", "buy"))
+        judgment = Oracle(program).judge({"Vault": {"Count": 0}}, tx("Shop", "buy"))
         assert vm_site(out, image.sidecar) == judgment.site == Site("precondition", 12)
         assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
 
@@ -260,3 +256,71 @@ def test_oracle_module_is_independent():
         if isinstance(node, ast.ImportFrom):
             mod = (node.module or "").rsplit(".", 1)[-1]
             assert mod not in banned, f"oracle imports {mod}"
+
+
+# one method per revert site; the line numbers below are this text's
+SITES = (
+    "contract C:\n"
+    "  #@ global G;\n"
+    "  #@ predicate spin(n) = spin(n + 1);\n"
+    "  method take(x: uint64):\n"
+    "    #@ requires ? and acc(G);\n"
+    "    #@ ensures ? and acc(G);\n"
+    "    G := G - x;\n"
+    "  method pre(x: uint64):\n"
+    "    #@ requires acc(G) and G >= 1;\n"
+    "    #@ ensures acc(G);\n"
+    "    G := G - 1;\n"
+    "  method post(x: uint64):\n"
+    "    #@ requires ? and acc(G);\n"
+    "    #@ ensures ? and acc(G) and G >= 5;\n"
+    "    G := x;\n"
+    "  method add(x: uint64):\n"
+    "    #@ requires ? and acc(G);\n"
+    "    #@ ensures ?;\n"
+    "    G := G + x;\n"
+    "  method div(x: uint64):\n"
+    "    #@ requires ? and acc(G);\n"
+    "    #@ ensures ?;\n"
+    "    G := G / x;\n"
+    "  method down(n: uint64):\n"
+    "    #@ requires ?;\n"
+    "    #@ ensures ?;\n"
+    "    call C.down(n);\n"
+    "  method go(x: uint64):\n"
+    "    #@ requires ? and spin(x);\n"
+    "    #@ ensures ?;\n"
+    "    y := x;\n"
+)
+
+
+@pytest.mark.parametrize("woven, init, t, gas_limit, reason, site", [
+    (True, 0, tx("C", "take", 1), None, "CheckFailure", Site("underflow", 7)),
+    (True, 0, tx("C", "pre", 0), None, "CheckFailure", Site("precondition", 9)),
+    (True, 0, tx("C", "post", 1), None, "CheckFailure", Site("postcondition", 14)),
+    (False, 2**64 - 1, tx("C", "add", 1), None, "ArithmeticPanic", Site("overflow", 19)),
+    (False, 0, tx("C", "take", 1), None, "ArithmeticPanic", Site("underflow", 7)),
+    (False, 0, tx("C", "div", 0), None, "ArithmeticPanic", Site("div-zero", 23)),
+    (False, 0, tx("C", "take", 0), 0, "GasExhausted", Site("GasExhausted", 0)),
+    (True, 0, tx("C", "down", 0), None, "CallDepthExceeded", Site("call-depth", 0)),
+    (True, 0, tx("C", "go", 0), None, "PredicateDepthExceeded", Site("predicate-depth", 0)),
+], ids=["woven-check", "entry-row", "exit-row", "overflow", "underflow", "div-zero",
+        "gas", "call-depth", "predicate-depth"])
+def test_vm_site_of_each_revert_reason(woven, init, t, gas_limit, reason, site):
+    program, boundary = load_source(SITES, "sites.gcl")
+    ip = weave(program, verify_program(program)) if woven else None
+    image = load_program(ip or (program, boundary))
+    out = Vm(image, Ledger(image.program, {"C": {"G": init}})).exec_transaction(t, gas_limit)
+    assert out.reason == reason
+    assert vm_site(out, ip.sidecar if ip else {}) == site
+
+
+def test_vm_site_of_an_ownership_revert():
+    path = CORPUS / "bank.gcl"
+    program, _ = load_file(path)
+    ip = weave(program, verify_program(program))
+    image = load_program(ip, corpus_adversaries(path, program))
+    out = Vm(image, Ledger(image.program, {"Bank": {"Balance": 10}})).exec_transaction(
+        tx("Bank", "withdraw", 4))
+    assert out.reason == "OwnershipFailure"
+    assert vm_site(out, ip.sidecar) == Site("access", 4)

@@ -18,8 +18,8 @@ from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
 from gvc.vm import (
     ARITHMETIC_PANIC, CHECK_FAILURE, GAS_EXHAUSTED, OWNERSHIP_FAILURE,
-    PREDICATE_DEPTH, Ledger, Transaction, Vm, VmOptions, VmUsageError,
-    load_program, parse_script, run_script, transaction_grid,
+    PREDICATE_DEPTH, Ledger, Transaction, Vm, VmLoadError,
+    VmUsageError, load_program, parse_script, run_script, transaction_grid,
 )
 from gvc.weaver import weave
 
@@ -446,10 +446,10 @@ class TestFailureModes:
 
 
 class TestReentrancy:
-    def _bank(self, options=None):
+    def _bank(self, protected=True):
         image = make_image("bank.gcl")
         led = Ledger(image.program, {"Bank": {"Balance": 10}})
-        return Vm(image, led, options), led
+        return Vm(image, led, protected), led
 
     def test_protected_attack_reverts(self):
         vm, led = self._bank()
@@ -460,7 +460,14 @@ class TestReentrancy:
         assert led.read("Bank", "Balance") == 10
 
     def test_unprotected_attack_double_spends(self):
-        vm, led = self._bank(VmOptions(protected=False))
+        vm, led = self._bank(protected=False)
         out = vm.exec_transaction(tx("Bank", "withdraw", 4))
         assert out.committed
         assert led.read("Bank", "Balance") == 2  # honest result is 6
+
+    def test_adversary_declaring_its_contract_twice_is_rejected(self):
+        # which block would run is not for the loader to guess
+        adversary = (CORPUS / "bank.adversary.gcl").read_text(encoding="utf-8")
+        twice = "contract Attacker:\n  method notify(amount: uint64):\n    x := amount;\n\n" + adversary
+        with pytest.raises(VmLoadError, match="adversary source defines contract Attacker twice"):
+            make_image("bank.gcl", {"Attacker": twice})
