@@ -5,22 +5,28 @@ source trees.
 Runs `gvc.frontend.load_source` from two `src` directories on the same
 inputs and reports every input on which they differ: a different error
 (type or message) or a different program (node types, fields and source
-locations) or boundary map, and, for an input both load, a different
-`verify_program` report JSON or woven text, and for an input both verify,
-a different VM outcome (`Outcome.as_dict()`, revert reason and detail) on
-a case of its bound-2 `transaction_grid`, each case run on the woven
-program under a gas limit of GAS_LIMIT.  The inputs are every `.gcl`
-file under `corpus/` and `tests/fixtures/`, the woven text of each one that
-verifies (so `#! check` and `#! entry/exit` lines are covered), and seeded
-mutations of all of them, plus the n-if programs for n = 1..10.  The
-mutations rename, drop and duplicate names, lines and arguments, so that
-many inputs end in a resolution, inference or well-formedness error rather
-than a parse error: a name edit never replaces or wraps a keyword.
+locations) or boundary map (the `#! exit` rows of a woven text), and, for
+an input both load, a different `verify_program` report JSON or woven
+text, and for an input both verify, a different VM outcome
+(`Outcome.as_dict()`, revert reason and detail) on a case of its bound-2
+`transaction_grid`, each case run on the woven program under a gas limit of
+GAS_LIMIT.  The inputs are every `.gcl` file under `corpus/` and
+`tests/fixtures/`, the woven text of each one that verifies (so `#! check`
+and `#! exit` lines are covered), and seeded mutations of all of them,
+plus the n-if programs for n = 1..10.  The mutations rename, drop and
+duplicate names, lines and arguments, so that many inputs end in a
+resolution, inference or well-formedness error rather than a parse error:
+a name edit never replaces or wraps a keyword.
 
     python3 scripts/frontend_diff.py OLD_SRC NEW_SRC [--mutants 75] [--seed 1]
 
-Each tree runs in its own interpreter.  Prints a tally of the differences
-by old outcome -> new outcome and exits 1 if any input differs.
+Each tree runs in its own interpreter.  Prints one line per differing
+input: its name, old outcome -> new outcome and, for an input both trees
+load, the part that differs first (program, boundary, report, woven or vm,
+or crash when verifying, weaving or running raised in one tree) with its
+first differing path, line or grid case; then the source and both results
+of the first few, and a tally of the differences by old outcome -> new
+outcome (part).  Exits 1 if any input differs.
 """
 
 import argparse
@@ -105,6 +111,51 @@ def outcome(d):
     return "ok" if d[0] == "ok" else d[1]
 
 
+def first_path(a, b, path=""):
+    """The path to the first place where two canon() values differ: a
+    field name after a node's type name, else a list index."""
+    if not (isinstance(a, list) and isinstance(b, list)) or len(a) != len(b):
+        return path or "."
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            if i and isinstance(a[0], str) and isinstance(x, list) and len(x) == 2 \
+                    and isinstance(x[0], str) and isinstance(y, list) and x[0] == y[0]:
+                return first_path(x[1], y[1], f"{path}.{x[0]}")
+            return first_path(x, y, f"{path}[{i}]")
+    return path or "."
+
+
+def first_line(a, b):
+    """The first line where two texts (either may be None) differ."""
+    la, lb = (a or "").splitlines(), (b or "").splitlines()
+    for n, (x, y) in enumerate(zip(la, lb), 1):
+        if x != y:
+            return f"line {n}: {x.strip()!r} -> {y.strip()!r}"
+    return f"line {min(len(la), len(lb)) + 1}: {len(la)} -> {len(lb)} line(s)"
+
+
+def first_difference(a, b):
+    """(part, where) for two differing describe() results: for an input both
+    trees load, the part that differs first and where in it, else (None,
+    the errors)."""
+    if a[0] != "ok" or b[0] != "ok":
+        return None, " -> ".join(repr(d[2]) if d[0] == "error" else "loads" for d in (a, b))
+    for part, x, y in (("program", a[1], b[1]), ("boundary", a[2], b[2])):
+        if x != y:
+            return part, first_path(x, y)
+    if "crash" in (a[3][0], b[3][0]):
+        return "crash", " -> ".join(repr(c[1:]) if c[0] == "crash" else "runs" for c in (a[3], b[3]))
+    (ra, wa, va), (rb, wb, vb) = a[3], b[3]
+    for part, x, y in (("report", ra, rb), ("woven", wa, wb)):
+        if x != y:
+            return part, first_line(x, y)
+    cases = [i for i, (x, y) in enumerate(zip(va or [], vb or [])) if x != y]
+    if not cases:
+        return "vm", f"{len(va or [])} -> {len(vb or [])} case(s)"
+    method, init, args = va[cases[0]][:3]
+    return "vm", f"{len(cases)} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
+
+
 def run_tree(src, texts):
     """describe(texts) in an interpreter that imports gvc from `src`."""
     proc = subprocess.run(
@@ -184,8 +235,12 @@ def main(argv=None):
     old = run_tree(args.old_src, texts)
     new = run_tree(args.new_src, texts)
     outcomes = Counter(outcome(d) for d in old)
-    diffs = [(t, a, b) for t, a, b in zip(texts, old, new) if a != b]
-    for (name, text), a, b in diffs[:SHOWN]:
+    diffs = [(t, a, b, first_difference(a, b)) for t, a, b in zip(texts, old, new) if a != b]
+    keys = [f"{outcome(a)} -> {outcome(b)}" + (f" ({part})" if part else "")
+            for _, a, b, (part, _) in diffs]
+    for ((name, _), _, _, (_, where)), key in zip(diffs, keys):
+        print(f"{name}: {key}" + (f" at {where}" if where else ""))
+    for (name, text), a, b, _ in diffs[:SHOWN]:
         print(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\nnew: {json.dumps(b)[:300]}")
     late = sum(outcomes[k] for k in LATE_ERRORS)
     both = sum(a[0] == b[0] == "ok" for a, b in zip(old, new))
@@ -197,7 +252,7 @@ def main(argv=None):
     print(f"{len(ran)} input(s) verify in both trees; their VM outcomes on "
           f"{sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared, "
           f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))} of them differ")
-    tally = Counter(f"{outcome(a)} -> {outcome(b)}" for _, a, b in diffs)
+    tally = Counter(keys)
     print(f"{len(diffs)} difference(s): {dict(sorted(tally.items()))}")
     return 1 if diffs else 0
 

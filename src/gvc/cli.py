@@ -52,6 +52,13 @@ def _read(path):
         raise _unreadable(path, e)
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise SystemExit2(EXIT_USAGE, f"cannot write {path}: {e.strerror or e}")
+
+
 def _load(path):
     text = _read(path)
     try:
@@ -104,7 +111,7 @@ def cmd_verify(args):
         p = report.prover.as_dict()
         print(f"prover: {p}")
     if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write(args.report, report.to_json() + "\n")
         print(f"report written to {args.report}")
     return EXIT_STATIC if report.has_static_error else EXIT_OK
 
@@ -118,6 +125,8 @@ def cmd_weave(args):
     if args.report:
         try:
             on_disk = json.loads(Path(args.report).read_text(encoding="utf-8"))
+            if not isinstance(on_disk, dict):
+                raise ValueError("not a JSON object")
         except (OSError, ValueError) as e:
             print(f"cannot read report {args.report}: {e}")
             return EXIT_USAGE
@@ -133,9 +142,9 @@ def cmd_weave(args):
         print(e)
         return EXIT_STATIC
     out = args.output or (str(args.path) + ".woven.gcl")
-    Path(out).write_text(ip.to_text(), encoding="utf-8")
+    _write(out, ip.to_text())
     sidecar = args.sidecar or (out + ".sidecar.json")
-    Path(sidecar).write_text(sidecar_json(ip) + "\n", encoding="utf-8")
+    _write(sidecar, sidecar_json(ip) + "\n")
     n = sum(1 for v in ip.sidecar)
     print(f"woven {n} residual check(s) -> {out} (sidecar {sidecar})")
     return EXIT_OK
@@ -197,7 +206,7 @@ def cmd_run(args):
     t = report["totals"]
     print(f"totals: exec_gas={t['exec_gas']} check_gas={t['check_gas']}")
     if args.gas_report:
-        Path(args.gas_report).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        _write(args.gas_report, json.dumps(report, indent=2) + "\n")
     return EXIT_REVERTED if any(not o.committed for o in outcomes) else EXIT_OK
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from .lang import (
     Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError, SourceError,
-    While, bool_leaves, expr_diagnostics, expr_nodes, out_of_range_literals,
-    stmt_exprs, stmts_recursive, well_formed_program,
+    While, bool_leaves, expr_nodes, out_of_range_literals, stmt_exprs,
+    stmts_recursive, well_formed_program,
 )
 from .lexer import lex
 from .parser import ParsedUnit, parse_program
@@ -81,10 +81,9 @@ def resolve(unit):
     ensures and body, a statement's condition before its blocks.  Raises
     ResolutionError at the first unresolved or ill-used name, and
     WellFormednessError if structural diagnostics remain afterwards.  The
-    `#! entry`/`#! exit` rows of a woven text are checked after the specs
-    they realize, an entry row as a requires atom, an exit row as an
-    ensures atom, literal range and spec markers included, and a row that
-    breaks one of these raises ResolutionError too.  Returns the program
+    `#! exit` rows of a woven text are checked after the specs they realize,
+    each as an ensures atom, literal range included, and a row that breaks
+    one of these raises ResolutionError too.  Returns the program
     itself: a name is a global iff its contract declares it, so there is
     nothing to annotate."""
     program = unit.program if isinstance(unit, ParsedUnit) else unit
@@ -146,8 +145,7 @@ def resolve(unit):
             for row in boundary.get((c.name, m.name), ()):
                 nodes = list(expr_nodes(row.payload))
                 check_nodes(nodes, scope)
-                check = expr_diagnostics if row.kind == "entry" else out_of_range_literals
-                for d in check(nodes):
+                for d in out_of_range_literals(nodes):
                     raise ResolutionError(d.loc, d.message)
             # pre-order: an if or while is checked before its blocks
             for _, s in stmts_recursive(m.body):

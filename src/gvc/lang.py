@@ -228,8 +228,10 @@ class Check:
 
 @dataclass(frozen=True)
 class BoundaryEntry:
-    """One row of a method's boundary-check table, woven as (or read back
-    from) a `#! entry/exit atom @id;` directive."""
+    """One boundary row of a method.  A woven program's rows are its
+    residuals checked at exit, written (and read back) as `#! exit atom
+    @id;` directives; the VM's table (weaver.build_boundary_table) adds the
+    spec's rows, at entry and at exit, without an id."""
 
     kind: str  # "entry" | "exit"
     payload: Atom

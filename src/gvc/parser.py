@@ -1,8 +1,8 @@
 """Recursive-descent parser for GCL token streams.
 
 Parsing a plain program yields zero Check statements; woven source (with `#!`
-directives) round-trips through the same grammar, carrying its boundary
-residual entries alongside the program.
+directives) round-trips through the same grammar, carrying its `#! exit
+<payload> @id;` boundary rows alongside the program.
 """
 
 from __future__ import annotations
@@ -174,16 +174,13 @@ class _Parser:
             else:
                 ensures = f if ensures is None else _conjoin(ensures, f)
         residuals = []
-        while self.at("BANG") and self.peek(1).lexeme in ("entry", "exit"):
-            self.next()
-            kind = self.next().lexeme
+        while self.at("BANG") and self.peek(1).lexeme == "exit":
+            self.next(); self.next()
             payload, _ = self.parse_formula_term()
-            cid = None
-            if self.at("SYM", "@"):
-                self.next()
-                cid = self.expect_ident().lexeme
+            self.expect_sym("@")
+            cid = self.expect_ident().lexeme
             self.expect_sym(";")
-            residuals.append(BoundaryEntry(kind, payload, cid))
+            residuals.append(BoundaryEntry("exit", payload, cid))
         if residuals:
             self.boundary[(contract_name, name)] = residuals
         opaque = False

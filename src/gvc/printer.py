@@ -2,8 +2,8 @@
 
 Printing then re-parsing yields a structurally identical program, and the
 printed form is a fixed point: printing the re-parse reproduces it byte for
-byte.  Woven check statements render as `#! check <payload> @id;` and boundary
-residual entries as `#! entry/exit <payload> @id;`.
+byte.  Woven check statements render as `#! check <payload> @id;` and a
+method's boundary rows as `#! exit <payload> @id;`.
 """
 
 from __future__ import annotations
@@ -91,8 +91,7 @@ def pretty_print(program, boundary=None) -> str:
             out.append(f"    #@ requires {fmt_formula(m.spec.requires)};")
             out.append(f"    #@ ensures {fmt_formula(m.spec.ensures)};")
             for e in boundary.get((c.name, m.name), []):
-                tag = f" @{e.check_id}" if e.check_id else ""
-                out.append(f"    #! {e.kind} {fmt_atom(e.payload)}{tag};")
+                out.append(f"    #! {e.kind} {fmt_atom(e.payload)} @{e.check_id};")
             if m.opaque:
                 out.append("    opaque;")
             else:

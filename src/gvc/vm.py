@@ -237,6 +237,8 @@ def merge_adversaries(program: Program, adversaries: dict = None):
     is supplied (type-checked, never verified), no-op bodies otherwise.
     Returns (resolved combined Program, set of unverified contract names)."""
     adversaries = adversaries or {}
+    for name in sorted(set(adversaries) - {c.name for c in program.contracts if c.extern}):
+        raise VmLoadError(f"adversary {name} names no extern contract")
     contracts = []
     unverified = set()
     for c in program.contracts:
@@ -285,13 +287,13 @@ def with_own_contracts(merged: Program, own: Program) -> Program:
 
 
 def load_program(ip, adversaries: dict = None) -> VmImage:
-    """Build an executable image; accepts an InstrumentedProgram or a
-    (program, boundary rows) pair from re-loading woven text.  Each
-    method's table is rebuilt from its spec plus the given residual rows;
-    its body and the payloads of its rows and woven checks are compiled, and
-    each contract's predicate bodies once."""
+    """Build an executable image of a woven program, an InstrumentedProgram
+    or the (program, boundary) pair load_source reads from its text: each
+    method's boundary table from its spec and the program's `#! exit` rows
+    (weaver.build_boundary_table), its body and the payloads of its rows
+    and woven checks compiled, and each contract's predicate bodies once."""
     if isinstance(ip, InstrumentedProgram):
-        program, residuals, sidecar = ip.program, ip.boundary_residuals, dict(ip.sidecar)
+        program, residuals, sidecar = ip.program, ip.boundary, dict(ip.sidecar)
     else:
         (program, residuals), sidecar = ip, {}
     combined, unverified = merge_adversaries(program, adversaries)
@@ -472,13 +474,10 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _rows(table, kind, contract):
-    """(test, check_id, payload) of the `kind` rows of a boundary table that
-    are evaluated, in table order, `test` the payload compiled by
-    _spec_test: acc rows of the spec, and every acc row at exit, are settled
-    by ownership instead."""
+    """(test, check_id, payload) of the `kind` rows of a boundary table, in
+    table order, `test` the payload compiled by _spec_test."""
     return tuple((_spec_test(e.payload, contract), e.check_id, e.payload)
-                 for e in table if e.kind == kind and not (
-                     isinstance(e.payload, Acc) and (kind == "exit" or e.check_id is None)))
+                 for e in table if e.kind == kind)
 
 
 def _acc_lines(formula):

@@ -1,9 +1,11 @@
 """Weaves residual run-time checks into a verified program.
 
 Before-statement residuals become `check` statements immediately preceding
-their statement; at-entry/at-exit residuals land in the boundary-check table
-together with the spec-derived entries (precise precondition atoms and acc
-list at entry, precise postcondition atoms at exit) that protect verified
+their statement; at-exit residuals become the method's boundary rows, in
+report order, which the woven text carries as `#! exit <payload> @id;`
+directives.  `build_boundary_table` merges those rows, when a program is
+loaded into the VM, with the spec-derived rows (precise precondition atoms
+at entry, precise postcondition atoms at exit) that protect verified
 methods from callers in other contracts.
 """
 
@@ -24,45 +26,26 @@ class WeaveError(Exception):
 @dataclass
 class InstrumentedProgram:
     program: Program  # with woven Check statements
-    boundary: dict = field(default_factory=dict)  # (contract, method) -> [BoundaryEntry]
+    boundary: dict = field(default_factory=dict)  # (contract, method) -> its `#! exit` rows
     sidecar: dict = field(default_factory=dict)  # id -> {line, kind, payload}
 
-    @property
-    def boundary_residuals(self):
-        """The residual-backed rows, per method that has any: what the woven
-        text carries; the spec-derived rows are rebuilt from the spec."""
-        out = {}
-        for key, entries in self.boundary.items():
-            rows = [e for e in entries if e.check_id is not None]
-            if rows:
-                out[key] = rows
-        return out
-
     def to_text(self):
-        return pretty_print(self.program, self.boundary_residuals)
+        return pretty_print(self.program, self.boundary)
 
 
-def spec_boundary_entries(method):
-    """Boundary table rows implied by the method's own specification."""
-    entries = []
-    for a in method.spec.requires.atoms:
-        if isinstance(a, Acc):
+def build_boundary_table(contract, method, residual_rows=()):
+    """The boundary rows a VM evaluates for `method`: its spec's comparison
+    and predicate atoms, requires at entry and ensures at exit (none for an
+    extern contract), with the non-acc residual rows merged in by payload
+    so no atom is evaluated twice.  Every acc atom is settled by ownership
+    instead."""
+    entries = [] if contract.extern else [
+        BoundaryEntry(kind, a) for kind, f in (("entry", method.spec.requires),
+                                               ("exit", method.spec.ensures))
+        for a in f.atoms if not isinstance(a, Acc)]
+    for r in residual_rows:
+        if isinstance(r.payload, Acc):
             continue
-        entries.append(BoundaryEntry("entry", a))
-    for a in method.spec.requires.atoms:
-        if isinstance(a, Acc):
-            entries.append(BoundaryEntry("entry", a))
-    for a in method.spec.ensures.atoms:
-        if not isinstance(a, Acc):
-            entries.append(BoundaryEntry("exit", a))
-    return entries
-
-
-def build_boundary_table(contract, method, residual_entries=()):
-    """Spec-derived rows plus residual-backed rows, merged by payload so no
-    atom is evaluated twice at a boundary."""
-    entries = [] if contract.extern else spec_boundary_entries(method)
-    for r in residual_entries:
         for i, e in enumerate(entries):
             if (e.kind == r.kind and e.check_id is None
                     and fmt_atom(e.payload) == fmt_atom(r.payload)):
@@ -87,7 +70,6 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
         methods = []
         for m in c.methods:
             mrep = report.method(c.name, m.name)
-            residual_rows = []
             inserts = {}  # (block_path, index) -> [Check]
             if mrep is not None:
                 for r in mrep.residuals:
@@ -101,7 +83,8 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                         inserts.setdefault(key, []).append(
                             Check(r.id, r.obligation.atom, r.obligation.loc))
                     else:
-                        residual_rows.append(BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
+                        boundary.setdefault((c.name, m.name), []).append(
+                            BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
 
             def insert_checks(path, stmts):
                 out = []
@@ -112,15 +95,12 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                 return tuple(out)
 
             methods.append(replace(m, body=map_blocks(m.body, insert_checks)))
-            entries = build_boundary_table(c, m, residual_rows)
-            if entries:
-                boundary[(c.name, m.name)] = entries
         contracts.append(replace(c, methods=tuple(methods)))
     return InstrumentedProgram(Program(tuple(contracts)), boundary, sidecar)
 
 
 def strip(ip) -> Program:
-    """Remove all woven check statements (and the boundary table); inverse of
+    """Remove all woven check statements (and the boundary rows); inverse of
     weave.  Accepts an InstrumentedProgram or a bare Program; idempotent."""
     program = ip.program if isinstance(ip, InstrumentedProgram) else ip
     contracts = []

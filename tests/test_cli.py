@@ -14,8 +14,10 @@ from gvc.cli import (
     DEFAULT_GAS_LIMIT, EXIT_DISAGREEMENT, EXIT_OK, EXIT_REVERTED, EXIT_STATIC,
     EXIT_USAGE, main,
 )
+from gvc.frontend import load_file
 from gvc.lang import UINT_MAX
 from gvc.parser import MAX_NESTING
+from gvc.verifier import verify_program
 
 from conftest import CORPUS, FIXTURES, ROOT
 
@@ -162,6 +164,18 @@ class TestVerify:
         path.write_text(src)
         assert main(["verify", str(path)]) == EXIT_STATIC
         assert f"big.gcl:{message}: integer literal out of uint64 range" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("orelse, code, message", [
+        ("      return 1;\n", EXIT_OK, "C.m: verified"),
+        ("      y := 1;\n", EXIT_STATIC,
+         "ret.gcl:4:3: method m may fall off the end without returning a value"),
+    ], ids=["both-branches-return", "branch-falls-off"])
+    def test_a_returning_method_returns_on_every_path(self, tmp_path, capsys, orelse, code, message):
+        path = tmp_path / "ret.gcl"
+        path.write_text(one_method("    if x < 5:\n      return 0;\n    else:\n" + orelse).replace(
+            "m(x: uint64):", "m(x: uint64) -> uint64:"))
+        assert main(["verify", str(path)]) == code
+        assert message in capsys.readouterr().out
 
     def test_parse_error_at_its_real_location(self, tmp_path, capsys):
         src = tmp_path / "leaf.gcl"
@@ -375,19 +389,21 @@ class TestRun:
         assert f"chk.gcl:7:14: {message}" in out and "Traceback" not in out
 
     @pytest.mark.parametrize("row, message", [
-        ("nope(1)", "unknown predicate 'nope'"),
-        ("Zq >= 1", "unresolved name 'Zq' in specification"),
-        ("old(Count) >= 1", "old(...) is only allowed in ensures"),
-    ], ids=["unknown-predicate", "unbound-name", "old-at-entry"])
+        ("exit nope(1) @c0", "6:13: unknown predicate 'nope'"),
+        ("exit Zq >= 1 @c0", "6:13: unresolved name 'Zq' in specification"),
+        # a woven text holds `#! exit` rows only, each tagged with its id
+        ("entry old(Count) >= 1 @c0", "6:8: expected 'check' after '#!' in statement position"),
+        ("exit Count >= 1", "6:23: expected '@'"),
+    ], ids=["unknown-predicate", "unbound-name", "old-at-entry", "untagged"])
     def test_bad_boundary_row_is_a_static_error(self, tmp_path, capsys, row, message):
         woven = Path(self._woven(tmp_path))
         lines = woven.read_text().splitlines(keepends=True)
-        lines.insert(5, f"    #! entry {row} @c0;\n")  # after the ensures
+        lines.insert(5, f"    #! {row};\n")  # after the ensures
         woven.write_text("".join(lines))
         code = main(["run", str(woven), "--txs", str(CORPUS / "sell.txs.jsonl")])
         out = capsys.readouterr().out
         assert code == EXIT_STATIC
-        assert f"w.gcl:6:14: {message}" in out and "Traceback" not in out
+        assert f"w.gcl:{message}" in out and "Traceback" not in out
 
     def test_adversary_and_unprotected(self, tmp_path, capsys):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))
@@ -420,6 +436,18 @@ class TestRun:
             arg += f"={path}"
         assert main(["run", woven, "--adversary", arg]) == EXIT_USAGE
         assert capsys.readouterr().out == message + "\n"
+
+    @pytest.mark.parametrize("name", ["Attackr", "Bank"], ids=["misspelled", "verified-contract"])
+    def test_adversary_naming_no_extern_contract_is_a_usage_error(self, tmp_path, capsys, name):
+        # the extern Attacker would keep its no-op body and the attack commit
+        woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))
+        capsys.readouterr()
+        code = main(["run", woven, "--txs", str(CORPUS / "bank.txs.jsonl"),
+                     "--ledger", self._ledger(tmp_path, {"Bank": {"Balance": 10}}),
+                     "--adversary", f"{name}={CORPUS / 'bank.adversary.gcl'}"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == (
+            f"cannot load program: adversary {name} names no extern contract\n")
 
     @pytest.mark.parametrize("init", [
         {"Counter": {"Count": -5}, "Ghost": {"X": 1}},
@@ -550,6 +578,20 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert "cross_pred.gcl: ok" in out and "same_name.gcl: ok" in out
 
+    def test_disagreement_fails(self, tmp_path, capsys, monkeypatch):
+        # sell.gcl's woven program stands in for sell_precise.gcl's: its
+        # woven check reverts where the oracle blames the precondition
+        import gvc.weaver
+
+        shutil.copy(CORPUS / "sell_precise.gcl", tmp_path / "sell_precise.gcl")
+        weave = gvc.weaver.weave
+        sell, _ = load_file(CORPUS / "sell.gcl")
+        monkeypatch.setattr(gvc.weaver, "weave",
+                            lambda program, report: weave(sell, verify_program(sell)))
+        assert main(["corpus", str(tmp_path), "--bound", "2"]) == EXIT_DISAGREEMENT
+        assert capsys.readouterr().out.startswith(
+            "sell_precise.gcl: FAIL equivalence 9 case(s), 3 disagreement(s); ")
+
 
 @pytest.mark.parametrize("argv", [
     ["corpus", str(CORPUS), "--bound", "-1"],
@@ -596,6 +638,35 @@ def test_cli_reports_unreadable_source_without_traceback(tmp_path):
     assert "Traceback" not in run.stderr and run.stdout.startswith(f"cannot read {bad}:")
 
 
+@pytest.mark.parametrize("case", ["verify-report", "weave-output", "weave-sidecar",
+                                  "run-gas-report", "weave-report-not-an-object"])
+def test_unwritable_output_or_bad_report_is_a_usage_error(tmp_path, capsys, case):
+    # every file gvc writes goes through one helper: a path it cannot write
+    # is exit 1 with "cannot write PATH", no traceback
+    bad = tmp_path / "no" / "such" / "dir" / "out"
+    report = tmp_path / "report.json"
+    report.write_text("[]\n")
+    woven = str(tmp_path / "w.gcl")
+    cannot_write = f"cannot write {bad}: No such file or directory"
+    argv, message = {
+        "verify-report": (["verify", SELL, "--report", str(bad)], cannot_write),
+        "weave-output": (["weave", SELL, "--auto", "-o", str(bad)], cannot_write),
+        "weave-sidecar": (["weave", SELL, "--auto", "-o", woven, "--sidecar", str(bad)],
+                          cannot_write),
+        # the transactions have run and printed when the write fails; the
+        # command still exits 1
+        "run-gas-report": (["run", SELL, "--txs", str(CORPUS / "sell.txs.jsonl"),
+                            "--gas-report", str(bad)], "final ledger: "),
+        "weave-report-not-an-object": (["weave", SELL, "--report", str(report), "-o", woven],
+                                       f"cannot read report {report}: not a JSON object"),
+    }[case]
+    assert main(argv) == EXIT_USAGE
+    out = capsys.readouterr().out
+    assert message in out and "Traceback" not in out
+    if case == "run-gas-report":
+        assert out.endswith(cannot_write + "\n")
+
+
 MUTANTS_PER_PROGRAM = 15  # about 2 s in all
 
 
@@ -605,7 +676,7 @@ def test_every_mutant_gets_a_documented_exit_code(tmp_path, capsys):
     # traceback and no exception out of main
     sys.path.insert(0, str(ROOT / "scripts"))
     from frontend_diff import mutate
-    from gvc.frontend import corpus_files, load_file
+    from gvc.frontend import corpus_files
 
     rng = random.Random(7)
     src, woven, script = tmp_path / "m.gcl", tmp_path / "w.gcl", tmp_path / "s.jsonl"

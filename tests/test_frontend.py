@@ -169,7 +169,7 @@ LITERAL_SITES = (
     "  method m(x: uint64) -> uint64:\n"
     "    #@ requires acc(G) and G <= {requires};\n"
     "    #@ ensures acc(G) and G <= {ensures};\n"
-    "    #! entry G <= {entry} @c0;\n"
+    "    #! exit G <= {exit} @c0;\n"
     "    #! check x <= {check} @c1;\n"
     "    y := x + {assign};\n"
     "    call C.n({call});\n"
@@ -185,7 +185,7 @@ LITERAL_SITES = (
     "    #@ ensures ?;\n"
     "    return;\n"
 )
-SITE_NAMES = ("predicate", "requires", "ensures", "entry", "check", "assign", "call",
+SITE_NAMES = ("predicate", "requires", "ensures", "exit", "check", "assign", "call",
               "if", "while", "invariant", "assert", "return")
 
 
@@ -200,7 +200,7 @@ class TestLiteralRange:
         src = LITERAL_SITES.format(**{**dict.fromkeys(SITE_NAMES, 1), site: 2**64})
         line = next(i for i, text in enumerate(src.splitlines(), 1) if str(2**64) in text)
         col = src.splitlines()[line - 1].index(str(2**64)) + 1
-        error = ResolutionError if site == "entry" else WellFormednessError
+        error = ResolutionError if site == "exit" else WellFormednessError
         with pytest.raises(error) as e:
             load_source(src, "t.gcl")
         assert str(e.value) == f"t.gcl:{line}:{col}: integer literal out of uint64 range"

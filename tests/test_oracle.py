@@ -75,6 +75,24 @@ class TestEquivalence:
         report = self._grid("bank.gcl", bound=4)
         assert report["disagreements"] == []
 
+    def test_disagreement_record(self):
+        # sell.gcl's woven program run against sell_precise.gcl: its woven
+        # check reverts where the oracle blames the precondition
+        precise, _ = load_file(CORPUS / "sell_precise.gcl")
+        sell, _ = load_file(CORPUS / "sell.gcl")
+        report = enumerate_equivalence(precise, weave(sell, verify_program(sell)), bound=2)
+        assert report["cases"] == 9 and len(report["disagreements"]) == 3
+        assert report["disagreements"][0] == {
+            "initial_state": {"Counter": {"Count": 0}},
+            "method": "Counter.sell",
+            "args": [1],
+            "vm_outcome": {"outcome": "reverted", "exec_gas": 1, "check_gas": 3,
+                           "revert_reason": "CheckFailure", "check_id": "c0",
+                           "site": {"kind": "underflow", "line": 7}},
+            "oracle_verdict": {"verdict": "FirstViolation", "kind": "precondition",
+                               "line": 4, "payload": "quantity <= Count"},
+        }
+
     def test_unknown_only_spec_always_commits(self):
         src = (
             "contract C:\n"
@@ -192,6 +210,20 @@ EDGES = {
         "    #@ requires ? and acc(G);\n    #@ ensures ?;\n    i := 0;\n"
         "    while i < n:\n      #@ invariant ? and acc(G) and i <= 1;\n"
         "      i := i + 1;\n", None, 3, "loop-invariant"),
+    # G is a global, so the shift reads it through a closure
+    "global-plus-literal-overflow": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures ?;\n"
+        "    G := G + 18446744073709551615;\n", None, 1, "overflow"),
+    "return-in-loop": (
+        "contract C:\n  method m(n: uint64) -> uint64:\n    #@ requires ?;\n"
+        "    #@ ensures ?;\n    i := 0;\n    while i < n:\n      #@ invariant ?;\n"
+        "      return i;\n    return n;\n", None, 2, "held"),
+    # p's body negates a predicate instance
+    "not-predicate": (
+        "contract C:\n  #@ predicate q(n) = n >= 1;\n  #@ predicate p(n) = not q(n);\n"
+        "  method m(x: uint64):\n    #@ requires ? and p(x);\n"
+        "    #@ ensures ?;\n    y := x;\n", None, 1, "precondition"),
     "spec-div-zero": (
         "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
         "    #@ requires ? and acc(G) and G / x >= 0;\n    #@ ensures ?;\n"

@@ -7,6 +7,7 @@ import pytest
 from gvc.frontend import corpus_files, load_file, load_source
 from gvc.printer import pretty_print
 from gvc.verifier import verify_program
+from gvc.vm import load_program
 from gvc.weaver import (
     WeaveError, count_woven_checks, sidecar_json, strip, weave,
 )
@@ -34,10 +35,12 @@ class TestSellWoven:
         assert doc == sell_woven.sidecar
 
     def test_boundary_table_from_spec(self, sell_woven):
-        [(key, entries)] = list(sell_woven.boundary.items())
-        assert key == ("Counter", "sell")
-        # requires atoms (comparison then acc) at entry, precise ensures at exit
-        assert [e.kind for e in entries] == ["entry", "entry", "exit"]
+        # the woven program carries no rows; the VM's table holds the
+        # requires comparison at entry and the precise ensures at exit, and
+        # the requires acc is settled by ownership
+        assert sell_woven.boundary == {}
+        entries = load_program(sell_woven).boundary[("Counter", "sell")]
+        assert [e.kind for e in entries] == ["entry", "exit"]
         assert all(e.check_id is None for e in entries)
 
 
@@ -96,9 +99,9 @@ def test_refuses_static_errors():
 def test_exit_residual_lands_in_boundary_table():
     program, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(program, verify_program(program))
-    entries = ip.boundary[("Gate", "set")]
+    [row] = ip.boundary[("Gate", "set")]
+    entries = load_program(ip).boundary[("Gate", "set")]
     residual_rows = [e for e in entries if e.check_id is not None]
-    assert len(residual_rows) == 1
-    assert residual_rows[0].kind == "exit"
+    assert residual_rows == [row] and row.kind == "exit"
     # residual merged into the spec row, not duplicated
     assert count_woven_checks(ip.program) == 0
