@@ -8,12 +8,14 @@ inputs and reports every input on which they differ: a different error
 locations) or boundary map (the `#! exit` rows of a woven text), and, for
 an input both load, a different `verify_program` report JSON or woven
 text, and for an input both verify, a different VM outcome
-(`Outcome.as_dict()`, revert reason and detail) on a case of its bound-2
-`transaction_grid`, each case run on the woven program under a gas limit of
-GAS_LIMIT.  The inputs are every `.gcl` file under `corpus/` and
-`tests/fixtures/`, the woven text of each one that verifies (so `#! check`
-and `#! exit` lines are covered), and seeded mutations of all of them,
-plus the n-if programs for n = 1..10.  The mutations rename, drop and
+(`Outcome.as_dict()`, revert reason and detail) or oracle judgment
+(`Oracle.judge`: verdict, site kind and line, payload and final storage) on
+a case of its bound-2 `transaction_grid`, each case run on the woven
+program under a gas limit of GAS_LIMIT and judged on the source program
+within ORACLE_STEPS statements.  The inputs are every `.gcl` file under
+`corpus/` and `tests/fixtures/`, the woven text of each one that verifies
+(so `#! check` and `#! exit` lines are covered), and seeded mutations of
+all of them, plus the n-if programs for n = 1..10.  The mutations rename, drop and
 duplicate names, lines and arguments, so that many inputs end in a
 resolution, inference or well-formedness error rather than a parse error:
 a name edit never replaces or wraps a keyword.
@@ -22,11 +24,11 @@ a name edit never replaces or wraps a keyword.
 
 Each tree runs in its own interpreter.  Prints one line per differing
 input: its name, old outcome -> new outcome and, for an input both trees
-load, the part that differs first (program, boundary, report, woven or vm,
-or crash when verifying, weaving or running raised in one tree) with its
-first differing path, line or grid case; then the source and both results
-of the first few, and a tally of the differences by old outcome -> new
-outcome (part).  Exits 1 if any input differs.
+load, the part that differs first (program, boundary, report, woven, vm or
+oracle, or crash when verifying, weaving, running or judging raised in one
+tree) with its first differing path, line or grid case; then the source
+and both results of the first few, and a tally of the differences by old
+outcome -> new outcome (part).  Exits 1 if any input differs.
 """
 
 import argparse
@@ -46,6 +48,7 @@ LATE_ERRORS = ("InferenceError", "ResolutionError", "WellFormednessError")
 SHOWN = 5  # differences printed in full
 GRID_BOUND = 2
 GAS_LIMIT = 10_000  # a mutant's loop may not end
+ORACLE_STEPS = 10_000  # statements per judgment: the oracle meters no gas
 
 
 def canon(x):
@@ -71,24 +74,56 @@ def canon(x):
 def describe(texts):
     """The result on each text: ["error", exception type, message] if
     load_source fails, else ["ok", program, boundary, checked], where
-    checked is [report JSON, woven text, VM outcomes (see run_grid)], the
-    last two None if a method has a static error, or ["crash", exception
-    type, message] if verifying, weaving or running raised."""
+    checked is [report JSON, woven text, VM outcomes, oracle judgments (see
+    run_grid)], the last three None if a method has a static error, or
+    ["crash", exception type, message] if verifying, weaving, running or
+    judging raised."""
     from gvc.frontend import load_source
+    from gvc.oracle import Oracle
     from gvc.verifier import verify_program
-    from gvc.vm import Ledger, Vm, load_program, transaction_grid
+    from gvc.vm import Ledger, Vm, load_program, merge_adversaries, transaction_grid
     from gvc.weaver import weave
 
+    class OutOfSteps(Exception):
+        pass
+
+    class StepOracle(Oracle):
+        """The oracle, stopped after ORACLE_STEPS statements."""
+
+        def judge(self, storage, t):
+            self.steps = 0
+            return super().judge(storage, t)
+
+        def stmt(self, fr, s, nest):
+            self.steps += 1
+            if self.steps > ORACLE_STEPS:
+                raise OutOfSteps
+            return super().stmt(fr, s, nest)
+
+    def judgment(oracle, init, t):
+        """[verdict, [site kind, site line] or None, payload, final
+        storage], or ["out of steps"]."""
+        try:
+            j = oracle.judge(init, t)
+        except OutOfSteps:
+            return ["out of steps"]
+        site = j.site and [j.site.kind, j.site.line]
+        return [j.verdict, site, j.payload, j.storage]
+
     def run_grid(program, woven):
-        """[method, initial ledger, arguments, outcome dict, reason, detail]
-        of each case of the bound-2 grid, run on the loaded woven program."""
+        """For each case of the bound-2 grid: [method, initial ledger,
+        arguments, outcome dict, reason, detail] of its run on the loaded
+        woven program, and [method, initial ledger, arguments, judgment] of
+        the oracle on the source program."""
         image = load_program(woven)
-        cases = []
+        oracle = StepOracle(*merge_adversaries(program))
+        vm_cases, oracle_cases = [], []
         for c, m, init, t in transaction_grid(program, GRID_BOUND):
             out = Vm(image, Ledger(image.program, init)).exec_transaction(t, gas_limit=GAS_LIMIT)
-            cases.append([f"{c.name}.{m.name}", init, list(t.args), out.as_dict(),
-                          out.reason, out.detail])
-        return cases
+            case = [f"{c.name}.{m.name}", init, list(t.args)]
+            vm_cases.append(case + [out.as_dict(), out.reason, out.detail])
+            oracle_cases.append(case + [judgment(oracle, init, t)])
+        return vm_cases, oracle_cases
 
     out = []
     for name, text in texts:
@@ -100,7 +135,8 @@ def describe(texts):
         try:
             report = verify_program(program)
             woven = None if report.has_static_error else weave(program, report)
-            checked = [report.to_json(), woven and woven.to_text(), woven and run_grid(program, woven)]
+            cases = run_grid(program, woven) if woven else (None, None)
+            checked = [report.to_json(), woven and woven.to_text(), *cases]
         except Exception as e:
             checked = ["crash", type(e).__name__, str(e)]
         out.append(["ok", canon(program), canon(boundary), checked])
@@ -145,15 +181,18 @@ def first_difference(a, b):
             return part, first_path(x, y)
     if "crash" in (a[3][0], b[3][0]):
         return "crash", " -> ".join(repr(c[1:]) if c[0] == "crash" else "runs" for c in (a[3], b[3]))
-    (ra, wa, va), (rb, wb, vb) = a[3], b[3]
+    (ra, wa, va, oa), (rb, wb, vb, ob) = a[3], b[3]
     for part, x, y in (("report", ra, rb), ("woven", wa, wb)):
         if x != y:
             return part, first_line(x, y)
-    cases = [i for i, (x, y) in enumerate(zip(va or [], vb or [])) if x != y]
-    if not cases:
-        return "vm", f"{len(va or [])} -> {len(vb or [])} case(s)"
-    method, init, args = va[cases[0]][:3]
-    return "vm", f"{len(cases)} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
+    for part, x, y in (("vm", va, vb), ("oracle", oa, ob)):
+        if x == y:
+            continue
+        cases = [i for i, (p, q) in enumerate(zip(x or [], y or [])) if p != q]
+        if not cases:
+            return part, f"{len(x or [])} -> {len(y or [])} case(s)"
+        method, init, args = x[cases[0]][:3]
+        return part, f"{len(cases)} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
 
 
 def run_tree(src, texts):
@@ -249,9 +288,12 @@ def main(argv=None):
     print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
-    print(f"{len(ran)} input(s) verify in both trees; their VM outcomes on "
-          f"{sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared, "
-          f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))} of them differ")
+    print(f"{len(ran)} input(s) verify in both trees; their VM outcomes and oracle "
+          f"judgments on {sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared: "
+          f"VM outcomes differ on "
+          f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))}, "
+          f"oracle judgments on "
+          f"{sum(x != y for a, b in ran for x, y in zip(a[3][3], b[3][3]))}")
     tally = Counter(keys)
     print(f"{len(diffs)} difference(s): {dict(sorted(tally.items()))}")
     return 1 if diffs else 0

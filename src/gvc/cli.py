@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .frontend import corpus_adversaries, corpus_files, load_source, read_source
-from .lang import SourceError
+from .lang import UINT_MAX, SourceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,6 +78,14 @@ def _count(text):
     return n
 
 
+def _bound(text):
+    """A grid bound: a count that is a uint64."""
+    n = _count(text)
+    if n > UINT_MAX:
+        raise argparse.ArgumentTypeError(f"expected at most {UINT_MAX}, got {text!r}")
+    return n
+
+
 class SystemExit2(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -127,7 +135,7 @@ def cmd_weave(args):
             on_disk = json.loads(Path(args.report).read_text(encoding="utf-8"))
             if not isinstance(on_disk, dict):
                 raise ValueError("not a JSON object")
-        except (OSError, ValueError) as e:
+        except (OSError, ValueError, RecursionError) as e:  # too deep a nesting recurses
             print(f"cannot read report {args.report}: {e}")
             return EXIT_USAGE
         if on_disk.get("digest") != program_digest(program):
@@ -181,7 +189,7 @@ def cmd_run(args):
     try:
         init = json.loads(Path(args.ledger).read_text(encoding="utf-8")) if args.ledger else {}
         ledger = Ledger(image.program, init)
-    except (OSError, ValueError, VmUsageError) as e:
+    except (OSError, ValueError, RecursionError, VmUsageError) as e:
         print(f"bad ledger init: {e}")
         return EXIT_USAGE
 
@@ -214,7 +222,7 @@ def cmd_corpus(args):
     from .erosion import check_dynamic_monotonic, check_static_monotonic, erode_program
     from .oracle import enumerate_equivalence
     from .verifier import verify_program
-    from .vm import VmLoadError
+    from .vm import VmLoadError, VmUsageError
     from .weaver import weave
 
     root = Path(args.dir)
@@ -242,7 +250,7 @@ def cmd_corpus(args):
         ip = weave(program, report)
         try:
             eq = enumerate_equivalence(program, ip, bound=args.bound, adversaries=adversaries)
-        except (VmLoadError, SourceError) as e:
+        except (VmLoadError, VmUsageError, SourceError) as e:
             print(f"{path.name}: {_red('FAIL')} cannot load the woven program: {e}")
             worst = max(worst, EXIT_DISAGREEMENT)
             continue
@@ -305,8 +313,8 @@ def build_parser():
 
     c = sub.add_parser("corpus", help="regression: verify, weave, equivalence, erosion")
     c.add_argument("dir")
-    c.add_argument("--bound", type=_count, default=8)
-    c.add_argument("--erosion-bound", type=_count, default=2)
+    c.add_argument("--bound", type=_bound, default=8)
+    c.add_argument("--erosion-bound", type=_bound, default=2)
     c.set_defaults(fn=cmd_corpus)
     return ap
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, If,
@@ -30,8 +31,7 @@ _REL = {"==": operator.eq, "!=": operator.ne, "<": operator.lt,
         "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-@dataclass(frozen=True)
-class Site:
+class Site(NamedTuple):
     """Canonical identity of an obligation: what kind of requirement failed
     and the source line it is attributed to."""
 
@@ -60,6 +60,9 @@ class _Violation(Exception):
 
 
 class _OFrame:
+    __slots__ = ("contract", "verified", "imprecise", "caller", "depth", "vars", "old",
+                 "result", "borrows")
+
     def __init__(self, contract, verified, imprecise, caller, charge=1):
         self.contract = contract
         self.verified = verified
@@ -73,58 +76,79 @@ class _OFrame:
         self.borrows = []  # (slot, previous holder) for lazy acquisitions
 
 
+def _split(formula):
+    """(acc atoms, other atoms) of a spec formula, each in formula order."""
+    return (tuple(a for a in formula.atoms if type(a) is Acc),
+            tuple(a for a in formula.atoms if type(a) is not Acc))
+
+
+class _Method(NamedTuple):
+    """What every call of one method reads from its declaration, prepared
+    once per oracle."""
+
+    contract: object
+    method: object
+    verified: bool
+    imprecise: bool  # entered with lazy acquisition
+    params: tuple
+    requires_acc: tuple
+    requires: tuple  # the non-acc atoms
+    ensures_acc: tuple
+    ensures: tuple
+    ensured: frozenset  # the slots of ensures_acc
+    post_line: int
+
+
 class Oracle:
     """Reference interpreter over a resolved, un-instrumented program."""
 
     def __init__(self, program: Program, unverified=frozenset()):
-        self.program = program
-        self.unverified = frozenset(unverified)
+        self.methods = {}
+        for c in program.contracts:
+            verified = c.name not in unverified
+            for m in c.methods:
+                req, ens = m.spec.requires, m.spec.ensures
+                ensures_acc, ensures = _split(ens)
+                self.methods[(c.name, m.name)] = _Method(
+                    c, m, verified, req.imprecise or not verified,
+                    tuple(p for p, _ in m.params), *_split(req), ensures_acc, ensures,
+                    frozenset(a.slot for a in ensures_acc), (ens.loc or m.loc).line)
+        self.zeros = [(c.name, dict.fromkeys(c.globals, 0)) for c in program.contracts]
 
     def judge(self, storage: dict, tx) -> TraceJudgment:
         """Run one transaction from `storage` (not mutated) and report either
         the final storage or the first violated obligation."""
-        self.mem = {c.name: dict(storage.get(c.name, {})) for c in self.program.contracts}
-        for c in self.program.contracts:
-            for g in c.globals:
-                self.mem[c.name].setdefault(g, 0)
+        self.mem = {name: {**zero, **storage.get(name, {})} for name, zero in self.zeros}
         self.holder = {}
         try:
             self.enter(tx.contract, tx.method, list(tx.args), caller=None, call_line=0)
         except _Violation as v:
             return TraceJudgment(tx, FIRST_VIOLATION, v.site, v.payload)
-        return TraceJudgment(tx, ALL_HELD, storage={k: dict(v) for k, v in self.mem.items()})
+        return TraceJudgment(tx, ALL_HELD, storage=self.mem)
 
     # -- frames --------------------------------------------------------------
 
     def enter(self, cname, mname, args, caller, call_line, charge=1):
-        contract = self.program.contract(cname)
-        method = contract.method(mname)
-        verified = cname not in self.unverified
-        req, ens = method.spec.requires, method.spec.ensures
-        fr = _OFrame(contract, verified, req.imprecise or not verified, caller, charge)
+        m = self.methods[(cname, mname)]
+        fr = _OFrame(m.contract, m.verified, m.imprecise, caller, charge)
         if fr.depth > CALL_DEPTH_CAP:
             raise _Violation("call-depth", 0, f"{cname}.{mname}")
-        fr.vars = {p: v for (p, _), v in zip(method.params, args)}
+        fr.vars = dict(zip(m.params, args))
 
         caller_verified = caller is not None and caller.verified
-        internal = caller is not None and caller.contract.name == cname
-        pre_line = lambda atom: call_line if caller_verified else atom.loc.line
 
         # caller-side permission surrender happens at the call site for
         # same-contract calls from verified code
-        if caller_verified and internal:
-            for a in req.atoms:
-                if isinstance(a, Acc) and not self._holds_or_lazy(caller, cname, a.slot):
+        if caller_verified and caller.contract.name == cname:
+            for a in m.requires_acc:
+                if not self._holds_or_lazy(caller, cname, a.slot):
                     raise _Violation("access", call_line, f"acc({a.slot})")
 
-        for a in req.atoms:
-            if isinstance(a, Acc):
-                continue
+        for a in m.requires:
             if not self.spec_atom(fr, a):
-                raise _Violation("precondition", pre_line(a), fmt_atom(a))
-        for a in req.atoms:
-            if not isinstance(a, Acc):
-                continue
+                raise _Violation("precondition", call_line if caller_verified else a.loc.line,
+                                 fmt_atom(a))
+        for a in m.requires_acc:
             h = self.holder.get((cname, a.slot))
             if h is None or h is caller:
                 self.holder[(cname, a.slot)] = fr
@@ -132,19 +156,12 @@ class Oracle:
                 raise _Violation("access", a.loc.line, f"acc({a.slot})")
 
         fr.old = dict(self.mem[cname])
-        self.block(fr, method.body)
+        self.block(fr, m.method.body)
 
-        post_loc = ens.loc or method.loc
-        for a in ens.atoms:
-            if isinstance(a, Acc):
-                continue
+        for a in m.ensures:
             if not self.spec_atom(fr, a):
-                raise _Violation("postcondition", post_loc.line, fmt_atom(a))
-        kept = set()
-        for a in ens.atoms:
-            if not isinstance(a, Acc):
-                continue
-            kept.add(a.slot)
+                raise _Violation("postcondition", m.post_line, fmt_atom(a))
+        for a in m.ensures_acc:
             if not self._holds_or_lazy(fr, cname, a.slot):
                 raise _Violation("access", a.loc.line, f"acc({a.slot})")
             if caller is None:
@@ -152,7 +169,7 @@ class Oracle:
             else:
                 self.holder[(cname, a.slot)] = caller
         for slot, prev in reversed(fr.borrows):
-            if slot in kept:
+            if slot in m.ensured:
                 continue
             if self.holder.get((cname, slot)) is fr:
                 if prev is None:
@@ -186,7 +203,8 @@ class Oracle:
 
     def stmt(self, fr, s, nest):
         """Run one statement; True when it ran a return (see block)."""
-        if isinstance(s, Assign):
+        t = type(s)  # node classes are never subclassed
+        if t is Assign:
             v = self.value(fr, s.expr, s.loc.line)
             if s.target not in fr.contract.globals:
                 fr.vars[s.target] = v
@@ -194,15 +212,15 @@ class Oracle:
                 self.mem[fr.contract.name][s.target] = v
             else:
                 raise _Violation("access", s.loc.line, s.target)
-        elif isinstance(s, If):
+        elif t is If:
             taken = self.truth(fr, s.cond, s.loc.line)
             return self.block(fr, s.then if taken else s.orelse, nest + 1)
-        elif isinstance(s, While):
+        elif t is While:
             line = s.loc.line
             while True:
                 taken = self.truth(fr, s.cond, line)
                 for a in s.invariant.atoms:
-                    if isinstance(a, Acc):
+                    if type(a) is Acc:
                         if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
                             raise _Violation("access", line, f"acc({a.slot})")
                     elif not self.spec_atom(fr, a):
@@ -211,37 +229,38 @@ class Oracle:
                     break
                 if self.block(fr, s.body, nest + 1):
                     return True
-        elif isinstance(s, Call):
+        elif t is Call:
             args = [self.value(fr, a, s.loc.line) for a in s.args]
             ret = self.enter(s.contract, s.method, args, fr, s.loc.line, call_charge(nest))
             if s.target is not None:
                 fr.vars[s.target] = ret
-        elif isinstance(s, Return):
+        elif t is Return:
             fr.result = self.value(fr, s.expr, s.loc.line) if s.expr is not None else None
             return True
-        elif isinstance(s, AssertStmt):
+        elif t is AssertStmt:
             for a in s.formula.atoms:
-                if isinstance(a, Acc):
+                if type(a) is Acc:
                     if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
                         raise _Violation("access", s.loc.line, f"acc({a.slot})")
                 elif not self.spec_atom(fr, a):
                     raise _Violation("assert", s.loc.line, fmt_atom(a))
-        elif not isinstance(s, Check):  # a check is instrumentation, not source semantics
+        elif t is not Check:  # a check is instrumentation, not source semantics
             raise TypeError(f"not a statement: {s!r}")
         return False
 
     # -- program expressions (checked uint64) --------------------------------
 
     def value(self, fr, e, line):
-        if isinstance(e, IntLit):
+        t = type(e)
+        if t is IntLit:
             return e.value
-        if isinstance(e, Name):
+        if t is Name:
             if e.name in fr.vars:
                 return fr.vars[e.name]
             if not self._holds_or_lazy(fr, fr.contract.name, e.name):
                 raise _Violation("access", e.loc.line, e.name)
             return self.mem[fr.contract.name][e.name]
-        if isinstance(e, BinOp):
+        if t is BinOp:
             l = self.value(fr, e.left, line)
             r = self.value(fr, e.right, line)
             if e.op == "-" and l < r:
@@ -255,29 +274,31 @@ class Oracle:
 
     def truth(self, fr, c, line):
         # strict: every leaf is evaluated, obligations included
-        if isinstance(c, Cmp):
+        t = type(c)
+        if t is Cmp:
             return _REL[c.op](self.value(fr, c.left, line), self.value(fr, c.right, line))
-        if isinstance(c, BoolOp):
+        if t is BoolOp:
             parts = [self.truth(fr, p, line) for p in c.parts]
             return all(parts) if c.op == "and" else any(parts)
-        if isinstance(c, NotOp):
+        if t is NotOp:
             return not self.truth(fr, c.operand, line)
         raise TypeError(f"not a condition: {c!r}")
 
     # -- specification atoms (mathematical integers) -------------------------
 
     def spec_value(self, fr, e):
-        if isinstance(e, IntLit):
+        t = type(e)
+        if t is IntLit:
             return e.value
-        if isinstance(e, Name):
+        if t is Name:
             if e.name in fr.vars:
                 return fr.vars[e.name]
             return self.mem[fr.contract.name][e.name]
-        if isinstance(e, Old):
+        if t is Old:
             return fr.old[e.slot]
-        if isinstance(e, Result):
+        if t is Result:
             return fr.result if fr.result is not None else 0
-        if isinstance(e, BinOp):
+        if t is BinOp:
             l, r = self.spec_value(fr, e.left), self.spec_value(fr, e.right)
             if e.op in "/%" and r == 0:
                 raise _Violation("div-zero", e.loc.line, "division by zero in spec")
@@ -289,7 +310,7 @@ class Oracle:
         Every predicate body under evaluation is a suspended generator on an
         explicit stack, so recursion stops at PREDICATE_DEPTH_CAP and never
         at the Python stack."""
-        if isinstance(atom, Cmp):  # no predicate instance: no stack needed
+        if type(atom) is Cmp:  # no predicate instance: no stack needed
             return _REL[atom.op](self.spec_value(fr, atom.left), self.spec_value(fr, atom.right))
         stack, truth = [self._body(fr, atom)], None
         while stack:
@@ -313,17 +334,18 @@ class Oracle:
     def _body(self, fr, node):
         """Generator over an and/or/not tree: yields (name, args) per
         predicate instance, is sent back its truth, returns the tree's."""
-        if isinstance(node, Cmp):
+        t = type(node)
+        if t is Cmp:
             return self.spec_atom(fr, node)
-        if isinstance(node, PredUse):
+        if t is PredUse:
             return (yield node.name, [self.spec_value(fr, x) for x in node.args])
-        if isinstance(node, BoolOp):
+        if t is BoolOp:
             for p in node.parts:
                 part = yield from self._body(fr, p)
                 if part != (node.op == "and"):
                     return part
             return node.op == "and"
-        if isinstance(node, NotOp):
+        if t is NotOp:
             return not (yield from self._body(fr, node.operand))
         raise TypeError(f"not a predicate body node: {node!r}")
 
@@ -347,19 +369,29 @@ def enumerate_equivalence(program: Program, woven, bound: int = 8,
                           adversaries: dict = None) -> dict:
     """Exhaustively compare the instrumented VM against the oracle on every
     initial storage and argument vector in [0, bound]^n, one transaction per
-    case.  Returns {"cases": n, "disagreements": [...]}."""
+    case.  Returns {"cases": n, "disagreements": [...]}.  One VM runs every
+    case on one ledger: before each, every slot of every contract, an
+    adversary's own included, is reset to 0 and the case's values written."""
     from .vm import Ledger, Vm, load_program, transaction_grid, with_own_contracts
 
     image = load_program(woven, adversaries)
     # the oracle judges the un-woven source contracts
     oracle = Oracle(with_own_contracts(image.program, program), image.unverified)
+    # raises VmUsageError, as a case would, on a grid slot the image lacks
+    ledger = Ledger(image.program, {c.name: dict.fromkeys(c.globals, 0)
+                                    for c in program.contracts if c.globals})
+    vm = Vm(image, ledger)
+    zeros = [(slots, dict.fromkeys(slots, 0)) for slots in ledger.slots.values()]
 
     cases = 0
     disagreements = []
     for c, m, init, tx in transaction_grid(program, bound):
         cases += 1
-        ledger = Ledger(image.program, init)
-        out = Vm(image, ledger).exec_transaction(tx, gas_limit=None)
+        for slots, zero in zeros:
+            slots.update(zero)
+        for cname, values in init.items():
+            ledger.slots[cname].update(values)
+        out = vm.exec_transaction(tx, gas_limit=None)
         judgment = oracle.judge(init, tx)
         if not _agree(out, judgment, ledger, image.sidecar):
             disagreements.append({

@@ -36,6 +36,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
@@ -78,8 +79,7 @@ class Revert(Exception):
         self.detail = detail
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     contract: str
     method: str
     args: tuple = ()
@@ -310,17 +310,20 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
 def transaction_grid(program: Program, bound: int):
     """Every single-transaction case of a program's verified methods with
     each global's initial value and each argument in [0, bound]: yields
-    (contract, method, initial ledger, Transaction), method by method."""
-    gslots = [(c.name, g) for c in program.contracts for g in c.globals]
+    (contract, method, initial ledger, Transaction), method by method.
+    Raises ValueError for a bound above UINT_MAX."""
+    if bound > UINT_MAX:
+        raise ValueError(f"grid bound {bound} is not a uint64")
+    starts = itertools.accumulate((len(c.globals) for c in program.contracts), initial=0)
+    spans = [(c.name, c.globals, i) for c, i in zip(program.contracts, starts) if c.globals]
+    n = sum(len(c.globals) for c in program.contracts)
     for c in program.contracts:
         if c.extern:
             continue
         for m in c.methods:
-            for point in itertools.product(range(bound + 1), repeat=len(gslots) + len(m.params)):
-                init = {}
-                for (cn, g), v in zip(gslots, point):
-                    init.setdefault(cn, {})[g] = v
-                yield c, m, init, Transaction(c.name, m.name, point[len(gslots):])
+            for point in itertools.product(range(bound + 1), repeat=n + len(m.params)):
+                init = {cn: dict(zip(gs, point[i:])) for cn, gs, i in spans}
+                yield c, m, init, Transaction(c.name, m.name, point[n:])
 
 
 class Vm:
@@ -849,22 +852,11 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
             raise VmUsageError(f"transaction {i}: {e}") from None
     ledger = ledger if ledger is not None else Ledger(image.program)
     vm = Vm(image, ledger, protected)
-    outcomes = []
-    for tx in script:
-        outcomes.append(vm.exec_transaction(tx, gas_limit))
-    per_tx = []
-    for i, o in enumerate(outcomes):
-        row = {"index": i}
-        row.update(o.as_dict())
-        per_tx.append(row)
-    report = {
-        "per_tx": per_tx,
-        "totals": {
-            "exec_gas": sum(o.exec_gas for o in outcomes),
-            "check_gas": sum(o.check_gas for o in outcomes),
-        },
-    }
-    return outcomes, report
+    outcomes = [vm.exec_transaction(tx, gas_limit) for tx in script]
+    totals = {"exec_gas": sum(o.exec_gas for o in outcomes),
+              "check_gas": sum(o.check_gas for o in outcomes)}
+    return outcomes, {"per_tx": [{"index": i, **o.as_dict()} for i, o in enumerate(outcomes)],
+                      "totals": totals}
 
 
 def parse_script(text: str):
@@ -876,7 +868,10 @@ def parse_script(text: str):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise ValueError(f"JSON nested too deeply: {line[:40]}...") from None
         if not isinstance(obj, dict):
             raise ValueError(f"expected a JSON object, got {line}")
         cname, mname, args = obj.get("contract"), obj.get("method"), obj.get("args", [])

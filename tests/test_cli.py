@@ -578,6 +578,18 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert "cross_pred.gcl: ok" in out and "same_name.gcl: ok" in out
 
+    def test_extern_global_its_adversary_lacks_fails_without_traceback(self, tmp_path, capsys):
+        # the grid sets Feed.Q, which the merged program's Feed does not have
+        havoc = (CORPUS / "extern_havoc.gcl").read_text(encoding="utf-8")
+        (tmp_path / "havoc.gcl").write_text(
+            havoc.replace("extern contract Feed:\n", "extern contract Feed:\n  #@ global Q;\n"),
+            encoding="utf-8")
+        (tmp_path / "havoc.adversary.gcl").write_text(
+            "contract Feed:\n  #@ global R;\n  method ping():\n    R := 1;\n", encoding="utf-8")
+        assert main(["corpus", str(tmp_path), "--bound", "1"]) == EXIT_DISAGREEMENT
+        assert ("havoc.gcl: FAIL cannot load the woven program: unknown slot Feed.Q"
+                in capsys.readouterr().out)
+
     def test_disagreement_fails(self, tmp_path, capsys, monkeypatch):
         # sell.gcl's woven program stands in for sell_precise.gcl's: its
         # woven check reverts where the oracle blames the precondition
@@ -604,6 +616,32 @@ def test_negative_count_option_is_a_usage_error(capsys, argv):
     captured = capsys.readouterr()
     assert "expected a non-negative integer" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--bound", "--erosion-bound"])
+def test_grid_bound_past_uint64_is_a_usage_error(capsys, option):
+    assert main(["corpus", str(CORPUS), option, str(UINT_MAX + 1)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"expected at most {UINT_MAX}, got '{UINT_MAX + 1}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["weave-report", "run-ledger", "run-txs"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, flag):
+    # nesting deeper than the interpreter's recursion limit is malformed
+    # input: exit 1 with the flag's diagnostic, no traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000 + "\n", encoding="utf-8")
+    argv, message = {
+        "weave-report": (["weave", SELL, "--report", str(deep), "-o", str(tmp_path / "w.gcl")],
+                         f"cannot read report {deep}: maximum recursion depth exceeded"),
+        "run-ledger": (["run", SELL, "--ledger", str(deep)],
+                       "bad ledger init: maximum recursion depth exceeded"),
+        "run-txs": (["run", SELL, "--txs", str(deep)],
+                    "malformed transaction script: JSON nested too deeply"),
+    }[flag]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().out.startswith(message)
 
 
 NOT_UTF8 = b"contract A:\n  method f():\n    x := 1;\n\xff\n"

@@ -6,12 +6,16 @@ from pathlib import Path
 import pytest
 
 from gvc.frontend import corpus_adversaries, load_file, load_source
+from gvc.lang import UINT_MAX
 from gvc.oracle import (
     ALL_HELD, FIRST_VIOLATION, Oracle, Site,
     enumerate_equivalence, vm_site,
 )
 from gvc.verifier import Status, verify_program
-from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program, merge_adversaries
+from gvc.vm import (
+    ARITHMETIC_PANIC, CHECK_FAILURE, Ledger, Transaction, Vm, load_program, merge_adversaries,
+    transaction_grid,
+)
 from gvc.weaver import weave
 
 from conftest import CORPUS, FIXTURES
@@ -277,6 +281,39 @@ def test_vm_agrees_with_oracle_at_run_time_edge(name, monkeypatch):
                                    adversaries=adversary and {"A": adversary})
     assert report["disagreements"] == []
     assert kind in kinds
+
+
+# A's global Calls, which only the adversary declares, counts its calls;
+# the second call on one ledger underflows, so a count left over from an
+# earlier grid case reverts a case the oracle judges held
+COUNTS_CALLS = (
+    "contract A:\n  #@ global Calls;\n  method notify(x: uint64):\n"
+    "    Calls := Calls + 1;\n    y := 1 - Calls;\n"
+)
+
+
+def test_equivalence_resets_adversary_globals_between_cases():
+    program, _ = load_source(CALLS_A, "calls_a.gcl")
+    woven = weave(program, verify_program(program))
+    image = load_program(woven, {"A": COUNTS_CALLS})
+    ledger = Ledger(image.program)
+    vm = Vm(image, ledger)
+    assert vm.exec_transaction(tx("W", "w", 0)).committed
+    assert ledger.slots["A"] == {"Calls": 1}
+    assert vm.exec_transaction(tx("W", "w", 0)).reason == ARITHMETIC_PANIC
+    report = enumerate_equivalence(program, woven, bound=2, adversaries={"A": COUNTS_CALLS})
+    assert report == {"cases": 3, "disagreements": []}
+
+
+def test_grid_bound_past_uint64_is_rejected():
+    # no grid case goes through Ledger's validation, so the grid checks
+    # its own bound
+    program, _ = load_file(CORPUS / "sell.gcl")
+    with pytest.raises(ValueError, match="grid bound 18446744073709551616 is not a uint64"):
+        next(transaction_grid(program, UINT_MAX + 1))
+    with pytest.raises(ValueError, match="is not a uint64"):
+        enumerate_equivalence(program, weave(program, verify_program(program)),
+                              bound=UINT_MAX + 1)
 
 
 def test_oracle_module_is_independent():
