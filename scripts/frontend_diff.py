@@ -8,11 +8,12 @@ inputs and reports every input on which they differ: a different error
 locations) or boundary map (the `#! exit` rows of a woven text), and, for
 an input both load, a different `verify_program` report JSON or woven
 text, and for an input both verify, a different VM outcome
-(`Outcome.as_dict()`, revert reason and detail) or oracle judgment
-(`Oracle.judge`: verdict, site kind and line, payload and final storage) on
-a case of its bound-2 `transaction_grid`, each case run on the woven
-program under a gas limit of GAS_LIMIT and judged on the source program
-within ORACLE_STEPS statements.  The inputs are every `.gcl` file under
+(`Outcome.as_dict()`, revert reason and detail, and the ledger after the
+transaction, so a broken rollback or a wrong committed write shows) or
+oracle judgment (`Oracle.judge`: verdict, site kind and line, payload and
+final storage) on a case of its bound-2 `transaction_grid`, each case run
+on the woven program under a gas limit of GAS_LIMIT and judged on the
+source program within ORACLE_STEPS statements.  The inputs are every `.gcl` file under
 `corpus/` and `tests/fixtures/`, the woven text of each one that verifies
 (so `#! check` and `#! exit` lines are covered), and seeded mutations of
 all of them, plus the n-if programs for n = 1..10.  The mutations rename, drop and
@@ -112,16 +113,17 @@ def describe(texts):
 
     def run_grid(program, woven):
         """For each case of the bound-2 grid: [method, initial ledger,
-        arguments, outcome dict, reason, detail] of its run on the loaded
-        woven program, and [method, initial ledger, arguments, judgment] of
-        the oracle on the source program."""
+        arguments, outcome dict, reason, detail, final ledger] of its run on
+        the loaded woven program, and [method, initial ledger, arguments,
+        judgment] of the oracle on the source program."""
         image = load_program(woven)
         oracle = StepOracle(*merge_adversaries(program))
         vm_cases, oracle_cases = [], []
         for c, m, init, t in transaction_grid(program, GRID_BOUND):
-            out = Vm(image, Ledger(image.program, init)).exec_transaction(t, gas_limit=GAS_LIMIT)
+            ledger = Ledger(image.program, init)
+            out = Vm(image, ledger).exec_transaction(t, gas_limit=GAS_LIMIT)
             case = [f"{c.name}.{m.name}", init, list(t.args)]
-            vm_cases.append(case + [out.as_dict(), out.reason, out.detail])
+            vm_cases.append(case + [out.as_dict(), out.reason, out.detail, ledger.as_dict()])
             oracle_cases.append(case + [judgment(oracle, init, t)])
         return vm_cases, oracle_cases
 
@@ -289,7 +291,8 @@ def main(argv=None):
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
     print(f"{len(ran)} input(s) verify in both trees; their VM outcomes and oracle "
-          f"judgments on {sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared: "
+          f"judgments on {sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared "
+          f"(final ledgers included): "
           f"VM outcomes differ on "
           f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))}, "
           f"oracle judgments on "

@@ -113,7 +113,7 @@ class Ledger:
         contract or slot and on a value that is not an integer in
         [0, UINT_MAX]."""
         self.slots = {c.name: {g: 0 for g in c.globals} for c in program.contracts}
-        self.journal = None  # (contract, slot, old value) per write of the open transaction
+        self.journal = None  # the open transaction's undo log, one entry per slot written
         init = {} if init is None else init
         if not isinstance(init, dict):
             raise VmUsageError("expected {contract: {slot: value}}")
@@ -136,22 +136,17 @@ class Ledger:
     def read(self, contract, slot):
         return self.slots[contract][slot]
 
-    def write(self, contract, slot, value):
-        slots = self.slots[contract]
-        if self.journal is not None:
-            self.journal.append((contract, slot, slots[slot]))
-        slots[slot] = value
-
     def begin(self):
-        """Open a transaction: journal every write until `end`."""
-        self.journal = []
+        """Open a transaction: compiled code records in `journal` the value
+        each slot held before the transaction's first write to it."""
+        self.journal = {}
 
     def end(self, undo):
         """Close the open transaction; with `undo`, put back the value each
-        of its writes replaced, the newest write first."""
+        slot it wrote held before it."""
         journal, self.journal = self.journal, None
         if undo:
-            for contract, slot, old in reversed(journal):
+            for (contract, slot), old in journal.items():
                 self.slots[contract][slot] = old
 
     def as_dict(self):
@@ -191,7 +186,8 @@ class MethodCode:
         self.params = tuple(p for p, _ in method.params)
         self.imprecise_entry = spec.requires.imprecise or not verified
         self.entry, self.exit = _rows(table, "entry", contract), _rows(table, "exit", contract)
-        self.reads_old = any(type(n) is Old for _, _, p in self.exit for n in expr_nodes(p))
+        self.reads_old = any(type(n) is Old for e in table if e.kind == "exit"
+                             for n in expr_nodes(e.payload))
         self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
         self.ensured = frozenset(slot for slot, _ in self.ensures_acc)
         self.predicates = predicates
@@ -200,11 +196,11 @@ class MethodCode:
 
 class Frame:
     """One running method: its locals, permissions state and result, plus
-    the running transaction's Vm, storage, permission table and gas meter
-    that compiled code reaches through it."""
+    the running transaction's Vm, storage, undo log, permission table and
+    gas meter that compiled code reaches through it."""
 
     __slots__ = ("vm", "id", "code", "contract", "env", "caller", "depth", "slots",
-                 "perm", "meter", "protected", "old", "result", "lazy_acquired")
+                 "journal", "perm", "meter", "protected", "old", "result", "lazy_acquired")
 
     def __init__(self, vm, frame_id, code: MethodCode, env, caller, depth):
         self.vm = vm
@@ -215,6 +211,7 @@ class Frame:
         self.caller = caller
         self.depth = depth  # call-depth charges of the frames on the stack
         self.slots = vm.ledger.slots[code.contract.name]
+        self.journal = vm.ledger.journal
         self.perm = vm.perm
         self.meter = vm.meter
         self.protected = vm.protected
@@ -424,10 +421,10 @@ class Vm:
         from the top level or from another contract).  A failing row reverts
         as a `kind` ("precondition" or "postcondition") check at `line`, by
         default the row's own."""
-        for test, check_id, payload in rows:
+        for test, check_id, text, row_line in rows:
             if (active or check_id is not None) and not test(frame, frame.env):
                 raise Revert(CHECK_FAILURE, check_id=check_id, kind=kind,
-                             payload=fmt_atom(payload), line=line or payload.loc.line)
+                             payload=text, line=line or row_line)
 
     def exit_protocol(self, frame, boundary_active):
         if not frame.protected:
@@ -477,10 +474,11 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _rows(table, kind, contract):
-    """(test, check_id, payload) of the `kind` rows of a boundary table, in
-    table order, `test` the payload compiled by _spec_test."""
-    return tuple((_spec_test(e.payload, contract), e.check_id, e.payload)
-                 for e in table if e.kind == kind)
+    """(test, check_id, text, line) of the `kind` rows of a boundary table,
+    in table order: `test` the payload compiled by _spec_test, `text` the
+    payload printed and `line` its source line."""
+    return tuple((_spec_test(e.payload, contract), e.check_id, fmt_atom(e.payload),
+                  e.payload.loc.line) for e in table if e.kind == kind)
 
 
 def _acc_lines(formula):
@@ -514,13 +512,18 @@ def _stmt(s, contract, nest):
             def assign(fr, env):
                 env[target] = value(fr, env)
             return assign
-        cname, key = contract.name, (contract.name, target)
+        key = (contract.name, target)
+        # an expression that reads the target has made the frame its owner,
+        # and evaluating an expression never gives a slot up
+        tested = not any(type(n) is Name and n.name == target for n in expr_nodes(s.expr))
 
         def gassign(fr, env):
             v = value(fr, env)
-            if fr.protected and fr.perm.get(key) != fr.id:
+            if tested and fr.protected and fr.perm.get(key) != fr.id:
                 fr.vm.touch_slot(fr, target, line)
-            fr.vm.ledger.write(cname, target, v)
+            if key not in fr.journal:
+                fr.journal[key] = fr.slots[target]
+            fr.slots[target] = v
         return gassign
     if isinstance(s, If):
         cond = _cond(s.cond, s.loc.line, contract)
@@ -560,12 +563,12 @@ def _stmt(s, contract, nest):
             return True
         return return_
     if isinstance(s, Check):
-        cid, payload, line = s.check_id, s.payload, s.loc.line
-        test = _spec_test(payload, contract)
+        cid, text, line = s.check_id, fmt_atom(s.payload), s.loc.line
+        test = _spec_test(s.payload, contract)
 
         def check(fr, env):
             if fr.protected and not test(fr, env):
-                raise Revert(CHECK_FAILURE, check_id=cid, payload=fmt_atom(payload), line=line)
+                raise Revert(CHECK_FAILURE, check_id=cid, payload=text, line=line)
         return check
     raise TypeError(f"not a statement: {s!r}")
 

@@ -160,13 +160,14 @@ class TestAtomicity:
 
 
 class _CountingLedger(Ledger):
-    """A ledger that counts the writes made to it."""
+    """A ledger that counts the slots its last transaction wrote (the
+    entries of its undo log)."""
 
-    writes = 0
+    written = 0
 
-    def write(self, contract, slot, value):
-        self.writes += 1
-        super().write(contract, slot, value)
+    def end(self, undo):
+        self.written = len(self.journal)
+        super().end(undo)
 
 
 class TestJournal:
@@ -185,18 +186,28 @@ class TestJournal:
             out = Vm(image, led).exec_transaction(t, gas_limit=limit)
             if not out.committed:
                 assert json.dumps(led.as_dict()) == before, (t, limit, out.reason)
-            return out, led.writes
+            return out, led.written
 
-        undone = 0  # reverted transactions that had written something
+        undone = 0  # reverted transactions that had written a slot
         for _, _, init, t in transaction_grid(program, 2):
-            out, writes = run(init, t, None)
-            undone += not out.committed and writes > 0
+            out, written = run(init, t, None)
+            undone += not out.committed and written > 0
             for cut in range(out.exec_gas + out.check_gas) if out.committed else ():
-                out, writes = run(init, t, cut)
+                out, written = run(init, t, cut)
                 assert out.reason == GAS_EXHAUSTED
-                undone += writes > 0
+                undone += written > 0
         if path.stem in ("loop", "bank", "transfer", "ledger_pair", "calls"):
             assert undone > 0
+
+    def test_undo_log_holds_one_entry_per_written_slot(self):
+        # a loop that writes Total once per iteration, cut mid-loop
+        image = make_image("loop.gcl")
+        led = _CountingLedger(image.program, {"Summer": {"Total": 7}})
+        before = json.dumps(led.as_dict())
+        out = Vm(image, led).exec_transaction(tx("Summer", "accumulate", 1000), gas_limit=500)
+        assert out.reason == GAS_EXHAUSTED
+        assert json.dumps(led.as_dict()) == before
+        assert led.written == 1
 
     def test_transactions_never_deep_copy(self, monkeypatch):
         def boom(*args, **kwargs):
@@ -443,6 +454,34 @@ class TestFailureModes:
         image = make_image("sell.gcl")
         with pytest.raises(VmUsageError):
             Ledger(image.program, init)
+
+
+class TestAssignmentOwnership:
+    SOURCE = ("contract C:\n  #@ global G;\n  #@ global H;\n  method m(x: uint64):\n"
+              "    #@ requires {requires};\n    #@ ensures ?;\n    G := {expr};\n")
+
+    def test_self_reading_write_acquires_at_the_read(self):
+        # the read of G lazily acquires it and the write needs no second
+        # test; loaded unwoven, so no woven acc(G) check acquires G first
+        image = load_program(load_source(self.SOURCE.format(requires="? and acc(H)",
+                                                            expr="G + x"), "self.gcl"))
+        led = Ledger(image.program, {"C": {"G": 5}})
+        vm = Vm(image, led)
+        out = vm.exec_transaction(tx("C", "m", 3))
+        assert (out.status, out.exec_gas, out.check_gas) == ("committed", 1, 1)
+        assert led.as_dict() == {"C": {"G": 8, "H": 0}}
+        assert vm.perm == {}
+
+    def test_write_without_a_read_of_its_target_is_tested(self):
+        # G := H + 1 reads only H, which the frame owns; it does not verify,
+        # so it is loaded unwoven
+        image = load_program(load_source(self.SOURCE.format(requires="acc(H)", expr="H + 1"),
+                                         "other.gcl"))
+        led = Ledger(image.program)
+        out = Vm(image, led).exec_transaction(tx("C", "m", 0))
+        assert (out.reason, out.detail) == (
+            OWNERSHIP_FAILURE, {"slot": "G", "kind": "access", "line": 7, "contract": "C"})
+        assert led.as_dict() == {"C": {"G": 0, "H": 0}}
 
 
 class TestReentrancy:
