@@ -136,19 +136,15 @@ def cmd_weave(args):
             if not isinstance(on_disk, dict):
                 raise ValueError("not a JSON object")
         except (OSError, ValueError, RecursionError) as e:  # too deep a nesting recurses
-            print(f"cannot read report {args.report}: {e}")
-            return EXIT_USAGE
+            raise SystemExit2(EXIT_USAGE, f"cannot read report {args.report}: {e}")
         if on_disk.get("digest") != program_digest(program):
-            print("stale report: program digest does not match")
-            return EXIT_USAGE
+            raise SystemExit2(EXIT_USAGE, "stale report: program digest does not match")
     elif not args.auto:
-        print("either --report or --auto is required")
-        return EXIT_USAGE
+        raise SystemExit2(EXIT_USAGE, "either --report or --auto is required")
     try:
         ip = weave(program, report)
     except WeaveError as e:
-        print(e)
-        return EXIT_STATIC
+        raise SystemExit2(EXIT_STATIC, str(e))
     out = args.output or (str(args.path) + ".woven.gcl")
     _write(out, ip.to_text())
     sidecar = args.sidecar or (out + ".sidecar.json")
@@ -175,8 +171,7 @@ def cmd_run(args):
     try:
         image = load_program((program, boundary), _parse_adversaries(args.adversary))
     except (VmLoadError, SourceError) as e:
-        print(f"cannot load program: {e}")
-        return EXIT_USAGE
+        raise SystemExit2(EXIT_USAGE, f"cannot load program: {e}")
 
     txs = []
     if args.txs:
@@ -184,21 +179,18 @@ def cmd_run(args):
         try:
             txs = parse_script(text)
         except ValueError as e:
-            print(f"malformed transaction script: {e}")
-            return EXIT_USAGE
+            raise SystemExit2(EXIT_USAGE, f"malformed transaction script: {e}")
     try:
         init = json.loads(Path(args.ledger).read_text(encoding="utf-8")) if args.ledger else {}
         ledger = Ledger(image.program, init)
     except (OSError, ValueError, RecursionError, VmUsageError) as e:
-        print(f"bad ledger init: {e}")
-        return EXIT_USAGE
+        raise SystemExit2(EXIT_USAGE, f"bad ledger init: {e}")
 
     try:
         outcomes, report = run_script(image, txs, gas_limit=args.gas_limit,
                                       ledger=ledger, protected=not args.unprotected)
     except VmUsageError as e:
-        print(f"bad transaction: {e}")
-        return EXIT_USAGE
+        raise SystemExit2(EXIT_USAGE, f"bad transaction: {e}")
     for i, o in enumerate(outcomes):
         if o.committed:
             print(f"tx {i}: {_green('committed')} exec_gas={o.exec_gas} check_gas={o.check_gas}")
@@ -227,8 +219,7 @@ def cmd_corpus(args):
 
     root = Path(args.dir)
     if not root.is_dir():
-        print(f"not a directory: {root}")
-        return EXIT_USAGE
+        raise SystemExit2(EXIT_USAGE, f"not a directory: {root}")
     files = corpus_files(root)
     if not files:
         print("warning: no corpus programs found")

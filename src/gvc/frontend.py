@@ -188,10 +188,11 @@ def corpus_files(root):
 def corpus_adversaries(path, program):
     """{extern contract name: adversary source} for the corpus program at
     `path`, read from the `<stem>.adversary.gcl` beside it, if any: each
-    extern whose contract that source declares, at the start of a line."""
+    extern whose contract that source declares, extern or not, at the start
+    of a line."""
     adv_path = Path(path).with_name(Path(path).stem + ".adversary.gcl")
     if not adv_path.exists():
         return {}
     text = read_source(adv_path)
-    return {c.name: text for c in program.contracts
-            if c.extern and re.search(rf"^\s*contract\s+{c.name}\s*:", text, re.M)}
+    return {c.name: text for c in program.contracts if c.extern
+            and re.search(rf"^\s*(?:extern\s+)?contract\s+{c.name}\s*:", text, re.M)}

@@ -235,8 +235,7 @@ class _Component:
 
 class PathCondition:
     """An append-only conjunction of linear constraints, split into its
-    variable-sharing components as constraints are appended.  Iterating
-    yields the constraints in the order they were appended.
+    variable-sharing components as constraints are appended.
 
     A union-find over variables maps each root to its component.  Appending
     a constraint re-forms only the components it touches; the others, with
@@ -244,29 +243,18 @@ class PathCondition:
     re-forms nothing when its component holds as tight a bound on the same
     terms, and replaces a looser one."""
 
-    __slots__ = ("_chunks", "_parent", "_comps", "_false")
+    __slots__ = ("_parent", "_comps", "_false")
 
     def __init__(self, constraints=()):
-        self._chunks = None  # (tuple of constraints, earlier chunks) or None
         self._parent = {}  # variable -> a variable of its component; roots map to themselves
         self._comps = {}  # root variable -> _Component
         self._false = False  # some variable-free constraint is false
         self.extend(constraints)
 
-    def __iter__(self):
-        chunks = []
-        node = self._chunks
-        while node is not None:
-            chunks.append(node[0])
-            node = node[1]
-        for chunk in reversed(chunks):
-            yield from chunk
-
     def copy(self):
         """An independent copy, made in time proportional to the variables
         and components, not to the number of constraints."""
         pc = PathCondition.__new__(PathCondition)
-        pc._chunks = self._chunks
         pc._parent = dict(self._parent)
         pc._comps = dict(self._comps)
         pc._false = self._false
@@ -279,10 +267,6 @@ class PathCondition:
         return pc
 
     def extend(self, constraints):
-        constraints = tuple(constraints)
-        if not constraints:
-            return
-        self._chunks = (constraints, self._chunks)
         parent, comps = self._parent, self._comps
         for c in constraints:
             terms, const, rel = key = (c.terms, c.const, c.rel.value)

@@ -138,8 +138,6 @@ class _Parser:
             t = self.peek()
             raise ParseError(t.loc, f"expected contract item, found {t.lexeme or t.kind!r}")
         self.expect("DEDENT")
-        if not globals_ and not predicates and not methods:
-            raise ParseError(loc, f"contract {name} has an empty body")
         return Contract(name, tuple(globals_), tuple(predicates), tuple(methods), extern, loc)
 
     def parse_predicate(self):
@@ -213,9 +211,6 @@ class _Parser:
         self.expect("INDENT")
         stmts = self.parse_body()
         self.expect("DEDENT")
-        if not stmts:
-            t = self.peek()
-            raise ParseError(t.loc, "empty block")
         return tuple(stmts)
 
     def parse_body(self):

@@ -157,7 +157,6 @@ class SymState:
         self.heap = {}  # owned slot -> its symbolic value
         self.path = PathCondition()
         self.imprecise = False
-        self.old = {}
         self.facts = frozenset()  # produced predicate instances; replaced, never mutated
 
     def clone(self):
@@ -166,9 +165,18 @@ class SymState:
         s.heap = dict(self.heap)
         s.path = self.path.copy()
         s.imprecise = self.imprecise
-        s.old = self.old  # the pre-state: set once, before any clone, then only read
         s.facts = self.facts
         return s
+
+
+class Scope(NamedTuple):
+    """What the names of one spec evaluation mean: `names` maps locals and
+    parameters to their values, `old` maps a slot to the value of old(slot),
+    and `result` is the value of `result` (None when there is none)."""
+
+    names: dict
+    old: dict
+    result: object = None
 
 
 _NEG_OP = {"==": "!=", "!=": "==", "<=": ">", ">": "<=", "<": ">=", ">=": "<"}
@@ -184,6 +192,7 @@ class MethodVerifier:
         self.residuals = {}  # dedupe key -> ResidualCheck (order-preserving)
         self.warnings = []
         self.exits = []  # (state, result LinExpr or None)
+        self.old = {}  # the heap at entry, once the requires is produced
 
     # -- plumbing -----------------------------------------------------------
 
@@ -266,48 +275,38 @@ class MethodVerifier:
 
     # -- formulas -------------------------------------------------------------
 
-    def _spec_leaf(self, state, bindings_extra, reads):
+    def _spec_leaf(self, scope, reads):
         """Leaf values for spec atoms, which are checked, not executed: no
-        obligations are emitted.  Names bound in `bindings_extra` come first;
-        global reads use `reads` (a snapshot heap), and a global, old(...)
-        or result without a value becomes a fresh symbol."""
+        obligations are emitted.  A global reads `reads`, the evaluation's
+        copy of the heap, where an unheld one becomes one fresh symbol at its
+        first read; other names read `scope`, and an old(...) or result the
+        scope has no value for is a fresh symbol."""
+        gnames = self.contract.globals
 
         def leaf(e):
             if isinstance(e, Name):
-                if bindings_extra and e.name in bindings_extra:
-                    return bindings_extra[e.name]
-                if e.name in self.contract.globals:
-                    if e.name in reads:
-                        return reads[e.name]
-                    return self.fresh(e.name)
-                return state.store[e.name]
+                if e.name in gnames:
+                    v = reads.get(e.name)
+                    if v is None:
+                        v = reads[e.name] = self.fresh(e.name)
+                    return v
+                return scope.names[e.name]
             if isinstance(e, Old):
-                if bindings_extra and f"old({e.slot})" in bindings_extra:
-                    return bindings_extra[f"old({e.slot})"]
-                v = state.old.get(e.slot)
+                v = scope.old.get(e.slot)
                 return v if v is not None else self.fresh(f"old_{e.slot}")
             if isinstance(e, Result):
-                if bindings_extra and "result" in bindings_extra:
-                    return bindings_extra["result"]
-                v = state.store.get("%result")
-                return v if v is not None else self.fresh("result")
+                return scope.result if scope.result is not None else self.fresh("result")
             raise TypeError(f"not an expression: {e!r}")
 
         return leaf
 
-    def atom_constraints(self, state, atom, bindings_extra, reads):
-        """Constraints for a comparison atom evaluated in `state`."""
-        return cmp_constraints(atom.op, atom.left, atom.right,
-                               self._spec_leaf(state, bindings_extra, reads))
-
-    def _instance(self, state, atom, bindings_extra, reads):
-        """A predicate instance with its arguments linearized once: its fact
-        key (name, argument values) and its body's conjuncts, each paired
-        with its constraints (NONLINEAR unless a linear comparison, so
+    def _instance(self, atom, leaf, reads):
+        """A predicate instance with its arguments linearized once by `leaf`:
+        its fact key (name, argument values) and its body's conjuncts, each
+        paired with its constraints (NONLINEAR unless a linear comparison, so
         recursive occurrences stay opaque).  Both are None when an argument
         is non-linear; the conjuncts are None when the body is not a
         conjunction."""
-        leaf = self._spec_leaf(state, bindings_extra, reads)
         args = []
         for a in atom.args:
             v = linearize(a, leaf)
@@ -317,12 +316,16 @@ class MethodVerifier:
         pred = self.contract.predicate(atom.name)
         conj = _flatten_conj(pred.body)
         if conj is not None:
-            sub = dict(zip(pred.params, args))
-            conj = [(part, self.atom_constraints(state, part, sub, reads)
+            body_leaf = self._spec_leaf(Scope(dict(zip(pred.params, args)), {}), reads)
+            conj = [(part, cmp_constraints(part.op, part.left, part.right, body_leaf)
                      if isinstance(part, Cmp) else NONLINEAR) for part in conj]
         return (atom.name, tuple(args)), conj
 
-    def produce(self, state, f: Formula, bindings_extra=None):
+    def _own_scope(self, state, result=None):
+        """The scope of the method's own specs in `state`."""
+        return Scope(state.store, self.old, result)
+
+    def produce(self, state, f: Formula, scope):
         """Assume a formula: grant its permissions (one already held is
         kept) and extend the path with what its value atoms say."""
         if f.imprecise:
@@ -330,31 +333,28 @@ class MethodVerifier:
         for atom in f.atoms:
             if isinstance(atom, Acc) and atom.slot not in state.heap:
                 state.heap[atom.slot] = self.fresh(atom.slot)
-        # value atoms read the heap, and each unheld global as one fresh symbol
         reads = dict(state.heap)
-        for slot in self.contract.globals:
-            if slot not in reads:
-                reads[slot] = self.fresh(slot)
+        leaf = self._spec_leaf(scope, reads)
         for atom in f.atoms:
             if isinstance(atom, Acc):
                 continue
             if isinstance(atom, Cmp):
-                cons = self.atom_constraints(state, atom, bindings_extra, reads)
+                cons = cmp_constraints(atom.op, atom.left, atom.right, leaf)
                 if cons is not NONLINEAR:
                     state.path.extend(cons)
                 continue
-            key, conj = self._instance(state, atom, bindings_extra, reads)
+            key, conj = self._instance(atom, leaf, reads)
             if key is not None:
                 state.facts = state.facts | {key}
             for _, cons in conj or ():
                 if cons is not NONLINEAR:
                     state.path.extend(cons)
 
-    def consume(self, state, f: Formula, loc, insertion, kind,
-                bindings_extra=None, payload_subst=None):
+    def consume(self, state, f: Formula, loc, insertion, kind, scope, payload_subst=None):
         """Assert a formula against the state (mutated), removing
         surrendered permissions."""
         reads = dict(state.heap)  # value atoms evaluate in the pre-state
+        leaf = self._spec_leaf(scope, reads)
         for atom in f.atoms:
             if isinstance(atom, Acc):
                 if atom.slot in state.heap:
@@ -364,12 +364,12 @@ class MethodVerifier:
                 continue
             ob = Obligation(_subst_atom(atom, payload_subst) if payload_subst else atom, loc, kind)
             if isinstance(atom, Cmp):
-                self.discharge(state, ob, self.atom_constraints(state, atom, bindings_extra, reads),
+                self.discharge(state, ob, cmp_constraints(atom.op, atom.left, atom.right, leaf),
                                insertion)
                 continue
             # a predicate instance: a fact the state holds, or proved by one
             # unfold of a body of comparisons, each proved in turn
-            key, conj = self._instance(state, atom, bindings_extra, reads)
+            key, conj = self._instance(atom, leaf, reads)
             if key is not None and key in state.facts:
                 state.facts = state.facts - {key}
             elif conj is None or not all(isinstance(part, Cmp) for part, _ in conj) or not all(
@@ -457,7 +457,7 @@ class MethodVerifier:
             self.exits.append((state, result))
             return []
         if isinstance(s, AssertStmt):
-            self.consume(state, s.formula, s.loc, before, "assert")
+            self.consume(state, s.formula, s.loc, before, "assert", self._own_scope(state))
             return [state]
         if isinstance(s, Check):
             return [state]  # woven checks carry no static content
@@ -466,7 +466,7 @@ class MethodVerifier:
     def exec_while(self, state, s: While, path, index, before):
         inv = s.invariant
         self.eval_cond_obligations(state, s.cond, s.loc, before)
-        self.consume(state, inv, s.loc, before, "loop-invariant")
+        self.consume(state, inv, s.loc, before, "loop-invariant", self._own_scope(state))
         # havoc loop-modified locals, then owned written globals
         written, gnames = sorted(assigned_names(s.body)), self.contract.globals
         for name in written:
@@ -478,14 +478,15 @@ class MethodVerifier:
         self._invalidate_facts(state)
         # the loop head: the invariant holds, and the condition sees the
         # globals it grants
-        self.produce(state, inv)
+        self.produce(state, inv, self._own_scope(state))
         body_path = path + (index, "body")
         end_insertion = Insertion("before", body_path, len(s.body))
         # one symbolic body pass: invariant /\ condition
         for st in self.branches(state, s.cond):
             for exit_st in self.exec_block([st], s.body, body_path):
                 self.eval_cond_obligations(exit_st, s.cond, s.loc, end_insertion)
-                self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant")
+                self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant",
+                             self._own_scope(exit_st))
         # after the loop: invariant /\ not condition
         return list(self.branches(state, s.cond, negate=True))
 
@@ -498,26 +499,20 @@ class MethodVerifier:
             # a foreign callee guards its own boundary at run time; the caller
             # reasons only about its own contract's specs
             requires, ensures = Formula(requires.imprecise), Formula(ensures.imprecise)
-        bindings = {p: v for (p, _), v in zip(callee_m.params, arg_vals)}
+        params = {p: v for (p, _), v in zip(callee_m.params, arg_vals)}
         payload_subst = {p: a for (p, _), a in zip(callee_m.params, s.args)}
-        self.consume(state, requires, s.loc, before, "precondition",
-                     bindings_extra=bindings, payload_subst=payload_subst)
-        # re-entrancy may have run: havoc every global value, keep permissions
+        # the callee's old(G) is G's value at the call
         pre_call = dict(state.heap)
+        self.consume(state, requires, s.loc, before, "precondition",
+                     Scope(params, pre_call), payload_subst)
+        # re-entrancy may have run: havoc every global value, keep permissions
         for slot in list(state.heap):
             state.heap[slot] = self.fresh(slot)
         self._invalidate_facts(state)
-        result_sym = None
-        if s.target is not None:
-            result_sym = self.fresh("ret")
-        produce_bindings = dict(bindings)
-        if result_sym is not None:
-            produce_bindings["result"] = result_sym
-        for slot, val in pre_call.items():
-            produce_bindings[f"old({slot})"] = val
-        self.produce(state, ensures, bindings_extra=produce_bindings)
-        if s.target is not None:
-            state.store[s.target] = result_sym
+        result = self.fresh("ret") if s.target is not None else None
+        self.produce(state, ensures, Scope(params, pre_call, result))
+        if result is not None:
+            state.store[s.target] = result
         return [state]
 
     def _invalidate_facts(self, state):
@@ -536,8 +531,8 @@ class MethodVerifier:
         for p, _ in m.params:
             state.store[p] = self.fresh(p)
         try:
-            self.produce(state, m.spec.requires)
-            state.old = dict(state.heap)
+            self.produce(state, m.spec.requires, self._own_scope(state))
+            self.old = dict(state.heap)
             if check_sat(state.path, self.stats.memo) == "unsat":
                 self.warnings.append(
                     f"precondition of {m.name} is unsatisfiable; the method verifies vacuously")
@@ -546,10 +541,8 @@ class MethodVerifier:
             for st in falls:
                 self.exits.append((st, None))
             for st, result in self.exits:
-                if result is not None:
-                    st.store["%result"] = result
                 self.consume(st, m.spec.ensures, m.spec.ensures.loc or m.loc,
-                             Insertion("exit"), "postcondition")
+                             Insertion("exit"), "postcondition", self._own_scope(st, result))
         except StaticErrorExc as e:
             report.status = Status.STATIC_ERROR
             report.diagnostics.append((e.obligation, e.reason))

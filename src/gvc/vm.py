@@ -267,6 +267,9 @@ def merge_adversaries(program: Program, adversaries: dict = None):
                 raise VmLoadError(f"adversary {c.name} lacks method {m.name}")
             if len(im.params) != len(m.params) or im.returns != m.returns:
                 raise VmLoadError(f"adversary {c.name}.{m.name} signature mismatch")
+        for im in impl.methods:
+            if im.opaque:
+                raise VmLoadError(f"adversary {c.name}.{im.name} has no body")
         contracts.append(replace(impl, extern=True))
     combined_raw = Program(tuple(contracts))
     infer_types(combined_raw)

@@ -29,6 +29,14 @@ def plain_output(monkeypatch):
 
 SELL = str(CORPUS / "sell.gcl")
 
+# Escrow adds 1 to the value of the extern Feed.quote; OPAQUE_FEED is an
+# adversary source for Feed whose quote has no body
+QUOTE = ("contract Escrow:\n  #@ global Held;\n  method release():\n"
+         "    #@ requires ? and acc(Held);\n    #@ ensures ? and acc(Held);\n"
+         "    x := call Feed.quote();\n    Held := x + 1;\n\n"
+         "extern contract Feed:\n  method quote() -> uint64:\n    opaque;\n")
+OPAQUE_FEED = "{header} Feed:\n  method quote() -> uint64:\n    opaque;\n"
+
 
 def one_method(body, requires="?", decls="", params="x: uint64"):
     """Source of contract C (globals G and H) with one method m."""
@@ -437,6 +445,20 @@ class TestRun:
         assert main(["run", woven, "--adversary", arg]) == EXIT_USAGE
         assert capsys.readouterr().out == message + "\n"
 
+    def test_opaque_adversary_method_is_a_usage_error(self, tmp_path, capsys):
+        # an opaque body would run as an empty one and hand None to `x + 1`
+        (tmp_path / "quote.gcl").write_text(QUOTE, encoding="utf-8")
+        woven = self._woven(tmp_path, str(tmp_path / "quote.gcl"))
+        adversary = tmp_path / "quote.adversary.gcl"
+        adversary.write_text(OPAQUE_FEED.format(header="contract"), encoding="utf-8")
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "Escrow", "method": "release", "args": [], '
+                       '"sender": "external"}\n')
+        capsys.readouterr()
+        code = main(["run", woven, "--txs", str(txs), "--adversary", f"Feed={adversary}"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().out == "cannot load program: adversary Feed.quote has no body\n"
+
     @pytest.mark.parametrize("name", ["Attackr", "Bank"], ids=["misspelled", "verified-contract"])
     def test_adversary_naming_no_extern_contract_is_a_usage_error(self, tmp_path, capsys, name):
         # the extern Attacker would keep its no-op body and the attack commit
@@ -589,6 +611,17 @@ class TestCorpus:
         assert main(["corpus", str(tmp_path), "--bound", "1"]) == EXIT_DISAGREEMENT
         assert ("havoc.gcl: FAIL cannot load the woven program: unknown slot Feed.Q"
                 in capsys.readouterr().out)
+
+    @pytest.mark.parametrize("header", ["contract", "extern contract"])
+    def test_opaque_adversary_method_fails_without_traceback(self, tmp_path, capsys, header):
+        # an `extern contract` header names the adversary as much as a plain one
+        (tmp_path / "quote.gcl").write_text(QUOTE, encoding="utf-8")
+        (tmp_path / "quote.adversary.gcl").write_text(OPAQUE_FEED.format(header=header),
+                                                      encoding="utf-8")
+        assert main(["corpus", str(tmp_path), "--bound", "1"]) == EXIT_DISAGREEMENT
+        assert capsys.readouterr().out == (
+            "quote.gcl: FAIL cannot load the woven program: adversary Feed.quote has no body\n"
+            "1 program(s), 0 erosion(s) checked\n")
 
     def test_disagreement_fails(self, tmp_path, capsys, monkeypatch):
         # sell.gcl's woven program stands in for sell_precise.gcl's: its

@@ -219,6 +219,12 @@ EDGES = {
         "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
         "    #@ requires ? and acc(G);\n    #@ ensures ?;\n"
         "    G := G + 18446744073709551615;\n", None, 1, "overflow"),
+    # y is a local, so the shift reads it from the environment; the
+    # verifier emits no overflow obligation, so no woven check pre-empts
+    # the revert
+    "local-plus-literal-overflow": (
+        "contract C:\n  method m(x: uint64):\n    #@ requires ?;\n    #@ ensures ?;\n"
+        "    y := 18446744073709551615;\n    z := y + 1;\n", None, 1, "overflow"),
     "return-in-loop": (
         "contract C:\n  method m(n: uint64) -> uint64:\n    #@ requires ?;\n"
         "    #@ ensures ?;\n    i := 0;\n    while i < n:\n      #@ invariant ?;\n"

@@ -343,7 +343,6 @@ def test_weaker_bound_leaves_the_component_alone():
     (tighter,) = pc._comps.values()
     assert tighter is not comp and tighter.verdict is None
     assert [k for k in tighter.key if k[2] == "<="] == [((("x", 1), ("y", 1)), -1, "<=")]
-    assert len(list(pc)) == 4
 
 
 def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
@@ -354,7 +353,7 @@ def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
 
     def recording(constraints, memo=None):
         verdict = real(constraints, memo)
-        queries.append((list(constraints), memo is not None, verdict))
+        queries.append((_conjunction(constraints), memo is not None, verdict))
         return verdict
 
     monkeypatch.setattr(gvc.linear, "check_sat", recording)
@@ -366,19 +365,28 @@ def test_memoised_run_agrees_with_fresh_queries(monkeypatch):
     assert all(check_sat(cons) == verdict for cons, _, verdict in queries)
 
 
+def _conjunction(constraints):
+    """A list of constraints equivalent to a conjunction: those its
+    components keep, or one false constraint."""
+    keys = gvc.linear._components(constraints)
+    if keys is None:
+        return [con({}, 1)]
+    return [LinearConstraint(terms, const, Rel(rel))
+            for key in keys for terms, const, rel in key]
+
+
 # -- PathCondition: the split kept up to date as constraints are appended ------
 
 
 def _state(pc):
-    """(constraints, {component key: stored verdict}) of a PathCondition."""
-    return list(pc), {comp.key: comp.verdict for comp in pc._comps.values()}
+    """{component key: stored verdict} of a PathCondition."""
+    return {comp.key: comp.verdict for comp in pc._comps.values()}
 
 
-def _unchanged_but_decided(before, after):
-    # the same constraints and components; a verdict may only have been
-    # decided since, and then it is the component's own
-    (cons_a, comps_a), (cons_b, comps_b) = before, after
-    assert cons_a == cons_b and comps_a.keys() == comps_b.keys()
+def _unchanged_but_decided(comps_a, comps_b):
+    # the same components; a verdict may only have been decided since, and
+    # then it is the component's own
+    assert comps_a.keys() == comps_b.keys()
     for key, verdict in comps_a.items():
         assert comps_b[key] in ((verdict,) if verdict else (None, gvc.linear._decide(key)))
 
@@ -427,7 +435,7 @@ def test_path_condition_keeps_its_split(steps):
         else:
             before = _state(pcs[i])
             if kind == "check":
-                assert check_sat(pcs[i], memo) == check_sat(list(pcs[i]))
+                assert check_sat(pcs[i], memo) == check_sat(refs[i])
             else:
                 stats = ProverStats(memo)
                 assert (entails_constraints(pcs[i], arg, stats)
@@ -436,7 +444,6 @@ def test_path_condition_keeps_its_split(steps):
             for j, prior in others.items():
                 _unchanged_but_decided(prior, _state(pcs[j]))
         for pc, ref in zip(pcs, refs):
-            assert list(pc) == ref
             got = gvc.linear._components(pc)
             false = any(not c.terms and not _sat({}, c) for c in ref)
             assert (got is None) == false

@@ -74,6 +74,31 @@ def test_unprovable_precise_precondition_at_call_site():
     assert m.status is Status.VERIFIED_WITH_RESIDUALS
 
 
+@pytest.mark.parametrize("asserted, status", [("1", Status.STATIC_ERROR),
+                                              ("6", Status.VERIFIED)])
+def test_callee_old_is_the_value_at_the_call(asserted, status):
+    # G is 5 when inc is called, so inc's `old(G) + 1` is 6, not the 1 that
+    # twice's entry value 0 would give
+    src = (
+        "contract C:\n"
+        "  #@ global G;\n"
+        "  method inc():\n"
+        "    #@ requires acc(G);\n"
+        "    #@ ensures acc(G) and G == old(G) + 1;\n"
+        "    G := G + 1;\n"
+        "  method twice():\n"
+        "    #@ requires acc(G) and G == 0;\n"
+        "    #@ ensures acc(G);\n"
+        "    G := G + 5;\n"
+        "    call C.inc();\n"
+        f"    #@ assert G == {asserted};\n"
+    )
+    m = verify_program(load_source(src, "t.gcl")[0]).method("C", "twice")
+    assert m.status is status and not m.residuals
+    if status is Status.STATIC_ERROR:
+        assert [(ob.kind, why) for ob, why in m.diagnostics] == [("assert", "violated")]
+
+
 class TestResidualKinds:
     def _kinds(self, name):
         program, _ = load_file(CORPUS / name)

@@ -5,9 +5,9 @@ import json
 import pytest
 
 from gvc.frontend import corpus_files, load_file, load_source
-from gvc.printer import pretty_print
+from gvc.printer import fmt_atom, pretty_print
 from gvc.verifier import verify_program
-from gvc.vm import load_program
+from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program
 from gvc.weaver import (
     WeaveError, count_woven_checks, sidecar_json, strip, weave,
 )
@@ -105,3 +105,21 @@ def test_exit_residual_lands_in_boundary_table():
     assert residual_rows == [row] and row.kind == "exit"
     # residual merged into the spec row, not duplicated
     assert count_woven_checks(ip.program) == 0
+
+
+def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
+    # a hand-edited woven text may carry an exit row no spec atom matches:
+    # the table appends it after the spec rows, and the VM checks it
+    program, _ = load_file(CORPUS / "branching.gcl")
+    text = weave(program, verify_program(program)).to_text()
+    text = text.replace("    #! exit Level >= 1 @c0;\n",
+                        "    #! exit Level >= 1 @c0;\n    #! exit Level <= 5 @c1;\n")
+    image = load_program(load_source(text, "branching.woven.gcl"))
+    assert [(e.kind, fmt_atom(e.payload), e.check_id)
+            for e in image.boundary[("Gate", "set")]] == [
+        ("exit", "Level <= 10", None), ("exit", "Level >= 1", "c0"),
+        ("exit", "Level <= 5", "c1")]
+    vm = Vm(image, Ledger(image.program))
+    assert vm.exec_transaction(Transaction("Gate", "set", (5,))).committed
+    out = vm.exec_transaction(Transaction("Gate", "set", (7,)))
+    assert (out.reason, out.detail["check_id"]) == (CHECK_FAILURE, "c1")
