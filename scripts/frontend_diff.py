@@ -5,7 +5,8 @@ source trees.
 Runs `gvc.frontend.load_source` from two `src` directories on the same
 inputs and reports every input on which they differ: a different error
 (type or message) or a different program (node types, fields and source
-locations) or boundary map (the `#! exit` rows of a woven text), and, for
+locations) or boundary map (the `#! exit` rows of a woven text, whether a
+tree keeps them on their methods or beside the program), and, for
 an input both load, a different `verify_program` report JSON or woven
 text, and for an input both verify, a different VM outcome
 (`Outcome.as_dict()`, revert reason and detail, and the ledger after the
@@ -56,12 +57,15 @@ def canon(x):
     """A JSON-able description of a front-end result that is the same for
     equal programs in either tree.  Trees that annotated resolution in the
     syntax tree (a `Name.scope` field, global writes as `GAssign(slot, ...)`)
-    are described as the plain tree they annotate."""
+    are described as the plain tree they annotate, and a method's `exits`
+    field is left out: exit_rows describes the rows as one boundary map in
+    every tree."""
     if type(x).__name__ == "SourceLoc":
         return str(x)
     if dataclasses.is_dataclass(x):
         name = type(x).__name__
-        fields = [(f.name, getattr(x, f.name)) for f in dataclasses.fields(x) if f.name != "scope"]
+        fields = [(f.name, getattr(x, f.name)) for f in dataclasses.fields(x)
+                  if f.name not in ("scope", "exits")]
         if name == "GAssign":
             name, fields = "Assign", [("target" if k == "slot" else k, v) for k, v in fields]
         return [name] + [[k, canon(v)] for k, v in fields]
@@ -70,6 +74,18 @@ def canon(x):
     if isinstance(x, dict):
         return sorted([canon(k), canon(v)] for k, v in x.items())
     return x
+
+
+def exit_rows(loaded):
+    """The boundary map of a load_source result: (contract, method) -> the
+    method's `#! exit` rows, read from the methods in a tree whose methods
+    carry them, else the map a (program, map) pair holds beside the
+    program."""
+    program = loaded[0] if isinstance(loaded, tuple) else loaded
+    methods = [(c, m) for c in program.contracts for m in c.methods]
+    if methods and not hasattr(methods[0][1], "exits"):
+        return loaded[1]
+    return {(c.name, m.name): list(m.exits) for c, m in methods if m.exits}
 
 
 def describe(texts):
@@ -130,10 +146,11 @@ def describe(texts):
     out = []
     for name, text in texts:
         try:
-            program, boundary = load_source(text, name)
+            loaded = load_source(text, name)
         except Exception as e:  # every outcome is data to compare
             out.append(["error", type(e).__name__, str(e)])
             continue
+        program = loaded[0] if isinstance(loaded, tuple) else loaded
         try:
             report = verify_program(program)
             woven = None if report.has_static_error else weave(program, report)
@@ -141,7 +158,7 @@ def describe(texts):
             checked = [report.to_json(), woven and woven.to_text(), *cases]
         except Exception as e:
             checked = ["crash", type(e).__name__, str(e)]
-        out.append(["ok", canon(program), canon(boundary), checked])
+        out.append(["ok", canon(program), canon(exit_rows(loaded)), checked])
     return out
 
 

@@ -62,7 +62,7 @@ def _write(path, text):
 def _load(path):
     text = _read(path)
     try:
-        return load_source(text, str(path))
+        return load_source(text, str(path))[0]
     except SourceError as e:
         raise SystemExit2(EXIT_STATIC, f"{path}: {e}")
 
@@ -99,7 +99,7 @@ class SystemExit2(Exception):
 def cmd_verify(args):
     from .verifier import verify_program
 
-    program, _ = _load(args.path)
+    program = _load(args.path)
     report = verify_program(program)
     for m in report.methods:
         tag = {"verified": _green("verified"),
@@ -128,7 +128,7 @@ def cmd_weave(args):
     from .verifier import verify_program, program_digest
     from .weaver import WeaveError, sidecar_json, weave
 
-    program, _ = _load(args.path)
+    program = _load(args.path)
     report = verify_program(program)
     if args.report:
         try:
@@ -167,9 +167,9 @@ def _parse_adversaries(pairs):
 def cmd_run(args):
     from .vm import Ledger, VmLoadError, VmUsageError, load_program, parse_script, run_script
 
-    program, boundary = _load(args.path)
+    program = _load(args.path)
     try:
-        image = load_program((program, boundary), _parse_adversaries(args.adversary))
+        image = load_program(program, _parse_adversaries(args.adversary))
     except (VmLoadError, SourceError) as e:
         raise SystemExit2(EXIT_USAGE, f"cannot load program: {e}")
 
@@ -228,7 +228,7 @@ def cmd_corpus(args):
     worst = EXIT_OK
     total_erosions = 0
     for path in files:
-        program, _ = _load(path)
+        program = _load(path)
         try:
             adversaries = corpus_adversaries(path, program)
         except OSError as e:

@@ -9,11 +9,11 @@ from pathlib import Path
 
 from .lang import (
     Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError, SourceError,
-    While, bool_leaves, expr_nodes, out_of_range_literals, stmt_exprs,
-    stmts_recursive, well_formed_program,
+    While, bool_leaves, exit_row_map, expr_nodes, out_of_range_literals,
+    stmt_exprs, stmts_recursive, well_formed_program,
 )
 from .lexer import lex
-from .parser import ParsedUnit, parse_program
+from .parser import parse_program
 
 
 class InferenceError(SourceError):
@@ -29,14 +29,13 @@ class WellFormednessError(SourceError):
         self.diagnostics = diagnostics
 
 
-def infer_types(unit):
+def infer_types(program):
     """Type-check all locals; raises InferenceError.  The value domain is
     uint64-only, so inference reduces to definite-assignment plus the
     condition rule: a bare uint64 expression is not a truth value.  Spec
     atoms in a body (loop invariants, asserts, woven check payloads) obey
     definite assignment too; an invariant sees the names assigned before
     its loop."""
-    program = unit.program if isinstance(unit, ParsedUnit) else unit
     for c in program.contracts:
         for m in c.methods:
             _assigned_after(m.body, set(c.globals).union(p for p, _ in m.params))
@@ -75,19 +74,17 @@ def _assigned_after(body, known):
     return known
 
 
-def resolve(unit):
+def resolve(program):
     """Check that every name is declared and used as its declaration
     allows, in source order: predicates, then each method's requires,
     ensures and body, a statement's condition before its blocks.  Raises
     ResolutionError at the first unresolved or ill-used name, and
-    WellFormednessError if structural diagnostics remain afterwards.  The
-    `#! exit` rows of a woven text are checked after the specs they realize,
-    each as an ensures atom, literal range included, and a row that breaks
-    one of these raises ResolutionError too.  Returns the program
-    itself: a name is a global iff its contract declares it, so there is
-    nothing to annotate."""
-    program = unit.program if isinstance(unit, ParsedUnit) else unit
-    boundary = unit.boundary if isinstance(unit, ParsedUnit) else {}
+    WellFormednessError if structural diagnostics remain afterwards.  A
+    method's `#! exit` rows are checked after the specs they realize, each
+    as an ensures atom, literal range included, and a row that breaks one
+    of these raises ResolutionError too.  Returns the program itself: a
+    name is a global iff its contract declares it, so there is nothing to
+    annotate."""
     by_name = {c.name: c for c in program.contracts}
     if len(by_name) != len(program.contracts):
         dupes = [c.name for c in program.contracts]
@@ -142,7 +139,7 @@ def resolve(unit):
             pnames = {p for p, _ in m.params}
             scope = gnames | pnames
             check_nodes(expr_nodes(*m.spec.requires.atoms, *m.spec.ensures.atoms), scope)
-            for row in boundary.get((c.name, m.name), ()):
+            for row in m.exits:
                 nodes = list(expr_nodes(row.payload))
                 check_nodes(nodes, scope)
                 for d in out_of_range_literals(nodes):
@@ -158,10 +155,11 @@ def resolve(unit):
 
 
 def load_source(source: str, filename: str = "<mem>"):
-    """lex -> parse -> infer -> resolve; returns (Program, boundary map)."""
-    unit = parse_program(lex(source, filename), filename)
-    infer_types(unit)
-    return resolve(unit), dict(unit.boundary)
+    """lex -> parse -> infer -> resolve; returns (Program, its exit rows by
+    method), the second a view kept for `bench/` (lang.exit_row_map)."""
+    program = parse_program(lex(source, filename), filename)
+    infer_types(program)
+    return resolve(program), exit_row_map(program)
 
 
 def read_source(path):

@@ -228,7 +228,7 @@ class Check:
 
 @dataclass(frozen=True)
 class BoundaryEntry:
-    """One boundary row of a method.  A woven program's rows are its
+    """One boundary row of a method.  A woven method's `exits` are its
     residuals checked at exit, written (and read back) as `#! exit atom
     @id;` directives; the VM's table (weaver.build_boundary_table) adds the
     spec's rows, at entry and at exit, without an id."""
@@ -257,6 +257,7 @@ class Method:
     returns: bool
     spec: Spec
     body: tuple
+    exits: tuple = ()  # its `#! exit` rows (BoundaryEntry); empty in a plain source
     opaque: bool = False
     loc: SourceLoc = NOLOC
 
@@ -298,6 +299,13 @@ class Program:
             if c.name == name:
                 return c
         return None
+
+
+def exit_row_map(program):
+    """{(contract, method): [its `#! exit` rows]} for each method with rows:
+    the view that load_source and InstrumentedProgram.boundary keep for `bench/`."""
+    return {(c.name, m.name): list(m.exits)
+            for c in program.contracts for m in c.methods if m.exits}
 
 
 @dataclass(frozen=True)

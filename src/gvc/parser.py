@@ -1,14 +1,14 @@
 """Recursive-descent parser for GCL token streams.
 
-Parsing a plain program yields zero Check statements; woven source (with `#!`
-directives) round-trips through the same grammar, carrying its `#! exit
-<payload> @id;` boundary rows alongside the program.
+Parsing a plain program yields zero Check statements and no exit rows;
+woven source (with `#!` directives) round-trips through the same grammar,
+each `#! check <payload> @id;` becoming a Check statement and each
+`#! exit <payload> @id;` row a BoundaryEntry of its method's `exits`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, BoundaryEntry, Call, Check, Cmp,
@@ -31,18 +31,11 @@ class ParseError(SourceError):
     pass
 
 
-@dataclass
-class ParsedUnit:
-    program: Program
-    boundary: dict = field(default_factory=dict)  # (contract, method) -> [BoundaryEntry]
-
-
 class _Parser:
     def __init__(self, tokens, filename):
         self.toks = list(tokens)
         self.filename = filename
         self.pos = 0
-        self.boundary = {}
         self.open = 0  # nesting levels enclosing the current token
 
     # -- token plumbing ----------------------------------------------------
@@ -107,7 +100,7 @@ class _Parser:
         if not contracts:
             t = self.peek()
             raise ParseError(t.loc, "expected at least one contract")
-        return ParsedUnit(Program(tuple(contracts)), self.boundary)
+        return Program(tuple(contracts))
 
     def parse_contract(self):
         extern = False
@@ -133,7 +126,7 @@ class _Parser:
                     continue
                 raise ParseError(marker.loc, "expected 'global' or 'predicate' after '#@' at contract level")
             if self.at_kw("method"):
-                methods.append(self.parse_method(name))
+                methods.append(self.parse_method())
                 continue
             t = self.peek()
             raise ParseError(t.loc, f"expected contract item, found {t.lexeme or t.kind!r}")
@@ -150,7 +143,7 @@ class _Parser:
         self.expect_sym(";")
         return Predicate(name, params, body, loc)
 
-    def parse_method(self, contract_name):
+    def parse_method(self):
         loc = self.expect_kw("method").loc
         name = self.expect_ident().lexeme
         params = self.parse_list(self.parse_param)
@@ -171,16 +164,14 @@ class _Parser:
                 requires = f if requires is None else _conjoin(requires, f)
             else:
                 ensures = f if ensures is None else _conjoin(ensures, f)
-        residuals = []
+        exits = []
         while self.at("BANG") and self.peek(1).lexeme == "exit":
             self.next(); self.next()
             payload, _ = self.parse_formula_term()
             self.expect_sym("@")
             cid = self.expect_ident().lexeme
             self.expect_sym(";")
-            residuals.append(BoundaryEntry("exit", payload, cid))
-        if residuals:
-            self.boundary[(contract_name, name)] = residuals
+            exits.append(BoundaryEntry("exit", payload, cid))
         opaque = False
         body = []
         if self.at_kw("opaque"):
@@ -197,7 +188,7 @@ class _Parser:
             requires=normalize_formula(requires) if requires is not None else UNKNOWN_FORMULA,
             ensures=normalize_formula(ensures) if ensures is not None else UNKNOWN_FORMULA,
         )
-        return Method(name, params, returns, spec, tuple(body), opaque, loc)
+        return Method(name, params, returns, spec, tuple(body), tuple(exits), opaque, loc)
 
     def parse_param(self):
         name = self.expect_ident().lexeme
@@ -498,7 +489,7 @@ def _conjoin(f1: Formula, f2: Formula) -> Formula:
     return Formula(f1.imprecise or f2.imprecise, f1.atoms + f2.atoms, f1.loc)
 
 
-def parse_program(tokens, filename: str = "<mem>") -> ParsedUnit:
+def parse_program(tokens, filename: str = "<mem>") -> Program:
     """Parse the tokens of the source `filename` (which names its end when
     there are no tokens)."""
     return _Parser(tokens, filename).parse_program()

@@ -71,10 +71,9 @@ def fmt_cond(c, parent="or"):
     return fmt_expr(c)
 
 
-def pretty_print(program, boundary=None) -> str:
-    """Render a Program as GCL text, with the boundary rows given per
-    (contract, method) as `#!` directives."""
-    boundary = boundary or {}
+def pretty_print(program) -> str:
+    """Render a Program as GCL text, each method's exit rows as `#!`
+    directives after its specs."""
     out = []
     for c in program.contracts:
         head = "extern contract" if c.extern else "contract"
@@ -90,7 +89,7 @@ def pretty_print(program, boundary=None) -> str:
             out.append(f"  method {m.name}({params}){ret}:")
             out.append(f"    #@ requires {fmt_formula(m.spec.requires)};")
             out.append(f"    #@ ensures {fmt_formula(m.spec.ensures)};")
-            for e in boundary.get((c.name, m.name), []):
+            for e in m.exits:
                 out.append(f"    #! {e.kind} {fmt_atom(e.payload)} @{e.check_id};")
             if m.opaque:
                 out.append("    opaque;")

@@ -255,7 +255,7 @@ def merge_adversaries(program: Program, adversaries: dict = None):
             contracts.append(replace(c, methods=tuple(methods)))
             continue
         impl_name = f"<adversary {c.name}>"
-        impl_program = parse_program(lex(impl_src, impl_name), impl_name).program
+        impl_program = parse_program(lex(impl_src, impl_name), impl_name)
         impl = impl_program.contract(c.name)
         if impl is None:
             raise VmLoadError(f"adversary source does not define contract {c.name}")
@@ -287,21 +287,21 @@ def with_own_contracts(merged: Program, own: Program) -> Program:
 
 
 def load_program(ip, adversaries: dict = None) -> VmImage:
-    """Build an executable image of a woven program, an InstrumentedProgram
-    or the (program, boundary) pair load_source reads from its text: each
-    method's boundary table from its spec and the program's `#! exit` rows
-    (weaver.build_boundary_table), its body and the payloads of its rows
-    and woven checks compiled, and each contract's predicate bodies once."""
+    """Build an executable image of a woven Program or InstrumentedProgram
+    (or of the pair load_source returns, for `bench/`): each method's
+    boundary table from its spec and `exits` (weaver.build_boundary_table),
+    its body and the payloads of its rows and woven checks compiled, and
+    each contract's predicate bodies once."""
     if isinstance(ip, InstrumentedProgram):
-        program, residuals, sidecar = ip.program, ip.boundary, dict(ip.sidecar)
+        program, sidecar = ip.program, dict(ip.sidecar)
     else:
-        (program, residuals), sidecar = ip, {}
+        program, sidecar = ip[0] if isinstance(ip, tuple) else ip, {}
     combined, unverified = merge_adversaries(program, adversaries)
     tables, code = {}, {}
     for c in combined.contracts:
         predicates = _predicates(c)
         for m in c.methods:
-            table = build_boundary_table(c, m, residuals.get((c.name, m.name), ()))
+            table = build_boundary_table(c, m)
             tables[(c.name, m.name)] = table
             code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified, predicates)
     return VmImage(combined, tables, sidecar, frozenset(unverified), code)

@@ -1,7 +1,7 @@
 """Weaves residual run-time checks into a verified program.
 
 Before-statement residuals become `check` statements immediately preceding
-their statement; at-exit residuals become the method's boundary rows, in
+their statement; at-exit residuals become the method's `exits` rows, in
 report order, which the woven text carries as `#! exit <payload> @id;`
 directives.  `build_boundary_table` merges those rows, when a program is
 loaded into the VM, with the spec-derived rows (precise precondition atoms
@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
-from .lang import Acc, BoundaryEntry, Check, Program, map_blocks, stmts_recursive
+from .lang import Acc, BoundaryEntry, Check, Program, exit_row_map, map_blocks, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
@@ -25,25 +25,29 @@ class WeaveError(Exception):
 
 @dataclass
 class InstrumentedProgram:
-    program: Program  # with woven Check statements
-    boundary: dict = field(default_factory=dict)  # (contract, method) -> its `#! exit` rows
+    program: Program  # with woven Check statements and exit rows
     sidecar: dict = field(default_factory=dict)  # id -> {line, kind, payload}
 
+    @property
+    def boundary(self):
+        """The exit rows by (contract, method), a view kept for `bench/`."""
+        return exit_row_map(self.program)
+
     def to_text(self):
-        return pretty_print(self.program, self.boundary)
+        return pretty_print(self.program)
 
 
-def build_boundary_table(contract, method, residual_rows=()):
+def build_boundary_table(contract, method):
     """The boundary rows a VM evaluates for `method`: its spec's comparison
     and predicate atoms, requires at entry and ensures at exit (none for an
-    extern contract), with the non-acc residual rows merged in by payload
-    so no atom is evaluated twice.  Every acc atom is settled by ownership
-    instead."""
+    extern contract), with the method's non-acc exit rows merged in by
+    payload so no atom is evaluated twice.  Every acc atom is settled by
+    ownership instead."""
     entries = [] if contract.extern else [
         BoundaryEntry(kind, a) for kind, f in (("entry", method.spec.requires),
                                                ("exit", method.spec.ensures))
         for a in f.atoms if not isinstance(a, Acc)]
-    for r in residual_rows:
+    for r in method.exits:
         if isinstance(r.payload, Acc):
             continue
         for i, e in enumerate(entries):
@@ -64,13 +68,13 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
         raise WeaveError(f"refusing to weave: static errors in {', '.join(bad)}")
 
     sidecar = {}
-    boundary = {}
     contracts = []
     for c in program.contracts:
         methods = []
         for m in c.methods:
             mrep = report.method(c.name, m.name)
             inserts = {}  # (block_path, index) -> [Check]
+            exits = list(m.exits)
             if mrep is not None:
                 for r in mrep.residuals:
                     sidecar[r.id] = {
@@ -83,8 +87,7 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                         inserts.setdefault(key, []).append(
                             Check(r.id, r.obligation.atom, r.obligation.loc))
                     else:
-                        boundary.setdefault((c.name, m.name), []).append(
-                            BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
+                        exits.append(BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
 
             def insert_checks(path, stmts):
                 out = []
@@ -94,18 +97,18 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                 out.extend(inserts.get((path, len(stmts)), ()))
                 return tuple(out)
 
-            methods.append(replace(m, body=map_blocks(m.body, insert_checks)))
+            methods.append(replace(m, body=map_blocks(m.body, insert_checks), exits=tuple(exits)))
         contracts.append(replace(c, methods=tuple(methods)))
-    return InstrumentedProgram(Program(tuple(contracts)), boundary, sidecar)
+    return InstrumentedProgram(Program(tuple(contracts)), sidecar)
 
 
 def strip(ip) -> Program:
-    """Remove all woven check statements (and the boundary rows); inverse of
-    weave.  Accepts an InstrumentedProgram or a bare Program; idempotent."""
+    """Remove all woven check statements and exit rows; inverse of weave.
+    Accepts an InstrumentedProgram or a bare Program; idempotent."""
     program = ip.program if isinstance(ip, InstrumentedProgram) else ip
     contracts = []
     for c in program.contracts:
-        methods = [replace(m, body=map_blocks(m.body, _drop_checks)) for m in c.methods]
+        methods = [replace(m, body=map_blocks(m.body, _drop_checks), exits=()) for m in c.methods]
         contracts.append(replace(c, methods=tuple(methods)))
     return Program(tuple(contracts))
 

@@ -221,10 +221,10 @@ def test_spec_marker_in_a_check_payload_is_rejected(payload, message):
 
 class TestResolution:
     def test_resolve_returns_the_parsed_program(self, sell_path):
-        unit = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))
-        infer_types(unit)
-        assert resolve(unit) is unit.program
-        body = unit.program.contracts[0].methods[0].body
+        program = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))
+        infer_types(program)
+        assert resolve(program) is program
+        body = program.contracts[0].methods[0].body
         assert isinstance(body[1], Assign) and body[1].target == "Count"
 
     @pytest.mark.parametrize("body, expected", [
