@@ -215,7 +215,7 @@ def cmd_corpus(args):
     from .oracle import enumerate_equivalence
     from .verifier import verify_program
     from .vm import VmLoadError, VmUsageError
-    from .weaver import weave
+    from .weaver import WeaveError, weave
 
     root = Path(args.dir)
     if not root.is_dir():
@@ -238,7 +238,12 @@ def cmd_corpus(args):
             print(f"{path.name}: {_red('static-error')}")
             worst = max(worst, EXIT_STATIC)
             continue
-        ip = weave(program, report)
+        try:
+            ip = weave(program, report)
+        except WeaveError as e:  # a woven check's id clashes with a residual's
+            print(f"{path.name}: {_red('static-error')} {e}")
+            worst = max(worst, EXIT_STATIC)
+            continue
         try:
             eq = enumerate_equivalence(program, ip, bound=args.bound, adversaries=adversaries)
         except (VmLoadError, VmUsageError, SourceError) as e:

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from .lang import (
     Acc, Assign, Call, Cmp, If, Name, Old, PredUse, ResolutionError, SourceError,
-    While, bool_leaves, exit_row_map, expr_nodes, out_of_range_literals,
-    stmt_exprs, stmts_recursive, well_formed_program,
+    While, bool_leaves, exit_row_map, expr_nodes, stmt_exprs, stmts_recursive,
+    well_formed_program,
 )
 from .lexer import lex
 from .parser import parse_program
@@ -81,10 +81,8 @@ def resolve(program):
     ResolutionError at the first unresolved or ill-used name, and
     WellFormednessError if structural diagnostics remain afterwards.  A
     method's `#! exit` rows are checked after the specs they realize, each
-    as an ensures atom, literal range included, and a row that breaks one
-    of these raises ResolutionError too.  Returns the program itself: a
-    name is a global iff its contract declares it, so there is nothing to
-    annotate."""
+    as an ensures atom.  Returns the program itself: a name is a global iff
+    its contract declares it, so there is nothing to annotate."""
     by_name = {c.name: c for c in program.contracts}
     if len(by_name) != len(program.contracts):
         dupes = [c.name for c in program.contracts]
@@ -138,12 +136,8 @@ def resolve(program):
         for m in c.methods:
             pnames = {p for p, _ in m.params}
             scope = gnames | pnames
-            check_nodes(expr_nodes(*m.spec.requires.atoms, *m.spec.ensures.atoms), scope)
-            for row in m.exits:
-                nodes = list(expr_nodes(row.payload))
-                check_nodes(nodes, scope)
-                for d in out_of_range_literals(nodes):
-                    raise ResolutionError(d.loc, d.message)
+            check_nodes(expr_nodes(*m.spec.requires.atoms, *m.spec.ensures.atoms,
+                                   *(row.payload for row in m.exits)), scope)
             # pre-order: an if or while is checked before its blocks
             for _, s in stmts_recursive(m.body):
                 check_stmt(s, pnames)

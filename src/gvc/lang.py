@@ -544,12 +544,16 @@ def well_formed_program(p: Program):
             if normalize_formula(req) != req or normalize_formula(ens) != ens:
                 diags.append(Diagnostic(m.loc, f"specification of {m.name} is not normalized"))
             diags.extend(expr_diagnostics(expr_nodes(*req.atoms)))
-            diags.extend(out_of_range_literals(expr_nodes(*ens.atoms)))
-            for node in expr_nodes(*ens.atoms):
+            # a `#! exit` row is checked as the ensures atom it realizes
+            ens_nodes = list(expr_nodes(*ens.atoms, *(r.payload for r in m.exits)))
+            diags.extend(out_of_range_literals(ens_nodes))
+            for node in ens_nodes:
                 if isinstance(node, Result) and not m.returns:
                     diags.append(Diagnostic(node.loc, f"ensures of {m.name} mentions result but the method returns nothing"))
             if c.extern and not (req.imprecise and not req.atoms and ens.imprecise and not ens.atoms):
                 diags.append(Diagnostic(m.loc, f"extern method {c.name}.{m.name} may not declare specifications beyond '?'"))
+            if c.extern and m.exits:
+                diags.append(Diagnostic(m.exits[0].payload.loc, f"extern method {c.name}.{m.name} may not carry `#! exit` rows"))
             if not is_self_framed(req, c):
                 diags.append(Diagnostic(req.loc, f"requires of {m.name} is not self-framed"))
             req_acc = formula_acc_slots(req)

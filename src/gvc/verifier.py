@@ -279,8 +279,10 @@ class MethodVerifier:
         """Leaf values for spec atoms, which are checked, not executed: no
         obligations are emitted.  A global reads `reads`, the evaluation's
         copy of the heap, where an unheld one becomes one fresh symbol at its
-        first read; other names read `scope`, and an old(...) or result the
-        scope has no value for is a fresh symbol."""
+        first read; other names read `scope`.  An old(G) the scope has no
+        value for becomes one fresh symbol, stored in the scope's `old` map,
+        so every old(G) of one method, or of one call, names one value; a
+        result the scope has no value for is a fresh symbol."""
         gnames = self.contract.globals
 
         def leaf(e):
@@ -293,7 +295,9 @@ class MethodVerifier:
                 return scope.names[e.name]
             if isinstance(e, Old):
                 v = scope.old.get(e.slot)
-                return v if v is not None else self.fresh(f"old_{e.slot}")
+                if v is None:
+                    v = scope.old[e.slot] = self.fresh(f"old_{e.slot}")
+                return v
             if isinstance(e, Result):
                 return scope.result if scope.result is not None else self.fresh("result")
             raise TypeError(f"not an expression: {e!r}")
@@ -460,7 +464,9 @@ class MethodVerifier:
             self.consume(state, s.formula, s.loc, before, "assert", self._own_scope(state))
             return [state]
         if isinstance(s, Check):
-            return [state]  # woven checks carry no static content
+            # a run that gets past a woven check has passed it
+            self.produce(state, Formula(atoms=(s.payload,)), self._own_scope(state))
+            return [state]
         raise TypeError(f"not a statement: {s!r}")
 
     def exec_while(self, state, s: While, path, index, before):
@@ -540,7 +546,11 @@ class MethodVerifier:
             falls = self.exec_block([state], m.body, ())
             for st in falls:
                 self.exits.append((st, None))
+            # a run that returns has passed the method's woven exit rows
+            rows = Formula(atoms=tuple(r.payload for r in m.exits))
             for st, result in self.exits:
+                if rows.atoms:
+                    self.produce(st, rows, self._own_scope(st, result))
                 self.consume(st, m.spec.ensures, m.spec.ensures.loc or m.loc,
                              Insertion("exit"), "postcondition", self._own_scope(st, result))
         except StaticErrorExc as e:

@@ -66,6 +66,11 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
     if report.has_static_error:
         bad = [m.name for m in report.methods if m.status is Status.STATIC_ERROR]
         raise WeaveError(f"refusing to weave: static errors in {', '.join(bad)}")
+    woven = {x.check_id for c in program.contracts for m in c.methods
+             for x in (*m.exits, *(s for _, s in stmts_recursive(m.body) if isinstance(s, Check)))}
+    for r in report.all_residuals():
+        if r.id in woven:
+            raise WeaveError(f"refusing to weave: check id {r.id} is already woven into the program")
 
     sidecar = {}
     contracts = []

@@ -298,6 +298,29 @@ class TestWeave:
         assert code == EXIT_STATIC
         assert capsys.readouterr().out == "refusing to weave: static errors in sell\n"
 
+    def test_woven_text_weaves_to_itself(self, tmp_path, capsys):
+        woven, again = tmp_path / "w.gcl", tmp_path / "w2.gcl"
+        assert main(["weave", str(CORPUS / "quote.gcl"), "--auto", "-o", str(woven)]) == EXIT_OK
+        capsys.readouterr()
+        # each woven check is assumed where it stands, so nothing is left
+        assert main(["verify", str(woven)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("residual check(s)") == out.count("(0 residual check(s))") == 3
+        assert main(["weave", str(woven), "--auto", "-o", str(again)]) == EXIT_OK
+        assert again.read_text() == woven.read_text()
+
+    def test_residual_id_already_woven_is_refused(self, tmp_path, capsys):
+        # without its check on `unit`, the woven text re-verifies with one
+        # residual, numbered c0 like the woven check on `qty`
+        woven = tmp_path / "w.gcl"
+        assert main(["weave", str(CORPUS / "quote.gcl"), "--auto", "-o", str(woven)]) == EXIT_OK
+        woven.write_text(woven.read_text().replace("    #! check unit <= 100 @c1;\n", ""))
+        capsys.readouterr()
+        code = main(["weave", str(woven), "--auto", "-o", str(tmp_path / "w2.gcl")])
+        assert code == EXIT_STATIC
+        assert capsys.readouterr().out == (
+            "refusing to weave: check id c0 is already woven into the program\n")
+
 
 class TestRun:
     def _woven(self, tmp_path, src=SELL):
@@ -433,7 +456,12 @@ class TestRun:
         ("contract Attacker:\n  method notify(amount: uint64):\n    x := amount;\n\n"
          + (CORPUS / "bank.adversary.gcl").read_text(encoding="utf-8"),
          "cannot load program: adversary source defines contract Attacker twice"),
-    ], ids=["no-path", "lacks-method", "unknown-callee", "declared-twice"])
+        # an adversary's rows arrive on its method, which runs as an extern one
+        ("contract Attacker:\n  method notify(amount: uint64):\n"
+         "    #! exit amount >= 1 @c0;\n    x := amount;\n",
+         "cannot load program: <adversary Attacker>:3:13: "
+         "extern method Attacker.notify may not carry `#! exit` rows"),
+    ], ids=["no-path", "lacks-method", "unknown-callee", "declared-twice", "exit-row"])
     def test_bad_adversary_is_a_usage_error(self, tmp_path, capsys, adversary, message):
         woven = self._woven(tmp_path, str(CORPUS / "bank.gcl"))
         capsys.readouterr()
@@ -543,6 +571,15 @@ class TestCorpus:
         shutil.copy(FIXTURES / "sell_strong.gcl", tmp_path / "sell_strong.gcl")
         assert main(["corpus", str(tmp_path)]) == EXIT_STATIC
         assert "sell_strong.gcl: static-error" in capsys.readouterr().out
+
+    def test_program_whose_check_id_clashes_is_a_static_error(self, tmp_path, capsys):
+        # sell's one residual is numbered c0, which a hand-woven check holds
+        text = (CORPUS / "sell.gcl").read_text(encoding="utf-8")
+        (tmp_path / "sell.gcl").write_text(text.replace(
+            "    scratch := Count;\n", "    #! check quantity >= 0 @c0;\n    scratch := Count;\n"))
+        assert main(["corpus", str(tmp_path)]) == EXIT_STATIC
+        assert capsys.readouterr().out.startswith(
+            "sell.gcl: static-error refusing to weave: check id c0 is already woven into the program\n")
 
     def test_empty_dir_warns(self, tmp_path, capsys):
         assert main(["corpus", str(tmp_path)]) == EXIT_OK

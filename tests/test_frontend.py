@@ -102,8 +102,8 @@ class TestParser:
             "    #! exit G >= 1 @c3;\n"
             "    G := 1;\n"
         )
-        _, boundary = load_source(src, "t.gcl")
-        [entry] = boundary[("C", "m")]
+        program, _ = load_source(src, "t.gcl")
+        [entry] = program.contract("C").method("m").exits
         assert entry.kind == "exit" and entry.check_id == "c3"
 
     def test_parse_error_has_location(self):
@@ -196,12 +196,11 @@ class TestLiteralRange:
     @pytest.mark.parametrize("site", SITE_NAMES)
     def test_literal_past_uint64_is_rejected_at_its_location(self, site):
         # every expression a program holds, spec or code, takes uint64
-        # literals only; a boundary row is checked as it is resolved
+        # literals only; an exit row is checked as the ensures atom it realizes
         src = LITERAL_SITES.format(**{**dict.fromkeys(SITE_NAMES, 1), site: 2**64})
         line = next(i for i, text in enumerate(src.splitlines(), 1) if str(2**64) in text)
         col = src.splitlines()[line - 1].index(str(2**64)) + 1
-        error = ResolutionError if site == "exit" else WellFormednessError
-        with pytest.raises(error) as e:
+        with pytest.raises(WellFormednessError) as e:
             load_source(src, "t.gcl")
         assert str(e.value) == f"t.gcl:{line}:{col}: integer literal out of uint64 range"
 
@@ -217,6 +216,14 @@ def test_spec_marker_in_a_check_payload_is_rejected(payload, message):
     with pytest.raises(WellFormednessError) as e:
         load_source(src, "t.gcl")
     assert str(e.value) == f"t.gcl:6:14: {message}"
+
+
+def test_exit_row_on_an_extern_method_is_rejected():
+    src = ("contract C:\n  method m():\n    #@ requires ?;\n    #@ ensures ?;\n    call Feed.ping();\n"
+           "extern contract Feed:\n  method ping():\n    #! exit 1 <= 2 @c0;\n    opaque;\n")
+    with pytest.raises(WellFormednessError) as e:
+        load_source(src, "t.gcl")
+    assert str(e.value) == "t.gcl:8:13: extern method Feed.ping may not carry `#! exit` rows"
 
 
 class TestResolution:

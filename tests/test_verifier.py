@@ -37,6 +37,15 @@ class TestSellGolden:
         assert "postcondition" not in kinds
 
 
+def test_every_old_of_a_method_names_one_value():
+    # G is not held at entry, so old(G) has no value there; both atoms read
+    # one fresh value, and the first one's residual check settles the second
+    src = ("contract C:\n  #@ global G;\n  method m():\n    #@ requires ?;\n"
+           "    #@ ensures ? and acc(G) and old(G) <= 5 and old(G) <= 6;\n    G := 1;\n")
+    report = verify_program(load_source(src, "t.gcl")[0])
+    assert [r.payload_text for r in report.all_residuals()] == ["acc(G)", "old(G) <= 5"]
+
+
 def test_precise_sell_no_residuals():
     program, _ = load_file(CORPUS / "sell_precise.gcl")
     report = verify_program(program)

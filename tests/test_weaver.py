@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gvc.erosion import erode_program
 from gvc.frontend import corpus_files, load_file, load_source
 from gvc.printer import fmt_atom, pretty_print
 from gvc.verifier import verify_program
@@ -60,14 +61,37 @@ def test_strip_idempotent(sell_woven):
     assert strip(once) == once
 
 
+def _verified_variants(path):
+    """(name, program, report) of a corpus program and of each of its
+    erosions that verifies."""
+    program, _ = load_file(path)
+    for name, p in [(path.name, program)] + [(e.label, e.program) for e in erode_program(program)]:
+        report = verify_program(p)
+        if not report.has_static_error:
+            yield name, p, report
+
+
 def test_strip_weave_round_trip_on_corpus():
+    # a woven program is a Program: stripping its checks and exit rows gives
+    # back the value it was woven from, and its text re-loads as itself
     for path in corpus_files(CORPUS):
-        program, _ = load_file(path)
-        report = verify_program(program)
-        if report.has_static_error:
-            continue
-        ip = weave(program, report)
-        assert pretty_print(strip(ip)) == pretty_print(program), path.name
+        for name, program, report in _verified_variants(path):
+            ip = weave(program, report)
+            assert strip(ip) == program, name
+            text = ip.to_text()
+            assert pretty_print(load_source(text, name)[0]) == text, name
+
+
+@pytest.mark.parametrize("path", corpus_files(CORPUS), ids=lambda p: p.stem)
+def test_woven_text_reverifies_clean_and_reweaves_to_itself(path):
+    # a woven check is assumed where it stands and an exit row before the
+    # ensures, so re-verifying leaves nothing to weave
+    for name, program, report in _verified_variants(path):
+        text = weave(program, report).to_text()
+        woven, _ = load_source(text, name)
+        again = verify_program(woven)
+        assert list(again.all_residuals()) == [] and not again.has_static_error, name
+        assert weave(woven, again).to_text() == text, name
 
 
 def test_woven_text_reloads_with_boundary(sell_woven):
@@ -77,8 +101,8 @@ def test_woven_text_reloads_with_boundary(sell_woven):
     # boundary residual directives do too
     src, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(src, verify_program(src))
-    _, boundary = load_source(ip.to_text(), "branching.woven.gcl")
-    [entry] = boundary[("Gate", "set")]
+    reloaded, _ = load_source(ip.to_text(), "branching.woven.gcl")
+    [entry] = reloaded.contract("Gate").method("set").exits
     assert entry.kind == "exit" and entry.check_id == "c0"
 
 
