@@ -549,10 +549,10 @@ class MethodVerifier:
             # a run that returns has passed the method's woven exit rows
             rows = Formula(atoms=tuple(r.payload for r in m.exits))
             for st, result in self.exits:
-                if rows.atoms:
-                    self.produce(st, rows, self._own_scope(st, result))
+                scope = self._own_scope(st, result)
+                self.produce(st, rows, scope)
                 self.consume(st, m.spec.ensures, m.spec.ensures.loc or m.loc,
-                             Insertion("exit"), "postcondition", self._own_scope(st, result))
+                             Insertion("exit"), "postcondition", scope)
         except StaticErrorExc as e:
             report.status = Status.STATIC_ERROR
             report.diagnostics.append((e.obligation, e.reason))
