@@ -515,6 +515,7 @@ def well_formed_program(p: Program):
     """Structural invariants beyond what parsing and resolution enforce.
     Returns diagnostics; the program is well-formed iff the list is empty."""
     diags = []
+    check_ids = set()  # one id names one woven check or exit row
     for c in p.contracts:
         if len(set(c.globals)) != len(c.globals):
             diags.append(Diagnostic(c.loc, f"duplicate global declaration in {c.name}"))
@@ -554,6 +555,7 @@ def well_formed_program(p: Program):
                 diags.append(Diagnostic(m.loc, f"extern method {c.name}.{m.name} may not declare specifications beyond '?'"))
             if c.extern and m.exits:
                 diags.append(Diagnostic(m.exits[0].payload.loc, f"extern method {c.name}.{m.name} may not carry `#! exit` rows"))
+            woven = [(r.check_id, r.payload.loc) for r in m.exits]
             if not is_self_framed(req, c):
                 diags.append(Diagnostic(req.loc, f"requires of {m.name} is not self-framed"))
             req_acc = formula_acc_slots(req)
@@ -586,6 +588,11 @@ def well_formed_program(p: Program):
                         diags.append(Diagnostic(s.loc, "asserted formula is not self-framed"))
                 elif isinstance(s, Check):
                     diags.extend(expr_diagnostics(stmt_exprs(s)))
+                    woven.append((s.check_id, s.loc))
+            for cid, loc in woven:
+                if cid in check_ids:
+                    diags.append(Diagnostic(loc, f"check id {cid} is woven twice"))
+                check_ids.add(cid)
             if m.returns and not m.opaque and not _always_returns(m.body):
                 diags.append(Diagnostic(m.loc, f"method {m.name} may fall off the end without returning a value"))
     return diags

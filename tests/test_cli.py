@@ -458,7 +458,7 @@ class TestRun:
          "cannot load program: adversary source defines contract Attacker twice"),
         # an adversary's rows arrive on its method, which runs as an extern one
         ("contract Attacker:\n  method notify(amount: uint64):\n"
-         "    #! exit amount >= 1 @c0;\n    x := amount;\n",
+         "    #! exit amount >= 1 @c9;\n    x := amount;\n",
          "cannot load program: <adversary Attacker>:3:13: "
          "extern method Attacker.notify may not carry `#! exit` rows"),
     ], ids=["no-path", "lacks-method", "unknown-callee", "declared-twice", "exit-row"])

@@ -226,6 +226,16 @@ def test_exit_row_on_an_extern_method_is_rejected():
     assert str(e.value) == "t.gcl:8:13: extern method Feed.ping may not carry `#! exit` rows"
 
 
+@pytest.mark.parametrize("first", ["check", "exit"])
+def test_one_id_names_one_woven_check(first):
+    src = ("contract C:\n  #@ global G;\n  method m():\n    #@ requires acc(G);\n"
+           f"    #@ ensures acc(G);\n    #! {first} G >= 1 @c0;\n    G := 1;\n"
+           "    #! check G >= 2 @c0;\n    G := 2;\n")
+    with pytest.raises(WellFormednessError) as e:
+        load_source(src, "t.gcl")
+    assert str(e.value) == "t.gcl:8:5: check id c0 is woven twice"
+
+
 class TestResolution:
     def test_resolve_returns_the_parsed_program(self, sell_path):
         program = parse_program(lex(sell_path.read_text(encoding="utf-8"), str(sell_path)))
