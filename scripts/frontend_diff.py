@@ -13,8 +13,10 @@ text, and for an input both verify, a different VM outcome
 transaction, so a broken rollback or a wrong committed write shows) or
 oracle judgment (`Oracle.judge`: verdict, site kind and line, payload and
 final storage) on a case of its bound-2 `transaction_grid`, each case run
-on the woven program under a gas limit of GAS_LIMIT and judged on the
-source program within ORACLE_STEPS statements.  The inputs are every `.gcl` file under
+on the woven program under a gas limit of GAS_LIMIT, and a case that used
+g > 0 gas run again under a limit of g - 1, so a GasExhausted that moved
+by one statement shows, and judged on the source program within
+ORACLE_STEPS statements.  The inputs are every `.gcl` file under
 `corpus/` and `tests/fixtures/`, the woven text of each one that verifies
 (so `#! check` and `#! exit` lines are covered), and seeded mutations of
 all of them, plus the n-if programs for n = 1..10.  The mutations rename, drop and
@@ -130,8 +132,10 @@ def describe(texts):
     def run_grid(program, woven):
         """For each case of the bound-2 grid: [method, initial ledger,
         arguments, outcome dict, reason, detail, final ledger] of its run on
-        the loaded woven program, and [method, initial ledger, arguments,
-        judgment] of the oracle on the source program."""
+        the loaded woven program, followed, when that run used g > 0 gas, by
+        [outcome dict, detail, final ledger] of its run under a gas limit of
+        g - 1; and [method, initial ledger, arguments, judgment] of the
+        oracle on the source program."""
         image = load_program(woven)
         oracle = StepOracle(*merge_adversaries(program))
         vm_cases, oracle_cases = [], []
@@ -139,7 +143,13 @@ def describe(texts):
             ledger = Ledger(image.program, init)
             out = Vm(image, ledger).exec_transaction(t, gas_limit=GAS_LIMIT)
             case = [f"{c.name}.{m.name}", init, list(t.args)]
-            vm_cases.append(case + [out.as_dict(), out.reason, out.detail, ledger.as_dict()])
+            record = case + [out.as_dict(), out.reason, out.detail, ledger.as_dict()]
+            gas = out.exec_gas + out.check_gas
+            if gas > 0:
+                ledger = Ledger(image.program, init)
+                cut = Vm(image, ledger).exec_transaction(t, gas_limit=gas - 1)
+                record += [cut.as_dict(), cut.detail, ledger.as_dict()]
+            vm_cases.append(record)
             oracle_cases.append(case + [judgment(oracle, init, t)])
         return vm_cases, oracle_cases
 

@@ -5,17 +5,17 @@ permission ownership, boundary checking against callers from other
 contracts, woven run-time checks, gas metering, and rollback of every write
 on any failure.
 
-`load_program` compiles once, into Python closures (closure generation,
-after Feeley and Lapalme, "Using Closures for Code Generation", 1987), each
-method body, the payload of each boundary row and woven check, and each
-contract's predicate bodies: every statement, expression, condition and
-spec formula becomes a function of the running Frame and the names in
-scope, with the source line a revert reports fixed at compile time, and a
-literal or local operand is read inline by the closure around it.  One
-image serves every Vm made from it, so compiled code reaches the ledger,
-the permission table, the gas meter and the Vm only through the frame it is
-handed.  A transaction runs closures only; nothing is compiled or walked as
-a tree at run time.
+`load_program` compiles everything once.  Each method body becomes
+generated Python source, one function per block, compiled with compile()
+(see "Method bodies" below); the payload of each boundary row and woven
+check and each contract's predicate bodies become Python closures (closure
+generation, after Feeley and Lapalme, "Using Closures for Code Generation",
+1987).  Either way the source line a revert reports is fixed at compile
+time, and compiled code is a function of the running Frame and the names
+in scope.  One image serves every Vm made from it, so compiled code reaches
+the ledger, the permission table, the gas meter and the Vm only through the
+frame it is handed.  A transaction runs compiled code only; nothing is
+compiled or walked as a tree at run time.
 
 Program arithmetic is checked uint64 (underflow/overflow/division by zero
 revert as ArithmeticPanic when no woven check preempts them), and program
@@ -158,8 +158,8 @@ class Ledger:
 class GasMeter:
     """Gas spent by one transaction: GasExhausted as soon as exec_gas plus
     check_gas passes `limit`.  Compiled code charges exec gas, and the
-    check gas of a comparison, inline by the same rule (see _block and
-    _formula)."""
+    check gas of a comparison, inline by the same rule (see _Emitter.charge
+    and _formula)."""
 
     def __init__(self, limit=None):
         self.exec_gas = 0
@@ -176,9 +176,9 @@ class MethodCode:
     """One method of a loaded image: its parameter names; its evaluated
     boundary rows by kind, compiled; whether its exit rows read old(...);
     its spec's acc slots; its contract's compiled predicates (shared by the
-    contract's methods); and its body compiled to a closure that takes the
-    running Frame and its locals and returns True when the body executed a
-    return."""
+    contract's methods); and its body compiled to a generated function that
+    takes the running Frame and its locals and returns True when the body
+    executed a return."""
 
     def __init__(self, contract: Contract, method: Method, table, verified, predicates):
         spec = method.spec
@@ -191,7 +191,7 @@ class MethodCode:
         self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
         self.ensured = frozenset(slot for slot, _ in self.ensures_acc)
         self.predicates = predicates
-        self.body = _block(method.body, contract)
+        self.body = _Emitter(contract).compile(method.body)
 
 
 class Frame:
@@ -356,13 +356,6 @@ class Vm:
             return True
         return False
 
-    def touch_slot(self, frame, slot, line):
-        """Require ownership for a program-level global read/write.  Compiled
-        code calls this only when the frame does not already own the slot."""
-        if not self._hold(frame, slot):
-            raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                         line=line, contract=frame.contract.name)
-
     # -- transactions --------------------------------------------------------
 
     def exec_transaction(self, tx: Transaction, gas_limit=None) -> Outcome:
@@ -460,14 +453,238 @@ class Vm:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to closures of a running Frame `fr` and the names `env` in
-# scope: the frame's locals in method code, a predicate's arguments in its
-# body.  A compiled block or statement returns True when it executed a
-# return (the value is then in fr.result).  Every statement but a woven
-# check charges 1 exec gas before it runs; asserts are ghost code (their
-# residuals were woven as checks) and compile to nothing.
+# Method bodies.  Each block of a method body (the body, each then/else
+# branch and each while body) compiles to one generated Python function of
+# the running Frame `fr` and its locals `env`.  A block's straight-line
+# statements are inline and a nested block is a call to its own function,
+# so Python nesting never follows GCL nesting (CPython refuses more than 20
+# nested loops, and the parser accepts MAX_NESTING nested bodies); an
+# expression is three-address code, one temporary per operation, so its
+# depth never becomes Python parenthesis depth.  A block function returns
+# True when it executed a return (the value is then in fr.result).  Every
+# statement but a woven check charges 1 exec gas before it runs, and a while
+# 1 more per re-evaluation of its condition; asserts are ghost code (their
+# residuals were woven as checks) and emit nothing.
 #
-# An expression compiles to an operand, (LIT, value), (LOCAL, name) or
+# The generated source holds only the emitter's own tokens, temporaries and
+# the integers it formats (literals, lines, call charges): every program
+# identifier, slot key, check id, payload text and compiled spec test is a
+# constant of the function's namespace that the emitter names (_k0, _k1,
+# ...), and the namespace holds no builtins.  compile() costs about 0.2 ms
+# a block, paid once at load_program.
+
+# the Python token of each program operator
+_TOKENS = {"==": "==", "!=": "!=", "<=": "<=", "<": "<", ">=": ">=", ">": ">",
+           "+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
+
+
+# what generated code calls by name: an ownership test, and its reverts
+
+
+def _touch(fr, slot, line):
+    """Require ownership of a slot of the frame's contract for a program
+    global read or write.  Generated code calls this only when the frame
+    does not already own the slot."""
+    if not fr.vm._hold(fr, slot):
+        raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
+                     line=line, contract=fr.contract.name)
+
+
+def _gas_exhausted():
+    return Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
+
+
+def _overflow(line):
+    return Revert(ARITHMETIC_PANIC, kind="overflow", line=line)
+
+
+def _underflow(line):
+    return Revert(ARITHMETIC_PANIC, kind="underflow", line=line)
+
+
+def _div_zero(line):
+    return Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
+
+
+def _check_failed(check_id, payload, line):
+    return Revert(CHECK_FAILURE, check_id=check_id, payload=payload, line=line)
+
+
+_RUNTIME = {f.__name__: f for f in (_touch, _gas_exhausted, _overflow, _underflow,
+                                    _div_zero, _check_failed)}
+
+
+def _int(v):
+    """An integer as Python source."""
+    if type(v) is not int:
+        raise TypeError(f"not an integer: {v!r}")
+    return "%d" % v
+
+
+class _Emitter:
+    """The generated source of one method body of `contract`: compile()
+    returns the method body's function (see above)."""
+
+    def __init__(self, contract):
+        self.contract = contract
+        self.ns = {"__builtins__": {}, **_RUNTIME}
+        self.names = {}  # constant -> its namespace name
+        self.functions = []  # source of each block function, _b0 first
+        self.lines = self.indent = self.temps = None  # of the block being emitted
+
+    def compile(self, body):
+        self.block(body, 0)
+        exec(compile("\n".join(self.functions), "<gvc method body>", "exec"), self.ns)
+        return self.ns["_b0"]
+
+    def const(self, value):
+        """The namespace name of a constant."""
+        name = self.names.get(value)
+        if name is None:
+            name = self.names[value] = f"_k{len(self.names)}"
+            self.ns[name] = value
+        return name
+
+    def emit(self, line):
+        self.lines.append("    " * self.indent + line)
+
+    def temp(self, expr):
+        """A new temporary assigned `expr`; returns its name."""
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.emit(f"{name} = {expr}")
+        return name
+
+    def charge(self):
+        self.emit("m.exec_gas += 1")
+        self.emit("if lim is not None and m.exec_gas + m.check_gas > lim: raise _gas_exhausted()")
+
+    def block(self, body, nest):
+        """Emit the function of a block that `nest` if/while bodies enclose;
+        returns its name."""
+        index = len(self.functions)
+        self.functions.append(None)
+        outer = self.lines, self.indent, self.temps
+        self.lines, self.indent, self.temps = [], 1, 0
+        self.emit("m = fr.meter")
+        self.emit("lim = m.limit")
+        for s in body:
+            if not isinstance(s, (AssertStmt, Check)):
+                self.charge()
+            self.stmt(s, nest)
+        self.functions[index] = "\n".join([f"def _b{index}(fr, env):"] + self.lines)
+        self.lines, self.indent, self.temps = outer
+        return f"_b{index}"
+
+    def run(self, body, nest):
+        """A statement that runs a nested block's function and returns if
+        it returned; a block of asserts only needs none."""
+        if all(isinstance(s, AssertStmt) for s in body):
+            return "pass"
+        return f"if {self.block(body, nest)}(fr, env): return True"
+
+    def stmt(self, s, nest):
+        t = type(s)
+        if t is Assign:
+            target, line = s.target, s.loc.line
+            v = self.value(s.expr, line)
+            if target not in self.contract.globals:
+                self.emit(f"env[{self.const(target)}] = {v}")
+                return
+            key, slot = self.const((self.contract.name, target)), self.const(target)
+            # an expression that reads the target has made the frame its
+            # owner, and evaluating an expression never gives a slot up
+            if not any(type(n) is Name and n.name == target for n in expr_nodes(s.expr)):
+                self.touch(key, slot, line)
+            self.emit(f"if {key} not in fr.journal: fr.journal[{key}] = fr.slots[{slot}]")
+            self.emit(f"fr.slots[{slot}] = {v}")
+        elif t is If:
+            self.emit(f"if {self.cond(s.cond, s.loc.line)}:")
+            self.emit("    " + self.run(s.then, nest + 1))
+            if s.orelse:
+                self.emit("else:")
+                self.emit("    " + self.run(s.orelse, nest + 1))
+        elif t is While:
+            self.emit("while True:")
+            self.indent += 1
+            self.emit(f"if not {self.cond(s.cond, s.loc.line)}: break")
+            self.emit(self.run(s.body, nest + 1))
+            self.charge()  # the next condition evaluation
+            self.indent -= 1
+        elif t is Call:
+            line = s.loc.line
+            args = ", ".join(self.value(a, line) for a in s.args)
+            call = (f"fr.vm.call({self.const(s.contract)}, {self.const(s.method)}, [{args}], "
+                    f"fr, {_int(call_charge(nest))}, {_int(line)})")
+            self.emit(call if s.target is None else f"env[{self.const(s.target)}] = {call}")
+        elif t is Return:
+            v = "None" if s.expr is None else self.value(s.expr, s.loc.line)
+            self.emit(f"fr.result = {v}")
+            self.emit("return True")
+        elif t is Check:
+            test = self.const(_spec_test(s.payload, self.contract))
+            self.emit(f"if fr.protected and not {test}(fr, env): raise _check_failed("
+                      f"{self.const(s.check_id)}, {self.const(fmt_atom(s.payload))}, "
+                      f"{_int(s.loc.line)})")
+        elif t is not AssertStmt:
+            raise TypeError(f"not a statement: {s!r}")
+
+    def touch(self, key, slot, line):
+        """Test that the frame owns a slot of its contract, when protected."""
+        self.emit(f"if fr.protected and fr.perm.get({key}) != fr.id: "
+                  f"_touch(fr, {slot}, {_int(line)})")
+
+    def value(self, e, line):
+        """Checked uint64 value of a program expression, as Python source of
+        an atom (an integer, a local or a temporary); an arithmetic revert
+        reports `line`, the line of the enclosing statement.  Operands are
+        in [0, UINT_MAX], so a sum or product can only overflow and a
+        difference only underflow."""
+        t = type(e)  # node classes are never subclassed
+        if t is IntLit:
+            return _int(e.value)
+        if t is Name:
+            if e.name not in self.contract.globals:
+                return f"env[{self.const(e.name)}]"
+            slot = self.const(e.name)
+            self.touch(self.const((self.contract.name, e.name)), slot, e.loc.line)
+            return self.temp(f"fr.slots[{slot}]")
+        if t is BinOp:
+            op, line_src = _TOKENS[e.op], _int(line)
+            left, right = self.value(e.left, line), self.value(e.right, line)
+            if e.op in ("/", "%"):
+                self.emit(f"if {right} == 0: raise _div_zero({line_src})")
+            v = self.temp(f"{left} {op} {right}")
+            if e.op == "-":
+                self.emit(f"if {v} < 0: raise _underflow({line_src})")
+            elif e.op in ("+", "*"):
+                self.emit(f"if {v} > {_int(UINT_MAX)}: raise _overflow({line_src})")
+            return v
+        # old(...) and result parse anywhere, but only specifications give
+        # them a meaning
+        raise VmLoadError(f"{e.loc}: not a program expression")
+
+    def cond(self, c, line):
+        """Truth of a program condition, as a temporary; strict: every leaf
+        is evaluated, left to right, before the tree is combined."""
+        t = type(c)
+        if t is Cmp:
+            left, right = self.value(c.left, line), self.value(c.right, line)
+            return self.temp(f"{left} {_TOKENS[c.op]} {right}")
+        if t is BoolOp:
+            parts = [self.cond(p, line) for p in c.parts]
+            return self.temp((" and " if c.op == "and" else " or ").join(parts))
+        if t is NotOp:
+            return self.temp(f"not {self.cond(c.operand, line)}")
+        raise TypeError(f"not a condition: {c!r}")
+
+
+# Specification payloads (woven checks, boundary rows) and predicate bodies
+# evaluate over mathematical integers.  Names read `env`, then the frame's
+# contract's storage, with no ownership test; old(...) and result read the
+# method frame.
+#
+# A spec expression compiles to an operand, (LIT, value), (LOCAL, name) or
 # (CODE, closure): the closure around a literal or local operand reads it
 # inline rather than through a closure of its own.
 
@@ -489,167 +706,14 @@ def _acc_lines(formula):
     return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
 
 
-def _block(body, contract, nest=0):
-    """A body that `nest` if/while bodies enclose."""
-    steps = tuple((not isinstance(s, Check), _stmt(s, contract, nest))
-                  for s in body if not isinstance(s, AssertStmt))
-
-    def run(fr, env):
-        m = fr.meter
-        for charged, step in steps:
-            if charged:
-                m.exec_gas += 1
-                if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                    raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
-            if step(fr, env):
-                return True
-        return False
-    return run
-
-
-def _stmt(s, contract, nest):
-    if isinstance(s, Assign):
-        target, line = s.target, s.loc.line
-        value = _value(s.expr, line, contract)
-        if target not in contract.globals:
-            def assign(fr, env):
-                env[target] = value(fr, env)
-            return assign
-        key = (contract.name, target)
-        # an expression that reads the target has made the frame its owner,
-        # and evaluating an expression never gives a slot up
-        tested = not any(type(n) is Name and n.name == target for n in expr_nodes(s.expr))
-
-        def gassign(fr, env):
-            v = value(fr, env)
-            if tested and fr.protected and fr.perm.get(key) != fr.id:
-                fr.vm.touch_slot(fr, target, line)
-            if key not in fr.journal:
-                fr.journal[key] = fr.slots[target]
-            fr.slots[target] = v
-        return gassign
-    if isinstance(s, If):
-        cond = _cond(s.cond, s.loc.line, contract)
-        then, orelse = _block(s.then, contract, nest + 1), _block(s.orelse, contract, nest + 1)
-
-        def if_(fr, env):
-            return then(fr, env) if cond(fr, env) else orelse(fr, env)
-        return if_
-    if isinstance(s, While):
-        cond, body = _cond(s.cond, s.loc.line, contract), _block(s.body, contract, nest + 1)
-
-        def while_(fr, env):
-            m = fr.meter
-            while cond(fr, env):
-                if body(fr, env):
-                    return True
-                m.exec_gas += 1  # the next condition evaluation
-                if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                    raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
-            return False
-        return while_
-    if isinstance(s, Call):
-        callee, method, target, charge = s.contract, s.method, s.target, call_charge(nest)
-        line = s.loc.line
-        args = tuple(_value(a, line, contract) for a in s.args)
-
-        def call(fr, env):
-            ret = fr.vm.call(callee, method, [a(fr, env) for a in args], fr, charge, line)
-            if target is not None:
-                env[target] = ret
-        return call
-    if isinstance(s, Return):
-        value = _value(s.expr, s.loc.line, contract) if s.expr is not None else None
-
-        def return_(fr, env):
-            fr.result = value(fr, env) if value is not None else None
-            return True
-        return return_
-    if isinstance(s, Check):
-        cid, text, line = s.check_id, fmt_atom(s.payload), s.loc.line
-        test = _spec_test(s.payload, contract)
-
-        def check(fr, env):
-            if fr.protected and not test(fr, env):
-                raise Revert(CHECK_FAILURE, check_id=cid, payload=text, line=line)
-        return check
-    raise TypeError(f"not a statement: {s!r}")
-
-
 def _read(operand):
-    """A closure that reads an operand."""
+    """A closure that reads a spec operand."""
     kind, x = operand
     if kind == LIT:
         return lambda fr, env: x
     if kind == LOCAL:
         return lambda fr, env: env[x]
     return x
-
-
-def _value(e, line, contract):
-    """Checked uint64 value of a program expression, as a closure; an
-    arithmetic revert reports `line`, the line of the enclosing statement."""
-    return _read(_operand(e, line, contract))
-
-
-def _operand(e, line, contract):
-    """A program expression as an operand (see _value)."""
-    t = type(e)  # node classes are never subclassed
-    if t is IntLit:
-        return LIT, e.value
-    if t is Name:
-        name = e.name
-        if name not in contract.globals:
-            return LOCAL, name
-        key, read_line = (contract.name, name), e.loc.line
-
-        def read(fr, env):
-            if fr.protected and fr.perm.get(key) != fr.id:
-                fr.vm.touch_slot(fr, name, read_line)
-            return fr.slots[name]
-        return CODE, read
-    if t is BinOp:
-        return CODE, _checked(e.op, _operand(e.left, line, contract),
-                              _operand(e.right, line, contract), line)
-    # old(...) and result parse anywhere, but only specifications give them
-    # a meaning
-    raise VmLoadError(f"{e.loc}: not a program expression")
-
-
-def _checked(op, left, right, line):
-    """`left op right` over uint64: overflow, underflow and division by
-    zero revert at `line`."""
-    (lkind, l), (rkind, r) = left, right
-    if rkind == LIT and op in ("+", "-"):
-        k = r if op == "+" else -r  # x - k is x + (-k): below 0 is an underflow
-        if lkind == LOCAL:
-            def shift(fr, env):
-                v = env[l] + k
-                if 0 <= v <= UINT_MAX:
-                    return v
-                raise _out_of_range(v, line)
-            return shift
-        l = _read(left)
-
-        def shift(fr, env):
-            v = l(fr, env) + k
-            if 0 <= v <= UINT_MAX:
-                return v
-            raise _out_of_range(v, line)
-        return shift
-    f = _ARITH.get(op) or _divide(op, line)
-    l, r = _read(left), _read(right)
-
-    def arith(fr, env):
-        v = f(l(fr, env), r(fr, env))
-        if 0 <= v <= UINT_MAX:
-            return v
-        raise _out_of_range(v, line)
-    return arith
-
-
-def _out_of_range(v, line):
-    return Revert(ARITHMETIC_PANIC, kind="overflow" if v > UINT_MAX else "underflow", line=line)
 
 
 def _divide(op, line):
@@ -677,28 +741,6 @@ def _pair(f, left, right):
         return lambda fr, env: f(l(fr, env), r)
     l, r = _read(left), _read(right)
     return lambda fr, env: f(l(fr, env), r(fr, env))
-
-
-def _cond(c, line, contract):
-    """Truth of a program condition; strict: every leaf is evaluated."""
-    t = type(c)
-    if t is Cmp:
-        return _pair(_RELATIONS[c.op], _operand(c.left, line, contract),
-                     _operand(c.right, line, contract))
-    if t is BoolOp:
-        parts = tuple(_cond(p, line, contract) for p in c.parts)
-        join = all if c.op == "and" else any
-        return lambda fr, env: join([p(fr, env) for p in parts])
-    if t is NotOp:
-        operand = _cond(c.operand, line, contract)
-        return lambda fr, env: not operand(fr, env)
-    raise TypeError(f"not a condition: {c!r}")
-
-
-# Specification payloads (woven checks, boundary rows) and predicate bodies
-# evaluate over mathematical integers.  Names read `env`, then the frame's
-# contract's storage, with no ownership test; old(...) and result read the
-# method frame.
 
 
 def _spec_operand(e, contract):

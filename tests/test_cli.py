@@ -215,29 +215,36 @@ class TestVerify:
         assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
 
     def test_block_nesting_counts(self, tmp_path, capsys):
-        # each `if` body is one level: `G := x` under MAX_NESTING nested ifs
-        # runs through every command; one more if is a parse error at it
-        def nested_ifs(depth):
-            ifs = "".join("    " + "  " * i + "if x > 0:\n" for i in range(depth))
-            return one_method(ifs + "    " + "  " * depth + "G := x;\n")
+        # each `if` or `while` body is one level: the innermost command under
+        # MAX_NESTING nested bodies runs through every command; one more
+        # body is a parse error at that command
+        def nested(shape, depth):
+            if shape == "if":
+                first, heads, last = "", ["if x > 0:"], "G := x;"
+            else:
+                first, last = "    i := x;\n", "i := 0;"
+                heads = ["while i > 0:", "  #@ invariant ?;"]
+            opens = "".join("    " + "  " * i + h + "\n" for i in range(depth) for h in heads)
+            return one_method(first + opens + "    " + "  " * depth + last + "\n")
 
-        over = tmp_path / "over.gcl"
-        over.write_text(nested_ifs(MAX_NESTING + 1))
-        assert main(["verify", str(over)]) == EXIT_STATIC
-        col = 5 + 2 * (MAX_NESTING + 1)
-        assert (f"over.gcl:{7 + MAX_NESTING + 1}:{col}: nesting deeper than "
-                f"{MAX_NESTING} levels") in capsys.readouterr().out
-        (tmp_path / "limit").mkdir()
-        at = tmp_path / "limit" / "at.gcl"
-        at.write_text(nested_ifs(MAX_NESTING))
         txs = tmp_path / "txs.jsonl"
         txs.write_text('{"contract": "C", "method": "m", "args": [3]}\n')
-        woven = str(tmp_path / "at.woven.gcl")
-        assert main(["verify", str(at)]) == EXIT_OK
-        assert main(["weave", str(at), "--auto", "-o", woven]) == EXIT_OK
-        assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
-        assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
-        assert "Traceback" not in capsys.readouterr().out
+        for shape in ("if", "while"):
+            over = tmp_path / f"{shape}_over.gcl"
+            over.write_text(nested(shape, MAX_NESTING + 1))
+            assert main(["verify", str(over)]) == EXIT_STATIC
+            last, col = len(over.read_text().splitlines()), 5 + 2 * (MAX_NESTING + 1)
+            assert (f"{over.name}:{last}:{col}: nesting deeper than "
+                    f"{MAX_NESTING} levels") in capsys.readouterr().out
+            (tmp_path / shape).mkdir()
+            at = tmp_path / shape / "at.gcl"
+            at.write_text(nested(shape, MAX_NESTING))
+            woven = str(tmp_path / f"{shape}_at.woven.gcl")
+            assert main(["verify", str(at)]) == EXIT_OK
+            assert main(["weave", str(at), "--auto", "-o", woven]) == EXIT_OK
+            assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
+            assert main(["corpus", str(tmp_path / shape), "--bound", "1"]) == EXIT_OK
+            assert "Traceback" not in capsys.readouterr().out
 
     def test_report_written(self, tmp_path, capsys):
         rep = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 """Transaction VM: execution, gas accounting, permissions, atomicity."""
 
+import builtins
 import dataclasses
 import json
 import os
@@ -222,8 +223,9 @@ class TestJournal:
         assert led.slots == {"Counter": {"Count": 6}}
 
     def test_transactions_never_compile(self, monkeypatch):
-        # load_program compiles every body, boundary row, woven check and
-        # predicate; a transaction only runs the closures
+        # load_program generates and compiles every body and compiles every
+        # boundary row, woven check and predicate; a transaction only runs
+        # what it compiled, and neither compile() nor exec() is called
         loaded = []
         for path in corpus_files(CORPUS):
             program, _ = load_file(path)
@@ -233,9 +235,11 @@ class TestJournal:
         def boom(*args, **kwargs):
             raise AssertionError("a transaction compiled code")
 
-        for name in ("_rows", "_block", "_stmt", "_operand", "_spec_operand", "_formula",
-                     "_spec_test", "_predicates"):
+        for name in ("_rows", "_Emitter", "_spec_operand", "_formula", "_spec_test",
+                     "_predicates"):
             monkeypatch.setattr(gvc.vm, name, boom)
+        monkeypatch.setattr(builtins, "compile", boom)
+        monkeypatch.setattr(builtins, "exec", boom)
         check_gas = {}
         for path, program, image in loaded:
             script = path.with_name(path.stem + ".txs.jsonl")
@@ -248,6 +252,72 @@ class TestJournal:
         assert sorted(n for n in check_gas if n.endswith(".txs.jsonl")) == [
             "bank.txs.jsonl", "sell.txs.jsonl", "sell_precise.txs.jsonl"]
         assert check_gas["pred.gcl"] > 0 and check_gas["sell.txs.jsonl"] > 0
+
+
+# names that are Python keywords, builtins or the emitter's own: contract
+# `env`, globals `fr` and `slots`, predicate `exec(lambda)`, parameters `def`
+# and `None`, local `__import__`
+CAPTURE = """contract env:
+  #@ global fr;
+  #@ global slots;
+  #@ predicate exec(lambda) = lambda <= 1 or exec(lambda - 2);
+  method m(def: uint64, None: uint64):
+    #@ requires ? and acc(fr) and exec(def);
+    #@ ensures ? and acc(fr) and acc(slots);
+    __import__ := def + None;
+    #@ assert ? and __import__ <= fr;
+    while __import__ > 0 and slots < 5:
+      #@ invariant ?;
+      slots := slots + 1;
+      __import__ := __import__ - 1;
+    if not (fr == 0):
+      fr := slots / fr + None % fr;
+    else:
+      fr := fr - None;
+"""
+# U+2E2F is alphabetic to str.isalpha, so the lexer takes it in names, but
+# no Python identifier holds it
+VT = "\u2e2f"
+NOT_PYTHON = (f"contract C{VT}:\n  #@ global G{VT};\n  method m{VT}(x{VT}: uint64):\n"
+              f"    #@ requires ? and acc(G{VT});\n    #@ ensures ? and acc(G{VT});\n"
+              f"    {VT} := x{VT} * 2;\n    #@ assert ? and {VT} >= G{VT};\n"
+              f"    G{VT} := {VT} - G{VT};\n")
+
+# every name a generated block function may use besides the numbered
+# namespace constants _k<i> and block functions _b<i>
+VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "protected", "perm", "get", "id",
+              "journal", "slots", "vm", "call", "result", "_touch", "_gas_exhausted",
+              "_overflow", "_underflow", "_div_zero", "_check_failed"}
+
+
+class TestGeneratedCode:
+    @pytest.mark.parametrize("text, bound, cases", [(CAPTURE, 2, 81), (NOT_PYTHON, 3, 16)],
+                             ids=["python-names", "not-python-names"])
+    def test_program_names_are_never_code(self, text, bound, cases):
+        program, _ = load_source(text, "names.gcl")
+        woven = weave(program, verify_program(program))
+        eq = enumerate_equivalence(program, woven, bound=bound)
+        assert (eq["cases"], eq["disagreements"]) == (cases, [])
+
+    def test_generated_code_names_only_its_vocabulary(self):
+        # a program identifier, slot key, check id or payload text reaches
+        # generated code only as a namespace constant, never as source
+        images = [load_program(weave(p, verify_program(p)))
+                  for p in (load_source(t, "names.gcl")[0] for t in (CAPTURE, NOT_PYTHON))]
+        for path in corpus_files(CORPUS):
+            program, _ = load_file(path)
+            images.append(load_program(weave(program, verify_program(program)),
+                                       corpus_adversaries(path, program)))
+        for image in images:
+            # each method body's namespace holds its block functions
+            functions = [f for code in image.code.values()
+                         for name, f in code.body.__globals__.items() if name.startswith("_b")]
+            assert len(functions) >= len(image.code)
+            for f in functions:
+                code = f.__code__
+                numbered = {n for n in code.co_names if n[:2] in ("_k", "_b") and n[2:].isdigit()}
+                assert set(code.co_names) - numbered <= VOCABULARY, f.__name__
+                assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
 
 
 SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
