@@ -26,13 +26,15 @@ a name edit never replaces or wraps a keyword.
 
     python3 scripts/frontend_diff.py OLD_SRC NEW_SRC [--mutants 75] [--seed 1]
 
-Each tree runs in its own interpreter.  Prints one line per differing
-input: its name, old outcome -> new outcome and, for an input both trees
-load, the part that differs first (program, boundary, report, woven, vm or
-oracle, or crash when verifying, weaving, running or judging raised in one
-tree) with its first differing path, line or grid case; then the source
-and both results of the first few, and a tally of the differences by old
-outcome -> new outcome (part).  Exits 1 if any input differs.
+Each tree runs in its own interpreter, the two side by side, and their
+results are compared input by input as they stream in, so neither tree's
+results are held whole.  Prints one line per differing input: its name,
+old outcome -> new outcome and, for an input both trees load, the part
+that differs first (program, boundary, report, woven, vm or oracle, or
+crash when verifying, weaving, running or judging raised in one tree) with
+its first differing path, line or grid case; then the source and both
+results of the first few, and a tally of the differences by old outcome ->
+new outcome (part).  Exits 1 if any input differs.
 """
 
 import argparse
@@ -91,7 +93,7 @@ def exit_rows(loaded):
 
 
 def describe(texts):
-    """The result on each text: ["error", exception type, message] if
+    """Yields the result on each text: ["error", exception type, message] if
     load_source fails, else ["ok", program, boundary, checked], where
     checked is [report JSON, woven text, VM outcomes, oracle judgments (see
     run_grid)], the last three None if a method has a static error, or
@@ -153,12 +155,11 @@ def describe(texts):
             oracle_cases.append(case + [judgment(oracle, init, t)])
         return vm_cases, oracle_cases
 
-    out = []
     for name, text in texts:
         try:
             loaded = load_source(text, name)
         except Exception as e:  # every outcome is data to compare
-            out.append(["error", type(e).__name__, str(e)])
+            yield ["error", type(e).__name__, str(e)]
             continue
         program = loaded[0] if isinstance(loaded, tuple) else loaded
         try:
@@ -168,8 +169,7 @@ def describe(texts):
             checked = [report.to_json(), woven and woven.to_text(), *cases]
         except Exception as e:
             checked = ["crash", type(e).__name__, str(e)]
-        out.append(["ok", canon(program), canon(exit_rows(loaded)), checked])
-    return out
+        yield ["ok", canon(program), canon(exit_rows(loaded)), checked]
 
 
 def outcome(d):
@@ -225,11 +225,16 @@ def first_difference(a, b):
 
 
 def run_tree(src, texts):
-    """describe(texts) in an interpreter that imports gvc from `src`."""
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(src)],
-        input=json.dumps(texts), capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
+    """Yields the JSON line of each result of describe(texts) as an
+    interpreter that imports gvc from `src` writes it."""
+    proc = subprocess.Popen([sys.executable, __file__, "--child", str(src)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+    with proc:
+        proc.stdin.write(json.dumps(texts))
+        proc.stdin.close()
+        yield from proc.stdout
+    if proc.returncode:
+        raise subprocess.CalledProcessError(proc.returncode, proc.args)
 
 
 def mutate(text, rng):
@@ -279,7 +284,7 @@ def inputs(old_src, mutants, seed):
     files = sorted((ROOT / "corpus").glob("*.gcl")) + sorted((ROOT / "tests" / "fixtures").glob("*.gcl"))
     base = [[p.name, p.read_text(encoding="utf-8")] for p in files]
     base += [[name + ".woven", d[3][1]]
-             for (name, _), d in zip(base, run_tree(old_src, base))
+             for (name, _), d in zip(base, map(json.loads, run_tree(old_src, base)))
              if d[0] == "ok" and d[3][0] != "crash" and d[3][1]]
     rng = random.Random(seed)
     out = list(base)
@@ -300,38 +305,49 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))  # for the keywords mutate spares
     texts = inputs(args.old_src, args.mutants, args.seed)
-    old = run_tree(args.old_src, texts)
-    new = run_tree(args.new_src, texts)
-    outcomes = Counter(outcome(d) for d in old)
-    diffs = [(t, a, b, first_difference(a, b)) for t, a, b in zip(texts, old, new) if a != b]
-    keys = [f"{outcome(a)} -> {outcome(b)}" + (f" ({part})" if part else "")
-            for _, a, b, (part, _) in diffs]
-    for ((name, _), _, _, (_, where)), key in zip(diffs, keys):
-        print(f"{name}: {key}" + (f" at {where}" if where else ""))
-    for (name, text), a, b, _ in diffs[:SHOWN]:
-        print(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\nnew: {json.dumps(b)[:300]}")
+    # the two trees' results are compared as they arrive, one input at a
+    # time, and only the tallies and the differences are kept; equal JSON
+    # lines are equal results, decoded once
+    outcomes, tally, found, shown = Counter(), Counter(), [], []
+    both = ran = cases = vm_diffs = oracle_diffs = 0
+    for (name, text), line_a, line_b in zip(texts, run_tree(args.old_src, texts),
+                                            run_tree(args.new_src, texts), strict=True):
+        a = json.loads(line_a)
+        b = a if line_b == line_a else json.loads(line_b)
+        outcomes[outcome(a)] += 1
+        if a[0] == b[0] == "ok":
+            both += 1
+            if "crash" not in (a[3][0], b[3][0]) and a[3][2] and b[3][2]:
+                ran += 1
+                cases += len(a[3][2])
+                vm_diffs += sum(x != y for x, y in zip(a[3][2], b[3][2]))
+                oracle_diffs += sum(x != y for x, y in zip(a[3][3], b[3][3]))
+        if a == b:
+            continue
+        part, where = first_difference(a, b)
+        key = f"{outcome(a)} -> {outcome(b)}" + (f" ({part})" if part else "")
+        tally[key] += 1
+        found.append(f"{name}: {key}" + (f" at {where}" if where else ""))
+        if len(shown) < SHOWN:
+            shown.append(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\n"
+                         f"new: {json.dumps(b)[:300]}")
+    for line in found + shown:
+        print(line)
     late = sum(outcomes[k] for k in LATE_ERRORS)
-    both = sum(a[0] == b[0] == "ok" for a, b in zip(old, new))
-    ran = [(a, b) for a, b in zip(old, new)
-           if a[0] == b[0] == "ok" and "crash" not in (a[3][0], b[3][0]) and a[3][2] and b[3][2]]
     print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
-    print(f"{len(ran)} input(s) verify in both trees; their VM outcomes and oracle "
-          f"judgments on {sum(len(a[3][2]) for a, _ in ran)} grid case(s) are compared "
-          f"(final ledgers included): "
-          f"VM outcomes differ on "
-          f"{sum(x != y for a, b in ran for x, y in zip(a[3][2], b[3][2]))}, "
-          f"oracle judgments on "
-          f"{sum(x != y for a, b in ran for x, y in zip(a[3][3], b[3][3]))}")
-    tally = Counter(keys)
-    print(f"{len(diffs)} difference(s): {dict(sorted(tally.items()))}")
-    return 1 if diffs else 0
+    print(f"{ran} input(s) verify in both trees; their VM outcomes and oracle "
+          f"judgments on {cases} grid case(s) are compared (final ledgers included): "
+          f"VM outcomes differ on {vm_diffs}, oracle judgments on {oracle_diffs}")
+    print(f"{len(found)} difference(s): {dict(sorted(tally.items()))}")
+    return 1 if found else 0
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--child"]:
         sys.path.insert(0, str(Path(sys.argv[2]).resolve()))
-        json.dump(describe(json.load(sys.stdin)), sys.stdout)
+        for d in describe(json.load(sys.stdin)):
+            print(json.dumps(d))
     else:
         sys.exit(main())

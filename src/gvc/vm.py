@@ -5,17 +5,15 @@ permission ownership, boundary checking against callers from other
 contracts, woven run-time checks, gas metering, and rollback of every write
 on any failure.
 
-`load_program` compiles everything once.  Each method body becomes
-generated Python source, one function per block, compiled with compile()
-(see "Method bodies" below); the payload of each boundary row and woven
-check and each contract's predicate bodies become Python closures (closure
-generation, after Feeley and Lapalme, "Using Closures for Code Generation",
-1987).  Either way the source line a revert reports is fixed at compile
-time, and compiled code is a function of the running Frame and the names
-in scope.  One image serves every Vm made from it, so compiled code reaches
-the ledger, the permission table, the gas meter and the Vm only through the
-frame it is handed.  A transaction runs compiled code only; nothing is
-compiled or walked as a tree at run time.
+`load_program` compiles everything once, through one emitter: each block
+of a method body, the payload of each woven check and boundary row, and
+each predicate body becomes a generated Python function, compiled with
+compile() (see "Compiled code" below).  The source line a revert reports
+is fixed at compile time, and compiled code is a function of the running
+Frame and the names in scope.  One image serves every Vm made from it, so
+compiled code reaches the ledger, the permission table, the gas meter and
+the Vm only through the frame it is handed.  A transaction runs compiled
+code only; nothing is compiled or walked as a tree at run time.
 
 Program arithmetic is checked uint64 (underflow/overflow/division by zero
 revert as ArithmeticPanic when no woven check preempts them), and program
@@ -34,7 +32,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -55,9 +52,6 @@ ARITHMETIC_PANIC = "ArithmeticPanic"
 GAS_EXHAUSTED = "GasExhausted"
 PREDICATE_DEPTH = "PredicateDepthExceeded"
 CALL_DEPTH = "CallDepthExceeded"
-
-_RELATIONS = {"==": operator.eq, "!=": operator.ne, "<=": operator.le,
-             "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
 class VmLoadError(Exception):
@@ -158,8 +152,8 @@ class Ledger:
 class GasMeter:
     """Gas spent by one transaction: GasExhausted as soon as exec_gas plus
     check_gas passes `limit`.  Compiled code charges exec gas, and the
-    check gas of a comparison, inline by the same rule (see _Emitter.charge
-    and _formula)."""
+    check gas of an acc or comparison, inline by the same rule (see
+    _Emitter.charge)."""
 
     def __init__(self, limit=None):
         self.exec_gas = 0
@@ -174,24 +168,24 @@ class GasMeter:
 
 class MethodCode:
     """One method of a loaded image: its parameter names; its evaluated
-    boundary rows by kind, compiled; whether its exit rows read old(...);
-    its spec's acc slots; its contract's compiled predicates (shared by the
-    contract's methods); and its body compiled to a generated function that
-    takes the running Frame and its locals and returns True when the body
-    executed a return."""
+    boundary rows by kind, each a generated test function with its check
+    id, text and line; whether its exit rows read old(...); its spec's acc
+    slots; its contract's compiled predicates (shared by the contract's
+    methods); and its body, a generated function that takes the running
+    Frame and its locals and returns True when the body executed a return.
+    The body, its woven checks and the rows compile in one source."""
 
     def __init__(self, contract: Contract, method: Method, table, verified, predicates):
         spec = method.spec
         self.contract, self.method, self.verified = contract, method, verified
         self.params = tuple(p for p, _ in method.params)
         self.imprecise_entry = spec.requires.imprecise or not verified
-        self.entry, self.exit = _rows(table, "entry", contract), _rows(table, "exit", contract)
         self.reads_old = any(type(n) is Old for e in table if e.kind == "exit"
                              for n in expr_nodes(e.payload))
         self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
         self.ensured = frozenset(slot for slot, _ in self.ensures_acc)
         self.predicates = predicates
-        self.body = _Emitter(contract).compile(method.body)
+        self.body, self.entry, self.exit = _Emitter(contract).compile(method.body, table)
 
 
 class Frame:
@@ -453,7 +447,7 @@ class Vm:
 
 
 # ---------------------------------------------------------------------------
-# Method bodies.  Each block of a method body (the body, each then/else
+# Compiled code.  Each block of a method body (the body, each then/else
 # branch and each while body) compiles to one generated Python function of
 # the running Frame `fr` and its locals `env`.  A block's straight-line
 # statements are inline and a nested block is a call to its own function,
@@ -466,19 +460,31 @@ class Vm:
 # 1 more per re-evaluation of its condition; asserts are ghost code (their
 # residuals were woven as checks) and emit nothing.
 #
+# Specification payloads (woven checks, boundary rows) and predicate bodies
+# compile the same way, to functions of (fr, env) that return a truth, over
+# mathematical integers: names read `env`, then the frame's contract's
+# storage, with no ownership test, and old(...) and result read the frame.
+# Each and/or is a function of its own that short-circuits, so Python
+# nesting never follows the formula's either; a `not` is inline.  A formula
+# that holds a predicate instance compiles to a generator function: it
+# yields (predicate name, argument values) for each instance, is sent the
+# instance's truth, and returns its own (see eval_spec_bool).
+#
 # The generated source holds only the emitter's own tokens, temporaries and
 # the integers it formats (literals, lines, call charges): every program
-# identifier, slot key, check id, payload text and compiled spec test is a
-# constant of the function's namespace that the emitter names (_k0, _k1,
-# ...), and the namespace holds no builtins.  compile() costs about 0.2 ms
-# a block, paid once at load_program.
+# identifier, slot key, check id and payload text is a constant of the
+# function's namespace that the emitter names (_k0, _k1, ...), and the
+# namespace holds no builtins.  A method's block, check and boundary row
+# functions compile in one source, and a contract's predicates in another;
+# compile() costs about 0.2 ms a block, paid once at load_program.
 
 # the Python token of each program operator
 _TOKENS = {"==": "==", "!=": "!=", "<=": "<=", "<": "<", ">=": ">=", ">": ">",
            "+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
 
 
-# what generated code calls by name: an ownership test, and its reverts
+# what generated code calls by name: an ownership test, its reverts, and
+# the driver of predicate instances
 
 
 def _touch(fr, slot, line):
@@ -510,8 +516,34 @@ def _check_failed(check_id, payload, line):
     return Revert(CHECK_FAILURE, check_id=check_id, payload=payload, line=line)
 
 
+def eval_spec_bool(fr, tree):
+    """Truth of a compiled formula that holds predicate instances, given the
+    generator `tree` of its function.  Each predicate body being evaluated
+    that holds an instance is a suspended generator on an explicit stack,
+    so recursion runs up to PREDICATE_DEPTH_CAP without growing the Python
+    stack; a body without one returns its truth at once."""
+    stack, truth = [tree], None
+    predicates = fr.code.predicates
+    while stack:
+        try:
+            name, args = stack[-1].send(truth)
+        except StopIteration as done:
+            stack.pop()
+            truth = done.value
+            continue
+        if len(stack) > PREDICATE_DEPTH_CAP:
+            raise Revert(PREDICATE_DEPTH, kind="predicate-depth", predicate=name)
+        params, body, gen = predicates[name]
+        fr.meter.charge_check()  # the predicate call itself
+        truth = body(fr, dict(zip(params, args)))
+        if gen:
+            stack.append(truth)
+            truth = None
+    return truth
+
+
 _RUNTIME = {f.__name__: f for f in (_touch, _gas_exhausted, _overflow, _underflow,
-                                    _div_zero, _check_failed)}
+                                    _div_zero, _check_failed, eval_spec_bool)}
 
 
 def _int(v):
@@ -521,21 +553,69 @@ def _int(v):
     return "%d" % v
 
 
+def _acc_lines(formula):
+    """(slot, line) of each acc atom of a spec formula."""
+    return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
+
+
+def _predicates(contract):
+    """{name: (parameters, compiled body, holds an instance)} of a
+    contract's predicates, compiled in one source."""
+    if not contract.predicates:
+        return {}
+    emitter = _Emitter(contract)
+    bodies = [(p, *emitter.formula(p.body)) for p in contract.predicates]
+    ns = emitter.load()
+    return {p.name: (p.params, ns[name], gen) for p, name, gen in bodies}
+
+
 class _Emitter:
-    """The generated source of one method body of `contract`: compile()
-    returns the method body's function (see above)."""
+    """Generated functions of code of `contract` (see above), compiled
+    together by load()."""
 
     def __init__(self, contract):
         self.contract = contract
         self.ns = {"__builtins__": {}, **_RUNTIME}
         self.names = {}  # constant -> its namespace name
-        self.functions = []  # source of each block function, _b0 first
-        self.lines = self.indent = self.temps = None  # of the block being emitted
+        self.functions = []  # source of each function, in the order begun
+        # of the function being emitted: its lines, indent and temporaries
+        # so far, and whether it charges gas and whether it yields
+        self.lines = self.indent = self.temps = self.charges = self.yields = None
 
-    def compile(self, body):
-        self.block(body, 0)
-        exec(compile("\n".join(self.functions), "<gvc method body>", "exec"), self.ns)
-        return self.ns["_b0"]
+    def compile(self, body, table):
+        """The function of a method body and the (test, check_id, text,
+        line) of the entry and of the exit rows of its boundary table, in
+        table order: `test` the row's payload compiled, `text` the payload
+        printed and `line` its source line."""
+        body = self.block(body, 0)
+        rows = [(e.kind, self.test(e.payload), e.check_id, fmt_atom(e.payload),
+                 e.payload.loc.line) for e in table]
+        ns = self.load()
+        return (ns[body], *(tuple((ns[test], *row) for k, test, *row in rows if k == kind)
+                            for kind in ("entry", "exit")))
+
+    def load(self):
+        """Compile every function emitted into the namespace; returns it."""
+        exec(compile("\n".join(self.functions), "<gvc compiled code>", "exec"), self.ns)
+        return self.ns
+
+    def function(self, prefix, emit_body):
+        """Emit a function of (fr, env) whose body `emit_body()` emits
+        (`pass` if it emits nothing), with the gas prologue if the body
+        charges gas; returns its name and whether it is a generator
+        function."""
+        index = len(self.functions)
+        name = f"{prefix}{index}"
+        self.functions.append(None)
+        outer = self.lines, self.indent, self.temps, self.charges, self.yields
+        self.lines, self.indent, self.temps, self.charges, self.yields = [], 1, 0, False, False
+        emit_body()
+        prologue = ["    m = fr.meter", "    lim = m.limit"] if self.charges else []
+        self.functions[index] = "\n".join([f"def {name}(fr, env):", *prologue,
+                                           *(self.lines or ["    pass"])])
+        yields = self.yields
+        self.lines, self.indent, self.temps, self.charges, self.yields = outer
+        return name, yields
 
     def const(self, value):
         """The namespace name of a constant."""
@@ -555,26 +635,23 @@ class _Emitter:
         self.emit(f"{name} = {expr}")
         return name
 
-    def charge(self):
-        self.emit("m.exec_gas += 1")
+    def charge(self, gas):
+        """Charge 1 `gas` ("exec_gas" or "check_gas")."""
+        self.charges = True
+        self.emit(f"m.{gas} += 1")
         self.emit("if lim is not None and m.exec_gas + m.check_gas > lim: raise _gas_exhausted()")
+
+    # -- method bodies -------------------------------------------------------
 
     def block(self, body, nest):
         """Emit the function of a block that `nest` if/while bodies enclose;
         returns its name."""
-        index = len(self.functions)
-        self.functions.append(None)
-        outer = self.lines, self.indent, self.temps
-        self.lines, self.indent, self.temps = [], 1, 0
-        self.emit("m = fr.meter")
-        self.emit("lim = m.limit")
-        for s in body:
-            if not isinstance(s, (AssertStmt, Check)):
-                self.charge()
-            self.stmt(s, nest)
-        self.functions[index] = "\n".join([f"def _b{index}(fr, env):"] + self.lines)
-        self.lines, self.indent, self.temps = outer
-        return f"_b{index}"
+        def emit_body():
+            for s in body:
+                if not isinstance(s, (AssertStmt, Check)):
+                    self.charge("exec_gas")
+                self.stmt(s, nest)
+        return self.function("_b", emit_body)[0]
 
     def run(self, body, nest):
         """A statement that runs a nested block's function and returns if
@@ -609,7 +686,7 @@ class _Emitter:
             self.indent += 1
             self.emit(f"if not {self.cond(s.cond, s.loc.line)}: break")
             self.emit(self.run(s.body, nest + 1))
-            self.charge()  # the next condition evaluation
+            self.charge("exec_gas")  # the next condition evaluation
             self.indent -= 1
         elif t is Call:
             line = s.loc.line
@@ -622,10 +699,9 @@ class _Emitter:
             self.emit(f"fr.result = {v}")
             self.emit("return True")
         elif t is Check:
-            test = self.const(_spec_test(s.payload, self.contract))
-            self.emit(f"if fr.protected and not {test}(fr, env): raise _check_failed("
-                      f"{self.const(s.check_id)}, {self.const(fmt_atom(s.payload))}, "
-                      f"{_int(s.loc.line)})")
+            self.emit(f"if fr.protected and not {self.test(s.payload)}(fr, env): "
+                      f"raise _check_failed({self.const(s.check_id)}, "
+                      f"{self.const(fmt_atom(s.payload))}, {_int(s.loc.line)})")
         elif t is not AssertStmt:
             raise TypeError(f"not a statement: {s!r}")
 
@@ -678,194 +754,72 @@ class _Emitter:
             return self.temp(f"not {self.cond(c.operand, line)}")
         raise TypeError(f"not a condition: {c!r}")
 
+    # -- specifications ------------------------------------------------------
 
-# Specification payloads (woven checks, boundary rows) and predicate bodies
-# evaluate over mathematical integers.  Names read `env`, then the frame's
-# contract's storage, with no ownership test; old(...) and result read the
-# method frame.
-#
-# A spec expression compiles to an operand, (LIT, value), (LOCAL, name) or
-# (CODE, closure): the closure around a literal or local operand reads it
-# inline rather than through a closure of its own.
-
-LIT, LOCAL, CODE = "lit", "local", "code"
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
-def _rows(table, kind, contract):
-    """(test, check_id, text, line) of the `kind` rows of a boundary table,
-    in table order: `test` the payload compiled by _spec_test, `text` the
-    payload printed and `line` its source line."""
-    return tuple((_spec_test(e.payload, contract), e.check_id, fmt_atom(e.payload),
-                  e.payload.loc.line) for e in table if e.kind == kind)
-
-
-def _acc_lines(formula):
-    """(slot, line) of each acc atom of a spec formula."""
-    return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
-
-
-def _read(operand):
-    """A closure that reads a spec operand."""
-    kind, x = operand
-    if kind == LIT:
-        return lambda fr, env: x
-    if kind == LOCAL:
-        return lambda fr, env: env[x]
-    return x
-
-
-def _divide(op, line):
-    """`/` or `%` as a function of two integers; a zero divisor reverts at
-    `line`."""
-    divide = operator.floordiv if op == "/" else operator.mod
-
-    def div(l, r):
-        if r == 0:
-            raise Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
-        return divide(l, r)
-    return div
-
-
-def _pair(f, left, right):
-    """A closure computing f(left, right) of two operands, the left one
-    first."""
-    (lkind, l), (rkind, r) = left, right
-    if lkind == LOCAL and rkind == LIT:
-        return lambda fr, env: f(env[l], r)
-    if lkind == LOCAL and rkind == LOCAL:
-        return lambda fr, env: f(env[l], env[r])
-    if rkind == LIT:
-        l = _read(left)
-        return lambda fr, env: f(l(fr, env), r)
-    l, r = _read(left), _read(right)
-    return lambda fr, env: f(l(fr, env), r(fr, env))
-
-
-def _spec_operand(e, contract):
-    """A spec expression as an operand; a division by zero reverts at the
-    operator's line."""
-    t = type(e)
-    if t is IntLit:
-        return LIT, e.value
-    if t is Name:
-        name = e.name
-        if name not in contract.globals:
-            return LOCAL, name
-        return CODE, lambda fr, env: fr.slots[name]
-    if t is Old:
-        slot = e.slot
-        return CODE, lambda fr, env: fr.old[slot]
-    if t is Result:
-        return CODE, lambda fr, env: 0 if fr.result is None else fr.result
-    if t is BinOp:
-        f = _ARITH.get(e.op) or _divide(e.op, e.loc.line)
-        return CODE, _pair(f, _spec_operand(e.left, contract), _spec_operand(e.right, contract))
-    raise TypeError(f"not a spec expression: {e!r}")
-
-
-def _formula(node, contract):
-    """A spec formula compiled to (closure, holds an instance).  Check gas
-    is 1 per acc, comparison and predicate call, charged before the
-    operands are evaluated; and/or short-circuit.  A formula that holds a
-    predicate instance compiles to a generator function: it yields
-    (predicate name, argument values) for each instance, receives the
-    instance's truth, and returns its own (see eval_spec_bool)."""
-    t = type(node)
-    if t is Cmp:
-        test = _pair(_RELATIONS[node.op], _spec_operand(node.left, contract),
-                     _spec_operand(node.right, contract))
-
-        def cmp(fr, env):
-            m = fr.meter
-            m.check_gas += 1
-            if m.limit is not None and m.exec_gas + m.check_gas > m.limit:
-                raise Revert(GAS_EXHAUSTED, kind=GAS_EXHAUSTED)
-            return test(fr, env)
-        return cmp, False
-    if t is Acc:
-        slot = node.slot
-
-        def acc(fr, env):
-            fr.meter.charge_check()
-            return fr.vm._hold(fr, slot)
-        return acc, False
-    if t is PredUse:
-        name, args = node.name, tuple(_read(_spec_operand(a, contract)) for a in node.args)
-
-        def instance(fr, env):
-            return (yield name, [a(fr, env) for a in args])
-        return instance, True
-    if t is NotOp:
-        operand, gen = _formula(node.operand, contract)
+    def test(self, payload):
+        """The name of a function of (fr, env) that returns the truth of a
+        check payload or boundary atom."""
+        name, gen = self.formula(payload)
         if not gen:
-            return (lambda fr, env: not operand(fr, env)), False
+            return name
+        return self.function(
+            "_s", lambda: self.emit(f"return eval_spec_bool(fr, {name}(fr, env))"))[0]
 
-        def not_(fr, env):
-            return not (yield from operand(fr, env))
-        return not_, True
-    if t is BoolOp:
-        parts = tuple(_formula(p, contract) for p in node.parts)
-        stop = node.op == "or"  # the part value that decides the whole
-        if not any(gen for _, gen in parts):
-            tests = tuple(p for p, _ in parts)
+    def formula(self, f):
+        """Emit the function of a spec formula (see above); returns its name
+        and whether it is a generator function."""
+        if type(f) is BoolOp:
+            stop = f.op == "or"  # the part value that decides the whole
 
-            def join(fr, env):
-                for p in tests:
-                    if p(fr, env) == stop:
-                        return stop
-                return not stop
-            return join, False
+            def emit_body():
+                for p in f.parts:
+                    self.emit(f"if {'' if stop else 'not '}{self.truth(p)}: return {stop}")
+                self.emit(f"return {not stop}")
+            return self.function("_s", emit_body)
+        return self.function("_s", lambda: self.emit(f"return {self.truth(f)}"))
 
-        def tree(fr, env):
-            for p, gen in parts:
-                if ((yield from p(fr, env)) if gen else p(fr, env)) == stop:
-                    return stop
-            return not stop
-        return tree, True
-    raise TypeError(f"not a spec formula node: {node!r}")
+    def truth(self, f):
+        """Truth of a spec formula, as a temporary.  An acc or comparison
+        charges 1 check gas before its operands are evaluated."""
+        t = type(f)
+        if t is Cmp:
+            self.charge("check_gas")
+            left, right = self.spec_value(f.left), self.spec_value(f.right)
+            return self.temp(f"{left} {_TOKENS[f.op]} {right}")
+        if t is Acc:
+            self.charge("check_gas")
+            return self.temp(f"fr.vm._hold(fr, {self.const(f.slot)})")
+        if t is NotOp:
+            return self.temp(f"not {self.truth(f.operand)}")
+        if t is PredUse:
+            args = ", ".join(self.spec_value(a) for a in f.args)
+            self.yields = True
+            return self.temp(f"yield {self.const(f.name)}, [{args}]")
+        if t is BoolOp:
+            name, gen = self.formula(f)
+            self.yields |= gen
+            return self.temp(f"yield from {name}(fr, env)" if gen else f"{name}(fr, env)")
+        raise TypeError(f"not a spec formula node: {f!r}")
 
-
-def _spec_test(payload, contract):
-    """A check payload or boundary atom compiled to a closure that returns
-    its truth."""
-    test, gen = _formula(payload, contract)
-    if not gen:
-        return test
-    return lambda fr, env: eval_spec_bool(fr, test(fr, env))
-
-
-def _predicates(contract):
-    """{name: (parameters, compiled body, holds an instance)} of a
-    contract's predicates."""
-    return {p.name: (p.params, *_formula(p.body, contract)) for p in contract.predicates}
-
-
-def eval_spec_bool(fr, tree):
-    """Truth of a compiled formula that holds predicate instances, given the
-    generator `tree` of its closure.  Each predicate body being evaluated
-    that holds an instance is a suspended generator on an explicit stack,
-    so recursion runs up to PREDICATE_DEPTH_CAP without growing the Python
-    stack; a body without one returns its truth at once."""
-    stack, truth = [tree], None
-    predicates = fr.code.predicates
-    while stack:
-        try:
-            name, args = stack[-1].send(truth)
-        except StopIteration as done:
-            stack.pop()
-            truth = done.value
-            continue
-        if len(stack) > PREDICATE_DEPTH_CAP:
-            raise Revert(PREDICATE_DEPTH, kind="predicate-depth", predicate=name)
-        params, body, gen = predicates[name]
-        fr.meter.charge_check()  # the predicate call itself
-        truth = body(fr, dict(zip(params, args)))
-        if gen:
-            stack.append(truth)
-            truth = None
-    return truth
+    def spec_value(self, e):
+        """Value of a spec expression, as Python source of an atom; a
+        division by zero reverts at the operator's line."""
+        t = type(e)
+        if t is IntLit:
+            return _int(e.value)
+        if t is Name:
+            where = "fr.slots" if e.name in self.contract.globals else "env"
+            return f"{where}[{self.const(e.name)}]"
+        if t is Old:
+            return f"fr.old[{self.const(e.slot)}]"
+        if t is Result:
+            return self.temp("0 if fr.result is None else fr.result")
+        if t is BinOp:
+            left, right = self.spec_value(e.left), self.spec_value(e.right)
+            if e.op in ("/", "%"):
+                self.emit(f"if {right} == 0: raise _div_zero({_int(e.loc.line)})")
+            return self.temp(f"{left} {_TOKENS[e.op]} {right}")
+        raise TypeError(f"not a spec expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,23 @@ def nested_assignment(depth):
             "chain": one_method("    y := " + " + ".join(["x"] * (depth + 1)) + ";\n")}
 
 
+def nested_spec(depth):
+    """Specifications nested `depth` levels deep: a requires operand (a `+`
+    chain), and a predicate body that m's requires instantiates, once an
+    and/or tree (each level a parenthesis or an and/or) and once a chain of
+    `not`.  Each holds for arguments below 100, and the and/or tree is
+    evaluated down to its innermost comparison."""
+    andor = "(n >= 0)" if depth % 2 else "n >= 0"
+    for k in range(depth // 2):
+        andor = f"n > {k + 100} or ({andor})" if k % 2 else f"n < {k + 100} and ({andor})"
+    nots = "not " * depth + ("n > 1000" if depth % 2 else "n >= 0")
+    chain = " + ".join(["x"] * (depth + 1))
+    return {"requires": one_method("    y := x;\n", requires=f"? and {chain} >= 0"),
+            **{shape: one_method("    y := x;\n", requires="? and p(x)",
+                                 decls=f"  #@ predicate p(n) = {body};\n")
+               for shape, body in (("and-or", andor), ("not", nots))}}
+
+
 class TestVerify:
     def test_ok(self, capsys):
         assert main(["verify", SELL]) == EXIT_OK
@@ -198,14 +215,18 @@ class TestVerify:
         assert main(["verify", str(src)]) == EXIT_STATIC
         assert f"nesting deeper than {MAX_NESTING} levels" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("shape", ["parens", "chain"])
+    @pytest.mark.parametrize("shape", ["parens", "chain", "requires", "and-or", "not"])
     def test_nesting_limit_is_exact(self, tmp_path, capsys, shape):
+        def nested(depth):
+            return {**nested_assignment(depth), **nested_spec(depth)}[shape]
+
         over = tmp_path / "over.gcl"
-        over.write_text(nested_assignment(MAX_NESTING + 1)[shape])
+        over.write_text(nested(MAX_NESTING + 1))
         assert main(["verify", str(over)]) == EXIT_STATIC
+        assert f"nesting deeper than {MAX_NESTING} levels" in capsys.readouterr().out
         (tmp_path / "limit").mkdir()
         at = tmp_path / "limit" / "at.gcl"
-        at.write_text(nested_assignment(MAX_NESTING)[shape])
+        at.write_text(nested(MAX_NESTING))
         txs = tmp_path / "txs.jsonl"
         txs.write_text('{"contract": "C", "method": "m", "args": [3]}\n')
         woven = str(tmp_path / "at.woven.gcl")
@@ -213,6 +234,7 @@ class TestVerify:
         assert main(["weave", str(at), "--auto", "-o", woven]) == EXIT_OK
         assert main(["run", woven, "--txs", str(txs)]) == EXIT_OK
         assert main(["corpus", str(tmp_path / "limit"), "--bound", "1"]) == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().out
 
     def test_block_nesting_counts(self, tmp_path, capsys):
         # each `if` or `while` body is one level: the innermost command under

@@ -2,6 +2,7 @@
 
 import builtins
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -223,9 +224,9 @@ class TestJournal:
         assert led.slots == {"Counter": {"Count": 6}}
 
     def test_transactions_never_compile(self, monkeypatch):
-        # load_program generates and compiles every body and compiles every
-        # boundary row, woven check and predicate; a transaction only runs
-        # what it compiled, and neither compile() nor exec() is called
+        # load_program generates and compiles every body, boundary row,
+        # woven check and predicate; a transaction only runs what it
+        # compiled, and neither compile() nor exec() is called
         loaded = []
         for path in corpus_files(CORPUS):
             program, _ = load_file(path)
@@ -235,8 +236,7 @@ class TestJournal:
         def boom(*args, **kwargs):
             raise AssertionError("a transaction compiled code")
 
-        for name in ("_rows", "_Emitter", "_spec_operand", "_formula", "_spec_test",
-                     "_predicates"):
+        for name in ("_Emitter", "_predicates"):
             monkeypatch.setattr(gvc.vm, name, boom)
         monkeypatch.setattr(builtins, "compile", boom)
         monkeypatch.setattr(builtins, "exec", boom)
@@ -283,11 +283,23 @@ NOT_PYTHON = (f"contract C{VT}:\n  #@ global G{VT};\n  method m{VT}(x{VT}: uint6
               f"    {VT} := x{VT} * 2;\n    #@ assert ? and {VT} >= G{VT};\n"
               f"    G{VT} := {VT} - G{VT};\n")
 
-# every name a generated block function may use besides the numbered
-# namespace constants _k<i> and block functions _b<i>
+# every name a generated function may use besides the numbered namespace
+# constants _k<i>, block functions _b<i> and spec functions _s<i>
 VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "protected", "perm", "get", "id",
-              "journal", "slots", "vm", "call", "result", "_touch", "_gas_exhausted",
-              "_overflow", "_underflow", "_div_zero", "_check_failed"}
+              "journal", "slots", "vm", "call", "result", "old", "_hold", "_touch",
+              "_gas_exhausted", "_overflow", "_underflow", "_div_zero", "_check_failed",
+              "eval_spec_bool"}
+
+
+def generated_functions(image):
+    """Every generated function of a loaded image: each method's block,
+    check and boundary row functions and each contract's predicate
+    functions, by namespace and name."""
+    namespaces = [code.body.__globals__ for code in image.code.values()]
+    namespaces += [body.__globals__ for code in image.code.values()
+                   for _, body, _ in code.predicates.values()]
+    return {(id(ns), name): f for ns in namespaces for name, f in ns.items()
+            if name[:2] in ("_b", "_s") and name[2:].isdigit()}
 
 
 class TestGeneratedCode:
@@ -308,16 +320,18 @@ class TestGeneratedCode:
             program, _ = load_file(path)
             images.append(load_program(weave(program, verify_program(program)),
                                        corpus_adversaries(path, program)))
+        kinds = set()
         for image in images:
-            # each method body's namespace holds its block functions
-            functions = [f for code in image.code.values()
-                         for name, f in code.body.__globals__.items() if name.startswith("_b")]
+            functions = generated_functions(image).values()
             assert len(functions) >= len(image.code)
             for f in functions:
                 code = f.__code__
-                numbered = {n for n in code.co_names if n[:2] in ("_k", "_b") and n[2:].isdigit()}
+                kinds.add((f.__name__[:2], inspect.isgeneratorfunction(f)))
+                numbered = {n for n in code.co_names
+                            if n[:2] in ("_k", "_b", "_s") and n[2:].isdigit()}
                 assert set(code.co_names) - numbered <= VOCABULARY, f.__name__
                 assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
+        assert kinds == {("_b", False), ("_s", False), ("_s", True)}
 
 
 SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
@@ -363,6 +377,32 @@ SPEC_SHAPES = {
         "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G) and G / x >= 1;\n"
         "    G := x;\n",
         [((0,), 1, 2, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 5})), ((1,), 1, 2, None)]),
+    # a body of asserts only runs no statement
+    "assert-only": (
+        "contract C:\n  method m(x: uint64):\n    #@ requires ? and x <= 5;\n"
+        "    #@ ensures ?;\n    #@ assert x <= 5;\n",
+        [((3,), 0, 1, None), ((7,), 0, 1, pre("x <= 5", 3))]),
+    # the write's residual is woven as `#! check acc(G) @c0;`
+    "check-acc": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64):\n    #@ requires ?;\n"
+        "    #@ ensures ?;\n    G := x;\n",
+        [((0,), 1, 1, None), ((3,), 1, 1, None)]),
+    "exit-old-result": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64) -> uint64:\n"
+        "    #@ requires acc(G);\n"
+        "    #@ ensures acc(G) and G == old(G) + x and result == old(G) + 1;\n"
+        "    y := G;\n    G := y + x;\n    return y + 1;\n",
+        [((0,), 3, 3, None), ((4,), 3, 3, None)]),
+    # the argument is evaluated before the predicate call is charged
+    "instance-div-zero": (
+        SHAPE.format(preds="  #@ predicate p(n) = n <= 5;\n", req="p(10 / x)"),
+        [((0,), 0, 0, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 5})),
+         ((1,), 0, 2, pre("p(10 / x)", 5)), ((2,), 1, 3, None)]),
+    # the call and the comparison are charged before the body's operands
+    "body-div-zero": (
+        SHAPE.format(preds="  #@ predicate q(n, d) = n / d <= 5;\n", req="q(10, x)"),
+        [((0,), 0, 2, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 3})),
+         ((1,), 0, 2, pre("q(10, x)", 5)), ((2,), 1, 3, None)]),
 }
 
 
