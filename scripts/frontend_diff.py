@@ -27,10 +27,11 @@ a name edit never replaces or wraps a keyword.
     python3 scripts/frontend_diff.py OLD_SRC NEW_SRC [--mutants 75] [--seed 1]
 
 Each tree runs in its own interpreter, the two side by side, and their
-results are compared input by input as they stream in, so neither tree's
-results are held whole.  Prints one line per differing input: its name,
-old outcome -> new outcome and, for an input both trees load, the part
-that differs first (program, boundary, report, woven, vm or oracle, or
+results are compared as they stream in, input by input and grid case by
+grid case, so neither an input's grid (177147 cases for nif10) nor a
+tree's results are held whole.  Prints one line per differing input: its
+name, old outcome -> new outcome and, for an input both trees load, the
+part that differs first (program, boundary, report, woven, vm or oracle, or
 crash when verifying, weaving, running or judging raised in one tree) with
 its first differing path, line or grid case; then the source and both
 results of the first few, and a tally of the differences by old outcome ->
@@ -45,6 +46,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,9 +54,11 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # errors that end the front end after parsing succeeded
 LATE_ERRORS = ("InferenceError", "ResolutionError", "WellFormednessError")
 SHOWN = 5  # differences printed in full
+SHOWN_CHARS = 300  # of each tree's result JSON, for each of them
 GRID_BOUND = 2
 GAS_LIMIT = 10_000  # a mutant's loop may not end
 ORACLE_STEPS = 10_000  # statements per judgment: the oracle meters no gas
+END = ["end"]  # the last line of a result that ran its grid, or had none
 
 
 def canon(x):
@@ -93,12 +97,14 @@ def exit_rows(loaded):
 
 
 def describe(texts):
-    """Yields the result on each text: ["error", exception type, message] if
-    load_source fails, else ["ok", program, boundary, checked], where
-    checked is [report JSON, woven text, VM outcomes, oracle judgments (see
-    run_grid)], the last three None if a method has a static error, or
-    ["crash", exception type, message] if verifying, weaving, running or
-    judging raised."""
+    """Yields the JSON-able lines of the result on each text.  First a head:
+    ["error", exception type, message] if load_source fails, else ["ok",
+    program, boundary, checked], where checked is [report JSON, woven text],
+    the woven text None if a method has a static error, or ["crash",
+    exception type, message] if verifying or weaving raised.  Then, for a
+    woven text, one [VM record, oracle record] per grid case (see
+    run_grid).  Last END, or ["crash", exception type, message] if running
+    or judging raised."""
     from gvc.frontend import load_source
     from gvc.oracle import Oracle
     from gvc.verifier import verify_program
@@ -132,15 +138,15 @@ def describe(texts):
         return [j.verdict, site, j.payload, j.storage]
 
     def run_grid(program, woven):
-        """For each case of the bound-2 grid: [method, initial ledger,
-        arguments, outcome dict, reason, detail, final ledger] of its run on
-        the loaded woven program, followed, when that run used g > 0 gas, by
-        [outcome dict, detail, final ledger] of its run under a gas limit of
-        g - 1; and [method, initial ledger, arguments, judgment] of the
-        oracle on the source program."""
+        """Yields, for each case of the bound-2 grid, [VM record, oracle
+        record]: [method, initial ledger, arguments, outcome dict, reason,
+        detail, final ledger] of its run on the loaded woven program,
+        followed, when that run used g > 0 gas, by [outcome dict, detail,
+        final ledger] of its run under a gas limit of g - 1; and [method,
+        initial ledger, arguments, judgment] of the oracle on the source
+        program."""
         image = load_program(woven)
         oracle = StepOracle(*merge_adversaries(program))
-        vm_cases, oracle_cases = [], []
         for c, m, init, t in transaction_grid(program, GRID_BOUND):
             ledger = Ledger(image.program, init)
             out = Vm(image, ledger).exec_transaction(t, gas_limit=GAS_LIMIT)
@@ -151,25 +157,87 @@ def describe(texts):
                 ledger = Ledger(image.program, init)
                 cut = Vm(image, ledger).exec_transaction(t, gas_limit=gas - 1)
                 record += [cut.as_dict(), cut.detail, ledger.as_dict()]
-            vm_cases.append(record)
-            oracle_cases.append(case + [judgment(oracle, init, t)])
-        return vm_cases, oracle_cases
+            yield [record, case + [judgment(oracle, init, t)]]
 
     for name, text in texts:
         try:
             loaded = load_source(text, name)
         except Exception as e:  # every outcome is data to compare
             yield ["error", type(e).__name__, str(e)]
+            yield END
             continue
         program = loaded[0] if isinstance(loaded, tuple) else loaded
         try:
             report = verify_program(program)
             woven = None if report.has_static_error else weave(program, report)
-            cases = run_grid(program, woven) if woven else (None, None)
-            checked = [report.to_json(), woven and woven.to_text(), *cases]
+            checked = [report.to_json(), woven and woven.to_text()]
         except Exception as e:
-            checked = ["crash", type(e).__name__, str(e)]
+            checked, woven = ["crash", type(e).__name__, str(e)], None
         yield ["ok", canon(program), canon(exit_rows(loaded)), checked]
+        try:
+            if woven:
+                yield from run_grid(program, woven)
+            yield END
+        except Exception as e:
+            yield ["crash", type(e).__name__, str(e)]
+
+
+class Result:
+    """One tree's result on one input, read from its child's JSON lines:
+    the head, then the grid case lines as cases() yields them, then the
+    end.  Only the head, the case count and the first few cases (enough for
+    prefix()) are kept."""
+
+    def __init__(self, head, lines):
+        self.head, self.lines = head, lines
+        self.end, self.count, self.first, self.first_chars = None, 0, [], 0
+
+    def cases(self):
+        """The raw JSON line of each grid case not yet read."""
+        for line in self.lines:
+            if line.startswith('["'):  # END or a crash; a case starts '[['
+                self.end = json.loads(line)
+                return
+            self.count += 1
+            if self.first_chars < SHOWN_CHARS:
+                self.first.append(json.loads(line))
+                self.first_chars += len(json.dumps(self.first[-1][0]))
+            yield line
+
+    def finish(self):
+        for _ in self.cases() if self.end is None else ():
+            pass
+
+    @property
+    def checked(self):
+        """The checked part of an input that loads: a crash, else [report
+        JSON, woven text]."""
+        self.finish()
+        return self.head[3] if self.end == END else self.end
+
+    def prefix(self):
+        """The first SHOWN_CHARS characters of the JSON of the whole result:
+        the head with its checked part followed by the VM records and the
+        oracle records of every case."""
+        if self.head[0] != "ok":
+            return json.dumps(self.head)[:SHOWN_CHARS]
+        checked, start = self.checked, json.dumps(self.head[:3] + [None])[:-len("null]")]
+        if checked[0] == "crash" or checked[1] is None:
+            return (start + json.dumps(checked + ([] if checked[0] == "crash" else [None, None]))
+                    + "]")[:SHOWN_CHARS]
+        close = "]" if len(self.first) == self.count else ""
+        records = ["[" + ", ".join(json.dumps(c[i]) for c in self.first) + close for i in (0, 1)]
+        return (start + "[" + ", ".join(json.dumps(x) for x in checked) + ", "
+                + ", ".join(records) + "]]")[:SHOWN_CHARS]
+
+
+def results(lines):
+    """Yields the Result of each input from a child's JSON lines."""
+    lines = iter(lines)
+    for head in lines:
+        r = Result(json.loads(head), lines)
+        yield r
+        r.finish()
 
 
 def outcome(d):
@@ -199,29 +267,28 @@ def first_line(a, b):
     return f"line {min(len(la), len(lb)) + 1}: {len(la)} -> {len(lb)} line(s)"
 
 
-def first_difference(a, b):
-    """(part, where) for two differing describe() results: for an input both
-    trees load, the part that differs first and where in it, else (None,
-    the errors)."""
-    if a[0] != "ok" or b[0] != "ok":
-        return None, " -> ".join(repr(d[2]) if d[0] == "error" else "loads" for d in (a, b))
-    for part, x, y in (("program", a[1], b[1]), ("boundary", a[2], b[2])):
+def first_difference(a, b, grid):
+    """(part, where) for two differing Results: for an input both trees
+    load, the part that differs first and where in it, else (None, the
+    errors).  `grid` holds, for "vm" and "oracle", the number of grid cases
+    whose records differ and the first such case's old record."""
+    if a.head[0] != "ok" or b.head[0] != "ok":
+        return None, " -> ".join(repr(d[2]) if d[0] == "error" else "loads" for d in (a.head, b.head))
+    for part, x, y in (("program", a.head[1], b.head[1]), ("boundary", a.head[2], b.head[2])):
         if x != y:
             return part, first_path(x, y)
-    if "crash" in (a[3][0], b[3][0]):
-        return "crash", " -> ".join(repr(c[1:]) if c[0] == "crash" else "runs" for c in (a[3], b[3]))
-    (ra, wa, va, oa), (rb, wb, vb, ob) = a[3], b[3]
-    for part, x, y in (("report", ra, rb), ("woven", wa, wb)):
+    if "crash" in (a.checked[0], b.checked[0]):
+        return "crash", " -> ".join(repr(c[1:]) if c[0] == "crash" else "runs"
+                                    for c in (a.checked, b.checked))
+    for part, x, y in zip(("report", "woven"), a.checked, b.checked):
         if x != y:
             return part, first_line(x, y)
-    for part, x, y in (("vm", va, vb), ("oracle", oa, ob)):
-        if x == y:
-            continue
-        cases = [i for i, (p, q) in enumerate(zip(x or [], y or [])) if p != q]
-        if not cases:
-            return part, f"{len(x or [])} -> {len(y or [])} case(s)"
-        method, init, args = x[cases[0]][:3]
-        return part, f"{len(cases)} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
+    for part, (n, first) in grid.items():
+        if n:
+            method, init, args = first[:3]
+            return part, f"{n} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
+        if a.count != b.count:
+            return part, f"{a.count} -> {b.count} case(s)"
 
 
 def run_tree(src, texts):
@@ -283,9 +350,9 @@ def mutate(text, rng):
 def inputs(old_src, mutants, seed):
     files = sorted((ROOT / "corpus").glob("*.gcl")) + sorted((ROOT / "tests" / "fixtures").glob("*.gcl"))
     base = [[p.name, p.read_text(encoding="utf-8")] for p in files]
-    base += [[name + ".woven", d[3][1]]
-             for (name, _), d in zip(base, map(json.loads, run_tree(old_src, base)))
-             if d[0] == "ok" and d[3][0] != "crash" and d[3][1]]
+    base += [[name + ".woven", r.checked[1]]
+             for (name, _), r in zip(base, results(run_tree(old_src, base)))
+             if r.head[0] == "ok" and r.checked[0] != "crash" and r.checked[1]]
     rng = random.Random(seed)
     out = list(base)
     for name, text in base:
@@ -305,32 +372,43 @@ def main(argv=None):
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))  # for the keywords mutate spares
     texts = inputs(args.old_src, args.mutants, args.seed)
-    # the two trees' results are compared as they arrive, one input at a
-    # time, and only the tallies and the differences are kept; equal JSON
-    # lines are equal results, decoded once
+    # the two trees' results are compared as they arrive, one grid case at
+    # a time, and only the tallies and the differences are kept; equal JSON
+    # lines are equal cases, never decoded
     outcomes, tally, found, shown = Counter(), Counter(), [], []
     both = ran = cases = vm_diffs = oracle_diffs = 0
-    for (name, text), line_a, line_b in zip(texts, run_tree(args.old_src, texts),
-                                            run_tree(args.new_src, texts), strict=True):
-        a = json.loads(line_a)
-        b = a if line_b == line_a else json.loads(line_b)
-        outcomes[outcome(a)] += 1
-        if a[0] == b[0] == "ok":
+    for (name, text), a, b in zip(texts, results(run_tree(args.old_src, texts)),
+                                  results(run_tree(args.new_src, texts)), strict=True):
+        grid = {"vm": [0, None], "oracle": [0, None]}
+        for line_a, line_b in zip_longest(a.cases(), b.cases()):
+            if line_a is None or line_b is None or line_a == line_b:
+                continue
+            for diff, x, y in zip(grid.values(), json.loads(line_a), json.loads(line_b)):
+                if x != y:
+                    diff[0] += 1
+                    diff[1] = diff[1] or x
+        outcomes[outcome(a.head)] += 1
+        if a.head[0] == b.head[0] == "ok":
             both += 1
-            if "crash" not in (a[3][0], b[3][0]) and a[3][2] and b[3][2]:
+            if "crash" not in (a.checked[0], b.checked[0]) and a.count and b.count:
                 ran += 1
-                cases += len(a[3][2])
-                vm_diffs += sum(x != y for x, y in zip(a[3][2], b[3][2]))
-                oracle_diffs += sum(x != y for x, y in zip(a[3][3], b[3][3]))
-        if a == b:
+                cases += a.count
+                vm_diffs += grid["vm"][0]
+                oracle_diffs += grid["oracle"][0]
+        if a.head[0] == b.head[0] == "ok":
+            same = a.head[1:3] == b.head[1:3] and a.checked == b.checked and (
+                a.checked[0] == "crash"
+                or (a.count == b.count and not grid["vm"][0] + grid["oracle"][0]))
+        else:
+            same = a.head == b.head
+        if same:
             continue
-        part, where = first_difference(a, b)
-        key = f"{outcome(a)} -> {outcome(b)}" + (f" ({part})" if part else "")
+        part, where = first_difference(a, b, grid)
+        key = f"{outcome(a.head)} -> {outcome(b.head)}" + (f" ({part})" if part else "")
         tally[key] += 1
         found.append(f"{name}: {key}" + (f" at {where}" if where else ""))
         if len(shown) < SHOWN:
-            shown.append(f"--- {name}\n{text}\nold: {json.dumps(a)[:300]}\n"
-                         f"new: {json.dumps(b)[:300]}")
+            shown.append(f"--- {name}\n{text}\nold: {a.prefix()}\nnew: {b.prefix()}")
     for line in found + shown:
         print(line)
     late = sum(outcomes[k] for k in LATE_ERRORS)

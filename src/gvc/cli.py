@@ -126,7 +126,7 @@ def cmd_verify(args):
 
 def cmd_weave(args):
     from .verifier import verify_program, program_digest
-    from .weaver import WeaveError, sidecar_json, weave
+    from .weaver import WeaveError, weave
 
     program = _load(args.path)
     report = verify_program(program)
@@ -147,10 +147,7 @@ def cmd_weave(args):
         raise SystemExit2(EXIT_STATIC, str(e))
     out = args.output or (str(args.path) + ".woven.gcl")
     _write(out, ip.to_text())
-    sidecar = args.sidecar or (out + ".sidecar.json")
-    _write(sidecar, sidecar_json(ip) + "\n")
-    n = sum(1 for v in ip.sidecar)
-    print(f"woven {n} residual check(s) -> {out} (sidecar {sidecar})")
+    print(f"woven {sum(len(m.residuals) for m in report.methods)} residual check(s) -> {out}")
     return EXIT_OK
 
 
@@ -196,8 +193,8 @@ def cmd_run(args):
             print(f"tx {i}: {_green('committed')} exec_gas={o.exec_gas} check_gas={o.check_gas}")
         else:
             where = ""
-            if o.detail.get("check_id"):
-                where = f" check {o.detail['check_id']}"
+            if cid := o.detail.get("check_id"):
+                where = f" check {cid} ({image.checks[cid]['kind']})"
             if o.detail.get("line"):
                 where += f" at line {o.detail['line']}"
             print(f"tx {i}: {_red('reverted')} {o.reason}{where} "
@@ -289,7 +286,6 @@ def build_parser():
     w.add_argument("--report", help="verification report JSON to validate against")
     w.add_argument("--auto", action="store_true", help="verify and weave in one step")
     w.add_argument("-o", "--output", help="woven output path")
-    w.add_argument("--sidecar", help="sidecar check-map output path")
     w.set_defaults(fn=cmd_weave)
 
     r = sub.add_parser("run", help="execute a transaction script on a woven program")

@@ -44,6 +44,10 @@ def call_charge(nest):
 
 RELOPS = ("==", "!=", "<=", "<", ">=", ">")
 
+# the kinds of obligation a woven check guards (verifier.Obligation.kind)
+OBLIGATION_KINDS = frozenset({"precondition", "postcondition", "loop-invariant",
+                              "underflow", "div-zero", "assert", "access"})
+
 
 class SourceLoc(NamedTuple):
     file: str = "<mem>"
@@ -219,10 +223,12 @@ class AssertStmt:
 @dataclass(frozen=True)
 class Check:
     """Woven run-time check; produced by the weaver (or read back from woven
-    source), never by parsing a plain program."""
+    source), never by parsing a plain program; its text `#! check <payload>
+    @id kind;` names the kind of obligation it guards."""
 
     check_id: str
     payload: Atom
+    obligation: str  # one of OBLIGATION_KINDS
     loc: SourceLoc = NOLOC
 
 
@@ -230,12 +236,13 @@ class Check:
 class BoundaryEntry:
     """One boundary row of a method.  A woven method's `exits` are its
     residuals checked at exit, written (and read back) as `#! exit atom
-    @id;` directives; the VM's table (weaver.build_boundary_table) adds the
-    spec's rows, at entry and at exit, without an id."""
+    @id kind;` directives; the VM's table (weaver.build_boundary_table) adds
+    the spec's rows, at entry and at exit, without an id or a kind."""
 
     kind: str  # "entry" | "exit"
     payload: Atom
     check_id: Optional[str] = None  # set iff this row realizes a residual
+    obligation: Optional[str] = None  # that residual's kind (OBLIGATION_KINDS)
 
 
 # ---------------------------------------------------------------------------

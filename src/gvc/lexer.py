@@ -19,7 +19,7 @@ from .lang import SourceError, SourceLoc
 KEYWORDS = {
     "contract", "extern", "method", "opaque", "if", "else", "while",
     "return", "call", "and", "or", "not", "uint64", "global", "predicate",
-    "requires", "ensures", "invariant", "assert", "check", "entry", "exit",
+    "requires", "ensures", "invariant", "assert", "check", "exit",
     "old", "result", "true",
 }
 

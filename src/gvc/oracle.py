@@ -356,8 +356,8 @@ class Oracle:
 
 def vm_site(outcome, sidecar):
     """Canonical obligation identity of a VM revert, for comparison with the
-    oracle's FirstViolation site: the sidecar record of a woven check id,
-    else the site kind and line the revert's detail names."""
+    oracle's FirstViolation site: the `sidecar` (weaver.check_map) record
+    of a woven check id, else the site kind and line the revert's detail names."""
     d = outcome.detail
     rec = sidecar.get(d.get("check_id"))
     if rec is not None:
@@ -393,29 +393,29 @@ def enumerate_equivalence(program: Program, woven, bound: int = 8,
             ledger.slots[cname].update(values)
         out = vm.exec_transaction(tx, gas_limit=None)
         judgment = oracle.judge(init, tx)
-        if not _agree(out, judgment, ledger, image.sidecar):
+        if not _agree(out, judgment, ledger, image.checks):
             disagreements.append({
                 "initial_state": init,
                 "method": f"{c.name}.{m.name}",
                 "args": list(tx.args),
-                "vm_outcome": _vm_desc(out, image.sidecar),
+                "vm_outcome": _vm_desc(out, image.checks),
                 "oracle_verdict": _oracle_desc(judgment),
             })
     return {"cases": cases, "disagreements": disagreements}
 
 
-def _agree(out, judgment, ledger, sidecar):
+def _agree(out, judgment, ledger, checks):
     if out.committed and judgment.held:
         return ledger.slots == judgment.storage
     if out.committed or judgment.held:
         return False
-    return vm_site(out, sidecar) == judgment.site
+    return vm_site(out, checks) == judgment.site
 
 
-def _vm_desc(out, sidecar):
+def _vm_desc(out, checks):
     d = out.as_dict()
     if not out.committed:
-        s = vm_site(out, sidecar)
+        s = vm_site(out, checks)
         d["site"] = {"kind": s.kind, "line": s.line}
     return d
 

@@ -2,8 +2,10 @@
 
 Parsing a plain program yields zero Check statements and no exit rows;
 woven source (with `#!` directives) round-trips through the same grammar,
-each `#! check <payload> @id;` becoming a Check statement and each
-`#! exit <payload> @id;` row a BoundaryEntry of its method's `exits`.
+each `#! check <payload> @id kind;` becoming a Check statement and each
+`#! exit <payload> @id kind;` row a BoundaryEntry of its method's `exits`.
+The kind (lang.OBLIGATION_KINDS) names the obligation the check guards; a
+directive without one is a ParseError at its tag.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from contextlib import contextmanager
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, BoundaryEntry, Call, Check, Cmp,
-    Contract, Formula, If, IntLit, Method, Name, NotOp, Old, PredUse,
-    Predicate, Program, QMark, RELOPS, Result, Return, SourceError, SourceLoc,
+    Contract, Formula, If, IntLit, Method, Name, NotOp, OBLIGATION_KINDS, Old,
+    PredUse, Predicate, Program, QMark, RELOPS, Result, Return, SourceError, SourceLoc,
     Spec, UNKNOWN_FORMULA, While, normalize_formula,
 )
 from .lexer import Token
@@ -168,10 +170,7 @@ class _Parser:
         while self.at("BANG") and self.peek(1).lexeme == "exit":
             self.next(); self.next()
             payload, _ = self.parse_formula_term()
-            self.expect_sym("@")
-            cid = self.expect_ident().lexeme
-            self.expect_sym(";")
-            exits.append(BoundaryEntry("exit", payload, cid))
+            exits.append(BoundaryEntry("exit", payload, *self.parse_tag()))
         opaque = False
         body = []
         if self.at_kw("opaque"):
@@ -229,10 +228,8 @@ class _Parser:
                 raise ParseError(marker.loc, "expected 'check' after '#!' in statement position")
             self.next(); self.next()
             payload, _ = self.parse_formula_term()
-            self.expect_sym("@")
-            cid = self.expect_ident().lexeme
-            self.expect_sym(";")
-            return Check(cid, payload, t.loc)
+            cid, kind = self.parse_tag()
+            return Check(cid, payload, kind, t.loc)
         if t.kind == "KW" and t.lexeme == "if":
             self.next()
             cond, _ = self.parse_cond()
@@ -285,6 +282,21 @@ class _Parser:
             self.expect_sym(";")
             return Assign(target, expr, t.loc)
         raise ParseError(t.loc, f"expected statement, found {t.lexeme or t.kind!r}")
+
+    def parse_tag(self):
+        """`@id kind;` ending a `#!` directive: the check's id and the kind
+        of obligation it guards, a word or two joined by '-'."""
+        at = self.expect_sym("@")
+        cid = self.expect_ident().lexeme
+        t = self.peek()
+        words = [self.next().lexeme] if t.kind in ("IDENT", "KW") else []
+        if words and self.at("SYM", "-") and self.peek(1).kind in ("IDENT", "KW"):
+            words += [self.next().lexeme, self.next().lexeme]
+        kind = "".join(words)
+        if kind not in OBLIGATION_KINDS:
+            raise ParseError(at.loc, f"expected an obligation kind after @{cid}, found {kind or t.lexeme or t.kind!r}")
+        self.expect_sym(";")
+        return cid, kind
 
     def parse_call_tail(self):
         contract = self.expect_ident().lexeme

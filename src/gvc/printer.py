@@ -2,8 +2,9 @@
 
 Printing then re-parsing yields a structurally identical program, and the
 printed form is a fixed point: printing the re-parse reproduces it byte for
-byte.  Woven check statements render as `#! check <payload> @id;` and a
-method's boundary rows as `#! exit <payload> @id;`.
+byte.  Woven check statements render as `#! check <payload> @id kind;` and
+a method's boundary rows as `#! exit <payload> @id kind;`, the kind naming
+the obligation each guards.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ def pretty_print(program) -> str:
             out.append(f"    #@ requires {fmt_formula(m.spec.requires)};")
             out.append(f"    #@ ensures {fmt_formula(m.spec.ensures)};")
             for e in m.exits:
-                out.append(f"    #! {e.kind} {fmt_atom(e.payload)} @{e.check_id};")
+                out.append(f"    #! {e.kind} {fmt_atom(e.payload)} @{e.check_id} {e.obligation};")
             if m.opaque:
                 out.append("    opaque;")
             else:
@@ -122,6 +123,6 @@ def _print_block(out, body, depth):
         elif isinstance(s, AssertStmt):
             out.append(f"{pad}#@ assert {fmt_formula(s.formula)};")
         elif isinstance(s, Check):
-            out.append(f"{pad}#! check {fmt_atom(s.payload)} @{s.check_id};")
+            out.append(f"{pad}#! check {fmt_atom(s.payload)} @{s.check_id} {s.obligation};")
         else:
             raise TypeError(f"not a statement: {s!r}")

@@ -44,7 +44,7 @@ from .frontend import infer_types, resolve
 from .parser import parse_program
 from .lexer import lex
 from .printer import fmt_atom
-from .weaver import InstrumentedProgram, build_boundary_table
+from .weaver import InstrumentedProgram, build_boundary_table, check_map
 
 CHECK_FAILURE = "CheckFailure"
 OWNERSHIP_FAILURE = "OwnershipFailure"
@@ -216,9 +216,11 @@ class Frame:
 
 @dataclass
 class VmImage:
+    """A loaded program.  Its check map derives from the program it runs, so
+    a woven program blames a failed check alike in memory and re-loaded."""
+
     program: Program  # combined, resolved, with woven checks
-    boundary: dict  # (contract, method) -> [BoundaryEntry]
-    sidecar: dict
+    checks: dict  # weaver.check_map(program): id -> {line, kind, payload}
     unverified: frozenset  # contract names
     code: dict  # (contract, method) -> MethodCode
 
@@ -287,18 +289,17 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     its body and the payloads of its rows and woven checks compiled, and
     each contract's predicate bodies once."""
     if isinstance(ip, InstrumentedProgram):
-        program, sidecar = ip.program, dict(ip.sidecar)
+        program = ip.program
     else:
-        program, sidecar = ip[0] if isinstance(ip, tuple) else ip, {}
+        program = ip[0] if isinstance(ip, tuple) else ip
     combined, unverified = merge_adversaries(program, adversaries)
-    tables, code = {}, {}
+    code = {}
     for c in combined.contracts:
         predicates = _predicates(c)
         for m in c.methods:
-            table = build_boundary_table(c, m)
-            tables[(c.name, m.name)] = table
-            code[(c.name, m.name)] = MethodCode(c, m, table, c.name not in unverified, predicates)
-    return VmImage(combined, tables, sidecar, frozenset(unverified), code)
+            code[(c.name, m.name)] = MethodCode(c, m, build_boundary_table(c, m),
+                                                c.name not in unverified, predicates)
+    return VmImage(combined, check_map(combined), frozenset(unverified), code)
 
 
 def transaction_grid(program: Program, bound: int):

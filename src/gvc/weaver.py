@@ -2,19 +2,20 @@
 
 Before-statement residuals become `check` statements immediately preceding
 their statement; at-exit residuals become the method's `exits` rows, in
-report order, which the woven text carries as `#! exit <payload> @id;`
-directives.  `build_boundary_table` merges those rows, when a program is
-loaded into the VM, with the spec-derived rows (precise precondition atoms
-at entry, precise postcondition atoms at exit) that protect verified
-methods from callers in other contracts.
+report order, which the woven text carries as `#! exit <payload> @id kind;`
+directives.  `check_map` derives from the woven program alone where each
+check's failure is blamed.  `build_boundary_table` merges the exit rows,
+when a program is loaded into the VM, with the spec-derived rows (precise
+precondition atoms at entry, precise postcondition atoms at exit) that
+protect verified methods from callers in other contracts.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .lang import Acc, BoundaryEntry, Check, Program, exit_row_map, map_blocks, stmts_recursive
+from .lang import Acc, BoundaryEntry, Check, If, Program, While, exit_row_map, map_blocks, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
@@ -26,7 +27,10 @@ class WeaveError(Exception):
 @dataclass
 class InstrumentedProgram:
     program: Program  # with woven Check statements and exit rows
-    sidecar: dict = field(default_factory=dict)  # id -> {line, kind, payload}
+
+    @cached_property
+    def sidecar(self):  # the program's check_map, a view kept for `bench/`
+        return check_map(self.program)
 
     @property
     def boundary(self):
@@ -53,7 +57,7 @@ def build_boundary_table(contract, method):
         for i, e in enumerate(entries):
             if (e.kind == r.kind and e.check_id is None
                     and fmt_atom(e.payload) == fmt_atom(r.payload)):
-                entries[i] = replace(e, check_id=r.check_id)
+                entries[i] = replace(e, check_id=r.check_id, obligation=r.obligation)
                 break
         else:
             entries.append(r)
@@ -72,7 +76,6 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
         if r.id in woven:
             raise WeaveError(f"refusing to weave: check id {r.id} is already woven into the program")
 
-    sidecar = {}
     contracts = []
     for c in program.contracts:
         methods = []
@@ -82,17 +85,12 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
             exits = list(m.exits)
             if mrep is not None:
                 for r in mrep.residuals:
-                    sidecar[r.id] = {
-                        "line": r.obligation.loc.line,
-                        "kind": r.obligation.kind,
-                        "payload": r.payload_text,
-                    }
+                    ob = r.obligation
                     if r.insertion.kind == "before":
                         key = (r.insertion.block_path, r.insertion.index)
-                        inserts.setdefault(key, []).append(
-                            Check(r.id, r.obligation.atom, r.obligation.loc))
+                        inserts.setdefault(key, []).append(Check(r.id, ob.atom, ob.kind, ob.loc))
                     else:
-                        exits.append(BoundaryEntry(r.insertion.kind, r.obligation.atom, r.id))
+                        exits.append(BoundaryEntry(r.insertion.kind, ob.atom, r.id, ob.kind))
 
             def insert_checks(path, stmts):
                 out = []
@@ -104,7 +102,36 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
 
             methods.append(replace(m, body=map_blocks(m.body, insert_checks), exits=tuple(exits)))
         contracts.append(replace(c, methods=tuple(methods)))
-    return InstrumentedProgram(Program(tuple(contracts)), sidecar)
+    return InstrumentedProgram(Program(tuple(contracts)))
+
+
+def check_map(program: Program) -> dict:
+    """{id: {line, kind, payload}} for every woven check and exit row: the
+    one rule for where a check's failure is blamed, at the line of the
+    obligation it guards.  An exit row guards its method's ensures."""
+    guarded = []  # (line, check or exit row)
+    for c in program.contracts:
+        for m in c.methods:
+            guarded += [(m.spec.ensures.loc.line, r) for r in m.exits]
+            _guard(m.body, m.loc.line, guarded)
+    return {x.check_id: {"line": line, "kind": x.obligation, "payload": fmt_atom(x.payload)}
+            for line, x in guarded}
+
+
+def _guard(block, line, guarded):
+    """A check guards the next statement of its block that is not a check,
+    or else `line`, the statement holding the block (a `while` re-checking
+    its invariant at the end of its body)."""
+    for s in reversed(block):
+        if isinstance(s, Check):
+            guarded.append((line, s))
+            continue
+        line = s.loc.line
+        if isinstance(s, If):
+            _guard(s.then, line, guarded)
+            _guard(s.orelse, line, guarded)
+        elif isinstance(s, While):
+            _guard(s.body, line, guarded)
 
 
 def strip(ip) -> Program:
@@ -128,7 +155,3 @@ def count_woven_checks(program: Program) -> int:
         for m in c.methods:
             n += sum(1 for _, s in stmts_recursive(m.body) if isinstance(s, Check))
     return n
-
-
-def sidecar_json(ip: InstrumentedProgram) -> str:
-    return json.dumps(ip.sidecar, indent=2, sort_keys=True)

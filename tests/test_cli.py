@@ -14,7 +14,7 @@ from gvc.cli import (
     DEFAULT_GAS_LIMIT, EXIT_DISAGREEMENT, EXIT_OK, EXIT_REVERTED, EXIT_STATIC,
     EXIT_USAGE, main,
 )
-from gvc.frontend import load_file
+from gvc.frontend import corpus_files, load_file
 from gvc.lang import UINT_MAX
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
@@ -171,7 +171,7 @@ class TestVerify:
         (one_method("    #@ assert k >= 1;\n    k := x;\n"), "7:15"),
         (one_method("    #@ assert p(k);\n    k := x;\n", decls="  #@ predicate p(n) = n >= 1;\n"),
          "8:17"),
-        (one_method("    #! check k >= 1 @c0;\n    k := x;\n"), "7:14"),
+        (one_method("    #! check k >= 1 @c0 assert;\n    k := x;\n"), "7:14"),
     ], ids=["invariant", "invariant-no-residual", "assert", "assert-predicate", "check"])
     def test_spec_atom_reads_a_local_before_assignment(self, tmp_path, capsys, src, message):
         path = tmp_path / "unbound.gcl"
@@ -292,9 +292,10 @@ class TestWeave:
         out = tmp_path / "sell.woven.gcl"
         code = main(["weave", SELL, "--auto", "-o", str(out)])
         assert code == EXIT_OK
-        assert "#! check scratch >= quantity @c0;" in out.read_text()
-        sidecar = json.loads((tmp_path / "sell.woven.gcl.sidecar.json").read_text())
-        assert sidecar["c0"]["kind"] == "underflow"
+        # the woven text is the one file written, and each check names its kind
+        assert "#! check scratch >= quantity @c0 underflow;" in out.read_text()
+        assert [p.name for p in tmp_path.iterdir()] == ["sell.woven.gcl"]
+        assert capsys.readouterr().out == f"woven 1 residual check(s) -> {out}\n"
 
     def test_two_step_with_report(self, tmp_path, capsys):
         rep = tmp_path / "report.json"
@@ -343,7 +344,7 @@ class TestWeave:
         # residual, numbered c0 like the woven check on `qty`
         woven = tmp_path / "w.gcl"
         assert main(["weave", str(CORPUS / "quote.gcl"), "--auto", "-o", str(woven)]) == EXIT_OK
-        woven.write_text(woven.read_text().replace("    #! check unit <= 100 @c1;\n", ""))
+        woven.write_text(woven.read_text().replace("    #! check unit <= 100 @c1 precondition;\n", ""))
         capsys.readouterr()
         code = main(["weave", str(woven), "--auto", "-o", str(tmp_path / "w2.gcl")])
         assert code == EXIT_STATIC
@@ -378,7 +379,7 @@ class TestRun:
         code = main(["run", woven, "--txs", str(txs),
                      "--ledger", self._ledger(tmp_path, {"Counter": {"Count": 10}})])
         assert code == EXIT_REVERTED
-        assert "reverted CheckFailure check c0 at line 7" in capsys.readouterr().out
+        assert "reverted CheckFailure check c0 (underflow) at line 7" in capsys.readouterr().out
 
     def test_gas_limit(self, tmp_path, capsys):
         woven = self._woven(tmp_path)
@@ -436,8 +437,8 @@ class TestRun:
         assert "old.gcl:8:12: old(...) is only allowed in ensures" in capsys.readouterr().out
 
     @pytest.mark.parametrize("body, message", [
-        ("    #! check old(G) <= 5 @c0;\n    return x;\n", "old(...) is only allowed in ensures"),
-        ("    #! check result <= 5 @c0;\n    return x;\n", "result is only allowed in ensures"),
+        ("    #! check old(G) <= 5 @c0 assert;\n    return x;\n", "old(...) is only allowed in ensures"),
+        ("    #! check result <= 5 @c0 assert;\n    return x;\n", "result is only allowed in ensures"),
     ], ids=["old", "result"])
     def test_spec_marker_in_a_check_is_a_static_error(self, tmp_path, capsys, body, message):
         src = tmp_path / "chk.gcl"
@@ -449,12 +450,20 @@ class TestRun:
         assert f"chk.gcl:7:14: {message}" in out and "Traceback" not in out
 
     @pytest.mark.parametrize("row, message", [
-        ("exit nope(1) @c0", "6:13: unknown predicate 'nope'"),
-        ("exit Zq >= 1 @c0", "6:13: unresolved name 'Zq' in specification"),
-        # a woven text holds `#! exit` rows only, each tagged with its id
-        ("entry old(Count) >= 1 @c0", "6:8: expected 'check' after '#!' in statement position"),
+        ("exit nope(1) @c0 postcondition", "6:13: unknown predicate 'nope'"),
+        ("exit Zq >= 1 @c0 postcondition", "6:13: unresolved name 'Zq' in specification"),
+        # a woven text holds `#! exit` rows only, each tagged with its id and
+        # the kind of obligation it guards
+        ("entry old(Count) >= 1 @c0 postcondition",
+         "6:8: expected 'check' after '#!' in statement position"),
         ("exit Count >= 1", "6:23: expected '@'"),
-    ], ids=["unknown-predicate", "unbound-name", "old-at-entry", "untagged"])
+        ("exit Count >= 1 @c1", "6:24: expected an obligation kind after @c1, found ';'"),
+        ("check Count >= 1 @c1", "6:25: expected an obligation kind after @c1, found ';'"),
+        ("exit Count >= 1 @c1 overflow", "6:24: expected an obligation kind after @c1, found 'overflow'"),
+        ("check Count >= 1 @c1 loop invariant",
+         "6:25: expected an obligation kind after @c1, found 'loop'"),
+    ], ids=["unknown-predicate", "unbound-name", "old-at-entry", "untagged", "exit-without-kind",
+            "check-without-kind", "unknown-kind", "kind-without-dash"])
     def test_bad_boundary_row_is_a_static_error(self, tmp_path, capsys, row, message):
         woven = Path(self._woven(tmp_path))
         lines = woven.read_text().splitlines(keepends=True)
@@ -487,7 +496,7 @@ class TestRun:
          "cannot load program: adversary source defines contract Attacker twice"),
         # an adversary's rows arrive on its method, which runs as an extern one
         ("contract Attacker:\n  method notify(amount: uint64):\n"
-         "    #! exit amount >= 1 @c9;\n    x := amount;\n",
+         "    #! exit amount >= 1 @c9 postcondition;\n    x := amount;\n",
          "cannot load program: <adversary Attacker>:3:13: "
          "extern method Attacker.notify may not carry `#! exit` rows"),
     ], ids=["no-path", "lacks-method", "unknown-callee", "declared-twice", "exit-row"])
@@ -586,6 +595,18 @@ class TestCorpus:
         out = capsys.readouterr().out
         assert "sell.gcl: ok" in out and "bank.gcl: ok" in out
 
+    def test_woven_outputs_pass_as_their_sources_do(self, tmp_path, capsys):
+        # each woven check names the obligation it guards, so the VM on a
+        # re-loaded woven text blames the site the oracle judges in that text
+        for path in corpus_files(CORPUS):
+            assert main(["weave", str(path), "--auto", "-o", str(tmp_path / path.name)]) == EXIT_OK
+        shutil.copy(CORPUS / "bank.adversary.gcl", tmp_path / "bank.adversary.gcl")
+        capsys.readouterr()
+        assert main(["corpus", str(CORPUS)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["corpus", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
     def test_runs_as_a_module(self, tmp_path):
         # `python -m gvc` runs the CLI from a checkout without an install
         shutil.copy(CORPUS / "sell.gcl", tmp_path / "sell.gcl")
@@ -605,7 +626,7 @@ class TestCorpus:
         # sell's one residual is numbered c0, which a hand-woven check holds
         text = (CORPUS / "sell.gcl").read_text(encoding="utf-8")
         (tmp_path / "sell.gcl").write_text(text.replace(
-            "    scratch := Count;\n", "    #! check quantity >= 0 @c0;\n    scratch := Count;\n"))
+            "    scratch := Count;\n", "    #! check quantity >= 0 @c0 assert;\n    scratch := Count;\n"))
         assert main(["corpus", str(tmp_path)]) == EXIT_STATIC
         assert capsys.readouterr().out.startswith(
             "sell.gcl: static-error refusing to weave: check id c0 is already woven into the program\n")
@@ -775,8 +796,8 @@ def test_cli_reports_unreadable_source_without_traceback(tmp_path):
     assert "Traceback" not in run.stderr and run.stdout.startswith(f"cannot read {bad}:")
 
 
-@pytest.mark.parametrize("case", ["verify-report", "weave-output", "weave-sidecar",
-                                  "run-gas-report", "weave-report-not-an-object"])
+@pytest.mark.parametrize("case", ["verify-report", "weave-output", "run-gas-report",
+                                  "weave-report-not-an-object"])
 def test_unwritable_output_or_bad_report_is_a_usage_error(tmp_path, capsys, case):
     # every file gvc writes goes through one helper: a path it cannot write
     # is exit 1 with "cannot write PATH", no traceback
@@ -788,8 +809,6 @@ def test_unwritable_output_or_bad_report_is_a_usage_error(tmp_path, capsys, case
     argv, message = {
         "verify-report": (["verify", SELL, "--report", str(bad)], cannot_write),
         "weave-output": (["weave", SELL, "--auto", "-o", str(bad)], cannot_write),
-        "weave-sidecar": (["weave", SELL, "--auto", "-o", woven, "--sidecar", str(bad)],
-                          cannot_write),
         # the transactions have run and printed when the write fails; the
         # command still exits 1
         "run-gas-report": (["run", SELL, "--txs", str(CORPUS / "sell.txs.jsonl"),

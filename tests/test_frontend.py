@@ -99,12 +99,12 @@ class TestParser:
             "  method m():\n"
             "    #@ requires ? and acc(G);\n"
             "    #@ ensures ?;\n"
-            "    #! exit G >= 1 @c3;\n"
+            "    #! exit G >= 1 @c3 postcondition;\n"
             "    G := 1;\n"
         )
         program, _ = load_source(src, "t.gcl")
         [entry] = program.contract("C").method("m").exits
-        assert entry.kind == "exit" and entry.check_id == "c3"
+        assert (entry.kind, entry.check_id, entry.obligation) == ("exit", "c3", "postcondition")
 
     def test_parse_error_has_location(self):
         with pytest.raises(ParseError):
@@ -169,8 +169,8 @@ LITERAL_SITES = (
     "  method m(x: uint64) -> uint64:\n"
     "    #@ requires acc(G) and G <= {requires};\n"
     "    #@ ensures acc(G) and G <= {ensures};\n"
-    "    #! exit G <= {exit} @c0;\n"
-    "    #! check x <= {check} @c1;\n"
+    "    #! exit G <= {exit} @c0 postcondition;\n"
+    "    #! check x <= {check} @c1 precondition;\n"
     "    y := x + {assign};\n"
     "    call C.n({call});\n"
     "    if x < {if}:\n"
@@ -212,7 +212,7 @@ class TestLiteralRange:
 def test_spec_marker_in_a_check_payload_is_rejected(payload, message):
     src = ("contract C:\n  #@ global G;\n  method m(x: uint64) -> uint64:\n"
            "    #@ requires acc(G);\n    #@ ensures ?;\n"
-           f"    #! check {payload} @c0;\n    return x;\n")
+           f"    #! check {payload} @c0 assert;\n    return x;\n")
     with pytest.raises(WellFormednessError) as e:
         load_source(src, "t.gcl")
     assert str(e.value) == f"t.gcl:6:14: {message}"
@@ -220,17 +220,18 @@ def test_spec_marker_in_a_check_payload_is_rejected(payload, message):
 
 def test_exit_row_on_an_extern_method_is_rejected():
     src = ("contract C:\n  method m():\n    #@ requires ?;\n    #@ ensures ?;\n    call Feed.ping();\n"
-           "extern contract Feed:\n  method ping():\n    #! exit 1 <= 2 @c0;\n    opaque;\n")
+           "extern contract Feed:\n  method ping():\n    #! exit 1 <= 2 @c0 postcondition;\n    opaque;\n")
     with pytest.raises(WellFormednessError) as e:
         load_source(src, "t.gcl")
     assert str(e.value) == "t.gcl:8:13: extern method Feed.ping may not carry `#! exit` rows"
 
 
-@pytest.mark.parametrize("first", ["check", "exit"])
-def test_one_id_names_one_woven_check(first):
+@pytest.mark.parametrize("first, kind", [("check", "assert"), ("exit", "postcondition")],
+                         ids=["check", "exit"])
+def test_one_id_names_one_woven_check(first, kind):
     src = ("contract C:\n  #@ global G;\n  method m():\n    #@ requires acc(G);\n"
-           f"    #@ ensures acc(G);\n    #! {first} G >= 1 @c0;\n    G := 1;\n"
-           "    #! check G >= 2 @c0;\n    G := 2;\n")
+           f"    #@ ensures acc(G);\n    #! {first} G >= 1 @c0 {kind};\n    G := 1;\n"
+           "    #! check G >= 2 @c0 assert;\n    G := 2;\n")
     with pytest.raises(WellFormednessError) as e:
         load_source(src, "t.gcl")
     assert str(e.value) == "t.gcl:8:5: check id c0 is woven twice"

@@ -2,7 +2,7 @@
 byte for byte.
 
 For each program under corpus/ the golden file holds the verification
-report, the woven text and its sidecar, the boundary rows of every method
+report, the woven text and its check map, the boundary rows of every method
 (as woven, and as loaded into the VM from the woven program and from its
 re-parsed text), the VM outcome and final ledger at every point of the
 bound-2 grid, and the label and report of every erosion.  A refactoring that
@@ -28,7 +28,7 @@ from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_sourc
 from gvc.printer import fmt_atom
 from gvc.verifier import verify_program
 from gvc.vm import Ledger, Vm, load_program, transaction_grid
-from gvc.weaver import sidecar_json, weave
+from gvc.weaver import build_boundary_table, weave
 
 from conftest import CORPUS
 
@@ -39,6 +39,12 @@ GRID_BOUND = 2
 def _rows(boundary):
     return {f"{c}.{m}": [[e.kind, fmt_atom(e.payload), e.check_id] for e in rows]
             for (c, m), rows in sorted(boundary.items())}
+
+
+def _tables(image):
+    """The boundary table the VM builds for each method of a loaded image."""
+    return {(c.name, m.name): build_boundary_table(c, m)
+            for c in image.program.contracts for m in c.methods}
 
 
 def _grid(program, image):
@@ -64,11 +70,11 @@ def golden_blob(path):
         image = load_program(ip, adversaries)
         doc.update({
             "woven": text,
-            "sidecar": sidecar_json(ip),
+            "sidecar": json.dumps(ip.sidecar, indent=2, sort_keys=True),
             "boundary": _rows(ip.boundary),
-            "vm_boundary": _rows(image.boundary),
-            "reloaded_boundary": _rows(load_program(
-                load_source(text, path.name + ".woven"), adversaries).boundary),
+            "vm_boundary": _rows(_tables(image)),
+            "reloaded_boundary": _rows(_tables(load_program(
+                load_source(text, path.name + ".woven"), adversaries))),
             "grid": _grid(program, image),
         })
     doc["erosions"] = [{"label": e.label, "report": verify_program(e.program).as_dict()}

@@ -162,7 +162,7 @@ class TestForeignCalls:
         assert out.reason == CHECK_FAILURE
         assert out.detail["kind"] == "precondition" and out.detail["line"] == 12
         judgment = Oracle(program).judge({"Vault": {"Count": 0}}, tx("Shop", "buy"))
-        assert vm_site(out, image.sidecar) == judgment.site == Site("precondition", 12)
+        assert vm_site(out, image.checks) == judgment.site == Site("precondition", 12)
         assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
 
 

@@ -364,7 +364,7 @@ SPEC_SHAPES = {
     "non-recursive": (
         SHAPE.format(preds="  #@ predicate small(n) = n <= 3;\n", req="small(x)"),
         [((2,), 1, 3, None), ((5,), 0, 2, pre("small(x)", 5))]),
-    # the assert's residual is woven as `#! check x / y >= 1 @c0;`
+    # the assert's residual is woven as `#! check x / y >= 1 @c0 assert;`
     "check-div-zero": (
         "contract C:\n  #@ global G;\n  method m(x: uint64, y: uint64):\n"
         "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G);\n"
@@ -382,7 +382,7 @@ SPEC_SHAPES = {
         "contract C:\n  method m(x: uint64):\n    #@ requires ? and x <= 5;\n"
         "    #@ ensures ?;\n    #@ assert x <= 5;\n",
         [((3,), 0, 1, None), ((7,), 0, 1, pre("x <= 5", 3))]),
-    # the write's residual is woven as `#! check acc(G) @c0;`
+    # the write's residual is woven as `#! check acc(G) @c0 access;`
     "check-acc": (
         "contract C:\n  #@ global G;\n  method m(x: uint64):\n    #@ requires ?;\n"
         "    #@ ensures ?;\n    G := x;\n",

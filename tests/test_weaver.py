@@ -1,6 +1,4 @@
-"""Check weaving: instrumented text, stripping, sidecar, boundary tables."""
-
-import json
+"""Check weaving: instrumented text, stripping, check maps, boundary tables."""
 
 import pytest
 
@@ -10,37 +8,46 @@ from gvc.printer import fmt_atom, pretty_print
 from gvc.verifier import verify_program
 from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program
 from gvc.weaver import (
-    WeaveError, count_woven_checks, sidecar_json, strip, weave,
+    WeaveError, build_boundary_table, check_map, count_woven_checks, strip, weave,
 )
 
 from conftest import CORPUS, FIXTURES
 
 
+def _table(image, contract, method):
+    """The boundary table the VM builds for one method of a loaded image."""
+    c = image.program.contract(contract)
+    return build_boundary_table(c, c.method(method))
+
+
 class TestSellWoven:
     def test_check_statement_in_text(self, sell_woven):
-        assert "#! check scratch >= quantity @c0;" in sell_woven.to_text()
+        assert "#! check scratch >= quantity @c0 underflow;" in sell_woven.to_text()
 
     def test_check_precedes_global_write(self, sell_woven):
         lines = [l.strip() for l in sell_woven.to_text().splitlines()]
-        chk = lines.index("#! check scratch >= quantity @c0;")
+        chk = lines.index("#! check scratch >= quantity @c0 underflow;")
         assert lines[chk + 1].startswith("Count :=")
 
     def test_one_check_total(self, sell_woven):
         assert count_woven_checks(sell_woven.program) == 1
 
     def test_sidecar_contents(self, sell_woven):
-        assert sell_woven.sidecar == {
+        assert sell_woven.sidecar == check_map(sell_woven.program) == {
             "c0": {"line": 7, "kind": "underflow", "payload": "scratch >= quantity"},
         }
-        doc = json.loads(sidecar_json(sell_woven))
-        assert doc == sell_woven.sidecar
+        # re-loaded, the check blames the line its statement moved to
+        reloaded, _ = load_source(sell_woven.to_text(), "sell.woven.gcl")
+        assert check_map(reloaded) == {
+            "c0": {"line": 8, "kind": "underflow", "payload": "scratch >= quantity"},
+        }
 
     def test_boundary_table_from_spec(self, sell_woven):
         # the woven program carries no rows; the VM's table holds the
         # requires comparison at entry and the precise ensures at exit, and
         # the requires acc is settled by ownership
         assert sell_woven.boundary == {}
-        entries = load_program(sell_woven).boundary[("Counter", "sell")]
+        entries = _table(load_program(sell_woven), "Counter", "sell")
         assert [e.kind for e in entries] == ["entry", "exit"]
         assert all(e.check_id is None for e in entries)
 
@@ -94,6 +101,17 @@ def test_woven_text_reverifies_clean_and_reweaves_to_itself(path):
         assert weave(woven, again).to_text() == text, name
 
 
+def test_check_map_blames_each_residuals_obligation():
+    # the map a woven program derives from where its checks stand is the
+    # line, kind and payload of the obligation each residual guards
+    for path in corpus_files(CORPUS):
+        for name, program, report in _verified_variants(path):
+            derived = {cid: (rec["line"], rec["kind"], rec["payload"])
+                       for cid, rec in check_map(weave(program, report).program).items()}
+            assert derived == {r.id: (r.obligation.loc.line, r.obligation.kind, r.payload_text)
+                               for r in report.all_residuals()}, name
+
+
 def test_woven_text_reloads_with_boundary(sell_woven):
     # check statements survive a text round trip
     program, _ = load_source(sell_woven.to_text(), "sell.woven.gcl")
@@ -124,7 +142,7 @@ def test_exit_residual_lands_in_boundary_table():
     program, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(program, verify_program(program))
     [row] = ip.boundary[("Gate", "set")]
-    entries = load_program(ip).boundary[("Gate", "set")]
+    entries = _table(load_program(ip), "Gate", "set")
     residual_rows = [e for e in entries if e.check_id is not None]
     assert residual_rows == [row] and row.kind == "exit"
     # residual merged into the spec row, not duplicated
@@ -136,11 +154,11 @@ def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
     # the table appends it after the spec rows, and the VM checks it
     program, _ = load_file(CORPUS / "branching.gcl")
     text = weave(program, verify_program(program)).to_text()
-    text = text.replace("    #! exit Level >= 1 @c0;\n",
-                        "    #! exit Level >= 1 @c0;\n    #! exit Level <= 5 @c1;\n")
+    row = "    #! exit Level >= 1 @c0 postcondition;\n"
+    text = text.replace(row, row + "    #! exit Level <= 5 @c1 postcondition;\n")
     image = load_program(load_source(text, "branching.woven.gcl"))
     assert [(e.kind, fmt_atom(e.payload), e.check_id)
-            for e in image.boundary[("Gate", "set")]] == [
+            for e in _table(image, "Gate", "set")] == [
         ("exit", "Level <= 10", None), ("exit", "Level >= 1", "c0"),
         ("exit", "Level <= 5", "c1")]
     vm = Vm(image, Ledger(image.program))
