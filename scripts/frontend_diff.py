@@ -18,8 +18,11 @@ g > 0 gas run again under a limit of g - 1, so a GasExhausted that moved
 by one statement shows, and judged on the source program within
 ORACLE_STEPS statements.  The inputs are every `.gcl` file under
 `corpus/` and `tests/fixtures/`, the woven text of each one that verifies
-(so `#! check` and `#! exit` lines are covered), and seeded mutations of
-all of them, plus the n-if programs for n = 1..10.  The mutations rename, drop and
+in both trees (so `#! check` and `#! exit` lines are covered), and seeded
+mutations of all of them, plus the n-if programs for n = 1..10.  Each tree
+weaves the base files itself and runs on its own woven texts and their
+mutants, paired with the other's by name, so a change to the woven text
+keeps those inputs compared.  The mutations rename, drop and
 duplicate names, lines and arguments, so that many inputs end in a
 resolution, inference or well-formedness error rather than a parse error:
 a name edit never replaces or wraps a keyword.
@@ -347,20 +350,33 @@ def mutate(text, rng):
     return text
 
 
-def inputs(old_src, mutants, seed):
+def woven(r):
+    """The woven text of a Result, or None."""
+    return r.checked[1] if r.head[0] == "ok" and r.checked[0] != "crash" else None
+
+
+def inputs(old_src, new_src, mutants, seed):
+    """The inputs of each tree, [name, text] in the same order and by the
+    same names: the base files, the woven text of each base file that
+    both trees weave, each tree's own, the mutants of each of those, drawn
+    from one seeded generator per tree, and the n-if programs.  A tree's
+    mutants match the other's while their texts do."""
     files = sorted((ROOT / "corpus").glob("*.gcl")) + sorted((ROOT / "tests" / "fixtures").glob("*.gcl"))
     base = [[p.name, p.read_text(encoding="utf-8")] for p in files]
-    base += [[name + ".woven", r.checked[1]]
-             for (name, _), r in zip(base, results(run_tree(old_src, base)))
-             if r.head[0] == "ok" and r.checked[0] != "crash" and r.checked[1]]
-    rng = random.Random(seed)
-    out = list(base)
-    for name, text in base:
-        out += [[f"{name}#{k}", mutate(text, rng)] for k in range(mutants)]
+    weaves = [(name + ".woven", woven(a), woven(b)) for (name, _), a, b in
+              zip(base, results(run_tree(old_src, base)), results(run_tree(new_src, base)))]
     sys.path.insert(0, str(ROOT / "tests"))
     from conftest import nif_source
 
-    return out + [[f"nif{n}", nif_source(n)] for n in range(1, 11)]
+    trees = []
+    for i in (0, 1):
+        own = base + [[name, texts[i]] for name, *texts in weaves if all(texts)]
+        rng = random.Random(seed)
+        out = list(own)
+        for name, text in own:
+            out += [[f"{name}#{k}", mutate(text, rng)] for k in range(mutants)]
+        trees.append(out + [[f"nif{n}", nif_source(n)] for n in range(1, 11)])
+    return trees
 
 
 def main(argv=None):
@@ -371,14 +387,15 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))  # for the keywords mutate spares
-    texts = inputs(args.old_src, args.mutants, args.seed)
+    old_texts, new_texts = inputs(args.old_src, args.new_src, args.mutants, args.seed)
     # the two trees' results are compared as they arrive, one grid case at
     # a time, and only the tallies and the differences are kept; equal JSON
     # lines are equal cases, never decoded
     outcomes, tally, found, shown = Counter(), Counter(), [], []
     both = ran = cases = vm_diffs = oracle_diffs = 0
-    for (name, text), a, b in zip(texts, results(run_tree(args.old_src, texts)),
-                                  results(run_tree(args.new_src, texts)), strict=True):
+    for (name, text), (_, new_text), a, b in zip(
+            old_texts, new_texts, results(run_tree(args.old_src, old_texts)),
+            results(run_tree(args.new_src, new_texts)), strict=True):
         grid = {"vm": [0, None], "oracle": [0, None]}
         for line_a, line_b in zip_longest(a.cases(), b.cases()):
             if line_a is None or line_b is None or line_a == line_b:
@@ -408,11 +425,13 @@ def main(argv=None):
         tally[key] += 1
         found.append(f"{name}: {key}" + (f" at {where}" if where else ""))
         if len(shown) < SHOWN:
+            if new_text != text:
+                text += f"\n--- {name} in the new tree\n{new_text}"
             shown.append(f"--- {name}\n{text}\nold: {a.prefix()}\nnew: {b.prefix()}")
     for line in found + shown:
         print(line)
     late = sum(outcomes[k] for k in LATE_ERRORS)
-    print(f"{len(texts)} input(s): {dict(sorted(outcomes.items()))}; "
+    print(f"{len(old_texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
     print(f"{ran} input(s) verify in both trees; their VM outcomes and oracle "

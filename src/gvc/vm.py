@@ -6,7 +6,8 @@ contracts, woven run-time checks, gas metering, and rollback of every write
 on any failure.
 
 `load_program` compiles everything once, through one emitter: each block
-of a method body, the payload of each woven check and boundary row, and
+of a method body, each method's call protocol (an entry and an exit
+function, which evaluate its boundary rows and move its acc slots), and
 each predicate body becomes a generated Python function, compiled with
 compile() (see "Compiled code" below).  The source line a revert reports
 is fixed at compile time, and compiled code is a function of the running
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
-    Contract, call_charge, expr_nodes, If, IntLit, Method, Name, NotOp, Old,
+    Contract, bool_leaves, call_charge, expr_nodes, If, IntLit, Method, Name, NotOp, Old,
     PredUse, PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
 )
 from .frontend import infer_types, resolve
@@ -167,13 +168,14 @@ class GasMeter:
 
 
 class MethodCode:
-    """One method of a loaded image: its parameter names; its evaluated
-    boundary rows by kind, each a generated test function with its check
-    id, text and line; whether its exit rows read old(...); its spec's acc
-    slots; its contract's compiled predicates (shared by the contract's
-    methods); and its body, a generated function that takes the running
-    Frame and its locals and returns True when the body executed a return.
-    The body, its woven checks and the rows compile in one source."""
+    """One method of a loaded image: its parameter names; whether its exit
+    rows read old(...); its ensures acc slots; its contract's compiled
+    predicates (shared by the contract's methods); its body, a generated
+    function that takes the running Frame and its locals and returns True
+    when the body executed a return; and its generated `entry` and `exit`
+    functions (see "Compiled code"), each None where it would do nothing.
+    The body, its woven checks, the entry and the exit compile in one
+    source."""
 
     def __init__(self, contract: Contract, method: Method, table, verified, predicates):
         spec = method.spec
@@ -182,10 +184,9 @@ class MethodCode:
         self.imprecise_entry = spec.requires.imprecise or not verified
         self.reads_old = any(type(n) is Old for e in table if e.kind == "exit"
                              for n in expr_nodes(e.payload))
-        self.requires_acc, self.ensures_acc = _acc_lines(spec.requires), _acc_lines(spec.ensures)
-        self.ensured = frozenset(slot for slot, _ in self.ensures_acc)
+        self.ensured = frozenset(a.slot for a in _acc_atoms(spec.ensures))
         self.predicates = predicates
-        self.body, self.entry, self.exit = _Emitter(contract).compile(method.body, table)
+        self.body, self.entry, self.exit = _Emitter(contract).compile(method, table, verified)
 
 
 class Frame:
@@ -360,7 +361,7 @@ class Vm:
         out = None
         self.ledger.begin()
         try:
-            self.call(tx.contract, tx.method, list(tx.args), caller=None)
+            self.call(tx.contract, tx.method, tx.args, None)
             out = Outcome("committed", self.meter.exec_gas, self.meter.check_gas)
         except Revert as e:
             out = Outcome("reverted", self.meter.exec_gas, self.meter.check_gas,
@@ -374,7 +375,11 @@ class Vm:
 
     def call(self, cname, mname, args, caller, charge=1, call_line=0):
         """Run a method; a call from `caller` at source line `call_line` adds
-        `charge` to the call depth (see CALL_DEPTH_CAP)."""
+        `charge` to the call depth (see CALL_DEPTH_CAP).  Protected, the
+        method's entry function checks its entry rows and acquires its
+        requires acc slots, and its exit function checks its exit rows and
+        hands its ensures acc slots back; then every other slot the frame
+        holds goes back to where it came from."""
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
@@ -383,68 +388,34 @@ class Vm:
         frame = Frame(self, self.frames, code, dict(zip(code.params, args)), caller, depth)
         # a caller reasons only about its own contract's specs: a call from
         # any other contract crosses the callee's boundary
-        boundary_active = caller is None or caller.contract.name != cname
-
-        if code.verified and frame.protected:
+        active = caller is None or caller.contract.name != cname
+        if self.protected and code.entry is not None:
             # a failing precondition blames a verified caller's call site
-            site = call_line if caller is not None and caller.code.verified else None
-            if code.entry:
-                self._boundary_checks(frame, code.entry, "precondition", boundary_active, site)
-            # acquire the requires acc list: each slot free or the caller's
-            for slot, line in code.requires_acc:
-                if boundary_active:
-                    self.meter.charge_check()
-                o = self.perm.get((cname, slot))
-                if o is not None and (caller is None or o != caller.id):
-                    raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                                 line=line, contract=cname)
-                self.perm[(cname, slot)] = frame.id
-
+            code.entry(frame, frame.env, active,
+                       call_line if caller is not None and caller.code.verified else None)
         if code.reads_old:
             frame.old = dict(frame.slots)
         code.body(frame, frame.env)
-        self.exit_protocol(frame, boundary_active)
-        return frame.result
-
-    def _boundary_checks(self, frame, rows, kind, active, line=None):
-        """Evaluate boundary `rows` (MethodCode.entry or .exit): the
-        residual-backed ones always, the rest only when `active` (called
-        from the top level or from another contract).  A failing row reverts
-        as a `kind` ("precondition" or "postcondition") check at `line`, by
-        default the row's own."""
-        for test, check_id, text, row_line in rows:
-            if (active or check_id is not None) and not test(frame, frame.env):
-                raise Revert(CHECK_FAILURE, check_id=check_id, kind=kind,
-                             payload=text, line=line or row_line)
-
-    def exit_protocol(self, frame, boundary_active):
-        if not frame.protected:
-            return
-        code, cname = frame.code, frame.contract.name
-        if code.verified and code.exit:
-            self._boundary_checks(frame, code.exit, "postcondition", boundary_active)
-        # transfer ensures permissions back to the caller (FREE at top level)
-        for slot, line in code.ensures_acc:
-            if not self._hold(frame, slot):
-                raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                             line=line, contract=cname)
-            if frame.caller is None:
-                del self.perm[(cname, slot)]
-            else:
-                self.perm[(cname, slot)] = frame.caller.id
+        if not self.protected:
+            return frame.result
+        if code.exit is not None:
+            code.exit(frame, frame.env, active)
+        if caller is None:  # the transaction's permissions are dropped whole
+            return frame.result
+        perm, fid = self.perm, frame.id
         # lazily borrowed permissions revert to their previous owner
         for slot, prev in reversed(frame.lazy_acquired):
-            if slot in code.ensured:
-                continue
-            if self.perm.get((cname, slot)) == frame.id:
+            key = (cname, slot)
+            if slot not in code.ensured and perm.get(key) == fid:
                 if prev is None:
-                    self.perm.pop((cname, slot), None)
+                    del perm[key]
                 else:
-                    self.perm[(cname, slot)] = prev
+                    perm[key] = prev
         # everything else acquired at entry is released
-        for key, o in list(self.perm.items()):
-            if o == frame.id:
-                del self.perm[key]
+        for key, o in list(perm.items()):
+            if o == fid:
+                del perm[key]
+        return frame.result
 
 
 # ---------------------------------------------------------------------------
@@ -461,31 +432,44 @@ class Vm:
 # 1 more per re-evaluation of its condition; asserts are ghost code (their
 # residuals were woven as checks) and emit nothing.
 #
-# Specification payloads (woven checks, boundary rows) and predicate bodies
-# compile the same way, to functions of (fr, env) that return a truth, over
-# mathematical integers: names read `env`, then the frame's contract's
-# storage, with no ownership test, and old(...) and result read the frame.
-# Each and/or is a function of its own that short-circuits, so Python
-# nesting never follows the formula's either; a `not` is inline.  A formula
-# that holds a predicate instance compiles to a generator function: it
-# yields (predicate name, argument values) for each instance, is sent the
-# instance's truth, and returns its own (see eval_spec_bool).
+# Each method's call protocol compiles with its body.  Its entry function,
+# of (fr, env, active, site), evaluates the method's entry rows in table
+# order, the residual-backed ones always and the others only when `active`
+# (the call comes from the top level or from another contract), a failing
+# one blaming `site` (a verified caller's call line) if there is one; then
+# it acquires each requires acc slot (_acquire).  Its exit function, of (fr,
+# env, active), evaluates the exit rows alike and hands each ensures acc
+# slot back (_hand_back).  Only a verified method has rows to check and
+# slots to acquire.  Vm.call runs both around the body, so the Python
+# stack still holds Vm.call and the block functions per GCL call.
+#
+# Specification payloads (woven checks, boundary rows) are evaluated inline
+# in the function that holds them, over mathematical integers: names read
+# `env`, then the frame's contract's storage, with no ownership test, and
+# old(...) and result read the frame.  Each and/or is a function of (fr,
+# env) of its own that short-circuits, so Python nesting never follows the
+# formula's either; a `not` is inline.  A formula that holds a predicate
+# instance compiles to a generator function: it yields (predicate name,
+# argument values) for each instance, is sent the instance's truth, and
+# returns its own (see eval_spec_bool).  A predicate body compiles to a
+# function of (fr, env) that returns its truth, or to such a generator.
 #
 # The generated source holds only the emitter's own tokens, temporaries and
 # the integers it formats (literals, lines, call charges): every program
 # identifier, slot key, check id and payload text is a constant of the
 # function's namespace that the emitter names (_k0, _k1, ...), and the
-# namespace holds no builtins.  A method's block, check and boundary row
+# namespace holds no builtins.  A method's block, spec, entry and exit
 # functions compile in one source, and a contract's predicates in another;
-# compile() costs about 0.2 ms a block, paid once at load_program.
+# compile() costs about 9 us per generated line, paid once at load_program.
 
 # the Python token of each program operator
 _TOKENS = {"==": "==", "!=": "!=", "<=": "<=", "<": "<", ">=": ">=", ">": ">",
            "+": "+", "-": "-", "*": "*", "/": "//", "%": "%"}
 
 
-# what generated code calls by name: an ownership test, its reverts, and
-# the driver of predicate instances
+# what generated code calls by name: an ownership test, the call
+# protocol's moves of acc slots, the reverts, and the driver of predicate
+# instances
 
 
 def _touch(fr, slot, line):
@@ -493,8 +477,12 @@ def _touch(fr, slot, line):
     global read or write.  Generated code calls this only when the frame
     does not already own the slot."""
     if not fr.vm._hold(fr, slot):
-        raise Revert(OWNERSHIP_FAILURE, slot=slot, kind="access",
-                     line=line, contract=fr.contract.name)
+        raise _access_denied(fr, slot, line)
+
+
+def _access_denied(fr, slot, line):
+    return Revert(OWNERSHIP_FAILURE, slot=slot, kind="access", line=line,
+                  contract=fr.contract.name)
 
 
 def _gas_exhausted():
@@ -513,8 +501,46 @@ def _div_zero(line):
     return Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
 
 
-def _check_failed(check_id, payload, line):
+def _check_failed(check):
+    """The revert of a woven check, given its (check id, payload text,
+    line)."""
+    check_id, payload, line = check
     return Revert(CHECK_FAILURE, check_id=check_id, payload=payload, line=line)
+
+
+def _row_failed(row, site=None):
+    """The revert of a boundary row, given its (check id, kind, payload
+    text, line), at `site` if one is given."""
+    check_id, kind, payload, line = row
+    return Revert(CHECK_FAILURE, check_id=check_id, kind=kind, payload=payload,
+                  line=site or line)
+
+
+def _acquire(fr, acc, active):
+    """Acquire a requires acc slot, given its (key, slot, line), for the
+    frame at entry, charging 1 check gas when `active`: the slot must be
+    free or the caller's."""
+    key, slot, line = acc
+    if active:
+        fr.meter.charge_check()
+    o = fr.perm.get(key)
+    if o is not None and (fr.caller is None or o != fr.caller.id):
+        raise _access_denied(fr, slot, line)
+    fr.perm[key] = fr.id
+
+
+def _hand_back(fr, acc):
+    """Transfer an ensures acc slot, given its (key, slot, line), from the
+    frame to its caller at exit (free it at the top level): the frame must
+    hold the slot."""
+    key, slot, line = acc
+    perm = fr.perm
+    if perm.get(key) != fr.id and not fr.vm._hold(fr, slot):
+        raise _access_denied(fr, slot, line)
+    if fr.caller is None:
+        del perm[key]
+    else:
+        perm[key] = fr.caller.id
 
 
 def eval_spec_bool(fr, tree):
@@ -543,8 +569,9 @@ def eval_spec_bool(fr, tree):
     return truth
 
 
-_RUNTIME = {f.__name__: f for f in (_touch, _gas_exhausted, _overflow, _underflow,
-                                    _div_zero, _check_failed, eval_spec_bool)}
+_RUNTIME = {f.__name__: f for f in (_touch, _gas_exhausted, _overflow, _underflow, _div_zero,
+                                    _check_failed, _row_failed, _acquire, _hand_back,
+                                    eval_spec_bool)}
 
 
 def _int(v):
@@ -554,9 +581,9 @@ def _int(v):
     return "%d" % v
 
 
-def _acc_lines(formula):
-    """(slot, line) of each acc atom of a spec formula."""
-    return tuple((a.slot, a.loc.line) for a in formula.atoms if isinstance(a, Acc))
+def _acc_atoms(formula):
+    """The acc atoms of a spec formula."""
+    return [a for a in formula.atoms if isinstance(a, Acc)]
 
 
 def _predicates(contract):
@@ -583,28 +610,31 @@ class _Emitter:
         # so far, and whether it charges gas and whether it yields
         self.lines = self.indent = self.temps = self.charges = self.yields = None
 
-    def compile(self, body, table):
-        """The function of a method body and the (test, check_id, text,
-        line) of the entry and of the exit rows of its boundary table, in
-        table order: `test` the row's payload compiled, `text` the payload
-        printed and `line` its source line."""
-        body = self.block(body, 0)
-        rows = [(e.kind, self.test(e.payload), e.check_id, fmt_atom(e.payload),
-                 e.payload.loc.line) for e in table]
+    def compile(self, method, table, verified):
+        """The functions of a method's body, entry and exit (see above),
+        the entry or exit None where it would do nothing.  Only a verified
+        method checks rows and acquires its requires acc slots."""
+        spec = method.spec
+        body = self.block(method.body, 0)
+        rows = {kind: [e for e in table if verified and e.kind == kind] for kind in ("entry", "exit")}
+        acquire = [f"_acquire(fr, {self.acc(a)}, active)"
+                   for a in _acc_atoms(spec.requires)] if verified else []
+        hand_back = [f"_hand_back(fr, {self.acc(a)})" for a in _acc_atoms(spec.ensures)]
+        entry = self.protocol("_e", "active, site", rows["entry"], "precondition", ", site", acquire)
+        exit_ = self.protocol("_x", "active", rows["exit"], "postcondition", "", hand_back)
         ns = self.load()
-        return (ns[body], *(tuple((ns[test], *row) for k, test, *row in rows if k == kind)
-                            for kind in ("entry", "exit")))
+        return ns[body], entry and ns[entry], exit_ and ns[exit_]
 
     def load(self):
         """Compile every function emitted into the namespace; returns it."""
         exec(compile("\n".join(self.functions), "<gvc compiled code>", "exec"), self.ns)
         return self.ns
 
-    def function(self, prefix, emit_body):
-        """Emit a function of (fr, env) whose body `emit_body()` emits
-        (`pass` if it emits nothing), with the gas prologue if the body
-        charges gas; returns its name and whether it is a generator
-        function."""
+    def function(self, prefix, emit_body, params=""):
+        """Emit a function of (fr, env) and `params` whose body
+        `emit_body()` emits (`pass` if it emits nothing), with the gas
+        prologue if the body charges gas; returns its name and whether it
+        is a generator function."""
         index = len(self.functions)
         name = f"{prefix}{index}"
         self.functions.append(None)
@@ -612,7 +642,8 @@ class _Emitter:
         self.lines, self.indent, self.temps, self.charges, self.yields = [], 1, 0, False, False
         emit_body()
         prologue = ["    m = fr.meter", "    lim = m.limit"] if self.charges else []
-        self.functions[index] = "\n".join([f"def {name}(fr, env):", *prologue,
+        self.functions[index] = "\n".join([f"def {name}(fr, env{params and ', '}{params}):",
+                                           *prologue,
                                            *(self.lines or ["    pass"])])
         yields = self.yields
         self.lines, self.indent, self.temps, self.charges, self.yields = outer
@@ -700,9 +731,11 @@ class _Emitter:
             self.emit(f"fr.result = {v}")
             self.emit("return True")
         elif t is Check:
-            self.emit(f"if fr.protected and not {self.test(s.payload)}(fr, env): "
-                      f"raise _check_failed({self.const(s.check_id)}, "
-                      f"{self.const(fmt_atom(s.payload))}, {_int(s.loc.line)})")
+            self.emit("if fr.protected:")
+            self.indent += 1
+            check = self.const((s.check_id, fmt_atom(s.payload), s.loc.line))
+            self.emit(f"if not {self.payload(s.payload)}: raise _check_failed({check})")
+            self.indent -= 1
         elif t is not AssertStmt:
             raise TypeError(f"not a statement: {s!r}")
 
@@ -757,14 +790,41 @@ class _Emitter:
 
     # -- specifications ------------------------------------------------------
 
-    def test(self, payload):
-        """The name of a function of (fr, env) that returns the truth of a
-        check payload or boundary atom."""
-        name, gen = self.formula(payload)
-        if not gen:
-            return name
-        return self.function(
-            "_s", lambda: self.emit(f"return eval_spec_bool(fr, {name}(fr, env))"))[0]
+    def protocol(self, prefix, params, rows, kind, site, calls):
+        """Emit an entry or exit function of (fr, env) and `params`: its
+        boundary `rows` in table order, the residual-backed ones always and
+        the rest only when `active`, each failing as a `kind` check (at
+        `site`, if that is passed), then the slot helper `calls`.  Returns
+        its name, or None if it would do nothing."""
+        if not rows and not calls:
+            return None
+
+        def emit_body():
+            gated = False  # whether the last row emitted runs only when active
+            for e in rows:
+                if (e.check_id is None) != gated:
+                    gated = not gated
+                    if gated:
+                        self.emit("if active:")
+                    self.indent += 1 if gated else -1
+                row = self.const((e.check_id, kind, fmt_atom(e.payload), e.payload.loc.line))
+                self.emit(f"if not {self.payload(e.payload)}: raise _row_failed({row}{site})")
+            self.indent -= gated
+            for call in calls:
+                self.emit(call)
+        return self.function(prefix, emit_body, params)[0]
+
+    def acc(self, a):
+        """The namespace name of an acc atom's (slot key, slot, line)."""
+        return self.const(((self.contract.name, a.slot), a.slot, a.loc.line))
+
+    def payload(self, f):
+        """Truth of a check payload or boundary atom, as truth() gives it:
+        inline, or, if it holds a predicate instance, its formula's
+        generator driven by eval_spec_bool."""
+        if not any(type(a) is PredUse for a in bool_leaves(f)):
+            return self.truth(f)
+        return f"eval_spec_bool(fr, {self.formula(f)[0]}(fr, env))"
 
     def formula(self, f):
         """Emit the function of a spec formula (see above); returns its name
@@ -780,18 +840,20 @@ class _Emitter:
         return self.function("_s", lambda: self.emit(f"return {self.truth(f)}"))
 
     def truth(self, f):
-        """Truth of a spec formula, as a temporary.  An acc or comparison
-        charges 1 check gas before its operands are evaluated."""
+        """Truth of a spec formula, as Python source of a condition (a
+        comparison, call, `not` or temporary) that the caller evaluates
+        once, in the line it emits next.  An acc or comparison charges 1
+        check gas before its operands are evaluated."""
         t = type(f)
         if t is Cmp:
             self.charge("check_gas")
             left, right = self.spec_value(f.left), self.spec_value(f.right)
-            return self.temp(f"{left} {_TOKENS[f.op]} {right}")
+            return f"{left} {_TOKENS[f.op]} {right}"
         if t is Acc:
             self.charge("check_gas")
-            return self.temp(f"fr.vm._hold(fr, {self.const(f.slot)})")
+            return f"fr.vm._hold(fr, {self.const(f.slot)})"
         if t is NotOp:
-            return self.temp(f"not {self.truth(f.operand)}")
+            return f"not {self.truth(f.operand)}"
         if t is PredUse:
             args = ", ".join(self.spec_value(a) for a in f.args)
             self.yields = True
@@ -799,7 +861,7 @@ class _Emitter:
         if t is BoolOp:
             name, gen = self.formula(f)
             self.yields |= gen
-            return self.temp(f"yield from {name}(fr, env)" if gen else f"{name}(fr, env)")
+            return self.temp(f"yield from {name}(fr, env)") if gen else f"{name}(fr, env)"
         raise TypeError(f"not a spec formula node: {f!r}")
 
     def spec_value(self, e):
@@ -835,8 +897,8 @@ def check_transaction(image: VmImage, tx: Transaction):
         if image.program.contract(tx.contract) is None:
             raise VmUsageError(f"unknown contract {tx.contract!r}")
         raise VmUsageError(f"unknown method {tx.contract}.{tx.method}")
-    if len(tx.args) != len(code.method.params):
-        raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.method.params)} argument(s)")
+    if len(tx.args) != len(code.params):
+        raise VmUsageError(f"{tx.contract}.{tx.method} expects {len(code.params)} argument(s)")
     for a in tx.args:
         if type(a) is not int or not 0 <= a <= UINT_MAX:
             raise VmUsageError(f"transaction argument {a!r} is not a uint64")

@@ -9,6 +9,23 @@ sys.path.insert(0, str(ROOT / "src"))
 CORPUS = ROOT / "corpus"
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
+# a precise caller of a foreign method that requires Count >= 1 (line 12 is
+# the call)
+FOREIGN_PRECISE = (
+    "contract Vault:\n"
+    "  #@ global Count;\n"
+    "  method take():\n"
+    "    #@ requires acc(Count) and Count >= 1;\n"
+    "    #@ ensures acc(Count);\n"
+    "    Count := Count - 1;\n"
+    "\n"
+    "contract Shop:\n"
+    "  method buy():\n"
+    "    #@ requires true;\n"
+    "    #@ ensures true;\n"
+    "    call Vault.take();\n"
+)
+
 
 @pytest.fixture(scope="session")
 def sell_path():

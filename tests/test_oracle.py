@@ -18,7 +18,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, FIXTURES
+from conftest import CORPUS, FIXTURES, FOREIGN_PRECISE
 
 
 def tx(contract, method, *args):
@@ -111,24 +111,6 @@ class TestEquivalence:
         report = enumerate_equivalence(program, woven, bound=3)
         assert report["cases"] == 16
         assert report["disagreements"] == []
-
-
-# a precise caller of a foreign method that requires Count >= 1 (line 12 is
-# the call)
-FOREIGN_PRECISE = (
-    "contract Vault:\n"
-    "  #@ global Count;\n"
-    "  method take():\n"
-    "    #@ requires acc(Count) and Count >= 1;\n"
-    "    #@ ensures acc(Count);\n"
-    "    Count := Count - 1;\n"
-    "\n"
-    "contract Shop:\n"
-    "  method buy():\n"
-    "    #@ requires true;\n"
-    "    #@ ensures true;\n"
-    "    call Vault.take();\n"
-)
 
 
 class TestForeignCalls:

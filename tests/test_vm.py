@@ -25,7 +25,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, ROOT
+from conftest import CORPUS, FOREIGN_PRECISE, ROOT
 
 
 def make_image(name, adversaries=None):
@@ -224,8 +224,8 @@ class TestJournal:
         assert led.slots == {"Counter": {"Count": 6}}
 
     def test_transactions_never_compile(self, monkeypatch):
-        # load_program generates and compiles every body, boundary row,
-        # woven check and predicate; a transaction only runs what it
+        # load_program generates and compiles every body, woven check,
+        # entry, exit and predicate; a transaction only runs what it
         # compiled, and neither compile() nor exec() is called
         loaded = []
         for path in corpus_files(CORPUS):
@@ -283,23 +283,26 @@ NOT_PYTHON = (f"contract C{VT}:\n  #@ global G{VT};\n  method m{VT}(x{VT}: uint6
               f"    {VT} := x{VT} * 2;\n    #@ assert ? and {VT} >= G{VT};\n"
               f"    G{VT} := {VT} - G{VT};\n")
 
+# the prefixes of generated function names: blocks _b<i>, spec formulas
+# _s<i>, and each method's entry _e<i> and exit _x<i>
+FUNCTIONS = ("_b", "_s", "_e", "_x")
 # every name a generated function may use besides the numbered namespace
-# constants _k<i>, block functions _b<i> and spec functions _s<i>
+# constants _k<i> and generated functions
 VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "protected", "perm", "get", "id",
               "journal", "slots", "vm", "call", "result", "old", "_hold", "_touch",
               "_gas_exhausted", "_overflow", "_underflow", "_div_zero", "_check_failed",
-              "eval_spec_bool"}
+              "_row_failed", "_acquire", "_hand_back", "eval_spec_bool"}
 
 
 def generated_functions(image):
     """Every generated function of a loaded image: each method's block,
-    check and boundary row functions and each contract's predicate
+    spec formula, entry and exit functions and each contract's predicate
     functions, by namespace and name."""
     namespaces = [code.body.__globals__ for code in image.code.values()]
     namespaces += [body.__globals__ for code in image.code.values()
                    for _, body, _ in code.predicates.values()]
     return {(id(ns), name): f for ns in namespaces for name, f in ns.items()
-            if name[:2] in ("_b", "_s") and name[2:].isdigit()}
+            if name[:2] in FUNCTIONS and name[2:].isdigit()}
 
 
 class TestGeneratedCode:
@@ -324,14 +327,16 @@ class TestGeneratedCode:
         for image in images:
             functions = generated_functions(image).values()
             assert len(functions) >= len(image.code)
+            assert {f for code in image.code.values() for f in (code.entry, code.exit)
+                    if f is not None} <= set(functions)
             for f in functions:
                 code = f.__code__
                 kinds.add((f.__name__[:2], inspect.isgeneratorfunction(f)))
                 numbered = {n for n in code.co_names
-                            if n[:2] in ("_k", "_b", "_s") and n[2:].isdigit()}
+                            if n[:2] in ("_k", *FUNCTIONS) and n[2:].isdigit()}
                 assert set(code.co_names) - numbered <= VOCABULARY, f.__name__
                 assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
-        assert kinds == {("_b", False), ("_s", False), ("_s", True)}
+        assert kinds == {("_b", False), ("_s", False), ("_s", True), ("_e", False), ("_x", False)}
 
 
 SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
@@ -416,6 +421,116 @@ def test_spec_payload_gas_and_reverts_are_pinned(name):
         out = Vm(image, Ledger(image.program)).exec_transaction(tx("C", "m", *args))
         assert (out.exec_gas, out.check_gas) == (exec_gas, check_gas), args
         assert (out.reason, out.detail) == (revert or (None, {})), args
+    assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
+
+
+CROSS = """contract V:
+  #@ global G;
+  method take(x: uint64):
+    #@ requires acc(G) and G >= x and x <= 9;
+    #@ ensures acc(G) and G + x >= x;
+    G := G - x;
+
+contract S:
+  method buy(x: uint64):
+    #@ requires ?;
+    #@ ensures ?;
+    call V.take(x);
+"""
+# the residual of inner's `G >= 4` is woven as `#! exit G >= 4 @c0 postcondition;`
+SAME = """contract C:
+  #@ global G;
+  method outer(x: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    call C.inner(3);
+    G := G + x;
+  method inner(x: uint64):
+    #@ requires ? and acc(G) and x <= 5;
+    #@ ensures ? and acc(G) and G >= 4;
+    G := G + x;
+"""
+# outer's {callee} ends by handing G back, and outer then writes it
+HANDED_BACK = """contract C:
+  #@ global G;
+  method outer(x: uint64):
+    #@ requires acc(G);
+    #@ ensures acc(G);
+    call C.{callee}(x);
+    G := x;
+  method inner(x: uint64):
+    #@ requires acc(G);
+    #@ ensures acc(G);
+    G := x + 1;
+  method peek(x: uint64):
+    #@ requires ?;
+    #@ ensures ?;
+    y := G + x;
+"""
+SELL = (CORPUS / "sell.gcl").read_text(encoding="utf-8")
+
+
+def post(check_id, payload, line):
+    return CHECK_FAILURE, {"check_id": check_id, "kind": "postcondition", "payload": payload,
+                           "line": line}
+
+
+# call protocol shapes: (source, [(transaction, initial ledger, gas limit,
+# protected outcome, unprotected outcome)]), an outcome being (exec_gas,
+# check_gas, (reason, detail) of a revert or None).  A callee's spec rows
+# and requires acc slots are evaluated and charged only across a contract
+# boundary (or at the top level); its residual-backed rows always run.
+# Unprotected, no row, check or acc slot is evaluated or charged.
+PROTOCOL_SHAPES = {
+    "cross-contract": (CROSS, [
+        (tx("S", "buy", 2), {"V": {"G": 5}}, None, (2, 4, None), (2, 0, None)),
+        (tx("V", "take", 2), {"V": {"G": 5}}, None, (1, 4, None), (1, 0, None)),
+        # a verified caller's failing foreign precondition blames the call
+        (tx("S", "buy", 7), {"V": {"G": 5}}, None, (1, 1, pre("G >= x", 12)),
+         (2, 0, (ARITHMETIC_PANIC, {"kind": "underflow", "line": 6}))),
+        (tx("V", "take", 7), {"V": {"G": 5}}, None, (0, 1, pre("G >= x", 4)),
+         (1, 0, (ARITHMETIC_PANIC, {"kind": "underflow", "line": 6})))]),
+    "same-contract": (SAME, [
+        (tx("C", "outer", 1), {"C": {"G": 1}}, None, (3, 2, None), (3, 0, None)),
+        (tx("C", "outer", 1), {"C": {"G": 0}}, None, (2, 2, post("c0", "G >= 4", 10)),
+         (3, 0, None)),
+        (tx("C", "inner", 3), {"C": {"G": 0}}, None, (1, 3, post("c0", "G >= 4", 10)),
+         (1, 0, None)),
+        (tx("C", "inner", 6), {"C": {"G": 0}}, None, (0, 1, pre("x <= 5", 9)), (1, 0, None))]),
+    "foreign-precise": (FOREIGN_PRECISE, [
+        (tx("Shop", "buy"), {"Vault": {"Count": 0}}, None, (1, 1, pre("Count >= 1", 12)),
+         (2, 0, (ARITHMETIC_PANIC, {"kind": "underflow", "line": 6}))),
+        (tx("Shop", "buy"), {"Vault": {"Count": 1}}, None, (2, 2, None), (2, 0, None))]),
+    # the row quantity >= 0 takes the limit, and the acc(Count) charge passes it
+    "gas-on-requires-acc": (SELL, [
+        (tx("Counter", "sell", 1), {"Counter": {"Count": 5}}, 1,
+         (0, 2, (GAS_EXHAUSTED, {"kind": GAS_EXHAUSTED})),
+         (2, 0, (GAS_EXHAUSTED, {"kind": GAS_EXHAUSTED}))),
+        (tx("Counter", "sell", 1), {"Counter": {"Count": 5}}, 2,
+         (1, 2, (GAS_EXHAUSTED, {"kind": GAS_EXHAUSTED})), (2, 0, None))]),
+    "ensures-acc-handed-back": (HANDED_BACK.format(callee="inner"), [
+        (tx("C", "outer", 4), {}, None, (3, 1, None), (3, 0, None))]),
+    # peek's woven `#! check acc(G)` borrows G from outer, and its exit
+    # returns it
+    "borrowed-and-returned": (HANDED_BACK.format(callee="peek"), [
+        (tx("C", "outer", 4), {"C": {"G": 2}}, None, (3, 2, None), (3, 0, None)),
+        (tx("C", "peek", 4), {"C": {"G": 2}}, None, (1, 1, None), (1, 0, None))]),
+}
+
+
+@pytest.mark.parametrize("name", PROTOCOL_SHAPES)
+def test_call_protocol_gas_and_reverts_are_pinned(name):
+    source, cases = PROTOCOL_SHAPES[name]
+    program, _ = load_source(source, f"{name}.gcl")
+    woven = weave(program, verify_program(program))
+    image = load_program(woven)
+    for t, init, gas_limit, *outcomes in cases:
+        for protected, (exec_gas, check_gas, revert) in zip((True, False), outcomes):
+            vm = Vm(image, Ledger(image.program, init), protected)
+            out = vm.exec_transaction(t, gas_limit)
+            assert (out.exec_gas, out.check_gas) == (exec_gas, check_gas), (t, protected)
+            assert (out.reason, out.detail) == (revert or (None, {})), (t, protected)
+            assert vm.perm == {}
     assert enumerate_equivalence(program, woven, bound=2)["disagreements"] == []
 
 
