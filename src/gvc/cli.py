@@ -230,7 +230,9 @@ def cmd_corpus(args):
             adversaries = corpus_adversaries(path, program)
         except OSError as e:
             raise _unreadable(e.filename, e)
-        report = verify_program(program)
+        # one memo of prover verdicts serves the program and its erosions
+        memo = {}
+        report = verify_program(program, memo)
         if report.has_static_error:
             print(f"{path.name}: {_red('static-error')}")
             worst = max(worst, EXIT_STATIC)
@@ -249,7 +251,7 @@ def cmd_corpus(args):
             continue
         n_dis = len(eq["disagreements"])
         erosions = list(erode_program(program))
-        bad_static = check_static_monotonic(report, erosions)
+        bad_static = check_static_monotonic(report, erosions, memo)
         total_erosions += len(erosions)
         bad_dynamic = check_dynamic_monotonic(program, erosions, bound=args.erosion_bound,
                                               adversaries=adversaries)

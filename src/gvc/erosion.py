@@ -7,7 +7,8 @@ all obligations keeps holding them (dynamic gradual guarantee).  Both halves
 are checked here over bounded input grids, for all erosions of one program
 at once: the work that does not depend on the erosion (merging adversaries,
 judging the uneroded program on the grid) happens once per program, and the
-erosions' re-verifications share one memo of prover component verdicts.
+erosions' re-verifications share one memo of prover component verdicts,
+which `gvc corpus` also shares with the program's own verification.
 """
 
 from __future__ import annotations
@@ -93,17 +94,20 @@ def _with_method(program, ci, mi, new_method):
 # Guarantee checks
 
 
-def check_static_monotonic(report, erosions):
+def check_static_monotonic(report, erosions, memo: dict = None):
     """Static gradual guarantee: if a program whose verification report is
     `report` has no static error, none of its `erosions` may introduce one.
-    The erosions' verification runs share one memo of component verdicts,
-    which lives as long as this check.  Returns the list of offending
-    labels."""
+    The erosions' verification runs share one memo of component verdicts
+    (see verify_program): `memo`, which the caller may have filled by
+    verifying the program itself, or by default a fresh one that lives as
+    long as this check.  A verdict is a function of its component alone, so
+    the memo changes no label.  Returns the list of offending labels."""
     from .verifier import verify_program
 
     if report.has_static_error:
         return []  # nothing to preserve
-    memo = {}
+    if memo is None:
+        memo = {}
     return [e.label for e in erosions if verify_program(e.program, memo).has_static_error]
 
 

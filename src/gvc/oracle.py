@@ -17,12 +17,17 @@ from typing import NamedTuple
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp, If,
     CALL_DEPTH_CAP, IntLit, Name, NotOp, Old, PREDICATE_DEPTH_CAP, PredUse,
-    Program, Result, Return, UINT_MAX, While, call_charge,
+    Program, Result, Return, UINT_MAX, While, call_charge, expr_nodes,
 )
 from .printer import fmt_atom
 
 ALL_HELD = "AllObligationsHeld"
 FIRST_VIOLATION = "FirstViolation"
+
+# payload formatters (see _Violation)
+_ACC = "acc({})".format
+_BINARY = "{} {} {}".format
+_METHOD = "{}.{}".format
 
 # the oracle's own operator tables, deliberately not the VM's
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -41,37 +46,52 @@ class Site(NamedTuple):
 
 @dataclass
 class TraceJudgment:
+    """One transaction's judgment: ALL_HELD with the final `storage`, or
+    FIRST_VIOLATION at `site` with a `payload` text that names what failed
+    (an atom, an acc(...) slot, the operands of a failing operation).  The
+    payload is built from the violation's formatter and arguments each time
+    it is read, since most judgments are compared by site alone."""
+
     tx: object
     verdict: str  # ALL_HELD | FIRST_VIOLATION
     site: Site = None
-    payload: str = None
     storage: dict = None  # final storage when all obligations held
+    text: tuple = None  # (formatter, arguments) of a violation's payload
 
     @property
     def held(self):
         return self.verdict == ALL_HELD
 
+    @property
+    def payload(self):
+        if self.text is None:
+            return None
+        fmt, args = self.text
+        return fmt(*args)
+
 
 class _Violation(Exception):
-    def __init__(self, kind, line, payload=""):
-        super().__init__(f"{kind} at line {line}: {payload}")
+    """The first violated obligation: its `site`, and the formatter and
+    arguments of its payload text, which is built only when a
+    TraceJudgment's payload is read."""
+
+    def __init__(self, kind, line, fmt, *args):
         self.site = Site(kind, line)
-        self.payload = payload
+        self.text = (fmt, args)
 
 
 class _OFrame:
     __slots__ = ("contract", "verified", "imprecise", "caller", "depth", "vars", "old",
                  "result", "borrows")
 
-    def __init__(self, contract, verified, imprecise, caller, charge=1):
+    def __init__(self, contract, verified, imprecise, caller, depth, vars):
         self.contract = contract
         self.verified = verified
         self.imprecise = imprecise
         self.caller = caller
-        # call-depth charges of the frames on the stack (see CALL_DEPTH_CAP)
-        self.depth = 1 if caller is None else caller.depth + charge
-        self.vars = {}
-        self.old = {}
+        self.depth = depth  # call-depth charges of the frames on the stack (see CALL_DEPTH_CAP)
+        self.vars = vars
+        self.old = None  # the contract's storage at entry, if the ensures reads old(...)
         self.result = None
         self.borrows = []  # (slot, previous holder) for lazy acquisitions
 
@@ -84,7 +104,9 @@ def _split(formula):
 
 class _Method(NamedTuple):
     """What every call of one method reads from its declaration, prepared
-    once per oracle."""
+    once per oracle: its split specs, the slots its ensures hands back, and
+    whether its ensures reads old(...), without which a call takes no
+    snapshot of its contract's storage."""
 
     contract: object
     method: object
@@ -97,6 +119,7 @@ class _Method(NamedTuple):
     ensures: tuple
     ensured: frozenset  # the slots of ensures_acc
     post_line: int
+    reads_old: bool
 
 
 class Oracle:
@@ -112,7 +135,8 @@ class Oracle:
                 self.methods[(c.name, m.name)] = _Method(
                     c, m, verified, req.imprecise or not verified,
                     tuple(p for p, _ in m.params), *_split(req), ensures_acc, ensures,
-                    frozenset(a.slot for a in ensures_acc), (ens.loc or m.loc).line)
+                    frozenset(a.slot for a in ensures_acc), (ens.loc or m.loc).line,
+                    any(type(n) is Old for n in expr_nodes(*ensures)))
         self.zeros = [(c.name, dict.fromkeys(c.globals, 0)) for c in program.contracts]
 
     def judge(self, storage: dict, tx) -> TraceJudgment:
@@ -123,17 +147,19 @@ class Oracle:
         try:
             self.enter(tx.contract, tx.method, list(tx.args), caller=None, call_line=0)
         except _Violation as v:
-            return TraceJudgment(tx, FIRST_VIOLATION, v.site, v.payload)
+            return TraceJudgment(tx, FIRST_VIOLATION, v.site, text=v.text)
         return TraceJudgment(tx, ALL_HELD, storage=self.mem)
 
     # -- frames --------------------------------------------------------------
 
     def enter(self, cname, mname, args, caller, call_line, charge=1):
         m = self.methods[(cname, mname)]
-        fr = _OFrame(m.contract, m.verified, m.imprecise, caller, charge)
-        if fr.depth > CALL_DEPTH_CAP:
-            raise _Violation("call-depth", 0, f"{cname}.{mname}")
-        fr.vars = dict(zip(m.params, args))
+        depth = 1 if caller is None else caller.depth + charge
+        if depth > CALL_DEPTH_CAP:
+            raise _Violation("call-depth", 0, _METHOD, cname, mname)
+        fr = _OFrame(m.contract, m.verified, m.imprecise, caller, depth,
+                     dict(zip(m.params, args)))
+        holder = self.holder
 
         caller_verified = caller is not None and caller.verified
 
@@ -142,43 +168,45 @@ class Oracle:
         if caller_verified and caller.contract.name == cname:
             for a in m.requires_acc:
                 if not self._holds_or_lazy(caller, cname, a.slot):
-                    raise _Violation("access", call_line, f"acc({a.slot})")
+                    raise _Violation("access", call_line, _ACC, a.slot)
 
         for a in m.requires:
             if not self.spec_atom(fr, a):
                 raise _Violation("precondition", call_line if caller_verified else a.loc.line,
-                                 fmt_atom(a))
+                                 fmt_atom, a)
         for a in m.requires_acc:
-            h = self.holder.get((cname, a.slot))
+            key = (cname, a.slot)
+            h = holder.get(key)
             if h is None or h is caller:
-                self.holder[(cname, a.slot)] = fr
+                holder[key] = fr
             else:
-                raise _Violation("access", a.loc.line, f"acc({a.slot})")
+                raise _Violation("access", a.loc.line, _ACC, a.slot)
 
-        fr.old = dict(self.mem[cname])
+        if m.reads_old:
+            fr.old = dict(self.mem[cname])
         self.block(fr, m.method.body)
 
         for a in m.ensures:
             if not self.spec_atom(fr, a):
-                raise _Violation("postcondition", m.post_line, fmt_atom(a))
+                raise _Violation("postcondition", m.post_line, fmt_atom, a)
         for a in m.ensures_acc:
             if not self._holds_or_lazy(fr, cname, a.slot):
-                raise _Violation("access", a.loc.line, f"acc({a.slot})")
-            if caller is None:
-                self.holder.pop((cname, a.slot), None)
-            else:
-                self.holder[(cname, a.slot)] = caller
+                raise _Violation("access", a.loc.line, _ACC, a.slot)
+            if caller is not None:
+                holder[(cname, a.slot)] = caller
+        if caller is None:  # judge drops the transaction's holdings whole
+            return fr.result
         for slot, prev in reversed(fr.borrows):
             if slot in m.ensured:
                 continue
-            if self.holder.get((cname, slot)) is fr:
+            if holder.get((cname, slot)) is fr:
                 if prev is None:
-                    self.holder.pop((cname, slot), None)
+                    holder.pop((cname, slot), None)
                 else:
-                    self.holder[(cname, slot)] = prev
-        for key, h in list(self.holder.items()):
+                    holder[(cname, slot)] = prev
+        for key, h in list(holder.items()):
             if h is fr:
-                del self.holder[key]
+                del holder[key]
         return fr.result
 
     def _holds_or_lazy(self, fr, cname, slot):
@@ -211,7 +239,7 @@ class Oracle:
             elif self._holds_or_lazy(fr, fr.contract.name, s.target):
                 self.mem[fr.contract.name][s.target] = v
             else:
-                raise _Violation("access", s.loc.line, s.target)
+                raise _Violation("access", s.loc.line, str, s.target)
         elif t is If:
             taken = self.truth(fr, s.cond, s.loc.line)
             return self.block(fr, s.then if taken else s.orelse, nest + 1)
@@ -222,9 +250,9 @@ class Oracle:
                 for a in s.invariant.atoms:
                     if type(a) is Acc:
                         if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
-                            raise _Violation("access", line, f"acc({a.slot})")
+                            raise _Violation("access", line, _ACC, a.slot)
                     elif not self.spec_atom(fr, a):
-                        raise _Violation("loop-invariant", line, fmt_atom(a))
+                        raise _Violation("loop-invariant", line, fmt_atom, a)
                 if not taken:
                     break
                 if self.block(fr, s.body, nest + 1):
@@ -241,9 +269,9 @@ class Oracle:
             for a in s.formula.atoms:
                 if type(a) is Acc:
                     if not self._holds_or_lazy(fr, fr.contract.name, a.slot):
-                        raise _Violation("access", s.loc.line, f"acc({a.slot})")
+                        raise _Violation("access", s.loc.line, _ACC, a.slot)
                 elif not self.spec_atom(fr, a):
-                    raise _Violation("assert", s.loc.line, fmt_atom(a))
+                    raise _Violation("assert", s.loc.line, fmt_atom, a)
         elif t is not Check:  # a check is instrumentation, not source semantics
             raise TypeError(f"not a statement: {s!r}")
         return False
@@ -255,20 +283,24 @@ class Oracle:
         if t is IntLit:
             return e.value
         if t is Name:
-            if e.name in fr.vars:
-                return fr.vars[e.name]
-            if not self._holds_or_lazy(fr, fr.contract.name, e.name):
-                raise _Violation("access", e.loc.line, e.name)
-            return self.mem[fr.contract.name][e.name]
+            name = e.name
+            if name in fr.vars:
+                return fr.vars[name]
+            cname = fr.contract.name
+            # a global the frame holds needs no ownership test
+            if self.holder.get((cname, name)) is not fr \
+                    and not self._holds_or_lazy(fr, cname, name):
+                raise _Violation("access", e.loc.line, str, name)
+            return self.mem[cname][name]
         if t is BinOp:
             l = self.value(fr, e.left, line)
             r = self.value(fr, e.right, line)
             if e.op == "-" and l < r:
-                raise _Violation("underflow", line, f"{l} - {r}")
+                raise _Violation("underflow", line, _BINARY, l, "-", r)
             if (e.op == "+" and l + r > UINT_MAX) or (e.op == "*" and l * r > UINT_MAX):
-                raise _Violation("overflow", line, f"{l} {e.op} {r}")
+                raise _Violation("overflow", line, _BINARY, l, e.op, r)
             if e.op in "/%" and r == 0:
-                raise _Violation("div-zero", line, f"{l} {e.op} 0")
+                raise _Violation("div-zero", line, _BINARY, l, e.op, 0)
             return _ARITH[e.op](l, r)
         raise TypeError(f"not a runtime expression: {e!r}")
 
@@ -301,7 +333,7 @@ class Oracle:
         if t is BinOp:
             l, r = self.spec_value(fr, e.left), self.spec_value(fr, e.right)
             if e.op in "/%" and r == 0:
-                raise _Violation("div-zero", e.loc.line, "division by zero in spec")
+                raise _Violation("div-zero", e.loc.line, str, "division by zero in spec")
             return _ARITH[e.op](l, r)
         raise TypeError(f"not a spec expression: {e!r}")
 
@@ -321,12 +353,11 @@ class Oracle:
                 truth = ret.value
                 continue
             if len(stack) > PREDICATE_DEPTH_CAP:
-                raise _Violation("predicate-depth", 0, name)
+                raise _Violation("predicate-depth", 0, str, name)
             decl = fr.contract.predicate(name)
             # a frame whose variables are the parameters: other names are the
             # contract's globals
-            callee = _OFrame(fr.contract, True, False, None)
-            callee.vars = dict(zip(decl.params, args))
+            callee = _OFrame(fr.contract, True, False, None, 1, dict(zip(decl.params, args)))
             stack.append(self._body(callee, decl.body))
             truth = None
         return truth

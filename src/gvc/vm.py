@@ -66,12 +66,16 @@ class VmUsageError(Exception):
 class Revert(Exception):
     """A transaction's failure: its `reason`, and a `detail` that names the
     failed site (see oracle.vm_site): a woven check by its `check_id`, any
-    other by its `kind` and, where it has one, its source `line`."""
+    other by its `kind` and, where it has one, its source `line`.  A revert
+    is raised and caught once per failing transaction and its text is
+    rarely read, so it is built only by str()."""
 
     def __init__(self, reason, **detail):
-        super().__init__(f"{reason}: {detail}")
         self.reason = reason
         self.detail = detail
+
+    def __str__(self):
+        return f"{self.reason}: {self.detail}"
 
 
 class Transaction(NamedTuple):
@@ -318,7 +322,9 @@ def transaction_grid(program: Program, bound: int):
             continue
         for m in c.methods:
             for point in itertools.product(range(bound + 1), repeat=n + len(m.params)):
-                init = {cn: dict(zip(gs, point[i:])) for cn, gs, i in spans}
+                init = {}  # each case's own dicts, which a caller may mutate
+                for cn, gs, i in spans:
+                    init[cn] = dict(zip(gs, point[i:]))
                 yield c, m, init, Transaction(c.name, m.name, point[n:])
 
 
@@ -355,7 +361,13 @@ class Vm:
     # -- transactions --------------------------------------------------------
 
     def exec_transaction(self, tx: Transaction, gas_limit=None) -> Outcome:
+        """Run one transaction, which check_transaction validates first, and
+        commit its writes or roll them back."""
         check_transaction(self.image, tx)
+        return self._exec(tx, gas_limit)
+
+    def _exec(self, tx, gas_limit):
+        """exec_transaction of a transaction already validated."""
         self.meter = GasMeter(gas_limit)
         self.perm = {}
         out = None
@@ -917,7 +929,7 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
             raise VmUsageError(f"transaction {i}: {e}") from None
     ledger = ledger if ledger is not None else Ledger(image.program)
     vm = Vm(image, ledger, protected)
-    outcomes = [vm.exec_transaction(tx, gas_limit) for tx in script]
+    outcomes = [vm._exec(tx, gas_limit) for tx in script]
     totals = {"exec_gas": sum(o.exec_gas for o in outcomes),
               "check_gas": sum(o.check_gas for o in outcomes)}
     return outcomes, {"per_tx": [{"index": i, **o.as_dict()} for i, o in enumerate(outcomes)],
@@ -927,7 +939,7 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
 def parse_script(text: str):
     """Transaction script: JSON lines {contract, method, args}, `args` a list
     (empty when absent); other keys are ignored.  Raises ValueError on a line
-    of any other shape; exec_transaction checks the argument values."""
+    of any other shape; check_transaction checks the argument values."""
     txs = []
     for line in text.splitlines():
         line = line.strip()

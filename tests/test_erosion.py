@@ -10,7 +10,7 @@ from gvc.verifier import verify_program
 from gvc.vm import load_program, merge_adversaries, transaction_grid, with_own_contracts
 from gvc.weaver import weave
 
-from conftest import CORPUS
+from conftest import CORPUS, FIXTURES
 
 
 class TestGenerator:
@@ -55,6 +55,26 @@ class TestStaticGuarantee:
             program, _ = load_file(CORPUS / name)
             assert check_static_monotonic(verify_program(program),
                                           erode_program(program)) == [], name
+
+    def test_memo_shared_with_the_program_changes_no_label(self):
+        # gvc corpus verifies a program and its erosions with one memo; two
+        # strengthenings give the check labels to find
+        stronger = {"sell_precise.gcl": [("Count >= 0", "Count >= 1")],
+                    "bounded.gcl": [("Reading <= hi", "Reading <= lo")]}
+        found = []
+        for path in corpus_files(CORPUS) + corpus_files(FIXTURES):
+            program, _ = load_file(path)
+            erosions = list(erode_program(program)) + strengthened(path, stronger.get(path.name, []))
+            memo = {}
+            report = verify_program(program, memo)
+            assert report.as_dict() == verify_program(program).as_dict(), path.name
+            fresh = [] if report.has_static_error else [
+                e.label for e in erosions if verify_program(e.program).has_static_error]
+            assert check_static_monotonic(report, erosions, memo) == fresh, path.name
+            assert check_static_monotonic(report, erosions) == fresh, path.name
+            found += fresh
+        assert sorted(found) == sorted(e.label for name, edits in stronger.items()
+                                       for e in strengthened(CORPUS / name, edits))
 
 
 class TestDynamicGuarantee:

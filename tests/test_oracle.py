@@ -8,7 +8,7 @@ import pytest
 from gvc.frontend import corpus_adversaries, load_file, load_source
 from gvc.lang import UINT_MAX
 from gvc.oracle import (
-    ALL_HELD, FIRST_VIOLATION, Oracle, Site,
+    ALL_HELD, FIRST_VIOLATION, Oracle, Site, _oracle_desc,
     enumerate_equivalence, vm_site,
 )
 from gvc.verifier import Status, verify_program
@@ -381,3 +381,62 @@ def test_vm_site_of_an_ownership_revert():
         tx("Bank", "withdraw", 4))
     assert out.reason == "OwnershipFailure"
     assert vm_site(out, ip.sidecar) == Site("access", 4)
+
+
+def method_m(requires, ensures, body):
+    """Contract C's method m(x): one global G, then `body`; the first body
+    line is line 6."""
+    return ("contract C:\n  #@ global G;\n  method m(x: uint64):\n"
+            f"    #@ requires {requires};\n    #@ ensures {ensures};\n" + body)
+
+
+# one program per site kind: (source, initial G, argument of C.m, site and
+# payload of the oracle's first violation); frontend_diff and disagreement
+# records read the payload text
+PAYLOADS = {
+    "precondition": (method_m("acc(G) and x <= G", "acc(G)", "    G := G - x;\n"),
+                     1, 2, Site("precondition", 4), "x <= G"),
+    "precondition-at-call": (
+        "contract C:\n  #@ predicate big(n) = n >= 5;\n  method m(x: uint64):\n"
+        "    #@ requires true;\n    #@ ensures true;\n    call C.n(x + 1);\n"
+        "  method n(x: uint64):\n    #@ requires big(x);\n    #@ ensures true;\n"
+        "    y := x;\n", 0, 1, Site("precondition", 6), "big(x)"),
+    "postcondition": (method_m("? and acc(G)", "? and acc(G) and G >= old(G) + x",
+                               "    G := G - 1;\n"),
+                      1, 2, Site("postcondition", 5), "G >= old(G) + x"),
+    "assert": (method_m("?", "?", "    #@ assert ? and x + 1 >= 3;\n"),
+               0, 1, Site("assert", 6), "x + 1 >= 3"),
+    "loop-invariant": (method_m("?", "?", "    i := 0;\n    while i < x:\n"
+                                "      #@ invariant ? and i <= 1;\n      i := i + 1;\n"),
+                       0, 3, Site("loop-invariant", 7), "i <= 1"),
+    "access-acc": (method_m("true", "acc(G)", "    y := x;\n"), 0, 1, Site("access", 5), "acc(G)"),
+    "access-read": (method_m("true", "true", "    y := G + x;\n"), 0, 1, Site("access", 6), "G"),
+    "access-write": (method_m("true", "true", "    G := x;\n"), 0, 1, Site("access", 6), "G"),
+    "underflow": (method_m("?", "?", "    y := x - 5;\n"), 0, 1, Site("underflow", 6), "1 - 5"),
+    "overflow": (method_m("?", "?", "    y := x * 9223372036854775808;\n"),
+                 0, 2, Site("overflow", 6), "2 * 9223372036854775808"),
+    "div-zero": (method_m("?", "?", "    y := 7 % x;\n"), 0, 0, Site("div-zero", 6), "7 % 0"),
+    "spec-div-zero": (method_m("? and 7 / x >= 0", "?", "    y := x;\n"),
+                      0, 0, Site("div-zero", 4), "division by zero in spec"),
+    "call-depth": (method_m("?", "?", "    call C.m(x);\n"), 0, 0, Site("call-depth", 0), "C.m"),
+    "predicate-depth": (
+        "contract C:\n  #@ global G;\n  #@ predicate spin(n) = spin(n + 1);\n"
+        "  method m(x: uint64):\n    #@ requires ? and spin(x);\n    #@ ensures ?;\n"
+        "    y := x;\n", 0, 0, Site("predicate-depth", 0), "spin"),
+}
+
+
+@pytest.mark.parametrize("name", PAYLOADS)
+def test_violation_site_and_payload_text(name):
+    source, g, x, site, payload = PAYLOADS[name]
+    program, _ = load_source(source, f"{name}.gcl")
+    j = Oracle(program).judge({"C": {"G": g}}, tx("C", "m", x))
+    assert (j.verdict, j.site) == (FIRST_VIOLATION, site)
+    assert j.payload == payload
+    assert _oracle_desc(j) == {"verdict": FIRST_VIOLATION, "kind": site.kind,
+                               "line": site.line, "payload": payload}
+
+
+def test_held_judgment_has_no_payload(sell_program):
+    j = Oracle(sell_program).judge({"Counter": {"Count": 10}}, tx("Counter", "sell", 3))
+    assert j.held and j.site is None and j.payload is None

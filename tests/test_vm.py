@@ -1,8 +1,10 @@
 """Transaction VM: execution, gas accounting, permissions, atomicity."""
 
 import builtins
+import collections
 import dataclasses
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -77,6 +79,21 @@ class TestSellScript:
         txs = parse_script((CORPUS / "sell.txs.jsonl").read_text())
         assert txs == [tx("Counter", "sell", 3)] * 3
 
+    def test_script_validates_each_transaction_once(self, monkeypatch):
+        image = make_image("sell.gcl")
+        checked = []
+        check = gvc.vm.check_transaction
+
+        def counting_check(image, t):
+            checked.append(t)
+            check(image, t)
+
+        monkeypatch.setattr(gvc.vm, "check_transaction", counting_check)
+        script = [tx("Counter", "sell", 1), tx("Counter", "sell", 9), tx("Counter", "sell", 2)]
+        outs, _ = run_script(image, script, ledger=sell_ledger(image))
+        assert [o.committed for o in outs] == [True, True, False]
+        assert checked == script
+
 
 class TestGas:
     def test_imprecise_sell_gas(self):
@@ -110,6 +127,53 @@ class TestGas:
         [out], _ = run_script(image, [tx("Counter", "sell", 3)],
                               gas_limit=3, ledger=sell_ledger(image))
         assert out.reason == GAS_EXHAUSTED
+
+
+# two contracts with globals, one without and an extern: every global of
+# each is a grid coordinate, and only the non-extern methods are run
+GRID_PROGRAM = (
+    "contract A:\n  #@ global G;\n  #@ global H;\n  method f(x: uint64, y: uint64):\n"
+    "    #@ requires ?;\n    #@ ensures ?;\n    z := x;\n"
+    "  method g():\n    #@ requires ?;\n    #@ ensures ?;\n    z := 0;\n"
+    "contract B:\n  method h(x: uint64):\n    #@ requires ?;\n    #@ ensures ?;\n"
+    "    call E.poke(x);\n"
+    "contract D:\n  #@ global K;\n  method k(x: uint64):\n    #@ requires ?;\n"
+    "    #@ ensures ?;\n    z := x;\n"
+    "\nextern contract E:\n  method poke(x: uint64):\n    opaque;\n"
+)
+
+
+class TestTransactionGrid:
+    def test_cases_are_the_product_of_globals_and_arguments(self):
+        program, _ = load_source(GRID_PROGRAM, "grid.gcl")
+        slots = [(c.name, g) for c in program.contracts for g in c.globals]
+        expected = []
+        for c in program.contracts:
+            if c.extern:
+                continue
+            for m in c.methods:
+                for point in itertools.product(range(3), repeat=len(slots) + len(m.params)):
+                    init = {}
+                    for (cname, g), v in zip(slots, point):
+                        init.setdefault(cname, {})[g] = v
+                    expected.append((c.name, m.name, init,
+                                     Transaction(c.name, m.name, point[len(slots):])))
+        got = [(c.name, m.name, init, t) for c, m, init, t in transaction_grid(program, 2)]
+        # 3 globals: 3^5 cases for f(x, y), 3^3 for g(), 3^4 for h(x) and k(x)
+        assert collections.Counter((c, m) for c, m, _, _ in got) == {
+            ("A", "f"): 243, ("A", "g"): 27, ("B", "h"): 81, ("D", "k"): 81}
+        assert got == expected
+        assert all(type(t.args) is tuple for _, _, _, t in got)
+
+    def test_each_case_has_fresh_storage(self):
+        program, _ = load_source(GRID_PROGRAM, "grid.gcl")
+        cases = transaction_grid(program, 1)
+        _, _, first, _ = next(cases)
+        first["A"]["G"] = 7
+        first["D"].clear()
+        _, _, second, t = next(cases)
+        assert second == {"A": {"G": 0, "H": 0}, "D": {"K": 0}}
+        assert t == tx("A", "f", 0, 1)
 
 
 class TestAtomicity:
