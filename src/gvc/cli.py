@@ -162,11 +162,19 @@ def _parse_adversaries(pairs):
 
 
 def cmd_run(args):
+    from .verifier import verify_program
     from .vm import Ledger, VmLoadError, VmUsageError, load_program, parse_script, run_script
+    from .weaver import WeaveError, weave
 
     program = _load(args.path)
+    # the VM takes an ensures atom without an exit row as proved: run only a
+    # program that verifies, with what it leaves unproven woven in
     try:
-        image = load_program(program, _parse_adversaries(args.adversary))
+        ip = weave(program, verify_program(program))
+    except WeaveError as e:
+        raise SystemExit2(EXIT_STATIC, f"cannot run {args.path}: {e}")
+    try:
+        image = load_program(ip, _parse_adversaries(args.adversary))
     except (VmLoadError, SourceError) as e:
         raise SystemExit2(EXIT_USAGE, f"cannot load program: {e}")
 

@@ -236,8 +236,8 @@ class Check:
 class BoundaryEntry:
     """One boundary row of a method.  A woven method's `exits` are its
     residuals checked at exit, written (and read back) as `#! exit atom
-    @id kind;` directives; the VM's table (weaver.build_boundary_table) adds
-    the spec's rows, at entry and at exit, without an id or a kind."""
+    @id kind;` directives; the VM's table (weaver.build_boundary_table) puts
+    the requires atoms before them as entry rows, without an id or a kind."""
 
     kind: str  # "entry" | "exit"
     payload: Atom

@@ -292,7 +292,9 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     (or of the pair load_source returns, for `bench/`): each method's
     boundary table from its spec and `exits` (weaver.build_boundary_table),
     its body and the payloads of its rows and woven checks compiled, and
-    each contract's predicate bodies once."""
+    each contract's predicate bodies once.  The image takes the program as
+    the weaver made it from a verified one: an ensures atom without an
+    exit row is taken as proved (`gvc run` verifies a text first)."""
     if isinstance(ip, InstrumentedProgram):
         program = ip.program
     else:
@@ -411,7 +413,7 @@ class Vm:
         if not self.protected:
             return frame.result
         if code.exit is not None:
-            code.exit(frame, frame.env, active)
+            code.exit(frame, frame.env)
         if caller is None:  # the transaction's permissions are dropped whole
             return frame.result
         perm, fid = self.perm, frame.id
@@ -446,14 +448,15 @@ class Vm:
 #
 # Each method's call protocol compiles with its body.  Its entry function,
 # of (fr, env, active, site), evaluates the method's entry rows in table
-# order, the residual-backed ones always and the others only when `active`
-# (the call comes from the top level or from another contract), a failing
-# one blaming `site` (a verified caller's call line) if there is one; then
-# it acquires each requires acc slot (_acquire).  Its exit function, of (fr,
-# env, active), evaluates the exit rows alike and hands each ensures acc
-# slot back (_hand_back).  Only a verified method has rows to check and
-# slots to acquire.  Vm.call runs both around the body, so the Python
-# stack still holds Vm.call and the block functions per GCL call.
+# order only when `active` (the call comes from the top level or from
+# another contract), a failing one blaming `site` (a verified caller's call
+# line) if there is one; then it acquires each requires acc slot
+# (_acquire).  Its exit function, of (fr, env), evaluates the exit rows,
+# the residuals the verifier left at exit, on every call, a failing one
+# blaming the method's ensures line as weaver.check_map does, and hands
+# each ensures acc slot back (_hand_back).  Only a verified method has rows
+# to check and slots to acquire.  Vm.call runs both around the body, so the
+# Python stack still holds Vm.call and the block functions per GCL call.
 #
 # Specification payloads (woven checks, boundary rows) are evaluated inline
 # in the function that holds them, over mathematical integers: names read
@@ -632,8 +635,10 @@ class _Emitter:
         acquire = [f"_acquire(fr, {self.acc(a)}, active)"
                    for a in _acc_atoms(spec.requires)] if verified else []
         hand_back = [f"_hand_back(fr, {self.acc(a)})" for a in _acc_atoms(spec.ensures)]
-        entry = self.protocol("_e", "active, site", rows["entry"], "precondition", ", site", acquire)
-        exit_ = self.protocol("_x", "active", rows["exit"], "postcondition", "", hand_back)
+        entry = self.protocol("_e", "active, site", rows["entry"], "precondition", None,
+                              ", site", acquire, gated=True)
+        exit_ = self.protocol("_x", "", rows["exit"], "postcondition", spec.ensures.loc.line,
+                              "", hand_back)
         ns = self.load()
         return ns[body], entry and ns[entry], exit_ and ns[exit_]
 
@@ -802,26 +807,23 @@ class _Emitter:
 
     # -- specifications ------------------------------------------------------
 
-    def protocol(self, prefix, params, rows, kind, site, calls):
+    def protocol(self, prefix, params, rows, kind, line, site, calls, gated=False):
         """Emit an entry or exit function of (fr, env) and `params`: its
-        boundary `rows` in table order, the residual-backed ones always and
-        the rest only when `active`, each failing as a `kind` check (at
-        `site`, if that is passed), then the slot helper `calls`.  Returns
-        its name, or None if it would do nothing."""
+        boundary `rows` in table order, all only when `active` if `gated`,
+        each failing as a `kind` check blamed at `line` (else at its own
+        payload's line), or at `site` if that is passed; then the slot
+        helper `calls`.  Returns its name, or None if it would do nothing."""
         if not rows and not calls:
             return None
 
         def emit_body():
-            gated = False  # whether the last row emitted runs only when active
+            if gated and rows:
+                self.emit("if active:")
+                self.indent += 1
             for e in rows:
-                if (e.check_id is None) != gated:
-                    gated = not gated
-                    if gated:
-                        self.emit("if active:")
-                    self.indent += 1 if gated else -1
-                row = self.const((e.check_id, kind, fmt_atom(e.payload), e.payload.loc.line))
+                row = self.const((e.check_id, kind, fmt_atom(e.payload), line or e.payload.loc.line))
                 self.emit(f"if not {self.payload(e.payload)}: raise _row_failed({row}{site})")
-            self.indent -= gated
+            self.indent = 1  # the function's own level
             for call in calls:
                 self.emit(call)
         return self.function(prefix, emit_body, params)[0]

@@ -4,10 +4,10 @@ Before-statement residuals become `check` statements immediately preceding
 their statement; at-exit residuals become the method's `exits` rows, in
 report order, which the woven text carries as `#! exit <payload> @id kind;`
 directives.  `check_map` derives from the woven program alone where each
-check's failure is blamed.  `build_boundary_table` merges the exit rows,
-when a program is loaded into the VM, with the spec-derived rows (precise
-precondition atoms at entry, precise postcondition atoms at exit) that
-protect verified methods from callers in other contracts.
+check's failure is blamed.  `build_boundary_table` gives the VM, when a
+program is loaded, each method's rows: its precondition atoms at entry,
+which protect a verified method from callers in other contracts, then its
+exit rows.  Only what the verifier left unproven is checked at exit.
 """
 
 from __future__ import annotations
@@ -42,26 +42,14 @@ class InstrumentedProgram:
 
 
 def build_boundary_table(contract, method):
-    """The boundary rows a VM evaluates for `method`: its spec's comparison
-    and predicate atoms, requires at entry and ensures at exit (none for an
-    extern contract), with the method's non-acc exit rows merged in by
-    payload so no atom is evaluated twice.  Every acc atom is settled by
-    ownership instead."""
+    """The boundary rows a VM evaluates for `method`: its requires'
+    comparison and predicate atoms at entry (none for an extern contract),
+    which guard it from an untrusted caller, then its own non-acc exit rows,
+    the residuals the verifier left at exit.  An ensures atom the verifier
+    proved has no row, and every acc atom is settled by ownership."""
     entries = [] if contract.extern else [
-        BoundaryEntry(kind, a) for kind, f in (("entry", method.spec.requires),
-                                               ("exit", method.spec.ensures))
-        for a in f.atoms if not isinstance(a, Acc)]
-    for r in method.exits:
-        if isinstance(r.payload, Acc):
-            continue
-        for i, e in enumerate(entries):
-            if (e.kind == r.kind and e.check_id is None
-                    and fmt_atom(e.payload) == fmt_atom(r.payload)):
-                entries[i] = replace(e, check_id=r.check_id, obligation=r.obligation)
-                break
-        else:
-            entries.append(r)
-    return entries
+        BoundaryEntry("entry", a) for a in method.spec.requires.atoms if not isinstance(a, Acc)]
+    return entries + [r for r in method.exits if not isinstance(r.payload, Acc)]
 
 
 def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:

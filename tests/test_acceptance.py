@@ -149,8 +149,9 @@ def test_criterion_6_prover_soundness():
 
 
 def test_criterion_7_gas_accounting():
-    """check_gas is boundary atoms for precise sell and one extra woven
-    check per call for the imprecise variant; 3-tx totals hand-computed."""
+    """check_gas is the entry rows and the acc acquisition for precise
+    sell, whose ensures the verifier proved, and one extra woven check per
+    call for the imprecise variant; 3-tx totals hand-computed."""
     script = [Transaction("Counter", "sell", (3,))] * 3
     results = {}
     for name in ("sell_precise.gcl", "sell.gcl"):
@@ -160,11 +161,11 @@ def test_criterion_7_gas_accounting():
         outs, rep = run_script(image, script, ledger=led)
         results[name] = ([(o.exec_gas, o.check_gas) for o in outs], rep["totals"])
     ok = (results["sell_precise.gcl"] ==
-          ([(2, 3)] * 3, {"exec_gas": 6, "check_gas": 9})
+          ([(2, 2)] * 3, {"exec_gas": 6, "check_gas": 6})
           and results["sell.gcl"] ==
-          ([(2, 4)] * 3, {"exec_gas": 6, "check_gas": 12}))
-    _report(7, ok, "per-tx gas (2 exec, 3 check) precise vs (2 exec, 4 check) "
-                   "imprecise; totals 6/9 and 6/12 over three transactions")
+          ([(2, 3)] * 3, {"exec_gas": 6, "check_gas": 9}))
+    _report(7, ok, "per-tx gas (2 exec, 2 check) precise vs (2 exec, 3 check) "
+                   "imprecise; totals 6/6 and 6/9 over three transactions")
 
 
 def test_criterion_8_determinism_and_atomicity():

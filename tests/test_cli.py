@@ -381,6 +381,44 @@ class TestRun:
         assert code == EXIT_REVERTED
         assert "reverted CheckFailure check c0 (underflow) at line 7" in capsys.readouterr().out
 
+    def test_program_that_does_not_verify_is_refused(self, tmp_path, capsys):
+        # the VM takes an ensures atom without an exit row as proved, so
+        # sell_strong (whose `ensures Count >= 1` does not verify) would
+        # commit sell(3) from Count 3 at Count 0: it does not run at all
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "Counter", "method": "sell", "args": [3]}\n')
+        src = FIXTURES / "sell_strong.gcl"
+        code = main(["run", str(src), "--txs", str(txs),
+                     "--ledger", self._ledger(tmp_path, {"Counter": {"Count": 3}})])
+        assert code == EXIT_STATIC
+        assert capsys.readouterr().out == (
+            f"cannot run {src}: refusing to weave: static errors in sell\n")
+
+    @pytest.mark.parametrize("edit", ["", "    #! exit Level >= 1 @c0 postcondition;\n"],
+                             ids=["as-woven", "exit-row-deleted"])
+    def test_woven_text_runs_what_it_leaves_unproven(self, tmp_path, capsys, edit):
+        # `gvc run` re-verifies a woven text and weaves back a residual that
+        # a hand edit dropped; the exit row blames the ensures line either way
+        woven = tmp_path / "w.gcl"
+        woven.write_text(Path(self._woven(tmp_path, str(CORPUS / "branching.gcl")))
+                         .read_text().replace(edit, ""))
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "Gate", "method": "set", "args": [0]}\n')
+        assert main(["run", str(woven), "--txs", str(txs)]) == EXIT_REVERTED
+        assert ("tx 0: reverted CheckFailure check c0 (postcondition) at line 5 "
+                "exec_gas=2 check_gas=2") in capsys.readouterr().out
+
+    def test_edited_woven_text_needing_a_woven_id_is_refused(self, tmp_path, capsys):
+        # without its check on `unit`, the woven text re-verifies with one
+        # residual numbered c0 like the woven check on `qty`: it does not run
+        woven = tmp_path / "w.gcl"
+        assert main(["weave", str(CORPUS / "quote.gcl"), "--auto", "-o", str(woven)]) == EXIT_OK
+        woven.write_text(woven.read_text().replace("    #! check unit <= 100 @c1 precondition;\n", ""))
+        capsys.readouterr()
+        assert main(["run", str(woven)]) == EXIT_STATIC
+        assert capsys.readouterr().out == (
+            f"cannot run {woven}: refusing to weave: check id c0 is already woven into the program\n")
+
     def test_gas_limit(self, tmp_path, capsys):
         woven = self._woven(tmp_path)
         code = main(["run", woven, "--txs", str(CORPUS / "sell.txs.jsonl"),
@@ -582,7 +620,7 @@ class TestRun:
               "--ledger", self._ledger(tmp_path, {"Counter": {"Count": 10}}),
               "--gas-report", str(gr)])
         doc = json.loads(gr.read_text())
-        assert doc["totals"] == {"exec_gas": 6, "check_gas": 12}
+        assert doc["totals"] == {"exec_gas": 6, "check_gas": 9}
 
 
 class TestCorpus:

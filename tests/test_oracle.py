@@ -11,7 +11,7 @@ from gvc.oracle import (
     ALL_HELD, FIRST_VIOLATION, Oracle, Site, _oracle_desc,
     enumerate_equivalence, vm_site,
 )
-from gvc.verifier import Status, verify_program
+from gvc.verifier import NONLINEAR, MethodVerifier, Status, verify_program
 from gvc.vm import (
     ARITHMETIC_PANIC, CHECK_FAILURE, Ledger, Transaction, Vm, load_program, merge_adversaries,
     transaction_grid,
@@ -96,6 +96,26 @@ class TestEquivalence:
             "oracle_verdict": {"verdict": "FirstViolation", "kind": "precondition",
                                "line": 4, "payload": "quantity <= Count"},
         }
+
+    def test_wrong_postcondition_proof_disagrees(self, monkeypatch):
+        # a verifier that takes every linear postcondition as proved in an
+        # imprecise state: branching.gcl's `Level >= 1` gets no exit row, so
+        # set(0) commits with Level 0 where the oracle blames the ensures,
+        # once per initial Level
+        discharge = MethodVerifier.discharge
+
+        def trusting(self, state, obligation, constraints, insertion):
+            if (state.imprecise and obligation.kind == "postcondition"
+                    and constraints is not NONLINEAR):
+                return
+            discharge(self, state, obligation, constraints, insertion)
+
+        monkeypatch.setattr(MethodVerifier, "discharge", trusting)
+        report = self._grid("branching.gcl")
+        assert len(report["disagreements"]) == 9
+        assert all(d["vm_outcome"]["outcome"] == "committed"
+                   and d["oracle_verdict"]["kind"] == "postcondition"
+                   for d in report["disagreements"])
 
     def test_unknown_only_spec_always_commits(self):
         src = (

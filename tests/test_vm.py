@@ -98,20 +98,20 @@ class TestSellScript:
 class TestGas:
     def test_imprecise_sell_gas(self):
         # exec: two assignments.  check: entry comparison + entry acc +
-        # woven residual + exit postcondition atom.
+        # woven residual; the proven exit atom is not re-checked.
         image = make_image("sell.gcl")
-        outs, report = run_script(image, [tx("Counter", "sell", 3)] * 3,
-                                  ledger=sell_ledger(image))
-        assert all(o.exec_gas == 2 and o.check_gas == 4 for o in outs)
-        assert report["totals"] == {"exec_gas": 6, "check_gas": 12}
-
-    def test_precise_sell_gas(self):
-        # no woven check: entry comparison + entry acc + exit atom.
-        image = make_image("sell_precise.gcl")
         outs, report = run_script(image, [tx("Counter", "sell", 3)] * 3,
                                   ledger=sell_ledger(image))
         assert all(o.exec_gas == 2 and o.check_gas == 3 for o in outs)
         assert report["totals"] == {"exec_gas": 6, "check_gas": 9}
+
+    def test_precise_sell_gas(self):
+        # no woven check and no exit row: entry comparison + entry acc.
+        image = make_image("sell_precise.gcl")
+        outs, report = run_script(image, [tx("Counter", "sell", 3)] * 3,
+                                  ledger=sell_ledger(image))
+        assert all(o.exec_gas == 2 and o.check_gas == 2 for o in outs)
+        assert report["totals"] == {"exec_gas": 6, "check_gas": 6}
 
     def test_predicate_gas_short_circuits(self):
         # even(4): five comparisons plus three predicate-call atoms; the
@@ -408,6 +408,11 @@ SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
 EVEN = "  #@ predicate ev(n) = n == 0 or (n >= 2 and ev(n - 2));\n"
 
 
+def post(check_id, payload, line):
+    return CHECK_FAILURE, {"check_id": check_id, "kind": "postcondition", "payload": payload,
+                           "line": line}
+
+
 def pre(payload, line):
     return CHECK_FAILURE, {"check_id": None, "kind": "precondition", "payload": payload,
                            "line": line}
@@ -461,7 +466,14 @@ SPEC_SHAPES = {
         "    #@ requires acc(G);\n"
         "    #@ ensures acc(G) and G == old(G) + x and result == old(G) + 1;\n"
         "    y := G;\n    G := y + x;\n    return y + 1;\n",
-        [((0,), 3, 3, None), ((4,), 3, 3, None)]),
+        [((0,), 3, 1, None), ((4,), 3, 1, None)]),
+    # an unproven ensures reading old(...) and result is woven as
+    # `#! exit result >= old(G) + 1 @c0 postcondition;` and always runs
+    "exit-old-result-residual": (
+        "contract C:\n  #@ global G;\n  method m(x: uint64) -> uint64:\n"
+        "    #@ requires ? and acc(G);\n    #@ ensures acc(G) and result >= old(G) + 1;\n"
+        "    y := G;\n    G := y + x;\n    return y + x;\n",
+        [((0,), 3, 2, post("c0", "result >= old(G) + 1", 5)), ((4,), 3, 2, None)]),
     # the argument is evaluated before the predicate call is charged
     "instance-div-zero": (
         SHAPE.format(preds="  #@ predicate p(n) = n <= 5;\n", req="p(10 / x)"),
@@ -531,24 +543,33 @@ HANDED_BACK = """contract C:
     #@ ensures ?;
     y := G + x;
 """
+# inner's ensures does not return G, so Vm.call frees it as inner returns,
+# and outer's woven `#! check acc(G) @c0 access;` borrows it again
+NOT_RETURNED = """contract C:
+  #@ global G;
+  method outer(x: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ?;
+    call C.inner(x);
+    G := x;
+  method inner(x: uint64):
+    #@ requires acc(G);
+    #@ ensures true;
+    G := x + 1;
+"""
 SELL = (CORPUS / "sell.gcl").read_text(encoding="utf-8")
-
-
-def post(check_id, payload, line):
-    return CHECK_FAILURE, {"check_id": check_id, "kind": "postcondition", "payload": payload,
-                           "line": line}
 
 
 # call protocol shapes: (source, [(transaction, initial ledger, gas limit,
 # protected outcome, unprotected outcome)]), an outcome being (exec_gas,
-# check_gas, (reason, detail) of a revert or None).  A callee's spec rows
+# check_gas, (reason, detail) of a revert or None).  A callee's entry rows
 # and requires acc slots are evaluated and charged only across a contract
-# boundary (or at the top level); its residual-backed rows always run.
+# boundary (or at the top level); its exit rows, each a residual, always run.
 # Unprotected, no row, check or acc slot is evaluated or charged.
 PROTOCOL_SHAPES = {
     "cross-contract": (CROSS, [
-        (tx("S", "buy", 2), {"V": {"G": 5}}, None, (2, 4, None), (2, 0, None)),
-        (tx("V", "take", 2), {"V": {"G": 5}}, None, (1, 4, None), (1, 0, None)),
+        (tx("S", "buy", 2), {"V": {"G": 5}}, None, (2, 3, None), (2, 0, None)),
+        (tx("V", "take", 2), {"V": {"G": 5}}, None, (1, 3, None), (1, 0, None)),
         # a verified caller's failing foreign precondition blames the call
         (tx("S", "buy", 7), {"V": {"G": 5}}, None, (1, 1, pre("G >= x", 12)),
          (2, 0, (ARITHMETIC_PANIC, {"kind": "underflow", "line": 6}))),
@@ -574,6 +595,8 @@ PROTOCOL_SHAPES = {
          (1, 2, (GAS_EXHAUSTED, {"kind": GAS_EXHAUSTED})), (2, 0, None))]),
     "ensures-acc-handed-back": (HANDED_BACK.format(callee="inner"), [
         (tx("C", "outer", 4), {}, None, (3, 1, None), (3, 0, None))]),
+    "requires-acc-not-returned": (NOT_RETURNED, [
+        (tx("C", "outer", 1), {}, None, (3, 2, None), (3, 0, None))]),
     # peek's woven `#! check acc(G)` borrows G from outer, and its exit
     # returns it
     "borrowed-and-returned": (HANDED_BACK.format(callee="peek"), [

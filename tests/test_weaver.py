@@ -44,11 +44,11 @@ class TestSellWoven:
 
     def test_boundary_table_from_spec(self, sell_woven):
         # the woven program carries no rows; the VM's table holds the
-        # requires comparison at entry and the precise ensures at exit, and
-        # the requires acc is settled by ownership
+        # requires comparison at entry and no row for the ensures, which the
+        # verifier proved, and the requires acc is settled by ownership
         assert sell_woven.boundary == {}
         entries = _table(load_program(sell_woven), "Counter", "sell")
-        assert [e.kind for e in entries] == ["entry", "exit"]
+        assert [e.kind for e in entries] == ["entry"]
         assert all(e.check_id is None for e in entries)
 
 
@@ -150,8 +150,9 @@ def test_exit_residual_lands_in_boundary_table():
 
 
 def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
-    # a hand-edited woven text may carry an exit row no spec atom matches:
-    # the table appends it after the spec rows, and the VM checks it
+    # a hand-edited woven text may carry an exit row no residual produced:
+    # the table holds the method's exit rows as written, and no row for the
+    # proven ensures `Level <= 10`, and the VM checks each
     program, _ = load_file(CORPUS / "branching.gcl")
     text = weave(program, verify_program(program)).to_text()
     row = "    #! exit Level >= 1 @c0 postcondition;\n"
@@ -159,8 +160,7 @@ def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
     image = load_program(load_source(text, "branching.woven.gcl"))
     assert [(e.kind, fmt_atom(e.payload), e.check_id)
             for e in _table(image, "Gate", "set")] == [
-        ("exit", "Level <= 10", None), ("exit", "Level >= 1", "c0"),
-        ("exit", "Level <= 5", "c1")]
+        ("exit", "Level >= 1", "c0"), ("exit", "Level <= 5", "c1")]
     vm = Vm(image, Ledger(image.program))
     assert vm.exec_transaction(Transaction("Gate", "set", (5,))).committed
     out = vm.exec_transaction(Transaction("Gate", "set", (7,)))
