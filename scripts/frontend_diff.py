@@ -38,7 +38,10 @@ part that differs first (program, boundary, report, woven, vm or oracle, or
 crash when verifying, weaving, running or judging raised in one tree) with
 its first differing path, line or grid case; then the source and both
 results of the first few, and a tally of the differences by old outcome ->
-new outcome (part).  Exits 1 if any input differs.
+new outcome (part).  A case whose VM records differ in `exec_gas` and
+`check_gas` alone is also counted apart, and an input whose every differing
+VM record is such a case is tallied under the part "vm gas", not "vm".
+Exits 1 if any input differs.
 """
 
 import argparse
@@ -270,11 +273,31 @@ def first_line(a, b):
     return f"line {min(len(la), len(lb)) + 1}: {len(la)} -> {len(lb)} line(s)"
 
 
+GAS = ("exec_gas", "check_gas")
+
+
+def gas_only(x, y):
+    """Whether two differing VM records of one grid case (see run_grid)
+    differ in gas alone: equal once `exec_gas` and `check_gas` leave their
+    outcome dicts.  The run under a limit of g - 1 is compared only when
+    both used the same gas g; otherwise its limit is itself a gas
+    difference."""
+    def gas_free(record, cut):
+        kept = record[:7] + (record[7:] if cut else [])
+        return [{k: v for k, v in f.items() if k not in GAS} if i in (3, 7) else f
+                for i, f in enumerate(kept)]
+
+    cut = sum(x[3][k] for k in GAS) == sum(y[3][k] for k in GAS)
+    return gas_free(x, cut) == gas_free(y, cut)
+
+
 def first_difference(a, b, grid):
     """(part, where) for two differing Results: for an input both trees
     load, the part that differs first and where in it, else (None, the
     errors).  `grid` holds, for "vm" and "oracle", the number of grid cases
-    whose records differ and the first such case's old record."""
+    whose records differ, the first such case's old record and the number
+    that differ in gas alone (see gas_only); "vm gas" is the part when
+    every differing VM record differs in gas alone."""
     if a.head[0] != "ok" or b.head[0] != "ok":
         return None, " -> ".join(repr(d[2]) if d[0] == "error" else "loads" for d in (a.head, b.head))
     for part, x, y in (("program", a.head[1], b.head[1]), ("boundary", a.head[2], b.head[2])):
@@ -286,10 +309,11 @@ def first_difference(a, b, grid):
     for part, x, y in zip(("report", "woven"), a.checked, b.checked):
         if x != y:
             return part, first_line(x, y)
-    for part, (n, first) in grid.items():
+    for part, (n, first, gas) in grid.items():
         if n:
             method, init, args = first[:3]
-            return part, f"{n} case(s), first {method}{tuple(args)} on {json.dumps(init)}"
+            return (part + " gas" * (gas == n),
+                    f"{n} case(s), first {method}{tuple(args)} on {json.dumps(init)}")
         if a.count != b.count:
             return part, f"{a.count} -> {b.count} case(s)"
 
@@ -392,18 +416,20 @@ def main(argv=None):
     # a time, and only the tallies and the differences are kept; equal JSON
     # lines are equal cases, never decoded
     outcomes, tally, found, shown = Counter(), Counter(), [], []
-    both = ran = cases = vm_diffs = oracle_diffs = 0
+    both = ran = cases = vm_diffs = gas_diffs = oracle_diffs = 0
     for (name, text), (_, new_text), a, b in zip(
             old_texts, new_texts, results(run_tree(args.old_src, old_texts)),
             results(run_tree(args.new_src, new_texts)), strict=True):
-        grid = {"vm": [0, None], "oracle": [0, None]}
+        grid = {"vm": [0, None, 0], "oracle": [0, None, 0]}
         for line_a, line_b in zip_longest(a.cases(), b.cases()):
             if line_a is None or line_b is None or line_a == line_b:
                 continue
-            for diff, x, y in zip(grid.values(), json.loads(line_a), json.loads(line_b)):
+            for part, x, y in zip(grid, json.loads(line_a), json.loads(line_b)):
                 if x != y:
+                    diff = grid[part]
                     diff[0] += 1
                     diff[1] = diff[1] or x
+                    diff[2] += part == "vm" and gas_only(x, y)
         outcomes[outcome(a.head)] += 1
         if a.head[0] == b.head[0] == "ok":
             both += 1
@@ -411,6 +437,7 @@ def main(argv=None):
                 ran += 1
                 cases += a.count
                 vm_diffs += grid["vm"][0]
+                gas_diffs += grid["vm"][2]
                 oracle_diffs += grid["oracle"][0]
         if a.head[0] == b.head[0] == "ok":
             same = a.head[1:3] == b.head[1:3] and a.checked == b.checked and (
@@ -436,7 +463,8 @@ def main(argv=None):
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
     print(f"{ran} input(s) verify in both trees; their VM outcomes and oracle "
           f"judgments on {cases} grid case(s) are compared (final ledgers included): "
-          f"VM outcomes differ on {vm_diffs}, oracle judgments on {oracle_diffs}")
+          f"VM outcomes differ on {vm_diffs} ({gas_diffs} in gas alone), "
+          f"oracle judgments on {oracle_diffs}")
     print(f"{len(found)} difference(s): {dict(sorted(tally.items()))}")
     return 1 if found else 0
 

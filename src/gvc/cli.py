@@ -200,11 +200,13 @@ def cmd_run(args):
         if o.committed:
             print(f"tx {i}: {_green('committed')} exec_gas={o.exec_gas} check_gas={o.check_gas}")
         else:
-            where = ""
+            where, line = "", o.detail.get("line")
             if cid := o.detail.get("check_id"):
+                # the guarded line (weaver.check_map), not the `#!` line
                 where = f" check {cid} ({image.checks[cid]['kind']})"
-            if o.detail.get("line"):
-                where += f" at line {o.detail['line']}"
+                line = image.checks[cid]["line"]
+            if line:
+                where += f" at line {line}"
             print(f"tx {i}: {_red('reverted')} {o.reason}{where} "
                   f"exec_gas={o.exec_gas} check_gas={o.check_gas}")
     print(f"final ledger: {json.dumps(ledger.as_dict(), sort_keys=True)}")

@@ -21,13 +21,19 @@ conjunction unsat, else any unknown one makes it unknown.  Elimination never
 mixes components, so the verdicts and models are those of eliminating the
 whole conjunction at once, except that SPLIT_BUDGET, COEF_LIMIT and
 CONSTRAINT_LIMIT apply per component, which can only turn an "unknown" into a
-sound verdict.  A component reaches `_fm` as the sorted tuple of its unique
-constraints, which is also its key in the memo of component verdicts.  The
-key holds one `<=` constraint per coefficient vector, the tightest: of two
-bounds on the same terms the one with the larger constant implies the
-other, so the weaker is dropped as it is appended (a normalization step of
-Pugh's Omega test, 1991/92); `_fm` drops the weaker of the constraints each
-elimination step derives by the same rule.  The dropped bound holds wherever
+sound verdict.  A component whose constraints all name one variable skips
+elimination, as a DPLL(T) solver keeps a one-variable constraint as a bound
+(Dutertre and de Moura, CAV 2006): its bounds, its `==` constants and its
+`!=` holes give the verdict elimination would, the give-up included (more
+than SPLIT_BUDGET disequalities is unknown), and one holding a constant
+beyond COEF_LIMIT goes to elimination.  A component reaches `_decide` as the
+sorted tuple of its unique constraints, which is also its key in the memo of
+component verdicts.  The key holds one `<=` constraint per coefficient
+vector, the tightest: of two bounds on the same terms the one with the
+larger constant implies the other, so the weaker is dropped as it is
+appended (a normalization step of Pugh's Omega test, 1991/92); `_fm` drops
+the weaker of the constraints each elimination step derives by the same
+rule.  The dropped bound holds wherever
 the kept one does, so neither elimination nor the model check reaches
 another verdict without it, except where a COEF_LIMIT or CONSTRAINT_LIMIT
 give-up is avoided.  A verdict depends on the key's content alone, so a
@@ -376,6 +382,52 @@ def _components(constraints):
 
 
 def _decide(component):
+    """The verdict of one component (see _components): from its bounds when
+    every constraint names one variable (see _decide_bounds), else by
+    elimination.  Both reach the same verdict on a one-variable component."""
+    r = _decide_bounds(component)
+    return _eliminate(component) if r is None else r
+
+
+def _decide_bounds(component):
+    """The verdict of a component whose constraints all name one variable v,
+    without elimination, or None (hand it to _eliminate) for any other
+    component or one holding a constant beyond COEF_LIMIT.  Over one
+    variable, elimination with its model check is exact, and this is what
+    it finds: the `<=` bounds, floored to integers, and each `==` (unsat
+    unless its coefficient divides its constant) intersect [0, UINT_MAX];
+    an empty interval is unsat.  A nonempty one without disequalities is
+    sat; with more than SPLIT_BUDGET of them it is unknown, the splits'
+    give-up; else it is sat unless the `!=` holes (a point each, where the
+    coefficient divides the constant) cover it."""
+    lo, hi, nes, holes = 0, UINT_MAX, 0, set()
+    for terms, const, rel in component:
+        if len(terms) != 1 or abs(const) > COEF_LIMIT:
+            return None
+        c = terms[0][1]
+        if rel == "!=":
+            nes += 1
+            if const % c == 0:
+                holes.add(-const // c)
+        elif rel == "==":
+            if const % c:
+                lo = UINT_MAX + 1  # no integer solves it
+            else:
+                lo, hi = max(lo, -const // c), min(hi, -const // c)
+        elif c > 0:  # c*v + const <= 0
+            hi = min(hi, -const // c)
+        else:
+            lo = max(lo, -(-const // -c))  # ceil(const / -c)
+    if lo > hi:
+        return "unsat"
+    if not nes:
+        return "sat"
+    if nes > SPLIT_BUDGET:
+        return "unknown"
+    return "sat" if hi - lo + 1 > sum(lo <= h <= hi for h in holes) else "unsat"
+
+
+def _eliminate(component):
     """Fourier-Motzkin, disequality splits and the integer model check on
     one component (see _components)."""
     les, nes = [], []

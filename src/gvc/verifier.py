@@ -408,11 +408,14 @@ class MethodVerifier:
             self.eval_expr(state, leaf.left, loc, insertion)
             self.eval_expr(state, leaf.right, loc, insertion)
 
-    def branches(self, state, cond, negate=False):
+    def branches(self, state, cond, negate=False, last=False):
         """One clone of `state` per satisfiable DNF alternative of the
-        condition (or its negation), its path extended by the alternative."""
-        for alt in self.cond_alternatives(state, cond, negate):
-            st = state.clone()
+        condition (or its negation), its path extended by the alternative.
+        With `last` the caller drops `state` after this, so the last
+        alternative takes `state` itself instead of a clone."""
+        alts = self.cond_alternatives(state, cond, negate)
+        for i, alt in enumerate(alts):
+            st = state if last and i == len(alts) - 1 else state.clone()
             st.path.extend(alt)
             if check_sat(st.path, self.stats.memo) != "unsat":
                 yield st
@@ -447,7 +450,7 @@ class MethodVerifier:
             out = []
             for st in self.branches(state, s.cond):
                 out.extend(self.exec_block([st], s.then, path + (index, "then")))
-            for st in self.branches(state, s.cond, negate=True):
+            for st in self.branches(state, s.cond, negate=True, last=True):
                 out.extend(self.exec_block([st], s.orelse, path + (index, "else")))
             return out
         if isinstance(s, While):
@@ -494,7 +497,7 @@ class MethodVerifier:
                 self.consume(exit_st, inv, s.loc, end_insertion, "loop-invariant",
                              self._own_scope(exit_st))
         # after the loop: invariant /\ not condition
-        return list(self.branches(state, s.cond, negate=True))
+        return list(self.branches(state, s.cond, negate=True, last=True))
 
     def exec_call(self, state, s: Call, before):
         callee_c = self.program.contract(s.contract)

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -16,8 +17,11 @@ from gvc.cli import (
 )
 from gvc.frontend import corpus_files, load_file
 from gvc.lang import UINT_MAX
+from gvc.oracle import Oracle
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
+from gvc.vm import Transaction
+from gvc.weaver import check_map, weave
 
 from conftest import CORPUS, FIXTURES, ROOT
 
@@ -379,7 +383,26 @@ class TestRun:
         code = main(["run", woven, "--txs", str(txs),
                      "--ledger", self._ledger(tmp_path, {"Counter": {"Count": 10}})])
         assert code == EXIT_REVERTED
-        assert "reverted CheckFailure check c0 (underflow) at line 7" in capsys.readouterr().out
+        assert "reverted CheckFailure check c0 (underflow) at line 8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("woven", [True, False], ids=["woven-text", "source"])
+    def test_failed_check_blames_the_line_it_guards(self, tmp_path, capsys, woven):
+        # a woven text's check stands on its own `#!` line: the revert blames
+        # the store it guards, as weaver.check_map and the oracle do
+        src = self._woven(tmp_path) if woven else SELL
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "Counter", "method": "sell", "args": [12]}\n')
+        init = {"Counter": {"Count": 10}}
+        capsys.readouterr()
+        assert main(["run", src, "--txs", str(txs),
+                     "--ledger", self._ledger(tmp_path, init)]) == EXIT_REVERTED
+        printed = int(re.search(r"check c0 \(underflow\) at line (\d+)",
+                                capsys.readouterr().out).group(1))
+        program, _ = load_file(src)
+        ip = weave(program, verify_program(program))
+        judgment = Oracle(program).judge(init, Transaction("Counter", "sell", (12,)))
+        assert printed == check_map(ip.program)["c0"]["line"] == judgment.site.line
+        assert printed == (8 if woven else 7)
 
     def test_program_that_does_not_verify_is_refused(self, tmp_path, capsys):
         # the VM takes an ensures atom without an exit row as proved, so
@@ -895,3 +918,21 @@ def test_every_mutant_gets_a_documented_exit_code(tmp_path, capsys):
     assert seen["verify"] <= {EXIT_OK, EXIT_STATIC}
     assert seen["weave"] <= {EXIT_OK, EXIT_STATIC}
     assert seen["run"] | seen["run woven"] <= {EXIT_OK, EXIT_USAGE, EXIT_STATIC, EXIT_REVERTED}
+
+
+def test_frontend_diff_tells_gas_apart():
+    # two VM records of one grid case differ in gas alone when they are
+    # equal without exec_gas and check_gas; the run cut at g - 1 gas is
+    # compared only when both used g
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from frontend_diff import gas_only
+
+    def record(check_gas, ledger=1, cut_line=5):
+        gas = {"exec_gas": 3, "check_gas": check_gas}
+        return ["C.m", {}, [1], {"outcome": "committed", **gas}, None, {}, {"C": {"G": ledger}},
+                {"outcome": "reverted", **gas, "revert_reason": "GasExhausted"},
+                {"line": cut_line}, {"C": {"G": 0}}]
+
+    assert gas_only(record(2), record(1, cut_line=6))
+    assert not gas_only(record(2), record(1, ledger=2))
+    assert not gas_only(record(2), record(2, cut_line=6))

@@ -1,18 +1,19 @@
 """Linear entailment engine: examples plus randomized soundness."""
 
 import itertools
+import json
 import operator
 import sys
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gvc.linear
 import gvc.verifier
 from gvc.frontend import load_source
-from gvc.lang import BinOp, IntLit, Name
+from gvc.lang import UINT_MAX, BinOp, IntLit, Name
 from gvc.linear import (
-    NONLINEAR, LinExpr, LinearConstraint, PathCondition, ProofResult, ProverStats, Rel,
-    check_sat, cmp_constraints, entails_constraints, linearize, make_constraint,
+    COEF_LIMIT, NONLINEAR, SPLIT_BUDGET, LinExpr, LinearConstraint, PathCondition, ProofResult,
+    ProverStats, Rel, check_sat, cmp_constraints, entails_constraints, linearize, make_constraint,
 )
 from gvc.verifier import verify_program
 
@@ -450,3 +451,69 @@ def test_path_condition_keeps_its_split(steps):
             if not false:
                 # each component is keyed by the sorted tuple of its unique keys
                 assert {tuple(sorted(g)) for g in _connected_groups(ref)} == set(got)
+
+
+# -- one-variable components: decided from their bounds --------------------
+
+
+@st.composite
+def one_variable_components(draw):
+    # c*x + k rel 0 with k placing the atom's boundary near 0 or UINT_MAX,
+    # or anywhere; a coefficient need not divide its constant
+    def one():
+        c = draw(st.sampled_from([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5]))
+        near = draw(st.sampled_from([0, UINT_MAX]))
+        k = draw(st.one_of(st.integers(-3, 3).map(lambda d: -c * (near + d) + d % 2),
+                           st.integers(-2 * UINT_MAX, 2 * UINT_MAX)))
+        rel = draw(st.sampled_from([Rel.LE, Rel.LE, Rel.EQ, Rel.NE, Rel.NE]))
+        return LinearConstraint((("x", c),), k, rel)
+
+    cons = [one() for _ in range(draw(st.integers(1, 14)))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        cons.append(LinearConstraint((("x", 1),), -(COEF_LIMIT + 1), Rel.NE))
+    return cons
+
+
+_HOLES = tuple(LinearConstraint((("x", 1),), -i, Rel.NE) for i in range(SPLIT_BUDGET + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@example([con({"x": 1}, -SPLIT_BUDGET - 1), *_HOLES])  # x <= 9, 9 holes: the give-up
+@example([con({"x": 1}, -SPLIT_BUDGET), *_HOLES[:-1]])  # x <= 8, 8 holes: x = 8 is left
+@example([con({"x": 1}, -SPLIT_BUDGET + 1), *_HOLES[:-1]])  # x <= 7, covered
+@example([con({"x": 3}, -7, Rel.EQ)])  # 3 does not divide 7
+# x >= UINT_MAX - 1.5 and x != UINT_MAX: UINT_MAX - 1 is left
+@example([con({"x": -2}, 2 * UINT_MAX - 3), con({"x": 1}, -UINT_MAX, Rel.NE)])
+@example([con({"x": 1}, -(COEF_LIMIT + 1), Rel.NE), con({"x": 1}, -3)])
+@given(one_variable_components())
+def test_bounds_decision_matches_elimination(cons):
+    # the same verdict on the same key, give-ups included; a constant
+    # beyond COEF_LIMIT is handed to elimination
+    (key,) = gvc.linear._components(cons)
+    verdict = gvc.linear._decide_bounds(key)
+    beyond = any(abs(k) > COEF_LIMIT for _, k, _ in key)
+    assert (verdict is None) == beyond
+    if verdict is not None:
+        assert verdict == gvc.linear._eliminate(key)
+    assert gvc.linear._decide(key) == gvc.linear._eliminate(key)
+
+
+def test_one_variable_components_skip_elimination(monkeypatch):
+    # every component of an n-if verification names one variable: none
+    # reaches _fm, and the report is the one elimination gives
+    calls = []
+    real = gvc.linear._fm
+
+    def counting(les, var_order):
+        calls.append(var_order)
+        return real(les, var_order)
+
+    monkeypatch.setattr(gvc.linear, "_fm", counting)
+    program, _ = load_source(nif_source(6))
+    report = verify_program(program).to_json()
+    assert calls == []
+    assert json.loads(report)["prover"] == {
+        "queries": 63, "proved": 35, "disproved": 0, "unknown": 28}
+    monkeypatch.setattr(gvc.linear, "_decide_bounds", lambda component: None)
+    assert verify_program(program).to_json() == report
+    assert len(calls) == 64

@@ -10,7 +10,7 @@ import pytest
 
 from gvc.frontend import load_file, load_source
 from gvc.oracle import enumerate_equivalence
-from gvc.verifier import Insertion, Status, program_digest, verify_program
+from gvc.verifier import Insertion, Status, SymState, program_digest, verify_program
 from gvc.weaver import weave
 
 from conftest import CORPUS, FIXTURES, ROOT, nif_source
@@ -299,6 +299,21 @@ def test_verification_leaves_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_last_branch_takes_the_state(monkeypatch):
+    # each `if` hands its state to the last satisfiable alternative of its
+    # else side: 2^4 paths through nif(4) make 15 clones, one per `if` arm
+    # taken on the then side, and verify as before
+    clones = []
+    real = SymState.clone
+    monkeypatch.setattr(SymState, "clone", lambda s: clones.append(s) or real(s))
+    program, _ = load_source(nif_source(4))
+    report = verify_program(program).as_dict()
+    assert len(clones) == 15
+    assert report["prover"] == {"queries": 15, "proved": 7, "disproved": 0, "unknown": 8}
+    assert [(m["status"], len(m["residuals"])) for m in report["methods"]] == [
+        ("verified-with-residuals", 4)]
 
 
 REPORT_OF = """
