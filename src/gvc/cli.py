@@ -174,7 +174,8 @@ def cmd_run(args):
     except WeaveError as e:
         raise SystemExit2(EXIT_STATIC, f"cannot run {args.path}: {e}")
     try:
-        image = load_program(ip, _parse_adversaries(args.adversary))
+        image = load_program(ip, _parse_adversaries(args.adversary),
+                             protected=not args.unprotected)
     except (VmLoadError, SourceError) as e:
         raise SystemExit2(EXIT_USAGE, f"cannot load program: {e}")
 
@@ -192,8 +193,7 @@ def cmd_run(args):
         raise SystemExit2(EXIT_USAGE, f"bad ledger init: {e}")
 
     try:
-        outcomes, report = run_script(image, txs, gas_limit=args.gas_limit,
-                                      ledger=ledger, protected=not args.unprotected)
+        outcomes, report = run_script(image, txs, gas_limit=args.gas_limit, ledger=ledger)
     except VmUsageError as e:
         raise SystemExit2(EXIT_USAGE, f"bad transaction: {e}")
     for i, o in enumerate(outcomes):

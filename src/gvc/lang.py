@@ -233,16 +233,13 @@ class Check:
 
 
 @dataclass(frozen=True)
-class BoundaryEntry:
-    """One boundary row of a method.  A woven method's `exits` are its
-    residuals checked at exit, written (and read back) as `#! exit atom
-    @id kind;` directives; the VM's table (weaver.build_boundary_table) puts
-    the requires atoms before them as entry rows, without an id or a kind."""
+class ExitRow:
+    """A residual its method checks at exit, written (and read back) as a
+    `#! exit <payload> @id kind;` directive after the method's specs."""
 
-    kind: str  # "entry" | "exit"
     payload: Atom
-    check_id: Optional[str] = None  # set iff this row realizes a residual
-    obligation: Optional[str] = None  # that residual's kind (OBLIGATION_KINDS)
+    check_id: str
+    obligation: str  # one of OBLIGATION_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +261,7 @@ class Method:
     returns: bool
     spec: Spec
     body: tuple
-    exits: tuple = ()  # its `#! exit` rows (BoundaryEntry); empty in a plain source
+    exits: tuple = ()  # its `#! exit` rows (ExitRow); empty in a plain source
     opaque: bool = False
     loc: SourceLoc = NOLOC
 

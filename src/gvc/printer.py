@@ -3,7 +3,7 @@
 Printing then re-parsing yields a structurally identical program, and the
 printed form is a fixed point: printing the re-parse reproduces it byte for
 byte.  Woven check statements render as `#! check <payload> @id kind;` and
-a method's boundary rows as `#! exit <payload> @id kind;`, the kind naming
+a method's exit rows as `#! exit <payload> @id kind;`, the kind naming
 the obligation each guards.
 """
 
@@ -91,7 +91,7 @@ def pretty_print(program) -> str:
             out.append(f"    #@ requires {fmt_formula(m.spec.requires)};")
             out.append(f"    #@ ensures {fmt_formula(m.spec.ensures)};")
             for e in m.exits:
-                out.append(f"    #! {e.kind} {fmt_atom(e.payload)} @{e.check_id} {e.obligation};")
+                out.append(f"    #! exit {fmt_atom(e.payload)} @{e.check_id} {e.obligation};")
             if m.opaque:
                 out.append("    opaque;")
             else:

@@ -10,9 +10,9 @@ of a method body, each method's call protocol (an entry and an exit
 function, which evaluate its boundary rows and move its acc slots), and
 each predicate body becomes a generated Python function, compiled with
 compile() (see "Compiled code" below).  The source line a revert reports
-is fixed at compile time, and compiled code is a function of the running
-Frame and the names in scope.  One image serves every Vm made from it, so
-compiled code reaches the ledger, the permission table, the gas meter and
+and each call's boundary decisions are fixed at compile time, and compiled
+code is a function of the running Frame and the names in scope.  One
+image serves every Vm made from it, so compiled code reaches the ledger, the permission table, the gas meter and
 the Vm only through the frame it is handed.  A transaction runs compiled
 code only; nothing is compiled or walked as a tree at run time.
 
@@ -45,7 +45,7 @@ from .frontend import infer_types, resolve
 from .parser import parse_program
 from .lexer import lex
 from .printer import fmt_atom
-from .weaver import InstrumentedProgram, build_boundary_table, check_map
+from .weaver import InstrumentedProgram, check_map
 
 CHECK_FAILURE = "CheckFailure"
 OWNERSHIP_FAILURE = "OwnershipFailure"
@@ -172,25 +172,23 @@ class GasMeter:
 
 
 class MethodCode:
-    """One method of a loaded image: its parameter names; whether its exit
-    rows read old(...); its ensures acc slots; its contract's compiled
-    predicates (shared by the contract's methods); its body, a generated
-    function that takes the running Frame and its locals and returns True
-    when the body executed a return; and its generated `entry` and `exit`
-    functions (see "Compiled code"), each None where it would do nothing.
+    """One method of a loaded image: its parameter names; its ensures acc
+    slots; its contract's compiled predicates (shared by the contract's
+    methods); its body, a generated function that takes the running Frame
+    and its locals and returns True when the body executed a return; and
+    its generated `entry` and `exit` functions (see "Compiled code"), each
+    None where it would do nothing, as both are in an unprotected image.
     The body, its woven checks, the entry and the exit compile in one
     source."""
 
-    def __init__(self, contract: Contract, method: Method, table, verified, predicates):
+    def __init__(self, contract: Contract, method: Method, predicates, protected):
         spec = method.spec
-        self.contract, self.method, self.verified = contract, method, verified
+        self.contract = contract
         self.params = tuple(p for p, _ in method.params)
-        self.imprecise_entry = spec.requires.imprecise or not verified
-        self.reads_old = any(type(n) is Old for e in table if e.kind == "exit"
-                             for n in expr_nodes(e.payload))
+        self.imprecise_entry = spec.requires.imprecise or contract.extern
         self.ensured = frozenset(a.slot for a in _acc_atoms(spec.ensures))
         self.predicates = predicates
-        self.body, self.entry, self.exit = _Emitter(contract).compile(method, table, verified)
+        self.body, self.entry, self.exit = _Emitter(contract, protected).compile(method)
 
 
 class Frame:
@@ -199,7 +197,7 @@ class Frame:
     gas meter that compiled code reaches through it."""
 
     __slots__ = ("vm", "id", "code", "contract", "env", "caller", "depth", "slots",
-                 "journal", "perm", "meter", "protected", "old", "result", "lazy_acquired")
+                 "journal", "perm", "meter", "old", "result", "lazy_acquired")
 
     def __init__(self, vm, frame_id, code: MethodCode, env, caller, depth):
         self.vm = vm
@@ -213,8 +211,7 @@ class Frame:
         self.journal = vm.ledger.journal
         self.perm = vm.perm
         self.meter = vm.meter
-        self.protected = vm.protected
-        self.old = None  # the contract's storage at entry, if the exit rows read it
+        self.old = None  # the contract's storage at entry, if an exit row reads it
         self.result = None
         self.lazy_acquired = []  # (slot, previous owner)
 
@@ -287,14 +284,16 @@ def with_own_contracts(merged: Program, own: Program) -> Program:
                          for m, o in zip(merged.contracts, own.contracts)))
 
 
-def load_program(ip, adversaries: dict = None) -> VmImage:
+def load_program(ip, adversaries: dict = None, protected=True) -> VmImage:
     """Build an executable image of a woven Program or InstrumentedProgram
-    (or of the pair load_source returns, for `bench/`): each method's
-    boundary table from its spec and `exits` (weaver.build_boundary_table),
-    its body and the payloads of its rows and woven checks compiled, and
-    each contract's predicate bodies once.  The image takes the program as
-    the weaver made it from a verified one: an ensures atom without an
-    exit row is taken as proved (`gvc run` verifies a text first)."""
+    (or of the pair load_source returns, for `bench/`): each method's body
+    and call protocol compiled (see "Compiled code"), and each contract's
+    predicate bodies once.  The image takes the program as the weaver made
+    it from a verified one: an ensures atom without an exit row is taken as
+    proved (`gvc run` verifies a text first).  Unprotected (a debug mode),
+    the image tracks no permissions and evaluates no woven check or
+    boundary row, to demonstrate the attack class the protections close
+    off."""
     if isinstance(ip, InstrumentedProgram):
         program = ip.program
     else:
@@ -302,10 +301,9 @@ def load_program(ip, adversaries: dict = None) -> VmImage:
     combined, unverified = merge_adversaries(program, adversaries)
     code = {}
     for c in combined.contracts:
-        predicates = _predicates(c)
+        predicates = _predicates(c) if protected else {}
         for m in c.methods:
-            code[(c.name, m.name)] = MethodCode(c, m, build_boundary_table(c, m),
-                                                c.name not in unverified, predicates)
+            code[(c.name, m.name)] = MethodCode(c, m, predicates, protected)
     return VmImage(combined, check_map(combined), frozenset(unverified), code)
 
 
@@ -331,14 +329,10 @@ def transaction_grid(program: Program, bound: int):
 
 
 class Vm:
-    def __init__(self, image: VmImage, ledger: Ledger, protected=True):
-        """A VM running transactions of `image` on `ledger`.  Unprotected
-        (a debug mode) it tracks no permissions and evaluates no woven check
-        or boundary row, to demonstrate the attack class the protections
-        close off."""
+    def __init__(self, image: VmImage, ledger: Ledger):
+        """A VM running transactions of `image` on `ledger`."""
         self.image = image
         self.ledger = ledger
-        self.protected = protected
         self.perm = {}  # (contract, slot) -> frame id, FREE when absent
         self.meter = None
         self.frames = 0  # frames entered so far; numbers the next one
@@ -387,31 +381,23 @@ class Vm:
 
     # -- calls ---------------------------------------------------------------
 
-    def call(self, cname, mname, args, caller, charge=1, call_line=0):
-        """Run a method; a call from `caller` at source line `call_line` adds
-        `charge` to the call depth (see CALL_DEPTH_CAP).  Protected, the
-        method's entry function checks its entry rows and acquires its
-        requires acc slots, and its exit function checks its exit rows and
-        hands its ensures acc slots back; then every other slot the frame
-        holds goes back to where it came from."""
+    def call(self, cname, mname, args, caller, charge=1, active=True, site=None):
+        """Run a method; a call from `caller` adds `charge` to the call
+        depth (see CALL_DEPTH_CAP).  The method's entry function, given the
+        `active` and `site` that the compiled call site fixes (see "Compiled
+        code"), checks its entry rows and acquires its requires acc slots,
+        and its exit function checks its exit rows and hands its ensures
+        acc slots back; then every other slot the frame holds goes back to
+        where it came from."""
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
             raise Revert(CALL_DEPTH, kind="call-depth", method=f"{cname}.{mname}")
         self.frames += 1
         frame = Frame(self, self.frames, code, dict(zip(code.params, args)), caller, depth)
-        # a caller reasons only about its own contract's specs: a call from
-        # any other contract crosses the callee's boundary
-        active = caller is None or caller.contract.name != cname
-        if self.protected and code.entry is not None:
-            # a failing precondition blames a verified caller's call site
-            code.entry(frame, frame.env, active,
-                       call_line if caller is not None and caller.code.verified else None)
-        if code.reads_old:
-            frame.old = dict(frame.slots)
+        if code.entry is not None:
+            code.entry(frame, frame.env, active, site)
         code.body(frame, frame.env)
-        if not self.protected:
-            return frame.result
         if code.exit is not None:
             code.exit(frame, frame.env)
         if caller is None:  # the transaction's permissions are dropped whole
@@ -447,16 +433,22 @@ class Vm:
 # residuals were woven as checks) and emit nothing.
 #
 # Each method's call protocol compiles with its body.  Its entry function,
-# of (fr, env, active, site), evaluates the method's entry rows in table
-# order only when `active` (the call comes from the top level or from
-# another contract), a failing one blaming `site` (a verified caller's call
-# line) if there is one; then it acquires each requires acc slot
-# (_acquire).  Its exit function, of (fr, env), evaluates the exit rows,
-# the residuals the verifier left at exit, on every call, a failing one
-# blaming the method's ensures line as weaver.check_map does, and hands
-# each ensures acc slot back (_hand_back).  Only a verified method has rows
-# to check and slots to acquire.  Vm.call runs both around the body, so the
-# Python stack still holds Vm.call and the block functions per GCL call.
+# of (fr, env, active, site), evaluates its entry rows, the requires atoms
+# that are not acc, only when `active`, a failing one blaming `site` if
+# there is one, else its own line; then it acquires each requires acc slot
+# (_acquire).  A method of an extern contract has neither.  Each call site
+# fixes both: a caller reasons only about its own contract's specs, so a
+# call is `active` from another contract (or the top level), and `site` is
+# a verified caller's call line.  The exit function, of (fr, env),
+# evaluates the method's non-acc `#! exit` rows (the residuals the verifier
+# left at exit) on every call, a failing one blaming the ensures line as
+# weaver.check_map does (its own line if the method has no ensures line),
+# and hands each ensures acc slot back (_hand_back).
+# If an exit row reads old(...), the body function first snapshots the
+# contract's storage.  Vm.call runs the entry and exit around the body, so
+# the Python stack still holds Vm.call and the block functions per GCL
+# call.  An unprotected image compiles no entry or exit function, woven
+# check or ownership test.
 #
 # Specification payloads (woven checks, boundary rows) are evaluated inline
 # in the function that holds them, over mathematical integers: names read
@@ -616,8 +608,9 @@ class _Emitter:
     """Generated functions of code of `contract` (see above), compiled
     together by load()."""
 
-    def __init__(self, contract):
+    def __init__(self, contract, protected=True):
         self.contract = contract
+        self.protected = protected
         self.ns = {"__builtins__": {}, **_RUNTIME}
         self.names = {}  # constant -> its namespace name
         self.functions = []  # source of each function, in the order begun
@@ -625,20 +618,27 @@ class _Emitter:
         # so far, and whether it charges gas and whether it yields
         self.lines = self.indent = self.temps = self.charges = self.yields = None
 
-    def compile(self, method, table, verified):
+    def compile(self, method):
         """The functions of a method's body, entry and exit (see above),
-        the entry or exit None where it would do nothing.  Only a verified
-        method checks rows and acquires its requires acc slots."""
+        the entry or exit None where it would do nothing; unprotected, both
+        are None."""
+        if not self.protected:
+            body = self.block(method.body, 0)
+            return self.load()[body], None, None
         spec = method.spec
-        body = self.block(method.body, 0)
-        rows = {kind: [e for e in table if verified and e.kind == kind] for kind in ("entry", "exit")}
-        acquire = [f"_acquire(fr, {self.acc(a)}, active)"
-                   for a in _acc_atoms(spec.requires)] if verified else []
-        hand_back = [f"_hand_back(fr, {self.acc(a)})" for a in _acc_atoms(spec.ensures)]
-        entry = self.protocol("_e", "active, site", rows["entry"], "precondition", None,
-                              ", site", acquire, gated=True)
-        exit_ = self.protocol("_x", "", rows["exit"], "postcondition", spec.ensures.loc.line,
-                              "", hand_back)
+        exits = [r for r in method.exits if not isinstance(r.payload, Acc)]
+        reads_old = any(type(n) is Old for r in exits for n in expr_nodes(r.payload))
+        body = self.block(method.body, 0, ["fr.old = fr.slots.copy()"] if reads_old else [])
+        requires = () if self.contract.extern else spec.requires.atoms
+        entry = self.protocol(
+            "_e", [((None, "precondition", fmt_atom(a), a.loc.line), a)
+                   for a in requires if not isinstance(a, Acc)],
+            [f"_acquire(fr, {self.acc(a)}, active)" for a in requires if isinstance(a, Acc)])
+        line = spec.ensures.loc.line
+        exit_ = self.protocol(
+            "_x", [((r.check_id, "postcondition", fmt_atom(r.payload), line or r.payload.loc.line),
+                    r.payload) for r in exits],
+            [f"_hand_back(fr, {self.acc(a)})" for a in _acc_atoms(spec.ensures)])
         ns = self.load()
         return ns[body], entry and ns[entry], exit_ and ns[exit_]
 
@@ -692,10 +692,12 @@ class _Emitter:
 
     # -- method bodies -------------------------------------------------------
 
-    def block(self, body, nest):
-        """Emit the function of a block that `nest` if/while bodies enclose;
-        returns its name."""
+    def block(self, body, nest, first=()):
+        """Emit the function of a block that `nest` if/while bodies enclose,
+        the lines `first` before its statements; returns its name."""
         def emit_body():
+            for line in first:
+                self.emit(line)
             for s in body:
                 if not isinstance(s, (AssertStmt, Check)):
                     self.charge("exec_gas")
@@ -740,26 +742,27 @@ class _Emitter:
         elif t is Call:
             line = s.loc.line
             args = ", ".join(self.value(a, line) for a in s.args)
+            active = s.contract != self.contract.name
+            site = "None" if self.contract.extern else _int(line)
             call = (f"fr.vm.call({self.const(s.contract)}, {self.const(s.method)}, [{args}], "
-                    f"fr, {_int(call_charge(nest))}, {_int(line)})")
+                    f"fr, {_int(call_charge(nest))}, {active}, {site})")
             self.emit(call if s.target is None else f"env[{self.const(s.target)}] = {call}")
         elif t is Return:
             v = "None" if s.expr is None else self.value(s.expr, s.loc.line)
             self.emit(f"fr.result = {v}")
             self.emit("return True")
         elif t is Check:
-            self.emit("if fr.protected:")
-            self.indent += 1
-            check = self.const((s.check_id, fmt_atom(s.payload), s.loc.line))
-            self.emit(f"if not {self.payload(s.payload)}: raise _check_failed({check})")
-            self.indent -= 1
+            if self.protected:
+                check = self.const((s.check_id, fmt_atom(s.payload), s.loc.line))
+                self.emit(f"if not {self.payload(s.payload)}: raise _check_failed({check})")
         elif t is not AssertStmt:
             raise TypeError(f"not a statement: {s!r}")
 
     def touch(self, key, slot, line):
-        """Test that the frame owns a slot of its contract, when protected."""
-        self.emit(f"if fr.protected and fr.perm.get({key}) != fr.id: "
-                  f"_touch(fr, {slot}, {_int(line)})")
+        """Test that the frame owns a slot of its contract, in a protected
+        image."""
+        if self.protected:
+            self.emit(f"if fr.perm.get({key}) != fr.id: _touch(fr, {slot}, {_int(line)})")
 
     def value(self, e, line):
         """Checked uint64 value of a program expression, as Python source of
@@ -807,26 +810,26 @@ class _Emitter:
 
     # -- specifications ------------------------------------------------------
 
-    def protocol(self, prefix, params, rows, kind, line, site, calls, gated=False):
-        """Emit an entry or exit function of (fr, env) and `params`: its
-        boundary `rows` in table order, all only when `active` if `gated`,
-        each failing as a `kind` check blamed at `line` (else at its own
-        payload's line), or at `site` if that is passed; then the slot
-        helper `calls`.  Returns its name, or None if it would do nothing."""
+    def protocol(self, prefix, rows, calls):
+        """Emit an entry (`prefix` "_e") or exit function (see above): its
+        boundary `rows`, each the (check id, kind, payload text, line) its
+        failure reports and its payload, in order, then the slot helper
+        `calls`.  Returns its name, or None if it would do nothing."""
         if not rows and not calls:
             return None
+        entry = prefix == "_e"
 
         def emit_body():
-            if gated and rows:
+            if entry and rows:
                 self.emit("if active:")
                 self.indent += 1
-            for e in rows:
-                row = self.const((e.check_id, kind, fmt_atom(e.payload), line or e.payload.loc.line))
-                self.emit(f"if not {self.payload(e.payload)}: raise _row_failed({row}{site})")
+            for row, payload in rows:
+                self.emit(f"if not {self.payload(payload)}: "
+                          f"raise _row_failed({self.const(row)}{', site' if entry else ''})")
             self.indent = 1  # the function's own level
             for call in calls:
                 self.emit(call)
-        return self.function(prefix, emit_body, params)[0]
+        return self.function(prefix, emit_body, "active, site" if entry else "")[0]
 
     def acc(self, a):
         """The namespace name of an acc atom's (slot key, slot, line)."""
@@ -918,8 +921,7 @@ def check_transaction(image: VmImage, tx: Transaction):
             raise VmUsageError(f"transaction argument {a!r} is not a uint64")
 
 
-def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
-               protected=True):
+def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None):
     """Execute transactions in order against an evolving ledger; returns
     (outcomes, gas report dict).  Raises VmUsageError, naming the first bad
     transaction's index, before any transaction runs."""
@@ -930,7 +932,7 @@ def run_script(image: VmImage, script, gas_limit=None, ledger: Ledger = None,
         except VmUsageError as e:
             raise VmUsageError(f"transaction {i}: {e}") from None
     ledger = ledger if ledger is not None else Ledger(image.program)
-    vm = Vm(image, ledger, protected)
+    vm = Vm(image, ledger)
     outcomes = [vm._exec(tx, gas_limit) for tx in script]
     totals = {"exec_gas": sum(o.exec_gas for o in outcomes),
               "check_gas": sum(o.check_gas for o in outcomes)}

@@ -4,10 +4,8 @@ Before-statement residuals become `check` statements immediately preceding
 their statement; at-exit residuals become the method's `exits` rows, in
 report order, which the woven text carries as `#! exit <payload> @id kind;`
 directives.  `check_map` derives from the woven program alone where each
-check's failure is blamed.  `build_boundary_table` gives the VM, when a
-program is loaded, each method's rows: its precondition atoms at entry,
-which protect a verified method from callers in other contracts, then its
-exit rows.  Only what the verifier left unproven is checked at exit.
+check's failure is blamed.  Only what the verifier left unproven is checked
+at exit (vm.load_program compiles each method's call protocol).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .lang import Acc, BoundaryEntry, Check, If, Program, While, exit_row_map, map_blocks, stmts_recursive
+from .lang import Check, ExitRow, If, Program, While, exit_row_map, map_blocks, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
@@ -39,17 +37,6 @@ class InstrumentedProgram:
 
     def to_text(self):
         return pretty_print(self.program)
-
-
-def build_boundary_table(contract, method):
-    """The boundary rows a VM evaluates for `method`: its requires'
-    comparison and predicate atoms at entry (none for an extern contract),
-    which guard it from an untrusted caller, then its own non-acc exit rows,
-    the residuals the verifier left at exit.  An ensures atom the verifier
-    proved has no row, and every acc atom is settled by ownership."""
-    entries = [] if contract.extern else [
-        BoundaryEntry("entry", a) for a in method.spec.requires.atoms if not isinstance(a, Acc)]
-    return entries + [r for r in method.exits if not isinstance(r.payload, Acc)]
 
 
 def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
@@ -78,7 +65,7 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
                         key = (r.insertion.block_path, r.insertion.index)
                         inserts.setdefault(key, []).append(Check(r.id, ob.atom, ob.kind, ob.loc))
                     else:
-                        exits.append(BoundaryEntry(r.insertion.kind, ob.atom, r.id, ob.kind))
+                        exits.append(ExitRow(ob.atom, r.id, ob.kind))
 
             def insert_checks(path, stmts):
                 out = []

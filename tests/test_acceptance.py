@@ -107,7 +107,8 @@ def test_criterion_5_reentrancy_protection():
     path = CORPUS / "bank.gcl"
     program, _ = load_file(path)
     adv = corpus_adversaries(path, program)
-    image = load_program(weave(program, verify_program(program)), adv)
+    woven = weave(program, verify_program(program))
+    image = load_program(woven, adv)
 
     ok = True
     attacked = 0
@@ -120,9 +121,9 @@ def test_criterion_5_reentrancy_protection():
         ok = ok and out.reason == "OwnershipFailure"
         ok = ok and led.read("Bank", "Balance") == bal
 
-    led = Ledger(image.program, {"Bank": {"Balance": 10}})
-    unprotected = Vm(image, led, protected=False)
-    out = unprotected.exec_transaction(Transaction("Bank", "withdraw", (4,)))
+    unprotected = load_program(woven, adv, protected=False)
+    led = Ledger(unprotected.program, {"Bank": {"Balance": 10}})
+    out = Vm(unprotected, led).exec_transaction(Transaction("Bank", "withdraw", (4,)))
     corrupted = out.committed and led.read("Bank", "Balance") == 2  # honest: 6
     ok = ok and attacked > 0 and corrupted
     _report(5, ok, f"re-entrancy reverts with OwnershipFailure on all "

@@ -3,7 +3,7 @@
 import pytest
 
 from gvc.frontend import InferenceError, WellFormednessError, infer_types, load_source, resolve
-from gvc.lang import Assign, Call, If, ResolutionError, SourceError, While
+from gvc.lang import Assign, Call, ExitRow, If, ResolutionError, SourceError, While
 from gvc.lexer import LexError, lex
 from gvc.parser import ParseError, parse_program
 
@@ -103,8 +103,9 @@ class TestParser:
             "    G := 1;\n"
         )
         program, _ = load_source(src, "t.gcl")
-        [entry] = program.contract("C").method("m").exits
-        assert (entry.kind, entry.check_id, entry.obligation) == ("exit", "c3", "postcondition")
+        [row] = program.contract("C").method("m").exits
+        assert isinstance(row, ExitRow)
+        assert (row.check_id, row.obligation) == ("c3", "postcondition")
 
     def test_parse_error_has_location(self):
         with pytest.raises(ParseError):

@@ -25,10 +25,11 @@ sys.path.insert(0, str(HERE))
 
 from gvc.erosion import erode_program
 from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
+from gvc.lang import Acc
 from gvc.printer import fmt_atom
 from gvc.verifier import verify_program
 from gvc.vm import Ledger, Vm, load_program, transaction_grid
-from gvc.weaver import build_boundary_table, weave
+from gvc.weaver import weave
 
 from conftest import CORPUS
 
@@ -37,13 +38,23 @@ GRID_BOUND = 2
 
 
 def _rows(boundary):
-    return {f"{c}.{m}": [[e.kind, fmt_atom(e.payload), e.check_id] for e in rows]
+    """Each method's rows, each a (role, payload, check id), as JSON."""
+    return {f"{c}.{m}": [[role, fmt_atom(payload), check_id] for role, payload, check_id in rows]
             for (c, m), rows in sorted(boundary.items())}
 
 
+def _exit_rows(rows):
+    return [("exit", r.payload, r.check_id) for r in rows]
+
+
 def _tables(image):
-    """The boundary table the VM builds for each method of a loaded image."""
-    return {(c.name, m.name): build_boundary_table(c, m)
+    """The rows vm.load_program compiles into each method of a loaded image
+    (restated here, as the image keeps no table): its requires comparison
+    and predicate atoms at entry, none in an extern contract, then its
+    non-acc exit rows."""
+    return {(c.name, m.name): [("entry", a, None) for a in m.spec.requires.atoms
+                               if not c.extern and not isinstance(a, Acc)]
+                              + _exit_rows(r for r in m.exits if not isinstance(r.payload, Acc))
             for c in image.program.contracts for m in c.methods}
 
 
@@ -71,7 +82,7 @@ def golden_blob(path):
         doc.update({
             "woven": text,
             "sidecar": json.dumps(ip.sidecar, indent=2, sort_keys=True),
-            "boundary": _rows(ip.boundary),
+            "boundary": _rows({k: _exit_rows(rows) for k, rows in ip.boundary.items()}),
             "vm_boundary": _rows(_tables(image)),
             "reloaded_boundary": _rows(_tables(load_program(
                 load_source(text, path.name + ".woven"), adversaries))),

@@ -258,6 +258,12 @@ EDGES = {
         "    #@ requires acc(G);\n    #@ ensures acc(G);\n"
         "    call W.poke(x);\n    G := G + 1;\n  method poke(x: uint64):\n"
         "    #@ requires ?;\n    #@ ensures ?;\n    G := x;\n", None, 1, "held"),
+    # the adversary calls q, whose failing precondition blames q's requires
+    # line: an unverified caller's call site is not blamed
+    "extern-caller-precondition": (
+        "contract W:\n  method w(x: uint64):\n    #@ requires ?;\n    #@ ensures ?;\n"
+        "    call A.notify(x);\n  method q(x: uint64):\n    #@ requires ? and x >= 2;\n"
+        "    #@ ensures ?;\n    y := x;\n" + EXTERN_A, CALLS_Q, 2, "precondition"),
     "adversary-arithmetic": (
         CALLS_A, "contract A:\n  #@ global N;\n  method notify(x: uint64):\n"
         "    N := N - x;\n    N := x / N;\n", 2, "underflow"),

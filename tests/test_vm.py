@@ -30,13 +30,13 @@ from gvc.weaver import weave
 from conftest import CORPUS, FOREIGN_PRECISE, ROOT
 
 
-def make_image(name, adversaries=None):
+def make_image(name, adversaries=None, protected=True):
     path = CORPUS / name
     program, _ = load_file(path)
     ip = weave(program, verify_program(program))
     if adversaries is None:
         adversaries = corpus_adversaries(path, program)
-    return load_program(ip, adversaries)
+    return load_program(ip, adversaries, protected)
 
 
 def sell_ledger(image, count=10):
@@ -352,8 +352,8 @@ NOT_PYTHON = (f"contract C{VT}:\n  #@ global G{VT};\n  method m{VT}(x{VT}: uint6
 FUNCTIONS = ("_b", "_s", "_e", "_x")
 # every name a generated function may use besides the numbered namespace
 # constants _k<i> and generated functions
-VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "protected", "perm", "get", "id",
-              "journal", "slots", "vm", "call", "result", "old", "_hold", "_touch",
+VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "perm", "get", "id",
+              "journal", "slots", "vm", "call", "result", "old", "copy", "_hold", "_touch",
               "_gas_exhausted", "_overflow", "_underflow", "_div_zero", "_check_failed",
               "_row_failed", "_acquire", "_hand_back", "eval_spec_bool"}
 
@@ -381,8 +381,9 @@ class TestGeneratedCode:
     def test_generated_code_names_only_its_vocabulary(self):
         # a program identifier, slot key, check id or payload text reaches
         # generated code only as a namespace constant, never as source
+        texts = (CAPTURE, NOT_PYTHON, *(source for source, _ in SPEC_SHAPES.values()))
         images = [load_program(weave(p, verify_program(p)))
-                  for p in (load_source(t, "names.gcl")[0] for t in (CAPTURE, NOT_PYTHON))]
+                  for p in (load_source(t, "names.gcl")[0] for t in texts)]
         for path in corpus_files(CORPUS):
             program, _ = load_file(path)
             images.append(load_program(weave(program, verify_program(program)),
@@ -401,6 +402,26 @@ class TestGeneratedCode:
                 assert set(code.co_names) - numbered <= VOCABULARY, f.__name__
                 assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
         assert kinds == {("_b", False), ("_s", False), ("_s", True), ("_e", False), ("_x", False)}
+
+    def test_unprotected_image_compiles_no_protocol(self):
+        # unprotected, no method has an entry or exit function, and no
+        # generated function tests or moves a permission or evaluates a
+        # check, where the protected images name every one of these
+        protocol = {"perm", "_touch", "_check_failed", "_row_failed", "_acquire", "_hand_back",
+                    "eval_spec_bool"}
+        named = set()
+        for path in corpus_files(CORPUS):
+            program, _ = load_file(path)
+            woven = weave(program, verify_program(program))
+            adversaries = corpus_adversaries(path, program)
+            image = load_program(woven, adversaries, protected=False)
+            assert all(code.entry is None and code.exit is None
+                       for code in image.code.values()), path.name
+            for f in generated_functions(image).values():
+                assert not protocol & set(f.__code__.co_names), (path.name, f.__name__)
+            named |= {n for f in generated_functions(load_program(woven, adversaries)).values()
+                      for n in f.__code__.co_names}
+        assert protocol <= named
 
 
 SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
@@ -565,7 +586,8 @@ SELL = (CORPUS / "sell.gcl").read_text(encoding="utf-8")
 # check_gas, (reason, detail) of a revert or None).  A callee's entry rows
 # and requires acc slots are evaluated and charged only across a contract
 # boundary (or at the top level); its exit rows, each a residual, always run.
-# Unprotected, no row, check or acc slot is evaluated or charged.
+# An unprotected image, on which each unprotected outcome runs, compiles no
+# row, check or acc slot, so none is evaluated or charged.
 PROTOCOL_SHAPES = {
     "cross-contract": (CROSS, [
         (tx("S", "buy", 2), {"V": {"G": 5}}, None, (2, 3, None), (2, 0, None)),
@@ -610,10 +632,11 @@ def test_call_protocol_gas_and_reverts_are_pinned(name):
     source, cases = PROTOCOL_SHAPES[name]
     program, _ = load_source(source, f"{name}.gcl")
     woven = weave(program, verify_program(program))
-    image = load_program(woven)
+    images = {protected: load_program(woven, protected=protected) for protected in (True, False)}
     for t, init, gas_limit, *outcomes in cases:
         for protected, (exec_gas, check_gas, revert) in zip((True, False), outcomes):
-            vm = Vm(image, Ledger(image.program, init), protected)
+            image = images[protected]
+            vm = Vm(image, Ledger(image.program, init))
             out = vm.exec_transaction(t, gas_limit)
             assert (out.exec_gas, out.check_gas) == (exec_gas, check_gas), (t, protected)
             assert (out.reason, out.detail) == (revert or (None, {})), (t, protected)
@@ -798,9 +821,9 @@ class TestAssignmentOwnership:
 
 class TestReentrancy:
     def _bank(self, protected=True):
-        image = make_image("bank.gcl")
+        image = make_image("bank.gcl", protected=protected)
         led = Ledger(image.program, {"Bank": {"Balance": 10}})
-        return Vm(image, led, protected), led
+        return Vm(image, led), led
 
     def test_protected_attack_reverts(self):
         vm, led = self._bank()
@@ -815,6 +838,16 @@ class TestReentrancy:
         out = vm.exec_transaction(tx("Bank", "withdraw", 4))
         assert out.committed
         assert led.read("Bank", "Balance") == 2  # honest result is 6
+
+    def test_demo_script_runs_from_any_directory(self, tmp_path):
+        # the script finds gvc and the corpus from its own location
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        run = subprocess.run([sys.executable, str(ROOT / "scripts" / "reentrancy_demo.py")],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-2:] == [
+            "protected:   reverted (OwnershipFailure, slot Balance), Balance = 10",
+            "unprotected: committed, Balance = 2 (withdrawn twice)"]
 
     def test_adversary_declaring_its_contract_twice_is_rejected(self):
         # which block would run is not for the loader to guess

@@ -1,23 +1,28 @@
-"""Check weaving: instrumented text, stripping, check maps, boundary tables."""
+"""Check weaving: instrumented text, stripping, check maps, boundary rows."""
 
 import pytest
 
 from gvc.erosion import erode_program
 from gvc.frontend import corpus_files, load_file, load_source
+from gvc.lang import ExitRow
 from gvc.printer import fmt_atom, pretty_print
 from gvc.verifier import verify_program
 from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program
 from gvc.weaver import (
-    WeaveError, build_boundary_table, check_map, count_woven_checks, strip, weave,
+    WeaveError, check_map, count_woven_checks, strip, weave,
 )
 
 from conftest import CORPUS, FIXTURES
 
 
-def _table(image, contract, method):
-    """The boundary table the VM builds for one method of a loaded image."""
-    c = image.program.contract(contract)
-    return build_boundary_table(c, c.method(method))
+def _rows(image, contract, method):
+    """The boundary rows compiled into one method's entry and exit functions
+    in a loaded image, each as the (check id, kind, payload text, line)
+    that its failure reports, in order."""
+    code = image.code[(contract, method)]
+    return [f.__globals__[n] for f in (code.entry, code.exit) if f is not None
+            for n in f.__code__.co_names
+            if n.startswith("_k") and len(f.__globals__[n]) == 4]
 
 
 class TestSellWoven:
@@ -43,13 +48,14 @@ class TestSellWoven:
         }
 
     def test_boundary_table_from_spec(self, sell_woven):
-        # the woven program carries no rows; the VM's table holds the
-        # requires comparison at entry and no row for the ensures, which the
-        # verifier proved, and the requires acc is settled by ownership
+        # the woven program carries no rows; the image checks the requires
+        # comparison at entry and has no exit function: no row for the
+        # ensures, which the verifier proved, and the requires acc is
+        # settled by ownership
         assert sell_woven.boundary == {}
-        entries = _table(load_program(sell_woven), "Counter", "sell")
-        assert [e.kind for e in entries] == ["entry"]
-        assert all(e.check_id is None for e in entries)
+        image = load_program(sell_woven)
+        assert _rows(image, "Counter", "sell") == [(None, "precondition", "quantity >= 0", 4)]
+        assert image.code[("Counter", "sell")].exit is None
 
 
 def test_precise_program_weaves_no_checks():
@@ -120,8 +126,8 @@ def test_woven_text_reloads_with_boundary(sell_woven):
     src, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(src, verify_program(src))
     reloaded, _ = load_source(ip.to_text(), "branching.woven.gcl")
-    [entry] = reloaded.contract("Gate").method("set").exits
-    assert entry.kind == "exit" and entry.check_id == "c0"
+    [row] = reloaded.contract("Gate").method("set").exits
+    assert isinstance(row, ExitRow) and (row.check_id, row.obligation) == ("c0", "postcondition")
 
 
 def test_stale_report_rejected(sell_program):
@@ -142,26 +148,38 @@ def test_exit_residual_lands_in_boundary_table():
     program, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(program, verify_program(program))
     [row] = ip.boundary[("Gate", "set")]
-    entries = _table(load_program(ip), "Gate", "set")
-    residual_rows = [e for e in entries if e.check_id is not None]
-    assert residual_rows == [row] and row.kind == "exit"
+    assert isinstance(row, ExitRow)
+    # checked at exit, blamed at the ensures line
+    assert _rows(load_program(ip), "Gate", "set") == [
+        (row.check_id, "postcondition", fmt_atom(row.payload), 5)]
     # residual merged into the spec row, not duplicated
     assert count_woven_checks(ip.program) == 0
 
 
 def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
     # a hand-edited woven text may carry an exit row no residual produced:
-    # the table holds the method's exit rows as written, and no row for the
-    # proven ensures `Level <= 10`, and the VM checks each
+    # the image compiles the method's exit rows as written, and no row for
+    # the proven ensures `Level <= 10`, and the VM checks each
     program, _ = load_file(CORPUS / "branching.gcl")
     text = weave(program, verify_program(program)).to_text()
     row = "    #! exit Level >= 1 @c0 postcondition;\n"
     text = text.replace(row, row + "    #! exit Level <= 5 @c1 postcondition;\n")
     image = load_program(load_source(text, "branching.woven.gcl"))
-    assert [(e.kind, fmt_atom(e.payload), e.check_id)
-            for e in _table(image, "Gate", "set")] == [
-        ("exit", "Level >= 1", "c0"), ("exit", "Level <= 5", "c1")]
+    assert _rows(image, "Gate", "set") == [
+        ("c0", "postcondition", "Level >= 1", 5), ("c1", "postcondition", "Level <= 5", 5)]
     vm = Vm(image, Ledger(image.program))
     assert vm.exec_transaction(Transaction("Gate", "set", (5,))).committed
     out = vm.exec_transaction(Transaction("Gate", "set", (7,)))
     assert (out.reason, out.detail["check_id"]) == (CHECK_FAILURE, "c1")
+
+
+def test_exit_row_without_an_ensures_line_reports_its_own_line():
+    # a woven text whose method has no ensures line: its failing exit row
+    # reports the line of its own `#! exit` directive
+    program, _ = load_file(CORPUS / "branching.gcl")
+    text = weave(program, verify_program(program)).to_text()
+    text = "".join(l for l in text.splitlines(keepends=True) if "#@ ensures" not in l)
+    image = load_program(load_source(text, "branching.woven.gcl"))
+    assert _rows(image, "Gate", "set") == [("c0", "postcondition", "Level >= 1", 5)]
+    out = Vm(image, Ledger(image.program)).exec_transaction(Transaction("Gate", "set", (0,)))
+    assert (out.reason, out.detail["check_id"], out.detail["line"]) == (CHECK_FAILURE, "c0", 5)
