@@ -71,10 +71,11 @@ def canon(x):
     """A JSON-able description of a front-end result that is the same for
     equal programs in either tree.  Trees that annotated resolution in the
     syntax tree (a `Name.scope` field, global writes as `GAssign(slot, ...)`)
-    are described as the plain tree they annotate, an exit row that names
-    its role (`BoundaryEntry("exit", ...)`) as the `ExitRow` it is, and a
-    method's `exits` field is left out: exit_rows describes the rows as one
-    boundary map in every tree."""
+    are described as the plain tree they annotate, an exit row of its own
+    type (`ExitRow`, or `BoundaryEntry("exit", ...)` naming its role) as the
+    `Check` it is, located at its payload, and a method's `exits` field is
+    left out: exit_rows describes the rows as one boundary map in every
+    tree."""
     if type(x).__name__ == "SourceLoc":
         return str(x)
     if dataclasses.is_dataclass(x):
@@ -83,8 +84,9 @@ def canon(x):
                   if f.name not in ("scope", "exits")]
         if name == "GAssign":
             name, fields = "Assign", [("target" if k == "slot" else k, v) for k, v in fields]
-        elif name == "BoundaryEntry":
-            name, fields = "ExitRow", [(k, v) for k, v in fields if k != "kind"]
+        elif name in ("ExitRow", "BoundaryEntry"):
+            name, fields = "Check", [("check_id", x.check_id), ("payload", x.payload),
+                                     ("obligation", x.obligation), ("loc", x.payload.loc)]
         return [name] + [[k, canon(v)] for k, v in fields]
     if isinstance(x, (tuple, list)):
         return [canon(v) for v in x]

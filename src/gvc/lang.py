@@ -222,24 +222,15 @@ class AssertStmt:
 
 @dataclass(frozen=True)
 class Check:
-    """Woven run-time check; produced by the weaver (or read back from woven
-    source), never by parsing a plain program; its text `#! check <payload>
-    @id kind;` names the kind of obligation it guards."""
+    """Woven run-time check: a statement `#! check <payload> @id kind;`, or
+    one of its method's `exits`, `#! exit <payload> @id kind;`, checked at
+    exit.  Produced by the weaver (or read back from woven source), never by
+    parsing a plain program; the kind names the obligation it guards."""
 
     check_id: str
     payload: Atom
     obligation: str  # one of OBLIGATION_KINDS
     loc: SourceLoc = NOLOC
-
-
-@dataclass(frozen=True)
-class ExitRow:
-    """A residual its method checks at exit, written (and read back) as a
-    `#! exit <payload> @id kind;` directive after the method's specs."""
-
-    payload: Atom
-    check_id: str
-    obligation: str  # one of OBLIGATION_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +252,7 @@ class Method:
     returns: bool
     spec: Spec
     body: tuple
-    exits: tuple = ()  # its `#! exit` rows (ExitRow); empty in a plain source
+    exits: tuple = ()  # its `#! exit` rows (Check); empty in a plain source
     opaque: bool = False
     loc: SourceLoc = NOLOC
 
@@ -558,8 +549,8 @@ def well_formed_program(p: Program):
             if c.extern and not (req.imprecise and not req.atoms and ens.imprecise and not ens.atoms):
                 diags.append(Diagnostic(m.loc, f"extern method {c.name}.{m.name} may not declare specifications beyond '?'"))
             if c.extern and m.exits:
-                diags.append(Diagnostic(m.exits[0].payload.loc, f"extern method {c.name}.{m.name} may not carry `#! exit` rows"))
-            woven = [(r.check_id, r.payload.loc) for r in m.exits]
+                diags.append(Diagnostic(m.exits[0].loc, f"extern method {c.name}.{m.name} may not carry `#! exit` rows"))
+            woven = [(r.check_id, r.loc) for r in m.exits]
             if not is_self_framed(req, c):
                 diags.append(Diagnostic(req.loc, f"requires of {m.name} is not self-framed"))
             req_acc = formula_acc_slots(req)

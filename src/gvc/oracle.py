@@ -135,7 +135,7 @@ class Oracle:
                 self.methods[(c.name, m.name)] = _Method(
                     c, m, verified, req.imprecise or not verified,
                     tuple(p for p, _ in m.params), *_split(req), ensures_acc, ensures,
-                    frozenset(a.slot for a in ensures_acc), (ens.loc or m.loc).line,
+                    frozenset(a.slot for a in ensures_acc), ens.loc.line,
                     any(type(n) is Old for n in expr_nodes(*ensures)))
         self.zeros = [(c.name, dict.fromkeys(c.globals, 0)) for c in program.contracts]
 

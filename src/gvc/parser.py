@@ -3,7 +3,7 @@
 Parsing a plain program yields zero Check statements and no exit rows;
 woven source (with `#!` directives) round-trips through the same grammar,
 each `#! check <payload> @id kind;` becoming a Check statement and each
-`#! exit <payload> @id kind;` row an ExitRow of its method's `exits`.
+`#! exit <payload> @id kind;` row a Check of its method's `exits`.
 The kind (lang.OBLIGATION_KINDS) names the obligation the check guards; a
 directive without one is a ParseError at its tag.
 """
@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, Call, Check, Cmp,
-    Contract, ExitRow, Formula, If, IntLit, Method, Name, NotOp, OBLIGATION_KINDS, Old,
+    Contract, Formula, If, IntLit, Method, Name, NotOp, OBLIGATION_KINDS, Old,
     PredUse, Predicate, Program, QMark, RELOPS, Result, Return, SourceError, SourceLoc,
     Spec, UNKNOWN_FORMULA, While, normalize_formula,
 )
@@ -170,7 +170,8 @@ class _Parser:
         while self.at("BANG") and self.peek(1).lexeme == "exit":
             self.next(); self.next()
             payload, _ = self.parse_formula_term()
-            exits.append(ExitRow(payload, *self.parse_tag()))
+            cid, kind = self.parse_tag()
+            exits.append(Check(cid, payload, kind, payload.loc))
         opaque = False
         body = []
         if self.at_kw("opaque"):

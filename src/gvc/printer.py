@@ -2,9 +2,9 @@
 
 Printing then re-parsing yields a structurally identical program, and the
 printed form is a fixed point: printing the re-parse reproduces it byte for
-byte.  Woven check statements render as `#! check <payload> @id kind;` and
-a method's exit rows as `#! exit <payload> @id kind;`, the kind naming
-the obligation each guards.
+byte.  A woven Check renders as `#! check <payload> @id kind;` in a body
+and as `#! exit <payload> @id kind;` among its method's exit rows, the kind
+naming the obligation it guards.
 """
 
 from __future__ import annotations

@@ -554,7 +554,7 @@ class MethodVerifier:
             for st, result in self.exits:
                 scope = self._own_scope(st, result)
                 self.produce(st, rows, scope)
-                self.consume(st, m.spec.ensures, m.spec.ensures.loc or m.loc,
+                self.consume(st, m.spec.ensures, m.spec.ensures.loc,
                              Insertion("exit"), "postcondition", scope)
         except StaticErrorExc as e:
             report.status = Status.STATIC_ERROR

@@ -7,7 +7,7 @@ on any failure.
 
 `load_program` compiles everything once, through one emitter: each block
 of a method body, each method's call protocol (an entry and an exit
-function, which evaluate its boundary rows and move its acc slots), and
+function, which check its entry and exit rows and move its acc slots), and
 each predicate body becomes a generated Python function, compiled with
 compile() (see "Compiled code" below).  The source line a revert reports
 and each call's boundary decisions are fixed at compile time, and compiled
@@ -230,7 +230,9 @@ class VmImage:
 def merge_adversaries(program: Program, adversaries: dict = None):
     """Give extern contracts executable bodies: an adversary source where one
     is supplied (type-checked, never verified), no-op bodies otherwise.
-    Returns (resolved combined Program, set of unverified contract names)."""
+    Returns (resolved combined Program, set of unverified contract names).
+    Only an adversary source re-checks the whole program, against which its
+    calls resolve; no-op bodies are well-formed by construction."""
     adversaries = adversaries or {}
     for name in sorted(set(adversaries) - {c.name for c in program.contracts if c.extern}):
         raise VmLoadError(f"adversary {name} names no extern contract")
@@ -269,9 +271,11 @@ def merge_adversaries(program: Program, adversaries: dict = None):
             if im.opaque:
                 raise VmLoadError(f"adversary {c.name}.{im.name} has no body")
         contracts.append(replace(impl, extern=True))
-    combined_raw = Program(tuple(contracts))
-    infer_types(combined_raw)
-    return resolve(combined_raw), unverified
+    combined = Program(tuple(contracts))
+    if adversaries:
+        infer_types(combined)
+        resolve(combined)
+    return combined, unverified
 
 
 def with_own_contracts(merged: Program, own: Program) -> Program:
@@ -439,21 +443,21 @@ class Vm:
 # (_acquire).  A method of an extern contract has neither.  Each call site
 # fixes both: a caller reasons only about its own contract's specs, so a
 # call is `active` from another contract (or the top level), and `site` is
-# a verified caller's call line.  The exit function, of (fr, env),
-# evaluates the method's non-acc `#! exit` rows (the residuals the verifier
-# left at exit) on every call, a failing one blaming the ensures line as
-# weaver.check_map does (its own line if the method has no ensures line),
-# and hands each ensures acc slot back (_hand_back).
+# a verified caller's call line.  The exit function, of (fr, env), runs the
+# method's non-acc `#! exit` rows (the residuals the verifier left at exit)
+# on every call, each by the rule of a woven check in a body (a failure
+# names its check id alone; weaver.check_map says where it blames), and
+# hands each ensures acc slot back (_hand_back).
 # If an exit row reads old(...), the body function first snapshots the
 # contract's storage.  Vm.call runs the entry and exit around the body, so
 # the Python stack still holds Vm.call and the block functions per GCL
 # call.  An unprotected image compiles no entry or exit function, woven
 # check or ownership test.
 #
-# Specification payloads (woven checks, boundary rows) are evaluated inline
-# in the function that holds them, over mathematical integers: names read
-# `env`, then the frame's contract's storage, with no ownership test, and
-# old(...) and result read the frame.  Each and/or is a function of (fr,
+# Specification payloads (woven checks, exit and entry rows) are evaluated
+# inline in the function that holds them, over mathematical integers: names
+# read `env`, then the frame's contract's storage, with no ownership test,
+# and old(...) and result read the frame.  Each and/or is a function of (fr,
 # env) of its own that short-circuits, so Python nesting never follows the
 # formula's either; a `not` is inline.  A formula that holds a predicate
 # instance compiles to a generator function: it yields (predicate name,
@@ -508,18 +512,17 @@ def _div_zero(line):
     return Revert(ARITHMETIC_PANIC, kind="div-zero", line=line)
 
 
-def _check_failed(check):
-    """The revert of a woven check, given its (check id, payload text,
-    line)."""
-    check_id, payload, line = check
-    return Revert(CHECK_FAILURE, check_id=check_id, payload=payload, line=line)
+def _check_failed(check_id):
+    """The revert of a woven check or exit row: its id alone, whose line,
+    kind and payload the image's check map (weaver.check_map) holds."""
+    return Revert(CHECK_FAILURE, check_id=check_id)
 
 
-def _row_failed(row, site=None):
-    """The revert of a boundary row, given its (check id, kind, payload
-    text, line), at `site` if one is given."""
-    check_id, kind, payload, line = row
-    return Revert(CHECK_FAILURE, check_id=check_id, kind=kind, payload=payload,
+def _row_failed(row, site):
+    """The revert of an entry row, given its (payload text, line), at
+    `site` if there is one."""
+    payload, line = row
+    return Revert(CHECK_FAILURE, check_id=None, kind="precondition", payload=payload,
                   line=site or line)
 
 
@@ -629,16 +632,15 @@ class _Emitter:
         exits = [r for r in method.exits if not isinstance(r.payload, Acc)]
         reads_old = any(type(n) is Old for r in exits for n in expr_nodes(r.payload))
         body = self.block(method.body, 0, ["fr.old = fr.slots.copy()"] if reads_old else [])
-        requires = () if self.contract.extern else spec.requires.atoms
-        entry = self.protocol(
-            "_e", [((None, "precondition", fmt_atom(a), a.loc.line), a)
-                   for a in requires if not isinstance(a, Acc)],
-            [f"_acquire(fr, {self.acc(a)}, active)" for a in requires if isinstance(a, Acc)])
-        line = spec.ensures.loc.line
-        exit_ = self.protocol(
-            "_x", [((r.check_id, "postcondition", fmt_atom(r.payload), line or r.payload.loc.line),
-                    r.payload) for r in exits],
-            [f"_hand_back(fr, {self.acc(a)})" for a in _acc_atoms(spec.ensures)])
+        entry = None if self.contract.extern else self.entry(spec.requires)
+        ensured = _acc_atoms(spec.ensures)
+
+        def emit_exit():
+            for r in exits:
+                self.stmt(r, 0)  # as a woven check in a body
+            for a in ensured:
+                self.emit(f"_hand_back(fr, {self.acc(a)})")
+        exit_ = self.function("_x", emit_exit)[0] if exits or ensured else None
         ns = self.load()
         return ns[body], entry and ns[entry], exit_ and ns[exit_]
 
@@ -753,7 +755,7 @@ class _Emitter:
             self.emit("return True")
         elif t is Check:
             if self.protected:
-                check = self.const((s.check_id, fmt_atom(s.payload), s.loc.line))
+                check = self.const(s.check_id)
                 self.emit(f"if not {self.payload(s.payload)}: raise _check_failed({check})")
         elif t is not AssertStmt:
             raise TypeError(f"not a statement: {s!r}")
@@ -810,26 +812,26 @@ class _Emitter:
 
     # -- specifications ------------------------------------------------------
 
-    def protocol(self, prefix, rows, calls):
-        """Emit an entry (`prefix` "_e") or exit function (see above): its
-        boundary `rows`, each the (check id, kind, payload text, line) its
-        failure reports and its payload, in order, then the slot helper
-        `calls`.  Returns its name, or None if it would do nothing."""
-        if not rows and not calls:
+    def entry(self, requires):
+        """Emit the entry function of a method's `requires` (see above): its
+        entry rows, each failing with its (payload text, line), then an
+        _acquire of each acc slot.  Returns its name, or None if it would do
+        nothing."""
+        if not requires.atoms:
             return None
-        entry = prefix == "_e"
+        rows = [a for a in requires.atoms if not isinstance(a, Acc)]
 
         def emit_body():
-            if entry and rows:
+            if rows:
                 self.emit("if active:")
                 self.indent += 1
-            for row, payload in rows:
-                self.emit(f"if not {self.payload(payload)}: "
-                          f"raise _row_failed({self.const(row)}{', site' if entry else ''})")
+            for a in rows:
+                row = self.const((fmt_atom(a), a.loc.line))
+                self.emit(f"if not {self.payload(a)}: raise _row_failed({row}, site)")
             self.indent = 1  # the function's own level
-            for call in calls:
-                self.emit(call)
-        return self.function(prefix, emit_body, "active, site" if entry else "")[0]
+            for a in _acc_atoms(requires):
+                self.emit(f"_acquire(fr, {self.acc(a)}, active)")
+        return self.function("_e", emit_body, "active, site")[0]
 
     def acc(self, a):
         """The namespace name of an acc atom's (slot key, slot, line)."""

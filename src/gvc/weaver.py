@@ -1,11 +1,11 @@
 """Weaves residual run-time checks into a verified program.
 
-Before-statement residuals become `check` statements immediately preceding
-their statement; at-exit residuals become the method's `exits` rows, in
-report order, which the woven text carries as `#! exit <payload> @id kind;`
-directives.  `check_map` derives from the woven program alone where each
-check's failure is blamed.  Only what the verifier left unproven is checked
-at exit (vm.load_program compiles each method's call protocol).
+Each residual becomes one Check: a statement just before its statement,
+or, at exit, one of its method's `exits` rows (in report order), which the
+woven text writes `#! exit <payload> @id kind;`.  `check_map` derives from
+the woven program alone where a check blames, its kind and its payload, so
+a failed check names only its id.  Only what the verifier left unproven is
+checked at exit (vm.load_program compiles each method's call protocol).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .lang import Check, ExitRow, If, Program, While, exit_row_map, map_blocks, stmts_recursive
+from .lang import Check, If, Program, While, exit_row_map, map_blocks, stmts_recursive
 from .printer import fmt_atom, pretty_print
 from .verifier import Status, VerificationReport, program_digest
 
@@ -61,11 +61,12 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
             if mrep is not None:
                 for r in mrep.residuals:
                     ob = r.obligation
+                    check = Check(r.id, ob.atom, ob.kind, ob.loc)
                     if r.insertion.kind == "before":
                         key = (r.insertion.block_path, r.insertion.index)
-                        inserts.setdefault(key, []).append(Check(r.id, ob.atom, ob.kind, ob.loc))
+                        inserts.setdefault(key, []).append(check)
                     else:
-                        exits.append(ExitRow(ob.atom, r.id, ob.kind))
+                        exits.append(check)
 
             def insert_checks(path, stmts):
                 out = []
@@ -83,11 +84,12 @@ def weave(program: Program, report: VerificationReport) -> InstrumentedProgram:
 def check_map(program: Program) -> dict:
     """{id: {line, kind, payload}} for every woven check and exit row: the
     one rule for where a check's failure is blamed, at the line of the
-    obligation it guards.  An exit row guards its method's ensures."""
+    obligation it guards.  An exit row guards its method's ensures, and
+    blames its own line when the method has no ensures line."""
     guarded = []  # (line, check or exit row)
     for c in program.contracts:
         for m in c.methods:
-            guarded += [(m.spec.ensures.loc.line, r) for r in m.exits]
+            guarded += [(m.spec.ensures.loc.line or r.loc.line, r) for r in m.exits]
             _guard(m.body, m.loc.line, guarded)
     return {x.check_id: {"line": line, "kind": x.obligation, "payload": fmt_atom(x.payload)}
             for line, x in guarded}

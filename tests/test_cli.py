@@ -17,10 +17,10 @@ from gvc.cli import (
 )
 from gvc.frontend import corpus_files, load_file
 from gvc.lang import UINT_MAX
-from gvc.oracle import Oracle
+from gvc.oracle import Oracle, Site, vm_site
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
-from gvc.vm import Transaction
+from gvc.vm import Ledger, Transaction, Vm, load_program
 from gvc.weaver import check_map, weave
 
 from conftest import CORPUS, FIXTURES, ROOT
@@ -403,6 +403,25 @@ class TestRun:
         judgment = Oracle(program).judge(init, Transaction("Counter", "sell", (12,)))
         assert printed == check_map(ip.program)["c0"]["line"] == judgment.site.line
         assert printed == (8 if woven else 7)
+
+    def test_exit_row_without_an_ensures_line_blames_its_own_line(self, tmp_path, capsys):
+        # branching's woven text with its ensures line deleted: the exit row
+        # blames its own `#! exit` line (5), in the printed revert and in the
+        # site the oracle compares
+        woven = Path(self._woven(tmp_path, str(CORPUS / "branching.gcl")))
+        text = "".join(l for l in woven.read_text().splitlines(keepends=True)
+                       if "#@ ensures" not in l)
+        woven.write_text(text)
+        txs = tmp_path / "txs.jsonl"
+        txs.write_text('{"contract": "Gate", "method": "set", "args": [0]}\n')
+        capsys.readouterr()
+        assert main(["run", str(woven), "--txs", str(txs)]) == EXIT_REVERTED
+        assert ("tx 0: reverted CheckFailure check c0 (postcondition) at line 5 "
+                in capsys.readouterr().out)
+        program, _ = load_file(woven)
+        image = load_program(program)
+        out = Vm(image, Ledger(image.program)).exec_transaction(Transaction("Gate", "set", (0,)))
+        assert vm_site(out, image.checks) == Site("postcondition", 5)
 
     def test_program_that_does_not_verify_is_refused(self, tmp_path, capsys):
         # the VM takes an ensures atom without an exit row as proved, so

@@ -3,7 +3,7 @@
 import pytest
 
 from gvc.frontend import InferenceError, WellFormednessError, infer_types, load_source, resolve
-from gvc.lang import Assign, Call, ExitRow, If, ResolutionError, SourceError, While
+from gvc.lang import Assign, Call, Check, If, ResolutionError, SourceError, While
 from gvc.lexer import LexError, lex
 from gvc.parser import ParseError, parse_program
 
@@ -104,8 +104,11 @@ class TestParser:
         )
         program, _ = load_source(src, "t.gcl")
         [row] = program.contract("C").method("m").exits
-        assert isinstance(row, ExitRow)
+        assert isinstance(row, Check)
         assert (row.check_id, row.obligation) == ("c3", "postcondition")
+        # located at its payload, as the extern and duplicate-id diagnostics
+        # report it
+        assert row.loc == row.payload.loc and (row.loc.line, row.loc.col) == (6, 13)
 
     def test_parse_error_has_location(self):
         with pytest.raises(ParseError):

@@ -3,6 +3,7 @@
 import builtins
 import collections
 import dataclasses
+import dis
 import inspect
 import itertools
 import json
@@ -12,11 +13,10 @@ import sys
 
 import pytest
 
+import gvc.frontend
 import gvc.vm
-from gvc.frontend import (
-    WellFormednessError, corpus_adversaries, corpus_files, load_file, load_source,
-)
-from gvc.lang import Old, Program
+from gvc.frontend import corpus_adversaries, corpus_files, load_file, load_source
+from gvc.lang import Acc, Check, Old, Program, stmts_recursive
 from gvc.oracle import enumerate_equivalence
 from gvc.parser import MAX_NESTING
 from gvc.verifier import verify_program
@@ -65,8 +65,7 @@ class TestSellScript:
                                      tx("Counter", "sell", 12)], ledger=led)
         assert outs[0].committed and not outs[1].committed
         assert outs[1].reason == CHECK_FAILURE
-        assert outs[1].detail["check_id"] == "c0"
-        assert outs[1].detail["line"] == 7
+        assert outs[1].detail == {"check_id": "c0"}
         assert led.read("Counter", "Count") == 7
 
     def test_empty_script(self):
@@ -403,6 +402,41 @@ class TestGeneratedCode:
                 assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
         assert kinds == {("_b", False), ("_s", False), ("_s", True), ("_e", False), ("_x", False)}
 
+    def test_a_failed_check_names_only_its_id(self):
+        # every woven check and non-acc exit row compiles to
+        # `_check_failed(<its id constant>)`, and no check's payload text is
+        # a string constant of a method's namespace: the image's check map
+        # alone says what a check checks and where it blames
+        kinds = collections.Counter()
+        for path in corpus_files(CORPUS):
+            program, _ = load_file(path)
+            image = load_program(weave(program, verify_program(program)),
+                                 corpus_adversaries(path, program))
+            woven = collections.Counter()
+            for c in image.program.contracts:
+                for m in c.methods:
+                    for _, s in stmts_recursive(m.body):
+                        if isinstance(s, Check):
+                            woven[s.check_id] += 1
+                            kinds["check"] += 1
+                    for r in m.exits:
+                        if not isinstance(r.payload, Acc):
+                            woven[r.check_id] += 1
+                            kinds["exit"] += 1
+            raised = collections.Counter()
+            for f in generated_functions(image).values():
+                ins = list(dis.get_instructions(f))
+                for call, arg in zip(ins, ins[1:]):
+                    if call.opname == "LOAD_GLOBAL" and call.argval == "_check_failed":
+                        assert arg.opname == "LOAD_GLOBAL", (path.name, f.__name__)
+                        raised[f.__globals__[arg.argval]] += 1
+            assert raised == woven, path.name
+            payloads = {rec["payload"] for rec in image.checks.values()}
+            for code in image.code.values():
+                ns = code.body.__globals__
+                assert not payloads & {v for v in ns.values() if isinstance(v, str)}, path.name
+        assert kinds["check"] > 0 and kinds["exit"] > 0
+
     def test_unprotected_image_compiles_no_protocol(self):
         # unprotected, no method has an entry or exit function, and no
         # generated function tests or moves a permission or evaluates a
@@ -429,9 +463,8 @@ SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
 EVEN = "  #@ predicate ev(n) = n == 0 or (n >= 2 and ev(n - 2));\n"
 
 
-def post(check_id, payload, line):
-    return CHECK_FAILURE, {"check_id": check_id, "kind": "postcondition", "payload": payload,
-                           "line": line}
+def post(check_id):
+    return CHECK_FAILURE, {"check_id": check_id}
 
 
 def pre(payload, line):
@@ -466,7 +499,7 @@ SPEC_SHAPES = {
         "    #@ assert ? and x / y >= 1;\n    G := x;\n",
         [((1, 0), 0, 2, (ARITHMETIC_PANIC, {"kind": "div-zero", "line": 6})),
          ((2, 1), 1, 2, None),
-         ((0, 1), 0, 2, (CHECK_FAILURE, {"check_id": "c0", "payload": "x / y >= 1", "line": 6}))]),
+         ((0, 1), 0, 2, (CHECK_FAILURE, {"check_id": "c0"}))]),
     "exit-div-zero": (
         "contract C:\n  #@ global G;\n  method m(x: uint64):\n"
         "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G) and G / x >= 1;\n"
@@ -494,7 +527,7 @@ SPEC_SHAPES = {
         "contract C:\n  #@ global G;\n  method m(x: uint64) -> uint64:\n"
         "    #@ requires ? and acc(G);\n    #@ ensures acc(G) and result >= old(G) + 1;\n"
         "    y := G;\n    G := y + x;\n    return y + x;\n",
-        [((0,), 3, 2, post("c0", "result >= old(G) + 1", 5)), ((4,), 3, 2, None)]),
+        [((0,), 3, 2, post("c0")), ((4,), 3, 2, None)]),
     # the argument is evaluated before the predicate call is charged
     "instance-div-zero": (
         SHAPE.format(preds="  #@ predicate p(n) = n <= 5;\n", req="p(10 / x)"),
@@ -599,9 +632,9 @@ PROTOCOL_SHAPES = {
          (1, 0, (ARITHMETIC_PANIC, {"kind": "underflow", "line": 6})))]),
     "same-contract": (SAME, [
         (tx("C", "outer", 1), {"C": {"G": 1}}, None, (3, 2, None), (3, 0, None)),
-        (tx("C", "outer", 1), {"C": {"G": 0}}, None, (2, 2, post("c0", "G >= 4", 10)),
+        (tx("C", "outer", 1), {"C": {"G": 0}}, None, (2, 2, post("c0")),
          (3, 0, None)),
-        (tx("C", "inner", 3), {"C": {"G": 0}}, None, (1, 3, post("c0", "G >= 4", 10)),
+        (tx("C", "inner", 3), {"C": {"G": 0}}, None, (1, 3, post("c0")),
          (1, 0, None)),
         (tx("C", "inner", 6), {"C": {"G": 0}}, None, (0, 1, pre("x <= 5", 9)), (1, 0, None))]),
     "foreign-precise": (FOREIGN_PRECISE, [
@@ -744,8 +777,9 @@ class TestFailureModes:
         assert out.reason == PREDICATE_DEPTH
 
     def test_spec_expression_in_a_built_body_is_rejected_at_load(self):
-        # load_program runs the front end's checks on a program built
-        # without the parser too
+        # without an adversary source load_program re-checks nothing, so the
+        # emitter itself refuses a program built without the parser whose
+        # body holds a spec expression
         program, _ = load_source("contract C:\n  #@ global G;\n  method m(x: uint64):\n"
                                  "    #@ requires ?;\n    #@ ensures ?;\n    y := x;\n", "b.gcl")
         [c] = program.contracts
@@ -753,8 +787,26 @@ class TestFailureModes:
         [s] = m.body
         body = (dataclasses.replace(s, expr=Old("G", s.expr.loc)),)
         built = Program((dataclasses.replace(c, methods=(dataclasses.replace(m, body=body),)),))
-        with pytest.raises(WellFormednessError, match="b.gcl:6:10: old"):
+        with pytest.raises(VmLoadError, match="^b.gcl:6:10: not a program expression$"):
             load_program((built, {}))
+
+    def test_load_without_an_adversary_checks_nothing_again(self, monkeypatch):
+        # no-op bodies are well-formed by construction, so a program merged
+        # with no adversary source is loaded as the weaver made it
+        woven = []
+        for path in corpus_files(CORPUS):
+            program, _ = load_file(path)
+            if not corpus_adversaries(path, program):
+                woven.append(weave(program, verify_program(program)))
+
+        def refuse(*args):
+            raise AssertionError("the program was checked again")
+        monkeypatch.setattr(gvc.vm, "infer_types", refuse)
+        monkeypatch.setattr(gvc.vm, "resolve", refuse)
+        monkeypatch.setattr(gvc.frontend, "well_formed_program", refuse)
+        assert len(woven) == 16
+        for ip in woven:
+            load_program(ip)
 
     def test_usage_errors(self):
         image = make_image("sell.gcl")

@@ -4,7 +4,8 @@ import pytest
 
 from gvc.erosion import erode_program
 from gvc.frontend import corpus_files, load_file, load_source
-from gvc.lang import ExitRow
+from gvc.lang import Acc, Check
+from gvc.oracle import Site, vm_site
 from gvc.printer import fmt_atom, pretty_print
 from gvc.verifier import verify_program
 from gvc.vm import CHECK_FAILURE, Ledger, Transaction, Vm, load_program
@@ -16,13 +17,20 @@ from conftest import CORPUS, FIXTURES
 
 
 def _rows(image, contract, method):
-    """The boundary rows compiled into one method's entry and exit functions
-    in a loaded image, each as the (check id, kind, payload text, line)
-    that its failure reports, in order."""
-    code = image.code[(contract, method)]
-    return [f.__globals__[n] for f in (code.entry, code.exit) if f is not None
-            for n in f.__code__.co_names
-            if n.startswith("_k") and len(f.__globals__[n]) == 4]
+    """One method's boundary rows in a loaded image, in order, each as the
+    (check id, kind, payload text, line) that its failure is blamed with:
+    the entry rows compiled into its entry function, each a (payload text,
+    line) constant, then its non-acc exit rows, which the image's check map
+    (weaver.check_map) describes."""
+    entry = image.code[(contract, method)].entry
+    consts = [] if entry is None else [entry.__globals__[n] for n in entry.__code__.co_names
+                                       if n.startswith("_k")]
+    rows = [(None, "precondition", *k) for k in consts if type(k) is tuple and type(k[1]) is int]
+    for r in image.program.contract(contract).method(method).exits:
+        if not isinstance(r.payload, Acc):
+            rec = image.checks[r.check_id]
+            rows.append((r.check_id, rec["kind"], rec["payload"], rec["line"]))
+    return rows
 
 
 class TestSellWoven:
@@ -127,7 +135,7 @@ def test_woven_text_reloads_with_boundary(sell_woven):
     ip = weave(src, verify_program(src))
     reloaded, _ = load_source(ip.to_text(), "branching.woven.gcl")
     [row] = reloaded.contract("Gate").method("set").exits
-    assert isinstance(row, ExitRow) and (row.check_id, row.obligation) == ("c0", "postcondition")
+    assert isinstance(row, Check) and (row.check_id, row.obligation) == ("c0", "postcondition")
 
 
 def test_stale_report_rejected(sell_program):
@@ -148,7 +156,7 @@ def test_exit_residual_lands_in_boundary_table():
     program, _ = load_file(CORPUS / "branching.gcl")
     ip = weave(program, verify_program(program))
     [row] = ip.boundary[("Gate", "set")]
-    assert isinstance(row, ExitRow)
+    assert isinstance(row, Check)
     # checked at exit, blamed at the ensures line
     assert _rows(load_program(ip), "Gate", "set") == [
         (row.check_id, "postcondition", fmt_atom(row.payload), 5)]
@@ -174,12 +182,15 @@ def test_exit_row_matching_no_spec_atom_is_checked_at_exit():
 
 
 def test_exit_row_without_an_ensures_line_reports_its_own_line():
-    # a woven text whose method has no ensures line: its failing exit row
-    # reports the line of its own `#! exit` directive
+    # a woven text whose method has no ensures line: check_map blames its
+    # exit row at the row's own `#! exit` line, and the VM's revert names
+    # the row's id alone
     program, _ = load_file(CORPUS / "branching.gcl")
     text = weave(program, verify_program(program)).to_text()
     text = "".join(l for l in text.splitlines(keepends=True) if "#@ ensures" not in l)
+    assert text.splitlines()[4] == "    #! exit Level >= 1 @c0 postcondition;"
     image = load_program(load_source(text, "branching.woven.gcl"))
-    assert _rows(image, "Gate", "set") == [("c0", "postcondition", "Level >= 1", 5)]
+    assert image.checks == {"c0": {"line": 5, "kind": "postcondition", "payload": "Level >= 1"}}
     out = Vm(image, Ledger(image.program)).exec_transaction(Transaction("Gate", "set", (0,)))
-    assert (out.reason, out.detail["check_id"], out.detail["line"]) == (CHECK_FAILURE, "c0", 5)
+    assert (out.reason, out.detail) == (CHECK_FAILURE, {"check_id": "c0"})
+    assert vm_site(out, image.checks) == Site("postcondition", 5)
