@@ -384,12 +384,23 @@ def woven(r):
     return r.checked[1] if r.head[0] == "ok" and r.checked[0] != "crash" else None
 
 
+def with_mutants(own, mutants, seed):
+    """The inputs `own`, each [name, text], then `mutants` mutants of each,
+    drawn from a generator seeded with `seed` and the input's name, so an
+    input's mutants depend on its own text alone."""
+    out = list(own)
+    for name, text in own:
+        rng = random.Random(f"{seed}:{name}")
+        out += [[f"{name}#{k}", mutate(text, rng)] for k in range(mutants)]
+    return out
+
+
 def inputs(old_src, new_src, mutants, seed):
     """The inputs of each tree, [name, text] in the same order and by the
     same names: the base files, the woven text of each base file that
-    both trees weave, each tree's own, the mutants of each of those, drawn
-    from one seeded generator per tree, and the n-if programs.  A tree's
-    mutants match the other's while their texts do."""
+    both trees weave, each tree's own, the mutants of each of those (see
+    with_mutants), and the n-if programs.  An input's mutants in one tree
+    match those in the other while its texts do."""
     files = sorted((ROOT / "corpus").glob("*.gcl")) + sorted((ROOT / "tests" / "fixtures").glob("*.gcl"))
     base = [[p.name, p.read_text(encoding="utf-8")] for p in files]
     weaves = [(name + ".woven", woven(a), woven(b)) for (name, _), a, b in
@@ -400,11 +411,8 @@ def inputs(old_src, new_src, mutants, seed):
     trees = []
     for i in (0, 1):
         own = base + [[name, texts[i]] for name, *texts in weaves if all(texts)]
-        rng = random.Random(seed)
-        out = list(own)
-        for name, text in own:
-            out += [[f"{name}#{k}", mutate(text, rng)] for k in range(mutants)]
-        trees.append(out + [[f"nif{n}", nif_source(n)] for n in range(1, 11)])
+        trees.append(with_mutants(own, mutants, seed)
+                     + [[f"nif{n}", nif_source(n)] for n in range(1, 11)])
     return trees
 
 

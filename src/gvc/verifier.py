@@ -514,9 +514,14 @@ class MethodVerifier:
         pre_call = dict(state.heap)
         self.consume(state, requires, s.loc, before, "precondition",
                      Scope(params, pre_call), payload_subst)
-        # re-entrancy may have run: havoc every global value, keep permissions
-        for slot in list(state.heap):
-            state.heap[slot] = self.fresh(slot)
+        # a frame takes a slot only when it is free or its direct caller's
+        # (Vm._hold and _acquire; the oracle's _holds_or_lazy), so only a
+        # same-contract callee entered imprecisely can change a held slot;
+        # any other callee, and what re-enters through it, leaves them be
+        if callee_c.name == self.contract.name and requires.imprecise:
+            for slot in list(state.heap):
+                state.heap[slot] = self.fresh(slot)
+        # a kept fact may still name a slot the callee took and wrote
         self._invalidate_facts(state)
         result = self.fresh("ret") if s.target is not None else None
         self.produce(state, ensures, Scope(params, pre_call, result))

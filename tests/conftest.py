@@ -26,6 +26,31 @@ FOREIGN_PRECISE = (
     "    call Vault.take();\n"
 )
 
+# a frame takes a slot only when it is free or its direct caller's: w holds
+# G while q (`requires ?`) writes it two calls down, through a precise
+# same-contract p that does not name G or through an extern A whose
+# adversary re-enters q; in the control, w calls q itself, which borrows G.
+# Each is (source, adversary source of A or None).
+W_HOLDS_G = (
+    "contract W:\n"
+    "  #@ global G;\n"
+    "  method w(x: uint64):\n"
+    "    #@ requires acc(G);\n"
+    "    #@ ensures acc(G);\n"
+    "    call {callee}(x);\n"
+)
+Q_WRITES_G = "  method q(x: uint64):\n    #@ requires ?;\n    #@ ensures ?;\n    G := x;\n"
+OWNERSHIP_PREMISE = {
+    "through-precise-callee": (
+        W_HOLDS_G.format(callee="W.p") + "  method p(x: uint64):\n    #@ requires true;\n"
+        "    #@ ensures ?;\n    call W.q(x);\n" + Q_WRITES_G, None),
+    "through-extern": (
+        W_HOLDS_G.format(callee="A.notify") + Q_WRITES_G
+        + "\nextern contract A:\n  method notify(x: uint64):\n    opaque;\n",
+        "contract A:\n  method notify(x: uint64):\n    call W.q(x);\n"),
+    "borrow-from-caller": (W_HOLDS_G.format(callee="W.q") + Q_WRITES_G, None),
+}
+
 
 @pytest.fixture(scope="session")
 def sell_path():

@@ -939,6 +939,22 @@ def test_every_mutant_gets_a_documented_exit_code(tmp_path, capsys):
     assert seen["run"] | seen["run woven"] <= {EXIT_OK, EXIT_USAGE, EXIT_STATIC, EXIT_REVERTED}
 
 
+def test_frontend_diff_mutants_of_an_input_depend_on_its_text_alone():
+    # a change to one input's text leaves every other input's mutants
+    # identical, so a change to one woven text shows as that input's
+    # differences alone
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from frontend_diff import with_mutants
+    from gvc.frontend import corpus_files
+
+    own = [[p.name, p.read_text(encoding="utf-8")] for p in corpus_files(CORPUS)]
+    changed = [[name, text.replace("Balance", "Funds") if name == "bank.gcl" else text]
+               for name, text in own]
+    differ = {name.split("#")[0] for (name, a), (_, b) in
+              zip(with_mutants(own, 5, 1), with_mutants(changed, 5, 1)) if a != b}
+    assert differ == {"bank.gcl"}
+
+
 def test_frontend_diff_tells_gas_apart():
     # two VM records of one grid case differ in gas alone when they are
     # equal without exec_gas and check_gas; the run cut at g - 1 gas is

@@ -18,7 +18,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, FIXTURES, FOREIGN_PRECISE
+from conftest import CORPUS, FIXTURES, FOREIGN_PRECISE, OWNERSHIP_PREMISE
 
 
 def tx(contract, method, *args):
@@ -49,6 +49,21 @@ class TestTraceJudgments:
         j = Oracle(merged, unverified).judge({"Bank": {"Balance": 10}}, tx("Bank", "withdraw", 4))
         assert j.verdict == FIRST_VIOLATION
         assert j.site.kind == "access"
+
+    @pytest.mark.parametrize("name", OWNERSHIP_PREMISE)
+    def test_a_frame_borrows_only_from_its_direct_caller(self, name):
+        # the verifier keeps w's G across any call but one to a
+        # same-contract callee entered imprecisely; that is sound only if q,
+        # two calls below w, cannot take G
+        source, adversary = OWNERSHIP_PREMISE[name]
+        program, _ = load_source(source, f"{name}.gcl")
+        merged, unverified = merge_adversaries(program, adversary and {"A": adversary})
+        j = Oracle(merged, unverified).judge({"W": {"G": 1}}, tx("W", "w", 2))
+        if name == "borrow-from-caller":
+            assert j.verdict == ALL_HELD and j.storage["W"] == {"G": 2}
+        else:
+            assert j.verdict == FIRST_VIOLATION
+            assert j.site == Site("access", 10 if name == "through-extern" else 14)
 
     def test_precise_precondition_violation_at_spec_line(self):
         program, _ = load_file(CORPUS / "sell_precise.gcl")

@@ -10,6 +10,7 @@ import pytest
 
 from gvc.frontend import load_file, load_source
 from gvc.oracle import enumerate_equivalence
+from gvc.printer import fmt_atom
 from gvc.verifier import Insertion, Status, SymState, program_digest, verify_program
 from gvc.weaver import weave
 
@@ -108,6 +109,63 @@ def test_callee_old_is_the_value_at_the_call(asserted, status):
         assert [(ob.kind, why) for ob, why in m.diagnostics] == [("assert", "violated")]
 
 
+# m holds G == 0 and H and calls a callee whose `ensures ?` leaves the
+# state imprecise, so a havocked G leaves the assert to run time
+KEEPS_G = (
+    "contract C:\n"
+    "  #@ global G;\n"
+    "  #@ global H;\n"
+    "  method m():\n"
+    "    #@ requires acc(G) and acc(H) and G == 0;\n"
+    "    #@ ensures acc(G);\n"
+    "    call {callee}();\n"
+    "    #@ assert G == 0;\n"
+    "  method n():\n"
+    "    #@ requires {requires};\n"
+    "    #@ ensures ?;\n"
+    "    y := 1;\n"
+    "\n"
+    "contract D:\n"
+    "  #@ global G;\n"
+    "  method f():\n"
+    "    #@ requires ?;\n"
+    "    #@ ensures ?;\n"
+    "    G := 5;\n"
+    "\n"
+    "extern contract E:\n"
+    "  method f():\n"
+    "    opaque;\n"
+)
+
+
+@pytest.mark.parametrize("callee, requires, havocked", [
+    ("C.n", "?", True),
+    ("C.n", "true", False),
+    ("C.n", "acc(H)", False),
+    ("D.f", "?", False),
+    ("E.f", "?", False),
+], ids=["same-imprecise", "same-precise", "same-precise-other-slot", "foreign", "extern"])
+def test_a_call_changes_held_values_only_through_an_imprecise_same_contract_callee(
+        callee, requires, havocked):
+    # the run-time protocol lets a frame take a slot only when it is free
+    # or its direct caller's, so only C.n entered imprecisely can take G
+    program, _ = load_source(KEEPS_G.format(callee=callee, requires=requires), "t.gcl")
+    report = verify_program(program)
+    m = report.method("C", "m")
+    assert [r.obligation.kind for r in m.residuals] == (["assert"] if havocked else [])
+    assert enumerate_equivalence(program, weave(program, report), bound=2)["disagreements"] == []
+
+
+def test_facts_are_dropped_at_every_call():
+    # set0 is precise and takes H itself: keeping big(1) across the call
+    # would prove the final assert, which fails whenever m runs
+    program, _ = load_file(FIXTURES / "facts_across_call.gcl")
+    m = verify_program(program).method("Pf", "m")
+    assert m.status is Status.STATIC_ERROR
+    [(ob, reason)] = m.diagnostics
+    assert (ob.kind, fmt_atom(ob.atom), ob.loc.line, reason) == ("assert", "big(1)", 8, "unprovable")
+
+
 class TestResidualKinds:
     def _kinds(self, name):
         program, _ = load_file(CORPUS / name)
@@ -123,7 +181,14 @@ class TestResidualKinds:
         assert self._kinds("assertions.gcl") == ["assert"]
 
     def test_havoc_forces_residual(self):
-        assert self._kinds("extern_havoc.gcl") == ["underflow"]
+        # only a same-contract callee entered imprecisely may take a slot
+        # its caller holds: after it, the caller's assert is left to run
+        # time; an extern callee, and what re-enters through it, may not
+        program, _ = load_file(CORPUS / "borrowed_call.gcl")
+        [r] = verify_program(program).method("Borrow", "m").residuals
+        assert (r.obligation.kind, r.payload_text) == ("assert", "G == 0")
+        assert self._kinds("extern_havoc.gcl") == []
+        assert self._kinds("bank.gcl") == []
 
     def test_loop_residual_after_havoc(self):
         assert self._kinds("loop.gcl") == ["underflow"]

@@ -27,7 +27,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, FOREIGN_PRECISE, ROOT
+from conftest import CORPUS, FOREIGN_PRECISE, OWNERSHIP_PREMISE, ROOT
 
 
 def make_image(name, adversaries=None, protected=True):
@@ -804,7 +804,7 @@ class TestFailureModes:
         monkeypatch.setattr(gvc.vm, "infer_types", refuse)
         monkeypatch.setattr(gvc.vm, "resolve", refuse)
         monkeypatch.setattr(gvc.frontend, "well_formed_program", refuse)
-        assert len(woven) == 16
+        assert len(woven) == 17
         for ip in woven:
             load_program(ip)
 
@@ -907,3 +907,24 @@ class TestReentrancy:
         twice = "contract Attacker:\n  method notify(amount: uint64):\n    x := amount;\n\n" + adversary
         with pytest.raises(VmLoadError, match="adversary source defines contract Attacker twice"):
             make_image("bank.gcl", {"Attacker": twice})
+
+    @pytest.mark.parametrize("name", OWNERSHIP_PREMISE)
+    def test_a_frame_borrows_only_from_its_direct_caller(self, name):
+        # the verifier keeps w's G across any call but one to a
+        # same-contract callee entered imprecisely; that is sound only if q,
+        # two calls below w, cannot take G.  Loaded unwoven, so q's write
+        # itself tests ownership, not a woven `#! check acc(G)` before it
+        source, adversary = OWNERSHIP_PREMISE[name]
+        program, _ = load_source(source, f"{name}.gcl")
+        image = load_program(program, adversary and {"A": adversary})
+        led = Ledger(image.program, {"W": {"G": 1}})
+        vm = Vm(image, led)
+        out = vm.exec_transaction(tx("W", "w", 2))
+        if name == "borrow-from-caller":
+            assert out.committed and led.read("W", "G") == 2
+        else:
+            assert out.reason == OWNERSHIP_FAILURE
+            assert (out.detail["slot"], out.detail["kind"], out.detail["line"]) == (
+                "G", "access", 10 if name == "through-extern" else 14)
+            assert led.read("W", "G") == 1
+        assert vm.perm == {}
