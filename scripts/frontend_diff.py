@@ -5,14 +5,14 @@ source trees.
 Runs `gvc.frontend.load_source` from two `src` directories on the same
 inputs and reports every input on which they differ: a different error
 (type or message) or a different program (node types, fields and source
-locations) or boundary map (the `#! exit` rows of a woven text, whether a
-tree keeps them on their methods or beside the program), and, for
+locations) or boundary map (the `#! exit` rows of a woven text), and, for
 an input both load, a different `verify_program` report JSON or woven
 text, and for an input both verify, a different VM outcome
-(`Outcome.as_dict()`, revert reason and detail, and the ledger after the
-transaction, so a broken rollback or a wrong committed write shows) or
-oracle judgment (`Oracle.judge`: verdict, site kind and line, payload and
-final storage) on a case of its bound-2 `transaction_grid`, each case run
+(`Outcome.as_dict()`, revert reason and what the revert's detail names,
+and the ledger after the transaction, so a broken rollback or a wrong
+committed write shows) or oracle judgment (`Oracle.judge`: verdict, site
+kind and line, payload and final storage) on a case of its bound-2
+`transaction_grid`, each case run
 on the woven program under a gas limit of GAS_LIMIT, and a case that used
 g > 0 gas run again under a limit of g - 1, so a GasExhausted that moved
 by one statement shows, and judged on the source program within
@@ -38,10 +38,16 @@ part that differs first (program, boundary, report, woven, vm or oracle, or
 crash when verifying, weaving, running or judging raised in one tree) with
 its first differing path, line or grid case; then the source and both
 results of the first few, and a tally of the differences by old outcome ->
-new outcome (part).  A case whose VM records differ in `exec_gas` and
-`check_gas` alone is also counted apart, and an input whose every differing
-VM record is such a case is tallied under the part "vm gas", not "vm".
-Exits 1 if any input differs.
+new outcome (part).  A woven check's revert is compared by what its
+check id names in its own tree's check map (`weaver.check_map`: line, kind
+and payload), so renumbered checks read the same.  A case whose VM records
+differ in `exec_gas` and `check_gas` alone, or in a revert's detail alone,
+is also counted apart, and an input whose every differing VM record is
+such a case is tallied under the part "vm gas" or "vm detail", not "vm".
+An input whose text differs between the trees by design (a woven text
+that changed, and its mutants) is a different program in each, so its
+differences are listed and tallied apart from those of inputs with the
+same text.  Exits 1 if an input with the same text in both trees differs.
 """
 
 import argparse
@@ -69,25 +75,13 @@ END = ["end"]  # the last line of a result that ran its grid, or had none
 
 def canon(x):
     """A JSON-able description of a front-end result that is the same for
-    equal programs in either tree.  Trees that annotated resolution in the
-    syntax tree (a `Name.scope` field, global writes as `GAssign(slot, ...)`)
-    are described as the plain tree they annotate, an exit row of its own
-    type (`ExitRow`, or `BoundaryEntry("exit", ...)` naming its role) as the
-    `Check` it is, located at its payload, and a method's `exits` field is
-    left out: exit_rows describes the rows as one boundary map in every
-    tree."""
+    equal programs in either tree.  A method's `exits` field is left out:
+    exit_rows describes the rows as one boundary map."""
     if type(x).__name__ == "SourceLoc":
         return str(x)
     if dataclasses.is_dataclass(x):
-        name = type(x).__name__
-        fields = [(f.name, getattr(x, f.name)) for f in dataclasses.fields(x)
-                  if f.name not in ("scope", "exits")]
-        if name == "GAssign":
-            name, fields = "Assign", [("target" if k == "slot" else k, v) for k, v in fields]
-        elif name in ("ExitRow", "BoundaryEntry"):
-            name, fields = "Check", [("check_id", x.check_id), ("payload", x.payload),
-                                     ("obligation", x.obligation), ("loc", x.payload.loc)]
-        return [name] + [[k, canon(v)] for k, v in fields]
+        return [type(x).__name__] + [[f.name, canon(getattr(x, f.name))]
+                                     for f in dataclasses.fields(x) if f.name != "exits"]
     if isinstance(x, (tuple, list)):
         return [canon(v) for v in x]
     if isinstance(x, dict):
@@ -95,16 +89,23 @@ def canon(x):
     return x
 
 
-def exit_rows(loaded):
-    """The boundary map of a load_source result: (contract, method) -> the
-    method's `#! exit` rows, read from the methods in a tree whose methods
-    carry them, else the map a (program, map) pair holds beside the
-    program."""
-    program = loaded[0] if isinstance(loaded, tuple) else loaded
-    methods = [(c, m) for c in program.contracts for m in c.methods]
-    if methods and not hasattr(methods[0][1], "exits"):
-        return loaded[1]
-    return {(c.name, m.name): list(m.exits) for c, m in methods if m.exits}
+def exit_rows(program):
+    """The boundary map of a program: (contract, method) -> the method's
+    `#! exit` rows."""
+    return {(c.name, m.name): list(m.exits) for c in program.contracts for m in c.methods
+            if m.exits}
+
+
+def named(out, checks):
+    """[outcome dict, detail] of a VM Outcome, a woven check's id replaced
+    in both by what it names in the image's check map `checks` (line, kind
+    and payload), so a renumbered check reads the same."""
+    d, detail = out.as_dict(), out.detail
+    check = checks.get(detail.get("check_id"))
+    if check is None:
+        return [d, detail]
+    d.pop("check_id", None)
+    return [d, {**detail, "check_id": check}]
 
 
 def describe(texts):
@@ -153,21 +154,23 @@ def describe(texts):
         record]: [method, initial ledger, arguments, outcome dict, reason,
         detail, final ledger] of its run on the loaded woven program,
         followed, when that run used g > 0 gas, by [outcome dict, detail,
-        final ledger] of its run under a gas limit of g - 1; and [method,
-        initial ledger, arguments, judgment] of the oracle on the source
-        program."""
+        final ledger] of its run under a gas limit of g - 1, each outcome
+        dict and detail as named() gives them; and [method, initial ledger,
+        arguments, judgment] of the oracle on the source program."""
         image = load_program(woven)
+        checks = getattr(image, "checks", None) or {}
         oracle = StepOracle(*merge_adversaries(program))
         for c, m, init, t in transaction_grid(program, GRID_BOUND):
             ledger = Ledger(image.program, init)
             out = Vm(image, ledger).exec_transaction(t, gas_limit=GAS_LIMIT)
             case = [f"{c.name}.{m.name}", init, list(t.args)]
-            record = case + [out.as_dict(), out.reason, out.detail, ledger.as_dict()]
+            d, detail = named(out, checks)
+            record = case + [d, out.reason, detail, ledger.as_dict()]
             gas = out.exec_gas + out.check_gas
             if gas > 0:
                 ledger = Ledger(image.program, init)
                 cut = Vm(image, ledger).exec_transaction(t, gas_limit=gas - 1)
-                record += [cut.as_dict(), cut.detail, ledger.as_dict()]
+                record += [*named(cut, checks), ledger.as_dict()]
             yield [record, case + [judgment(oracle, init, t)]]
 
     for name, text in texts:
@@ -184,7 +187,7 @@ def describe(texts):
             checked = [report.to_json(), woven and woven.to_text()]
         except Exception as e:
             checked, woven = ["crash", type(e).__name__, str(e)], None
-        yield ["ok", canon(program), canon(exit_rows(loaded)), checked]
+        yield ["ok", canon(program), canon(exit_rows(program)), checked]
         try:
             if woven:
                 yield from run_grid(program, woven)
@@ -296,13 +299,23 @@ def gas_only(x, y):
     return gas_free(x, cut) == gas_free(y, cut)
 
 
+def detail_only(x, y):
+    """Whether two differing VM records of one grid case differ in their
+    reverts' details alone (see run_grid)."""
+    def detail_free(record):
+        return [f for i, f in enumerate(record) if i not in (5, 8)]
+
+    return detail_free(x) == detail_free(y)
+
+
 def first_difference(a, b, grid):
     """(part, where) for two differing Results: for an input both trees
     load, the part that differs first and where in it, else (None, the
     errors).  `grid` holds, for "vm" and "oracle", the number of grid cases
-    whose records differ, the first such case's old record and the number
-    that differ in gas alone (see gas_only); "vm gas" is the part when
-    every differing VM record differs in gas alone."""
+    whose records differ, the first such case's old record and the numbers
+    that differ in gas alone and in detail alone (see gas_only and
+    detail_only); "vm gas" or "vm detail" is the part when every differing
+    VM record differs in gas alone or in detail alone."""
     if a.head[0] != "ok" or b.head[0] != "ok":
         return None, " -> ".join(repr(d[2]) if d[0] == "error" else "loads" for d in (a.head, b.head))
     for part, x, y in (("program", a.head[1], b.head[1]), ("boundary", a.head[2], b.head[2])):
@@ -314,10 +327,10 @@ def first_difference(a, b, grid):
     for part, x, y in zip(("report", "woven"), a.checked, b.checked):
         if x != y:
             return part, first_line(x, y)
-    for part, (n, first, gas) in grid.items():
+    for part, (n, first, gas, detail) in grid.items():
         if n:
             method, init, args = first[:3]
-            return (part + " gas" * (gas == n),
+            return (part + " gas" * (gas == n) + " detail" * (detail == n),
                     f"{n} case(s), first {method}{tuple(args)} on {json.dumps(init)}")
         if a.count != b.count:
             return part, f"{a.count} -> {b.count} case(s)"
@@ -428,12 +441,17 @@ def main(argv=None):
     # the two trees' results are compared as they arrive, one grid case at
     # a time, and only the tallies and the differences are kept; equal JSON
     # lines are equal cases, never decoded
-    outcomes, tally, found, shown = Counter(), Counter(), [], []
-    both = ran = cases = vm_diffs = gas_diffs = oracle_diffs = 0
+    # by whether the input's text is the same in both trees: the
+    # differences, their tally and the differing grid cases
+    tallies = {same: Counter() for same in (True, False)}
+    found = {same: [] for same in (True, False)}
+    diffs = {same: Counter() for same in (True, False)}
+    outcomes, shown = Counter(), []
+    both = ran = cases = 0
     for (name, text), (_, new_text), a, b in zip(
             old_texts, new_texts, results(run_tree(args.old_src, old_texts)),
             results(run_tree(args.new_src, new_texts)), strict=True):
-        grid = {"vm": [0, None, 0], "oracle": [0, None, 0]}
+        grid = {"vm": [0, None, 0, 0], "oracle": [0, None, 0, 0]}
         for line_a, line_b in zip_longest(a.cases(), b.cases()):
             if line_a is None or line_b is None or line_a == line_b:
                 continue
@@ -443,15 +461,17 @@ def main(argv=None):
                     diff[0] += 1
                     diff[1] = diff[1] or x
                     diff[2] += part == "vm" and gas_only(x, y)
+                    diff[3] += part == "vm" and detail_only(x, y)
         outcomes[outcome(a.head)] += 1
+        same_text = new_text == text
         if a.head[0] == b.head[0] == "ok":
             both += 1
             if "crash" not in (a.checked[0], b.checked[0]) and a.count and b.count:
                 ran += 1
                 cases += a.count
-                vm_diffs += grid["vm"][0]
-                gas_diffs += grid["vm"][2]
-                oracle_diffs += grid["oracle"][0]
+                diffs[same_text].update({"vm": grid["vm"][0], "gas": grid["vm"][2],
+                                         "detail": grid["vm"][3],
+                                         "oracle": grid["oracle"][0]})
         if a.head[0] == b.head[0] == "ok":
             same = a.head[1:3] == b.head[1:3] and a.checked == b.checked and (
                 a.checked[0] == "crash"
@@ -462,24 +482,30 @@ def main(argv=None):
             continue
         part, where = first_difference(a, b, grid)
         key = f"{outcome(a.head)} -> {outcome(b.head)}" + (f" ({part})" if part else "")
-        tally[key] += 1
-        found.append(f"{name}: {key}" + (f" at {where}" if where else ""))
-        if len(shown) < SHOWN:
-            if new_text != text:
-                text += f"\n--- {name} in the new tree\n{new_text}"
+        tallies[same_text][key] += 1
+        found[same_text].append(f"{name}: {key}" + (f" at {where}" if where else ""))
+        if len(shown) < SHOWN and same_text:
             shown.append(f"--- {name}\n{text}\nold: {a.prefix()}\nnew: {b.prefix()}")
-    for line in found + shown:
+    for line in found[False]:
+        print(f"{line} (text differs)")
+    for line in found[True] + shown:
         print(line)
     late = sum(outcomes[k] for k in LATE_ERRORS)
     print(f"{len(old_texts)} input(s): {dict(sorted(outcomes.items()))}; "
           f"{late} end in a resolution, inference or well-formedness error")
     print(f"{both} input(s) load in both trees; their reports and woven texts are compared")
     print(f"{ran} input(s) verify in both trees; their VM outcomes and oracle "
-          f"judgments on {cases} grid case(s) are compared (final ledgers included): "
-          f"VM outcomes differ on {vm_diffs} ({gas_diffs} in gas alone), "
-          f"oracle judgments on {oracle_diffs}")
-    print(f"{len(found)} difference(s): {dict(sorted(tally.items()))}")
-    return 1 if found else 0
+          f"judgments on {cases} grid case(s) are compared (final ledgers included)")
+    differing = sum(new != old for (_, old), (_, new) in zip(old_texts, new_texts))
+    counts = {True: len(old_texts) - differing, False: differing}
+    for same_text, label in ((True, "with the same text in both trees"),
+                             (False, "whose text differs by design")):
+        d = diffs[same_text]
+        print(f"{counts[same_text]} input(s) {label}: VM outcomes differ on {d['vm']} grid "
+              f"case(s) ({d['gas']} in gas alone, {d['detail']} in detail alone), oracle "
+              f"judgments on {d['oracle']}; {len(found[same_text])} difference(s): "
+              f"{dict(sorted(tallies[same_text].items()))}")
+    return 1 if found[True] else 0
 
 
 if __name__ == "__main__":

@@ -5,11 +5,13 @@ permission ownership, boundary checking against callers from other
 contracts, woven run-time checks, gas metering, and rollback of every write
 on any failure.
 
-`load_program` compiles everything once, through one emitter: each block
-of a method body, each method's call protocol (an entry and an exit
-function, which check its entry and exit rows and move its acc slots), and
-each predicate body becomes a generated Python function, compiled with
-compile() (see "Compiled code" below).  The source line a revert reports
+`load_program` compiles everything once, through one emitter: each method
+body, with each nested block that nests a block of its own, each method's
+call protocol (an entry and an exit function, which check its entry and
+exit rows and move its acc slots), and each predicate body becomes a
+generated Python function, compiled with compile() (see "Compiled code"
+below).  A block function keeps the GCL locals it touches in Python
+locals.  The source line a revert reports
 and each call's boundary decisions are fixed at compile time, and compiled
 code is a function of the running Frame and the names in scope.  One
 image serves every Vm made from it, so compiled code reaches the ledger, the permission table, the gas meter and
@@ -38,8 +40,9 @@ from typing import NamedTuple
 
 from .lang import (
     Acc, Assign, AssertStmt, BinOp, BoolOp, CALL_DEPTH_CAP, Call, Check, Cmp,
-    Contract, bool_leaves, call_charge, expr_nodes, If, IntLit, Method, Name, NotOp, Old,
-    PredUse, PREDICATE_DEPTH_CAP, Program, Result, Return, UINT_MAX, While,
+    Contract, assigned_names, bool_leaves, call_charge, expr_nodes, If, IntLit, Method, Name,
+    NotOp, Old, PredUse, PREDICATE_DEPTH_CAP, Program, Result, Return, stmt_exprs, UINT_MAX,
+    While,
 )
 from .frontend import infer_types, resolve
 from .parser import parse_program
@@ -423,11 +426,12 @@ class Vm:
 
 
 # ---------------------------------------------------------------------------
-# Compiled code.  Each block of a method body (the body, each then/else
-# branch and each while body) compiles to one generated Python function of
-# the running Frame `fr` and its locals `env`.  A block's straight-line
-# statements are inline and a nested block is a call to its own function,
-# so Python nesting never follows GCL nesting (CPython refuses more than 20
+# Compiled code.  A method body compiles to a generated Python function of
+# the running Frame `fr` and its locals `env`, a block function.  A
+# then/else branch or while body that nests no if or while (straight-line)
+# is inline in its parent's function; one that nests a block is a call to
+# a block function of its own.  So a function holds at most one loop and
+# Python nesting never follows GCL nesting (CPython refuses more than 20
 # nested loops, and the parser accepts MAX_NESTING nested bodies); an
 # expression is three-address code, one temporary per operation, so its
 # depth never becomes Python parenthesis depth.  A block function returns
@@ -435,6 +439,20 @@ class Vm:
 # statement but a woven check charges 1 exec gas before it runs, and a while
 # 1 more per re-evaluation of its condition; asserts are ghost code (their
 # residuals were woven as checks) and emit nothing.
+#
+# A block function keeps each GCL local and parameter that its own code
+# touches in a Python local v<i>, named after the name's constant _k<i>
+# (register promotion).  Its prologue loads those assigned on every path to
+# it (the definite-assignment rule of frontend.infer_types) from env.  The
+# only other code that reads env is generated: a nested block function and
+# a predicate payload's generator.  Before either runs, the function stores
+# back each local it may have changed that is assigned on every path there,
+# so env holds every local that code may read; a nested block stores its
+# own back when it falls through, and its caller reloads each local the
+# block may assign.  A return ends the method, whose exit reads only
+# parameters, which are never assigned, so neither a return nor the method
+# body's end stores anything.  A frame field (fr.slots, fr.perm, fr.id,
+# fr.journal) is a local in a function that reads it twice or in a loop.
 #
 # Each method's call protocol compiles with its body.  Its entry function,
 # of (fr, env, active, site), evaluates its entry rows, the requires atoms
@@ -456,10 +474,11 @@ class Vm:
 #
 # Specification payloads (woven checks, exit and entry rows) are evaluated
 # inline in the function that holds them, over mathematical integers: names
-# read `env`, then the frame's contract's storage, with no ownership test,
-# and old(...) and result read the frame.  Each and/or is a function of (fr,
-# env) of its own that short-circuits, so Python nesting never follows the
-# formula's either; a `not` is inline.  A formula that holds a predicate
+# read the promoted locals, or `env` outside a block function, then the
+# frame's contract's storage, with no ownership test, and old(...) and
+# result read the frame.  Each and/or is a function of (fr, env) of its own
+# that short-circuits, so Python nesting never follows the formula's
+# either; a `not` is inline.  A formula that holds a predicate
 # instance compiles to a generator function: it yields (predicate name,
 # argument values) for each instance, is sent the instance's truth, and
 # returns its own (see eval_spec_bool).  A predicate body compiles to a
@@ -472,6 +491,11 @@ class Vm:
 # namespace holds no builtins.  A method's block, spec, entry and exit
 # functions compile in one source, and a contract's predicates in another;
 # compile() costs about 9 us per generated line, paid once at load_program.
+
+# each frame field that generated code reads, and the name of the local
+# that holds it in a function that reads it more than once or in a loop; no
+# other token of generated code contains "fr.<field>"
+_FIELDS = {"fr.slots": "slots", "fr.perm": "perm", "fr.id": "fid", "fr.journal": "journal"}
 
 # the Python token of each program operator
 _TOKENS = {"==": "==", "!=": "!=", "<=": "<=", "<": "<", ">=": ">=", ">": ">",
@@ -596,6 +620,35 @@ def _acc_atoms(formula):
     return [a for a in formula.atoms if isinstance(a, Acc)]
 
 
+def _straight(body):
+    """Whether a block nests no block: its function inlines it."""
+    return not any(type(s) is If or type(s) is While for s in body)
+
+
+def _own_names(body):
+    """The names that the code of a block's function reads or assigns
+    itself: its statements' and its inlined bodies' expressions, targets
+    and inline check payloads.  A loop invariant and an assert emit
+    nothing, and a check payload that is a predicate instance is a
+    function of its own, which reads env."""
+    names = set()
+    for s in body:
+        t = type(s)
+        if t is If or t is While:
+            names.update(n.name for n in expr_nodes(*bool_leaves(s.cond)) if type(n) is Name)
+            for inner in (s.then, s.orelse) if t is If else (s.body,):
+                if _straight(inner):
+                    names |= _own_names(inner)
+        elif t is Check:
+            if type(s.payload) is Cmp:
+                names.update(n.name for n in expr_nodes(s.payload) if type(n) is Name)
+        elif t is not AssertStmt:
+            names.update(n.name for n in stmt_exprs(s) if type(n) is Name)
+            if t is not Return and s.target is not None:
+                names.add(s.target)
+    return names
+
+
 def _predicates(contract):
     """{name: (parameters, compiled body, holds an instance)} of a
     contract's predicates, compiled in one source."""
@@ -605,6 +658,25 @@ def _predicates(contract):
     bodies = [(p, *emitter.formula(p.body)) for p in contract.predicates]
     ns = emitter.load()
     return {p.name: (p.params, ns[name], gen) for p, name, gen in bodies}
+
+
+class _Function:
+    """One generated function while it is emitted (see _Emitter.function)."""
+
+    __slots__ = ("lines", "indent", "temps", "charges", "yields", "loops", "looped", "loads",
+                 "promoted", "known", "dirty")
+
+    def __init__(self):
+        self.lines, self.indent, self.temps = [], 1, 0
+        self.charges = self.yields = False  # whether it charges gas, whether it yields
+        self.loops = 0  # loops around the line being emitted
+        self.looped = set()  # the frame fields read in a loop
+        self.loads = []  # prologue lines that load promoted locals from env
+        # of a block function: {GCL local: its Python name}, the locals
+        # assigned on every path to the line being emitted (the rule of
+        # frontend.infer_types, parameters included), and the promoted
+        # locals whose env entry may be stale there
+        self.promoted = self.known = self.dirty = None
 
 
 class _Emitter:
@@ -617,21 +689,21 @@ class _Emitter:
         self.ns = {"__builtins__": {}, **_RUNTIME}
         self.names = {}  # constant -> its namespace name
         self.functions = []  # source of each function, in the order begun
-        # of the function being emitted: its lines, indent and temporaries
-        # so far, and whether it charges gas and whether it yields
-        self.lines = self.indent = self.temps = self.charges = self.yields = None
+        self.fn = None  # the _Function being emitted
 
     def compile(self, method):
         """The functions of a method's body, entry and exit (see above),
         the entry or exit None where it would do nothing; unprotected, both
         are None."""
+        params = {p for p, _ in method.params}
         if not self.protected:
-            body = self.block(method.body, 0)
+            body = self.block(method.body, 0, params)[0]
             return self.load()[body], None, None
         spec = method.spec
         exits = [r for r in method.exits if not isinstance(r.payload, Acc)]
         reads_old = any(type(n) is Old for r in exits for n in expr_nodes(r.payload))
-        body = self.block(method.body, 0, ["fr.old = fr.slots.copy()"] if reads_old else [])
+        body = self.block(method.body, 0, params,
+                          ["fr.old = fr.slots.copy()"] if reads_old else [])[0]
         entry = None if self.contract.extern else self.entry(spec.requires)
         ensured = _acc_atoms(spec.ensures)
 
@@ -652,21 +724,25 @@ class _Emitter:
     def function(self, prefix, emit_body, params=""):
         """Emit a function of (fr, env) and `params` whose body
         `emit_body()` emits (`pass` if it emits nothing), with the gas
-        prologue if the body charges gas; returns its name and whether it
-        is a generator function."""
+        prologue if the body charges gas, a local for each frame field it
+        reads more than once or in a loop, and its `loads`; returns its
+        name and its finished _Function."""
         index = len(self.functions)
         name = f"{prefix}{index}"
         self.functions.append(None)
-        outer = self.lines, self.indent, self.temps, self.charges, self.yields
-        self.lines, self.indent, self.temps, self.charges, self.yields = [], 1, 0, False, False
+        outer, fn = self.fn, _Function()
+        self.fn = fn
         emit_body()
-        prologue = ["    m = fr.meter", "    lim = m.limit"] if self.charges else []
+        self.fn = outer
+        body = "\n".join(fn.lines or ["    pass"])
+        hoisted = sorted(f for f in _FIELDS if f in fn.looped or body.count(f) > 1)
+        for f in hoisted:
+            body = body.replace(f, _FIELDS[f])
+        prologue = ["m = fr.meter", "lim = m.limit"] if fn.charges else []
+        prologue += [f"{_FIELDS[f]} = {f}" for f in hoisted] + fn.loads
         self.functions[index] = "\n".join([f"def {name}(fr, env{params and ', '}{params}):",
-                                           *prologue,
-                                           *(self.lines or ["    pass"])])
-        yields = self.yields
-        self.lines, self.indent, self.temps, self.charges, self.yields = outer
-        return name, yields
+                                           *("    " + line for line in prologue), body])
+        return name, fn
 
     def const(self, value):
         """The namespace name of a constant."""
@@ -677,49 +753,112 @@ class _Emitter:
         return name
 
     def emit(self, line):
-        self.lines.append("    " * self.indent + line)
+        fn = self.fn
+        if fn.loops and "fr." in line:
+            fn.looped.update(f for f in _FIELDS if f in line)
+        fn.lines.append("    " * fn.indent + line)
 
     def temp(self, expr):
         """A new temporary assigned `expr`; returns its name."""
-        name = f"t{self.temps}"
-        self.temps += 1
+        name = f"t{self.fn.temps}"
+        self.fn.temps += 1
         self.emit(f"{name} = {expr}")
         return name
 
     def charge(self, gas):
         """Charge 1 `gas` ("exec_gas" or "check_gas")."""
-        self.charges = True
+        self.fn.charges = True
         self.emit(f"m.{gas} += 1")
         self.emit("if lim is not None and m.exec_gas + m.check_gas > lim: raise _gas_exhausted()")
 
     # -- method bodies -------------------------------------------------------
 
-    def block(self, body, nest, first=()):
+    def block(self, body, nest, known, first=()):
         """Emit the function of a block that `nest` if/while bodies enclose,
-        the lines `first` before its statements; returns its name."""
+        entered with the locals `known` assigned: the lines `first`, then
+        its statements, its straight-line nested bodies inline.  Returns its
+        name and its finished _Function."""
         def emit_body():
+            fn = self.fn
+            fn.promoted = {n: "v" + self.const(n)[2:] for n in sorted(_own_names(body))
+                           if n not in self.contract.globals}
+            fn.known, fn.dirty = set(known), set()
+            fn.loads = [f"{v} = env[{self.const(n)}]" for n, v in fn.promoted.items()
+                        if n in known]
             for line in first:
                 self.emit(line)
-            for s in body:
-                if not isinstance(s, (AssertStmt, Check)):
-                    self.charge("exec_gas")
-                self.stmt(s, nest)
-        return self.function("_b", emit_body)[0]
+            self.stmts(body, nest)
+            if nest:  # falling through: the caller reloads what it reads
+                self.sync()
+        return self.function("_b", emit_body)
 
-    def run(self, body, nest):
-        """A statement that runs a nested block's function and returns if
-        it returned; a block of asserts only needs none."""
-        if all(isinstance(s, AssertStmt) for s in body):
-            return "pass"
-        return f"if {self.block(body, nest)}(fr, env): return True"
+    def stmts(self, body, nest):
+        """Emit a block's statements inline, each but a check or an assert
+        charged 1 exec gas."""
+        for s in body:
+            if not isinstance(s, (AssertStmt, Check)):
+                self.charge("exec_gas")
+            self.stmt(s, nest)
+
+    def nested(self, body, nest, loop):
+        """Emit a then/else body one level in (`loop` false, `pass` for
+        one of asserts alone), or a while body at the current level, that
+        `nest` bodies enclose: its statements if it is straight-line, else a
+        call of its own block function that returns if the block returned,
+        then reloads each promoted local the block may assign that is
+        assigned on every path after it."""
+        fn = self.fn
+        fn.indent += not loop
+        start = len(fn.lines)
+        if _straight(body):
+            self.stmts(body, nest)
+        else:
+            self.sync()
+            name, inner = self.block(body, nest, fn.known)
+            self.emit(f"if {name}(fr, env): return True")
+            if not loop:  # a while body may run zero times
+                fn.known = inner.known
+            reloaded = sorted(assigned_names(body) & fn.known & fn.promoted.keys())
+            for n in reloaded:
+                self.emit(f"{fn.promoted[n]} = env[{self.const(n)}]")
+            fn.dirty.difference_update(reloaded)
+        if len(fn.lines) == start:
+            self.emit("pass")
+        fn.indent -= not loop
+
+    def sync(self):
+        """Store back into env each promoted local that env may hold stale
+        and that is assigned on every path here, before generated code that
+        reads env runs; no-op outside a block function."""
+        fn = self.fn
+        if fn is None or fn.promoted is None:
+            return
+        stale = fn.dirty & fn.known
+        for n in sorted(stale):
+            self.emit(f"env[{self.const(n)}] = {fn.promoted[n]}")
+        fn.dirty -= stale
+
+    def var(self, name):
+        """A local's value as Python source: its promoted local in a block
+        function, else its entry in env."""
+        if self.fn.promoted is None:
+            return f"env[{self.const(name)}]"
+        return self.fn.promoted[name]
+
+    def assigned(self, name):
+        """Record that the block function assigned a promoted local."""
+        self.fn.known.add(name)
+        self.fn.dirty.add(name)
 
     def stmt(self, s, nest):
         t = type(s)
+        fn = self.fn
         if t is Assign:
             target, line = s.target, s.loc.line
             v = self.value(s.expr, line)
             if target not in self.contract.globals:
-                self.emit(f"env[{self.const(target)}] = {v}")
+                self.emit(f"{self.var(target)} = {v}")
+                self.assigned(target)
                 return
             key, slot = self.const((self.contract.name, target)), self.const(target)
             # an expression that reads the target has made the frame its
@@ -730,17 +869,35 @@ class _Emitter:
             self.emit(f"fr.slots[{slot}] = {v}")
         elif t is If:
             self.emit(f"if {self.cond(s.cond, s.loc.line)}:")
-            self.emit("    " + self.run(s.then, nest + 1))
+            known, dirty = fn.known, fn.dirty
+            fn.known, fn.dirty = set(known), set(dirty)
+            self.nested(s.then, nest + 1, False)
+            then = fn.known, fn.dirty
+            fn.known, fn.dirty = known, dirty  # the else path
             if s.orelse:
                 self.emit("else:")
-                self.emit("    " + self.run(s.orelse, nest + 1))
+                self.nested(s.orelse, nest + 1, False)
+            fn.known &= then[0]
+            fn.dirty |= then[1]
         elif t is While:
+            known = fn.known
+            if _straight(s.body):
+                # at the loop head, env may be stale in what a pass assigned
+                fn.dirty |= assigned_names(s.body) & fn.promoted.keys()
+            else:
+                self.sync()  # once here, not before each pass's call
+            head = set(fn.dirty)
             self.emit("while True:")
-            self.indent += 1
+            fn.indent += 1
+            fn.loops += 1
+            fn.known = set(known)
             self.emit(f"if not {self.cond(s.cond, s.loc.line)}: break")
-            self.emit(self.run(s.body, nest + 1))
+            self.nested(s.body, nest + 1, True)
             self.charge("exec_gas")  # the next condition evaluation
-            self.indent -= 1
+            fn.loops -= 1
+            fn.indent -= 1
+            fn.known = known
+            fn.dirty |= head
         elif t is Call:
             line = s.loc.line
             args = ", ".join(self.value(a, line) for a in s.args)
@@ -748,7 +905,11 @@ class _Emitter:
             site = "None" if self.contract.extern else _int(line)
             call = (f"fr.vm.call({self.const(s.contract)}, {self.const(s.method)}, [{args}], "
                     f"fr, {_int(call_charge(nest))}, {active}, {site})")
-            self.emit(call if s.target is None else f"env[{self.const(s.target)}] = {call}")
+            if s.target is None:
+                self.emit(call)
+            else:
+                self.emit(f"{self.var(s.target)} = {call}")
+                self.assigned(s.target)
         elif t is Return:
             v = "None" if s.expr is None else self.value(s.expr, s.loc.line)
             self.emit(f"fr.result = {v}")
@@ -777,7 +938,7 @@ class _Emitter:
             return _int(e.value)
         if t is Name:
             if e.name not in self.contract.globals:
-                return f"env[{self.const(e.name)}]"
+                return self.var(e.name)
             slot = self.const(e.name)
             self.touch(self.const((self.contract.name, e.name)), slot, e.loc.line)
             return self.temp(f"fr.slots[{slot}]")
@@ -824,11 +985,11 @@ class _Emitter:
         def emit_body():
             if rows:
                 self.emit("if active:")
-                self.indent += 1
+                self.fn.indent += 1
             for a in rows:
                 row = self.const((fmt_atom(a), a.loc.line))
                 self.emit(f"if not {self.payload(a)}: raise _row_failed({row}, site)")
-            self.indent = 1  # the function's own level
+            self.fn.indent = 1  # the function's own level
             for a in _acc_atoms(requires):
                 self.emit(f"_acquire(fr, {self.acc(a)}, active)")
         return self.function("_e", emit_body, "active, site")[0]
@@ -846,7 +1007,8 @@ class _Emitter:
         return f"eval_spec_bool(fr, {self.formula(f)[0]}(fr, env))"
 
     def formula(self, f):
-        """Emit the function of a spec formula (see above); returns its name
+        """Emit the function of a spec formula (see above), which reads
+        env, so the promoted locals are stored back first; returns its name
         and whether it is a generator function."""
         if type(f) is BoolOp:
             stop = f.op == "or"  # the part value that decides the whole
@@ -855,8 +1017,12 @@ class _Emitter:
                 for p in f.parts:
                     self.emit(f"if {'' if stop else 'not '}{self.truth(p)}: return {stop}")
                 self.emit(f"return {not stop}")
-            return self.function("_s", emit_body)
-        return self.function("_s", lambda: self.emit(f"return {self.truth(f)}"))
+        else:
+            def emit_body():
+                self.emit(f"return {self.truth(f)}")
+        name, fn = self.function("_s", emit_body)
+        self.sync()
+        return name, fn.yields
 
     def truth(self, f):
         """Truth of a spec formula, as Python source of a condition (a
@@ -875,11 +1041,11 @@ class _Emitter:
             return f"not {self.truth(f.operand)}"
         if t is PredUse:
             args = ", ".join(self.spec_value(a) for a in f.args)
-            self.yields = True
+            self.fn.yields = True
             return self.temp(f"yield {self.const(f.name)}, [{args}]")
         if t is BoolOp:
             name, gen = self.formula(f)
-            self.yields |= gen
+            self.fn.yields |= gen
             return self.temp(f"yield from {name}(fr, env)") if gen else f"{name}(fr, env)"
         raise TypeError(f"not a spec formula node: {f!r}")
 
@@ -890,8 +1056,9 @@ class _Emitter:
         if t is IntLit:
             return _int(e.value)
         if t is Name:
-            where = "fr.slots" if e.name in self.contract.globals else "env"
-            return f"{where}[{self.const(e.name)}]"
+            if e.name in self.contract.globals:
+                return f"fr.slots[{self.const(e.name)}]"
+            return self.var(e.name)
         if t is Old:
             return f"fr.old[{self.const(e.slot)}]"
         if t is Result:

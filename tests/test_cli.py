@@ -971,3 +971,26 @@ def test_frontend_diff_tells_gas_apart():
     assert gas_only(record(2), record(1, cut_line=6))
     assert not gas_only(record(2), record(1, ledger=2))
     assert not gas_only(record(2), record(2, cut_line=6))
+
+
+def test_frontend_diff_compares_what_a_revert_names():
+    # a woven check's revert reads as its check-map entry, so checks
+    # renumbered between two trees compare equal; two records that differ
+    # in their reverts' details alone are told apart from other differences
+    sys.path.insert(0, str(ROOT / "scripts"))
+    from frontend_diff import detail_only, named
+    from gvc.vm import CHECK_FAILURE, Outcome
+
+    entry = {"line": 7, "kind": "underflow", "payload": "G >= n"}
+    named_as = [named(Outcome("reverted", 2, 1, CHECK_FAILURE, {"check_id": cid}), {cid: entry})
+                for cid in ("c0", "c3")]
+    assert named_as[0] == named_as[1] == [
+        {"outcome": "reverted", "exec_gas": 2, "check_gas": 1, "revert_reason": CHECK_FAILURE},
+        {"check_id": entry}]
+
+    def record(detail, ledger=1):
+        return ["C.m", {}, [1], {"outcome": "reverted"}, CHECK_FAILURE, detail, {"C": {"G": ledger}},
+                {"outcome": "reverted"}, detail, {"C": {"G": 0}}]
+
+    assert detail_only(record({"line": 5}), record({"line": 6}))
+    assert not detail_only(record({"line": 5}), record({"line": 6}, ledger=2))

@@ -355,6 +355,10 @@ VOCABULARY = {"meter", "limit", "exec_gas", "check_gas", "perm", "get", "id",
               "journal", "slots", "vm", "call", "result", "old", "copy", "_hold", "_touch",
               "_gas_exhausted", "_overflow", "_underflow", "_div_zero", "_check_failed",
               "_row_failed", "_acquire", "_hand_back", "eval_spec_bool"}
+# every local variable name a generated function may use besides its
+# temporaries t<i> and promoted GCL locals v<i>: its parameters, the gas
+# meter and limit, and the frame fields it keeps in locals
+LOCALS = {"fr", "env", "active", "site", "m", "lim", "slots", "perm", "fid", "journal"}
 
 
 def generated_functions(image):
@@ -400,6 +404,12 @@ class TestGeneratedCode:
                             if n[:2] in ("_k", *FUNCTIONS) and n[2:].isdigit()}
                 assert set(code.co_names) - numbered <= VOCABULARY, f.__name__
                 assert not any(isinstance(c, str) for c in code.co_consts), f.__name__
+                # a promoted local v<i> is named after the constant _k<i>
+                # that holds its GCL name
+                promoted = {n for n in code.co_varnames if n[:1] == "v" and n[1:].isdigit()}
+                temps = {n for n in code.co_varnames if n[:1] == "t" and n[1:].isdigit()}
+                assert set(code.co_varnames) - promoted - temps <= LOCALS, f.__name__
+                assert all(isinstance(f.__globals__["_k" + n[1:]], str) for n in promoted)
         assert kinds == {("_b", False), ("_s", False), ("_s", True), ("_e", False), ("_x", False)}
 
     def test_a_failed_check_names_only_its_id(self):
@@ -456,6 +466,183 @@ class TestGeneratedCode:
             named |= {n for f in generated_functions(load_program(woven, adversaries)).values()
                       for n in f.__code__.co_names}
         assert protocol <= named
+
+
+# shapes where a block function's promoted locals (see vm's "Compiled code")
+# must be in step with env: `scan` assigns `best` in an `if` nested in a
+# loop and reads it after the loop; `find` and `first` return from a
+# straight-line body in a loop; `guard` checks `y` inline and `z` through
+# a predicate whose body is an or/and, and `odd` and `late` check `x`
+# through it before, in and after a loop; `pick` assigns `y` inline in one
+# branch and in a nested block in the other; `use` binds call results that
+# a nested block reads; `maybe` assigns `w` in one branch alone, so `w`
+# is not stored back before the nested block that follows
+PROMOTED = """contract S:
+  #@ global G;
+  #@ predicate ev(n) = n == 0 or (n >= 2 and ev(n - 2));
+  method scan(n: uint64, k: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    i := 0;
+    best := 0;
+    while i < n:
+      if i == k:
+        best := i + 1;
+      else:
+        if G > i:
+          best := best + 2;
+      i := i + 1;
+    G := best;
+  method find(n: uint64, k: uint64) -> uint64:
+    #@ requires ?;
+    #@ ensures ?;
+    i := 0;
+    while i < n:
+      if i == k:
+        return i + 5;
+      i := i + 1;
+    return n;
+  method first(n: uint64) -> uint64:
+    #@ requires ?;
+    #@ ensures ?;
+    i := 0;
+    while i < n:
+      i := i + 1;
+      return i + 7;
+    return 0;
+  method guard(x: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    y := x * 2;
+    #@ assert ? and y >= G;
+    z := y + 1;
+    #@ assert ? and ev(z - 1);
+    G := z - G;
+  method odd(n: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    x := 0;
+    #@ assert ? and ev(x);
+    while x < n:
+      #@ assert ? and ev(x);
+      x := x + 1;
+    G := x;
+  method late(n: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    x := G;
+    while x < n:
+      x := x + 1;
+      #@ assert ? and ev(x);
+    #@ assert ? and ev(x);
+    G := x;
+  method pick(a: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    if a > 1:
+      y := a;
+    else:
+      if a > 0:
+        y := 6;
+      else:
+        y := 7;
+    #@ assert ? and ev(y);
+    G := y;
+  method use(x: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    r := call S.find(x, 1);
+    s := call S.first(x);
+    if r > 1:
+      if s > 0:
+        G := r * 10 + s;
+    G := G + r;
+  method maybe(a: uint64):
+    #@ requires ? and acc(G);
+    #@ ensures ? and acc(G);
+    if a > 1:
+      G := a;
+    else:
+      w := a + 3;
+    if G > 0:
+      if a > 0:
+        G := G + 1;
+"""
+# (method, arguments, G before, [committed, reason, detail, exec gas, check
+# gas, G after]), as the VM gave them when every local lived in env
+PROMOTED_CASES = [
+    ("scan", (3, 1), 0, [True, None, {}, 16, 1, 2]),
+    ("scan", (3, 5), 2, [True, None, {}, 18, 1, 4]),
+    ("scan", (4, 2), 1, [True, None, {}, 21, 1, 3]),
+    ("scan", (0, 0), 0, [True, None, {}, 4, 1, 0]),
+    ("find", (5, 2), 0, [True, None, {}, 10, 0, 0]),
+    ("find", (3, 7), 0, [True, None, {}, 12, 0, 0]),
+    ("first", (0,), 0, [True, None, {}, 3, 0, 0]),
+    ("first", (3,), 0, [True, None, {}, 4, 0, 0]),
+    ("guard", (3,), 2, [True, None, {}, 3, 13, 5]),
+    ("guard", (1,), 5, [False, CHECK_FAILURE, {"check_id": "c0"}, 1, 2, 5]),
+    ("guard", (0,), 0, [True, None, {}, 3, 4, 1]),
+    ("odd", (0,), 3, [True, None, {}, 3, 3, 0]),
+    ("odd", (1,), 3, [True, None, {}, 5, 5, 1]),
+    ("odd", (2,), 3, [False, CHECK_FAILURE, {"check_id": "c3"}, 4, 8, 3]),
+    ("late", (1,), 2, [True, None, {}, 3, 6, 2]),
+    ("late", (4,), 1, [False, CHECK_FAILURE, {"check_id": "c5"}, 5, 12, 1]),
+    ("late", (3,), 0, [False, CHECK_FAILURE, {"check_id": "c5"}, 3, 4, 0]),
+    ("pick", (0,), 0, [False, CHECK_FAILURE, {"check_id": "c6"}, 3, 13, 0]),
+    ("pick", (1,), 0, [True, None, {}, 4, 12, 6]),
+    ("pick", (4,), 0, [True, None, {}, 3, 9, 4]),
+    ("pick", (3,), 1, [False, CHECK_FAILURE, {"check_id": "c6"}, 2, 7, 1]),
+    ("use", (0,), 0, [True, None, {}, 10, 1, 0]),
+    ("use", (1,), 1, [True, None, {}, 14, 1, 2]),
+    ("use", (2,), 2, [True, None, {}, 17, 1, 74]),
+    ("use", (5,), 2, [True, None, {}, 17, 1, 74]),
+    ("maybe", (2,), 0, [True, None, {}, 5, 1, 3]),
+    ("maybe", (1,), 4, [True, None, {}, 5, 1, 5]),
+    ("maybe", (0,), 3, [True, None, {}, 4, 1, 3]),
+]
+
+
+class TestPromotedLocals:
+    def test_outcomes_gas_and_ledgers_are_pinned(self):
+        program, _ = load_source(PROMOTED, "promoted.gcl")
+        woven = weave(program, verify_program(program))
+        assert woven.to_text().count("#! check") == 7
+        image = load_program(woven)
+
+        def run(method, args, g, limit=10_000):  # a stale loop counter ends
+            ledger = Ledger(image.program, {"S": {"G": g}})
+            out = Vm(image, ledger).exec_transaction(tx("S", method, *args), gas_limit=limit)
+            return [out.committed, out.reason, out.detail, out.exec_gas, out.check_gas,
+                    ledger.read("S", "G")]
+
+        for method, args, g, expected in PROMOTED_CASES:
+            assert run(method, args, g) == expected, (method, args)
+            # under one gas less, the last charge reverts and nothing stays
+            exec_gas, check_gas = expected[3:5]
+            assert run(method, args, g, exec_gas + check_gas - 1) == [
+                False, GAS_EXHAUSTED, {"kind": GAS_EXHAUSTED}, exec_gas, check_gas, g]
+        eq = enumerate_equivalence(program, woven, bound=2)
+        assert (eq["cases"], eq["disagreements"]) == (117, [])
+
+
+def nested_whiles(depth):
+    """A method whose one assignment is under `depth` nested while bodies."""
+    loops = "".join(f"{'  ' * (2 + d)}while k < n:\n" for d in range(depth))
+    return ("contract C:\n  #@ global G;\n  method m(n: uint64):\n"
+            "    #@ requires ? and acc(G);\n    #@ ensures ? and acc(G);\n    k := 0;\n"
+            f"{loops}{'  ' * (2 + depth)}k := k + 1;\n    G := G + k;\n")
+
+
+@pytest.mark.parametrize("depth", [25, 98])
+def test_deeply_nested_loops_load_and_agree_with_the_oracle(depth):
+    # CPython refuses more than 20 statically nested blocks in one
+    # function, so a body that nests a block has a function of its own
+    program, _ = load_source(nested_whiles(depth), "deep.gcl")
+    woven = weave(program, verify_program(program))
+    [out], _ = run_script(load_program(woven), [tx("C", "m", 2)])
+    assert out.committed and out.exec_gas == 5 + 2 * depth
+    eq = enumerate_equivalence(program, woven, bound=2)
+    assert (eq["cases"], eq["disagreements"]) == (9, [])
 
 
 SHAPE = ("contract C:\n  #@ global G;\n{preds}  method m(x: uint64):\n"
