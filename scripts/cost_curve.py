@@ -9,7 +9,9 @@ program commits, and the same sum for each erosion on those points, marked
 cheaper, dearer or equal against the precise program.  Then the tally of
 cheaper, dearer and equal erosions, and the whole grid's totals over every
 program and erosion (the images run): cases, commits, check gas and
-exec gas.
+exec gas.  Last, the dynamic gradual guarantee on the woven VM: the number
+of (erosion, case) pairs where the precise program commits and the erosion
+reverts or commits a different final ledger, which must be 0.
 
     python3 scripts/cost_curve.py [CORPUS_DIR] [--bound 2]
 
@@ -36,34 +38,41 @@ from gvc.weaver import weave
 
 
 def _outcomes(program, cases, adversaries):
-    """The VM outcome of each case on `program`, woven."""
+    """The VM outcome and final ledger slots of each case on `program`,
+    woven."""
     image = load_program(weave(program, verify_program(program)), adversaries)
-    return [Vm(image, Ledger(image.program, init)).exec_transaction(tx)
-            for init, tx in cases]
+    runs = []
+    for init, tx in cases:
+        ledger = Ledger(image.program, init)
+        runs.append((Vm(image, ledger).exec_transaction(tx), ledger.slots))
+    return runs
 
 
 def curve(root, bound=2):
     """([(program file name, precise check gas, [(erosion label, check
     gas)])], totals): each check gas summed over the grid points where the
     precise program commits; totals over every case of every program and
-    erosion."""
+    erosion, and the dynamic guarantee's violations on the woven VM."""
     rows = []
-    totals = dict.fromkeys(("images", "cases", "commits", "check_gas", "exec_gas"), 0)
+    totals = dict.fromkeys(("images", "cases", "commits", "check_gas", "exec_gas",
+                            "violations"), 0)
     for path in corpus_files(root):
         program, _ = load_file(path)
         adversaries = corpus_adversaries(path, program)
         cases = [(init, tx) for _, _, init, tx in transaction_grid(program, bound)]
         precise = _outcomes(program, cases, adversaries)
-        points = [o.committed for o in precise]
+        points = [o.committed for o, _ in precise]
 
-        def gas(outcomes):
+        def gas(runs):
             totals["images"] += 1
-            totals["cases"] += len(outcomes)
-            for o in outcomes:
+            totals["cases"] += len(runs)
+            for (o, slots), (p, precise_slots) in zip(runs, precise):
                 totals["commits"] += o.committed
                 totals["check_gas"] += o.check_gas
                 totals["exec_gas"] += o.exec_gas
-            return sum(o.check_gas for o, p in zip(outcomes, points) if p)
+                totals["violations"] += p.committed and not (o.committed
+                                                             and slots == precise_slots)
+            return sum(o.check_gas for (o, _), p in zip(runs, points) if p)
 
         base = gas(precise)
         rows.append((path.name, base, [(e.label, gas(_outcomes(e.program, cases, adversaries)))
@@ -102,6 +111,7 @@ def main(argv=None):
     print(f"grid: {totals['images']} programs and erosions, {totals['cases']} cases, "
           f"{totals['commits']} commits, check gas {totals['check_gas']}, "
           f"exec gas {totals['exec_gas']}")
+    print(f"dynamic guarantee on the woven VM: {totals['violations']} violation(s)")
     return 0
 
 

@@ -104,7 +104,7 @@ def _split(formula):
 
 class _Method(NamedTuple):
     """What every call of one method reads from its declaration, prepared
-    once per oracle: its split specs, the slots its ensures hands back, and
+    once per oracle: its split specs, whether its ensures is imprecise, and
     whether its ensures reads old(...), without which a call takes no
     snapshot of its contract's storage."""
 
@@ -117,7 +117,7 @@ class _Method(NamedTuple):
     requires: tuple  # the non-acc atoms
     ensures_acc: tuple
     ensures: tuple
-    ensured: frozenset  # the slots of ensures_acc
+    gives_rest: bool  # an imprecise ensures: the caller gets every slot left
     post_line: int
     reads_old: bool
 
@@ -135,7 +135,7 @@ class Oracle:
                 self.methods[(c.name, m.name)] = _Method(
                     c, m, verified, req.imprecise or not verified,
                     tuple(p for p, _ in m.params), *_split(req), ensures_acc, ensures,
-                    frozenset(a.slot for a in ensures_acc), ens.loc.line,
+                    ens.imprecise, ens.loc.line,
                     any(type(n) is Old for n in expr_nodes(*ensures)))
         self.zeros = [(c.name, dict.fromkeys(c.globals, 0)) for c in program.contracts]
 
@@ -197,16 +197,19 @@ class Oracle:
         if caller is None:  # judge drops the transaction's holdings whole
             return fr.result
         for slot, prev in reversed(fr.borrows):
-            if slot in m.ensured:
-                continue
             if holder.get((cname, slot)) is fr:
                 if prev is None:
                     holder.pop((cname, slot), None)
                 else:
                     holder[(cname, slot)] = prev
+        # what the frame still holds: an imprecise ensures may have promised
+        # it to the caller, a precise one did not
         for key, h in list(holder.items()):
             if h is fr:
-                del holder[key]
+                if m.gives_rest:
+                    holder[key] = caller
+                else:
+                    del holder[key]
         return fr.result
 
     def _holds_or_lazy(self, fr, cname, slot):

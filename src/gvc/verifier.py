@@ -158,6 +158,10 @@ class SymState:
         self.path = PathCondition()
         self.imprecise = False
         self.facts = frozenset()  # produced predicate instances; replaced, never mutated
+        # slot not held -> the value spec atoms last read there, kept until a
+        # call or a loop head: the frame's own write takes the slot first,
+        # so nothing else changes it; replaced, never mutated
+        self.seen = {}
 
     def clone(self):
         s = SymState.__new__(SymState)
@@ -166,6 +170,7 @@ class SymState:
         s.path = self.path.copy()
         s.imprecise = self.imprecise
         s.facts = self.facts
+        s.seen = self.seen
         return s
 
 
@@ -278,8 +283,9 @@ class MethodVerifier:
     def _spec_leaf(self, scope, reads):
         """Leaf values for spec atoms, which are checked, not executed: no
         obligations are emitted.  A global reads `reads`, the evaluation's
-        copy of the heap, where an unheld one becomes one fresh symbol at its
-        first read; other names read `scope`.  An old(G) the scope has no
+        copy of the heap and of the state's `seen` values, where another
+        one becomes one fresh symbol at its first read; other names read
+        `scope`.  An old(G) the scope has no
         value for becomes one fresh symbol, stored in the scope's `old` map,
         so every old(G) of one method, or of one call, names one value; a
         result the scope has no value for is a fresh symbol."""
@@ -337,7 +343,7 @@ class MethodVerifier:
         for atom in f.atoms:
             if isinstance(atom, Acc) and atom.slot not in state.heap:
                 state.heap[atom.slot] = self.fresh(atom.slot)
-        reads = dict(state.heap)
+        reads = {**state.seen, **state.heap}
         leaf = self._spec_leaf(scope, reads)
         for atom in f.atoms:
             if isinstance(atom, Acc):
@@ -353,11 +359,12 @@ class MethodVerifier:
             for _, cons in conj or ():
                 if cons is not NONLINEAR:
                     state.path.extend(cons)
+        state.seen = {g: v for g, v in reads.items() if g not in state.heap}
 
     def consume(self, state, f: Formula, loc, insertion, kind, scope, payload_subst=None):
         """Assert a formula against the state (mutated), removing
         surrendered permissions."""
-        reads = dict(state.heap)  # value atoms evaluate in the pre-state
+        reads = {**state.seen, **state.heap}  # value atoms evaluate in the pre-state
         leaf = self._spec_leaf(scope, reads)
         for atom in f.atoms:
             if isinstance(atom, Acc):
@@ -381,6 +388,7 @@ class MethodVerifier:
                     and entails_constraints(state.path, cons, self.stats) is ProofResult.PROVED
                     for _, cons in conj):
                 self.discharge(state, ob, NONLINEAR, insertion)
+        state.seen = {g: v for g, v in reads.items() if g not in state.heap}
         if f.imprecise:
             state.imprecise = True
 
@@ -484,6 +492,7 @@ class MethodVerifier:
         for name in written:
             if name in gnames and name in state.heap:
                 state.heap[name] = self.fresh(name)
+        state.seen = {}  # a pass may have called out
         self._invalidate_facts(state)
         # the loop head: the invariant holds, and the condition sees the
         # globals it grants
@@ -523,6 +532,7 @@ class MethodVerifier:
                 state.heap[slot] = self.fresh(slot)
         # a kept fact may still name a slot the callee took and wrote
         self._invalidate_facts(state)
+        state.seen = {}  # the callee may write what the caller does not hold
         result = self.fresh("ret") if s.target is not None else None
         self.produce(state, ensures, Scope(params, pre_call, result))
         if result is not None:

@@ -11,11 +11,13 @@ call protocol (an entry and an exit function, which check its entry and
 exit rows and move its acc slots), and each predicate body becomes a
 generated Python function, compiled with compile() (see "Compiled code"
 below).  A block function keeps the GCL locals it touches in Python
-locals.  The source line a revert reports
-and each call's boundary decisions are fixed at compile time, and compiled
-code is a function of the running Frame and the names in scope.  One
-image serves every Vm made from it, so compiled code reaches the ledger, the permission table, the gas meter and
-the Vm only through the frame it is handed.  A transaction runs compiled
+locals: it loads them all at entry, stores all it may assign before other
+generated code reads env, and reloads what a nested block may assign.  The
+source line a revert reports and each call's boundary decisions are fixed
+at compile time, and compiled code is a function of the running Frame and
+the names in scope.  One image serves every Vm made from it, so compiled
+code reaches the ledger, the permission table, the gas meter and the Vm
+only through the frame it is handed.  A transaction runs compiled
 code only; nothing is compiled or walked as a tree at run time.
 
 Program arithmetic is checked uint64 (underflow/overflow/division by zero
@@ -175,9 +177,9 @@ class GasMeter:
 
 
 class MethodCode:
-    """One method of a loaded image: its parameter names; its ensures acc
-    slots; its contract's compiled predicates (shared by the contract's
-    methods); its body, a generated function that takes the running Frame
+    """One method of a loaded image: its parameter names; whether its
+    requires and its ensures are imprecise; its contract's compiled
+    predicates (shared by the contract's methods); its body, a generated function that takes the running Frame
     and its locals and returns True when the body executed a return; and
     its generated `entry` and `exit` functions (see "Compiled code"), each
     None where it would do nothing, as both are in an unprotected image.
@@ -189,7 +191,7 @@ class MethodCode:
         self.contract = contract
         self.params = tuple(p for p, _ in method.params)
         self.imprecise_entry = spec.requires.imprecise or contract.extern
-        self.ensured = frozenset(a.slot for a in _acc_atoms(spec.ensures))
+        self.imprecise_exit = spec.ensures.imprecise
         self.predicates = predicates
         self.body, self.entry, self.exit = _Emitter(contract, protected).compile(method)
 
@@ -394,8 +396,10 @@ class Vm:
         `active` and `site` that the compiled call site fixes (see "Compiled
         code"), checks its entry rows and acquires its requires acc slots,
         and its exit function checks its exit rows and hands its ensures
-        acc slots back; then every other slot the frame holds goes back to
-        where it came from."""
+        acc slots back.  Then each slot the frame borrowed lazily goes back
+        to its previous owner, and every other slot the frame holds passes
+        to the caller if the method's ensures is imprecise, or is released
+        if it is precise."""
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
@@ -413,15 +417,19 @@ class Vm:
         # lazily borrowed permissions revert to their previous owner
         for slot, prev in reversed(frame.lazy_acquired):
             key = (cname, slot)
-            if slot not in code.ensured and perm.get(key) == fid:
+            if perm.get(key) == fid:
                 if prev is None:
                     del perm[key]
                 else:
                     perm[key] = prev
-        # everything else acquired at entry is released
+        # an imprecise ensures may promise the caller any slot the frame
+        # still holds, so it passes them all on; a precise one releases them
         for key, o in list(perm.items()):
             if o == fid:
-                del perm[key]
+                if code.imprecise_exit:
+                    perm[key] = caller.id
+                else:
+                    del perm[key]
         return frame.result
 
 
@@ -442,17 +450,18 @@ class Vm:
 #
 # A block function keeps each GCL local and parameter that its own code
 # touches in a Python local v<i>, named after the name's constant _k<i>
-# (register promotion).  Its prologue loads those assigned on every path to
-# it (the definite-assignment rule of frontend.infer_types) from env.  The
-# only other code that reads env is generated: a nested block function and
-# a predicate payload's generator.  Before either runs, the function stores
-# back each local it may have changed that is assigned on every path there,
-# so env holds every local that code may read; a nested block stores its
-# own back when it falls through, and its caller reloads each local the
-# block may assign.  A return ends the method, whose exit reads only
-# parameters, which are never assigned, so neither a return nor the method
-# body's end stores anything.  A frame field (fr.slots, fr.perm, fr.id,
-# fr.journal) is a local in a function that reads it twice or in a loop.
+# (register promotion), by three rules.  (1) Its prologue loads each with
+# env.get: a local not yet assigned reads None, which frontend.infer_types
+# guarantees is never read.  (2) Before generated code that reads env runs
+# (a nested block, or a spec formula's function), and when a nested block
+# falls through, it stores every promoted local that its statements, nested
+# blocks included, may assign; a loop whose body is a block of its own
+# stores once, before its first pass.  (3) After a nested block returns, it
+# reloads every promoted local the block may assign.  A return ends the
+# method, whose exit reads only parameters, which are never assigned, so
+# neither a return nor the method body's end stores anything.  A frame
+# field (fr.slots, fr.perm, fr.id, fr.journal) is a local in a function
+# that reads it twice or in a loop.
 #
 # Each method's call protocol compiles with its body.  Its entry function,
 # of (fr, env, active, site), evaluates its entry rows, the requires atoms
@@ -664,7 +673,7 @@ class _Function:
     """One generated function while it is emitted (see _Emitter.function)."""
 
     __slots__ = ("lines", "indent", "temps", "charges", "yields", "loops", "looped", "loads",
-                 "promoted", "known", "dirty")
+                 "promoted", "stores")
 
     def __init__(self):
         self.lines, self.indent, self.temps = [], 1, 0
@@ -672,11 +681,10 @@ class _Function:
         self.loops = 0  # loops around the line being emitted
         self.looped = set()  # the frame fields read in a loop
         self.loads = []  # prologue lines that load promoted locals from env
-        # of a block function: {GCL local: its Python name}, the locals
-        # assigned on every path to the line being emitted (the rule of
-        # frontend.infer_types, parameters included), and the promoted
-        # locals whose env entry may be stale there
-        self.promoted = self.known = self.dirty = None
+        # of a block function: {GCL local: its Python name}, and the lines
+        # that store back the promoted locals its statements may assign
+        self.promoted = None
+        self.stores = ()
 
 
 class _Emitter:
@@ -695,15 +703,13 @@ class _Emitter:
         """The functions of a method's body, entry and exit (see above),
         the entry or exit None where it would do nothing; unprotected, both
         are None."""
-        params = {p for p, _ in method.params}
         if not self.protected:
-            body = self.block(method.body, 0, params)[0]
+            body = self.block(method.body, 0)
             return self.load()[body], None, None
         spec = method.spec
         exits = [r for r in method.exits if not isinstance(r.payload, Acc)]
         reads_old = any(type(n) is Old for r in exits for n in expr_nodes(r.payload))
-        body = self.block(method.body, 0, params,
-                          ["fr.old = fr.slots.copy()"] if reads_old else [])[0]
+        body = self.block(method.body, 0, ["fr.old = fr.slots.copy()"] if reads_old else [])
         entry = None if self.contract.extern else self.entry(spec.requires)
         ensured = _acc_atoms(spec.ensures)
 
@@ -773,24 +779,23 @@ class _Emitter:
 
     # -- method bodies -------------------------------------------------------
 
-    def block(self, body, nest, known, first=()):
-        """Emit the function of a block that `nest` if/while bodies enclose,
-        entered with the locals `known` assigned: the lines `first`, then
-        its statements, its straight-line nested bodies inline.  Returns its
-        name and its finished _Function."""
+    def block(self, body, nest, first=()):
+        """Emit the function of a block that `nest` if/while bodies enclose:
+        the lines `first`, then its statements, its straight-line nested
+        bodies inline.  Returns its name."""
         def emit_body():
             fn = self.fn
             fn.promoted = {n: "v" + self.const(n)[2:] for n in sorted(_own_names(body))
                            if n not in self.contract.globals}
-            fn.known, fn.dirty = set(known), set()
-            fn.loads = [f"{v} = env[{self.const(n)}]" for n, v in fn.promoted.items()
-                        if n in known]
+            fn.loads = [f"{v} = env.get({self.const(n)})" for n, v in fn.promoted.items()]
+            fn.stores = [f"env[{self.const(n)}] = {fn.promoted[n]}"
+                         for n in sorted(assigned_names(body) & fn.promoted.keys())]
             for line in first:
                 self.emit(line)
             self.stmts(body, nest)
-            if nest:  # falling through: the caller reloads what it reads
-                self.sync()
-        return self.function("_b", emit_body)
+            if nest:  # falling through: the caller reloads what the block assigns
+                self.store()
+        return self.function("_b", emit_body)[0]
 
     def stmts(self, body, nest):
         """Emit a block's statements inline, each but a check or an assert
@@ -804,39 +809,30 @@ class _Emitter:
         """Emit a then/else body one level in (`loop` false, `pass` for
         one of asserts alone), or a while body at the current level, that
         `nest` bodies enclose: its statements if it is straight-line, else a
-        call of its own block function that returns if the block returned,
-        then reloads each promoted local the block may assign that is
-        assigned on every path after it."""
+        call of its own block function (after the stores, which a loop made
+        before its first pass) that returns if the block returned, then
+        reloads each promoted local the block may assign."""
         fn = self.fn
         fn.indent += not loop
         start = len(fn.lines)
         if _straight(body):
             self.stmts(body, nest)
         else:
-            self.sync()
-            name, inner = self.block(body, nest, fn.known)
-            self.emit(f"if {name}(fr, env): return True")
-            if not loop:  # a while body may run zero times
-                fn.known = inner.known
-            reloaded = sorted(assigned_names(body) & fn.known & fn.promoted.keys())
-            for n in reloaded:
+            if not loop:
+                self.store()
+            self.emit(f"if {self.block(body, nest)}(fr, env): return True")
+            for n in sorted(assigned_names(body) & fn.promoted.keys()):
                 self.emit(f"{fn.promoted[n]} = env[{self.const(n)}]")
-            fn.dirty.difference_update(reloaded)
         if len(fn.lines) == start:
             self.emit("pass")
         fn.indent -= not loop
 
-    def sync(self):
-        """Store back into env each promoted local that env may hold stale
-        and that is assigned on every path here, before generated code that
-        reads env runs; no-op outside a block function."""
-        fn = self.fn
-        if fn is None or fn.promoted is None:
-            return
-        stale = fn.dirty & fn.known
-        for n in sorted(stale):
-            self.emit(f"env[{self.const(n)}] = {fn.promoted[n]}")
-        fn.dirty -= stale
+    def store(self):
+        """Store back into env each promoted local that the block function
+        may assign, before generated code that reads env runs; no-op
+        outside a block function."""
+        for line in self.fn.stores if self.fn else ():
+            self.emit(line)
 
     def var(self, name):
         """A local's value as Python source: its promoted local in a block
@@ -844,11 +840,6 @@ class _Emitter:
         if self.fn.promoted is None:
             return f"env[{self.const(name)}]"
         return self.fn.promoted[name]
-
-    def assigned(self, name):
-        """Record that the block function assigned a promoted local."""
-        self.fn.known.add(name)
-        self.fn.dirty.add(name)
 
     def stmt(self, s, nest):
         t = type(s)
@@ -858,7 +849,6 @@ class _Emitter:
             v = self.value(s.expr, line)
             if target not in self.contract.globals:
                 self.emit(f"{self.var(target)} = {v}")
-                self.assigned(target)
                 return
             key, slot = self.const((self.contract.name, target)), self.const(target)
             # an expression that reads the target has made the frame its
@@ -869,35 +859,21 @@ class _Emitter:
             self.emit(f"fr.slots[{slot}] = {v}")
         elif t is If:
             self.emit(f"if {self.cond(s.cond, s.loc.line)}:")
-            known, dirty = fn.known, fn.dirty
-            fn.known, fn.dirty = set(known), set(dirty)
             self.nested(s.then, nest + 1, False)
-            then = fn.known, fn.dirty
-            fn.known, fn.dirty = known, dirty  # the else path
             if s.orelse:
                 self.emit("else:")
                 self.nested(s.orelse, nest + 1, False)
-            fn.known &= then[0]
-            fn.dirty |= then[1]
         elif t is While:
-            known = fn.known
-            if _straight(s.body):
-                # at the loop head, env may be stale in what a pass assigned
-                fn.dirty |= assigned_names(s.body) & fn.promoted.keys()
-            else:
-                self.sync()  # once here, not before each pass's call
-            head = set(fn.dirty)
+            if not _straight(s.body):
+                self.store()  # once here, not before each pass's call
             self.emit("while True:")
             fn.indent += 1
             fn.loops += 1
-            fn.known = set(known)
             self.emit(f"if not {self.cond(s.cond, s.loc.line)}: break")
             self.nested(s.body, nest + 1, True)
             self.charge("exec_gas")  # the next condition evaluation
             fn.loops -= 1
             fn.indent -= 1
-            fn.known = known
-            fn.dirty |= head
         elif t is Call:
             line = s.loc.line
             args = ", ".join(self.value(a, line) for a in s.args)
@@ -909,7 +885,6 @@ class _Emitter:
                 self.emit(call)
             else:
                 self.emit(f"{self.var(s.target)} = {call}")
-                self.assigned(s.target)
         elif t is Return:
             v = "None" if s.expr is None else self.value(s.expr, s.loc.line)
             self.emit(f"fr.result = {v}")
@@ -1021,7 +996,7 @@ class _Emitter:
             def emit_body():
                 self.emit(f"return {self.truth(f)}")
         name, fn = self.function("_s", emit_body)
-        self.sync()
+        self.store()
         return name, fn.yields
 
     def truth(self, f):

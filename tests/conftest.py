@@ -51,6 +51,30 @@ OWNERSHIP_PREMISE = {
     "borrow-from-caller": (W_HOLDS_G.format(callee="W.q") + Q_WRITES_G, None),
 }
 
+# where the slots a frame still holds at exit go (Vm.call, Oracle.enter).
+# In "acquired", twice holds G and calls inc, which acquires G at entry and
+# whose ensures `?` does not name it: inc hands G back to twice, so
+# twice's own `ensures acc(G)` holds (corpus/imprecise_return.gcl with inc's
+# ensures eroded to `?`).  In "borrowed", n borrows the free G lazily; it
+# goes back to free at n's exit, not to m, so q, entered through D.x, can
+# acquire it.  Each is (source, method of C run from G = 0, G after it
+# commits).
+LEFTOVER_SLOTS = {
+    "acquired": (
+        "contract C:\n  #@ global G;\n"
+        "  method inc():\n    #@ requires acc(G);\n    #@ ensures ?;\n    G := G + 1;\n"
+        "  method twice():\n    #@ requires acc(G) and G == 0;\n    #@ ensures acc(G);\n"
+        "    G := G + 5;\n    call C.inc();\n    #@ assert G >= 1;\n", "twice", 6),
+    "borrowed": (
+        "contract C:\n  #@ global G;\n"
+        "  method m():\n    #@ requires ?;\n    #@ ensures ?;\n"
+        "    call C.n();\n    call D.x();\n"
+        "  method n():\n    #@ requires ?;\n    #@ ensures ?;\n    G := 1;\n"
+        "  method q():\n    #@ requires acc(G);\n    #@ ensures acc(G);\n    G := G + 1;\n"
+        "\ncontract D:\n  method x():\n    #@ requires ?;\n    #@ ensures ?;\n"
+        "    call C.q();\n", "m", 2),
+}
+
 
 @pytest.fixture(scope="session")
 def sell_path():

@@ -18,7 +18,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, FIXTURES, FOREIGN_PRECISE, OWNERSHIP_PREMISE
+from conftest import CORPUS, FIXTURES, FOREIGN_PRECISE, LEFTOVER_SLOTS, OWNERSHIP_PREMISE
 
 
 def tx(contract, method, *args):
@@ -64,6 +64,16 @@ class TestTraceJudgments:
         else:
             assert j.verdict == FIRST_VIOLATION
             assert j.site == Site("access", 10 if name == "through-extern" else 14)
+
+    @pytest.mark.parametrize("name", LEFTOVER_SLOTS)
+    def test_an_imprecise_ensures_hands_what_the_frame_holds_to_its_caller(self, name):
+        # judged on the source: a slot the callee acquired at entry passes
+        # to the caller, one it borrowed lazily goes back to its previous
+        # owner
+        source, method, g = LEFTOVER_SLOTS[name]
+        program, _ = load_source(source, f"{name}.gcl")
+        j = Oracle(program).judge({"C": {"G": 0}}, tx("C", method))
+        assert (j.verdict, j.site, j.storage and j.storage["C"]) == (ALL_HELD, None, {"G": g})
 
     def test_precise_precondition_violation_at_spec_line(self):
         program, _ = load_file(CORPUS / "sell_precise.gcl")

@@ -156,6 +156,46 @@ def test_a_call_changes_held_values_only_through_an_imprecise_same_contract_call
     assert enumerate_equivalence(program, weave(program, report), bound=2)["disagreements"] == []
 
 
+# take keeps G, so m holds no slot after the call, and the woven check and
+# the assert read G in spec atoms only; nothing but m's own write, which
+# takes G, or another call can change G between them
+UNHELD_G = (
+    "contract C:\n"
+    "  #@ global G;\n"
+    "  method m():\n"
+    "    #@ requires acc(G);\n"
+    "    #@ ensures ?;\n"
+    "    call C.take();\n"
+    "    #! check G >= 1 @c0 assert;\n"
+    "{between}"
+    "    #@ assert G >= 1;\n"
+    "  method take():\n"
+    "    #@ requires acc(G);\n"
+    "    #@ ensures ?;\n"
+    "    G := 2;\n"
+    "  method n():\n"
+    "    #@ requires ?;\n"
+    "    #@ ensures ?;\n"
+    "    G := 0;\n"
+)
+
+
+@pytest.mark.parametrize("between, residuals", [
+    ("", []),
+    ("    y := 1;\n", []),
+    ("    G := 0;\n", ["access", "assert"]),
+    ("    call C.n();\n", ["assert"]),
+    ("    y := 0;\n    while y < 1:\n      #@ invariant ?;\n      call C.n();\n"
+     "      y := y + 1;\n", ["assert"]),
+], ids=["adjacent", "local-write", "own-write", "call", "call-in-loop"])
+def test_a_spec_read_of_an_unheld_slot_holds_until_the_slot_may_change(between, residuals):
+    # a woven text re-verifies with nothing left to weave only if the
+    # value a check read is the value the assert after it reads
+    program, _ = load_source(UNHELD_G.format(between=between), "t.gcl")
+    m = verify_program(program).method("C", "m")
+    assert [r.obligation.kind for r in m.residuals] == residuals
+
+
 def test_facts_are_dropped_at_every_call():
     # set0 is precise and takes H itself: keeping big(1) across the call
     # would prove the final assert, which fails whenever m runs

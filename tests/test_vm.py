@@ -27,7 +27,7 @@ from gvc.vm import (
 )
 from gvc.weaver import weave
 
-from conftest import CORPUS, FOREIGN_PRECISE, OWNERSHIP_PREMISE, ROOT
+from conftest import CORPUS, FOREIGN_PRECISE, LEFTOVER_SLOTS, OWNERSHIP_PREMISE, ROOT
 
 
 def make_image(name, adversaries=None, protected=True):
@@ -624,6 +624,26 @@ class TestPromotedLocals:
         eq = enumerate_equivalence(program, woven, bound=2)
         assert (eq["cases"], eq["disagreements"]) == (117, [])
 
+    def test_a_block_reloads_what_a_block_inside_it_assigns(self):
+        # the `if n > 0` body's own code never touches x, but the block
+        # nested in it assigns x, and m reads x after both return
+        program, _ = load_source(
+            "contract C:\n  #@ global G;\n  method m(n: uint64):\n"
+            "    #@ requires acc(G);\n    #@ ensures ?;\n    x := 1;\n    if n > 0:\n"
+            "      if n > 1:\n        while n > x:\n          #@ invariant ?;\n"
+            "          x := x + 1;\n        G := x;\n      else:\n        G := 7;\n"
+            "    G := G + x;\n", "nested.gcl")
+        woven = weave(program, verify_program(program))
+        image = load_program(woven)
+        finals = []
+        for n in range(4):
+            ledger = Ledger(image.program, {"C": {"G": 0}})
+            assert Vm(image, ledger).exec_transaction(tx("C", "m", n)).committed
+            finals.append(ledger.read("C", "G"))
+        assert finals == [1, 8, 4, 6]
+        eq = enumerate_equivalence(program, woven, bound=3)
+        assert (eq["cases"], eq["disagreements"]) == (16, [])
+
 
 def nested_whiles(depth):
     """A method whose one assignment is under `depth` nested while bodies."""
@@ -991,7 +1011,7 @@ class TestFailureModes:
         monkeypatch.setattr(gvc.vm, "infer_types", refuse)
         monkeypatch.setattr(gvc.vm, "resolve", refuse)
         monkeypatch.setattr(gvc.frontend, "well_formed_program", refuse)
-        assert len(woven) == 17
+        assert len(woven) == 18
         for ip in woven:
             load_program(ip)
 
@@ -1114,4 +1134,17 @@ class TestReentrancy:
             assert (out.detail["slot"], out.detail["kind"], out.detail["line"]) == (
                 "G", "access", 10 if name == "through-extern" else 14)
             assert led.read("W", "G") == 1
+        assert vm.perm == {}
+
+    @pytest.mark.parametrize("name", LEFTOVER_SLOTS)
+    def test_an_imprecise_ensures_hands_what_the_frame_holds_to_its_caller(self, name):
+        # a slot the callee acquired at entry passes to the caller, one it
+        # borrowed lazily goes back to its previous owner
+        source, method, g = LEFTOVER_SLOTS[name]
+        program, _ = load_source(source, f"{name}.gcl")
+        image = load_program(weave(program, verify_program(program)))
+        led = Ledger(image.program, {"C": {"G": 0}})
+        vm = Vm(image, led)
+        out = vm.exec_transaction(tx("C", method))
+        assert (out.status, out.reason, led.read("C", "G")) == ("committed", None, g)
         assert vm.perm == {}
