@@ -96,6 +96,14 @@ class _OFrame:
         self.borrows = []  # (slot, previous holder) for lazy acquisitions
 
 
+class _Claim(NamedTuple):
+    """The holder of a free slot that `frame` takes back at its next use:
+    a callee whose imprecise ensures may have promised the slot to `frame`
+    released it."""
+
+    frame: object
+
+
 def _split(formula):
     """(acc atoms, other atoms) of a spec formula, each in formula order."""
     return (tuple(a for a in formula.atoms if type(a) is Acc),
@@ -117,7 +125,7 @@ class _Method(NamedTuple):
     requires: tuple  # the non-acc atoms
     ensures_acc: tuple
     ensures: tuple
-    gives_rest: bool  # an imprecise ensures: the caller gets every slot left
+    gives_rest: bool  # an imprecise ensures, verified: the caller claims every slot left
     post_line: int
     reads_old: bool
 
@@ -135,7 +143,7 @@ class Oracle:
                 self.methods[(c.name, m.name)] = _Method(
                     c, m, verified, req.imprecise or not verified,
                     tuple(p for p, _ in m.params), *_split(req), ensures_acc, ensures,
-                    ens.imprecise, ens.loc.line,
+                    ens.imprecise and verified, ens.loc.line,
                     any(type(n) is Old for n in expr_nodes(*ensures)))
         self.zeros = [(c.name, dict.fromkeys(c.globals, 0)) for c in program.contracts]
 
@@ -177,7 +185,7 @@ class Oracle:
         for a in m.requires_acc:
             key = (cname, a.slot)
             h = holder.get(key)
-            if h is None or h is caller:
+            if h is None or type(h) is _Claim or h is caller:
                 holder[key] = fr
             else:
                 raise _Violation("access", a.loc.line, _ACC, a.slot)
@@ -196,18 +204,20 @@ class Oracle:
                 holder[(cname, a.slot)] = caller
         if caller is None:  # judge drops the transaction's holdings whole
             return fr.result
+        mine = _Claim(fr)
         for slot, prev in reversed(fr.borrows):
-            if holder.get((cname, slot)) is fr:
+            h = holder.get((cname, slot))
+            if h is fr or h == mine:  # back to its previous holder
                 if prev is None:
                     holder.pop((cname, slot), None)
                 else:
                     holder[(cname, slot)] = prev
-        # what the frame still holds: an imprecise ensures may have promised
-        # it to the caller, a precise one did not
+        # what the frame still holds or claims: an imprecise ensures may
+        # have promised it to the caller, who claims it; a precise one did not
         for key, h in list(holder.items()):
-            if h is fr:
+            if h is fr or h == mine:
                 if m.gives_rest:
-                    holder[key] = caller
+                    holder[key] = _Claim(caller)
                 else:
                     del holder[key]
         return fr.result
@@ -216,7 +226,11 @@ class Oracle:
         h = self.holder.get((cname, slot))
         if h is fr:
             return True
-        if fr.imprecise and (h is None or (fr.caller is not None and h is fr.caller)):
+        if type(h) is _Claim and h.frame is fr:  # taken back
+            self.holder[(cname, slot)] = fr
+            return True
+        if fr.imprecise and (h is None or type(h) is _Claim
+                             or (fr.caller is not None and h is fr.caller)):
             fr.borrows.append((slot, h))
             self.holder[(cname, slot)] = fr
             return True

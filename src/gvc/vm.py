@@ -178,7 +178,8 @@ class GasMeter:
 
 class MethodCode:
     """One method of a loaded image: its parameter names; whether its
-    requires and its ensures are imprecise; its contract's compiled
+    requires is imprecise (or its contract extern); whether its ensures is
+    imprecise in a verified contract; its contract's compiled
     predicates (shared by the contract's methods); its body, a generated function that takes the running Frame
     and its locals and returns True when the body executed a return; and
     its generated `entry` and `exit` functions (see "Compiled code"), each
@@ -191,7 +192,7 @@ class MethodCode:
         self.contract = contract
         self.params = tuple(p for p, _ in method.params)
         self.imprecise_entry = spec.requires.imprecise or contract.extern
-        self.imprecise_exit = spec.ensures.imprecise
+        self.imprecise_exit = spec.ensures.imprecise and not contract.extern
         self.predicates = predicates
         self.body, self.entry, self.exit = _Emitter(contract, protected).compile(method)
 
@@ -342,22 +343,29 @@ class Vm:
         """A VM running transactions of `image` on `ledger`."""
         self.image = image
         self.ledger = ledger
-        self.perm = {}  # (contract, slot) -> frame id, FREE when absent
+        # (contract, slot) -> frame id, or minus a frame id for a free slot
+        # that frame may take back (a claim, see Vm.call); FREE when absent
+        self.perm = {}
         self.meter = None
         self.frames = 0  # frames entered so far; numbers the next one
 
     # -- permission ledger ---------------------------------------------------
 
     def _hold(self, frame, slot):
-        """Whether `frame` may use `slot` of its contract: it owns the slot,
-        or it was entered imprecisely and the slot is free or its caller's,
-        in which case the frame borrows it (recorded in lazy_acquired)."""
+        """Whether `frame` may use `slot` of its contract: it owns the slot;
+        it claims the slot, which it then takes back; or it was entered
+        imprecisely and the slot is free (claimed by another frame or not)
+        or its caller's, in which case the frame borrows it (recorded in
+        lazy_acquired)."""
         key = (frame.contract.name, slot)
         o = self.perm.get(key)
         if o == frame.id:
             return True
-        if frame.code.imprecise_entry and (o is None or (frame.caller is not None
-                                                    and o == frame.caller.id)):
+        if o == -frame.id:
+            self.perm[key] = frame.id
+            return True
+        if frame.code.imprecise_entry and (o is None or o < 0 or (frame.caller is not None
+                                                              and o == frame.caller.id)):
             self.perm[key] = frame.id
             frame.lazy_acquired.append((slot, o))
             return True
@@ -397,9 +405,9 @@ class Vm:
         code"), checks its entry rows and acquires its requires acc slots,
         and its exit function checks its exit rows and hands its ensures
         acc slots back.  Then each slot the frame borrowed lazily goes back
-        to its previous owner, and every other slot the frame holds passes
-        to the caller if the method's ensures is imprecise, or is released
-        if it is precise."""
+        to its previous owner, and every other slot the frame holds or
+        claims is released; the caller claims it if the method's ensures is
+        imprecise and its contract verified."""
         code = self.image.code[(cname, mname)]
         depth = 1 if caller is None else caller.depth + charge
         if depth > CALL_DEPTH_CAP:
@@ -414,20 +422,24 @@ class Vm:
         if caller is None:  # the transaction's permissions are dropped whole
             return frame.result
         perm, fid = self.perm, frame.id
-        # lazily borrowed permissions revert to their previous owner
+        # a lazily borrowed slot the frame holds or claims goes back to its
+        # previous owner (free, a claim, or the caller)
         for slot, prev in reversed(frame.lazy_acquired):
             key = (cname, slot)
-            if perm.get(key) == fid:
+            o = perm.get(key)
+            if o == fid or o == -fid:
                 if prev is None:
                     del perm[key]
                 else:
                     perm[key] = prev
-        # an imprecise ensures may promise the caller any slot the frame
-        # still holds, so it passes them all on; a precise one releases them
+        # an imprecise ensures may have promised the caller any slot the
+        # frame still holds or claims: it is freed, and the caller claims it,
+        # so the caller takes it back at its next use while no other frame
+        # has taken it; a precise ensures frees it
         for key, o in list(perm.items()):
-            if o == fid:
+            if o == fid or o == -fid:
                 if code.imprecise_exit:
-                    perm[key] = caller.id
+                    perm[key] = -caller.id
                 else:
                     del perm[key]
         return frame.result
@@ -562,12 +574,12 @@ def _row_failed(row, site):
 def _acquire(fr, acc, active):
     """Acquire a requires acc slot, given its (key, slot, line), for the
     frame at entry, charging 1 check gas when `active`: the slot must be
-    free or the caller's."""
+    free (claimed or not) or the caller's."""
     key, slot, line = acc
     if active:
         fr.meter.charge_check()
     o = fr.perm.get(key)
-    if o is not None and (fr.caller is None or o != fr.caller.id):
+    if o is not None and o > 0 and (fr.caller is None or o != fr.caller.id):
         raise _access_denied(fr, slot, line)
     fr.perm[key] = fr.id
 

@@ -53,26 +53,57 @@ OWNERSHIP_PREMISE = {
 
 # where the slots a frame still holds at exit go (Vm.call, Oracle.enter).
 # In "acquired", twice holds G and calls inc, which acquires G at entry and
-# whose ensures `?` does not name it: inc hands G back to twice, so
-# twice's own `ensures acc(G)` holds (corpus/imprecise_return.gcl with inc's
-# ensures eroded to `?`).  In "borrowed", n borrows the free G lazily; it
-# goes back to free at n's exit, not to m, so q, entered through D.x, can
-# acquire it.  Each is (source, method of C run from G = 0, G after it
-# commits).
+# whose ensures `?` does not name it: inc frees G and twice claims it, so
+# twice takes G back for its own `ensures acc(G)` (corpus/imprecise_return.gcl
+# with inc's ensures eroded to `?`).  In "borrowed", n borrows the free G
+# lazily; it goes back to free at n's exit, not to m, so q, entered through
+# D.x, can acquire it.  In "claimed", take's ensures `?` frees G and m
+# claims it, yet q, entered through D.x, can acquire it: a claimed slot is
+# free to every other frame (corpus/grand_call.gcl with take's ensures
+# eroded to `?`).  In "borrowed-then-claimed", c borrows m's G lazily and
+# c2 takes it from c and leaves c a claim on it: G goes back to m, which
+# holds it after the call, as the verifier assumes.  An extern's ensures leaves no claim: in "reentered-twice",
+# each Feed.ping frees the G that grab handed it, so the second grab can
+# acquire it, and in "after-an-extern" m may not take G after the calls.
+# Each is (source, adversary source of Feed or None, method of C run from
+# G = 0, G after it commits or None where m is refused G).
+_GRAND_CALL = (
+    "  method q():\n    #@ requires acc(G);\n    #@ ensures acc(G);\n    G := G + 1;\n"
+    "\ncontract D:\n  method x():\n    #@ requires ?;\n    #@ ensures ?;\n"
+    "    call C.q();\n")
+_REENTERED = (
+    "contract C:\n  #@ global G;\n  method m():\n    #@ requires true;\n    #@ ensures ?;\n"
+    "    call Feed.ping();\n    call Feed.ping();\n{tail}"
+    "  method grab():\n    #@ requires acc(G);\n    #@ ensures acc(G);\n    G := G + 1;\n"
+    "\nextern contract Feed:\n  method ping():\n    opaque;\n")
+_PING_GRABS = "contract Feed:\n  method ping():\n    call C.grab();\n"
 LEFTOVER_SLOTS = {
     "acquired": (
         "contract C:\n  #@ global G;\n"
         "  method inc():\n    #@ requires acc(G);\n    #@ ensures ?;\n    G := G + 1;\n"
         "  method twice():\n    #@ requires acc(G) and G == 0;\n    #@ ensures acc(G);\n"
-        "    G := G + 5;\n    call C.inc();\n    #@ assert G >= 1;\n", "twice", 6),
+        "    G := G + 5;\n    call C.inc();\n    #@ assert G >= 1;\n", None, "twice", 6),
     "borrowed": (
         "contract C:\n  #@ global G;\n"
         "  method m():\n    #@ requires ?;\n    #@ ensures ?;\n"
         "    call C.n();\n    call D.x();\n"
         "  method n():\n    #@ requires ?;\n    #@ ensures ?;\n    G := 1;\n"
-        "  method q():\n    #@ requires acc(G);\n    #@ ensures acc(G);\n    G := G + 1;\n"
-        "\ncontract D:\n  method x():\n    #@ requires ?;\n    #@ ensures ?;\n"
-        "    call C.q();\n", "m", 2),
+        + _GRAND_CALL, None, "m", 2),
+    "claimed": (
+        "contract C:\n  #@ global G;\n"
+        "  method m():\n    #@ requires acc(G);\n    #@ ensures ?;\n"
+        "    call C.take();\n    call D.x();\n"
+        "  method take():\n    #@ requires acc(G);\n    #@ ensures ?;\n    G := G + 1;\n"
+        + _GRAND_CALL, None, "m", 2),
+    "borrowed-then-claimed": (
+        "contract C:\n  #@ global G;\n"
+        "  method m():\n    #@ requires acc(G);\n    #@ ensures acc(G);\n"
+        "    call C.c();\n    G := G + 1;\n"
+        "  method c():\n    #@ requires ?;\n    #@ ensures true;\n    call C.c2();\n"
+        "  method c2():\n    #@ requires acc(G);\n    #@ ensures ?;\n    G := G + 1;\n",
+        None, "m", 2),
+    "reentered-twice": (_REENTERED.format(tail=""), _PING_GRABS, "m", 2),
+    "after-an-extern": (_REENTERED.format(tail="    G := G + 1;\n"), _PING_GRABS, "m", None),
 }
 
 

@@ -66,14 +66,17 @@ class TestTraceJudgments:
             assert j.site == Site("access", 10 if name == "through-extern" else 14)
 
     @pytest.mark.parametrize("name", LEFTOVER_SLOTS)
-    def test_an_imprecise_ensures_hands_what_the_frame_holds_to_its_caller(self, name):
-        # judged on the source: a slot the callee acquired at entry passes
-        # to the caller, one it borrowed lazily goes back to its previous
-        # owner
-        source, method, g = LEFTOVER_SLOTS[name]
+    def test_where_the_slots_a_frame_holds_at_exit_go(self, name):
+        # judged on the source (see conftest.LEFTOVER_SLOTS): a refused
+        # take is an access violation at m's write
+        source, adversary, method, g = LEFTOVER_SLOTS[name]
         program, _ = load_source(source, f"{name}.gcl")
-        j = Oracle(program).judge({"C": {"G": 0}}, tx("C", method))
-        assert (j.verdict, j.site, j.storage and j.storage["C"]) == (ALL_HELD, None, {"G": g})
+        merged, unverified = merge_adversaries(program, adversary and {"Feed": adversary})
+        j = Oracle(merged, unverified).judge({"C": {"G": 0}}, tx("C", method))
+        if g is None:
+            assert (j.verdict, j.site) == (FIRST_VIOLATION, Site("access", 8))
+        else:
+            assert (j.verdict, j.site, j.storage["C"]) == (ALL_HELD, None, {"G": g})
 
     def test_precise_precondition_violation_at_spec_line(self):
         program, _ = load_file(CORPUS / "sell_precise.gcl")
